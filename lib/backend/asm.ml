@@ -178,28 +178,35 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
     backend signature); the global hit/miss counters feed the
     [asm.decode_cache.*] bench gauges.
 
-    The threaded core executes over a {e flat mutable register file}: a
-    closure writes the run's single register array in place and returns
-    only the successor memory, so a register-to-register step allocates
-    nothing at all. Two invariants make this safe under the LTS
+    The threaded core executes over a {e flat mutable register file}
+    and a memory the run owns ({!Mem.thaw}): a closure writes the run's
+    single register array in place and returns the successor memory —
+    the same memory when it only stored into chunks the run already
+    owns — so neither a register-to-register step nor such a store
+    builds a new state. Two invariants make this safe under the LTS
     discipline:
 
     - {e no write before fallibility is resolved}: a closure performs no
-      register write until every way it can get stuck has been ruled
-      out, so a stuck step leaves the state bit-identical and the run
-      loop's subsequent [at_external]/[final] probes see the pre-step
-      registers;
+      register or memory write until every way it can get stuck has
+      been ruled out, so a stuck step leaves the state bit-identical and
+      the run loop's subsequent [at_external]/[final] probes see the
+      pre-step state;
     - {e copy-on-observe}: the LTS hands out {!Pregfile.copy} snapshots
-      at every observation point ([init], [at_external],
-      [after_external], [final]) and never leaks the live array into a
-      query or reply, so composition operators ([⊕], layering) and the
-      co-execution harness can retain boundary payloads without seeing
-      later mutations. *)
+      and {!Mem.freeze}d memories at every observation point ([init],
+      [at_external], [after_external], [final]) and never leaks the live
+      array or an owned memory into a query or reply, so composition
+      operators ([⊕], layering) and the co-execution harness can retain
+      boundary payloads without seeing later mutations. *)
 
 (** A decoded instruction: mutates the register file in place and
-    returns the successor memory, or [None] (stuck) having written
+    returns the successor memory, or {!stuck_mem} having written
     nothing. *)
-type exec = Pregfile.t -> Mem.t -> Mem.t option
+type exec = Pregfile.t -> Mem.t -> Mem.t
+
+(* The result of a stuck [exec]: a memory no run ever holds, compared
+   physically, so a successful instruction returns its successor memory
+   without wrapping it in an option. *)
+let stuck_mem : Mem.t = Mem.freeze (Mem.thaw Mem.empty)
 
 type decoded = exec array
 
@@ -220,7 +227,7 @@ let fetch_args (args : preg list) : Pregfile.t -> value list =
 let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
     (fb : block) (pos : int) (i : instruction) : exec =
   let pc_next = Vptr (fb, pos + 1) in
-  let stuck : exec = fun _ _ -> None in
+  let stuck : exec = fun _ _ -> stuck_mem in
   match i with
   | Pallocframe (sz, ofs_link, ofs_ra) ->
     fun rs m -> (
@@ -228,8 +235,8 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
       | Some (m', b) ->
         rs.(isp) <- Vptr (b, 0);
         rs.(ipc) <- pc_next;
-        Some m'
-      | None -> None)
+        m'
+      | None -> stuck_mem)
   | Pfreeframe (sz, ofs_link, ofs_ra) ->
     fun rs m -> (
       match rs.(isp) with
@@ -241,10 +248,10 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
             rs.(isp) <- link;
             rs.(ira) <- ra;
             rs.(ipc) <- pc_next;
-            Some m'
-          | None -> None)
-        | _ -> None)
-      | _ -> None)
+            m'
+          | None -> stuck_mem)
+        | _ -> stuck_mem)
+      | _ -> stuck_mem)
   (* Superinstructions: the operand shapes the register allocator emits
      most (moves, constants, two-operand integer arithmetic, reg/stack
      addressing) get dedicated closures that skip the operand list and
@@ -256,61 +263,61 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
     fun rs m ->
       rs.(ires) <- rs.(ia);
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Ointconst n, [], res) ->
     let v = Vint n and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- v;
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Olongconst n, [], res) ->
     let v = Vlong n and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- v;
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Oaddimm n, [ a ], res) ->
     let vn = Vint n and ia = preg_index a and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- Values.add rs.(ia) vn;
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Oadd, [ a; b ], res) ->
     let ia = preg_index a and ib = preg_index b and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- Values.add rs.(ia) rs.(ib);
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Osub, [ a; b ], res) ->
     let ia = preg_index a and ib = preg_index b and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- Values.sub rs.(ia) rs.(ib);
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Omul, [ a; b ], res) ->
     let ia = preg_index a and ib = preg_index b and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- Values.mul rs.(ia) rs.(ib);
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Olongofint, [ a ], res) ->
     let ia = preg_index a and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- Values.longofint rs.(ia);
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Oaddlimm n, [ a ], res) ->
     let vn = Vlong n and ia = preg_index a and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- Values.addl rs.(ia) vn;
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (Op.Omullimm n, [ a ], res) ->
     let vn = Vlong n and ia = preg_index a and ires = preg_index res in
     fun rs m ->
       rs.(ires) <- Values.mull rs.(ia) vn;
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pop (op, args, res) ->
     let fetch = fetch_args args in
     let ires = preg_index res in
@@ -319,8 +326,8 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
       | Some v ->
         rs.(ires) <- v;
         rs.(ipc) <- pc_next;
-        Some m
-      | None -> None)
+        m
+      | None -> stuck_mem)
   | Pload (chunk, Op.Aindexed ofs, [ a ], dst) ->
     let ia = preg_index a and idst = preg_index dst in
     fun rs m -> (
@@ -330,9 +337,9 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         | Some v ->
           rs.(idst) <- v;
           rs.(ipc) <- pc_next;
-          Some m
-        | None -> None)
-      | _ -> None)
+          m
+        | None -> stuck_mem)
+      | _ -> stuck_mem)
   | Pload (chunk, Op.Ainstack ofs, [], dst) ->
     let idst = preg_index dst in
     fun rs m -> (
@@ -342,9 +349,9 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         | Some v ->
           rs.(idst) <- v;
           rs.(ipc) <- pc_next;
-          Some m
-        | None -> None)
-      | _ -> None)
+          m
+        | None -> stuck_mem)
+      | _ -> stuck_mem)
   | Pload (chunk, Op.Aindexed2 ofs, [ a; b ], dst) ->
     (* Matches the generic arm exactly: [eval_addressing] on [Aindexed2]
        is [addl (addl v1 v2) ofs] and never gets stuck on two args. *)
@@ -355,8 +362,8 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
       | Some v ->
         rs.(idst) <- v;
         rs.(ipc) <- pc_next;
-        Some m
-      | None -> None)
+        m
+      | None -> stuck_mem)
   | Pload (chunk, addr, args, dst) ->
     let fetch = fetch_args args in
     let idst = preg_index dst in
@@ -367,9 +374,9 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         | Some v ->
           rs.(idst) <- v;
           rs.(ipc) <- pc_next;
-          Some m
-        | None -> None)
-      | None -> None)
+          m
+        | None -> stuck_mem)
+      | None -> stuck_mem)
   | Pstore (chunk, Op.Aindexed ofs, [ a ], src) ->
     let ia = preg_index a and isrc = preg_index src in
     fun rs m -> (
@@ -378,9 +385,9 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         match Mem.store chunk m b (o + ofs) rs.(isrc) with
         | Some m' ->
           rs.(ipc) <- pc_next;
-          Some m'
-        | None -> None)
-      | _ -> None)
+          m'
+        | None -> stuck_mem)
+      | _ -> stuck_mem)
   | Pstore (chunk, Op.Ainstack ofs, [], src) ->
     let isrc = preg_index src in
     fun rs m -> (
@@ -389,9 +396,9 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         match Mem.store chunk m b (base + ofs) rs.(isrc) with
         | Some m' ->
           rs.(ipc) <- pc_next;
-          Some m'
-        | None -> None)
-      | _ -> None)
+          m'
+        | None -> stuck_mem)
+      | _ -> stuck_mem)
   | Pstore (chunk, Op.Aindexed2 ofs, [ a; b ], src) ->
     let ia = preg_index a and ib = preg_index b and isrc = preg_index src in
     let vofs = Vlong (Int64.of_int ofs) in
@@ -402,8 +409,8 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
       with
       | Some m' ->
         rs.(ipc) <- pc_next;
-        Some m'
-      | None -> None)
+        m'
+      | None -> stuck_mem)
   | Pstore (chunk, addr, args, src) ->
     let fetch = fetch_args args in
     let isrc = preg_index src in
@@ -413,20 +420,20 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         match Mem.storev chunk m va rs.(isrc) with
         | Some m' ->
           rs.(ipc) <- pc_next;
-          Some m'
-        | None -> None)
-      | None -> None)
+          m'
+        | None -> stuck_mem)
+      | None -> stuck_mem)
   | Plabel _ ->
     fun rs m ->
       rs.(ipc) <- pc_next;
-      Some m
+      m
   | Pjmp lbl -> (
     match find_label lbl f.fn_code with
     | Some pos' ->
       let target = Vptr (fb, pos') in
       fun rs m ->
         rs.(ipc) <- target;
-        Some m
+        m
     | None -> stuck)
   | Pjcc (cond, args, lbl) ->
     (* The label resolves at decode time, but a missing label only
@@ -455,12 +462,12 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         match target with
         | Some t ->
           rs.(ipc) <- t;
-          Some m
-        | None -> None)
+          m
+        | None -> stuck_mem)
       | Some false ->
         rs.(ipc) <- pc_next;
-        Some m
-      | None -> None)
+        m
+      | None -> stuck_mem)
   | Pcall ros -> (
     match ros with
     | Rsymbol id -> (
@@ -470,7 +477,7 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         fun rs m ->
           rs.(ira) <- pc_next;
           rs.(ipc) <- vf;
-          Some m
+          m
       | None -> stuck)
     | Rreg r ->
       let ir = preg_index r in
@@ -481,7 +488,7 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         let vf = rs.(ir) in
         rs.(ira) <- pc_next;
         rs.(ipc) <- vf;
-        Some m)
+        m)
   | Pjmp_tail ros -> (
     match ros with
     | Rsymbol id -> (
@@ -490,17 +497,17 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
         let vf = Vptr (b, 0) in
         fun rs m ->
           rs.(ipc) <- vf;
-          Some m
+          m
       | None -> stuck)
     | Rreg r ->
       let ir = preg_index r in
       fun rs m ->
         rs.(ipc) <- rs.(ir);
-        Some m)
+        m)
   | Pret ->
     fun rs m ->
       rs.(ipc) <- rs.(ira);
-      Some m
+      m
 
 let decode_function (ge : genv) (fb : block) (f : coq_function) : decoded =
   let gv = genv_view ge in
@@ -549,23 +556,6 @@ let decoded_at (ge : genv) (dc : decode_cache) (fb : block) : decoded option =
     d
   end
 
-(* The caller owns [s.rs] exclusively: a successful step has written the
-   register file in place, so the successor state reuses the same array
-   (and, when memory is untouched, is [s] itself — a step allocates
-   nothing). *)
-let step_threaded (ge : genv) (dc : decode_cache) (s : state) :
-    (Core.Events.trace * state) list =
-  match s.rs.(ipc) with
-  | Vptr (fb, pos) -> (
-    match decoded_at ge dc fb with
-    | Some code when pos >= 0 && pos < Array.length code -> (
-      match code.(pos) s.rs s.m with
-      | Some m' ->
-        [ (Core.Events.e0, if m' == s.m then s else { rs = s.rs; m = m' }) ]
-      | None -> [])
-    | _ -> [])
-  | _ -> []
-
 type full_state = { asm_init_ra : value; asm_st : state }
 
 (* PC-shaped value equality, specialized to avoid the polymorphic
@@ -602,12 +592,10 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
         | _ -> false)
     | _ -> false
   in
-  (* The threaded step is inlined here rather than wrapping
-     [step_threaded] in a [List.map]: the rewrap would allocate a second
-     cons/tuple/record per step, a measurable share of the hot loop.
-     The run owns its register array exclusively between observation
-     points, so a register-only step reuses both state records; the
-     singleton transition list is the only allocation.
+  (* The run owns its register array and its memory exclusively between
+     observation points, so a step that only writes registers or owned
+     chunks reuses both state records; the singleton transition list is
+     the only allocation.
 
      One LTS step executes a bounded {e run} of instructions, not just
      one: after each decoded closure the dispatcher keeps going while
@@ -633,8 +621,9 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
       | Vptr (fb, pos) -> (
         match decoded_at ge dc fb with
         | Some code when pos >= 0 && pos < Array.length code -> (
-          match code.(pos) s.asm_st.rs s.asm_st.m with
-          | Some m0 ->
+          let m0 = code.(pos) s.asm_st.rs s.asm_st.m in
+          if m0 == stuck_mem then []
+          else
             let rs = s.asm_st.rs in
             let len = Array.length code in
             let rec fuse budget m =
@@ -643,21 +632,34 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
                 match rs.(ipc) with
                 | Vptr (fb', pos')
                   when fb' = fb && pos' >= 0 && pos' < len
-                       && not (pc_eq rs.(ipc) s.asm_init_ra) -> (
-                  match code.(pos') rs m with
-                  | Some m' -> fuse (budget - 1) m'
-                  | None -> m)
+                       && not (pc_eq rs.(ipc) s.asm_init_ra) ->
+                  let m' = code.(pos') rs m in
+                  if m' == stuck_mem then m else fuse (budget - 1) m'
                 | _ -> m
             in
             let m' = fuse (fuse_budget - 1) m0 in
             [ ( Core.Events.e0,
                 if m' == s.asm_st.m then s
-                else { s with asm_st = { rs; m = m' } } ) ]
-          | None -> [])
+                else { s with asm_st = { rs; m = m' } } ) ])
         | _ -> [])
       | _ -> []
     else fun s ->
       List.map (fun (t, st) -> (t, { s with asm_st = st })) (step ge s.asm_st)
+  in
+  (* Copy-on-observe memory: the threaded run thaws every memory it
+     receives, so its stores update the chunks it owns in place, and
+     freezes the memory it hands out, counting the run's in-place writes
+     and chunk copies since the thaw. The naive reference stays on the
+     persistent memory model throughout. *)
+  let own m = if threaded then Mem.thaw m else m in
+  let observe m =
+    if Mem.owned m then begin
+      let in_place, copied = Mem.write_stats m in
+      Obs.Metrics.incr_counter ~by:in_place "mem.cow.in_place";
+      Obs.Metrics.incr_counter ~by:copied "mem.cow.copied";
+      Mem.freeze m
+    end
+    else m
   in
   {
     Core.Smallstep.name = "Asm";
@@ -665,11 +667,19 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     (* Copy-on-observe, inbound: the query's register file may be shared
        (sibling components in a [⊕]-composition marshal queries out of
        their own suspended state, and [Pregfile.init] itself is a shared
-       array), so the activation takes a private copy it may then mutate. *)
+       array), so the activation takes a private copy it may then mutate;
+       its memory likewise becomes the activation's own. *)
     init = (fun q -> [ { asm_init_ra = Pregfile.get RA q.aq_rs;
                          asm_st = { rs = Pregfile.copy q.aq_rs;
-                                    m = q.aq_mem } } ]);
-    step = step_full;
+                                    m = own q.aq_mem } } ]);
+    (* A final state has no internal step, even when the return address
+       is code of this unit (a function called from inside the unit
+       that tail-calls into another unit is answered there): [⊕] offers
+       the internal step before the pop, and would otherwise go on
+       running the caller's code inside the callee's activation. *)
+    step =
+      (fun s ->
+        if pc_eq s.asm_st.rs.(ipc) s.asm_init_ra then [] else step_full s);
     at_external =
       (fun s ->
         (* An external call is a control transfer to the base of a global
@@ -684,15 +694,15 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
         then
           (* Copy-on-observe, outbound: the callee (or environment) must
              see a snapshot, not the live array this run keeps writing. *)
-          Some { aq_rs = Pregfile.copy s.asm_st.rs; aq_mem = s.asm_st.m }
+          Some { aq_rs = Pregfile.copy s.asm_st.rs; aq_mem = observe s.asm_st.m }
         else None);
     after_external =
       (fun s r ->
-        [ { s with asm_st = { rs = Pregfile.copy r.ar_rs; m = r.ar_mem } } ]);
+        [ { s with asm_st = { rs = Pregfile.copy r.ar_rs; m = own r.ar_mem } } ]);
     final =
       (fun s ->
         if pc_eq s.asm_st.rs.(ipc) s.asm_init_ra then
-          Some { ar_rs = Pregfile.copy s.asm_st.rs; ar_mem = s.asm_st.m }
+          Some { ar_rs = Pregfile.copy s.asm_st.rs; ar_mem = observe s.asm_st.m }
         else None);
   }
 

@@ -19,11 +19,27 @@
     comparison. Only blocks actually carved by [free]/[drop_perm]/
     [grant_perm] on a sub-range (the [LM] argument-region protocol) fall
     back to a per-offset [Carved] map. Contents are chunked: bytes live in
-    16-byte arrays keyed by [ofs asr 4], so a [store] copies one or two
-    small arrays instead of performing one persistent-map insertion per
-    byte. All observable behavior (every function of the interface) is
-    unchanged; [test/test_mem_diff.ml] checks this against the previous
-    per-byte implementation on random operation sequences. *)
+    16-byte arrays keyed by [ofs asr 4]; an aligned access of at most 8
+    bytes never crosses a chunk, so loads and stores of every integer
+    chunk read or write one array directly. Concrete bytes come from a
+    shared table ([Memdata.byte]) and small integer results are shared,
+    so a byte access allocates nothing beyond the returned option. All
+    observable behavior (every function of the interface) is unchanged;
+    [test/test_mem_diff.ml] checks this against the per-byte reference
+    implementation on random operation sequences.
+
+    {b Copy-on-observe ownership.} A memory built by the interface below
+    is persistent: a write copies the one chunk it touches and the path
+    to it. A memory returned by {!thaw} instead belongs to one {e owner},
+    a run that promises to use it linearly (never touching a memory again
+    once an operation has returned its successor). Chunks and blocks
+    carry the owner that created them; a write under the owner that
+    already holds the chunk updates it in place and returns the same
+    memory. Anything inherited from before the [thaw] is copied once, on
+    its first write. {!freeze} ends the ownership, after which the memory
+    and everything it shares are persistent again, so the run hands out
+    frozen memories at its observation points and nobody ever sees a
+    later in-place write. *)
 
 open Values
 open Memdata
@@ -57,6 +73,22 @@ let chunk_size = 16
 let chunk_ix ofs = ofs asr chunk_bits
 let chunk_sub ofs = ofs land (chunk_size - 1)
 
+(* An ownership token. Only a [live] owner writes in place; the counters
+   are the owner's write statistics ({!write_stats}). *)
+type owner = {
+  mutable live : bool;
+  mutable in_place : int;  (** chunk writes that updated an owned chunk *)
+  mutable copied : int;  (** chunks copied or created for writing *)
+}
+
+let new_owner () = { live = true; in_place = 0; copied = 0 }
+
+(* The owner of every memory the persistent interface builds: never live,
+   so nothing it holds is ever written in place. *)
+let nobody = { live = false; in_place = 0; copied = 0 }
+
+type chunk = { c_owner : owner; c_data : memval array }
+
 type perms =
   | Uniform of permission option
       (** every offset in [lo, hi) has this permission ([None] = no
@@ -66,8 +98,11 @@ type perms =
 type block_info = {
   lo : int;
   hi : int;
-  contents : memval array IMap.t;  (** 16-byte chunks; missing = all [Undef] *)
+  mutable contents : chunk IMap.t;
+      (** 16-byte chunks; missing = all [Undef]. Updated in place only
+          through a record its live owner holds. *)
   perms : perms;
+  b_owner : owner;
 }
 
 type t = {
@@ -79,9 +114,11 @@ type t = {
           which every load, store and alloc searches and rebuilds — at
           live-block size instead of growing by one tombstone per
           function call executed by the interpreter. *)
+  owner : owner;
 }
 
-let empty = { next_block = 1; blocks = IMap.empty; dead = IMap.empty }
+let empty =
+  { next_block = 1; blocks = IMap.empty; dead = IMap.empty; owner = nobody }
 
 let nextblock m = m.next_block
 
@@ -98,6 +135,16 @@ let block_bounds m b =
   | Some bi -> Some (bi.lo, bi.hi)
   | None -> None
 
+(** {1 Ownership} *)
+
+let freeze m =
+  if m.owner.live then m.owner.live <- false;
+  m
+
+let thaw m = { (freeze m) with owner = new_owner () }
+let owned m = m.owner.live
+let write_stats m = (m.owner.in_place, m.owner.copied)
+
 (** {1 Permissions} *)
 
 let block_perm bi ofs =
@@ -106,9 +153,9 @@ let block_perm bi ofs =
   | Carved pm -> IMap.find_opt ofs pm
 
 let perm m b ofs p =
-  match IMap.find_opt b m.blocks with
-  | None -> false
-  | Some bi -> (
+  match IMap.find b m.blocks with
+  | exception Not_found -> false
+  | bi -> (
     match block_perm bi ofs with
     | None -> false
     | Some p' -> perm_order p' p)
@@ -176,7 +223,10 @@ let carved pm = if IMap.is_empty pm then Uniform None else Carved pm
 
 let alloc m lo hi =
   let b = m.next_block in
-  let bi = { lo; hi; contents = IMap.empty; perms = Uniform (Some Freeable) } in
+  let bi =
+    { lo; hi; contents = IMap.empty; perms = Uniform (Some Freeable);
+      b_owner = m.owner }
+  in
   ({ m with next_block = b + 1; blocks = IMap.add b bi m.blocks }, b)
 
 let free m b lo hi =
@@ -259,53 +309,205 @@ let grant_perm m b lo hi p =
 
 (** {1 Loads and stores} *)
 
-let get_byte contents ofs =
-  match IMap.find_opt (chunk_ix ofs) contents with
-  | None -> Undef
-  | Some a -> a.(chunk_sub ofs)
+(* The data of chunk [ix]; the empty array when the chunk is missing (all
+   [Undef]). *)
+let chunk_data bi ix =
+  match IMap.find ix bi.contents with
+  | c -> c.c_data
+  | exception Not_found -> [||]
+
+let get_byte bi ofs =
+  let a = chunk_data bi (chunk_ix ofs) in
+  if Array.length a = 0 then Undef else a.(chunk_sub ofs)
 
 (* Read [n] bytes starting at [ofs], paying one chunk lookup per chunk
    crossed (not per byte). Built back-to-front; the initial index is
    strictly below every index in range, so the first iteration fetches. *)
 let getN bi ofs n =
-  let rec go i ix arr acc =
+  let rec go i ix a acc =
     if i < 0 then acc
     else
       let o = ofs + i in
       let ix' = chunk_ix o in
-      let arr = if ix' = ix then arr else IMap.find_opt ix' bi.contents in
-      let mv = match arr with None -> Undef | Some a -> a.(chunk_sub o) in
-      go (i - 1) ix' arr (mv :: acc)
+      let a = if ix' = ix then a else chunk_data bi ix' in
+      let mv = if Array.length a = 0 then Undef else a.(chunk_sub o) in
+      go (i - 1) ix' a (mv :: acc)
   in
-  go (n - 1) (chunk_ix ofs - 1) None []
+  go (n - 1) (chunk_ix ofs - 1) [||] []
 
-(* Write the bytes of [mvl] starting at [ofs]: copy each touched chunk
-   once, fill it, and put it back — one or two map operations for a
-   typical 8-byte store. The copies are fresh, so the update is
-   observationally pure. *)
-let setN bi ofs mvl =
-  let contents = ref bi.contents in
-  let cur_ix = ref (chunk_ix ofs - 1) in
-  let cur = ref [||] in
-  let flush () =
-    if Array.length !cur > 0 then contents := IMap.add !cur_ix !cur !contents
+(* {2 The write path}
+
+   Every write runs under an owner: the memory's own when it is thawed,
+   otherwise a fresh one that dies when the write returns, which makes
+   the persistent write "copy what you touch" and the owned write
+   "update what you already own" the same code. *)
+
+let write_owner m = if m.owner.live then m.owner else new_owner ()
+let release m o = if o != m.owner then o.live <- false
+
+(* The record of a block that [o] may update: [bi] itself when [o] owns
+   it, else a copy [o] owns, which {!install} then puts in the map. *)
+let adopt o bi = if bi.b_owner == o then bi else { bi with b_owner = o }
+
+let install m b bi bi' =
+  if bi' == bi then m else { m with blocks = IMap.add b bi' m.blocks }
+
+(* Chunk [ix] of [bi] (owned by the live [o]) as an array [o] may write
+   in place: an owned chunk is returned as is, a foreign one is copied
+   once and a missing one created, both then owned by [o]. *)
+let own_chunk o bi ix a =
+  o.copied <- o.copied + 1;
+  bi.contents <- IMap.add ix { c_owner = o; c_data = a } bi.contents;
+  a
+
+let writable o bi ix =
+  match IMap.find ix bi.contents with
+  | c when c.c_owner == o ->
+    o.in_place <- o.in_place + 1;
+    c.c_data
+  | c -> own_chunk o bi ix (Array.copy c.c_data)
+  | exception Not_found -> own_chunk o bi ix (Array.make chunk_size Undef)
+
+let write_bytes o bi ofs mvl =
+  let rec go ofs ix a = function
+    | [] -> ()
+    | mv :: rest ->
+      let ix' = chunk_ix ofs in
+      let a = if ix' = ix then a else writable o bi ix' in
+      a.(chunk_sub ofs) <- mv;
+      go (ofs + 1) ix' a rest
   in
-  List.iteri
-    (fun i mv ->
-      let o = ofs + i in
-      let ix = chunk_ix o in
-      if ix <> !cur_ix then begin
-        flush ();
-        cur_ix := ix;
-        cur :=
-          (match IMap.find_opt ix !contents with
-          | Some a -> Array.copy a
-          | None -> Array.make chunk_size Undef)
-      end;
-      !cur.(chunk_sub o) <- mv)
-    mvl;
-  flush ();
-  { bi with contents = !contents }
+  go ofs (chunk_ix ofs - 1) [||] mvl
+
+(* Write [encode_val chunk v] at the aligned [ofs]. An aligned access of
+   at most 8 bytes stays inside one chunk, so the integer and pointer
+   shapes fill one array directly; the rest go through the memval list. *)
+let write_val o bi ofs chunk v =
+  match (chunk, v) with
+  | (Mint8signed | Mint8unsigned), Vint n ->
+    (writable o bi (chunk_ix ofs)).(chunk_sub ofs) <- byte (Int32.to_int n land 0xFF)
+  | (Mint16signed | Mint16unsigned), Vint n ->
+    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let x = Int32.to_int n in
+    a.(i) <- byte (x land 0xFF);
+    a.(i + 1) <- byte ((x lsr 8) land 0xFF)
+  | Mint32, Vint n ->
+    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let x = Int32.to_int n land 0xFFFFFFFF in
+    a.(i) <- byte (x land 0xFF);
+    a.(i + 1) <- byte ((x lsr 8) land 0xFF);
+    a.(i + 2) <- byte ((x lsr 16) land 0xFF);
+    a.(i + 3) <- byte ((x lsr 24) land 0xFF)
+  | Mint64, Vlong n ->
+    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let lo = Int64.to_int (Int64.logand n 0xFFFFFFFFL) in
+    let hi = Int64.to_int (Int64.shift_right_logical n 32) in
+    a.(i) <- byte (lo land 0xFF);
+    a.(i + 1) <- byte ((lo lsr 8) land 0xFF);
+    a.(i + 2) <- byte ((lo lsr 16) land 0xFF);
+    a.(i + 3) <- byte ((lo lsr 24) land 0xFF);
+    a.(i + 4) <- byte (hi land 0xFF);
+    a.(i + 5) <- byte ((hi lsr 8) land 0xFF);
+    a.(i + 6) <- byte ((hi lsr 16) land 0xFF);
+    a.(i + 7) <- byte ((hi lsr 24) land 0xFF)
+  | Mint64, Vptr _ | Many64, _ ->
+    (* [inj_value Q64 v]: a pointer, or any value spilled with [Many64]
+       (callee-save registers). *)
+    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    for k = 0 to 7 do
+      a.(i + k) <- Fragment (v, Q64, 7 - k)
+    done
+  | _ -> write_bytes o bi ofs (encode_val chunk v)
+
+(* {2 The read path} *)
+
+(* Shared results for small integer loads (flags, characters, counters):
+   [some_int x] is [Some (Vint x)] for a signed 32-bit [x]. *)
+let small_lo = -128
+let small_hi = 1023
+
+let small_results =
+  Array.init (small_hi - small_lo + 1) (fun i ->
+      Some (Vint (Int32.of_int (i + small_lo))))
+
+let some_int x =
+  if x >= small_lo && x <= small_hi then small_results.(x - small_lo)
+  else Some (Vint (Int32.of_int x))
+
+let some_undef = Some Vundef
+
+(* Sign-extend the [bits]-bit unsigned [x]. *)
+let sext bits x =
+  let s = 1 lsl (bits - 1) in
+  (x lxor s) - s
+
+let byte_at a i = match a.(i) with Byte b -> b | _ -> -1
+
+(* [v = v] (false only for a NaN float), the condition under which
+   [proj_value]'s structural comparison accepts a fragment run that
+   physical equality accepts. *)
+let self_equal = function Vfloat f | Vsingle f -> f = f | _ -> true
+let is_ptr = function Vptr _ -> true | _ -> false
+
+(* [decode_val chunk] of the [size_chunk chunk] memvals at [i] of chunk
+   array [a], for an aligned access. The integer shapes decode straight
+   from the array; an undefined or mixed byte makes every integer chunk
+   decode to [Vundef], exactly as [decode_val] does. *)
+let read_generic chunk a i =
+  Some (decode_val chunk (Array.to_list (Array.sub a i (size_chunk chunk))))
+
+let read_val chunk a i : value option =
+  match chunk with
+  | Mint8unsigned -> ( match a.(i) with Byte b -> some_int b | _ -> some_undef)
+  | Mint8signed -> (
+    match a.(i) with Byte b -> some_int (sext 8 b) | _ -> some_undef)
+  | Mint16unsigned | Mint16signed ->
+    let b0 = byte_at a i and b1 = byte_at a (i + 1) in
+    if b0 lor b1 < 0 then some_undef
+    else
+      let x = b0 lor (b1 lsl 8) in
+      some_int (if chunk = Mint16signed then sext 16 x else x)
+  | Mint32 ->
+    let b0 = byte_at a i
+    and b1 = byte_at a (i + 1)
+    and b2 = byte_at a (i + 2)
+    and b3 = byte_at a (i + 3) in
+    if b0 lor b1 lor b2 lor b3 < 0 then some_undef
+    else some_int (sext 32 (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)))
+  | Mint64 | Many64 -> (
+    match a.(i) with
+    | Byte _ when chunk = Many64 -> some_undef (* bytes never decode as [Many64] *)
+    | Byte b0 ->
+      let b1 = byte_at a (i + 1)
+      and b2 = byte_at a (i + 2)
+      and b3 = byte_at a (i + 3)
+      and b4 = byte_at a (i + 4)
+      and b5 = byte_at a (i + 5)
+      and b6 = byte_at a (i + 6)
+      and b7 = byte_at a (i + 7) in
+      if b1 lor b2 lor b3 lor b4 lor b5 lor b6 lor b7 < 0 then some_undef
+      else
+        let lo = b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24) in
+        let hi = b4 lor (b5 lsl 8) lor (b6 lsl 16) lor (b7 lsl 24) in
+        Some
+          (Vlong (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)))
+    | Fragment (v0, Q64, 7) when self_equal v0 && (chunk = Many64 || is_ptr v0) ->
+      (* A value stored by [inj_value Q64] (a pointer, or a [Many64]
+         spill): the same value at decreasing indices 7..0. Stores write
+         one shared value into all eight fragments, so physical equality
+         stands in for [proj_value]'s structural one; anything else falls
+         back to [proj_value]. *)
+      let rec check k =
+        k > 7
+        ||
+        match a.(i + k) with
+        | Fragment (v', Q64, idx) when idx = 7 - k && v' == v0 -> check (k + 1)
+        | _ -> false
+      in
+      if check 1 then Some v0 else read_generic chunk a i
+    | Undef -> some_undef
+    | _ -> read_generic chunk a i)
+  | Mfloat32 | Mfloat64 | Many32 -> read_generic chunk a i
 
 let aligned chunk ofs = ofs mod align_chunk chunk = 0
 
@@ -317,10 +519,6 @@ let loadbytes m b ofs n =
     | Some bi ->
       if not (block_range_perm bi ofs (ofs + n) Readable) then None
       else Some (getN bi ofs n)
-
-(* The single write path: permissions are assumed already checked. *)
-let storebytes_unchecked m b bi ofs mvl =
-  { m with blocks = IMap.add b (setN bi ofs mvl) m.blocks }
 
 let storebytes m b ofs mvl =
   match IMap.find_opt b m.blocks with
@@ -335,157 +533,60 @@ let storebytes m b ofs mvl =
   | Some bi ->
     let n = List.length mvl in
     if not (block_range_perm bi ofs (ofs + n) Writable) then None
-    else Some (storebytes_unchecked m b bi ofs mvl)
-
-(* {2 Fast paths for the interpreter-hot access shapes}
-
-   An aligned 4- or 8-byte access never crosses a 16-byte chunk boundary,
-   so the common [Mint32]/[Mint64] loads and stores can read or write one
-   chunk array directly instead of going through the intermediate
-   [memval list] of [encode_val]/[getN]/[decode_val]. The fast paths
-   produce bit-identical chunk contents and results; every shape they do
-   not cover (undef bytes, mixed fragments, float chunks, sub-word
-   accesses) returns [None] and falls back to the generic path. *)
-
-let byte_at a i = match a.(i) with Byte b -> b | _ -> -1
-
-let load_fast chunk bi ofs : value option =
-  match chunk with
-  | Mint32 | Mint64 -> (
-    match IMap.find_opt (chunk_ix ofs) bi.contents with
-    | None -> None
-    | Some a -> (
-      let base = chunk_sub ofs in
-      match (chunk, a.(base)) with
-      | Mint32, Byte b0 ->
-        let b1 = byte_at a (base + 1)
-        and b2 = byte_at a (base + 2)
-        and b3 = byte_at a (base + 3) in
-        if b1 lor b2 lor b3 < 0 then None
-        else
-          Some
-            (Vint (Int32.of_int (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24))))
-      | Mint64, Byte b0 ->
-        let b1 = byte_at a (base + 1)
-        and b2 = byte_at a (base + 2)
-        and b3 = byte_at a (base + 3)
-        and b4 = byte_at a (base + 4)
-        and b5 = byte_at a (base + 5)
-        and b6 = byte_at a (base + 6)
-        and b7 = byte_at a (base + 7) in
-        if b1 lor b2 lor b3 lor b4 lor b5 lor b6 lor b7 < 0 then None
-        else
-          let lo = b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24) in
-          let hi = b4 lor (b5 lsl 8) lor (b6 lsl 16) lor (b7 lsl 24) in
-          Some
-            (Vlong
-               (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)))
-      | Mint64, Fragment (v0, Q64, 7) ->
-        (* A pointer stored by [inj_value Q64]: the same value at
-           decreasing indices 7..0. Stores write one shared value into
-           all eight fragments, so physical equality suffices; anything
-           else falls back to [proj_value]. *)
-        let rec check i =
-          i > 7
-          ||
-          match a.(base + i) with
-          | Fragment (v', Q64, idx) when idx = 7 - i && v' == v0 -> check (i + 1)
-          | _ -> false
-        in
-        if check 1 then (match v0 with Vptr _ -> Some v0 | _ -> None) else None
-      | _ -> None))
-  | _ -> None
-
-let chunk_for_write bi ix =
-  match IMap.find_opt ix bi.contents with
-  | Some a -> Array.copy a
-  | None -> Array.make chunk_size Undef
-
-let store_fast bi ofs chunk v : block_info option =
-  match (chunk, v) with
-  | Mint32, Vint n ->
-    let ix = chunk_ix ofs and base = chunk_sub ofs in
-    let a = chunk_for_write bi ix in
-    let x = Int32.to_int n land 0xFFFFFFFF in
-    a.(base) <- Byte (x land 0xFF);
-    a.(base + 1) <- Byte ((x lsr 8) land 0xFF);
-    a.(base + 2) <- Byte ((x lsr 16) land 0xFF);
-    a.(base + 3) <- Byte ((x lsr 24) land 0xFF);
-    Some { bi with contents = IMap.add ix a bi.contents }
-  | Mint64, Vlong n ->
-    let ix = chunk_ix ofs and base = chunk_sub ofs in
-    let a = chunk_for_write bi ix in
-    let lo = Int64.to_int (Int64.logand n 0xFFFFFFFFL) in
-    let hi = Int64.to_int (Int64.shift_right_logical n 32) in
-    a.(base) <- Byte (lo land 0xFF);
-    a.(base + 1) <- Byte ((lo lsr 8) land 0xFF);
-    a.(base + 2) <- Byte ((lo lsr 16) land 0xFF);
-    a.(base + 3) <- Byte ((lo lsr 24) land 0xFF);
-    a.(base + 4) <- Byte (hi land 0xFF);
-    a.(base + 5) <- Byte ((hi lsr 8) land 0xFF);
-    a.(base + 6) <- Byte ((hi lsr 16) land 0xFF);
-    a.(base + 7) <- Byte ((hi lsr 24) land 0xFF);
-    Some { bi with contents = IMap.add ix a bi.contents }
-  | Mint64, (Vptr _ as vp) ->
-    let ix = chunk_ix ofs and base = chunk_sub ofs in
-    let a = chunk_for_write bi ix in
-    for i = 0 to 7 do
-      a.(base + i) <- Fragment (vp, Q64, 7 - i)
-    done;
-    Some { bi with contents = IMap.add ix a bi.contents }
-  | _ -> None
+    else
+      let o = write_owner m in
+      let bi' = adopt o bi in
+      write_bytes o bi' ofs mvl;
+      release m o;
+      Some (install m b bi bi')
 
 let load chunk m b ofs =
   if not (aligned chunk ofs) then None
   else
-    match IMap.find_opt b m.blocks with
-    | None -> None
-    | Some bi -> (
-      let n = size_chunk chunk in
-      if not (block_range_perm bi ofs (ofs + n) Readable) then None
+    match IMap.find b m.blocks with
+    | exception Not_found -> None
+    | bi ->
+      if not (block_range_perm bi ofs (ofs + size_chunk chunk) Readable) then None
       else
-        match load_fast chunk bi ofs with
-        | Some v -> Some v
-        | None -> Some (decode_val chunk (getN bi ofs n)))
+        let a = chunk_data bi (chunk_ix ofs) in
+        if Array.length a = 0 then some_undef else read_val chunk a (chunk_sub ofs)
 
 let store chunk m b ofs v =
   if not (aligned chunk ofs) then None
   else
-    match IMap.find_opt b m.blocks with
-    | None -> None
-    | Some bi -> (
-      if not (block_range_perm bi ofs (ofs + size_chunk chunk) Writable) then
-        None
-      else
-        match store_fast bi ofs chunk v with
-        | Some bi' -> Some { m with blocks = IMap.add b bi' m.blocks }
-        | None -> Some (storebytes_unchecked m b bi ofs (encode_val chunk v)))
+    match IMap.find b m.blocks with
+    | exception Not_found -> None
+    | bi ->
+      if not (block_range_perm bi ofs (ofs + size_chunk chunk) Writable) then None
+      else begin
+        let o = write_owner m in
+        let bi' = adopt o bi in
+        write_val o bi' ofs chunk v;
+        release m o;
+        Some (install m b bi bi')
+      end
 
-(* Fused frame allocation: observably identical to
-   [alloc m 0 sz] followed by two [store Mint64] of the frame link and
-   return address, but builds the block's contents locally and inserts
-   into the blocks map once instead of three times. [Pallocframe]
-   executes this on every function entry, so the two saved map rebuilds
-   are measurable in the interpreter hot loop. *)
-let store_bi bi ofs chunk v =
-  if not (aligned chunk ofs) then None
-  else if not (block_range_perm bi ofs (ofs + size_chunk chunk) Writable) then
-    None
-  else
-    match store_fast bi ofs chunk v with
-    | Some bi' -> Some bi'
-    | None -> Some (setN bi ofs (encode_val chunk v))
-
+(* Fused frame allocation: observably identical to [alloc m 0 sz]
+   followed by two [store Mint64] of the frame link and return address,
+   but fills the block's contents before inserting it into the blocks map
+   once instead of three times. [Pallocframe] executes this on every
+   function entry. The two stores succeed exactly when both offsets are
+   8-aligned and inside [0, sz), which is checked before anything is
+   built. *)
 let alloc_frame m sz ofs_link link ofs_ra ra =
-  let b = m.next_block in
-  let bi = { lo = 0; hi = sz; contents = IMap.empty; perms = Uniform (Some Freeable) } in
-  match store_bi bi ofs_link Mint64 link with
-  | None -> None
-  | Some bi1 -> (
-    match store_bi bi1 ofs_ra Mint64 ra with
-    | None -> None
-    | Some bi2 ->
-      Some ({ m with next_block = b + 1; blocks = IMap.add b bi2 m.blocks }, b))
+  let fits ofs = ofs mod 8 = 0 && ofs >= 0 && ofs + 8 <= sz in
+  if not (fits ofs_link && fits ofs_ra) then None
+  else
+    let b = m.next_block in
+    let o = write_owner m in
+    let bi =
+      { lo = 0; hi = sz; contents = IMap.empty; perms = Uniform (Some Freeable);
+        b_owner = o }
+    in
+    write_val o bi ofs_link Mint64 link;
+    write_val o bi ofs_ra Mint64 ra;
+    release m o;
+    Some ({ m with next_block = b + 1; blocks = IMap.add b bi m.blocks }, b)
 
 let loadv chunk m = function
   | Vptr (b, ofs) -> load chunk m b ofs
@@ -515,7 +616,7 @@ let fold_live_offsets m f acc =
 let contents_at m b ofs =
   match find_block m b with
   | None -> Undef
-  | Some bi -> get_byte bi.contents ofs
+  | Some bi -> get_byte bi ofs
 
 let perm_at m b ofs =
   match find_block m b with
@@ -548,8 +649,9 @@ let unchanged_on (pred : block -> int -> bool) m m' =
 
 (* Equality is semantic, not representational: a carved block whose map
    happens to cover [lo, hi) uniformly equals the same block in uniform
-   form, and an explicitly-[Undef] content chunk equals an absent one.
-   Structural fast paths cover the common cases. *)
+   form, an explicitly-[Undef] content chunk equals an absent one, and
+   owners are not compared. Structural fast paths cover the common
+   cases. *)
 let block_equal b1 b2 =
   b1.lo = b2.lo && b1.hi = b2.hi
   && (match (b1.perms, b2.perms) with
@@ -560,11 +662,10 @@ let block_equal b1 b2 =
          ofs >= b1.hi || (block_perm b1 ofs = block_perm b2 ofs && go (ofs + 1))
        in
        go b1.lo)
-  && (IMap.equal ( = ) b1.contents b2.contents
+  && (IMap.equal (fun c1 c2 -> c1.c_data = c2.c_data) b1.contents b2.contents
      ||
      let rec go ofs =
-       ofs >= b1.hi
-       || (get_byte b1.contents ofs = get_byte b2.contents ofs && go (ofs + 1))
+       ofs >= b1.hi || (get_byte b1 ofs = get_byte b2 ofs && go (ofs + 1))
      in
      go b1.lo)
 

@@ -84,6 +84,37 @@ val storev : chunk -> t -> value -> value -> t option
 val loadbytes : t -> block -> int -> int -> memval list option
 val storebytes : t -> block -> int -> memval list -> t option
 
+(** {1 Copy-on-observe ownership}
+
+    Every memory above is persistent: operations return new states and
+    leave their arguments intact. A run that holds its memory exclusively
+    can instead [thaw] it and then use it {e linearly} — never touching a
+    memory again once an operation has returned its successor. Writes
+    through a thawed memory then update the chunks and blocks the run
+    itself created (or already copied) in place, returning the same
+    memory; anything inherited from before the [thaw] is copied on its
+    first write, so the argument of [thaw] is never modified. [freeze]
+    ends the run's ownership: the result, and every memory that shares
+    structure with it, is persistent again. A run hands out only frozen
+    memories at its observation points. *)
+
+(** [thaw m] is [m] owned by a fresh run. It freezes [m] first, so a
+    still-owned argument loses its owner. *)
+val thaw : t -> t
+
+(** [freeze m] ends the ownership of [m]'s run (no-op on a persistent
+    memory) and returns [m]. *)
+val freeze : t -> t
+
+(** [owned m]: [m] belongs to a run, thawed and not frozen since. *)
+val owned : t -> bool
+
+(** [write_stats m] is [(in_place, copied)] for the run that owns or
+    owned [m] since its [thaw]: chunk writes that updated an owned chunk
+    in place, and chunks that were copied or created to be written.
+    Both are [0] for a memory never thawed. *)
+val write_stats : t -> int * int
+
 (** {1 Observation (used by relational checks)} *)
 
 (** Fold over every (block, offset) with at least [Nonempty] permission. *)

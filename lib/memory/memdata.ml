@@ -87,7 +87,14 @@ let rec int64_of_bytes = function
   | b :: rest ->
     Int64.logor (Int64.of_int b) (Int64.shift_left (int64_of_bytes rest) 8)
 
-let inj_bytes bl = List.map (fun b -> Byte b) bl
+(* The 256 [Byte] memvals, built once: encoding a byte is a table read
+   instead of an allocation. *)
+let byte_memvals = Array.init 256 (fun b -> Byte b)
+
+(** [byte b] is [Byte b] for [0 <= b < 256], without allocating. *)
+let byte b = byte_memvals.(b)
+
+let inj_bytes bl = List.map byte bl
 
 let proj_bytes mvl =
   let rec go acc = function

@@ -78,6 +78,14 @@ let mutual_a =
 let mutual_b =
   "int even(int n); int odd(int n) { if (n == 0) return 0; return even(n - 1); }"
 
+(* [sum] calls [even] inside its unit and [even] tail-calls into the
+   other unit, so the activation [⊕] pushes for [odd] and [even] returns
+   into code of the calling unit. *)
+let tail_a =
+  "int odd(int n); int even(int n) { if (n == 0) return 1; return odd(n - 1); }\n\
+   int sum(int k) { int s = 0; for (int i = 0; i < k; i++) s = s + even(i) * i; \
+   return s; }"
+
 let globals_a = "int shared = 5; int get(void) { return shared; }"
 let globals_b =
   "int shared; int get(void); int bump(void) { shared = shared + 1; return get(); }"
@@ -111,6 +119,8 @@ let tests =
       ~args:[ 7 ] ~expect:1l (mutual_a, mutual_b);
     asm_linking "Thm 3.5: globals at Asm level" ~entry:"bump" ~args:[]
       ~expect:6l (globals_a, globals_b);
+    asm_linking "Thm 3.5: cross-unit tail calls from an internal call"
+      ~entry:"sum" ~args:[ 10 ] ~expect:20l (tail_a, mutual_b);
   ]
 
 (* Theorem 3.4-flavored property: composing at the source and target

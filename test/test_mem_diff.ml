@@ -6,6 +6,10 @@
     validation harness for the [Mem] hot-path rewrite: the representation
     changed, the semantics must not.
 
+    The same operations also run on owned ([Mem.thaw]) memories with
+    interleaved freezes: in-place writes must agree with the oracle and
+    never reach a memory handed out earlier.
+
     Also contains the regression tests for the [grant_perm] bounds bug
     (granting outside [lo, hi) used to mint permissions out of bounds)
     and the representation test that alloc/free of a large block never
@@ -230,6 +234,90 @@ let diff_carve =
     ~count:300 arb_carve_ops run_diff
 
 (* ------------------------------------------------------------------ *)
+(* Copy-on-observe ownership                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Stores of every shape the read and write paths special-case (bytes,
+   halves, words, longs, pointers, [Many64] spills) and of the generic
+   ones (floats, NaN included, [Many32], [Vundef]). *)
+let gen_any_chunk =
+  QCheck.Gen.oneofl
+    [ Mint8signed; Mint8unsigned; Mint16signed; Mint16unsigned; Mint32;
+      Mint64; Mfloat32; Mfloat64; Many32; Many64 ]
+
+let gen_value =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun n -> Vint (Int32.of_int n)) (int_range (-300) 70_000));
+      (2, map (fun n -> Vlong (Int64.of_int n)) int);
+      (2, map2 (fun b o -> Vptr (b, o)) gen_block (int_range 0 32));
+      (1, oneofl [ Vundef; Vfloat 1.5; Vfloat Float.nan; Vsingle 2.5 ]);
+    ]
+
+(* A run of operations on an owned memory, with observation points where
+   the run hands out its frozen memory and goes on either on a fresh
+   [thaw] of it (what the Asm semantics does) or on the very memory it
+   handed out, whose in-place writes the freeze must have ended. *)
+type run_op = Op of op | Observe of { rethaw : bool }
+
+let gen_run_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun op -> Op op) gen_op);
+      ( 4,
+        map3
+          (fun chunk (b, ofs) v -> Op (OStore (chunk, b, ofs, v)))
+          gen_any_chunk (pair gen_block gen_ofs) gen_value );
+      ( 2,
+        map3
+          (fun chunk b ofs -> Op (OLoad (chunk, b, ofs)))
+          gen_any_chunk gen_block gen_ofs );
+      (2, map (fun rethaw -> Observe { rethaw }) bool);
+    ]
+
+let pp_run_op = function
+  | Op op -> pp_op op
+  | Observe { rethaw } -> if rethaw then "observe, thaw" else "observe"
+
+let arb_run =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_run_op ops))
+    QCheck.Gen.(list_size (int_range 1 60) gen_run_op)
+
+(* [compare] rather than [=]: a stored NaN must read back equal to
+   itself. *)
+let differ a b = compare a b <> 0
+
+let run_owned ops =
+  let rec go mn mo snaps = function
+    | [] ->
+      List.for_all
+        (fun (sn, so) -> not (differ (observe_new sn) (observe_old so)))
+        snaps
+      || QCheck.Test.fail_report
+           "a handed-out memory changed after the run went on"
+    | Observe { rethaw } :: rest ->
+      let sn = Mem.freeze mn in
+      go (if rethaw then Mem.thaw sn else sn) mo ((sn, mo) :: snaps) rest
+    | Op op :: rest ->
+      let mn', rn = step_new mn op in
+      let mo', ro = step_old mo op in
+      if differ rn ro then
+        QCheck.Test.fail_reportf "outcome mismatch on %s" (pp_op op)
+      else if differ (observe_new mn') (observe_old mo') then
+        QCheck.Test.fail_reportf "state mismatch after %s" (pp_op op)
+      else go mn' mo' snaps rest
+  in
+  go (Mem.thaw Mem.empty) Mem_oracle.empty [] ops
+
+let diff_owned =
+  QCheck.Test.make
+    ~name:"owned runs agree with the oracle and never write a frozen memory"
+    ~count:300 arb_run run_owned
+
+(* ------------------------------------------------------------------ *)
 (* Regressions and representation checks                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -269,9 +357,26 @@ let unit_tests =
         let m = Option.get (Mem.drop_range m b1 8 16) in
         check "carved block has entries" true (Mem.perm_entries m b1 > 0);
         check "other block untouched" true (Mem.perm_entries m b2 = 0));
+    Alcotest.test_case "owned stores update in place until the memory is frozen"
+      `Quick (fun () ->
+        let m0, b = Mem.alloc Mem.empty 0 64 in
+        let m0 = Option.get (Mem.store Mint32 m0 b 0 (Vint 1l)) in
+        let m1 = Option.get (Mem.store Mint32 (Mem.thaw m0) b 0 (Vint 2l)) in
+        let m2 = Option.get (Mem.store Mint32 m1 b 4 (Vint 3l)) in
+        check "a store into an owned chunk returns the same memory" true
+          (m2 == m1);
+        check "the thawed memory keeps its contents" true
+          (Mem.load Mint32 m0 b 0 = Some (Vint 1l));
+        let frozen = Mem.freeze m2 in
+        let m3 = Option.get (Mem.store Mint32 frozen b 0 (Vint 9l)) in
+        check "a store into a frozen memory is persistent" true (m3 != frozen);
+        check "the frozen memory keeps its contents" true
+          (Mem.load Mint32 frozen b 0 = Some (Vint 2l));
+        check "one chunk copied, one store in place" true
+          (Mem.write_stats frozen = (1, 1)));
   ]
 
 let suite =
   ( "mem-diff",
     unit_tests
-    @ List.map QCheck_alcotest.to_alcotest [ diff_random; diff_carve ] )
+    @ List.map QCheck_alcotest.to_alcotest [ diff_random; diff_carve; diff_owned ] )

@@ -86,6 +86,16 @@ let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ mutable_matches_naive 
 
 (* --- Snapshot isolation --------------------------------------------- *)
 
+let mem_dump m =
+  Memory.Mem.fold_live_offsets m
+    (fun b ofs acc -> (b, ofs, Memory.Mem.contents_at m b ofs) :: acc)
+    []
+
+let example_files () =
+  Sys.readdir "../examples/c" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".c")
+  |> List.sort compare
+
 let pp_pregs rs = Format.asprintf "%a" Iface.Li.Pregfile.pp rs
 let pp_mregs rs = Format.asprintf "%a" Target.Machregs.Regfile.pp rs
 
@@ -102,11 +112,7 @@ let unit_tests =
       "mutable and persistent interpreters agree on examples/c" `Quick
       (fun () ->
         let dir = "../examples/c" in
-        let files =
-          Sys.readdir dir |> Array.to_list
-          |> List.filter (fun f -> Filename.check_suffix f ".c")
-          |> List.sort compare
-        in
+        let files = example_files () in
         check "corpus present" true (files <> []);
         List.iter
           (fun file ->
@@ -160,10 +166,10 @@ let unit_tests =
            steps after the first reply would scribble over the oracle's
            snapshot. *)
         let src =
-          "int ext(int x);\n\
+          "int g = 3;\n\
+           int ext(int x);\n\
            int twice(int x) { return x + x; }\n\
-           int main(void) { int a = ext(5); int b = twice(a); return ext(b) + \
-           b; }"
+           int main(void) { int a = ext(g); g = twice(a); return ext(g) + g; }"
         in
         let symbols, arts, q = compile_for src in
         let result_reg =
@@ -175,7 +181,12 @@ let unit_tests =
         let captured = ref None in
         let oracle (aq : Iface.Li.a_query) =
           if !captured = None then
-            captured := Some (aq.Iface.Li.aq_rs, pp_pregs aq.Iface.Li.aq_rs);
+            captured :=
+              Some
+                ( aq.Iface.Li.aq_rs,
+                  pp_pregs aq.Iface.Li.aq_rs,
+                  aq.Iface.Li.aq_mem,
+                  mem_dump aq.Iface.Li.aq_mem );
           let rs' =
             Iface.Li.Pregfile.set Iface.Li.PC
               (Iface.Li.Pregfile.get Iface.Li.RA aq.Iface.Li.aq_rs)
@@ -195,9 +206,68 @@ let unit_tests =
         | Error e -> Alcotest.failf "marshal error: %s" e);
         match !captured with
         | None -> Alcotest.fail "no external call reached the oracle"
-        | Some (rs, before) ->
+        | Some (rs, before, m, dump) ->
           check "external-call snapshot unchanged after the run" true
-            (pp_pregs rs = before));
+            (pp_pregs rs = before);
+          check "external-call memory unchanged after the run" true
+            (mem_dump m = dump));
+    Alcotest.test_case
+      "threaded and naive Asm answer with equal memories on examples/c"
+      `Quick (fun () ->
+        List.iter
+          (fun file ->
+            let symbols, arts, q =
+              compile_for (read_file (Filename.concat "../examples/c" file))
+            in
+            let reply sem =
+              match
+                Driver.Runners.run_a_level
+                  (sem ~symbols arts.Driver.Compiler.asm)
+                  ~fuel q
+              with
+              | Ok (Core.Smallstep.Final (_, r)) -> r.Iface.Li.cr_mem
+              | _ -> Alcotest.failf "%s: Asm run did not finish" file
+            in
+            check (file ^ ": reply memories agree") true
+              (Memory.Mem.equal (reply Backend.Asm.semantics)
+                 (reply Backend.Asm.semantics_naive)))
+          (example_files ()));
+    Alcotest.test_case
+      "owned memory: stores write in place, the query's memory stays intact"
+      `Quick (fun () ->
+        let src =
+          "int a[64];\n\
+           int main(void) { for (int k = 0; k < 10; k++) for (int i = 0; i < \
+           64; i++) a[i] = a[i] + i; return a[63]; }"
+        in
+        let symbols, arts, q = compile_for src in
+        let marshal () =
+          match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
+          | Some (_, aq) -> aq
+          | None -> Alcotest.fail "CA cannot marshal the query"
+        in
+        let aq = marshal () in
+        let run sem =
+          match
+            Core.Smallstep.run ~fuel
+              (sem ~symbols arts.Driver.Compiler.asm)
+              ~oracle:(fun _ -> None) aq
+          with
+          | Core.Smallstep.Final (_, ar) -> ar.Iface.Li.ar_mem
+          | _ -> Alcotest.fail "asm run did not finish"
+        in
+        let threaded = run Backend.Asm.semantics in
+        let naive = run Backend.Asm.semantics_naive in
+        let in_place, copied = Memory.Mem.write_stats threaded in
+        check "stores update owned chunks in place" true
+          (copied > 0 && in_place > 4 * copied);
+        check "the answer's memory is frozen" false (Memory.Mem.owned threaded);
+        check "the naive run never owns its memory" true
+          (Memory.Mem.write_stats naive = (0, 0));
+        check "both runs leave the same memory" true
+          (Memory.Mem.equal threaded naive);
+        check "the query's memory is unchanged" true
+          (Memory.Mem.equal aq.Iface.Li.aq_mem (marshal ()).Iface.Li.aq_mem));
   ]
 
 let suite = ("mutstate", qcheck_tests @ unit_tests)
