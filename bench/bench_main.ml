@@ -204,9 +204,9 @@ let table3 () =
              string_of_int (Sloccount.Sloc.measure_pass p.Convalg.Derive.pass_name);
              t;
            ])
-         Convalg.Derive.table3);
+         (Driver.Pipeline.passes Driver.Compiler.all_optims));
   Format.printf
-    "(+) = optional optimization, as in the paper. Conventions per pass@.match Table 3 of the paper exactly; see Convalg.Derive.table3.@."
+    "(+) = optional optimization, as in the paper. Conventions per pass@.match Table 3 of the paper exactly; see Driver.Pipeline.full.@."
 
 (* ------------------------------------------------------------------ *)
 (* Table 4                                                             *)
@@ -424,7 +424,8 @@ let fig9 () =
 
 let fig10 () =
   section "Figs. 10-11: deriving the uniform convention C (Thm 3.8)";
-  let out, inc = Convalg.Derive.thm_3_8 () in
+  let passes = Driver.Pipeline.passes Driver.Compiler.all_optims in
+  let out, inc = Convalg.Derive.thm_3_8 passes in
   Format.printf "outgoing side: %d rewriting steps, reached C: %b@."
     (List.length out.Convalg.Derive.trace.Convalg.Derive.steps)
     out.Convalg.Derive.ok;
@@ -435,7 +436,7 @@ let fig10 () =
   Format.printf
     "(run `occo derive` or examples/convention_derivation.exe for the full trace)@.";
   Format.printf "derivation time: %s@."
-    (pp_ns (estimate_ns "derive" (fun () -> ignore (Convalg.Derive.thm_3_8 ()))))
+    (pp_ns (estimate_ns "derive" (fun () -> ignore (Convalg.Derive.thm_3_8 passes))))
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 13: argument-region protection in LM                           *)
@@ -582,15 +583,15 @@ let ablation () =
      the workload)";
   let variants =
     let base = Driver.Compiler.all_optims in
-    [
-      ("all optimizations", base);
-      ("no Tailcall", { base with Driver.Compiler.opt_tailcall = false });
-      ("no Inlining", { base with Driver.Compiler.opt_inlining = false });
-      ("no Constprop", { base with Driver.Compiler.opt_constprop = false });
-      ("no CSE", { base with Driver.Compiler.opt_cse = false });
-      ("no Deadcode", { base with Driver.Compiler.opt_deadcode = false });
-      ("none (-O0)", Driver.Compiler.no_optims);
-    ]
+    let optional =
+      List.filter (fun p -> p.Convalg.Derive.optional) (Driver.Pipeline.passes base)
+    in
+    (("all optimizations", base)
+    :: List.map
+         (fun (p : Convalg.Derive.pass_info) ->
+           ("no " ^ p.pass_name, Driver.Pipeline.without (( = ) p) base))
+         optional)
+    @ [ ("none (-O0)", Driver.Compiler.no_optims) ]
   in
   let rows =
     List.map

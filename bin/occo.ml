@@ -1,6 +1,6 @@
 (** occo — the CompCertO-in-OCaml compiler driver.
 
-    Compile a C source file through the 17-pass pipeline, optionally
+    Compile a C source file through the 18-pass pipeline, optionally
     dumping intermediate representations and running the program at any
     level through the marshaled simulation conventions.
 
@@ -67,34 +67,6 @@ let metrics_flag =
         ~doc:
           "Print the metrics registry (per-pass duration histograms, \
            counters) as JSON on stdout after the command finishes.")
-
-(** [--allocator] picks the register-allocation strategy for every
-    compile the command performs, by setting
-    {!Passes.Allocation.default_strategy}. *)
-let allocator_arg =
-  let strategy_conv =
-    ( (fun s ->
-        match Passes.Allocation.strategy_of_string s with
-        | Some st -> `Ok st
-        | None ->
-          `Error
-            (Printf.sprintf
-               "unknown allocator %S (expected linear-scan or graph)" s)),
-      fun fmt st ->
-        Format.pp_print_string fmt (Passes.Allocation.strategy_name st) )
-  in
-  Arg.(
-    value
-    & opt (some strategy_conv) None
-    & info [ "allocator" ] ~docv:"STRATEGY"
-        ~doc:
-          "Register allocator: $(b,linear-scan) (the default — a single-pass \
-           live-interval fast path, validated on every run and falling back \
-           to $(b,graph) when the validator rejects its coloring) or \
-           $(b,graph) (the greedy graph coloring).")
-
-let set_allocator st =
-  Option.iter (fun st -> Passes.Allocation.default_strategy := st) st
 
 let with_obs trace metrics f =
   if trace = None && not metrics then f ()
@@ -205,8 +177,7 @@ let pp_outcome fmt (o : 'a Sup.outcome) =
 
 (** {1 compile} *)
 
-let compile_cmd_run file o0 dumps trace metrics allocator =
-  set_allocator allocator;
+let compile_cmd_run file o0 dumps trace metrics =
   with_obs trace metrics @@ fun () ->
   try
     let p = parse_file file in
@@ -270,7 +241,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a C file and dump IRs.")
     Term.(
       const compile_cmd_run $ file_arg $ o0_flag $ dump_flags $ trace_arg
-      $ metrics_flag $ allocator_arg)
+      $ metrics_flag)
 
 (** {1 run} *)
 
@@ -296,8 +267,7 @@ let parse_args (spec : string) (sg : signature) : value list option =
         (List.combine parts sg.sig_args)
         (Some [])
 
-let run_cmd_run file level entry args_spec fuel o0 trace metrics allocator =
-  set_allocator allocator;
+let run_cmd_run file level entry args_spec fuel o0 trace metrics =
   with_obs trace metrics @@ fun () ->
   try
     let p = parse_file file in
@@ -305,11 +275,12 @@ let run_cmd_run file level entry args_spec fuel o0 trace metrics allocator =
     let options =
       if o0 then Driver.Compiler.no_optims else Driver.Compiler.all_optims
     in
-    match Driver.Compiler.compile ~options p with
-    | Error e ->
-      Format.eprintf "compilation error: %s@." e;
+    match Driver.Compiler.compile_levels ~options p with
+    | Error f ->
+      Format.eprintf "compilation error: %s@."
+        (Diagnostics.to_string f.Driver.Compiler.fail_diag);
       1
-    | Ok arts -> (
+    | Ok kept -> (
       (* Determine the entry signature from the source program. *)
       let sg =
         match Ast.find_def p (Ident.intern entry) with
@@ -334,40 +305,22 @@ let run_cmd_run file level entry args_spec fuel o0 trace metrics allocator =
             Format.eprintf "cannot build the query@.";
             1
           | Some q ->
-            let show name r =
-              match r with
-              | Ok o ->
-                Format.printf "%-8s %a@." name Driver.Runners.pp_c_outcome o
-              | Error e -> Format.printf "%-8s marshal error: %s@." name e
+            (* The levels [--level] can name, and the kept level each
+               one runs. *)
+            let levels =
+              [ ("clight", "clight1"); ("rtl", "rtl_opt"); ("ltl", "ltl_tunneled");
+                ("mach", "mach"); ("asm", "asm") ]
             in
             let run_level lv =
-              match lv with
-              | "clight" ->
-                show "clight"
-                  (Ok
-                     (Driver.Runners.run_c_level
-                        (Cfrontend.Clight.semantics ~symbols p) ~fuel q))
-              | "rtl" ->
-                show "rtl"
-                  (Ok
-                     (Driver.Runners.run_c_level
-                        (Middle.Rtl.semantics ~symbols arts.rtl) ~fuel q))
-              | "ltl" ->
-                show "ltl"
-                  (Driver.Runners.run_l_level
-                     (Backend.Ltl.semantics ~symbols arts.ltl_tunneled) ~fuel q)
-              | "mach" ->
-                show "mach"
-                  (Driver.Runners.run_m_level
-                     (Backend.Mach.semantics ~symbols arts.mach) ~fuel q)
-              | "asm" ->
-                show "asm"
-                  (Driver.Runners.run_a_level
-                     (Backend.Asm.semantics ~symbols arts.asm) ~fuel q)
-              | other -> Format.eprintf "unknown level %s@." other
+              match List.assoc_opt lv levels with
+              | None -> Format.eprintf "unknown level %s@." lv
+              | Some name -> (
+                let l = List.find (fun l -> l.Driver.Pipeline.level = name) kept in
+                match Driver.Pipeline.run_level ~symbols ~fuel q l with
+                | Ok o -> Format.printf "%-8s %a@." lv Driver.Runners.pp_c_outcome o
+                | Error e -> Format.printf "%-8s marshal error: %s@." lv e)
             in
-            (if level = "all" then
-               List.iter run_level [ "clight"; "rtl"; "ltl"; "mach"; "asm" ]
+            (if level = "all" then List.iter (fun (lv, _) -> run_level lv) levels
              else run_level level);
             0)))
   with
@@ -399,7 +352,7 @@ let run_cmd =
           through the simulation conventions.")
     Term.(
       const run_cmd_run $ file_arg $ level $ entry $ args_spec $ fuel $ o0_flag
-      $ trace_arg $ metrics_flag $ allocator_arg)
+      $ trace_arg $ metrics_flag)
 
 (** {1 derive} *)
 
@@ -409,7 +362,10 @@ let derive_cmd =
        ~doc:"Print the machine-checked Thm 3.8 derivation (Figs. 10-11).")
     Term.(
       const (fun () ->
-          let out, inc = Convalg.Derive.thm_3_8 () in
+          let out, inc =
+            Convalg.Derive.thm_3_8
+              (Driver.Pipeline.passes Driver.Compiler.all_optims)
+          in
           Format.printf "%a@.@.%a@." Convalg.Derive.pp_side out
             Convalg.Derive.pp_side inc;
           if out.Convalg.Derive.ok && inc.Convalg.Derive.ok then 0 else 1)
@@ -432,7 +388,7 @@ let table_cmd =
                   (Convalg.Cterm.to_string p.outgoing)
                   (Convalg.Cterm.to_string p.incoming)
                   (Sloccount.Sloc.measure_pass p.pass_name))
-              Convalg.Derive.table3;
+              (Driver.Pipeline.passes Driver.Compiler.all_optims);
             0
           | 5 ->
             List.iter

@@ -11,6 +11,7 @@
     independently for the outgoing and incoming sides. *)
 
 let () =
+  let passes = Driver.Pipeline.passes Driver.Compiler.all_optims in
   Format.printf "=== Deriving Thm 3.8's uniform convention (Figs. 10-11) ===@.@.";
   Format.printf "Per-pass conventions (Table 3):@.";
   List.iter
@@ -19,9 +20,9 @@ let () =
         (p.pass_name ^ if p.optional then "*" else "")
         p.pass_source p.pass_target Convalg.Cterm.pp p.outgoing
         Convalg.Cterm.pp p.incoming)
-    Convalg.Derive.table3;
+    passes;
   Format.printf "@.";
-  let out, inc = Convalg.Derive.thm_3_8 () in
+  let out, inc = Convalg.Derive.thm_3_8 passes in
   Format.printf "%a@.@.%a@.@." Convalg.Derive.pp_side out Convalg.Derive.pp_side
     inc;
   Format.printf "Uniform convention: C = %a : C <=> A@." Convalg.Cterm.pp

@@ -39,7 +39,7 @@ let () =
   let symbols = Ast.prog_defs_names program in
   let arts = Errors.get (Driver.Compiler.compile program) in
   Format.printf "Compiled through %d passes; Asm code for gcd:@.@."
-    (List.length Convalg.Derive.table3);
+    (List.length (Driver.Pipeline.passes Driver.Compiler.all_optims));
   (match Ast.find_def arts.asm (Ident.intern "gcd") with
   | Some (Ast.Gfun (Ast.Internal f)) ->
     Format.printf "%a@." Backend.Asm.pp_function f

@@ -1,8 +1,8 @@
 (** The derivation engine reproducing the proof of Theorem 3.8
     (paper §5, Figures 10 and 11).
 
-    Starting from the per-pass simulation conventions of Table 3, the
-    engine:
+    Starting from the per-pass simulation conventions of Table 3, as
+    the compiler's pipeline is configured, the engine:
 
     1. composes them vertically (Thm. 3.7 / Thm. 5.2 associativity);
     2. inserts the parametricity self-simulations of Clight and Asm
@@ -78,6 +78,8 @@ let normalize (dir : [ `Incoming | `Outgoing ]) (t : t) : t * step list =
 
 (** {1 The passes of Table 3} *)
 
+(** One row of Table 3: a pass with its languages and conventions. The
+    rows themselves are the compiler's pipeline, which passes them in. *)
 type pass_info = {
   pass_name : string;
   pass_source : string;
@@ -87,37 +89,11 @@ type pass_info = {
   optional : bool;
 }
 
-let p name src tgt outgoing incoming optional =
-  { pass_name = name; pass_source = src; pass_target = tgt; outgoing; incoming; optional }
-
-(** Table 3 of the paper: every pass with its conventions. *)
-let table3 : pass_info list =
-  [
-    p "SimplLocals" "Clight" "Clight" [ Injp ] [ Inj ] false;
-    p "Cshmgen" "Clight" "Csharpminor" [] [] false;
-    p "Cminorgen" "Csharpminor" "Cminor" [ Injp ] [ Inj ] false;
-    p "Selection" "Cminor" "CminorSel" [ Wt; Ext ] [ Wt; Ext ] false;
-    p "RTLgen" "CminorSel" "RTL" [ Ext ] [ Ext ] false;
-    p "Tailcall" "RTL" "RTL" [ Ext ] [ Ext ] true;
-    p "Inlining" "RTL" "RTL" [ Injp ] [ Inj ] true;
-    p "Renumber" "RTL" "RTL" [] [] false;
-    p "Constprop" "RTL" "RTL" [ Va; Ext ] [ Va; Ext ] true;
-    p "CSE" "RTL" "RTL" [ Va; Ext ] [ Va; Ext ] true;
-    p "Deadcode" "RTL" "RTL" [ Va; Ext ] [ Va; Ext ] true;
-    p "Allocation" "RTL" "LTL" [ Wt; Ext; CL ] [ Wt; Ext; CL ] false;
-    p "Tunneling" "LTL" "LTL" [ Ext ] [ Ext ] false;
-    p "Linearize" "LTL" "Linear" [] [] false;
-    p "CleanupLabels" "Linear" "Linear" [] [] false;
-    p "Debugvar" "Linear" "Linear" [] [] false;
-    p "Stacking" "Linear" "Mach" [ Injp; LM ] [ LM; Inj ] false;
-    p "Asmgen" "Mach" "Asm" [ Ext; MA ] [ Ext; MA ] false;
-  ]
-
 (** Vertical composition of the per-pass conventions (Thm. 3.7). *)
-let composite side =
+let composite (passes : pass_info list) side =
   List.concat_map
     (fun pi -> match side with `Out -> pi.outgoing | `In -> pi.incoming)
-    table3
+    passes
 
 (** {1 The Theorem 3.8 derivation} *)
 
@@ -127,8 +103,11 @@ type side_derivation = {
   ok : bool;  (** reached the uniform convention [C] *)
 }
 
-let derive_side (dir : [ `Incoming | `Outgoing ]) : side_derivation =
-  let base = composite (match dir with `Incoming -> `In | `Outgoing -> `Out) in
+let derive_side (passes : pass_info list) (dir : [ `Incoming | `Outgoing ]) :
+    side_derivation =
+  let base =
+    composite passes (match dir with `Incoming -> `In | `Outgoing -> `Out)
+  in
   (* Pseudo-passes: Clight self-simulation at R* (Thm. 4.3 + Thm. 5.6)
      pre-composed, Asm self-simulation at vainj post-composed. *)
   let t0 = (Rstar :: base) @ [ Vainj ] in
@@ -153,9 +132,10 @@ let derive_side (dir : [ `Incoming | `Outgoing ]) : side_derivation =
     ok = equal final uniform_c && well_typed ~src:IC ~tgt:IA final;
   }
 
-(** The full Theorem 3.8 derivation: both sides normalize to [C]. *)
-let thm_3_8 () : side_derivation * side_derivation =
-  (derive_side `Outgoing, derive_side `Incoming)
+(** The full Theorem 3.8 derivation over [passes]: both sides normalize
+    to [C]. *)
+let thm_3_8 (passes : pass_info list) : side_derivation * side_derivation =
+  (derive_side passes `Outgoing, derive_side passes `Incoming)
 
 let pp_side fmt (d : side_derivation) =
   Format.fprintf fmt "@[<v>%s side:@,%a@,%s@]"

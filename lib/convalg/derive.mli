@@ -23,7 +23,7 @@ val rewrite_once : [ `Incoming | `Outgoing ] -> t -> (Rules.rule * t) option
 (** Normalize, stopping at [uniform_c] or a normal form. *)
 val normalize : [ `Incoming | `Outgoing ] -> t -> t * step list
 
-(** Table 3 of the paper: every pass with its conventions. *)
+(** One row of Table 3: a pass with its languages and conventions. *)
 type pass_info = {
   pass_name : string;
   pass_source : string;
@@ -33,10 +33,8 @@ type pass_info = {
   optional : bool;
 }
 
-val table3 : pass_info list
-
 (** Vertical composition of the per-pass conventions (Thm. 3.7). *)
-val composite : [ `In | `Out ] -> t
+val composite : pass_info list -> [ `In | `Out ] -> t
 
 type side_derivation = {
   side : [ `Incoming | `Outgoing ];
@@ -44,9 +42,9 @@ type side_derivation = {
   ok : bool;  (** reached the uniform convention [C] *)
 }
 
-val derive_side : [ `Incoming | `Outgoing ] -> side_derivation
+val derive_side : pass_info list -> [ `Incoming | `Outgoing ] -> side_derivation
 
-(** Both sides of the Theorem 3.8 derivation. *)
-val thm_3_8 : unit -> side_derivation * side_derivation
+(** Both sides of the Theorem 3.8 derivation over the given passes. *)
+val thm_3_8 : pass_info list -> side_derivation * side_derivation
 
 val pp_side : Format.formatter -> side_derivation -> unit

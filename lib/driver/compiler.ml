@@ -1,39 +1,30 @@
-(** The compiler driver: composing the passes of Table 3.
+(** The compiler driver: the entry points into the pass pipeline of
+    {!Pipeline}.
 
-    [compile] runs the full pipeline from parsed Clight to Asm, keeping
-    every intermediate program so that tests and benchmarks can co-execute
-    adjacent levels (the executable counterpart of the per-pass simulation
-    proofs). *)
+    [compile_diag] runs the full pipeline from parsed Clight to Asm,
+    keeping every intermediate program so that tests and benchmarks can
+    co-execute adjacent levels (the executable counterpart of the
+    per-pass simulation proofs). Every pass runs guarded: a failure is a
+    structured {!Diagnostics.t} carrying the pass name and pipeline
+    phase, an exception a buggy pass raises becomes an [Internal_error]
+    instead of escaping, and an optional per-pass wall-clock budget is
+    enforced. On failure the caller still gets the levels kept before
+    the failing pass ([fail_partial]), so downstream consumers can
+    degrade gracefully (dump what exists, report the diagnostic) instead
+    of aborting. *)
 
 open Support.Errors
 module Errors = Support.Errors
+module Diag = Support.Diagnostics
 module C = Cfrontend.Csyntax
 
-type options = {
-  opt_tailcall : bool;
-  opt_inlining : bool;
-  opt_constprop : bool;
-  opt_cse : bool;
-  opt_deadcode : bool;
-}
+(** The pipeline as configured: {!Pipeline.full} with passes removed
+    ({!Pipeline.without}) or substituted. It keeps every level, which
+    {!artifacts} names. *)
+type options = Pipeline.t
 
-let all_optims =
-  {
-    opt_tailcall = true;
-    opt_inlining = true;
-    opt_constprop = true;
-    opt_cse = true;
-    opt_deadcode = true;
-  }
-
-let no_optims =
-  {
-    opt_tailcall = false;
-    opt_inlining = false;
-    opt_constprop = false;
-    opt_cse = false;
-    opt_deadcode = false;
-  }
+let all_optims = Pipeline.full
+let no_optims = Pipeline.mandatory
 
 (** Every intermediate program of the pipeline. [clight1] is the source
     (memory-resident parameters); [clight2] is after [SimplLocals]. *)
@@ -53,332 +44,47 @@ type artifacts = {
   asm : Backend.Asm.program;
 }
 
-let when_opt flag pass p = if flag then pass p else ok p
-
-(* Observability (ISSUE 1 tentpole, part 3; Gc profiling added in
-   ISSUE 6): each executed pass runs inside a span carrying its wall
-   time, the program shape before/after, and the Gc work it caused —
-   words allocated (minor and major) and major collections triggered —
-   and feeds per-pass duration and allocation histograms in the shared
-   metrics registry, the same numbers the bench harness exports. When
-   [Obs.enabled] is off this is a single boolean test per pass. *)
-let observed name ~(before : 'a -> Sizes.shape) ~(after : 'b -> Sizes.shape)
-    (pass : 'a -> 'b Errors.t) (p : 'a) : 'b Errors.t =
-  if not !Obs.enabled then pass p
-  else
-    Obs.Trace.with_span ("pass:" ^ name) (fun () ->
-        let sb = before p in
-        Obs.Trace.add_attr "functions_before" (Obs.Json.num_of_int sb.Sizes.functions);
-        Obs.Trace.add_attr "size_before" (Obs.Json.num_of_int sb.Sizes.size);
-        let g0 = Gc.quick_stat () in
-        (* Minor allocation comes from [Gc.minor_words ()], which reads
-           the domain's young-pointer directly and is exact at any
-           program point. The [Gc.counters] minor field is NOT: on
-           OCaml 5 it only advances at minor-collection boundaries, so
-           short passes read 0 and whichever pass happens to straddle a
-           collection absorbs the whole ~minor-heap-sized lump —
-           exactly the bogus multi-hundred-k tail the alloc_words
-           histograms used to show. [counters] is still the source for
-           the promoted/major pair (mutually coherent with each other);
-           the major-net delta is clamped at 0 since those two fields
-           share the boundary-only granularity. *)
-        let mw0 = Gc.minor_words () in
-        let _, pr0, ma0 = Gc.counters () in
-        let r = Obs.Metrics.time ("pass." ^ name) (fun () -> pass p) in
-        let _, pr1, ma1 = Gc.counters () in
-        let mw1 = Gc.minor_words () in
-        let g1 = Gc.quick_stat () in
-        (* Words the pass allocated: everything born in the minor heap
-           plus direct major allocations, not double-counting survivors
-           promoted from one to the other. *)
-        let minor_alloc = Float.max 0. (mw1 -. mw0) in
-        let major_alloc = Float.max 0. (ma1 -. ma0 -. (pr1 -. pr0)) in
-        Obs.Trace.add_attr "minor_alloc_words" (Obs.Json.Num minor_alloc);
-        Obs.Trace.add_attr "major_alloc_words" (Obs.Json.Num major_alloc);
-        Obs.Trace.add_attr "major_collections"
-          (Obs.Json.num_of_int (g1.Gc.major_collections - g0.Gc.major_collections));
-        Obs.Metrics.observe
-          ("pass." ^ name ^ ".alloc_words")
-          (minor_alloc +. major_alloc);
-        (match r with
-        | Ok q ->
-          let sa = after q in
-          Obs.Trace.add_attr "functions_after"
-            (Obs.Json.num_of_int sa.Sizes.functions);
-          Obs.Trace.add_attr "size_after" (Obs.Json.num_of_int sa.Sizes.size)
-        | Error _ -> Obs.Trace.add_attr "failed" (Obs.Json.Bool true));
-        r)
-
-(** {1 The hardened, diagnosed pipeline}
-
-    [compile_diag] is the primary driver. Every pass runs under a guard
-    that (1) converts an [Error] result into a structured
-    {!Diagnostics.t} carrying the pass name and pipeline phase, (2)
-    catches any exception a buggy pass might raise and reports it as an
-    [Internal_error] diagnostic instead of letting it escape, and (3)
-    enforces an optional per-pass wall-clock budget. On failure the
-    caller still gets every artifact produced {e before} the failing
-    pass ({!partial_artifacts}), so downstream consumers can degrade
-    gracefully (dump what exists, report the diagnostic) instead of
-    aborting. *)
-
-module Diag = Support.Diagnostics
-
-(** The prefix of the pipeline that did complete: [pa_clight1] is always
-    the input; each later field is [Some] iff its pass ran and
-    succeeded. *)
-type partial_artifacts = {
-  pa_clight1 : C.program;
-  pa_clight2 : C.program option;
-  pa_csharpminor : Cfrontend.Csharpminor.program option;
-  pa_cminor : Middle.Cminor.program option;
-  pa_cminorsel : Middle.Cminorsel.program option;
-  pa_rtl_gen : Middle.Rtl.program option;
-  pa_rtl : Middle.Rtl.program option;
-  pa_ltl : Backend.Ltl.program option;
-  pa_ltl_tunneled : Backend.Ltl.program option;
-  pa_linear : Backend.Linear.program option;
-  pa_linear_clean : Backend.Linear.program option;
-  pa_mach : Backend.Mach.program option;
-  pa_asm : Backend.Asm.program option;
+(** A diagnosed compilation failure, with the levels that did build. *)
+type failure = Pipeline.failure = {
+  fail_diag : Diag.t;
+  fail_partial : Pipeline.level list;
 }
 
-let empty_partial (p : C.program) : partial_artifacts =
-  {
-    pa_clight1 = p;
-    pa_clight2 = None;
-    pa_csharpminor = None;
-    pa_cminor = None;
-    pa_cminorsel = None;
-    pa_rtl_gen = None;
-    pa_rtl = None;
-    pa_ltl = None;
-    pa_ltl_tunneled = None;
-    pa_linear = None;
-    pa_linear_clean = None;
-    pa_mach = None;
-    pa_asm = None;
-  }
-
 (** The name of the last pass whose output is present in a partial. *)
-let partial_progress (pa : partial_artifacts) : string =
-  let stages =
-    [
-      ("Asmgen", pa.pa_asm <> None);
-      ("Stacking", pa.pa_mach <> None);
-      ("CleanupLabels", pa.pa_linear_clean <> None);
-      ("Linearize", pa.pa_linear <> None);
-      ("Tunneling", pa.pa_ltl_tunneled <> None);
-      ("Allocation", pa.pa_ltl <> None);
-      ("RTL optimizations", pa.pa_rtl <> None);
-      ("RTLgen", pa.pa_rtl_gen <> None);
-      ("Selection", pa.pa_cminorsel <> None);
-      ("Cminorgen", pa.pa_cminor <> None);
-      ("Cshmgen", pa.pa_csharpminor <> None);
-      ("SimplLocals", pa.pa_clight2 <> None);
-    ]
-  in
-  match List.find_opt snd stages with
-  | Some (name, _) -> name
-  | None -> "source"
+let partial_progress = Pipeline.progress
 
-(** A diagnosed compilation failure, with the artifacts that did build. *)
-type failure = { fail_diag : Diag.t; fail_partial : partial_artifacts }
-
-let compile_diag ?(options = all_optims) ?budget_us (p : C.program) :
-    (artifacts, failure) result =
+(** Compile to every level of the pipeline, in order. *)
+let compile_levels ?(options = all_optims) ?budget_us (p : C.program) :
+    (Pipeline.level list, failure) result =
   Obs.Trace.with_span "compile" @@ fun () ->
-  let partial = ref (empty_partial p) in
-  (* Guard one pass: structured error on [Error], caught exception on
-     [raise], budget check on success. [save] records the artifact in
-     the partial record first, so even an over-budget pass contributes
-     its output to graceful degradation. *)
-  let stage ~phase name ~before ~after ~save pass x =
-    let t0 = Obs.now_us () in
-    let result =
-      match observed name ~before ~after pass x with
-      | Ok v -> Ok v
-      | Error msg ->
-        let kind =
-          if name = "AllocCheck" then Diag.Validation_failure
-          else Diag.Pass_failure
-        in
-        Error (Diag.make ~pass:name ~phase ~kind "%s" msg)
-      | exception e -> Error (Diag.of_exn ~pass:name ~phase e)
-    in
-    match result with
-    | Error d -> Error { fail_diag = d; fail_partial = !partial }
-    | Ok v -> (
-      partial := save !partial v;
-      let elapsed = Obs.now_us () -. t0 in
-      match budget_us with
-      | Some b when elapsed > b ->
-        Error
-          {
-            fail_diag =
-              Diag.make ~pass:name ~phase ~kind:Diag.Budget_exceeded
-                ~context:
-                  [
-                    ("elapsed_us", Printf.sprintf "%.0f" elapsed);
-                    ("budget_us", Printf.sprintf "%.0f" b);
-                  ]
-                "pass exceeded its wall-clock budget";
-            fail_partial = !partial;
-          }
-      | _ -> Ok v)
-  in
-  let ( let* ) m f = match m with Ok x -> f x | Error _ as e -> e in
-  let* clight2 =
-    stage ~phase:Diag.Frontend "SimplLocals" ~before:Sizes.clight
-      ~after:Sizes.clight
-      ~save:(fun pa v -> { pa with pa_clight2 = Some v })
-      Passes.Simpllocals.transf_program p
-  in
-  let* csharpminor =
-    stage ~phase:Diag.Frontend "Cshmgen" ~before:Sizes.clight
-      ~after:Sizes.csharpminor
-      ~save:(fun pa v -> { pa with pa_csharpminor = Some v })
-      Passes.Cshmgen.transf_program clight2
-  in
-  let* cminor =
-    stage ~phase:Diag.Frontend "Cminorgen" ~before:Sizes.csharpminor
-      ~after:Sizes.cminor
-      ~save:(fun pa v -> { pa with pa_cminor = Some v })
-      Passes.Cminorgen.transf_program csharpminor
-  in
-  let* cminorsel =
-    stage ~phase:Diag.Middle "Selection" ~before:Sizes.cminor
-      ~after:Sizes.cminorsel
-      ~save:(fun pa v -> { pa with pa_cminorsel = Some v })
-      Passes.Selection.transf_program cminor
-  in
-  let* rtl_gen =
-    stage ~phase:Diag.Middle "RTLgen" ~before:Sizes.cminorsel ~after:Sizes.rtl
-      ~save:(fun pa v -> { pa with pa_rtl_gen = Some v })
-      Passes.Rtlgen.transf_program cminorsel
-  in
-  let rtl_stage name pass flag x =
-    stage ~phase:Diag.Middle name ~before:Sizes.rtl ~after:Sizes.rtl
-      ~save:(fun pa v -> { pa with pa_rtl = Some v })
-      (when_opt flag pass) x
-  in
-  let* rtl1 =
-    rtl_stage "Tailcall" Passes.Tailcall.transf_program options.opt_tailcall
-      rtl_gen
-  in
-  let* rtl2 =
-    rtl_stage "Inlining" Passes.Inlining.transf_program options.opt_inlining rtl1
-  in
-  let* rtl3 = rtl_stage "Renumber" Passes.Renumber.transf_program true rtl2 in
-  let* rtl4 =
-    rtl_stage "Constprop" Passes.Constprop.transf_program options.opt_constprop
-      rtl3
-  in
-  let* rtl5 = rtl_stage "CSE" Passes.Cse.transf_program options.opt_cse rtl4 in
-  let* rtl =
-    rtl_stage "Deadcode" Passes.Deadcode.transf_program options.opt_deadcode rtl5
-  in
-  (* Translation validation of the untrusted allocator (CompCert-style):
-     a miscompilation in Allocation aborts the compilation here. The
-     validator receives the allocator's own colorings and checks them
-     from scratch instead of re-deriving them. When the linear-scan fast
-     path produces a coloring the validator rejects, the driver falls
-     back to the graph allocator and validates again — performance from
-     the fast path, correctness from the check. *)
-  let allocate_and_check strat =
-    let* ltl, allocator_assigns =
-      stage ~phase:Diag.Backend "Allocation" ~before:Sizes.rtl
-        ~after:(fun (l, _) -> Sizes.ltl l)
-        ~save:(fun pa (l, _) -> { pa with pa_ltl = Some l })
-        (Passes.Allocation.transf_program_with_assignments ~strategy:strat)
-        rtl
-    in
-    let* () =
-      stage ~phase:Diag.Backend "AllocCheck" ~before:Sizes.ltl
-        ~after:(fun () -> Sizes.ltl ltl)
-        ~save:(fun pa () -> pa)
-        (fun ltl ->
-          Passes.Alloc_check.validate_program ~assignments:allocator_assigns
-            rtl ltl)
-        ltl
-    in
-    Ok ltl
-  in
-  let requested = !Passes.Allocation.default_strategy in
-  let* ltl =
-    match allocate_and_check requested with
-    | Ok ltl ->
-      Obs.Trace.add_attr "allocator"
-        (Obs.Json.Str (Passes.Allocation.strategy_name requested));
-      Ok ltl
-    | Error f
-      when requested = Passes.Allocation.Linear_scan
-           && (f.fail_diag.Diag.pass = Some "AllocCheck"
-              || f.fail_diag.Diag.pass = Some "Allocation")
-           && f.fail_diag.Diag.kind <> Diag.Budget_exceeded ->
-      (* The validator rejected the fast path (or it crashed): retry
-         with the graph allocator, surfaced on the compile span and in
-         the metrics registry. *)
-      Obs.Metrics.incr_counter "alloc.linear_scan_fallback";
-      Obs.Trace.add_attr "allocator" (Obs.Json.Str "graph_fallback");
-      allocate_and_check Passes.Allocation.Graph
-    | Error _ as e -> e
-  in
-  let* ltl_tunneled =
-    stage ~phase:Diag.Backend "Tunneling" ~before:Sizes.ltl ~after:Sizes.ltl
-      ~save:(fun pa v -> { pa with pa_ltl_tunneled = Some v })
-      Passes.Tunneling.transf_program ltl
-  in
-  let* linear =
-    stage ~phase:Diag.Backend "Linearize" ~before:Sizes.ltl ~after:Sizes.linear
-      ~save:(fun pa v -> { pa with pa_linear = Some v })
-      Passes.Linearize.transf_program ltl_tunneled
-  in
-  let* linear_clean =
-    stage ~phase:Diag.Backend "CleanupLabels" ~before:Sizes.linear
-      ~after:Sizes.linear
-      ~save:(fun pa v -> { pa with pa_linear_clean = Some v })
-      Passes.Cleanuplabels.transf_program linear
-  in
-  let* linear_dbg =
-    stage ~phase:Diag.Backend "Debugvar" ~before:Sizes.linear
-      ~after:Sizes.linear
-      ~save:(fun pa _ -> pa)
-      Passes.Debugvar.transf_program linear_clean
-  in
-  let* mach =
-    stage ~phase:Diag.Backend "Stacking" ~before:Sizes.linear ~after:Sizes.mach
-      ~save:(fun pa v -> { pa with pa_mach = Some v })
-      Passes.Stacking.transf_program linear_dbg
-  in
-  let* asm =
-    stage ~phase:Diag.Backend "Asmgen" ~before:Sizes.mach ~after:Sizes.asm
-      ~save:(fun pa v -> { pa with pa_asm = Some v })
-      Passes.Asmgen.transf_program mach
-  in
-  Ok
-    {
-      clight1 = p;
-      clight2;
-      csharpminor;
-      cminor;
-      cminorsel;
-      rtl_gen;
-      rtl;
-      ltl;
-      ltl_tunneled;
-      linear;
-      linear_clean;
-      mach;
-      asm;
-    }
+  Pipeline.run ?budget_us options Pipeline.Clight1 p
+
+let compile_diag ?options ?budget_us (p : C.program) :
+    (artifacts, failure) result =
+  Result.map
+    (fun levels ->
+      let get ir name = Pipeline.find ir name levels in
+      {
+        clight1 = get Clight1 "clight1";
+        clight2 = get Clight2 "clight2";
+        csharpminor = get Csharpminor "csharpminor";
+        cminor = get Cminor "cminor";
+        cminorsel = get CminorSel "cminorsel";
+        rtl_gen = get RTL "rtl_gen";
+        rtl = get RTL "rtl_opt";
+        ltl = get LTL "ltl";
+        ltl_tunneled = get LTL "ltl_tunneled";
+        linear = get Linear "linear";
+        linear_clean = get Linear "linear_clean";
+        mach = get Mach "mach";
+        asm = get Asm "asm";
+      })
+    (compile_levels ?options ?budget_us p)
 
 (** The string-error view of {!compile_diag}, kept for the many callers
     that only need the message. *)
 let compile ?options (p : C.program) : artifacts Errors.t =
-  match compile_diag ?options p with
-  | Ok arts -> Ok arts
-  | Error f -> Error (Diag.to_string f.fail_diag)
+  Result.map_error (fun f -> Diag.to_string f.fail_diag) (compile_diag ?options p)
 
 (** Parse a C source string as a diagnosed result: lexer and parser
     exceptions become [Parsing]-phase diagnostics instead of escaping. *)
@@ -395,17 +101,12 @@ let parse_diag (src : string) : C.program Diag.r =
       "line %d: %s" line msg
   | exception e -> Error (Diag.of_exn ~phase:Diag.Parsing e)
 
-(** Parse and compile a C source string, fully diagnosed. *)
+(** Parse and compile a C source string, fully diagnosed. A source that
+    does not parse has no levels at all. *)
 let compile_source_diag ?options ?budget_us (src : string) :
     (artifacts, failure) result =
   match parse_diag src with
-  | Error d ->
-    (* No program, hence no artifacts at all; any Clight program would
-       be a lie, so fabricate the empty one. *)
-    let empty =
-      { Iface.Ast.prog_defs = []; prog_main = Support.Ident.intern "main" }
-    in
-    Error { fail_diag = d; fail_partial = empty_partial empty }
+  | Error d -> Error { fail_diag = d; fail_partial = [] }
   | Ok p -> compile_diag ?options ?budget_us p
 
 (** {1 Resuming the pipeline from an intermediate program}
@@ -413,80 +114,30 @@ let compile_source_diag ?options ?budget_us (src : string) :
     The fault-injection harness simulates a buggy pass by mutating one
     pass's output and recompiling everything downstream of it, so the
     mutation propagates to the final Asm exactly as a real
-    miscompilation would. These entry points run the downstream suffix
-    of the pipeline; they share the per-pass guards of the full driver
-    (the translation validator still runs, so an ill-formed mutant can
-    already be caught here). *)
+    miscompilation would; the compile service resumes from a cached
+    RTL program. These entry points run the suffix of the pipeline from
+    a kept level, with the same guards, validators and pass spans as the
+    full driver (so an ill-formed mutant can already be caught here),
+    and return the Mach and Asm programs. *)
 
-(** The backend artifacts produced from a (possibly mutated) RTL
-    program. *)
-type backend_artifacts = {
-  b_ltl : Backend.Ltl.program;
-  b_ltl_tunneled : Backend.Ltl.program;
-  b_linear : Backend.Linear.program;
-  b_linear_clean : Backend.Linear.program;
-  b_mach : Backend.Mach.program;
-  b_asm : Backend.Asm.program;
-}
+let resume ~from ir p : (Backend.Mach.program * Backend.Asm.program) Errors.t =
+  match Pipeline.run ~from all_optims ir p with
+  | Error f -> Error (Diag.to_string f.fail_diag)
+  | Ok levels -> Ok (Pipeline.find Mach "mach" levels, Pipeline.find Asm "asm" levels)
 
-let backend_from_rtl (rtl : Middle.Rtl.program) : backend_artifacts Errors.t =
-  let guard name f x =
-    match f x with
-    | r -> r
-    | exception e ->
-      Errors.error "%s: uncaught exception: %s" name (Printexc.to_string e)
-  in
-  let allocate_and_check strat =
-    let* ltl, assignments =
-      guard "Allocation"
-        (Passes.Allocation.transf_program_with_assignments ~strategy:strat)
-        rtl
-    in
-    let* () =
-      guard "AllocCheck"
-        (Passes.Alloc_check.validate_program ~assignments rtl)
-        ltl
-    in
-    ok ltl
-  in
-  let requested = !Passes.Allocation.default_strategy in
-  let* ltl =
-    match allocate_and_check requested with
-    | Error _ when requested = Passes.Allocation.Linear_scan ->
-      Obs.Metrics.incr_counter "alloc.linear_scan_fallback";
-      allocate_and_check Passes.Allocation.Graph
-    | r -> r
-  in
-  let* ltl_tunneled = guard "Tunneling" Passes.Tunneling.transf_program ltl in
-  let* linear = guard "Linearize" Passes.Linearize.transf_program ltl_tunneled in
-  let* linear_clean =
-    guard "CleanupLabels" Passes.Cleanuplabels.transf_program linear
-  in
-  let* linear_dbg = guard "Debugvar" Passes.Debugvar.transf_program linear_clean in
-  let* mach = guard "Stacking" Passes.Stacking.transf_program linear_dbg in
-  let* asm = guard "Asmgen" Passes.Asmgen.transf_program mach in
-  ok { b_ltl = ltl; b_ltl_tunneled = ltl_tunneled; b_linear = linear;
-       b_linear_clean = linear_clean; b_mach = mach; b_asm = asm }
+(** From a (possibly mutated) optimized RTL program: Allocation onwards. *)
+let backend_from_rtl (rtl : Middle.Rtl.program) = resume ~from:"rtl_opt" RTL rtl
 
-(** Finish compilation from a (possibly mutated) cleaned-up Linear
-    program: Debugvar, Stacking, Asmgen. *)
-let finish_from_linear (linear_clean : Backend.Linear.program) :
-    (Backend.Mach.program * Backend.Asm.program) Errors.t =
-  let guard name f x =
-    match f x with
-    | r -> r
-    | exception e ->
-      Errors.error "%s: uncaught exception: %s" name (Printexc.to_string e)
-  in
-  let* linear_dbg = guard "Debugvar" Passes.Debugvar.transf_program linear_clean in
-  let* mach = guard "Stacking" Passes.Stacking.transf_program linear_dbg in
-  let* asm = guard "Asmgen" Passes.Asmgen.transf_program mach in
-  ok (mach, asm)
+(** From a (possibly mutated) cleaned-up Linear program: Debugvar,
+    Stacking, Asmgen. *)
+let finish_from_linear (linear_clean : Backend.Linear.program) =
+  resume ~from:"linear_clean" Linear linear_clean
 
 (** Parse and compile a C source string. *)
 let compile_source ?options (src : string) : artifacts Errors.t =
-  let p = Cfrontend.Cparser.parse_program src in
-  compile ?options p
+  match parse_diag src with
+  | Error d -> Error (Diag.to_string d)
+  | Ok p -> compile ?options p
 
 (** Compile a C source string to Asm only. *)
 let compile_c_to_asm ?options (src : string) : Backend.Asm.program Errors.t =

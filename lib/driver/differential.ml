@@ -22,43 +22,19 @@ let pp_level_result fmt r =
   | Ok o -> Format.fprintf fmt "%-12s %a" r.level Runners.pp_c_outcome o
   | Error e -> Format.fprintf fmt "%-12s level error: %s" r.level e
 
-(** The levels that errored, with their messages. *)
-let level_errors (results : level_result list) : (string * string) list =
-  List.filter_map
-    (fun r -> match r.outcome with Error e -> Some (r.level, e) | Ok _ -> None)
-    results
-
-(** Run a compiled program at every level on the given C query. *)
+(** Compile a program and run every level it keeps on the given C
+    query. *)
 let run_all_levels ?options (p : Cfrontend.Csyntax.program) (q : c_query) :
     (level_result list, string) result =
   let symbols = Ast.prog_defs_names p in
-  match Compiler.compile ?options p with
-  | Error e -> Error ("compile: " ^ e)
-  | Ok arts ->
-    let open Runners in
-    let c lts = Ok (run_c_level lts ~fuel q) in
-    let results =
-      [
-        ("clight1", c (Cfrontend.Clight.semantics ~symbols arts.clight1));
-        ( "clight2",
-          c (Cfrontend.Clight.semantics ~mode:`Temp_params ~symbols arts.clight2)
-        );
-        ("csharpminor", c (Cfrontend.Csharpminor.semantics ~symbols arts.csharpminor));
-        ("cminor", c (Middle.Cminor.semantics ~symbols arts.cminor));
-        ("cminorsel", c (Middle.Cminorsel.semantics ~symbols arts.cminorsel));
-        ("rtl_gen", c (Middle.Rtl.semantics ~symbols arts.rtl_gen));
-        ("rtl_opt", c (Middle.Rtl.semantics ~symbols arts.rtl));
-        ("ltl", run_l_level (Backend.Ltl.semantics ~symbols arts.ltl) ~fuel q);
-        ( "ltl_tunneled",
-          run_l_level (Backend.Ltl.semantics ~symbols arts.ltl_tunneled) ~fuel q );
-        ("linear", run_l_level (Backend.Linear.semantics ~symbols arts.linear) ~fuel q);
-        ( "linear_clean",
-          run_l_level (Backend.Linear.semantics ~symbols arts.linear_clean) ~fuel q );
-        ("mach", run_m_level (Backend.Mach.semantics ~symbols arts.mach) ~fuel q);
-        ("asm", run_a_level (Backend.Asm.semantics ~symbols arts.asm) ~fuel q);
-      ]
-    in
-    Ok (List.map (fun (level, outcome) -> { level; outcome }) results)
+  match Compiler.compile_levels ?options p with
+  | Error f -> Error ("compile: " ^ Support.Diagnostics.to_string f.Compiler.fail_diag)
+  | Ok levels ->
+    Ok
+      (List.map
+         (fun (l : Pipeline.level) ->
+           { level = l.level; outcome = Pipeline.run_level ~symbols ~fuel q l })
+         levels)
 
 (** Check that every level's outcome refines the Clight reference. A
     level that errored is a failure of that level, reported with its

@@ -4,8 +4,8 @@
     internal function definitions and [size] counts statements (for the
     structured front-end/middle-end IRs: one per leaf or branching
     statement, sequencing is free) or instructions (for the CFG and
-    linear back-end IRs). These feed the per-pass spans of
-    [Compiler.compile], making size deltas per pass visible in a trace. *)
+    linear back-end IRs). Through [Pipeline.shape] they feed the
+    per-pass spans, making size deltas per pass visible in a trace. *)
 
 open Iface
 module C = Cfrontend.Csyntax

@@ -184,53 +184,20 @@ let judge ~symbols ~(arts : Driver.Compiler.artifacts) ~ref_outcome ~program
     (mutated : [ `Rtl of Middle.Rtl.program | `Linear of Backend.Linear.program ])
     : mutant_result =
   let open Driver in
-  let pipeline_err, levels, masm =
+  let run ir p () = Pipeline.run_program ir ~symbols ~fuel p q in
+  let recompiled, mutated_level =
     match mutated with
-    | `Rtl rtl -> (
-      match Compiler.backend_from_rtl rtl with
-      | Error e -> (Some e, [], None)
-      | Ok b ->
-        ( None,
-          [
-            ( "rtl(mutated)",
-              fun () ->
-                Ok
-                  (Runners.run_c_level
-                     (Middle.Rtl.semantics ~symbols rtl)
-                     ~fuel q) );
-            ( "mach(mutated)",
-              fun () ->
-                Runners.run_m_level
-                  (Backend.Mach.semantics ~symbols b.Compiler.b_mach)
-                  ~fuel q );
-            ( "asm(mutated)",
-              fun () ->
-                Runners.run_a_level
-                  (Backend.Asm.semantics ~symbols b.Compiler.b_asm)
-                  ~fuel q );
-          ],
-          Some b.Compiler.b_asm ))
-    | `Linear linear -> (
-      match Compiler.finish_from_linear linear with
-      | Error e -> (Some e, [], None)
-      | Ok (mach, asm) ->
-        ( None,
-          [
-            ( "linear(mutated)",
-              fun () ->
-                Runners.run_l_level
-                  (Backend.Linear.semantics ~symbols linear)
-                  ~fuel q );
-            ( "mach(mutated)",
-              fun () ->
-                Runners.run_m_level (Backend.Mach.semantics ~symbols mach) ~fuel q
-            );
-            ( "asm(mutated)",
-              fun () ->
-                Runners.run_a_level (Backend.Asm.semantics ~symbols asm) ~fuel q
-            );
-          ],
-          Some asm ))
+    | `Rtl rtl -> (Compiler.backend_from_rtl rtl, ("rtl(mutated)", run RTL rtl))
+    | `Linear linear ->
+      (Compiler.finish_from_linear linear, ("linear(mutated)", run Linear linear))
+  in
+  let pipeline_err, levels, masm =
+    match recompiled with
+    | Error e -> (Some e, [], None)
+    | Ok (mach, asm) ->
+      ( None,
+        [ mutated_level; ("mach(mutated)", run Mach mach); ("asm(mutated)", run Asm asm) ],
+        Some asm )
   in
   let kills =
     List.filter_map

@@ -111,29 +111,12 @@ let loc_of_assignment = function
   | Lreg r -> R r
   | Lslot (i, t) -> S (Local, i, t)
 
-(** Which allocator runs. [Linear_scan] is the fast path (one pass over
-    live intervals); [Graph] is the greedy graph coloring. Both are
-    untrusted: [Alloc_check] validates every run, and the driver falls
-    back to [Graph] when the validator rejects a linear-scan coloring. *)
-type strategy = Linear_scan | Graph
-
-let strategy_name = function Linear_scan -> "linear_scan" | Graph -> "graph"
-
-let strategy_of_string = function
-  | "linear-scan" | "linear_scan" | "linear" -> Some Linear_scan
-  | "graph" -> Some Graph
-  | _ -> None
-
-(** The strategy used when callers don't pick one ([occo --allocator]
-    sets this). *)
-let default_strategy : strategy ref = ref Linear_scan
-
-(** Test hook: when set, the linear-scan allocator ignores interval
-    overlap and hands every pseudo-register the first register of its
-    pool — a deliberately broken coloring, used to prove that the
-    validator rejects it and the driver falls back to the graph
-    allocator. *)
-let clobber_linear_scan_for_test = ref false
+(** An allocator colors one function, given its inferred typing: a
+    location per pseudo-register and the number of spill slots used.
+    Allocators are untrusted: [Alloc_check] validates every coloring,
+    and the driver falls back to the graph allocator when it rejects a
+    linear-scan one. *)
+type allocator = typ R.Regmap.t -> R.coq_function -> assignment R.Regmap.t * int
 
 (* [allocate_graph_with types f]: the graph coloring itself, reusing an
    already-inferred typing (type inference runs once per function, shared
@@ -261,9 +244,14 @@ let allocate_graph_with (types : typ R.Regmap.t) (f : R.coq_function) :
     node's position), so a coloring that keeps overlapping intervals
     apart satisfies the validator's interference check; the callee-save
     discipline across calls is the same pool restriction the graph
-    allocator applies. *)
-let allocate_linear_with (types : typ R.Regmap.t) (f : R.coq_function) :
-    assignment R.Regmap.t * int =
+    allocator applies.
+
+    [~clobber:true] deliberately breaks it: every pseudo-register gets
+    the first register of its pool regardless of overlap, a wrong
+    coloring that tests use to prove the validator rejects it and the
+    driver falls back to the graph allocator. *)
+let allocate_linear_with ?(clobber = false) (types : typ R.Regmap.t)
+    (f : R.coq_function) : assignment R.Regmap.t * int =
   let typ_of r = Option.value (R.Regmap.find_opt r types) ~default:Tlong in
   let live_out = Middle.Liveness.analyze_out f in
   let nregs = R.max_reg_function f + 1 in
@@ -442,7 +430,7 @@ let allocate_linear_with (types : typ R.Regmap.t) (f : R.coq_function) :
         | false, false -> pool_int_normal
       in
       let candidate =
-        if !clobber_linear_scan_for_test then List.nth_opt pool 0
+        if clobber then List.nth_opt pool 0
         else
           match try_hint r pool with
           | Some m -> Some m
@@ -451,7 +439,7 @@ let allocate_linear_with (types : typ R.Regmap.t) (f : R.coq_function) :
       let a =
         match candidate with
         | Some m ->
-          if not !clobber_linear_scan_for_test then begin
+          if not clobber then begin
             reg_used.(mreg_index m) <- true;
             active := insert (ifinish.(r), r, m) !active
           end;
@@ -472,18 +460,8 @@ let allocate_linear_with (types : typ R.Regmap.t) (f : R.coq_function) :
     assign_arr;
   (!assignment, !next_slot)
 
-let allocate_for (strat : strategy) (types : typ R.Regmap.t)
-    (f : R.coq_function) : assignment R.Regmap.t * int =
-  match strat with
-  | Linear_scan -> allocate_linear_with types f
-  | Graph -> allocate_graph_with types f
-
-let allocate_with (types : typ R.Regmap.t) (f : R.coq_function) :
-    assignment R.Regmap.t * int =
-  allocate_for !default_strategy types f
-
 let allocate (f : R.coq_function) : assignment R.Regmap.t * int =
-  allocate_with (infer_types f) f
+  allocate_linear_with (infer_types f) f
 
 (** {1 Parallel moves}
 
@@ -616,11 +594,10 @@ let loc_of (aarr : assignment option array) (typ_of : R.reg -> typ) (r : R.reg) 
 (* Translate one function; also returns the coloring used, so the
    validator can check the allocator's actual (untrusted) output instead
    of re-deriving it. *)
-let transf_function_with_assignment ?strategy (f : R.coq_function) :
-    (L.coq_function * assignment R.Regmap.t) Errors.t =
-  let strat = Option.value strategy ~default:!default_strategy in
+let transf_function_with_assignment ~(allocator : allocator)
+    (f : R.coq_function) : (L.coq_function * assignment R.Regmap.t) Errors.t =
   let types = infer_types f in
-  let assign, nslots = allocate_for strat types f in
+  let assign, nslots = allocator types f in
   (* Dense views of the typing and the coloring for the translation's
      per-operand probes. *)
   let nregs =
@@ -796,14 +773,10 @@ let transf_function_with_assignment ?strategy (f : R.coq_function) :
       },
       assign )
 
-let transf_function (f : R.coq_function) : L.coq_function Errors.t =
-  Errors.map fst (transf_function_with_assignment f)
-
 (** Translate a whole program, returning alongside the LTL the coloring
     the allocator chose for each internal function — the untrusted input
-    [Alloc_check.validate_program] validates. [strategy] picks the
-    allocator (default {!default_strategy}). *)
-let transf_program_with_assignments ?strategy (p : R.program) :
+    [Alloc_check.validate_program] validates. *)
+let transf_program_with_assignments ~(allocator : allocator) (p : R.program) :
     (L.program * (Support.Ident.t * assignment R.Regmap.t) list) Errors.t =
   let open Errors in
   let* defs =
@@ -811,7 +784,7 @@ let transf_program_with_assignments ?strategy (p : R.program) :
       (fun (id, d) ->
         match d with
         | Iface.Ast.Gfun (Iface.Ast.Internal f) ->
-          let* f', assign = transf_function_with_assignment ?strategy f in
+          let* f', assign = transf_function_with_assignment ~allocator f in
           ok ((id, Iface.Ast.Gfun (Iface.Ast.Internal f')), Some (id, assign))
         | Iface.Ast.Gfun (Iface.Ast.External ef) ->
           ok ((id, Iface.Ast.Gfun (Iface.Ast.External ef)), None)
@@ -821,6 +794,3 @@ let transf_program_with_assignments ?strategy (p : R.program) :
   ok
     ( { p with Iface.Ast.prog_defs = List.map fst defs },
       List.filter_map snd defs )
-
-let transf_program (p : R.program) : L.program Errors.t =
-  Errors.map fst (transf_program_with_assignments p)

@@ -93,7 +93,7 @@ let compile_cached (cache : Cache.t) ~(source : string) ~(optimize : bool)
         match (Marshal.from_string payload 0 : Middle.Rtl.program) with
         | rtl -> (
           match Compiler.backend_from_rtl rtl with
-          | Ok b -> Some (rtl, b.Compiler.b_asm)
+          | Ok (_, asm) -> Some (rtl, asm)
           | Error _ -> None)
         | exception _ -> None)
       | `Miss | `Stale | `Corrupt -> None

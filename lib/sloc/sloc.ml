@@ -6,43 +6,88 @@
     the same components. The benchmark harness uses it to regenerate the
     shape of both tables. *)
 
-let is_blank line = String.trim line = ""
+(* Count significant lines: a line is significant when some non-blank
+   character of it lies outside every comment. The scanner follows the
+   OCaml lexer as far as that needs: comments nest, and string literals,
+   quoted strings ([{id|...|id}]) and character literals are skipped
+   whole, in code and inside comments alike, so a "(*" or "*)" within
+   one neither opens nor closes a comment. *)
+let count_string (s : string) : int =
+  let n = String.length s in
+  let sloc = ref 0 and significant = ref false and depth = ref 0 in
+  let i = ref 0 in
+  let peek k = if !i + k < n then s.[!i + k] else '\000' in
+  let advance k =
+    for _ = 1 to k do
+      if !i < n then begin
+        (match s.[!i] with
+        | '\n' ->
+          if !significant then incr sloc;
+          significant := false
+        | ' ' | '\t' | '\r' -> ()
+        | _ -> if !depth = 0 then significant := true);
+        incr i
+      end
+    done
+  in
+  let string_lit () =
+    advance 1;
+    while !i < n && s.[!i] <> '"' do
+      advance (if s.[!i] = '\\' then 2 else 1)
+    done;
+    advance 1
+  in
+  (* With [i] at a brace: the length of the quoted-string opener that
+     starts there, if one does. *)
+  let quoted_opener () =
+    let j = ref (!i + 1) in
+    while !j < n && (match s.[!j] with 'a' .. 'z' | '_' -> true | _ -> false) do
+      incr j
+    done;
+    if !j < n && s.[!j] = '|' then Some (!j + 1 - !i) else None
+  in
+  let quoted_lit len =
+    let close = "|" ^ String.sub s (!i + 1) (len - 2) ^ "}" in
+    let cl = String.length close in
+    advance len;
+    while !i < n && not (!i + cl <= n && String.sub s !i cl = close) do
+      advance 1
+    done;
+    advance cl
+  in
+  (* A quote starts a character literal only when a closing quote
+     follows the (possibly escaped) character; otherwise it belongs to a
+     type variable or a primed identifier. *)
+  let char_lit_length () =
+    if peek 1 = '\\' then
+      let rec close k =
+        if k > 6 then None else if peek k = '\'' then Some (k + 1) else close (k + 1)
+      in
+      close 3
+    else if peek 2 = '\'' && peek 1 <> '\n' then Some 3
+    else None
+  in
+  while !i < n do
+    match s.[!i] with
+    | '"' -> string_lit ()
+    | '{' -> (
+      match quoted_opener () with Some len -> quoted_lit len | None -> advance 1)
+    | '\'' -> advance (Option.value (char_lit_length ()) ~default:1)
+    | '(' when peek 1 = '*' ->
+      incr depth;
+      advance 2
+    | '*' when peek 1 = ')' && !depth > 0 ->
+      advance 2;
+      decr depth
+    | _ -> advance 1
+  done;
+  if !significant then incr sloc;
+  !sloc
 
-(* Count significant lines: a small OCaml-comment-aware scanner. Strings
-   are not tracked (a "(*" inside a string literal is rare enough not to
-   matter for a size metric). *)
 let count_file (path : string) : int =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> count_string s
   | exception Sys_error _ -> 0
-  | ic ->
-    let depth = ref 0 in
-    let sloc = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         let n = String.length line in
-         let significant = ref false in
-         let i = ref 0 in
-         while !i < n do
-           if !i + 1 < n && line.[!i] = '(' && line.[!i + 1] = '*' then begin
-             incr depth;
-             i := !i + 2
-           end
-           else if !i + 1 < n && line.[!i] = '*' && line.[!i + 1] = ')' then begin
-             if !depth > 0 then decr depth;
-             i := !i + 2
-           end
-           else begin
-             if !depth = 0 && line.[!i] <> ' ' && line.[!i] <> '\t' then
-               significant := true;
-             incr i
-           end
-         done;
-         if !significant && not (is_blank line) then incr sloc
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !sloc
 
 let count_files paths = List.fold_left (fun acc p -> acc + count_file p) 0 paths
 
@@ -90,36 +135,14 @@ let measure_table5 () =
       (fun (name, dirs) -> (name, List.fold_left (fun a d -> a + count_dir d) 0 dirs))
       (table5_components root)
 
-(** Per-pass source files, for the SLOC column of Table 3. *)
-let pass_file pass =
-  let f =
-    match pass with
-    | "SimplLocals" -> "simpllocals.ml"
-    | "Cshmgen" -> "cshmgen.ml"
-    | "Cminorgen" -> "cminorgen.ml"
-    | "Selection" -> "selection.ml"
-    | "RTLgen" -> "rtlgen.ml"
-    | "Tailcall" -> "tailcall.ml"
-    | "Inlining" -> "inlining.ml"
-    | "Renumber" -> "renumber.ml"
-    | "Constprop" -> "constprop.ml"
-    | "CSE" -> "cse.ml"
-    | "Deadcode" -> "deadcode.ml"
-    | "Allocation" -> "allocation.ml"
-    | "Tunneling" -> "tunneling.ml"
-    | "Linearize" -> "linearize.ml"
-    | "CleanupLabels" -> "cleanuplabels.ml"
-    | "Debugvar" -> "debugvar.ml"
-    | "Stacking" -> "stacking.ml"
-    | "Asmgen" -> "asmgen.ml"
-    | _ -> ""
-  in
-  if f = "" then None else Some (Filename.concat "lib/passes" f)
-
+(** The SLOC column of Table 3: the pass named [pass] is implemented in
+    [lib/passes/], in the file named after it in lower case. *)
 let measure_pass pass =
-  match (repo_root (), pass_file pass) with
-  | Some root, Some rel -> count_file (Filename.concat root rel)
-  | _ -> 0
+  match repo_root () with
+  | Some root ->
+    count_file
+      (Filename.concat root ("lib/passes/" ^ String.lowercase_ascii pass ^ ".ml"))
+  | None -> 0
 
 let measure_total () =
   match repo_root () with

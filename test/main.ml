@@ -23,6 +23,8 @@ let () =
       Test_allocdiff.suite;
       Test_mutstate.suite;
       Test_convalg.suite;
+      Test_stages.suite;
+      Test_sloc.suite;
       Test_refinement.suite;
       Test_random.suite;
       Test_diagnostics.suite;

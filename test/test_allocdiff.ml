@@ -26,10 +26,10 @@ let read_file path =
 
 (* Compile [src] and run its [main] under both Asm interpreters,
    rendering each outcome. *)
-let run_both_interps src =
+let run_both_interps ?options src =
   let p = Cfrontend.Cparser.parse_program src in
   let symbols = Iface.Ast.prog_defs_names p in
-  let arts = Errors.get (Driver.Compiler.compile p) in
+  let arts = Errors.get (Driver.Compiler.compile ?options p) in
   let q = Option.get (Driver.Runners.main_query ~symbols ~defs:p ()) in
   let render o = Format.asprintf "%a" Driver.Runners.pp_c_outcome o in
   let run sem =
@@ -50,6 +50,12 @@ let parses src =
   | _ -> true
   | exception Cfrontend.Cparser.Parse_error _ -> false
 
+let allocators : (string * Passes.Allocation.allocator) list =
+  [
+    ("linear_scan", Passes.Allocation.allocate_linear_with ~clobber:false);
+    ("graph", Passes.Allocation.allocate_graph_with);
+  ]
+
 let allocators_validate =
   QCheck.Test.make ~name:"both allocators satisfy the validator" ~count:20
     Testlib.Test_gen.arb_program (fun src ->
@@ -57,11 +63,9 @@ let allocators_validate =
       let p = Cfrontend.Cparser.parse_program src in
       let rtl = (Errors.get (Driver.Compiler.compile p)).Driver.Compiler.rtl in
       List.for_all
-        (fun strat ->
-          let name = Passes.Allocation.strategy_name strat in
+        (fun (name, allocator) ->
           match
-            Passes.Allocation.transf_program_with_assignments ~strategy:strat
-              rtl
+            Passes.Allocation.transf_program_with_assignments ~allocator rtl
           with
           | Error e ->
             QCheck.Test.fail_reportf "%s allocation failed: %s@.--- program \
@@ -74,7 +78,7 @@ let allocators_validate =
             | Error e ->
               QCheck.Test.fail_reportf
                 "validator rejected %s: %s@.--- program ---@.%s" name e src))
-        [ Passes.Allocation.Linear_scan; Passes.Allocation.Graph ])
+        allocators)
 
 (* --- Interpreter differential: threaded vs naive dispatch ------------ *)
 
@@ -104,42 +108,37 @@ let unit_tests =
         let p = Cfrontend.Cparser.parse_program src in
         let rtl = (Errors.get (Driver.Compiler.compile p)).Driver.Compiler.rtl in
         let clean_outcome, _ = run_both_interps src in
-        Fun.protect
-          ~finally:(fun () ->
-            Passes.Allocation.clobber_linear_scan_for_test := false)
-          (fun () ->
-            Passes.Allocation.clobber_linear_scan_for_test := true;
-            (* The clobbered allocator funnels every virtual register
-               into the head of the pool; with three values live at
-               once that assignment is wrong, and the validator — not
-               any downstream crash — must be what catches it. *)
-            (match
-               Passes.Allocation.transf_program_with_assignments
-                 ~strategy:Passes.Allocation.Linear_scan rtl
-             with
-            | Error _ -> ()
-            | Ok (ltl, assigns) -> (
-              match
-                Passes.Alloc_check.validate_program ~assignments:assigns rtl
-                  ltl
-              with
-              | Ok () ->
-                Alcotest.fail "validator accepted a clobbered assignment"
-              | Error _ -> ()));
-            (* End to end, the same clobber is survivable: the driver
-               retries with the graph allocator and counts the
-               fallback. *)
-            Obs.reset_all ();
-            let arts =
-              Obs.with_enabled (fun () ->
-                  Errors.get (Driver.Compiler.compile p))
-            in
-            check "fallback counted" true
-              (Obs.Metrics.get_counter "alloc.linear_scan_fallback" > 0);
-            let fallback_outcome, _ = run_both_interps src in
-            check "fallback compiles to the same behavior" true
-              (fallback_outcome = clean_outcome);
-            ignore arts));
+        (* The clobbered allocator funnels every virtual register into
+           the head of the pool; with three values live at once that
+           assignment is wrong, and the validator — not any downstream
+           crash — must be what catches it. *)
+        (match
+           Passes.Allocation.transf_program_with_assignments
+             ~allocator:Testlib.Testutil.clobbered rtl
+         with
+        | Error _ -> ()
+        | Ok (ltl, assigns) -> (
+          match
+            Passes.Alloc_check.validate_program ~assignments:assigns rtl ltl
+          with
+          | Ok () -> Alcotest.fail "validator accepted a clobbered assignment"
+          | Error _ -> ()));
+        (* End to end, the same clobber is survivable: a pipeline whose
+           Allocation stage runs it retries with the graph allocator and
+           counts the fallback. *)
+        let options =
+          Testlib.Testutil.with_allocators ~fast:Testlib.Testutil.clobbered
+            ~fallback:Passes.Allocation.allocate_graph_with
+            Driver.Compiler.all_optims
+        in
+        Obs.reset_all ();
+        let fallback_outcome, _ =
+          Obs.with_enabled (fun () -> run_both_interps ~options src)
+        in
+        check "fallback counted" true
+          (Obs.Metrics.get_counter "alloc.linear_scan_fallback" = 1);
+        check "fallback compiles to the same behavior" true
+          (fallback_outcome = clean_outcome));
     Alcotest.test_case "threaded and naive interpreters agree on examples/c"
       `Quick (fun () ->
         let dir = "../examples/c" in

@@ -41,19 +41,23 @@ let rule_typing =
             [ IC; IL; IM; IA ])
         Rules.all_rules)
 
+(* Table 3 is the compiler's pipeline, read at [-O2] and [-O0]. *)
+let table3 = Driver.Pipeline.passes Driver.Compiler.all_optims
+let table3_o0 = Driver.Pipeline.passes Driver.Compiler.no_optims
+
 let table3_tests =
   [
     Alcotest.test_case "Table 3 has 18 passes" `Quick (fun () ->
-        Alcotest.(check int) "passes" 18 (List.length Derive.table3));
+        Alcotest.(check int) "passes" 18 (List.length table3));
     Alcotest.test_case "Table 3 conventions are well-typed" `Quick (fun () ->
         (* The chain of incoming conventions must type from C to A. *)
         check "incoming" true
-          (well_typed ~src:IC ~tgt:IA (Derive.composite `In));
+          (well_typed ~src:IC ~tgt:IA (Derive.composite table3 `In));
         check "outgoing" true
-          (well_typed ~src:IC ~tgt:IA (Derive.composite `Out)));
+          (well_typed ~src:IC ~tgt:IA (Derive.composite table3 `Out)));
     Alcotest.test_case "optional passes marked" `Quick (fun () ->
         let opt =
-          List.filter (fun p -> p.Derive.optional) Derive.table3
+          List.filter (fun p -> p.Derive.optional) table3
           |> List.map (fun p -> p.Derive.pass_name)
         in
         check "the five † passes of Table 3" true
@@ -64,17 +68,17 @@ let table3_tests =
 let derivation_tests =
   [
     Alcotest.test_case "Thm 3.8: outgoing side reaches C" `Quick (fun () ->
-        let out, _ = Derive.thm_3_8 () in
+        let out, _ = Derive.thm_3_8 table3 in
         check "ok" true out.Derive.ok);
     Alcotest.test_case "Thm 3.8: incoming side reaches C" `Quick (fun () ->
-        let _, inc = Derive.thm_3_8 () in
+        let _, inc = Derive.thm_3_8 table3 in
         check "ok" true inc.Derive.ok);
     Alcotest.test_case "derivations use only direction-valid rules" `Quick
       (fun () ->
         (* Re-run normalization and confirm every applied rule name exists
            in the database with a compatible direction. *)
         let check_side dir =
-          let d = Derive.derive_side dir in
+          let d = Derive.derive_side table3 dir in
           List.iter
             (fun (s : Derive.step) ->
               if
@@ -100,7 +104,7 @@ let derivation_tests =
         check_side `Outgoing);
     Alcotest.test_case "every derivation step is well-typed" `Quick (fun () ->
         let check_side dir =
-          let d = Derive.derive_side dir in
+          let d = Derive.derive_side table3 dir in
           List.iter
             (fun (s : Derive.step) ->
               check "typed" true (well_typed ~src:IC ~tgt:IA s.Derive.step_term))
@@ -110,19 +114,15 @@ let derivation_tests =
         check_side `Outgoing);
     Alcotest.test_case "derivation is insensitive to optional passes (§3.4)"
       `Quick (fun () ->
-        (* Removing the optional (†) passes must still normalize to C:
-           "C is not sensitive to the inclusion of optional optimization
-           passes". *)
-        let mandatory =
-          List.filter (fun p -> not p.Derive.optional) Derive.table3
-        in
-        let t0 =
-          (Rstar
-          :: List.concat_map (fun p -> p.Derive.incoming) mandatory)
-          @ [ Vainj ]
-        in
-        let final, _ = Derive.normalize `Incoming t0 in
-        check "reaches C" true (equal final uniform_c));
+        (* The [-O0] pipeline, without the optional (†) passes, must
+           still normalize to C on both sides: "C is not sensitive to
+           the inclusion of optional optimization passes". *)
+        check "-O0 drops exactly the † passes" true
+          (List.length table3_o0 = 13
+          && List.for_all (fun p -> not p.Derive.optional) table3_o0);
+        let out, inc = Derive.thm_3_8 table3_o0 in
+        check "outgoing reaches C" true out.Derive.ok;
+        check "incoming reaches C" true inc.Derive.ok);
   ]
 
 let suite =

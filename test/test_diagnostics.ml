@@ -138,6 +138,19 @@ let driver_tests =
         | Error e, Error f ->
           checks "same text" e (Diag.to_string f.Driver.Compiler.fail_diag)
         | _ -> Alcotest.fail "facade disagrees with compile_diag");
+    Alcotest.test_case "string-level entry points do not raise on bad input"
+      `Quick (fun () ->
+        List.iter
+          (fun (what, r) ->
+            match r with
+            | Ok _ -> Alcotest.failf "%s: expected a parse failure" what
+            | Error msg ->
+              check (what ^ " names the parse error") true
+                (contains msg "syntax-error"))
+          [
+            ("compile_c_to_asm", Result.map ignore (Driver.Compiler.compile_c_to_asm "int main( {"));
+            ("compile_source", Result.map ignore (Driver.Compiler.compile_source "int main( {"));
+          ]);
     Alcotest.test_case "backend_from_rtl rejects garbage gracefully" `Quick
       (fun () ->
         (* an RTL function whose entry node is missing: downstream passes

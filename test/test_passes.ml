@@ -176,7 +176,9 @@ let rtl_opt_tests =
           Errors.get
             (Driver.Compiler.compile
                ~options:
-                 { Driver.Compiler.all_optims with Driver.Compiler.opt_deadcode = false }
+                 (Driver.Pipeline.without
+                    (fun p -> p.Convalg.Derive.pass_name = "Deadcode")
+                    Driver.Compiler.all_optims)
                (Cfrontend.Cparser.parse_program src))
         in
         let ops p = count_instrs (function R.Iop (Op.Omulimm _, _, _, _) -> true | _ -> false) (find_fn p.Driver.Compiler.rtl "f") in
