@@ -27,7 +27,14 @@ let read_file path =
   close_in ic;
   s
 
-let parse_file path = Cfrontend.Cparser.parse_program (read_file path)
+(** Parse a C file through the diagnosed front end and continue with the
+    program; a front-end failure prints its diagnostic and exits 1. *)
+let with_parsed path k =
+  match Driver.Compiler.parse_diag (read_file path) with
+  | Error d ->
+    Format.eprintf "%s: %a@." path Diagnostics.pp d;
+    1
+  | Ok p -> k p
 
 let dump_section title pp =
   Format.printf "=== %s ===@.%t@." title pp
@@ -179,40 +186,32 @@ let pp_outcome fmt (o : 'a Sup.outcome) =
 
 let compile_cmd_run file o0 dumps trace metrics =
   with_obs trace metrics @@ fun () ->
-  try
-    let p = parse_file file in
-    let options =
-      if o0 then Driver.Compiler.no_optims else Driver.Compiler.all_optims
-    in
-    match Driver.Compiler.compile ~options p with
-    | Error e ->
-      Format.eprintf "%s: compilation error: %s@." file e;
-      1
-    | Ok arts ->
-      if List.mem "clight" dumps then
-        dump_section "Clight (after SimplLocals)" (fun fmt ->
-            Cfrontend.Cprint.pp_program fmt arts.clight2);
-      if List.mem "rtl" dumps then
-        dump_section "RTL (after optimizations)"
-          (dump_program_with Middle.Rtl.pp_function arts.rtl);
-      if List.mem "ltl" dumps then
-        dump_section "LTL (after tunneling)"
-          (dump_program_with Backend.Ltl.pp_function arts.ltl_tunneled);
-      if List.mem "linear" dumps then
-        dump_section "Linear"
-          (dump_program_with Backend.Linear.pp_function arts.linear_clean);
-      if List.mem "mach" dumps then
-        dump_section "Mach" (dump_program_with Backend.Mach.pp_function arts.mach);
-      if List.mem "asm" dumps || dumps = [] then
-        dump_section "Asm" (dump_program_with Backend.Asm.pp_function arts.asm);
-      0
-  with
-  | Cfrontend.Cparser.Parse_error (msg, line) ->
-    Format.eprintf "%s:%d: parse error: %s@." file line msg;
+  with_parsed file @@ fun p ->
+  let options =
+    if o0 then Driver.Compiler.no_optims else Driver.Compiler.all_optims
+  in
+  match Driver.Compiler.compile ~options p with
+  | Error e ->
+    Format.eprintf "%s: compilation error: %s@." file e;
     1
-  | Cfrontend.Clexer.Lex_error (msg, line) ->
-    Format.eprintf "%s:%d: lexical error: %s@." file line msg;
-    1
+  | Ok arts ->
+    if List.mem "clight" dumps then
+      dump_section "Clight (after SimplLocals)" (fun fmt ->
+          Cfrontend.Cprint.pp_program fmt arts.clight2);
+    if List.mem "rtl" dumps then
+      dump_section "RTL (after optimizations)"
+        (dump_program_with Middle.Rtl.pp_function arts.rtl);
+    if List.mem "ltl" dumps then
+      dump_section "LTL (after tunneling)"
+        (dump_program_with Backend.Ltl.pp_function arts.ltl_tunneled);
+    if List.mem "linear" dumps then
+      dump_section "Linear"
+        (dump_program_with Backend.Linear.pp_function arts.linear_clean);
+    if List.mem "mach" dumps then
+      dump_section "Mach" (dump_program_with Backend.Mach.pp_function arts.mach);
+    if List.mem "asm" dumps || dumps = [] then
+      dump_section "Asm" (dump_program_with Backend.Asm.pp_function arts.asm);
+    0
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.c")
@@ -269,64 +268,59 @@ let parse_args (spec : string) (sg : signature) : value list option =
 
 let run_cmd_run file level entry args_spec fuel o0 trace metrics =
   with_obs trace metrics @@ fun () ->
-  try
-    let p = parse_file file in
-    let symbols = Ast.prog_defs_names p in
-    let options =
-      if o0 then Driver.Compiler.no_optims else Driver.Compiler.all_optims
-    in
-    match Driver.Compiler.compile_levels ~options p with
-    | Error f ->
-      Format.eprintf "compilation error: %s@."
-        (Diagnostics.to_string f.Driver.Compiler.fail_diag);
-      1
-    | Ok kept -> (
-      (* Determine the entry signature from the source program. *)
-      let sg =
-        match Ast.find_def p (Ident.intern entry) with
-        | Some (Ast.Gfun fd) ->
-          Some (Ast.fundef_sig ~internal_sig:Cfrontend.Csyntax.fn_sig fd)
-        | _ -> None
-      in
-      match sg with
-      | None ->
-        Format.eprintf "no function named %s@." entry;
-        1
-      | Some sg -> (
-        match parse_args args_spec sg with
-        | None ->
-          Format.eprintf "bad arguments for signature %a@." pp_signature sg;
-          1
-        | Some args -> (
-          match
-            Driver.Runners.main_query ~symbols ~defs:p ~name:entry ~args ~sg ()
-          with
-          | None ->
-            Format.eprintf "cannot build the query@.";
-            1
-          | Some q ->
-            (* The levels [--level] can name, and the kept level each
-               one runs. *)
-            let levels =
-              [ ("clight", "clight1"); ("rtl", "rtl_opt"); ("ltl", "ltl_tunneled");
-                ("mach", "mach"); ("asm", "asm") ]
-            in
-            let run_level lv =
-              match List.assoc_opt lv levels with
-              | None -> Format.eprintf "unknown level %s@." lv
-              | Some name -> (
-                let l = List.find (fun l -> l.Driver.Pipeline.level = name) kept in
-                match Driver.Pipeline.run_level ~symbols ~fuel q l with
-                | Ok o -> Format.printf "%-8s %a@." lv Driver.Runners.pp_c_outcome o
-                | Error e -> Format.printf "%-8s marshal error: %s@." lv e)
-            in
-            (if level = "all" then List.iter (fun (lv, _) -> run_level lv) levels
-             else run_level level);
-            0)))
-  with
-  | Cfrontend.Cparser.Parse_error (msg, line) ->
-    Format.eprintf "%s:%d: parse error: %s@." file line msg;
+  with_parsed file @@ fun p ->
+  let symbols = Ast.prog_defs_names p in
+  let options =
+    if o0 then Driver.Compiler.no_optims else Driver.Compiler.all_optims
+  in
+  match Driver.Compiler.compile_levels ~options p with
+  | Error f ->
+    Format.eprintf "compilation error: %s@."
+      (Diagnostics.to_string f.Driver.Compiler.fail_diag);
     1
+  | Ok kept -> (
+    (* Determine the entry signature from the source program. *)
+    let sg =
+      match Ast.find_def p (Ident.intern entry) with
+      | Some (Ast.Gfun fd) ->
+        Some (Ast.fundef_sig ~internal_sig:Cfrontend.Csyntax.fn_sig fd)
+      | _ -> None
+    in
+    match sg with
+    | None ->
+      Format.eprintf "no function named %s@." entry;
+      1
+    | Some sg -> (
+      match parse_args args_spec sg with
+      | None ->
+        Format.eprintf "bad arguments for signature %a@." pp_signature sg;
+        1
+      | Some args -> (
+        match
+          Driver.Runners.main_query ~symbols ~defs:p ~name:entry ~args ~sg ()
+        with
+        | None ->
+          Format.eprintf "cannot build the query@.";
+          1
+        | Some q ->
+          (* The levels [--level] can name, and the kept level each
+             one runs. *)
+          let levels =
+            [ ("clight", "clight1"); ("rtl", "rtl_opt"); ("ltl", "ltl_tunneled");
+              ("mach", "mach"); ("asm", "asm") ]
+          in
+          let run_level lv =
+            match List.assoc_opt lv levels with
+            | None -> Format.eprintf "unknown level %s@." lv
+            | Some name -> (
+              let l = List.find (fun l -> l.Driver.Pipeline.level = name) kept in
+              match Driver.Pipeline.run_level ~symbols ~fuel q l with
+              | Ok o -> Format.printf "%-8s %a@." lv Driver.Runners.pp_c_outcome o
+              | Error e -> Format.printf "%-8s marshal error: %s@." lv e)
+          in
+          (if level = "all" then List.iter (fun (lv, _) -> run_level lv) levels
+           else run_level level);
+          0)))
 
 let run_cmd =
   let level =
@@ -427,15 +421,12 @@ let fuzz_cmd_run n seed verbose jobs retries timeout_s journal resume =
           match Driver.Differential.differential src with
           | Ok _ -> Ok None
           | Error e ->
-            (* Shrink the counterexample: keep reductions on which the
-               differential check still fails (parse errors and other
-               escapes disqualify a candidate). *)
-            let still_failing s =
-              match Driver.Differential.differential s with
-              | Error _ -> true
-              | Ok _ | (exception _) -> false
+            (* Shrink the counterexample: keep reductions that still
+               parse, still have [main] and still fail the check. *)
+            let small =
+              Fuzz.Gen.minimize ~still_failing:Driver.Differential.still_fails src
             in
-            Ok (Some (e, src, Fuzz.Gen.minimize ~still_failing src)));
+            Ok (Some (e, src, small)));
       job_degraded = None;
     }
   in

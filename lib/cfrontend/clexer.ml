@@ -1,49 +1,142 @@
-(** Hand-written lexer for the C subset. *)
+(** Hand-written lexer for the C subset.
+
+    Keywords and punctuators are constant constructors: a punctuator is
+    chosen by matching its next one to three characters, a keyword by a
+    [match] on its lexeme, so neither costs a string comparison or an
+    allocation. Tokens and their lines go straight into two arrays. *)
+
+type keyword =
+  | Kint | Klong | Kchar | Kshort | Kunsigned | Ksigned | Kdouble | Kfloat
+  | Kvoid | Kif | Kelse | Kwhile | Kfor | Kdo | Kreturn | Kbreak | Kcontinue
+  | Kextern | Kconst | Kstatic | Ksizeof
+
+type punct =
+  | ShlEq | ShrEq
+  | EqEq | BangEq | Le | Ge | AmpAmp | BarBar | Shl | Shr | PlusEq | MinusEq
+  | StarEq | SlashEq | PercentEq | AmpEq | BarEq | CaretEq | PlusPlus
+  | MinusMinus | Arrow
+  | Plus | Minus | Star | Slash | Percent | Eq | Lt | Gt | Bang | Tilde | Amp
+  | Bar | Caret | LParen | RParen | LBrace | RBrace | LBracket | RBracket
+  | Semi | Comma | Question | Colon | Dot
 
 type token =
   | INT_LIT of int64 * [ `I | `U | `L | `UL ]
+      (** the value, read as unsigned, and its type (C99 §6.4.4.1): int,
+          unsigned int, long or unsigned long *)
   | FLOAT_LIT of float * [ `F | `D ]
   | IDENT of string
-  | KW of string  (** keywords: int, long, char, ... *)
-  | PUNCT of string  (** operators and punctuation *)
+  | KW of keyword
+  | PUNCT of punct
   | EOF
 
-type t = { tokens : (token * int) array; mutable pos : int }
-(** token stream with line numbers *)
+type t = { tokens : token array; lines : int array; last : int; mutable pos : int }
+(** Token stream with line numbers; [tokens.(last)] is [EOF]. *)
 
 exception Lex_error of string * int
 
-let keywords =
-  [ "int"; "long"; "char"; "short"; "unsigned"; "signed"; "double"; "float";
-    "void"; "if"; "else"; "while"; "for"; "do"; "return"; "break"; "continue";
-    "extern"; "const"; "static"; "sizeof" ]
+let keyword_name = function
+  | Kint -> "int" | Klong -> "long" | Kchar -> "char" | Kshort -> "short"
+  | Kunsigned -> "unsigned" | Ksigned -> "signed" | Kdouble -> "double"
+  | Kfloat -> "float" | Kvoid -> "void" | Kif -> "if" | Kelse -> "else"
+  | Kwhile -> "while" | Kfor -> "for" | Kdo -> "do" | Kreturn -> "return"
+  | Kbreak -> "break" | Kcontinue -> "continue" | Kextern -> "extern"
+  | Kconst -> "const" | Kstatic -> "static" | Ksizeof -> "sizeof"
+
+let punct_name = function
+  | ShlEq -> "<<=" | ShrEq -> ">>=" | EqEq -> "==" | BangEq -> "!=" | Le -> "<="
+  | Ge -> ">=" | AmpAmp -> "&&" | BarBar -> "||" | Shl -> "<<" | Shr -> ">>"
+  | PlusEq -> "+=" | MinusEq -> "-=" | StarEq -> "*=" | SlashEq -> "/="
+  | PercentEq -> "%=" | AmpEq -> "&=" | BarEq -> "|=" | CaretEq -> "^="
+  | PlusPlus -> "++" | MinusMinus -> "--" | Arrow -> "->" | Plus -> "+"
+  | Minus -> "-" | Star -> "*" | Slash -> "/" | Percent -> "%" | Eq -> "="
+  | Lt -> "<" | Gt -> ">" | Bang -> "!" | Tilde -> "~" | Amp -> "&" | Bar -> "|"
+  | Caret -> "^" | LParen -> "(" | RParen -> ")" | LBrace -> "{" | RBrace -> "}"
+  | LBracket -> "[" | RBracket -> "]" | Semi -> ";" | Comma -> "," | Question -> "?"
+  | Colon -> ":" | Dot -> "."
+
+(* The token of an identifier-shaped lexeme. *)
+let word = function
+  | "int" -> KW Kint | "long" -> KW Klong | "char" -> KW Kchar
+  | "short" -> KW Kshort | "unsigned" -> KW Kunsigned | "signed" -> KW Ksigned
+  | "double" -> KW Kdouble | "float" -> KW Kfloat | "void" -> KW Kvoid
+  | "if" -> KW Kif | "else" -> KW Kelse | "while" -> KW Kwhile | "for" -> KW Kfor
+  | "do" -> KW Kdo | "return" -> KW Kreturn | "break" -> KW Kbreak
+  | "continue" -> KW Kcontinue | "extern" -> KW Kextern | "const" -> KW Kconst
+  | "static" -> KW Kstatic | "sizeof" -> KW Ksizeof
+  | s -> IDENT s
 
 let is_digit c = c >= '0' && c <= '9'
 let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_alnum c = is_alpha c || is_digit c
 
-let three_char_ops = [ "<<="; ">>=" ]
+let lex_error line fmt = Printf.ksprintf (fun s -> raise (Lex_error (s, line))) fmt
 
-let two_char_ops =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "+="; "-="; "*="; "/=";
-    "%="; "&="; "|="; "^="; "++"; "--"; "->" ]
+(* The value of an integer constant's text, up to 2^64 - 1. *)
+let int_value line text ~hex ~octal =
+  let repr = if hex then text else (if octal then "0o" else "0u") ^ text in
+  match Int64.of_string_opt repr with
+  | Some v -> v
+  | None when hex && String.length text = 2 ->
+    lex_error line "hexadecimal constant %s has no digits" text
+  | None when octal && String.exists (fun c -> c = '8' || c = '9') text ->
+    lex_error line "invalid digit in octal constant %s" text
+  | None -> lex_error line "integer constant %s is too large" text
+
+(* The type of an integer constant (C99 §6.4.4.1): the first type of its
+   suffix's list that can represent it, with long long = long. *)
+let int_type line text v ~decimal ~u ~l =
+  let fits = function
+    | `I -> Int64.unsigned_compare v 0x7FFF_FFFFL <= 0
+    | `U -> Int64.unsigned_compare v 0xFFFF_FFFFL <= 0
+    | `L -> Int64.compare v 0L >= 0
+    | `UL -> true
+  in
+  let candidates =
+    match (u, l) with
+    | false, false -> if decimal then [ `I; `L ] else [ `I; `U; `L; `UL ]
+    | true, false -> [ `U; `UL ]
+    | false, true -> if decimal then [ `L ] else [ `L; `UL ]
+    | true, true -> [ `UL ]
+  in
+  match List.find_opt fits candidates with
+  | Some k -> k
+  | None -> lex_error line "integer constant %s is too large for its type" text
 
 let tokenize (src : string) : t =
   let n = String.length src in
-  let toks = ref [] in
+  let tokens = ref (Array.make ((n / 4) + 16) EOF) in
+  let lines = ref (Array.make (Array.length !tokens) 0) in
+  let count = ref 0 in
   let line = ref 1 in
   let i = ref 0 in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let emit tok = toks := (tok, !line) :: !toks in
+  let at k = if !i + k < n then src.[!i + k] else '\000' in
+  let emit tok =
+    if !count = Array.length !tokens then begin
+      let grow a fill =
+        let b = Array.make (2 * !count) fill in
+        Array.blit a 0 b 0 !count;
+        b
+      in
+      tokens := grow !tokens EOF;
+      lines := grow !lines 0
+    end;
+    !tokens.(!count) <- tok;
+    !lines.(!count) <- !line;
+    incr count
+  in
+  let op tok width =
+    emit tok;
+    i := !i + width
+  in
   while !i < n do
     let c = src.[!i] in
     if c = '\n' then begin incr line; incr i end
     else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '/' && peek 1 = Some '/' then begin
+    else if c = '/' && at 1 = '/' then begin
       while !i < n && src.[!i] <> '\n' do incr i done
     end
-    else if c = '/' && peek 1 = Some '*' then begin
+    else if c = '/' && at 1 = '*' then begin
       i := !i + 2;
       let fin = ref false in
       while not !fin do
@@ -58,26 +151,25 @@ let tokenize (src : string) : t =
         end
       done
     end
-    else if is_digit c || (c = '.' && (match peek 1 with Some d -> is_digit d | None -> false))
-    then begin
+    else if is_digit c || (c = '.' && is_digit (at 1)) then begin
       let start = !i in
-      let hex = c = '0' && (peek 1 = Some 'x' || peek 1 = Some 'X') in
+      let hex = c = '0' && (at 1 = 'x' || at 1 = 'X') in
       if hex then i := !i + 2;
       let isfloat = ref false in
-      let valid = if hex then is_hex else is_digit in
-      while !i < n && (valid src.[!i] || (not hex && (src.[!i] = '.' || src.[!i] = 'e' || src.[!i] = 'E'
-                                                     || ((src.[!i] = '+' || src.[!i] = '-')
-                                                        && (src.[!i-1] = 'e' || src.[!i-1] = 'E'))))) do
-        if src.[!i] = '.' || src.[!i] = 'e' || src.[!i] = 'E' then isfloat := true;
-        incr i
-      done;
+      let continues d =
+        if hex then is_hex d
+        else if d = '.' || d = 'e' || d = 'E' then (isfloat := true; true)
+        else
+          is_digit d
+          || ((d = '+' || d = '-') && (src.[!i - 1] = 'e' || src.[!i - 1] = 'E'))
+      in
+      while !i < n && continues src.[!i] do incr i done;
       let text = String.sub src start (!i - start) in
       if !isfloat then begin
-        let suffix =
-          if !i < n && (src.[!i] = 'f' || src.[!i] = 'F') then begin incr i; `F end
-          else `D
-        in
-        emit (FLOAT_LIT (float_of_string text, suffix))
+        let suffix = if at 0 = 'f' || at 0 = 'F' then (incr i; `F) else `D in
+        match float_of_string_opt text with
+        | Some f -> emit (FLOAT_LIT (f, suffix))
+        | None -> lex_error !line "malformed floating constant %s" text
       end
       else begin
         let u = ref false and l = ref false in
@@ -88,22 +180,15 @@ let tokenize (src : string) : t =
           | 'l' | 'L' -> l := true; incr i
           | _ -> continue_suffix := false
         done;
-        let v = Int64.of_string text in
-        let suffix =
-          match (!u, !l) with
-          | false, false -> `I
-          | true, false -> `U
-          | false, true -> `L
-          | true, true -> `UL
-        in
-        emit (INT_LIT (v, suffix))
+        let octal = (not hex) && String.length text > 1 && text.[0] = '0' in
+        let v = int_value !line text ~hex ~octal in
+        emit (INT_LIT (v, int_type !line text v ~decimal:(not (hex || octal)) ~u:!u ~l:!l))
       end
     end
     else if is_alpha c then begin
       let start = !i in
       while !i < n && is_alnum src.[!i] do incr i done;
-      let text = String.sub src start (!i - start) in
-      if List.mem text keywords then emit (KW text) else emit (IDENT text)
+      emit (word (String.sub src start (!i - start)))
     end
     else if c = '\'' then begin
       (* character literal *)
@@ -112,6 +197,7 @@ let tokenize (src : string) : t =
       let v =
         if src.[!i] = '\\' then begin
           incr i;
+          if !i >= n then raise (Lex_error ("unterminated char literal", !line));
           let e = src.[!i] in
           incr i;
           match e with
@@ -128,41 +214,71 @@ let tokenize (src : string) : t =
       incr i;
       emit (INT_LIT (Int64.of_int v, `I))
     end
-    else begin
-      let try_op len list =
-        if !i + len <= n then
-          let s = String.sub src !i len in
-          if List.mem s list then Some s else None
-        else None
-      in
-      match try_op 3 three_char_ops with
-      | Some s -> emit (PUNCT s); i := !i + 3
-      | None -> (
-        match try_op 2 two_char_ops with
-        | Some s -> emit (PUNCT s); i := !i + 2
-        | None ->
-          (match c with
-          | '+' | '-' | '*' | '/' | '%' | '=' | '<' | '>' | '!' | '~' | '&'
-          | '|' | '^' | '(' | ')' | '{' | '}' | '[' | ']' | ';' | ',' | '?'
-          | ':' | '.' ->
-            emit (PUNCT (String.make 1 c));
-            incr i
-          | _ -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))))
-    end
+    else
+      match c with
+      | '+' -> (
+        match at 1 with
+        | '+' -> op (PUNCT PlusPlus) 2
+        | '=' -> op (PUNCT PlusEq) 2
+        | _ -> op (PUNCT Plus) 1)
+      | '-' -> (
+        match at 1 with
+        | '-' -> op (PUNCT MinusMinus) 2
+        | '=' -> op (PUNCT MinusEq) 2
+        | '>' -> op (PUNCT Arrow) 2
+        | _ -> op (PUNCT Minus) 1)
+      | '*' -> if at 1 = '=' then op (PUNCT StarEq) 2 else op (PUNCT Star) 1
+      | '/' -> if at 1 = '=' then op (PUNCT SlashEq) 2 else op (PUNCT Slash) 1
+      | '%' -> if at 1 = '=' then op (PUNCT PercentEq) 2 else op (PUNCT Percent) 1
+      | '=' -> if at 1 = '=' then op (PUNCT EqEq) 2 else op (PUNCT Eq) 1
+      | '!' -> if at 1 = '=' then op (PUNCT BangEq) 2 else op (PUNCT Bang) 1
+      | '^' -> if at 1 = '=' then op (PUNCT CaretEq) 2 else op (PUNCT Caret) 1
+      | '<' -> (
+        match at 1 with
+        | '<' -> if at 2 = '=' then op (PUNCT ShlEq) 3 else op (PUNCT Shl) 2
+        | '=' -> op (PUNCT Le) 2
+        | _ -> op (PUNCT Lt) 1)
+      | '>' -> (
+        match at 1 with
+        | '>' -> if at 2 = '=' then op (PUNCT ShrEq) 3 else op (PUNCT Shr) 2
+        | '=' -> op (PUNCT Ge) 2
+        | _ -> op (PUNCT Gt) 1)
+      | '&' -> (
+        match at 1 with
+        | '&' -> op (PUNCT AmpAmp) 2
+        | '=' -> op (PUNCT AmpEq) 2
+        | _ -> op (PUNCT Amp) 1)
+      | '|' -> (
+        match at 1 with
+        | '|' -> op (PUNCT BarBar) 2
+        | '=' -> op (PUNCT BarEq) 2
+        | _ -> op (PUNCT Bar) 1)
+      | '~' -> op (PUNCT Tilde) 1
+      | '(' -> op (PUNCT LParen) 1
+      | ')' -> op (PUNCT RParen) 1
+      | '{' -> op (PUNCT LBrace) 1
+      | '}' -> op (PUNCT RBrace) 1
+      | '[' -> op (PUNCT LBracket) 1
+      | ']' -> op (PUNCT RBracket) 1
+      | ';' -> op (PUNCT Semi) 1
+      | ',' -> op (PUNCT Comma) 1
+      | '?' -> op (PUNCT Question) 1
+      | ':' -> op (PUNCT Colon) 1
+      | '.' -> op (PUNCT Dot) 1
+      | _ -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
   done;
-  toks := (EOF, !line) :: !toks;
-  { tokens = Array.of_list (List.rev !toks); pos = 0 }
+  emit EOF;
+  { tokens = !tokens; lines = !lines; last = !count - 1; pos = 0 }
 
-let peek (lx : t) = fst lx.tokens.(lx.pos)
-let peek2 (lx : t) =
-  if lx.pos + 1 < Array.length lx.tokens then fst lx.tokens.(lx.pos + 1) else EOF
-let line (lx : t) = snd lx.tokens.(lx.pos)
-let advance (lx : t) = if lx.pos + 1 < Array.length lx.tokens then lx.pos <- lx.pos + 1
+let peek (lx : t) = lx.tokens.(lx.pos)
+let peek2 (lx : t) = if lx.pos < lx.last then lx.tokens.(lx.pos + 1) else EOF
+let line (lx : t) = lx.lines.(lx.pos)
+let advance (lx : t) = if lx.pos < lx.last then lx.pos <- lx.pos + 1
 
 let pp_token fmt = function
   | INT_LIT (n, _) -> Format.fprintf fmt "%Ld" n
   | FLOAT_LIT (f, _) -> Format.fprintf fmt "%g" f
   | IDENT s -> Format.fprintf fmt "identifier %s" s
-  | KW s -> Format.fprintf fmt "keyword %s" s
-  | PUNCT s -> Format.fprintf fmt "'%s'" s
+  | KW k -> Format.fprintf fmt "keyword %s" (keyword_name k)
+  | PUNCT p -> Format.fprintf fmt "'%s'" (punct_name p)
   | EOF -> Format.fprintf fmt "end of file"

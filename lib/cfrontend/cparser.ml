@@ -4,7 +4,8 @@
     control effects ([&&], [||], [?:]) or embedded calls are lowered into
     statements over fresh temporaries, exactly as CompCert's SimplExpr
     pass does; the resulting Clight expressions are pure. Implicit
-    conversions are materialized as [Ecast] nodes. *)
+    conversions are materialized as [Ecast] nodes. The binary operators
+    from [|] to [* / %] are parsed by one precedence-climbing loop. *)
 
 open Support
 open Ctypes
@@ -18,21 +19,20 @@ let err lx fmt =
 
 (** {1 Token helpers} *)
 
-let expect_punct lx s =
-  match peek lx with
-  | PUNCT p when p = s -> advance lx
-  | t -> err lx "expected '%s' but found %a" s pp_token t
+let at_punct lx p = match peek lx with PUNCT q -> q = p | _ -> false
 
-let eat_punct lx s =
-  match peek lx with
-  | PUNCT p when p = s ->
-    advance lx;
-    true
-  | _ -> false
+let expect_punct lx p =
+  if at_punct lx p then advance lx
+  else err lx "expected '%s' but found %a" (punct_name p) pp_token (peek lx)
 
-let eat_kw lx s =
+let eat_punct lx p =
+  let here = at_punct lx p in
+  if here then advance lx;
+  here
+
+let eat_kw lx k =
   match peek lx with
-  | KW k when k = s ->
+  | KW k' when k' = k ->
     advance lx;
     true
   | _ -> false
@@ -48,8 +48,8 @@ let expect_ident lx =
 
 let is_type_start lx =
   match peek lx with
-  | KW ("int" | "long" | "char" | "short" | "unsigned" | "signed" | "double"
-       | "float" | "void" | "const") ->
+  | KW (Kint | Klong | Kchar | Kshort | Kunsigned | Ksigned | Kdouble | Kfloat
+       | Kvoid | Kconst) ->
     true
   | _ -> false
 
@@ -61,42 +61,43 @@ let parse_base_type lx =
   let continue_ = ref true in
   while !continue_ do
     match peek lx with
-    | KW "const" -> readonly := true; advance lx
-    | KW "unsigned" -> signed := Some Unsigned; advance lx
-    | KW "signed" -> signed := Some Signed; advance lx
-    | KW (("int" | "long" | "char" | "short" | "double" | "float" | "void") as k) ->
+    | KW Kconst -> readonly := true; advance lx
+    | KW Kunsigned -> signed := Some Unsigned; advance lx
+    | KW Ksigned -> signed := Some Signed; advance lx
+    | KW ((Kint | Klong | Kchar | Kshort | Kdouble | Kfloat | Kvoid) as k) ->
       (match (!base, k) with
       | None, _ -> base := Some k
-      | Some "long", "long" -> () (* long long = long *)
-      | Some "long", "int" | Some "short", "int" -> ()
-      | Some b, k -> err lx "conflicting type specifiers %s %s" b k);
+      | Some Klong, Klong -> () (* long long = long *)
+      | Some Klong, Kint | Some Kshort, Kint -> ()
+      | Some b, k ->
+        err lx "conflicting type specifiers %s %s" (keyword_name b) (keyword_name k));
       advance lx
     | _ -> continue_ := false
   done;
   let sg = Option.value !signed ~default:Signed in
   let t =
     match !base with
-    | Some "char" -> Tint (I8, sg)
-    | Some "short" -> Tint (I16, sg)
-    | Some "int" | None -> Tint (I32, sg)
-    | Some "long" -> Tlong sg
-    | Some "double" -> Tfloat
-    | Some "float" -> Tsingle
-    | Some "void" -> Tvoid
-    | Some other -> err lx "unknown type %s" other
+    | Some Kchar -> Tint (I8, sg)
+    | Some Kshort -> Tint (I16, sg)
+    | Some Kint | None -> Tint (I32, sg)
+    | Some Klong -> Tlong sg
+    | Some Kdouble -> Tfloat
+    | Some Kfloat -> Tsingle
+    | Some Kvoid -> Tvoid
+    | Some other -> err lx "unknown type %s" (keyword_name other)
   in
   (t, !readonly)
 
 let parse_pointers lx t =
   let t = ref t in
-  while eat_punct lx "*" do
+  while eat_punct lx Star do
     t := Tpointer !t
   done;
   !t
 
 (* Array suffixes: T x[3][4] gives Tarray (Tarray (T, 4), 3). *)
 let rec parse_array_suffix lx t =
-  if eat_punct lx "[" then begin
+  if eat_punct lx LBracket then begin
     let n =
       match peek lx with
       | INT_LIT (v, _) ->
@@ -104,57 +105,57 @@ let rec parse_array_suffix lx t =
         Int64.to_int v
       | tok -> err lx "expected array size, found %a" pp_token tok
     in
-    expect_punct lx "]";
+    expect_punct lx RBracket;
     let inner = parse_array_suffix lx t in
     Tarray (inner, n)
   end
   else t
 
+let decayed_type t = match t with Tarray (te, _) -> Tpointer te | t -> t
+
 (* Parameter lists: [T x, U y] or [void]. Parameter names may be omitted
    in prototypes. Array parameters decay to pointers. *)
 let rec parse_params lx =
-  expect_punct lx "(";
-  if eat_punct lx ")" then []
-  else if peek lx = KW "void" && peek2 lx = PUNCT ")" then begin
-    advance lx;
-    advance lx;
-    []
-  end
-  else begin
-    let rec go acc =
-      let bt, _ = parse_base_type lx in
-      let t = parse_pointers lx bt in
-      let name, t =
-        match peek lx with
-        | IDENT s ->
-          advance lx;
-          (s, decayed_type0 (parse_array_suffix lx t))
-        | PUNCT "(" ->
-          let name, t = parse_fptr_declarator lx t in
-          (name, t)
-        | _ -> ("", t)
+  expect_punct lx LParen;
+  if eat_punct lx RParen then []
+  else
+    match (peek lx, peek2 lx) with
+    | KW Kvoid, PUNCT RParen ->
+      advance lx;
+      advance lx;
+      []
+    | _ ->
+      let rec go acc =
+        let bt, _ = parse_base_type lx in
+        let t = parse_pointers lx bt in
+        let name, t =
+          match peek lx with
+          | IDENT s ->
+            advance lx;
+            (s, decayed_type (parse_array_suffix lx t))
+          | PUNCT LParen ->
+            let name, t = parse_fptr_declarator lx t in
+            (name, t)
+          | _ -> ("", t)
+        in
+        let acc = (name, t) :: acc in
+        if eat_punct lx Comma then go acc
+        else begin
+          expect_punct lx RParen;
+          List.rev acc
+        end
       in
-      let acc = (name, t) :: acc in
-      if eat_punct lx "," then go acc
-      else begin
-        expect_punct lx ")";
-        List.rev acc
-      end
-    in
-    go []
-  end
+      go []
 
 (* Function-pointer declarator "( * name)(params)"; the return type has
    already been parsed. *)
 and parse_fptr_declarator lx ret_ty =
-  expect_punct lx "(";
-  expect_punct lx "*";
+  expect_punct lx LParen;
+  expect_punct lx Star;
   let name = expect_ident lx in
-  expect_punct lx ")";
+  expect_punct lx RParen;
   let params = parse_params lx in
   (name, Tpointer (Tfunction (List.map snd params, ret_ty)))
-
-and decayed_type0 t = match t with Tarray (te, _) -> Tpointer te | t -> t
 
 (** {1 Elaboration environment} *)
 
@@ -168,11 +169,12 @@ let lookup_var env id =
   | Some t -> Some t
   | None -> Ident.Map.find_opt id env.globals
 
-(* Per-function elaboration state: declared variables and generated
-   temporaries. *)
+(* Per-function elaboration state: declared variables, generated
+   temporaries, and the prelude of the expression being parsed. *)
 type fstate = {
   mutable vars : (Ident.t * ty) list;
   mutable temps : (Ident.t * ty) list;
+  mutable prelude : stmt list;  (** newest first *)
 }
 
 let fresh_temp fs t =
@@ -182,8 +184,34 @@ let fresh_temp fs t =
 
 (** {1 Expressions}
 
-    [parse_expr] returns a list of prelude statements (in execution
-    order) together with a pure Clight expression. *)
+    [parse_expr] returns a pure Clight expression and emits the
+    statements that must run before it (its prelude) into
+    [fs.prelude], in execution order. A statement takes the prelude of
+    its expressions with [take_prelude]. *)
+
+let emit fs s = fs.prelude <- s :: fs.prelude
+
+(* Prelude lists are newest first: [seq_rev [s3; s2; s1]] is
+   [s1; s2; s3] as right-nested [Ssequence]s. *)
+let seq_rev = function
+  | [] -> Sskip
+  | last :: before -> List.fold_left (fun k s -> Ssequence (s, k)) last before
+
+let take_prelude fs =
+  let p = fs.prelude in
+  fs.prelude <- [];
+  p
+
+(* Parse with [parse] but return the prelude (newest first) instead of
+   emitting it: the prelude of a branch of [&&], [||] or [?:] runs only
+   on that branch, and that of a [sizeof] operand never runs. *)
+let detached parse lx env fs =
+  let outer = fs.prelude in
+  fs.prelude <- [];
+  let e = parse lx env fs in
+  let p = fs.prelude in
+  fs.prelude <- outer;
+  (p, e)
 
 (* Decay array/function types when an expression is used as a value. *)
 let decay e =
@@ -192,15 +220,7 @@ let decay e =
   | Tfunction _ as t -> Eaddrof (e, Tpointer t)
   | _ -> e
 
-let decayed_type t =
-  match t with Tarray (te, _) -> Tpointer te | t -> t
-
 let cast_to t e = if ty_equal (typeof e) t then e else Ecast (e, t)
-
-let is_scalar = function
-  | Tint _ | Tlong _ | Tfloat | Tsingle | Tpointer _ | Tarray _ | Tfunction _ ->
-    true
-  | Tvoid -> false
 
 let common_type lx t1 t2 =
   if ty_equal t1 t2 then t1
@@ -213,237 +233,211 @@ let common_type lx t1 t2 =
     | Cop.Cl_s -> Tsingle
     | _ -> err lx "incompatible branch types in conditional expression"
 
-let rec parse_expr lx env fs : stmt list * expr = parse_conditional lx env fs
+(* The left-associative binary operators by precedence level, from [|]
+   (loosest) to [* / %] (tightest). *)
+let binop = function
+  | Bar -> Some (1, Cop.Oor)
+  | Caret -> Some (2, Cop.Oxor)
+  | Amp -> Some (3, Cop.Oand)
+  | EqEq -> Some (4, Cop.Oeq)
+  | BangEq -> Some (4, Cop.One)
+  | Lt -> Some (5, Cop.Olt)
+  | Gt -> Some (5, Cop.Ogt)
+  | Le -> Some (5, Cop.Ole)
+  | Ge -> Some (5, Cop.Oge)
+  | Shl -> Some (6, Cop.Oshl)
+  | Shr -> Some (6, Cop.Oshr)
+  | Plus -> Some (7, Cop.Oadd)
+  | Minus -> Some (7, Cop.Osub)
+  | Star -> Some (8, Cop.Omul)
+  | Slash -> Some (8, Cop.Odiv)
+  | Percent -> Some (8, Cop.Omod)
+  | _ -> None
+
+let rec parse_expr lx env fs : expr = parse_conditional lx env fs
 
 and parse_conditional lx env fs =
-  let p1, c = parse_logical_or lx env fs in
-  if eat_punct lx "?" then begin
-    let p2, e1 = parse_expr lx env fs in
-    expect_punct lx ":";
-    let p3, e2 = parse_conditional lx env fs in
+  let c = parse_logical_or lx env fs in
+  if eat_punct lx Question then begin
+    let p2, e1 = detached parse_expr lx env fs in
+    expect_punct lx Colon;
+    let p3, e2 = detached parse_conditional lx env fs in
     let e1 = decay e1 and e2 = decay e2 in
     let t = common_type lx (typeof e1) (typeof e2) in
     let tmp = fresh_temp fs t in
-    let branch p e = seq_stmts (p @ [ Sset (tmp, cast_to t e) ]) in
-    ( p1 @ [ Sifthenelse (decay c, branch p2 e1, branch p3 e2) ],
-      Etempvar (tmp, t) )
+    let branch p e = seq_rev (Sset (tmp, cast_to t e) :: p) in
+    emit fs (Sifthenelse (decay c, branch p2 e1, branch p3 e2));
+    Etempvar (tmp, t)
   end
-  else (p1, c)
+  else c
 
 and parse_logical_or lx env fs =
-  let p1, e1 = parse_logical_and lx env fs in
-  if eat_punct lx "||" then begin
-    let p2, e2 = parse_logical_or lx env fs in
+  let e1 = parse_logical_and lx env fs in
+  if eat_punct lx BarBar then begin
+    let p2, e2 = detached parse_logical_or lx env fs in
     let tmp = fresh_temp fs tint in
     let one = Sset (tmp, Econst_int (1l, tint)) in
     let test2 =
-      seq_stmts
-        (p2
-        @ [ Sifthenelse (decay e2, one, Sset (tmp, Econst_int (0l, tint))) ])
+      seq_rev (Sifthenelse (decay e2, one, Sset (tmp, Econst_int (0l, tint))) :: p2)
     in
-    (p1 @ [ Sifthenelse (decay e1, one, test2) ], Etempvar (tmp, tint))
+    emit fs (Sifthenelse (decay e1, one, test2));
+    Etempvar (tmp, tint)
   end
-  else (p1, e1)
+  else e1
 
 and parse_logical_and lx env fs =
-  let p1, e1 = parse_bitor lx env fs in
-  if eat_punct lx "&&" then begin
-    let p2, e2 = parse_logical_and lx env fs in
+  let e1 = parse_binary lx env fs 1 in
+  if eat_punct lx AmpAmp then begin
+    let p2, e2 = detached parse_logical_and lx env fs in
     let tmp = fresh_temp fs tint in
     let zero = Sset (tmp, Econst_int (0l, tint)) in
     let test2 =
-      seq_stmts
-        (p2
-        @ [ Sifthenelse (decay e2, Sset (tmp, Econst_int (1l, tint)), zero) ])
+      seq_rev (Sifthenelse (decay e2, Sset (tmp, Econst_int (1l, tint)), zero) :: p2)
     in
-    (p1 @ [ Sifthenelse (decay e1, test2, zero) ], Etempvar (tmp, tint))
+    emit fs (Sifthenelse (decay e1, test2, zero));
+    Etempvar (tmp, tint)
   end
-  else (p1, e1)
+  else e1
 
-and binop_level ops next lx env fs =
-  let rec loop p e1 =
-    match peek lx with
-    | PUNCT s when List.mem_assoc s ops ->
-      advance lx;
-      let op = List.assoc s ops in
-      let p2, e2 = next lx env fs in
-      let e1 = decay e1 and e2 = decay e2 in
-      let t = Cop.type_binop op (typeof e1) (typeof e2) in
-      loop (p @ p2) (Ebinop (op, e1, e2, t))
-    | _ -> (p, e1)
-  in
-  let p, e = next lx env fs in
-  loop p e
+(* Precedence climbing: an operand followed by every operator of level
+   [min] or tighter, whose right operand binds tighter than it. *)
+and parse_binary lx env fs min = climb lx env fs min (parse_unary lx env fs)
 
-and parse_bitor lx env fs = binop_level [ ("|", Cop.Oor) ] parse_bitxor lx env fs
-and parse_bitxor lx env fs = binop_level [ ("^", Cop.Oxor) ] parse_bitand lx env fs
-
-and parse_bitand lx env fs =
-  (* Only match single '&' used as a binary operator. *)
-  binop_level [ ("&", Cop.Oand) ] parse_equality lx env fs
-
-and parse_equality lx env fs =
-  binop_level [ ("==", Cop.Oeq); ("!=", Cop.One) ] parse_relational lx env fs
-
-and parse_relational lx env fs =
-  binop_level
-    [ ("<", Cop.Olt); (">", Cop.Ogt); ("<=", Cop.Ole); (">=", Cop.Oge) ]
-    parse_shift lx env fs
-
-and parse_shift lx env fs =
-  binop_level [ ("<<", Cop.Oshl); (">>", Cop.Oshr) ] parse_additive lx env fs
-
-and parse_additive lx env fs =
-  binop_level [ ("+", Cop.Oadd); ("-", Cop.Osub) ] parse_multiplicative lx env fs
-
-and parse_multiplicative lx env fs =
-  binop_level
-    [ ("*", Cop.Omul); ("/", Cop.Odiv); ("%", Cop.Omod) ]
-    parse_unary lx env fs
-
-and parse_unary lx env fs : stmt list * expr =
+and climb lx env fs min e1 =
   match peek lx with
-  | PUNCT "-" ->
+  | PUNCT p -> (
+    match binop p with
+    | Some (level, op) when level >= min ->
+      advance lx;
+      let e2 = parse_binary lx env fs (level + 1) in
+      let e1 = decay e1 and e2 = decay e2 in
+      climb lx env fs min (Ebinop (op, e1, e2, Cop.type_binop op (typeof e1) (typeof e2)))
+    | _ -> e1)
+  | _ -> e1
+
+and parse_unary lx env fs : expr =
+  match peek lx with
+  | PUNCT Minus ->
     advance lx;
-    let p, e = parse_unary lx env fs in
-    let e = decay e in
-    (p, Eunop (Cop.Oneg, e, Cop.type_binop Cop.Oadd (typeof e) (typeof e)))
-  | PUNCT "!" ->
+    let e = decay (parse_unary lx env fs) in
+    Eunop (Cop.Oneg, e, Cop.type_binop Cop.Oadd (typeof e) (typeof e))
+  | PUNCT Bang ->
     advance lx;
-    let p, e = parse_unary lx env fs in
-    (p, Eunop (Cop.Onotbool, decay e, tint))
-  | PUNCT "~" ->
+    Eunop (Cop.Onotbool, decay (parse_unary lx env fs), tint)
+  | PUNCT Tilde ->
     advance lx;
-    let p, e = parse_unary lx env fs in
-    let e = decay e in
-    (p, Eunop (Cop.Onotint, e, Cop.type_binop Cop.Oadd (typeof e) (typeof e)))
-  | PUNCT "*" ->
+    let e = decay (parse_unary lx env fs) in
+    Eunop (Cop.Onotint, e, Cop.type_binop Cop.Oadd (typeof e) (typeof e))
+  | PUNCT Star ->
     advance lx;
-    let p, e = parse_unary lx env fs in
-    let e = decay e in
+    let e = decay (parse_unary lx env fs) in
     (match typeof e with
-    | Tpointer t -> (p, Ederef (e, t))
+    | Tpointer t -> Ederef (e, t)
     | _ -> err lx "dereference of a non-pointer value")
-  | PUNCT "&" ->
+  | PUNCT Amp ->
     advance lx;
-    let p, e = parse_unary lx env fs in
+    let e = parse_unary lx env fs in
     (match e with
-    | Evar (_, t) | Ederef (_, t) -> (p, Eaddrof (e, Tpointer t))
+    | Evar (_, t) | Ederef (_, t) -> Eaddrof (e, Tpointer t)
     | _ -> err lx "cannot take the address of this expression")
-  | KW "sizeof" ->
+  | KW Ksizeof ->
     advance lx;
-    expect_punct lx "(";
+    expect_punct lx LParen;
     let t =
       if is_type_start lx then begin
         let bt, _ = parse_base_type lx in
         parse_pointers lx bt
       end
-      else
-        let _, e = parse_expr lx env fs in
-        typeof e
+      else typeof (snd (detached parse_expr lx env fs))
     in
-    expect_punct lx ")";
+    expect_punct lx RParen;
     (* sizeof has type unsigned long *)
-    ([], Esizeof (t, tulong))
-  | PUNCT "(" when (match peek2 lx with
-                   | KW ("int" | "long" | "char" | "short" | "unsigned" | "signed"
-                        | "double" | "float" | "void") -> true
-                   | _ -> false) ->
+    Esizeof (t, tulong)
+  | PUNCT LParen when (match peek2 lx with
+                       | KW (Kint | Klong | Kchar | Kshort | Kunsigned | Ksigned
+                            | Kdouble | Kfloat | Kvoid) -> true
+                       | _ -> false) ->
     (* cast *)
     advance lx;
     let bt, _ = parse_base_type lx in
     let t = parse_pointers lx bt in
-    expect_punct lx ")";
-    let p, e = parse_unary lx env fs in
-    (p, Ecast (decay e, t))
-  | _ -> parse_postfix lx env fs
+    expect_punct lx RParen;
+    Ecast (decay (parse_unary lx env fs), t)
+  | _ -> parse_postfix lx env fs (parse_primary lx env fs)
 
-and parse_postfix lx env fs =
-  let p, e = parse_primary lx env fs in
-  let rec loop p e =
-    match peek lx with
-    | PUNCT "[" ->
-      advance lx;
-      let p2, idx = parse_expr lx env fs in
-      expect_punct lx "]";
-      let e' = decay e and idx = decay idx in
-      (match decayed_type (typeof e) with
-      | Tpointer t ->
-        loop (p @ p2) (Ederef (Ebinop (Cop.Oadd, e', idx, Tpointer t), t))
-      | _ -> err lx "indexing a non-array value")
-    | PUNCT "(" ->
-      advance lx;
-      let args = ref [] in
-      let preludes = ref [] in
-      if not (eat_punct lx ")") then begin
-        let rec more () =
-          let pa, a = parse_expr lx env fs in
-          preludes := !preludes @ pa;
-          args := !args @ [ decay a ];
-          if eat_punct lx "," then more () else expect_punct lx ")"
-        in
-        more ()
-      end;
-      let targs, tres =
-        match typeof e with
-        | Tfunction (targs, tres) | Tpointer (Tfunction (targs, tres)) ->
-          (targs, tres)
-        | _ -> err lx "call of a non-function value"
-      in
-      if List.length targs <> List.length !args then
-        err lx "wrong number of arguments in call";
-      let cast_args = List.map2 (fun a t -> cast_to t a) !args targs in
-      (* Lower the call to a statement over a fresh temporary. *)
-      let res_temp, res_expr =
-        match tres with
-        | Tvoid -> (None, Econst_int (0l, tint))
-        | t ->
-          let tmp = fresh_temp fs t in
-          (Some tmp, Etempvar (tmp, t))
-      in
-      loop (p @ !preludes @ [ Scall (res_temp, e, cast_args) ]) res_expr
-    | _ -> (p, e)
-  in
-  loop p e
-
-and parse_primary lx env fs : stmt list * expr =
+and parse_postfix lx env fs e =
   match peek lx with
-  | INT_LIT (v, sfx) ->
+  | PUNCT LBracket ->
     advance lx;
-    let e =
-      match sfx with
-      | `I ->
-        if Int64.compare v 2147483647L <= 0 then
-          Econst_int (Int64.to_int32 v, tint)
-        else Econst_long (v, tlong)
-      | `U -> Econst_int (Int64.to_int32 v, tuint)
-      | `L -> Econst_long (v, tlong)
-      | `UL -> Econst_long (v, tulong)
+    let idx = parse_expr lx env fs in
+    expect_punct lx RBracket;
+    let e' = decay e and idx = decay idx in
+    (match decayed_type (typeof e) with
+    | Tpointer t ->
+      parse_postfix lx env fs (Ederef (Ebinop (Cop.Oadd, e', idx, Tpointer t), t))
+    | _ -> err lx "indexing a non-array value")
+  | PUNCT LParen ->
+    advance lx;
+    let args =
+      if eat_punct lx RParen then []
+      else
+        let rec more acc =
+          let acc = decay (parse_expr lx env fs) :: acc in
+          if eat_punct lx Comma then more acc
+          else begin
+            expect_punct lx RParen;
+            List.rev acc
+          end
+        in
+        more []
     in
-    ([], e)
+    let targs, tres =
+      match typeof e with
+      | Tfunction (targs, tres) | Tpointer (Tfunction (targs, tres)) ->
+        (targs, tres)
+      | _ -> err lx "call of a non-function value"
+    in
+    if List.length targs <> List.length args then
+      err lx "wrong number of arguments in call";
+    let cast_args = List.map2 (fun a t -> cast_to t a) args targs in
+    (* Lower the call to a statement over a fresh temporary. *)
+    let res_temp, res_expr =
+      match tres with
+      | Tvoid -> (None, Econst_int (0l, tint))
+      | t ->
+        let tmp = fresh_temp fs t in
+        (Some tmp, Etempvar (tmp, t))
+    in
+    emit fs (Scall (res_temp, e, cast_args));
+    parse_postfix lx env fs res_expr
+  | _ -> e
+
+and parse_primary lx env fs : expr =
+  match peek lx with
+  | INT_LIT (v, ty) ->
+    advance lx;
+    (match ty with
+    | `I -> Econst_int (Int64.to_int32 v, tint)
+    | `U -> Econst_int (Int64.to_int32 v, tuint)
+    | `L -> Econst_long (v, tlong)
+    | `UL -> Econst_long (v, tulong))
   | FLOAT_LIT (f, sfx) ->
     advance lx;
-    ( [],
-      match sfx with
-      | `D -> Econst_float (f, Tfloat)
-      | `F -> Econst_single (Memory.Values.to_single f, Tsingle) )
+    (match sfx with
+    | `D -> Econst_float (f, Tfloat)
+    | `F -> Econst_single (Memory.Values.to_single f, Tsingle))
   | IDENT name -> (
     advance lx;
     let id = Ident.intern name in
     match lookup_var env id with
-    | Some t -> ([], Evar (id, t))
+    | Some t -> Evar (id, t)
     | None -> err lx "undeclared identifier %s" name)
-  | PUNCT "(" ->
+  | PUNCT LParen ->
     advance lx;
-    let p, e = parse_expr lx env fs in
-    expect_punct lx ")";
-    (p, e)
+    let e = parse_expr lx env fs in
+    expect_punct lx RParen;
+    e
   | t -> err lx "unexpected token %a in expression" pp_token t
-
-and seq_stmts = function
-  | [] -> Sskip
-  | [ s ] -> s
-  | s :: rest -> Ssequence (s, seq_stmts rest)
 
 (** {1 Statements} *)
 
@@ -452,120 +446,130 @@ let check_assignable lx e =
   | Evar _ | Ederef _ -> ()
   | _ -> err lx "expression is not assignable"
 
+(* The arithmetic operator of a compound assignment. *)
+let compound_op = function
+  | PlusEq -> Some Cop.Oadd
+  | MinusEq -> Some Cop.Osub
+  | StarEq -> Some Cop.Omul
+  | SlashEq -> Some Cop.Odiv
+  | PercentEq -> Some Cop.Omod
+  | AmpEq -> Some Cop.Oand
+  | BarEq -> Some Cop.Oor
+  | CaretEq -> Some Cop.Oxor
+  | ShlEq -> Some Cop.Oshl
+  | ShrEq -> Some Cop.Oshr
+  | _ -> None
+
+(* A loop test [if (c) skip else break] after the prelude of [c]. *)
+let parse_loop_test lx env fs =
+  let c = parse_expr lx env fs in
+  let p = take_prelude fs in
+  seq_rev (Sifthenelse (decay c, Sskip, Sbreak) :: p)
+
 let rec parse_stmt lx env fs : stmt * venv =
   match peek lx with
-  | PUNCT "{" -> (parse_block lx env fs, env)
-  | PUNCT ";" ->
+  | PUNCT LBrace -> (parse_block lx env fs, env)
+  | PUNCT Semi ->
     advance lx;
     (Sskip, env)
-  | KW "if" ->
+  | KW Kif ->
     advance lx;
-    expect_punct lx "(";
-    let p, c = parse_expr lx env fs in
-    expect_punct lx ")";
+    expect_punct lx LParen;
+    let c = parse_expr lx env fs in
+    let p = take_prelude fs in
+    expect_punct lx RParen;
     let s1, _ = parse_stmt lx env fs in
-    let s2 = if eat_kw lx "else" then fst (parse_stmt lx env fs) else Sskip in
-    (seq_stmts (p @ [ Sifthenelse (decay c, s1, s2) ]), env)
-  | KW "while" ->
+    let s2 = if eat_kw lx Kelse then fst (parse_stmt lx env fs) else Sskip in
+    (seq_rev (Sifthenelse (decay c, s1, s2) :: p), env)
+  | KW Kwhile ->
     advance lx;
-    expect_punct lx "(";
-    let p, c = parse_expr lx env fs in
-    expect_punct lx ")";
+    expect_punct lx LParen;
+    let test = parse_loop_test lx env fs in
+    expect_punct lx RParen;
     let body, _ = parse_stmt lx env fs in
     (* Condition preludes must re-execute on each iteration. *)
-    ( Sloop
-        ( Ssequence
-            (seq_stmts (p @ [ Sifthenelse (decay c, Sskip, Sbreak) ]), body),
-          Sskip ),
-      env )
-  | KW "do" ->
+    (Sloop (Ssequence (test, body), Sskip), env)
+  | KW Kdo ->
     (* do body while (c); — the condition is tested in the loop's
        continue-statement position. *)
     advance lx;
     let body, _ = parse_stmt lx env fs in
-    if not (eat_kw lx "while") then err lx "expected while after do-body";
-    expect_punct lx "(";
-    let p, c = parse_expr lx env fs in
-    expect_punct lx ")";
-    expect_punct lx ";";
-    ( Sloop (body, seq_stmts (p @ [ Sifthenelse (decay c, Sskip, Sbreak) ])),
-      env )
-  | KW "for" ->
+    if not (eat_kw lx Kwhile) then err lx "expected while after do-body";
+    expect_punct lx LParen;
+    let test = parse_loop_test lx env fs in
+    expect_punct lx RParen;
+    expect_punct lx Semi;
+    (Sloop (body, test), env)
+  | KW Kfor ->
     advance lx;
-    expect_punct lx "(";
+    expect_punct lx LParen;
     let init, env' =
-      if eat_punct lx ";" then (Sskip, env)
+      if eat_punct lx Semi then (Sskip, env)
       else if is_type_start lx then parse_decl_stmt lx env fs
       else begin
         let s = parse_expr_stmt lx env fs in
-        expect_punct lx ";";
+        expect_punct lx Semi;
         (s, env)
       end
     in
-    let p, c =
-      if eat_punct lx ";" then ([], Econst_int (1l, tint))
+    let test =
+      if eat_punct lx Semi then Sifthenelse (Econst_int (1l, tint), Sskip, Sbreak)
       else begin
-        let pc = parse_expr lx env' fs in
-        expect_punct lx ";";
-        pc
+        let test = parse_loop_test lx env' fs in
+        expect_punct lx Semi;
+        test
       end
     in
     let inc =
-      if eat_punct lx ")" then Sskip
+      if eat_punct lx RParen then Sskip
       else begin
         (* The increment clause may be a comma-separated sequence. *)
         let rec more acc =
-          let s = parse_expr_stmt lx env' fs in
-          let acc = acc @ [ s ] in
-          if eat_punct lx "," then more acc
+          let acc = parse_expr_stmt lx env' fs :: acc in
+          if eat_punct lx Comma then more acc
           else begin
-            expect_punct lx ")";
-            seq_stmts acc
+            expect_punct lx RParen;
+            seq_rev acc
           end
         in
         more []
       end
     in
     let body, _ = parse_stmt lx env' fs in
-    ( Ssequence
-        ( init,
-          Sloop
-            ( Ssequence
-                (seq_stmts (p @ [ Sifthenelse (decay c, Sskip, Sbreak) ]), body),
-              inc ) ),
-      env )
-  | KW "return" ->
+    (Ssequence (init, Sloop (Ssequence (test, body), inc)), env)
+  | KW Kreturn ->
     advance lx;
-    if eat_punct lx ";" then (Sreturn None, env)
+    if eat_punct lx Semi then (Sreturn None, env)
     else begin
-      let p, e = parse_expr lx env fs in
-      expect_punct lx ";";
-      (seq_stmts (p @ [ Sreturn (Some (decay e)) ]), env)
+      let e = parse_expr lx env fs in
+      expect_punct lx Semi;
+      (seq_rev (Sreturn (Some (decay e)) :: take_prelude fs), env)
     end
-  | KW "break" ->
+  | KW Kbreak ->
     advance lx;
-    expect_punct lx ";";
+    expect_punct lx Semi;
     (Sbreak, env)
-  | KW "continue" ->
+  | KW Kcontinue ->
     advance lx;
-    expect_punct lx ";";
+    expect_punct lx Semi;
     (Scontinue, env)
-  | KW ("int" | "long" | "char" | "short" | "unsigned" | "signed" | "double"
-       | "float" | "void" | "const") ->
-    let s, env' = parse_decl_stmt lx env fs in
-    (s, env')
+  | KW (Kint | Klong | Kchar | Kshort | Kunsigned | Ksigned | Kdouble | Kfloat
+       | Kvoid | Kconst) ->
+    parse_decl_stmt lx env fs
   | _ ->
     let s = parse_expr_stmt lx env fs in
-    expect_punct lx ";";
+    expect_punct lx Semi;
     (s, env)
 
-(* Local declaration: [T x = e, y;] — declares memory-resident locals. *)
+(* Local declaration: [T x = e, y;] — declares memory-resident locals.
+   The initializers' preludes and assignments accumulate in
+   [fs.prelude]. *)
 and parse_decl_stmt lx env fs : stmt * venv =
   let bt, _ = parse_base_type lx in
-  let rec decls env stmts =
+  let rec decls env =
     let t = parse_pointers lx bt in
     let name, t =
-      if peek lx = PUNCT "(" then parse_fptr_declarator lx t
+      if at_punct lx LParen then parse_fptr_declarator lx t
       else
         let name = expect_ident lx in
         (name, parse_array_suffix lx t)
@@ -573,64 +577,53 @@ and parse_decl_stmt lx env fs : stmt * venv =
     let id = Ident.intern name in
     fs.vars <- (id, t) :: fs.vars;
     let env = { env with locals = Ident.Map.add id t env.locals } in
-    let stmts =
-      if eat_punct lx "=" then begin
-        let p, e = parse_expr lx env fs in
-        stmts @ p @ [ Sassign (Evar (id, t), cast_to t (decay e)) ]
-      end
-      else stmts
-    in
-    if eat_punct lx "," then decls env stmts
+    if eat_punct lx Eq then begin
+      let e = parse_expr lx env fs in
+      emit fs (Sassign (Evar (id, t), cast_to t (decay e)))
+    end;
+    if eat_punct lx Comma then decls env
     else begin
-      expect_punct lx ";";
-      (seq_stmts stmts, env)
+      expect_punct lx Semi;
+      (seq_rev (take_prelude fs), env)
     end
   in
-  decls env []
+  decls env
 
 (* Expression statement: assignment, compound assignment, ++/--, or call. *)
 and parse_expr_stmt lx env fs : stmt =
-  let p, e = parse_expr lx env fs in
-  match peek lx with
-  | PUNCT "=" ->
+  let e = parse_expr lx env fs in
+  (match peek lx with
+  | PUNCT Eq ->
     advance lx;
     check_assignable lx e;
-    let p2, rhs = parse_expr lx env fs in
-    seq_stmts (p @ p2 @ [ Sassign (e, cast_to (typeof e) (decay rhs)) ])
-  | PUNCT ("+=" | "-=" | "*=" | "/=" | "%=" | "&=" | "|=" | "^=" | "<<=" | ">>=")
-    ->
-    let ops =
-      [ ("+=", Cop.Oadd); ("-=", Cop.Osub); ("*=", Cop.Omul); ("/=", Cop.Odiv);
-        ("%=", Cop.Omod); ("&=", Cop.Oand); ("|=", Cop.Oor); ("^=", Cop.Oxor);
-        ("<<=", Cop.Oshl); (">>=", Cop.Oshr) ]
-    in
-    let op =
-      match peek lx with PUNCT s -> List.assoc s ops | _ -> assert false
-    in
-    advance lx;
-    check_assignable lx e;
-    let p2, rhs = parse_expr lx env fs in
-    let rhs = decay rhs in
-    let t = Cop.type_binop op (typeof e) (typeof rhs) in
-    seq_stmts
-      (p @ p2
-      @ [ Sassign (e, cast_to (typeof e) (Ebinop (op, e, rhs, t))) ])
-  | PUNCT ("++" | "--") ->
-    let op = if peek lx = PUNCT "++" then Cop.Oadd else Cop.Osub in
+    let rhs = parse_expr lx env fs in
+    emit fs (Sassign (e, cast_to (typeof e) (decay rhs)))
+  | PUNCT ((PlusPlus | MinusMinus) as p) ->
+    let op = if p = PlusPlus then Cop.Oadd else Cop.Osub in
     advance lx;
     check_assignable lx e;
     let one = Econst_int (1l, tint) in
     let t = Cop.type_binop op (typeof e) tint in
-    seq_stmts (p @ [ Sassign (e, cast_to (typeof e) (Ebinop (op, e, one, t))) ])
+    emit fs (Sassign (e, cast_to (typeof e) (Ebinop (op, e, one, t))))
+  | PUNCT p -> (
+    match compound_op p with
+    | Some op ->
+      advance lx;
+      check_assignable lx e;
+      let rhs = decay (parse_expr lx env fs) in
+      let t = Cop.type_binop op (typeof e) (typeof rhs) in
+      emit fs (Sassign (e, cast_to (typeof e) (Ebinop (op, e, rhs, t))))
+    | None -> ())
   | _ ->
     (* Pure expression evaluated for side effects only: the prelude
        carries any calls; the value is dropped. *)
-    seq_stmts p
+    ());
+  seq_rev (take_prelude fs)
 
 and parse_block lx env fs : stmt =
-  expect_punct lx "{";
+  expect_punct lx LBrace;
   let rec go env acc =
-    if eat_punct lx "}" then seq_stmts (List.rev acc)
+    if eat_punct lx RBrace then seq_rev acc
     else begin
       let s, env' = parse_stmt lx env fs in
       go env' (s :: acc)
@@ -643,7 +636,7 @@ and parse_block lx env fs : stmt =
 (* Global initializers: constant expressions. *)
 let rec const_init lx (t : ty) : Iface.Ast.init_data list =
   let const_scalar () =
-    let neg = eat_punct lx "-" in
+    let neg = eat_punct lx Minus in
     match peek lx with
     | INT_LIT (v, _) ->
       advance lx;
@@ -663,7 +656,7 @@ let rec const_init lx (t : ty) : Iface.Ast.init_data list =
       | Tfloat -> [ Iface.Ast.Init_float64 f ]
       | Tsingle -> [ Iface.Ast.Init_float32 f ]
       | _ -> err lx "bad float initializer")
-    | PUNCT "&" ->
+    | PUNCT Amp ->
       advance lx;
       let name = expect_ident lx in
       [ Iface.Ast.Init_addrof (Ident.intern name, 0) ]
@@ -671,57 +664,58 @@ let rec const_init lx (t : ty) : Iface.Ast.init_data list =
   in
   match t with
   | Tarray (te, n) ->
-    expect_punct lx "{";
+    expect_punct lx LBrace;
+    (* [acc] holds the elements' data newest first. *)
     let rec go i acc =
-      if eat_punct lx "}" then (i, acc)
+      if eat_punct lx RBrace then (i, acc)
       else begin
-        let d = const_init lx te in
-        let acc = acc @ d in
+        let acc = List.rev_append (const_init lx te) acc in
         let i = i + 1 in
-        if eat_punct lx "," then
-          if eat_punct lx "}" then (i, acc) else go i acc
+        if eat_punct lx Comma then
+          if eat_punct lx RBrace then (i, acc) else go i acc
         else begin
-          expect_punct lx "}";
+          expect_punct lx RBrace;
           (i, acc)
         end
       end
     in
-    let filled, data = go 0 [] in
+    let filled, rev_data = go 0 [] in
     if filled > n then err lx "too many array initializers";
-    data
-    @ (if filled < n then [ Iface.Ast.Init_space ((n - filled) * sizeof te) ]
-       else [])
+    List.rev_append rev_data
+      (if filled < n then [ Iface.Ast.Init_space ((n - filled) * sizeof te) ] else [])
   | _ -> const_scalar ()
 
 let parse_program (src : string) : Csyntax.program =
   let lx = tokenize src in
   let globals = ref Ident.Map.empty in
-  let defs = ref [] in
+  (* The definitions newest first, and each symbol's current one. *)
+  let defs = ref [] and defined = ref Ident.Map.empty in
   (* A function definition replaces its earlier prototype, so that each
      symbol has a single entry in the program. *)
   let add_def id d =
-    match (List.assoc_opt id !defs, d) with
+    (match (Ident.Map.find_opt id !defined, d) with
     | Some (Iface.Ast.Gfun (Iface.Ast.External _)), Iface.Ast.Gfun (Iface.Ast.Internal _)
       ->
       defs :=
         List.map (fun (id', d') -> if Ident.equal id id' then (id, d) else (id', d')) !defs
     | Some _, _ -> err lx "duplicate definition of %s" (Ident.name id)
-    | None, _ -> defs := !defs @ [ (id, d) ]
+    | None, _ -> defs := (id, d) :: !defs);
+    defined := Ident.Map.add id d !defined
   in
   while peek lx <> EOF do
-    let _ = eat_kw lx "extern" in
-    let _ = eat_kw lx "static" in
+    let _ = eat_kw lx Kextern in
+    let _ = eat_kw lx Kstatic in
     let bt, readonly = parse_base_type lx in
     let t0 = parse_pointers lx bt in
     let name = expect_ident lx in
     let id = Ident.intern name in
-    if peek lx = PUNCT "(" then begin
+    if at_punct lx LParen then begin
       (* function definition or prototype *)
       let params = parse_params lx in
       let targs = List.map snd params in
       let ftype = Tfunction (targs, t0) in
       globals := Ident.Map.add id ftype !globals;
-      if eat_punct lx ";" then
+      if eat_punct lx Semi then
         add_def id
           (Iface.Ast.Gfun
              (Iface.Ast.External
@@ -734,7 +728,7 @@ let parse_program (src : string) : Csyntax.program =
               else (Ident.intern n, t))
             params
         in
-        let fs = { vars = []; temps = [] } in
+        let fs = { vars = []; temps = []; prelude = [] } in
         let env =
           {
             locals =
@@ -763,20 +757,20 @@ let parse_program (src : string) : Csyntax.program =
         let t = parse_array_suffix lx t0 in
         globals := Ident.Map.add id t !globals;
         let init =
-          if eat_punct lx "=" then const_init lx t
+          if eat_punct lx Eq then const_init lx t
           else [ Iface.Ast.Init_space (sizeof t) ]
         in
         add_def id
           (Iface.Ast.Gvar
              { Iface.Ast.gvar_info = t; gvar_init = init; gvar_readonly = readonly });
-        if eat_punct lx "," then begin
+        if eat_punct lx Comma then begin
           let t' = parse_pointers lx bt in
           let name' = expect_ident lx in
           declare (Ident.intern name') t'
         end
-        else expect_punct lx ";"
+        else expect_punct lx Semi
       in
       declare id t0
     end
   done;
-  { Iface.Ast.prog_defs = !defs; prog_main = Ident.intern "main" }
+  { Iface.Ast.prog_defs = List.rev !defs; prog_main = Ident.intern "main" }

@@ -87,19 +87,38 @@ let compile ?options (p : C.program) : artifacts Errors.t =
   Result.map_error (fun f -> Diag.to_string f.fail_diag) (compile_diag ?options p)
 
 (** Parse a C source string as a diagnosed result: lexer and parser
-    exceptions become [Parsing]-phase diagnostics instead of escaping. *)
+    exceptions become [Parsing]-phase diagnostics instead of escaping.
+    Traced, the front end runs in a [parse] span carrying the source
+    size and its Gc work, and feeds the [cfrontend.parse] duration (µs)
+    and [cfrontend.parse.alloc_words] histograms, as {!Pipeline.observed}
+    does for passes. When [Obs.enabled] is off this costs one boolean
+    test. *)
 let parse_diag (src : string) : C.program Diag.r =
-  match Cfrontend.Cparser.parse_program src with
-  | p -> Ok p
-  | exception Cfrontend.Cparser.Parse_error (msg, line) ->
-    Diag.error ~phase:Diag.Parsing ~kind:Diag.Syntax_error
-      ~context:[ ("line", string_of_int line) ]
-      "line %d: %s" line msg
-  | exception Cfrontend.Clexer.Lex_error (msg, line) ->
-    Diag.error ~phase:Diag.Parsing ~kind:Diag.Lexical_error
-      ~context:[ ("line", string_of_int line) ]
-      "line %d: %s" line msg
-  | exception e -> Error (Diag.of_exn ~phase:Diag.Parsing e)
+  let parse () =
+    match Cfrontend.Cparser.parse_program src with
+    | p -> Ok p
+    | exception Cfrontend.Cparser.Parse_error (msg, line) ->
+      Diag.error ~phase:Diag.Parsing ~kind:Diag.Syntax_error
+        ~context:[ ("line", string_of_int line) ]
+        "line %d: %s" line msg
+    | exception Cfrontend.Clexer.Lex_error (msg, line) ->
+      Diag.error ~phase:Diag.Parsing ~kind:Diag.Lexical_error
+        ~context:[ ("line", string_of_int line) ]
+        "line %d: %s" line msg
+    | exception e -> Error (Diag.of_exn ~phase:Diag.Parsing e)
+  in
+  if not !Obs.enabled then parse ()
+  else
+    Obs.Trace.with_span "parse" (fun () ->
+        Obs.Trace.add_attr "bytes" (Obs.Json.num_of_int (String.length src));
+        let r, minor, major =
+          Pipeline.alloc_words (fun () -> Obs.Metrics.time "cfrontend.parse" parse)
+        in
+        Obs.Trace.add_attr "minor_alloc_words" (Obs.Json.Num minor);
+        Obs.Trace.add_attr "major_alloc_words" (Obs.Json.Num major);
+        Obs.Metrics.observe "cfrontend.parse.alloc_words" (minor +. major);
+        if Result.is_error r then Obs.Trace.add_attr "failed" (Obs.Json.Bool true);
+        r)
 
 (** Parse and compile a C source string, fully diagnosed. A source that
     does not parse has no levels at all. *)

@@ -62,10 +62,10 @@ let main_query_of (p : Cfrontend.Csyntax.program) : c_query option =
   let symbols = Ast.prog_defs_names p in
   Runners.main_query ~symbols ~defs:p ()
 
-(** The main differential check: compile [src] and require every level to
+(** The differential check of a parsed program: require every level to
     refine the Clight behavior of [main]. *)
-let differential ?options (src : string) : (level_result list, string) result =
-  let p = Cfrontend.Cparser.parse_program src in
+let check_program ?options (p : Cfrontend.Csyntax.program) :
+    (level_result list, string) result =
   match main_query_of p with
   | None -> Error "cannot build main query"
   | Some q -> (
@@ -76,3 +76,26 @@ let differential ?options (src : string) : (level_result list, string) result =
       | Ok () -> Ok results
       | Error e -> Error e))
 
+(** The main differential check: parse [src] and check it. A source
+    that does not parse is an [Error] naming its diagnostic. *)
+let differential ?options (src : string) : (level_result list, string) result =
+  match Compiler.parse_diag src with
+  | Error d -> Error ("parse: " ^ Support.Diagnostics.to_string d)
+  | Ok p -> check_program ?options p
+
+(** Whether [src] is still a counterexample: it parses, has a [main] to
+    query, and fails the check. [occo fuzz] shrinks its failures with
+    this predicate. A reduction that no longer parses or has lost [main]
+    is not a smaller counterexample, and [Fuzz.Gen.minimize] needs a
+    total predicate, so those and an escaping exception are [false]. *)
+let still_fails ?options (src : string) : bool =
+  match Compiler.parse_diag src with
+  | Error _ -> false
+  | Ok p -> (
+    match main_query_of p with
+    | None -> false
+    | Some _ -> (
+      match check_program ?options p with
+      | Ok _ -> false
+      | Error _ -> true
+      | exception _ -> false))

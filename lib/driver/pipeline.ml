@@ -116,6 +116,25 @@ type step = Pass of stage | Keep of string
 
 type t = step list
 
+(* Words [f ()] allocated, minor and major. Minor allocation comes from
+   [Gc.minor_words ()], which reads the domain's young-pointer directly
+   and is exact at any program point. The [Gc.counters] minor field is
+   NOT: on OCaml 5 it only advances at minor-collection boundaries, so
+   short passes read 0 and whichever pass happens to straddle a
+   collection absorbs the whole ~minor-heap-sized lump — exactly the
+   bogus multi-hundred-k tail the alloc_words histograms used to show.
+   [counters] is still the source for the promoted/major pair (mutually
+   coherent with each other): major words are direct major allocations,
+   not double-counting survivors promoted from the minor heap, clamped
+   at 0 since those two fields share the boundary-only granularity. *)
+let alloc_words f =
+  let mw0 = Gc.minor_words () in
+  let _, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  let _, pr1, ma1 = Gc.counters () in
+  let mw1 = Gc.minor_words () in
+  (r, Float.max 0. (mw1 -. mw0), Float.max 0. (ma1 -. ma0 -. (pr1 -. pr0)))
+
 (* Observability: each executed pass runs inside a span carrying its
    wall time, the program shape before/after, and the Gc work it caused
    — words allocated (minor and major) and major collections triggered
@@ -131,28 +150,10 @@ let observed name ~(before : 'a -> Sizes.shape) ~(after : 'b -> Sizes.shape)
         Obs.Trace.add_attr "functions_before" (Obs.Json.num_of_int sb.Sizes.functions);
         Obs.Trace.add_attr "size_before" (Obs.Json.num_of_int sb.Sizes.size);
         let g0 = Gc.quick_stat () in
-        (* Minor allocation comes from [Gc.minor_words ()], which reads
-           the domain's young-pointer directly and is exact at any
-           program point. The [Gc.counters] minor field is NOT: on
-           OCaml 5 it only advances at minor-collection boundaries, so
-           short passes read 0 and whichever pass happens to straddle a
-           collection absorbs the whole ~minor-heap-sized lump —
-           exactly the bogus multi-hundred-k tail the alloc_words
-           histograms used to show. [counters] is still the source for
-           the promoted/major pair (mutually coherent with each other);
-           the major-net delta is clamped at 0 since those two fields
-           share the boundary-only granularity. *)
-        let mw0 = Gc.minor_words () in
-        let _, pr0, ma0 = Gc.counters () in
-        let r = Obs.Metrics.time ("pass." ^ name) (fun () -> pass p) in
-        let _, pr1, ma1 = Gc.counters () in
-        let mw1 = Gc.minor_words () in
+        let r, minor_alloc, major_alloc =
+          alloc_words (fun () -> Obs.Metrics.time ("pass." ^ name) (fun () -> pass p))
+        in
         let g1 = Gc.quick_stat () in
-        (* Words the pass allocated: everything born in the minor heap
-           plus direct major allocations, not double-counting survivors
-           promoted from one to the other. *)
-        let minor_alloc = Float.max 0. (mw1 -. mw0) in
-        let major_alloc = Float.max 0. (ma1 -. ma0 -. (pr1 -. pr0)) in
         Obs.Trace.add_attr "minor_alloc_words" (Obs.Json.Num minor_alloc);
         Obs.Trace.add_attr "major_alloc_words" (Obs.Json.Num major_alloc);
         Obs.Trace.add_attr "major_collections"

@@ -102,11 +102,24 @@ let driver_tests =
           check "kind" true (d.Diag.kind = Diag.Syntax_error));
     Alcotest.test_case "lexical error is a structured diagnostic" `Quick
       (fun () ->
-        match Driver.Compiler.compile_source_diag "int main(void) { return `; }" with
-        | Ok _ -> Alcotest.fail "expected a lex failure"
-        | Error f ->
-          check "kind" true
-            (f.Driver.Compiler.fail_diag.Diag.kind = Diag.Lexical_error));
+        (* A stray character, and malformed literals that must not reach
+           [Int64.of_string], [float_of_string] or read past the end. *)
+        List.iter
+          (fun (src, line) ->
+            match Driver.Compiler.compile_source_diag src with
+            | Ok _ -> Alcotest.failf "%S: expected a lex failure" src
+            | Error f ->
+              let d = f.Driver.Compiler.fail_diag in
+              check (src ^ ": kind") true (d.Diag.kind = Diag.Lexical_error);
+              check (src ^ ": line") true
+                (List.assoc_opt "line" d.Diag.context = Some (string_of_int line)))
+          [
+            ("int main(void) { return `; }", 1);
+            ("int x = 0x;", 1);
+            ("int y;\nint x = 99999999999999999999;", 2);
+            ("double d = 1e;", 1);
+            ("int c = '\\", 1);
+          ]);
     Alcotest.test_case "zero budget degrades gracefully with partials" `Quick
       (fun () ->
         (* A budget no pass can meet: the first pass completes (its
@@ -150,6 +163,7 @@ let driver_tests =
           [
             ("compile_c_to_asm", Result.map ignore (Driver.Compiler.compile_c_to_asm "int main( {"));
             ("compile_source", Result.map ignore (Driver.Compiler.compile_source "int main( {"));
+            ("differential", Result.map ignore (Driver.Differential.differential "int main( {"));
           ]);
     Alcotest.test_case "backend_from_rtl rejects garbage gracefully" `Quick
       (fun () ->

@@ -201,6 +201,30 @@ let minimize_tests =
         let src = List.assoc "arith-branch" Campaign.corpus in
         let small = Fuzz.Gen.minimize ~still_failing src in
         check "still satisfies the predicate" true (still_failing small));
+    Alcotest.test_case "fuzz shrinking keeps parsing counterexamples" `Quick
+      (fun () ->
+        let still_fails = Driver.Differential.still_fails in
+        check "a syntax error is no counterexample" false
+          (still_fails "int main( {");
+        check "a program without main is none" false
+          (still_fails "int f(void) { return 1; }");
+        check "a passing program is none" false
+          (still_fails "int main(void) { return 1; }");
+        (* A pipeline whose allocator never validates makes the corpus
+           program a counterexample; most of its reductions do not
+           parse, and none of those may be taken. *)
+        let clobbered = Testlib.Testutil.clobbered in
+        let options =
+          Testlib.Testutil.with_allocators ~fast:clobbered ~fallback:clobbered
+            Driver.Compiler.all_optims
+        in
+        let src = List.assoc "arith-branch" Campaign.corpus in
+        check "the broken pipeline fails it" true (still_fails ~options src);
+        let small = Fuzz.Gen.minimize ~still_failing:(still_fails ~options) src in
+        check "strictly smaller" true (String.length small < String.length src);
+        check "still parses" true
+          (Result.is_ok (Driver.Compiler.parse_diag small));
+        check "still fails" true (still_fails ~options small));
   ]
 
 let suite = ("faultinject", mutate_tests @ campaign_tests @ minimize_tests)

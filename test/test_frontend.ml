@@ -47,31 +47,49 @@ let expect_parse_error name src =
       | exception Clexer.Lex_error _ -> ()
       | _ -> Alcotest.failf "%s: expected a parse error" name)
 
+(* Every token of [src], up to end of file. *)
+let tokens src =
+  let lx = Clexer.tokenize src in
+  let rec go acc =
+    match Clexer.peek lx with
+    | Clexer.EOF -> List.rev acc
+    | t ->
+      Clexer.advance lx;
+      go (t :: acc)
+  in
+  go []
+
 let lexer_tests =
   [
     Alcotest.test_case "integer literals" `Quick (fun () ->
-        let lx = Clexer.tokenize "42 0x2A 7L 3u 'A'" in
-        let rec toks acc =
-          match Clexer.peek lx with
-          | Clexer.EOF -> List.rev acc
-          | t ->
-            Clexer.advance lx;
-            toks (t :: acc)
-        in
-        match toks [] with
+        (* Each constant carries the first type of its suffix's list that
+           holds it (C99 6.4.4.1); a leading 0 is octal. *)
+        match tokens "42 0x2A 7L 3u 'A' 010 0xFFFFFFFF 3000000000 5000000000u" with
         | [ INT_LIT (42L, `I); INT_LIT (42L, `I); INT_LIT (7L, `L);
-            INT_LIT (3L, `U); INT_LIT (65L, `I) ] ->
+            INT_LIT (3L, `U); INT_LIT (65L, `I); INT_LIT (8L, `I);
+            INT_LIT (0xFFFFFFFFL, `U); INT_LIT (3000000000L, `L);
+            INT_LIT (5000000000L, `UL) ] ->
           ()
         | _ -> Alcotest.fail "unexpected tokens");
     Alcotest.test_case "comments are skipped" `Quick (fun () ->
         let lx = Clexer.tokenize "/* multi \n line */ x // rest\n y" in
-        check "first" true (Clexer.peek lx = Clexer.IDENT "x"));
+        check "first" true (Clexer.peek lx = Clexer.IDENT "x");
+        Clexer.advance lx;
+        check "second" true (Clexer.peek lx = Clexer.IDENT "y");
+        Alcotest.(check int) "line" 3 (Clexer.line lx));
     Alcotest.test_case "float literals" `Quick (fun () ->
-        let lx = Clexer.tokenize "1.5 2e3 4.0f" in
-        check "double" true (Clexer.peek lx = Clexer.FLOAT_LIT (1.5, `D)));
+        check "all four" true
+          (tokens "1.5 2e3 4.0f .5"
+          = [ Clexer.FLOAT_LIT (1.5, `D); Clexer.FLOAT_LIT (2000., `D);
+              Clexer.FLOAT_LIT (4.0, `F); Clexer.FLOAT_LIT (0.5, `D) ]));
     Alcotest.test_case "multi-char operators" `Quick (fun () ->
-        let lx = Clexer.tokenize "<<= << <= <" in
-        check "three" true (Clexer.peek lx = Clexer.PUNCT "<<="));
+        (* The longest punctuator wins; a keyword is not an identifier. *)
+        check "tokens" true
+          (tokens "<<= << <= < ->-- -=- sizeof sizeofx"
+          = Clexer.
+              [ PUNCT ShlEq; PUNCT Shl; PUNCT Le; PUNCT Lt; PUNCT Arrow;
+                PUNCT MinusMinus; PUNCT MinusEq; PUNCT Minus; KW Ksizeof;
+                IDENT "sizeofx" ]));
   ]
 
 let expr_tests =
@@ -103,6 +121,126 @@ let expr_tests =
     expect "compound assignment" "int main(void) { int x = 5; x *= 3; x -= 1; return x; }" 14l;
     expect "increment" "int main(void) { int x = 5; x++; x++; return x; }" 7l;
     expect "unsigned comparison" "int main(void) { unsigned a = 0; return (a - 1u) > a; }" 1l;
+    (* Integer constants (C99 6.4.4.1): a leading 0 is octal, and a
+       constant has the first type of its suffix's list that holds it. *)
+    expect "octal constant" "int main(void) { return 010; }" 8l;
+    expect "hex constant is unsigned int" "int main(void) { return -1 < 0xFFFFFFFF; }" 0l;
+    expect "sizeof unsigned int constant" "int main(void) { return (int) sizeof(0xFFFFFFFF); }" 4l;
+    expect "u constant is unsigned long" "int main(void) { return 5000000000u / 1000000000u; }" 5l;
+  ]
+
+(** {1 Precedence and associativity}
+
+    An expression tree prints once fully parenthesized and once with
+    only the parentheses C's precedence needs; both must elaborate to the
+    same Clight. The trees use the eight left-associative binary levels,
+    unary [- ! ~] and casts over int variables, constants and calls
+    (whose temporaries fix the evaluation order of the operands). *)
+
+type tree =
+  | Leaf of string
+  | Unary of string * tree
+  | Cast of string * tree
+  | Bin of int * string * tree * tree  (** level 1 ([|]) to 8 ([* / %]) *)
+
+let levels =
+  [| [ "|" ]; [ "^" ]; [ "&" ]; [ "=="; "!=" ]; [ "<"; ">"; "<="; ">=" ];
+     [ "<<"; ">>" ]; [ "+"; "-" ]; [ "*"; "/"; "%" ] |]
+
+let rec full = function
+  | Leaf s -> s
+  | Unary (op, t) -> Printf.sprintf "(%s %s)" op (full t)
+  | Cast (ty, t) -> Printf.sprintf "((%s) %s)" ty (full t)
+  | Bin (_, op, l, r) -> Printf.sprintf "(%s %s %s)" (full l) op (full r)
+
+(* Parenthesize [t] only where its precedence is below [min]: a left
+   operand may sit at its operator's level, a right one must bind
+   tighter, and a unary operand must be unary or primary (level 9). *)
+let rec minimal min t =
+  let level, s =
+    match t with
+    | Leaf s -> (10, s)
+    | Unary (op, t) -> (9, op ^ " " ^ minimal 9 t)
+    | Cast (ty, t) -> (9, Printf.sprintf "(%s) %s" ty (minimal 9 t))
+    | Bin (k, op, l, r) -> (k, Printf.sprintf "%s %s %s" (minimal k l) op (minimal (k + 1) r))
+  in
+  if level < min then "(" ^ s ^ ")" else s
+
+let gen_tree =
+  let open QCheck.Gen in
+  let leaf =
+    map
+      (fun s -> Leaf s)
+      (oneof
+         [ map string_of_int (int_bound 100); oneofl [ "a"; "b"; "c" ];
+           map (Printf.sprintf "g(%s)") (oneofl [ "a"; "b"; "c" ]) ])
+  in
+  sized_size (int_bound 24)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               ( 6,
+                 map3
+                   (fun k (l, r) i ->
+                     let ops = levels.(k) in
+                     Bin (k + 1, List.nth ops (i mod List.length ops), l, r))
+                   (int_bound 7)
+                   (pair (self (n / 2)) (self (n / 2)))
+                   nat );
+               (1, map2 (fun op t -> Unary (op, t)) (oneofl [ "-"; "!"; "~" ]) (self (n - 1)));
+               ( 1,
+                 map2
+                   (fun ty t -> Cast (ty, t))
+                   (oneofl [ "int"; "unsigned"; "long"; "char"; "unsigned long" ])
+                   (self (n - 1)) ) ])
+
+(* The Clight of [return e;], temporaries renumbered by first occurrence. *)
+let clight_of e =
+  let src =
+    Printf.sprintf "int g(int x) { return x; }\nint f(int a, int b, int c) { return %s; }" e
+  in
+  let s = Format.asprintf "%a" Cprint.pp_program (Cparser.parse_program src) in
+  let buf = Buffer.create (String.length s) and seen = Hashtbl.create 8 in
+  let n = String.length s in
+  let rec go i =
+    if i < n then
+      if i + 1 < n && s.[i] = 't' && s.[i + 1] = '$' then begin
+        let j = ref (i + 2) in
+        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
+        let id = String.sub s (i + 2) (!j - i - 2) in
+        if not (Hashtbl.mem seen id) then Hashtbl.add seen id (Hashtbl.length seen);
+        Buffer.add_string buf (Printf.sprintf "t#%d" (Hashtbl.find seen id));
+        go !j
+      end
+      else begin
+        Buffer.add_char buf s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents buf
+
+let precedence_tests =
+  [
+    Alcotest.test_case "minimal printing drops parentheses" `Quick (fun () ->
+        let a = Leaf "a" and b = Leaf "b" and c = Leaf "c" in
+        List.iter
+          (fun (t, s) -> Alcotest.(check string) s s (minimal 0 t))
+          [
+            (Bin (7, "+", a, Bin (8, "*", b, c)), "a + b * c");
+            (Bin (8, "*", Bin (7, "+", a, b), c), "(a + b) * c");
+            (Bin (7, "-", Bin (7, "-", a, b), c), "a - b - c");
+            (Bin (7, "-", a, Bin (7, "-", b, c)), "a - (b - c)");
+            (Unary ("-", Unary ("-", a)), "- - a");
+            (Cast ("char", Bin (1, "|", a, b)), "(char) (a | b)");
+          ]);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 14 |])
+      (QCheck.Test.make ~name:"minimal parentheses elaborate like full ones"
+         ~count:500
+         (QCheck.make ~print:full gen_tree)
+         (fun t -> clight_of (minimal 0 t) = clight_of (full t)));
   ]
 
 let stmt_tests =
@@ -172,5 +310,5 @@ let parse_error_tests =
 
 let suite =
   ( "frontend",
-    lexer_tests @ expr_tests @ stmt_tests @ data_tests @ ub_tests
-    @ parse_error_tests )
+    lexer_tests @ expr_tests @ precedence_tests @ stmt_tests @ data_tests
+    @ ub_tests @ parse_error_tests )
