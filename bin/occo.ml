@@ -95,11 +95,12 @@ let with_obs trace metrics f =
     Fun.protect ~finally:finish f
   end
 
-(** {1 Supervised-execution options (shared by batch, fuzz and chaos)}
+(** {1 Supervised-execution options (shared by batch, fuzz, chaos,
+    compromise and serve)}
 
     These commands run their work as jobs of the {!Harness.Supervisor}:
     each job in a forked worker process with wall-clock (and, for
-    batch, memory) watchdogs, transient failures retried with
+    batch and serve, memory) watchdogs, transient failures retried with
     exponential backoff + jitter, a per-class circuit breaker shedding
     load after repeated failures, and — when [--journal] is given — an
     fsync'd checkpoint journal that makes [--resume] skip the jobs a
@@ -149,8 +150,8 @@ let resume_flag =
            (after a crash or interrupt, only the remainder runs).")
 
 let supervisor_config ?memlimit_mb ?(breaker_threshold = 5)
-    ?(breaker_cooldown_s = 2.) ~jobs ~retries ~timeout_s ~journal ~resume
-    ~seed () =
+    ?(breaker_cooldown_s = 2.) ?poison_threshold ~jobs ~retries ~timeout_s
+    ~journal ~resume ~seed () =
   {
     Sup.default_config with
     Sup.c_jobs = jobs;
@@ -160,6 +161,7 @@ let supervisor_config ?memlimit_mb ?(breaker_threshold = 5)
       Option.map (fun mb -> mb * 1024 * 1024) memlimit_mb;
     c_breaker_threshold = breaker_threshold;
     c_breaker_cooldown_us = breaker_cooldown_s *. 1e6;
+    c_poison_threshold = poison_threshold;
     c_seed = seed;
     c_journal = journal;
     c_resume = resume;
@@ -181,6 +183,44 @@ let pp_outcome fmt (o : 'a Sup.outcome) =
     (match o.Sup.o_diag with
     | Some d -> "  " ^ Support.Diagnostics.to_string d
     | None -> "")
+
+(** Write a report as one JSON line; [what] names it on stderr. *)
+let write_json ~cmd ~what path (j : Obs.Json.t) =
+  try
+    let oc = open_out path in
+    output_string oc (Obs.Json.to_string j);
+    output_char oc '\n';
+    close_out oc;
+    Format.eprintf "%s written to %s@." what path
+  with Sys_error msg -> Format.eprintf "occo %s: cannot write report: %s@." cmd msg
+
+(** Did every [what] worker complete? If not, say which did not. *)
+let workers_ok ~what outcomes =
+  Sup.all_ok outcomes
+  || begin
+    Format.printf "FAIL: a %s worker did not complete:@." what;
+    List.iter
+      (fun o ->
+        if not (Sup.status_ok o.Sup.o_status) then
+          Format.printf "  %a@." pp_outcome o)
+      outcomes;
+    false
+  end
+
+(** The first line of a campaign's report; returns whether the journal
+    skipped any trial (a resumed campaign is held to the weaker
+    "nothing judged this run escaped"). *)
+let campaign_header ~title ~noun ~verb (rp : 'r Harness.Campaign.report)
+    outcomes =
+  let skipped = Sup.count outcomes Sup.Skipped in
+  Format.printf "%s campaign: seed %d, %d %s requested, %d %s%s@." title
+    rp.Harness.Campaign.seed rp.Harness.Campaign.requested noun
+    (List.length rp.Harness.Campaign.results)
+    verb
+    (if skipped > 0 then
+       Printf.sprintf " (%d skipped via --resume journal)" skipped
+     else "");
+  skipped > 0
 
 (** {1 compile} *)
 
@@ -409,26 +449,20 @@ let fuzz_cmd_run n seed verbose jobs retries timeout_s journal resume =
     | None -> truncate (Unix.gettimeofday () *. 1000.) land 0xFFFFFF
   in
   let fuzz_job i =
-    {
-      Sup.job_id = Printf.sprintf "fuzz-%05d" i;
-      job_class = "fuzz";
-      job_run =
-        (fun ~attempt:_ ->
-          let st = Random.State.make [| seed; 104729 * (i + 1) |] in
-          let src =
-            QCheck.Gen.generate1 ~rand:st (QCheck.gen Fuzz.Gen.arb_program)
+    Sup.job ~cls:"fuzz" (Printf.sprintf "fuzz-%05d" i) (fun ~attempt:_ ->
+        let st = Random.State.make [| seed; 104729 * (i + 1) |] in
+        let src =
+          QCheck.Gen.generate1 ~rand:st (QCheck.gen Fuzz.Gen.arb_program)
+        in
+        match Driver.Differential.differential src with
+        | Ok _ -> Ok None
+        | Error e ->
+          (* Shrink the counterexample: keep reductions that still
+             parse, still have [main] and still fail the check. *)
+          let small =
+            Fuzz.Gen.minimize ~still_failing:Driver.Differential.still_fails src
           in
-          match Driver.Differential.differential src with
-          | Ok _ -> Ok None
-          | Error e ->
-            (* Shrink the counterexample: keep reductions that still
-               parse, still have [main] and still fail the check. *)
-            let small =
-              Fuzz.Gen.minimize ~still_failing:Driver.Differential.still_fails src
-            in
-            Ok (Some (e, src, small)));
-      job_degraded = None;
-    }
+          Ok (Some (e, src, small)))
   in
   let cfg =
     supervisor_config ~jobs ~retries ~timeout_s ~journal ~resume ~seed ()
@@ -481,7 +515,7 @@ let chaos_cmd_run seed mutants json_out survivors_out jobs retries timeout_s
     journal resume trace metrics =
   with_obs trace metrics @@ fun () ->
   check_resume ~resume ~journal @@ fun () ->
-  let open Faultinject.Campaign in
+  let module F = Faultinject.Campaign in
   (* Survivors stream out incrementally (fsync'd line-JSON), so a
      campaign killed halfway still leaves its triage artifacts. *)
   let survivors_path =
@@ -495,9 +529,9 @@ let chaos_cmd_run seed mutants json_out survivors_out jobs retries timeout_s
       survivors_path
   in
   let on_result r =
-    if r.mr_survived then
+    if r.F.mr_survived then
       Option.iter
-        (fun w -> Harness.Checkpoint.append_json w (survivor_to_json r))
+        (fun w -> Harness.Checkpoint.append_json w (F.survivor_to_json r))
         sw
   in
   let cfg =
@@ -508,56 +542,42 @@ let chaos_cmd_run seed mutants json_out survivors_out jobs retries timeout_s
       ~finally:(fun () -> Option.iter Harness.Checkpoint.close sw)
       (fun () ->
         Obs.with_enabled (fun () ->
-            run_supervised ~on_result ~cfg ~seed ~mutants ()))
+            Result.map
+              (fun compiled ->
+                let c = F.mutants compiled in
+                let rp, outcomes =
+                  Harness.Campaign.run_supervised ~on_result c ~cfg ~seed
+                    ~trials:mutants
+                in
+                (c, rp, outcomes, F.run_chaos_modes ()))
+              (F.compile_corpus ())))
   in
   match result with
   | Error d ->
     Format.eprintf "occo chaos: %a@." Support.Diagnostics.pp d;
     1
-  | Ok (rp, outcomes) ->
-    let skipped = Sup.count outcomes Sup.Skipped in
-    Format.printf
-      "fault-injection campaign: seed %d, %d mutants requested, %d tried%s@."
-      rp.rp_seed rp.rp_requested (List.length rp.rp_results)
-      (if skipped > 0 then
-         Printf.sprintf " (%d skipped via --resume journal)" skipped
-       else "");
-    Format.printf "@.%a@." pp_matrix rp;
-    Format.printf "%a@." pp_chaos rp;
-    Format.printf "%a@." pp_survivors rp;
+  | Ok (c, rp, outcomes, chaos) ->
+    let resumed =
+      campaign_header ~title:"fault-injection" ~noun:"mutants" ~verb:"tried"
+        rp outcomes
+    in
+    Format.printf "@.%a@." (Harness.Campaign.pp_matrix c) rp;
+    Format.printf "%a@." F.pp_chaos chaos;
+    Format.printf "%a@." F.pp_survivors rp;
     (match survivors_path with
     | Some p -> Format.eprintf "survivors streamed to %s@." p
     | None -> ());
-    (match json_out with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string (to_json rp));
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "campaign report written to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "occo chaos: cannot write report: %s@." msg)
-    | None -> ());
-    (* A resumed campaign only re-judges what the journal left open, so
-       it is held to the weaker "nothing judged this run escaped". *)
-    let mk =
-      if skipped > 0 then partial_must_kill_ok rp else must_kill_ok rp
-    in
-    let ck = chaos_ok rp in
-    let wk = Sup.all_ok outcomes in
+    Option.iter
+      (fun path ->
+        write_json ~cmd:"chaos" ~what:"campaign report" path (F.to_json rp chaos))
+      json_out;
+    let mk = if resumed then F.partial_must_kill_ok rp else F.must_kill_ok rp in
+    let ck = F.chaos_ok chaos in
     if not mk then
       Format.printf "FAIL: a must-kill mutant class escaped all detectors@.";
     if not ck then
       Format.printf "FAIL: a chaos mode was not diagnosed as expected@.";
-    if not wk then begin
-      Format.printf "FAIL: a mutant worker did not complete:@.";
-      List.iter
-        (fun o ->
-          if not (Sup.status_ok o.Sup.o_status) then
-            Format.printf "  %a@." pp_outcome o)
-        outcomes
-    end;
+    let wk = workers_ok ~what:"mutant" outcomes in
     if mk && ck && wk then 0 else 1
 
 let chaos_cmd =
@@ -600,47 +620,44 @@ let compromise_cmd_run seed partners multi fuel json_out jobs retries
     timeout_s journal resume inject_hang trace metrics =
   with_obs trace metrics @@ fun () ->
   check_resume ~resume ~journal @@ fun () ->
-  let open Robust.Campaign in
+  let module R = Robust.Campaign in
   let cfg =
     supervisor_config ~jobs ~retries ~timeout_s ~journal ~resume ~seed ()
   in
   let result =
     Obs.with_enabled (fun () ->
-        run_supervised ~fuel ~inject_hang ~cfg ~seed ~partners ())
+        Result.map
+          (fun compiled ->
+            let c = R.partners ~fuel compiled in
+            ( compiled,
+              c,
+              Harness.Campaign.run_supervised c ~cfg ~seed ~trials:partners
+                ~extra:(if inject_hang then [ R.hang_job ] else []) ))
+          (R.compile_corpus ~fuel ()))
   in
   match result with
   | Error d ->
     Format.eprintf "occo compromise: %a@." Support.Diagnostics.pp d;
     1
-  | Ok (rp, outcomes) ->
+  | Ok (compiled, c, (rp, outcomes)) ->
     let partner_outcomes, hang_outcomes =
-      List.partition (fun o -> o.Sup.o_id <> hang_job_id) outcomes
+      List.partition (fun o -> o.Sup.o_id <> R.hang_job_id) outcomes
     in
-    let skipped = Sup.count partner_outcomes Sup.Skipped in
-    Format.printf
-      "compromise campaign: seed %d, %d partners requested, %d judged%s@."
-      rp.rb_seed rp.rb_requested
-      (List.length rp.rb_trials)
-      (if skipped > 0 then
-         Printf.sprintf " (%d skipped via --resume journal)" skipped
-       else "");
-    Format.printf "@.%a@." pp_matrix rp;
-    Format.printf "%a@." pp_failures rp;
-    (match json_out with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string (to_json rp));
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "survival matrix written to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "occo compromise: cannot write report: %s@." msg)
-    | None -> ());
-    (* A resumed campaign only re-judges what the journal left open, so
-       it is held to the weaker "nothing judged this run escaped". *)
-    let sv = if skipped > 0 then partial_survival_ok rp else survival_ok rp in
-    let wk = Sup.all_ok partner_outcomes in
+    let resumed =
+      campaign_header ~title:"compromise" ~noun:"partners" ~verb:"judged" rp
+        partner_outcomes
+    in
+    Format.printf "@.%a@." (Harness.Campaign.pp_matrix c) rp;
+    Format.printf "%a@." R.pp_failures rp;
+    Option.iter
+      (fun path ->
+        write_json ~cmd:"compromise" ~what:"survival matrix" path (R.to_json rp))
+      json_out;
+    let sv = if resumed then R.partial_survival_ok rp else R.survival_ok rp in
+    if not sv then
+      Format.printf
+        "FAIL: a partner trial missed its expectation (see above)@.";
+    let wk = workers_ok ~what:"partner" partner_outcomes in
     (* The injected hang must be *classified* by the watchdog — a
        timeout verdict, not a wedged campaign. *)
     let hg =
@@ -649,17 +666,6 @@ let compromise_cmd_run seed partners multi fuel json_out jobs retries
            (fun o -> o.Sup.o_status = Sup.Timed_out)
            hang_outcomes
     in
-    if not sv then
-      Format.printf
-        "FAIL: a partner trial missed its expectation (see above)@.";
-    if not wk then begin
-      Format.printf "FAIL: a partner worker did not complete:@.";
-      List.iter
-        (fun o ->
-          if not (Sup.status_ok o.Sup.o_status) then
-            Format.printf "  %a@." pp_outcome o)
-        partner_outcomes
-    end;
     if not hg then
       Format.printf
         "FAIL: the injected diverging partner was not classified as a \
@@ -670,24 +676,20 @@ let compromise_cmd_run seed partners multi fuel json_out jobs retries
        one rogue) linked via compose_all against the correct component.
        The survival matrix must still catch every rogue mode. *)
     let mu =
-      if multi <= 0 then true
-      else begin
-        match
-          Obs.with_enabled (fun () -> run_multi ~fuel ~seed ~trials:multi ())
-        with
-        | Error d ->
-          Format.printf "FAIL: multi-partner campaign: %a@."
-            Support.Diagnostics.pp d;
-          false
-        | Ok mrp ->
-          Format.printf "@.multi-partner (faithful + rogue via ⊕) matrix:@.";
-          Format.printf "%a@." pp_matrix mrp;
-          Format.printf "%a@." pp_failures mrp;
-          let ok = multi_survival_ok mrp in
-          if not ok then
-            Format.printf
-              "FAIL: a multi-partner trial missed its expectation@.";
-          ok
+      multi <= 0
+      ||
+      let mc = R.multi ~fuel compiled in
+      let mrp =
+        Obs.with_enabled (fun () ->
+            Harness.Campaign.run mc ~seed ~trials:multi)
+      in
+      Format.printf "@.multi-partner (faithful + rogue via ⊕) matrix:@.";
+      Format.printf "%a@." (Harness.Campaign.pp_matrix mc) mrp;
+      Format.printf "%a@." R.pp_failures mrp;
+      R.survival_ok mrp
+      || begin
+        Format.printf "FAIL: a multi-partner trial missed its expectation@.";
+        false
       end
     in
     if sv && wk && hg && mu then 0 else 1
@@ -780,31 +782,22 @@ let batch_cmd_run dir jobs retries timeout_s memlimit_mb journal resume
     Format.printf "wall %.2fs (%.1f jobs/s over %d executed)@." elapsed
       (if elapsed > 0. then float_of_int ran /. elapsed else 0.)
       ran;
-    (match report_out with
-    | Some path -> (
-      let j =
-        match Sup.report_to_json ~payload_to_json:Fun.id outcomes with
-        | Obs.Json.Obj kvs ->
-          Obs.Json.Obj
-            (kvs
-            @ [
-                ("elapsed_s", Obs.Json.Num elapsed);
-                ( "jobs_per_s",
-                  Obs.Json.Num
-                    (if elapsed > 0. then float_of_int ran /. elapsed else 0.)
-                );
-              ])
-        | j -> j
-      in
-      try
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string j);
-        output_char oc '\n';
-        close_out oc;
-        Format.eprintf "batch report written to %s@." path
-      with Sys_error msg ->
-        Format.eprintf "occo batch: cannot write report: %s@." msg)
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_json ~cmd:"batch" ~what:"batch report" path
+          (match Sup.report_to_json ~payload_to_json:Fun.id outcomes with
+          | Obs.Json.Obj kvs ->
+            Obs.Json.Obj
+              (kvs
+              @ [
+                  ("elapsed_s", Obs.Json.Num elapsed);
+                  ( "jobs_per_s",
+                    Obs.Json.Num
+                      (if elapsed > 0. then float_of_int ran /. elapsed
+                       else 0.) );
+                ])
+          | j -> j))
+      report_out;
     if Sup.all_ok outcomes then 0 else 1
   end
 
@@ -985,19 +978,16 @@ let serve_cmd_run socket cache_dir jobs retries timeout_s memlimit_mb
   Obs.enabled := true;
   let cfg =
     {
-      Service.Serve.default_config with
       Service.Serve.s_socket = socket;
       s_cache_dir = cache_dir;
-      s_jobs = jobs;
-      s_retries = max 0 retries;
-      s_timeout_us = (if timeout_s <= 0. then None else Some (timeout_s *. 1e6));
-      s_memlimit_bytes = Option.map (fun mb -> mb * 1024 * 1024) memlimit_mb;
       s_queue_cap = max 1 queue_cap;
       s_degrade_watermark = max 1 degrade_watermark;
-      s_poison_threshold = max 1 poison_threshold;
-      s_journal = journal;
-      s_resume = resume;
-      s_seed = seed;
+      s_supervisor =
+        supervisor_config ?memlimit_mb
+          ~breaker_threshold:
+            Service.Serve.default_config.s_supervisor.Sup.c_breaker_threshold
+          ~poison_threshold:(max 1 poison_threshold) ~jobs ~retries ~timeout_s
+          ~journal ~resume ~seed ();
       s_chaos =
         {
           Service.Serve.ch_crash = inject_crash || inject_crash_forever;

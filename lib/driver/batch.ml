@@ -7,9 +7,10 @@
     the compiled artifacts — is what crosses back over the pipe.
 
     Graceful degradation reuses the partial-artifact machinery of
-    {!Compiler.compile_diag}: when a job fails terminally at the full
-    optimization level, its fallback recompiles at [-O0] (the
-    optimizations are exactly the passes most likely to blow a budget),
+    {!Compiler.compile_diag}: when a job's retries at the full
+    optimization level are exhausted, its fallback recompiles at [-O0]
+    (the optimizations are exactly the passes most likely to blow a
+    budget),
     and if even that fails, the diagnostic carries how far the pipeline
     got ([Compiler.partial_progress]) so the report still says which
     artifacts exist. *)
@@ -60,21 +61,18 @@ let compile_once ~path ~options ~optimized () : (Json.t, Diag.t) result =
     CI smoke test proves a crash is retried, not fatal. *)
 let compile_job ?(inject_crash = false) ~optimize (path : string) :
     Json.t Sup.job =
-  {
-    Sup.job_id = Filename.basename path;
-    job_class = "compile";
-    job_run =
-      (fun ~attempt ->
-        if inject_crash && attempt = 0 then
-          Unix.kill (Unix.getpid ()) Sys.sigsegv;
-        compile_once ~path
-          ~options:(if optimize then Compiler.all_optims else Compiler.no_optims)
-          ~optimized:optimize ());
-    job_degraded =
+  Sup.job ~cls:"compile" (Filename.basename path)
+    ?degraded:
       (if optimize then
-         Some (compile_once ~path ~options:Compiler.no_optims ~optimized:false)
-       else None);
-  }
+         Some
+           (fun ~attempt:_ ->
+             compile_once ~path ~options:Compiler.no_optims ~optimized:false ())
+       else None)
+    (fun ~attempt ->
+      if inject_crash && attempt = 0 then Unix.kill (Unix.getpid ()) Sys.sigsegv;
+      compile_once ~path
+        ~options:(if optimize then Compiler.all_optims else Compiler.no_optims)
+        ~optimized:optimize ())
 
 (** The inputs of a batch: every [.c] file directly in [dir], sorted,
     so job order — and hence the journal — is stable across runs. *)

@@ -128,6 +128,22 @@ let compile_source_diag ?options ?budget_us (src : string) :
   | Error d -> Error { fail_diag = d; fail_partial = [] }
   | Ok p -> compile_diag ?options ?budget_us p
 
+(** Compile a campaign corpus program and build the query invoking its
+    [main]: the prelude every seeded campaign shares. *)
+let compile_main ~name (src : string) :
+    (artifacts * Support.Ident.t list * Iface.Li.c_query, Diag.t) result =
+  match compile_source_diag src with
+  | Error f -> Error f.fail_diag
+  | Ok arts -> (
+    let symbols = Iface.Ast.prog_defs_names arts.clight1 in
+    match Runners.main_query ~symbols ~defs:arts.clight1 () with
+    | Some q -> Ok (arts, symbols, q)
+    | None ->
+      Error
+        (Diag.make ~phase:Diag.Campaign ~kind:Diag.Internal_error
+           ~context:[ ("program", name) ]
+           "cannot build the main query for corpus program %s" name))
+
 (** {1 Resuming the pipeline from an intermediate program}
 
     The fault-injection harness simulates a buggy pass by mutating one

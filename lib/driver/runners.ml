@@ -115,5 +115,16 @@ let outcome_refines (src : c_outcome) (tgt : c_outcome) : bool =
   | Smallstep.Out_of_fuel _, Smallstep.Out_of_fuel _ -> true
   | _ -> false
 
+(** A campaign's reading of an outcome: its printable name, and whether
+    the harness diagnosed something (anything but a final answer). *)
+let classify_outcome (o : c_outcome) : string * bool =
+  match o with
+  | Smallstep.Final _ -> ("final", false)
+  | Smallstep.Goes_wrong (_, why) -> ("goes-wrong: " ^ why, true)
+  | Smallstep.Env_stuck _ -> ("env-stuck", true)
+  | Smallstep.Env_violation (_, why) -> ("env-violation: " ^ why, true)
+  | Smallstep.Refused -> ("refused", true)
+  | Smallstep.Out_of_fuel _ -> ("out-of-fuel", true)
+
 let pp_c_outcome fmt (o : c_outcome) =
   Smallstep.pp_outcome pp_c_reply fmt o

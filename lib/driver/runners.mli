@@ -69,4 +69,8 @@ val run_a_level :
     target behavior; twin fuel exhaustion is inconclusive (accepted). *)
 val outcome_refines : c_outcome -> c_outcome -> bool
 
+(** A campaign's reading of an outcome: its printable name, and whether
+    the harness diagnosed something (anything but a final answer). *)
+val classify_outcome : c_outcome -> string * bool
+
 val pp_c_outcome : Format.formatter -> c_outcome -> unit

@@ -25,7 +25,9 @@
     with their injection site for triage rather than treated as errors.
     The classes in {!Mutate.must_kill_classes}, however, must each be
     killed at least once; a campaign where one escapes entirely fails
-    its acceptance check ({!must_kill_ok}).
+    its acceptance check ({!must_kill_ok}). The campaign is an instance
+    of the {!Harness.Campaign} kernel: rows are mutant classes, columns
+    are detectors.
 
     The adversarial-environment half ({!run_chaos_modes}) subjects an
     open component to each {!Chaos_oracle.mode} and checks the harness
@@ -34,6 +36,7 @@
 
 open Support
 module Diag = Support.Diagnostics
+module K = Harness.Campaign
 
 let detectors = [ "pipeline"; "differential"; "coexec" ]
 
@@ -106,19 +109,7 @@ type mutant_result = {
   mr_survived : bool;
 }
 
-type cell = { mutable tried : int; mutable killed : int }
-
-type report = {
-  rp_seed : int;
-  rp_requested : int;
-  rp_results : mutant_result list;
-  rp_matrix : (Mutate.mclass * (string * int) list) list;
-      (** per class: kills per detector *)
-  rp_totals : (Mutate.mclass * cell) list;
-  rp_chaos : chaos_result list;
-}
-
-and chaos_result = {
+type chaos_result = {
   cr_mode : Chaos_oracle.mode;
   cr_level : string;  (** "C" or "A" *)
   cr_outcome : string;  (** printable outcome classification *)
@@ -234,29 +225,14 @@ type compiled = {
 }
 
 let compile_corpus () : (compiled list, Diag.t) result =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (name, src) :: rest -> (
-      match Driver.Compiler.compile_source_diag src with
-      | Error f -> Error f.Driver.Compiler.fail_diag
-      | Ok arts -> (
-        let p = arts.Driver.Compiler.clight1 in
-        let symbols = Iface.Ast.prog_defs_names p in
-        match Driver.Runners.main_query ~symbols ~defs:p () with
-        | None ->
-          Error
-            (Diag.make ~phase:Diag.Campaign ~kind:Diag.Internal_error
-               ~context:[ ("program", name) ]
-               "cannot build the main query for corpus program %s" name)
-        | Some q ->
-          let r = reference_outcome arts ~symbols q in
-          go
-            ({ cp_name = name; cp_symbols = symbols; cp_arts = arts;
-               cp_query = q; cp_ref = r }
-            :: acc)
-            rest))
-  in
-  go [] corpus
+  K.prepare_corpus
+    (fun (name, src) ->
+      Result.map
+        (fun (arts, symbols, q) ->
+          { cp_name = name; cp_symbols = symbols; cp_arts = arts; cp_query = q;
+            cp_ref = reference_outcome arts ~symbols q })
+        (Driver.Compiler.compile_main ~name src))
+    corpus
 
 (** {1 Adversarial environments}
 
@@ -290,15 +266,6 @@ let chaos_prims () =
       prim_impl = (fun _ -> 0l) };
   ]
 
-let classify_outcome (o : Driver.Runners.c_outcome) : string * bool =
-  match o with
-  | Core.Smallstep.Final _ -> ("final", false)
-  | Core.Smallstep.Goes_wrong (_, why) -> ("goes-wrong: " ^ why, true)
-  | Core.Smallstep.Env_stuck _ -> ("env-stuck", true)
-  | Core.Smallstep.Env_violation (_, why) -> ("env-violation: " ^ why, true)
-  | Core.Smallstep.Refused -> ("refused", true)
-  | Core.Smallstep.Out_of_fuel _ -> ("out-of-fuel", true)
-
 (** Expected diagnosis per mode: [Well_behaved] must complete normally;
     every other mode must be diagnosed (not crash, not complete). *)
 let chaos_expectation (m : Chaos_oracle.mode) (diagnosed : bool) : bool =
@@ -307,67 +274,60 @@ let chaos_expectation (m : Chaos_oracle.mode) (diagnosed : bool) : bool =
   | _ -> diagnosed
 
 let run_chaos_modes () : chaos_result list =
-  match Driver.Compiler.compile_source_diag chaos_src with
+  match Driver.Compiler.compile_main ~name:"chaos" chaos_src with
   | Error _ -> [] (* the corpus is fixed; this cannot happen *)
-  | Ok arts -> (
+  | Ok (arts, symbols, q) ->
     let p = arts.Driver.Compiler.clight1 in
-    let symbols = Iface.Ast.prog_defs_names p in
-    match Driver.Runners.main_query ~symbols ~defs:p () with
-    | None -> []
-    | Some q ->
-      List.concat_map
-        (fun mode ->
-          let fuel = Chaos_oracle.fuel_for mode ~fuel in
-          let c_run () =
-            let rec_, _ = Driver.Io_oracle.make_log () in
-            let base =
-              Driver.Io_oracle.c_oracle ~symbols (chaos_prims ()) rec_
-            in
-            Driver.Runners.run_c_level
-              (Cfrontend.Clight.semantics ~symbols p)
+    List.concat_map
+      (fun mode ->
+        let fuel = Chaos_oracle.fuel_for mode ~fuel in
+        let c_run () =
+          let rec_, _ = Driver.Io_oracle.make_log () in
+          let base =
+            Driver.Io_oracle.c_oracle ~symbols (chaos_prims ()) rec_
+          in
+          Driver.Runners.run_c_level
+            (Cfrontend.Clight.semantics ~symbols p)
+            ~fuel
+            ~oracle:(Chaos_oracle.c_chaos mode base)
+            ~check_reply:Chaos_oracle.conformance_c q
+        in
+        let a_run () =
+          let rec_, _ = Driver.Io_oracle.make_log () in
+          let base =
+            Driver.Io_oracle.a_oracle ~symbols (chaos_prims ()) rec_
+          in
+          match
+            Driver.Runners.run_a_level
+              (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm)
               ~fuel
-              ~oracle:(Chaos_oracle.c_chaos mode base)
-              ~check_reply:Chaos_oracle.conformance_c q
+              ~oracle:(Chaos_oracle.a_chaos mode base)
+              ~check_reply:(Chaos_oracle.conformance_a ?sg:None)
+              q
+          with
+          | Ok o -> o
+          | Error e -> Core.Smallstep.Goes_wrong ([], "marshal: " ^ e)
+        in
+        let result level run =
+          let outcome, diagnosed =
+            match run () with
+            | o -> Driver.Runners.classify_outcome o
+            | exception e ->
+              ("uncaught exception: " ^ Printexc.to_string e, false)
           in
-          let a_run () =
-            let rec_, _ = Driver.Io_oracle.make_log () in
-            let base =
-              Driver.Io_oracle.a_oracle ~symbols (chaos_prims ()) rec_
-            in
-            match
-              Driver.Runners.run_a_level
-                (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm)
-                ~fuel
-                ~oracle:(Chaos_oracle.a_chaos mode base)
-                ~check_reply:(Chaos_oracle.conformance_a ?sg:None)
-                q
-            with
-            | Ok o -> o
-            | Error e -> Core.Smallstep.Goes_wrong ([], "marshal: " ^ e)
-          in
-          let result level run =
-            let outcome, diagnosed =
-              match run () with
-              | o -> classify_outcome o
-              | exception e ->
-                ("uncaught exception: " ^ Printexc.to_string e, false)
-            in
-            { cr_mode = mode; cr_level = level; cr_outcome = outcome;
-              cr_diagnosed = diagnosed }
-          in
-          [ result "C" c_run; result "A" a_run ])
-        Chaos_oracle.all_modes)
+          { cr_mode = mode; cr_level = level; cr_outcome = outcome;
+            cr_diagnosed = diagnosed }
+        in
+        [ result "C" c_run; result "A" a_run ])
+      Chaos_oracle.all_modes
 
 (** {1 The campaign}
 
     Mutant [i] of a seeded campaign is deterministic in [(seed, i)]
     alone: its class cycles over [classes], its corpus program rotates
     with [i], and its site is drawn from an RNG derived from [seed] and
-    [i] — {e not} from a state threaded through the whole run. That
-    independence is what lets the supervised runner
-    ({!run_supervised}) execute mutants in isolated worker processes,
-    in any completion order, resumable after a crash, and still agree
-    with the in-process {!run} on what mutant [i] is. *)
+    [i] — {e not} from a state threaded through the whole run, which
+    is what the {!Harness.Campaign} kernel's two runners rely on. *)
 
 (** Attempt mutant [i]: pick class, program and site, apply the
     mutation and judge it. [None] when the class has no applicable
@@ -424,140 +384,63 @@ let record_result_metrics (r : mutant_result) =
   Obs.Metrics.incr_counter
     (if r.mr_survived then "chaos.survived" else "chaos.killed")
 
-(** Tally a result list into the kill-rate matrix and per-class
-    totals. *)
-let assemble ~seed ~requested ~classes ~(results : mutant_result list) ~chaos :
-    report =
-  let of_class c = List.filter (fun r -> r.mr_class = c) results in
+(** The mutation campaign over a compiled corpus: mutant [i] is
+    {!try_mutant} [i]; the matrix counts, per class, the mutants tried
+    and killed and the kills of each detector. *)
+let mutants ?(classes = Mutate.all_classes) (compiled : compiled list) :
+    mutant_result K.t =
   {
-    rp_seed = seed;
-    rp_requested = requested;
-    rp_results = results;
-    rp_matrix =
+    K.job = "mutant";
+    job_class = "chaos-mutant";
+    trial = (fun ~seed i -> try_mutant ~compiled ~classes ~seed i);
+    record = record_result_metrics;
+    record_report = ignore;
+    row_title = "class";
+    row_width = 18;
+    rows =
+      List.map (fun c -> (Mutate.class_name c, fun r -> r.mr_class = c)) classes;
+    totals =
+      [
+        { K.name = "mutants"; width = 8; counts = (fun _ -> true) };
+        { K.name = "killed"; width = 8; counts = (fun r -> not r.mr_survived) };
+      ];
+    rate = true;
+    columns =
       List.map
-        (fun c ->
-          let rs = of_class c in
-          ( c,
-            List.map
-              (fun d ->
-                ( d,
-                  List.length
-                    (List.filter (fun r -> List.mem_assoc d r.mr_killed_by) rs)
-                ))
-              detectors ))
-        classes;
-    rp_totals =
-      List.map
-        (fun c ->
-          let rs = of_class c in
-          ( c,
-            {
-              tried = List.length rs;
-              killed =
-                List.length (List.filter (fun r -> not r.mr_survived) rs);
-            } ))
-        classes;
-    rp_chaos = chaos;
+        (fun d ->
+          { K.name = d; width = 12; counts = (fun r -> List.mem_assoc d r.mr_killed_by) })
+        detectors;
   }
-
-(** Run a seeded campaign of [mutants] mutants in-process, cycling over
-    the mutant classes and the corpus. Never raises: every failure mode
-    is part of the result. [on_result] fires as each mutant is judged —
-    the incremental-survivor dump hangs off it, so a campaign that dies
-    halfway has still left its triage artifacts behind. *)
-let run ?(classes = Mutate.all_classes) ?(on_result = fun _ -> ()) ~seed
-    ~mutants () : (report, Diag.t) result =
-  match compile_corpus () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let results = ref [] in
-    for i = 0 to mutants - 1 do
-      match try_mutant ~compiled ~classes ~seed i with
-      | None -> ()
-      | Some r ->
-        record_result_metrics r;
-        on_result r;
-        results := r :: !results
-    done;
-    let chaos = run_chaos_modes () in
-    Ok
-      (assemble ~seed ~requested:mutants ~classes ~results:(List.rev !results)
-         ~chaos)
-
-(** The supervised campaign: one {!Harness.Supervisor} job per mutant,
-    each judged in a forked worker, so a mutant that wedges or crashes
-    a detector is a [Job_timeout]/[Job_crashed] outcome instead of the
-    end of the campaign. The corpus is compiled once in the parent;
-    workers inherit it through [fork]. With a journal and [resume],
-    already-judged mutants are skipped (their results are then absent
-    from the report, which accounts for them in [rp_requested] vs
-    [rp_results]). Returns the report plus the raw supervisor
-    outcomes. *)
-let run_supervised ?(classes = Mutate.all_classes) ?(on_result = fun _ -> ())
-    ~(cfg : Harness.Supervisor.config) ~seed ~mutants () :
-    (report * mutant_result option Harness.Supervisor.outcome list, Diag.t)
-    result =
-  match compile_corpus () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let jobs =
-      List.init mutants (fun i ->
-          {
-            Harness.Supervisor.job_id = Printf.sprintf "mutant-%04d" i;
-            job_class = "chaos-mutant";
-            job_run =
-              (fun ~attempt:_ -> Ok (try_mutant ~compiled ~classes ~seed i));
-            job_degraded = None;
-          })
-    in
-    let results = ref [] in
-    let on_outcome (o : mutant_result option Harness.Supervisor.outcome) =
-      match o.Harness.Supervisor.o_payload with
-      | Some (Some r) ->
-        record_result_metrics r;
-        on_result r;
-        results := r :: !results
-      | _ -> ()
-    in
-    let outcomes = Harness.Supervisor.run ~on_outcome cfg jobs in
-    let chaos = run_chaos_modes () in
-    Ok
-      ( assemble ~seed ~requested:mutants ~classes
-          ~results:(List.rev !results) ~chaos,
-        outcomes )
 
 (** Every chaos mode behaved as expected (misbehavior diagnosed, the
     control run clean, no uncaught exceptions). *)
-let chaos_ok (rp : report) : bool =
-  rp.rp_chaos <> []
-  && List.for_all
-       (fun c -> chaos_expectation c.cr_mode c.cr_diagnosed)
-       rp.rp_chaos
+let chaos_ok (chaos : chaos_result list) : bool =
+  chaos <> []
+  && List.for_all (fun c -> chaos_expectation c.cr_mode c.cr_diagnosed) chaos
 
-(** Every must-kill class that was exercised was killed at least once,
-    and all of them were exercised. *)
-let must_kill_ok (rp : report) : bool =
+(* Every must-kill mutant judged was killed; [exercised] further
+   requires every must-kill class to have been tried. *)
+let must_kill ~exercised (rp : mutant_result K.report) : bool =
   List.for_all
     (fun c ->
-      match List.assoc_opt c rp.rp_totals with
-      | Some cell -> cell.tried > 0 && cell.killed = cell.tried
-      | None -> false)
+      let cell col = K.cell rp ~row:(Mutate.class_name c) ~col in
+      match (cell "mutants", cell "killed") with
+      | Some tried, Some killed -> killed = tried && (tried > 0 || not exercised)
+      | _ -> not exercised)
     Mutate.must_kill_classes
+
+(** Every must-kill class was exercised, and every mutant of it
+    killed. *)
+let must_kill_ok = must_kill ~exercised:true
 
 (** The weaker acceptance check for resumed campaigns: every must-kill
     mutant that {e was} judged in this run was killed, but classes whose
     mutants were all skipped by the journal are not required to have
     been exercised again. *)
-let partial_must_kill_ok (rp : report) : bool =
-  List.for_all
-    (fun c ->
-      match List.assoc_opt c rp.rp_totals with
-      | Some cell -> cell.killed = cell.tried
-      | None -> true)
-    Mutate.must_kill_classes
+let partial_must_kill_ok = must_kill ~exercised:false
 
-let survivors (rp : report) : mutant_result list =
-  List.filter (fun r -> r.mr_survived) rp.rp_results
+let survivors (rp : mutant_result K.report) : mutant_result list =
+  List.filter (fun r -> r.mr_survived) rp.K.results
 
 (** One survivor as a JSON line — the incremental triage artifact
     streamed out as the campaign runs, and the shape used in the final
@@ -575,26 +458,7 @@ let survivor_to_json (r : mutant_result) : Obs.Json.t =
 
 (** {1 Reporting} *)
 
-let pp_matrix fmt (rp : report) =
-  Format.fprintf fmt "%-18s %8s %8s %8s" "class" "mutants" "killed" "rate";
-  List.iter (fun d -> Format.fprintf fmt " %12s" d) detectors;
-  Format.pp_print_newline fmt ();
-  List.iter
-    (fun (c, cell) ->
-      let rate =
-        if cell.tried = 0 then "-"
-        else Printf.sprintf "%3d%%" (100 * cell.killed / cell.tried)
-      in
-      Format.fprintf fmt "%-18s %8d %8d %8s" (Mutate.class_name c) cell.tried
-        cell.killed rate;
-      let row = List.assoc c rp.rp_matrix in
-      List.iter
-        (fun d -> Format.fprintf fmt " %12d" (List.assoc d row))
-        detectors;
-      Format.pp_print_newline fmt ())
-    rp.rp_totals
-
-let pp_chaos fmt (rp : report) =
+let pp_chaos fmt (chaos : chaos_result list) =
   Format.fprintf fmt "%-22s %-4s %-10s %s@." "chaos mode" "lvl" "verdict"
     "outcome";
   List.iter
@@ -605,9 +469,9 @@ let pp_chaos fmt (rp : report) =
         (if chaos_expectation c.cr_mode c.cr_diagnosed then "ok"
          else "UNEXPECTED")
         c.cr_outcome)
-    rp.rp_chaos
+    chaos
 
-let pp_survivors fmt (rp : report) =
+let pp_survivors fmt (rp : mutant_result K.report) =
   match survivors rp with
   | [] -> Format.fprintf fmt "no survivors@."
   | ss ->
@@ -618,46 +482,33 @@ let pp_survivors fmt (rp : report) =
           r.mr_program Mutate.pp_site r.mr_site)
       ss
 
-let to_json (rp : report) : Obs.Json.t =
+let to_json (rp : mutant_result K.report) (chaos : chaos_result list) :
+    Obs.Json.t =
   let open Obs.Json in
-  Obj
-    [
-      ("seed", num_of_int rp.rp_seed);
-      ("requested", num_of_int rp.rp_requested);
-      ("tried", num_of_int (List.length rp.rp_results));
-      ( "killed",
-        num_of_int
-          (List.length (List.filter (fun r -> not r.mr_survived) rp.rp_results))
-      );
-      ("survived", num_of_int (List.length (survivors rp)));
-      ("must_kill_ok", Bool (must_kill_ok rp));
-      ("chaos_ok", Bool (chaos_ok rp));
-      ( "matrix",
-        Obj
-          (List.map
-             (fun (c, cell) ->
-               let row = List.assoc c rp.rp_matrix in
-               ( Mutate.class_name c,
+  let ss = survivors rp in
+  K.to_json rp
+    ~summary:
+      [
+        ("killed", num_of_int (List.length rp.K.results - List.length ss));
+        ("survived", num_of_int (List.length ss));
+        ("must_kill_ok", Bool (must_kill_ok rp));
+        ("chaos_ok", Bool (chaos_ok chaos));
+      ]
+    ~extra:
+      [
+        ("survivors", List (List.map survivor_to_json ss));
+        ( "chaos",
+          List
+            (List.map
+               (fun c ->
                  Obj
-                   ([
-                      ("mutants", num_of_int cell.tried);
-                      ("killed", num_of_int cell.killed);
-                    ]
-                   @ List.map (fun (d, n) -> (d, num_of_int n)) row) ))
-             rp.rp_totals) );
-      ("survivors", List (List.map survivor_to_json (survivors rp)));
-      ( "chaos",
-        List
-          (List.map
-             (fun c ->
-               Obj
-                 [
-                   ("mode", Str (Chaos_oracle.mode_name c.cr_mode));
-                   ("level", Str c.cr_level);
-                   ("outcome", Str c.cr_outcome);
-                   ("diagnosed", Bool c.cr_diagnosed);
-                   ( "as_expected",
-                     Bool (chaos_expectation c.cr_mode c.cr_diagnosed) );
-                 ])
-             rp.rp_chaos) );
-    ]
+                   [
+                     ("mode", Str (Chaos_oracle.mode_name c.cr_mode));
+                     ("level", Str c.cr_level);
+                     ("outcome", Str c.cr_outcome);
+                     ("diagnosed", Bool c.cr_diagnosed);
+                     ( "as_expected",
+                       Bool (chaos_expectation c.cr_mode c.cr_diagnosed) );
+                   ])
+               chaos) );
+      ]

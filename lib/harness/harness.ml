@@ -9,8 +9,12 @@
       crash-safe record behind [--resume];
     - {!Worker}: one job in one forked process, wall-clock and memory
       watchdogs, exit status classified into a structured verdict;
-    - {!Supervisor}: the batch loop tying them together — concurrency,
-      retry, shed, degrade, checkpoint.
+    - {!Supervisor}: the one executor tying them together —
+      concurrency, retry, shed, degrade, deadlines, poison, checkpoint —
+      over a static job list or a streaming source (the compile
+      service);
+    - {!Campaign}: the seeded campaign kernel the chaos and compromise
+      campaigns instantiate, in-process or on the supervisor.
 
     The same philosophy as the compiler it serves: treat each job as an
     open component characterized by its interactions (here: one
@@ -22,3 +26,4 @@ module Breaker = Breaker
 module Checkpoint = Checkpoint
 module Worker = Worker
 module Supervisor = Supervisor
+module Campaign = Campaign

@@ -24,15 +24,18 @@
     activation is drawn from an RNG derived from [seed] and [i] — so
     the supervised runner can judge trials in isolated worker
     processes, in any completion order, and still agree with the
-    in-process runner on what trial [i] is (the same design as
-    {!Faultinject.Campaign}). Every trial ends in a classified verdict;
-    a trial whose machinery raises is itself recorded as a failed
-    expectation, never propagated. *)
+    in-process runner on what trial [i] is. Both the single-partner
+    campaign and its multi-partner arm are instances of the
+    {!Harness.Campaign} kernel (rows: partner modes; columns: safety
+    properties), like {!Faultinject.Campaign}. Every trial ends in a
+    classified verdict; a trial whose machinery raises is itself
+    recorded as a failed expectation, never propagated. *)
 
 open Support
 module Diag = Support.Diagnostics
 module Io = Driver.Io_oracle
 module Sup = Harness.Supervisor
+module K = Harness.Campaign
 
 (** {1 The corpus}
 
@@ -121,22 +124,11 @@ type compiled = {
     captured. This log is the prefix the synthesized partners
     back-translate. *)
 let compile_corpus ~fuel () : (compiled list, Diag.t) result =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (name, src, prims_of) :: rest -> (
-      match Driver.Compiler.compile_source_diag src with
-      | Error f -> Error f.Driver.Compiler.fail_diag
-      | Ok arts -> (
-        let p = arts.Driver.Compiler.clight1 in
-        let symbols = Iface.Ast.prog_defs_names p in
-        let prims = prims_of () in
-        match Driver.Runners.main_query ~symbols ~defs:p () with
-        | None ->
-          Error
-            (Diag.make ~phase:Diag.Campaign ~kind:Diag.Internal_error
-               ~context:[ ("program", name) ]
-               "cannot build the main query for corpus program %s" name)
-        | Some q -> (
+  K.prepare_corpus
+    (fun (name, src, prims_of) ->
+      Result.bind (Driver.Compiler.compile_main ~name src)
+        (fun (arts, symbols, q) ->
+          let prims = prims_of () in
           let record, read = Io.make_log () in
           let oracle = Io.a_oracle ~symbols prims record in
           match
@@ -157,15 +149,13 @@ let compile_corpus ~fuel () : (compiled list, Diag.t) result =
                    ~context:[ ("program", name) ]
                    "corpus program %s never calls its partner" name)
             | trace ->
-              go
-                ({ cc_name = name; cc_symbols = symbols;
-                   cc_asm = arts.Driver.Compiler.asm;
-                   cc_entry = p.Iface.Ast.prog_main; cc_prims = prims;
-                   cc_query = q; cc_ref = ref_out; cc_trace = trace }
-                :: acc)
-                rest))))
-  in
-  go [] corpus
+              Ok
+                { cc_name = name; cc_symbols = symbols;
+                  cc_asm = arts.Driver.Compiler.asm;
+                  cc_entry = arts.Driver.Compiler.clight1.Iface.Ast.prog_main;
+                  cc_prims = prims; cc_query = q; cc_ref = ref_out;
+                  cc_trace = trace })))
+    corpus
 
 (** {1 Trials} *)
 
@@ -187,15 +177,6 @@ type trial_result = {
   t_verdict : verdict;
 }
 
-let classify_outcome (o : Driver.Runners.c_outcome) : string * bool =
-  match o with
-  | Core.Smallstep.Final _ -> ("final", false)
-  | Core.Smallstep.Goes_wrong (_, why) -> ("goes-wrong: " ^ why, true)
-  | Core.Smallstep.Env_stuck _ -> ("env-stuck", true)
-  | Core.Smallstep.Env_violation (_, why) -> ("env-violation: " ^ why, true)
-  | Core.Smallstep.Refused -> ("refused", true)
-  | Core.Smallstep.Out_of_fuel _ -> ("out-of-fuel", true)
-
 (* Does the observed C1→C2 call sequence agree with the recorded trace
    on the first [upto] activations (names and decoded arguments)? *)
 let prefix_matches ~(trace : Io.log_entry list) ~(calls : Property.call list)
@@ -212,64 +193,14 @@ let prefix_matches ~(trace : Io.log_entry list) ~(calls : Property.call list)
   in
   go 0 trace calls
 
-(** Run trial [i]: link the correct component against the synthesized
-    partner, monitor the boundary, classify. Deterministic in
-    [(seed, i)]. Never raises. *)
-let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
-  let n_modes = List.length Partner.all_modes in
-  let mode = List.nth Partner.all_modes (i mod n_modes) in
-  let cp = List.nth compiled (i mod List.length compiled) in
-  let rng = Random.State.make [| seed; 8191 * (i + 1) |] in
-  let n_act = List.length cp.cc_trace in
-  let rogue_at = Random.State.int rng n_act in
-  try
-    let partner =
-      Partner.synthesize ~symbols:cp.cc_symbols ~prims:cp.cc_prims
-        ~entry:cp.cc_entry ~trace:cp.cc_trace ~mode ~rogue_at ()
-    in
-    let exports =
-      List.map
-        (fun (b, p) -> (b, (p.Io.prim_name, p.Io.prim_sig)))
-        (Partner.export_table ~symbols:cp.cc_symbols cp.cc_prims)
-    in
-    let mon = Property.monitor ~exports ~partner_imports:[] () in
-    let composed =
-      Core.Hcomp.compose ~observe:mon.Property.m_observe
-        (Backend.Asm.semantics ~symbols:cp.cc_symbols cp.cc_asm)
-        partner.Partner.p_lts
-    in
-    let outcome, diagnosed, diverged =
-      match Driver.Runners.run_a_level composed ~fuel cp.cc_query with
-      | Error e -> ("marshal: " ^ e, true, false)
-      | Ok o ->
-        let name, diagnosed = classify_outcome o in
-        let diverged =
-          (not diagnosed)
-          && not
-               (Driver.Runners.outcome_refines cp.cc_ref o
-               && Driver.Runners.outcome_refines o cp.cc_ref)
-        in
-        (name, diagnosed, diverged)
-    in
-    let violations = mon.Property.m_violations () in
-    let props = Property.violated violations in
-    let calls = mon.Property.m_calls () in
-    let prefix_ok =
-      let upto =
-        if mode = Partner.Replay_faithful then
-          (* the control must replay the whole trace, call for call *)
-          max (List.length cp.cc_trace) (List.length calls)
-        else rogue_at
-      in
-      prefix_matches ~trace:cp.cc_trace ~calls ~upto
-    in
-    let detected_by =
-      List.map (fun p -> "property:" ^ Property.prop_name p) props
-      @ (if diagnosed then [ "diagnosed:" ^ outcome ] else [])
-      @ if diverged then [ "divergence" ] else []
-    in
+(* Judge one composed run: link the correct component against the
+   environment [env ()] under the boundary monitors, run it, classify,
+   and check the replayed call prefix up to [rogue_at] — the whole
+   trace for the faithful control. Never raises. *)
+let judge ~(cp : compiled) ~fuel ~index ~mode ~rogue_at env : trial_result =
+  let trial ~outcome ~props ~detected_by ~prefix_ok =
     {
-      t_index = i;
+      t_index = index;
       t_program = cp.cc_name;
       t_mode = mode;
       t_rogue_at = rogue_at;
@@ -279,193 +210,66 @@ let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
       t_prefix_ok = prefix_ok;
       t_verdict = (if detected_by <> [] then Detected else Undetected);
     }
+  in
+  try
+    let env = env () in
+    let exports =
+      List.map
+        (fun (b, p) -> (b, (p.Io.prim_name, p.Io.prim_sig)))
+        (Partner.export_table ~symbols:cp.cc_symbols cp.cc_prims)
+    in
+    let mon = Property.monitor ~exports ~partner_imports:[] () in
+    let composed =
+      Core.Hcomp.compose ~observe:mon.Property.m_observe
+        (Backend.Asm.semantics ~symbols:cp.cc_symbols cp.cc_asm)
+        env
+    in
+    let outcome, diagnosed, diverged =
+      match Driver.Runners.run_a_level composed ~fuel cp.cc_query with
+      | Error e -> ("marshal: " ^ e, true, false)
+      | Ok o ->
+        let name, diagnosed = Driver.Runners.classify_outcome o in
+        let diverged =
+          (not diagnosed)
+          && not
+               (Driver.Runners.outcome_refines cp.cc_ref o
+               && Driver.Runners.outcome_refines o cp.cc_ref)
+        in
+        (name, diagnosed, diverged)
+    in
+    let props = Property.violated (mon.Property.m_violations ()) in
+    let calls = mon.Property.m_calls () in
+    let upto =
+      if mode = Partner.Replay_faithful then
+        (* the control must replay the whole trace, call for call *)
+        max (List.length cp.cc_trace) (List.length calls)
+      else rogue_at
+    in
+    trial ~outcome ~props
+      ~prefix_ok:(prefix_matches ~trace:cp.cc_trace ~calls ~upto)
+      ~detected_by:
+        (List.map (fun p -> "property:" ^ Property.prop_name p) props
+        @ (if diagnosed then [ "diagnosed:" ^ outcome ] else [])
+        @ if diverged then [ "divergence" ] else [])
   with e ->
     (* Campaign machinery bug: recorded as a trial that fails its
        expectation, never an escaped exception. *)
-    {
-      t_index = i;
-      t_program = cp.cc_name;
-      t_mode = mode;
-      t_rogue_at = rogue_at;
-      t_outcome = "uncaught exception: " ^ Printexc.to_string e;
-      t_props = [];
-      t_detected_by = [];
-      t_prefix_ok = false;
-      t_verdict = Undetected;
-    }
+    trial
+      ~outcome:("uncaught exception: " ^ Printexc.to_string e)
+      ~props:[] ~detected_by:[] ~prefix_ok:false
 
-(** What each partner mode must produce. The faithful control must be
-    indistinguishable from the recorded run (no detection, full-prefix
-    match); every rogue mode must be detected, with its replay prefix
-    intact up to the rogue point. An "uncaught exception" outcome fails
-    both arms. *)
-let expectation (t : trial_result) : bool =
-  match t.t_mode with
-  | Partner.Replay_faithful ->
-    t.t_verdict = Undetected && t.t_prefix_ok && t.t_outcome = "final"
-  | _ -> t.t_verdict = Detected && t.t_prefix_ok
-
-(** {1 The survival matrix} *)
-
-type cell = { mutable tried : int; mutable detected : int; mutable expected : int }
-
-type report = {
-  rb_seed : int;
-  rb_requested : int;
-  rb_trials : trial_result list;
-  rb_matrix : (Partner.mode * (Property.prop * int) list) list;
-      (** per mode: how many trials each property caught *)
-  rb_totals : (Partner.mode * cell) list;
-}
-
-let assemble ~seed ~requested ~(results : trial_result list) : report =
-  let of_mode m = List.filter (fun t -> t.t_mode = m) results in
-  {
-    rb_seed = seed;
-    rb_requested = requested;
-    rb_trials = results;
-    rb_matrix =
-      List.map
-        (fun m ->
-          let ts = of_mode m in
-          ( m,
-            List.map
-              (fun p ->
-                ( p,
-                  List.length (List.filter (fun t -> List.mem p t.t_props) ts)
-                ))
-              Property.all_props ))
-        Partner.all_modes;
-    rb_totals =
-      List.map
-        (fun m ->
-          let ts = of_mode m in
-          ( m,
-            {
-              tried = List.length ts;
-              detected =
-                List.length (List.filter (fun t -> t.t_verdict = Detected) ts);
-              expected = List.length (List.filter expectation ts);
-            } ))
-        Partner.all_modes;
-  }
-
-(** Acceptance: every trial met its mode's expectation, and every
-    partner mode was exercised at least once. *)
-let survival_ok (rp : report) : bool =
-  rp.rb_trials <> []
-  && List.for_all expectation rp.rb_trials
-  && List.for_all (fun (_, c) -> c.tried > 0) rp.rb_totals
-
-(** The weaker check for resumed campaigns: nothing judged {e this} run
-    failed its expectation, but modes fully skipped by the journal need
-    not have been re-exercised. *)
-let partial_survival_ok (rp : report) : bool =
-  List.for_all expectation rp.rb_trials
-
-let undetected_rogues (rp : report) : trial_result list =
-  List.filter
-    (fun t -> t.t_mode <> Partner.Replay_faithful && t.t_verdict = Undetected)
-    rp.rb_trials
-
-let record_trial_metrics (t : trial_result) =
-  Obs.Metrics.incr_counter "robust.partners";
-  if t.t_mode <> Partner.Replay_faithful then
-    Obs.Metrics.incr_counter
-      (match t.t_verdict with
-      | Detected -> "robust.detected"
-      | Undetected -> "robust.undetected")
-
-(* Gauges for the bench-diff regression gate: an increase in undetected
-   rogue partners (or expectation failures) between runs is a
-   robustness regression. *)
-let record_report_metrics (rp : report) =
-  Obs.Metrics.set_gauge "robust.undetected_rogues"
-    (float_of_int (List.length (undetected_rogues rp)));
-  Obs.Metrics.set_gauge "robust.expectation_failures"
-    (float_of_int
-       (List.length (List.filter (fun t -> not (expectation t)) rp.rb_trials)))
-
-(** {1 Running}
-
-    In-process and supervised runners; both produce trial [i] from
-    [(seed, i)] alone. *)
-
-let run ?(fuel = default_fuel) ?(on_result = fun _ -> ()) ~seed ~partners () :
-    (report, Diag.t) result =
-  match compile_corpus ~fuel () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let results =
-      List.init partners (fun i ->
-          let t = try_partner ~compiled ~fuel ~seed i in
-          record_trial_metrics t;
-          on_result t;
-          t)
-    in
-    let rp = assemble ~seed ~requested:partners ~results in
-    record_report_metrics rp;
-    Ok rp
-
-(** The job the [--inject-hang] smoke test adds: a partner worker that
-    never terminates, so the supervisor's watchdog must classify it as
-    a timeout. (The in-campaign [Silent_divergence] mode burns fuel
-    {e in-process} and is diagnosed as [Out_of_fuel]; this job models
-    the complementary failure, a worker the harness itself cannot
-    bound.) *)
-let hang_job_id = "inject-hang"
-
-let hang_job : trial_result option Sup.job =
-  {
-    Sup.job_id = hang_job_id;
-    job_class = "inject-hang";
-    job_run =
-      (fun ~attempt:_ ->
-        while true do
-          ignore (Sys.opaque_identity 0)
-        done;
-        Ok None);
-    job_degraded = None;
-  }
-
-(** The supervised campaign: one forked worker per trial, so a partner
-    that wedges or bombs the heap is a [Timed_out]/[Crashed] outcome —
-    a classified verdict at the supervisor layer — rather than the end
-    of the campaign. Returns the report over the trials that completed,
-    plus the raw supervisor outcomes. *)
-let run_supervised ?(fuel = default_fuel) ?(on_result = fun _ -> ())
-    ?(inject_hang = false) ~(cfg : Sup.config) ~seed ~partners () :
-    (report * trial_result option Sup.outcome list, Diag.t) result =
-  match compile_corpus ~fuel () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let jobs =
-      List.init partners (fun i ->
-          {
-            Sup.job_id = Printf.sprintf "partner-%04d" i;
-            job_class = "compromise-partner";
-            job_run =
-              (fun ~attempt:_ -> Ok (Some (try_partner ~compiled ~fuel ~seed i)));
-            job_degraded = None;
-          })
-      @ if inject_hang then [ hang_job ] else []
-    in
-    let results = ref [] in
-    let on_outcome (o : trial_result option Sup.outcome) =
-      match o.Sup.o_payload with
-      | Some (Some t) ->
-        record_trial_metrics t;
-        on_result t;
-        results := t :: !results
-      | _ -> ()
-    in
-    let outcomes = Sup.run ~on_outcome cfg jobs in
-    let results =
-      List.sort (fun a b -> compare a.t_index b.t_index) !results
-    in
-    let rp = assemble ~seed ~requested:partners ~results in
-    record_report_metrics rp;
-    Ok (rp, outcomes)
+(** Run trial [i]: link the correct component against the synthesized
+    partner, monitor the boundary, classify. Deterministic in
+    [(seed, i)]. Never raises. *)
+let try_partner ~(compiled : compiled list) ~fuel ~seed i : trial_result =
+  let mode = List.nth Partner.all_modes (i mod List.length Partner.all_modes) in
+  let cp = List.nth compiled (i mod List.length compiled) in
+  let rng = Random.State.make [| seed; 8191 * (i + 1) |] in
+  let rogue_at = Random.State.int rng (List.length cp.cc_trace) in
+  judge ~cp ~fuel ~index:i ~mode ~rogue_at (fun () ->
+      (Partner.synthesize ~symbols:cp.cc_symbols ~prims:cp.cc_prims
+         ~entry:cp.cc_entry ~trace:cp.cc_trace ~mode ~rogue_at ())
+        .Partner.p_lts)
 
 (** {1 Multi-partner composition}
 
@@ -508,8 +312,7 @@ let global_rogue_index ~rogue_prims ~(trace : Io.log_entry list) ~local : int =
     [Replay_faithful] trials make both partners faithful — the control
     arm. Deterministic in [(seed, i)]; never raises. *)
 let try_multi ~(compiled : compiled list) ~fuel ~seed i : trial_result =
-  let n_modes = List.length Partner.all_modes in
-  let mode = List.nth Partner.all_modes (i mod n_modes) in
+  let mode = List.nth Partner.all_modes (i mod List.length Partner.all_modes) in
   let cp = List.nth compiled (i mod List.length compiled) in
   let rng = Random.State.make [| seed; 24593 * (i + 1) |] in
   let rogue_idx = Random.State.int rng (List.length cp.cc_prims) in
@@ -522,142 +325,139 @@ let try_multi ~(compiled : compiled list) ~fuel ~seed i : trial_result =
     if rogue_trace = [] then 0
     else Random.State.int rng (List.length rogue_trace)
   in
-  let global_rogue_at =
-    global_rogue_index ~rogue_prims ~trace:cp.cc_trace ~local:rogue_local_at
-  in
-  try
-    let faithful =
-      Partner.synthesize ~symbols:cp.cc_symbols ~prims:faithful_prims
-        ~entry:cp.cc_entry
-        ~trace:(partner_trace faithful_prims cp.cc_trace)
-        ~mode:Partner.Replay_faithful ~rogue_at:0 ()
-    in
-    let rogue =
-      Partner.synthesize ~symbols:cp.cc_symbols ~prims:rogue_prims
-        ~entry:cp.cc_entry ~trace:rogue_trace ~mode ~rogue_at:rogue_local_at
-        ()
-    in
-    (* The two partners become one environment component; their domains
-       are disjoint by construction (distinct primitive symbols). *)
-    let pair =
-      Core.Hcomp.compose_all [| faithful.Partner.p_lts; rogue.Partner.p_lts |]
-    in
-    let exports =
-      List.map
-        (fun (b, p) -> (b, (p.Io.prim_name, p.Io.prim_sig)))
-        (Partner.export_table ~symbols:cp.cc_symbols cp.cc_prims)
-    in
-    let mon = Property.monitor ~exports ~partner_imports:[] () in
-    let composed =
-      Core.Hcomp.compose ~observe:mon.Property.m_observe
-        (Backend.Asm.semantics ~symbols:cp.cc_symbols cp.cc_asm)
-        pair
-    in
-    let outcome, diagnosed, diverged =
-      match Driver.Runners.run_a_level composed ~fuel cp.cc_query with
-      | Error e -> ("marshal: " ^ e, true, false)
-      | Ok o ->
-        let name, diagnosed = classify_outcome o in
-        let diverged =
-          (not diagnosed)
-          && not
-               (Driver.Runners.outcome_refines cp.cc_ref o
-               && Driver.Runners.outcome_refines o cp.cc_ref)
-        in
-        (name, diagnosed, diverged)
-    in
-    let violations = mon.Property.m_violations () in
-    let props = Property.violated violations in
-    let calls = mon.Property.m_calls () in
-    let prefix_ok =
-      let upto =
-        if mode = Partner.Replay_faithful then
-          max (List.length cp.cc_trace) (List.length calls)
-        else global_rogue_at
+  judge ~cp ~fuel ~index:i ~mode
+    ~rogue_at:
+      (global_rogue_index ~rogue_prims ~trace:cp.cc_trace ~local:rogue_local_at)
+    (fun () ->
+      let faithful =
+        Partner.synthesize ~symbols:cp.cc_symbols ~prims:faithful_prims
+          ~entry:cp.cc_entry
+          ~trace:(partner_trace faithful_prims cp.cc_trace)
+          ~mode:Partner.Replay_faithful ~rogue_at:0 ()
       in
-      prefix_matches ~trace:cp.cc_trace ~calls ~upto
-    in
-    let detected_by =
-      List.map (fun p -> "property:" ^ Property.prop_name p) props
-      @ (if diagnosed then [ "diagnosed:" ^ outcome ] else [])
-      @ if diverged then [ "divergence" ] else []
-    in
-    {
-      t_index = i;
-      t_program = cp.cc_name;
-      t_mode = mode;
-      t_rogue_at = global_rogue_at;
-      t_outcome = outcome;
-      t_props = props;
-      t_detected_by = detected_by;
-      t_prefix_ok = prefix_ok;
-      t_verdict = (if detected_by <> [] then Detected else Undetected);
-    }
-  with e ->
-    {
-      t_index = i;
-      t_program = cp.cc_name;
-      t_mode = mode;
-      t_rogue_at = global_rogue_at;
-      t_outcome = "uncaught exception: " ^ Printexc.to_string e;
-      t_props = [];
-      t_detected_by = [];
-      t_prefix_ok = false;
-      t_verdict = Undetected;
-    }
+      let rogue =
+        Partner.synthesize ~symbols:cp.cc_symbols ~prims:rogue_prims
+          ~entry:cp.cc_entry ~trace:rogue_trace ~mode ~rogue_at:rogue_local_at
+          ()
+      in
+      (* The two partners become one environment component; their
+         domains are disjoint by construction (distinct primitive
+         symbols). *)
+      Core.Hcomp.compose_all [| faithful.Partner.p_lts; rogue.Partner.p_lts |])
 
-(** The multi-partner campaign, in-process (the trials are cheap: the
-    expensive corpus compile happens once). *)
-let run_multi ?(fuel = default_fuel) ?(on_result = fun _ -> ()) ~seed ~trials
-    () : (report, Diag.t) result =
-  match compile_corpus ~fuel () with
-  | Error d -> Error d
-  | Ok compiled ->
-    let results =
-      List.init trials (fun i ->
-          let t = try_multi ~compiled ~fuel ~seed i in
-          Obs.Metrics.incr_counter "robust.multi.trials";
-          if t.t_mode <> Partner.Replay_faithful then
-            Obs.Metrics.incr_counter
-              (match t.t_verdict with
-              | Detected -> "robust.multi.detected"
-              | Undetected -> "robust.multi.undetected");
-          on_result t;
-          t)
-    in
-    let rp = assemble ~seed ~requested:trials ~results in
-    Obs.Metrics.set_gauge "robust.multi.undetected_rogues"
-      (float_of_int (List.length (undetected_rogues rp)));
-    Ok rp
+(** What each partner mode must produce. The faithful control must be
+    indistinguishable from the recorded run (no detection, full-prefix
+    match); every rogue mode must be detected, with its replay prefix
+    intact up to the rogue point. An "uncaught exception" outcome fails
+    both arms. *)
+let expectation (t : trial_result) : bool =
+  match t.t_mode with
+  | Partner.Replay_faithful ->
+    t.t_verdict = Undetected && t.t_prefix_ok && t.t_outcome = "final"
+  | _ -> t.t_verdict = Detected && t.t_prefix_ok
 
-(** Acceptance for the multi-partner matrix: the same bar as the
-    single-partner campaign — every rogue mode exercised and detected
-    (with the replay prefix intact up to the rogue point), the
-    both-faithful control undetected with a full-prefix match. *)
-let multi_survival_ok (rp : report) : bool = survival_ok rp
+(** {1 The survival matrix} *)
+
+let undetected_rogues (rp : trial_result K.report) : trial_result list =
+  List.filter
+    (fun t -> t.t_mode <> Partner.Replay_faithful && t.t_verdict = Undetected)
+    rp.K.results
+
+(** The weaker check for resumed campaigns: nothing judged {e this} run
+    failed its expectation, but modes fully skipped by the journal need
+    not have been re-exercised. *)
+let partial_survival_ok (rp : trial_result K.report) : bool =
+  List.for_all expectation rp.K.results
+
+(** Acceptance: every trial met its mode's expectation, and every
+    partner mode was exercised at least once. The same bar holds for
+    the multi-partner matrix. *)
+let survival_ok (rp : trial_result K.report) : bool =
+  rp.K.results <> []
+  && partial_survival_ok rp
+  && List.for_all
+       (fun m -> K.cell rp ~row:(Partner.mode_name m) ~col:"tried" <> Some 0)
+       Partner.all_modes
+
+(* The matrix both arms share; [count] names the per-trial counter and
+   [prefix] the detection counters. *)
+let campaign ~job ~job_class ~trial ~count ~prefix ~record_report :
+    trial_result K.t =
+  {
+    K.job;
+    job_class;
+    trial;
+    record =
+      (fun t ->
+        Obs.Metrics.incr_counter count;
+        if t.t_mode <> Partner.Replay_faithful then
+          Obs.Metrics.incr_counter (prefix ^ verdict_name t.t_verdict));
+    record_report;
+    row_title = "partner mode";
+    row_width = 22;
+    rows =
+      List.map (fun m -> (Partner.mode_name m, fun t -> t.t_mode = m))
+        Partner.all_modes;
+    totals =
+      [
+        { K.name = "tried"; width = 6; counts = (fun _ -> true) };
+        { K.name = "detected"; width = 9; counts = (fun t -> t.t_verdict = Detected) };
+        { K.name = "expected"; width = 9; counts = expectation };
+      ];
+    rate = false;
+    columns =
+      List.map
+        (fun p ->
+          { K.name = Property.prop_name p; width = 12;
+            counts = (fun t -> List.mem p t.t_props) })
+        Property.all_props;
+  }
+
+let gauge name n = Obs.Metrics.set_gauge name (float_of_int n)
+
+(** The single-partner campaign: trial [i] is {!try_partner} [i]. The
+    [robust.undetected_rogues] and [robust.expectation_failures] gauges
+    feed the bench-diff regression gate. *)
+let partners ?(fuel = default_fuel) (compiled : compiled list) =
+  campaign ~job:"partner" ~job_class:"compromise-partner"
+    ~trial:(fun ~seed i -> Some (try_partner ~compiled ~fuel ~seed i))
+    ~count:"robust.partners" ~prefix:"robust."
+    ~record_report:(fun rp ->
+      gauge "robust.undetected_rogues" (List.length (undetected_rogues rp));
+      gauge "robust.expectation_failures"
+        (List.length
+           (List.filter (fun t -> not (expectation t)) rp.K.results)))
+
+(** The multi-partner arm: trial [i] is {!try_multi} [i]. It runs
+    in-process (the trials are cheap: the expensive corpus compile
+    happens once). *)
+let multi ?(fuel = default_fuel) (compiled : compiled list) =
+  campaign ~job:"multi" ~job_class:"compromise-multi"
+    ~trial:(fun ~seed i -> Some (try_multi ~compiled ~fuel ~seed i))
+    ~count:"robust.multi.trials" ~prefix:"robust.multi."
+    ~record_report:(fun rp ->
+      gauge "robust.multi.undetected_rogues"
+        (List.length (undetected_rogues rp)))
+
+(** The job the [--inject-hang] smoke test adds: a partner worker that
+    never terminates, so the supervisor's watchdog must classify it as
+    a timeout. (The in-campaign [Silent_divergence] mode burns fuel
+    {e in-process} and is diagnosed as [Out_of_fuel]; this job models
+    the complementary failure, a worker the harness itself cannot
+    bound.) *)
+let hang_job_id = "inject-hang"
+
+let hang_job : trial_result option Sup.job =
+  Sup.job ~cls:"inject-hang" hang_job_id (fun ~attempt:_ ->
+      while true do
+        ignore (Sys.opaque_identity 0)
+      done;
+      Ok None)
 
 (** {1 Reporting} *)
 
-let pp_matrix fmt (rp : report) =
-  Format.fprintf fmt "%-22s %6s %9s %9s" "partner mode" "tried" "detected"
-    "expected";
-  List.iter
-    (fun p -> Format.fprintf fmt " %12s" (Property.prop_name p))
-    Property.all_props;
-  Format.pp_print_newline fmt ();
-  List.iter
-    (fun (m, c) ->
-      Format.fprintf fmt "%-22s %6d %9d %9d" (Partner.mode_name m) c.tried
-        c.detected c.expected;
-      let row = List.assoc m rp.rb_matrix in
-      List.iter
-        (fun p -> Format.fprintf fmt " %12d" (List.assoc p row))
-        Property.all_props;
-      Format.pp_print_newline fmt ())
-    rp.rb_totals
-
-let pp_failures fmt (rp : report) =
-  match List.filter (fun t -> not (expectation t)) rp.rb_trials with
+let pp_failures fmt (rp : trial_result K.report) =
+  match List.filter (fun t -> not (expectation t)) rp.K.results with
   | [] -> Format.fprintf fmt "all partner trials met their expectations@."
   | ts ->
     List.iter
@@ -688,30 +488,12 @@ let trial_to_json (t : trial_result) : Obs.Json.t =
       ("as_expected", Bool (expectation t));
     ]
 
-let to_json (rp : report) : Obs.Json.t =
+let to_json (rp : trial_result K.report) : Obs.Json.t =
   let open Obs.Json in
-  Obj
-    [
-      ("seed", num_of_int rp.rb_seed);
-      ("requested", num_of_int rp.rb_requested);
-      ("tried", num_of_int (List.length rp.rb_trials));
-      ("undetected_rogues", num_of_int (List.length (undetected_rogues rp)));
-      ("survival_ok", Bool (survival_ok rp));
-      ( "matrix",
-        Obj
-          (List.map
-             (fun (m, c) ->
-               let row = List.assoc m rp.rb_matrix in
-               ( Partner.mode_name m,
-                 Obj
-                   ([
-                      ("tried", num_of_int c.tried);
-                      ("detected", num_of_int c.detected);
-                      ("expected", num_of_int c.expected);
-                    ]
-                   @ List.map
-                       (fun (p, n) -> (Property.prop_name p, num_of_int n))
-                       row) ))
-             rp.rb_totals) );
-      ("trials", List (List.map trial_to_json rp.rb_trials));
-    ]
+  K.to_json rp
+    ~summary:
+      [
+        ("undetected_rogues", num_of_int (List.length (undetected_rogues rp)));
+        ("survival_ok", Bool (survival_ok rp));
+      ]
+    ~extra:[ ("trials", List (List.map trial_to_json rp.K.results)) ]

@@ -1,11 +1,13 @@
-(** The compile service: a long-running supervisor loop accepting
-    compile requests over a Unix-domain socket ([occo serve]).
+(** The compile service: a long-running daemon accepting compile
+    requests over a Unix-domain socket ([occo serve]).
 
-    One single-threaded [select] loop multiplexes three kinds of file
-    descriptors — the listening socket, the client connections (one
-    line-JSON request per line, {!Protocol}), and the result pipes of
-    the forked {!Harness.Worker} processes actually compiling — so the
-    daemon itself never blocks on any one of them. The daemon process
+    The daemon is a streaming job source on {!Harness.Supervisor}: the
+    supervisor's one [select] loop watches the listening socket and
+    the client connections (one line-JSON request per line,
+    {!Protocol}) next to the result pipes of the forked workers
+    actually compiling. Retry, degrade, breaker, deadline, poison and
+    journal policy are the supervisor's; this module admits requests,
+    turns outcomes into replies, and drains. The daemon process
     {e never compiles}: compilation interns identifiers
     ({!Support.Ident} is positional and process-global), and keeping
     the parent's intern table frozen after startup is what makes every
@@ -20,10 +22,11 @@
     - {e corrupt cache entry}: quarantined by verify-on-read, then the
       request just falls through to a worker and re-derives
       ([serve.cache.corrupt]); a corrupt entry is never served;
-    - {e poison job}: a request whose workers crash [s_poison_threshold]
-      times is quarantined with a [Poisoned] diagnostic, journaled, and
-      never retried into a crash loop — repeats are rejected instantly,
-      across restarts ([serve.poisoned]);
+    - {e poison job}: a request whose workers crash
+      [c_poison_threshold] times is quarantined with a [Poisoned]
+      diagnostic, journaled, and never retried into a crash loop —
+      repeats are rejected instantly, across restarts
+      ([serve.poisoned]);
     - {e overload}: the queue is bounded; beyond the watermark new work
       degrades to the [-O0] fast path, beyond the cap it is shed with
       [Overloaded] ([serve.shed.overload]);
@@ -46,9 +49,7 @@
 
 module Json = Obs.Json
 module Diag = Support.Diagnostics
-module Worker = Harness.Worker
-module Breaker = Harness.Breaker
-module Backoff = Harness.Backoff
+module Sup = Harness.Supervisor
 module Checkpoint = Harness.Checkpoint
 
 (* ------------------------------------------------------------------ *)
@@ -69,38 +70,27 @@ let no_chaos =
 type config = {
   s_socket : string;  (** Unix-domain socket path *)
   s_cache_dir : string;
-  s_jobs : int;  (** max concurrent compile workers *)
-  s_retries : int;  (** extra attempts for transient failures *)
-  s_timeout_us : float option;  (** per-attempt wall-clock cap *)
-  s_memlimit_bytes : int option;
   s_queue_cap : int;  (** bound on queued requests; beyond: shed *)
   s_degrade_watermark : int;  (** queue depth that forces [-O0] *)
-  s_poison_threshold : int;  (** worker crashes before quarantine *)
-  s_breaker_threshold : int;
-  s_breaker_cooldown_us : float;
-  s_journal : string option;
-  s_resume : bool;
-  s_seed : int;
   s_chaos : chaos;
+  s_supervisor : Sup.config;
+      (** workers, retries, watchdog, breaker, poison, journal *)
 }
 
 let default_config =
   {
     s_socket = "occo.sock";
     s_cache_dir = ".occo-cache";
-    s_jobs = 2;
-    s_retries = 2;
-    s_timeout_us = Some 60e6;
-    s_memlimit_bytes = None;
     s_queue_cap = 64;
     s_degrade_watermark = 32;
-    s_poison_threshold = 3;
-    s_breaker_threshold = 10;
-    s_breaker_cooldown_us = 2e6;
-    s_journal = None;
-    s_resume = false;
-    s_seed = 0;
     s_chaos = no_chaos;
+    s_supervisor =
+      {
+        Sup.default_config with
+        Sup.c_jobs = 2;
+        c_breaker_threshold = 10;
+        c_poison_threshold = Some 3;
+      };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -139,30 +129,6 @@ let send_line (c : conn) (j : Json.t) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Request lifecycle                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type pending = {
-  q_req : Protocol.request;
-  q_key : string;  (** content hash of the source *)
-  q_opts : string;  (** options tag (after any degrade decision) *)
-  q_conn : conn;
-  q_received_us : float;
-  q_deadline_us : float;  (** absolute; [infinity] without a deadline *)
-  q_attempt : int;
-  q_crashes : int;  (** worker crashes so far — the poison counter *)
-  q_ready_us : float;  (** backoff: not before this instant *)
-  q_degraded : bool;  (** forced onto the [-O0] path *)
-  q_rng : Random.State.t;
-}
-
-type running = { r_handle : Worker.handle; r_pending : pending }
-
-(** The journal id of a request: stable across restarts (content hash,
-    not arrival order), so the poison set survives [--resume]. *)
-let journal_id (p : pending) = Printf.sprintf "req:%s:%s" p.q_key p.q_opts
-
-(* ------------------------------------------------------------------ *)
 (* The daemon                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -170,44 +136,26 @@ let journal_id (p : pending) = Printf.sprintf "req:%s:%s" p.q_key p.q_opts
     request). Returns the number of requests served. Never raises for
     request-level trouble; socket-setup failures do raise. *)
 let serve (cfg : config) : int =
+  let sup = cfg.s_supervisor in
   let cache = Cache.open_store cfg.s_cache_dir in
-  (* Resume: the poison set is whatever the journal last said was
-     poisoned; then compact, so the journal restarts from its
-     snapshot rather than growing without bound across restarts. *)
+  (* Resume: compact, so the journal restarts from its snapshot rather
+     than growing without bound across restarts; the poison set is
+     whatever that snapshot (last status per request) says was
+     poisoned. *)
   let poisoned : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (match cfg.s_journal with
-  | Some path when cfg.s_resume ->
-    let last : (string, string) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun e -> Hashtbl.replace last e.Checkpoint.e_id e.Checkpoint.e_status)
-      (Checkpoint.load path);
-    Hashtbl.iter
-      (fun id st -> if st = "poisoned" then Hashtbl.replace poisoned id ())
-      last;
+  (match sup.Sup.c_journal with
+  | Some path when sup.Sup.c_resume ->
     let kept, dropped = Checkpoint.compact path in
     Obs.Interaction_log.record
       (Obs.Interaction_log.Service
          (Printf.sprintf "journal: compacted on resume (%d kept, %d dropped)"
-            kept dropped))
+            kept dropped));
+    List.iter
+      (fun e ->
+        if e.Checkpoint.e_status = "poisoned" then
+          Hashtbl.replace poisoned e.Checkpoint.e_id ())
+      (Checkpoint.load path)
   | _ -> ());
-  let journal =
-    Option.map
-      (fun path -> Checkpoint.open_journal ~truncate:(not cfg.s_resume) path)
-      cfg.s_journal
-  in
-  let journal_append (p : pending) ~status ~now =
-    Option.iter
-      (fun w ->
-        Checkpoint.append w
-          {
-            Checkpoint.e_id = journal_id p;
-            e_class = "compile";
-            e_status = status;
-            e_attempts = p.q_attempt + 1;
-            e_elapsed_us = now -. p.q_received_us;
-          })
-      journal
-  in
   (* The listening socket. A stale socket file from a crashed daemon
      would make bind fail; remove it first — flock-style exclusivity is
      the operator's concern, not this loop's. *)
@@ -224,176 +172,73 @@ let serve (cfg : config) : int =
   and old_int =
     Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> draining := true))
   and old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let breaker =
-    Breaker.create ~threshold:cfg.s_breaker_threshold
-      ~cooldown_us:cfg.s_breaker_cooldown_us "serve.compile"
-  in
   let conns : conn list ref = ref [] in
-  let queue : pending list ref = ref [] in
-  let running : running list ref = ref [] in
   let served = ref 0 in
   let t_start = Obs.now_us () in
-  let reply_error (p : pending) ~status ~(diag : Diag.t) ~now =
-    journal_append p ~status ~now;
-    send_line p.q_conn
-      (Protocol.reply ~id:p.q_req.Protocol.rq_id ~status ~diag
-         ~elapsed_us:(now -. p.q_received_us) ())
-  in
-  let reply_result (p : pending) (r : Engine.result) ~now =
-    incr served;
-    let status = if p.q_degraded then "degraded" else "ok" in
-    journal_append p ~status ~now;
-    send_line p.q_conn
-      (Protocol.reply ~id:p.q_req.Protocol.rq_id ~status
-         ~cache:r.Engine.er_cache ~degraded:p.q_degraded
-         ~elapsed_us:(now -. p.q_received_us) ~summary:r.Engine.er_summary ());
-    (* Chaos: corrupt the summary this miss just wrote, so the next
-       identical request must take the quarantine-and-re-derive path. *)
-    if cfg.s_chaos.ch_corrupt && r.Engine.er_cache = "miss" then
-      ignore
-        (Cache.corrupt_for_test cache ~key:p.q_key ~pass:"summary"
-           ~opts:p.q_opts)
+  (* Every reply is the outcome of a job, whether a worker ran it or
+     admission settled it in the parent. *)
+  let reply (c : conn) (req : Protocol.request) ~received_us ~degraded
+      (o : Engine.result Sup.outcome) =
+    let elapsed_us = Obs.now_us () -. received_us in
+    let status = Sup.status_name o.Sup.o_status in
+    if o.Sup.o_attempts > 1 then
+      Obs.Metrics.incr_counter ~by:(o.Sup.o_attempts - 1) "serve.retries";
+    if o.Sup.o_crashes > 0 then
+      Obs.Metrics.incr_counter ~by:o.Sup.o_crashes "serve.crashes";
+    (* One launch more than the retries allow is the -O0 lifeline. *)
+    if (not degraded) && o.Sup.o_attempts > sup.Sup.c_retries + 1 then
+      Obs.Metrics.incr_counter "serve.degraded";
+    (match (o.Sup.o_status, Option.map (fun d -> d.Diag.kind) o.Sup.o_diag) with
+    | Sup.Shed, Some Diag.Circuit_open ->
+      Obs.Metrics.incr_counter "serve.shed.breaker"
+    | Sup.Failed, Some Diag.Deadline_exceeded ->
+      Obs.Metrics.incr_counter "serve.deadline_exceeded"
+    | Sup.Poisoned, _ when o.Sup.o_attempts > 0 ->
+      (* Quarantine the request itself: journaled, so the quarantine
+         survives a restart; repeats are rejected at admission without
+         ever reaching a worker again. *)
+      Hashtbl.replace poisoned o.Sup.o_id ();
+      Obs.Metrics.incr_counter "serve.poisoned";
+      Format.eprintf "occo serve: poisoned request %s after %d worker crashes@."
+        o.Sup.o_id o.Sup.o_crashes
+    | _ -> ());
+    match o.Sup.o_payload with
+    | None ->
+      send_line c
+        (Protocol.reply ~id:req.Protocol.rq_id ~status ?diag:o.Sup.o_diag
+           ~elapsed_us ())
+    | Some r ->
+      incr served;
+      send_line c
+        (Protocol.reply ~id:req.Protocol.rq_id ~status ~cache:r.Engine.er_cache
+           ~degraded:(degraded || o.Sup.o_status = Sup.Degraded)
+           ~elapsed_us ~summary:r.Engine.er_summary ());
+      (* Chaos: corrupt the summary this miss just wrote, so the next
+         identical request must take the quarantine-and-re-derive path. *)
+      if cfg.s_chaos.ch_corrupt && r.Engine.er_cache = "miss" then
+        ignore
+          (Cache.corrupt_for_test cache
+             ~key:(Cache.key_of ~source:req.Protocol.rq_source)
+             ~pass:"summary"
+             ~opts:(Engine.options_tag ~optimize:r.Engine.er_optimized))
   in
   (* What runs in the forked worker. Chaos injections happen in the
      child — the daemon only ever observes their exit statuses, exactly
      as it would observe a real crash or hang. *)
-  let job_thunk (p : pending) () : (Engine.result, Diag.t) result =
+  let compile (req : Protocol.request) ~optimize ~attempt =
     let ch = cfg.s_chaos in
-    if ch.ch_crash && (p.q_attempt = 0 || ch.ch_crash_forever) then
+    if ch.ch_crash && (attempt = 0 || ch.ch_crash_forever) then
       Unix.kill (Unix.getpid ()) Sys.sigsegv;
-    if ch.ch_hang && p.q_attempt = (if ch.ch_crash then 1 else 0) then
+    if ch.ch_hang && attempt = (if ch.ch_crash then 1 else 0) then
       while true do
         ignore (Sys.opaque_identity 0)
       done;
-    Engine.compile_cached cache ~source:p.q_req.Protocol.rq_source
-      ~optimize:(p.q_req.Protocol.rq_optimize && not p.q_degraded)
-      ()
-  in
-  let launch ~now (p : pending) =
-    if not (Breaker.allow breaker ~now_us:now) then begin
-      Obs.Metrics.incr_counter "serve.shed.breaker";
-      reply_error p ~status:"shed" ~now
-        ~diag:
-          (Diag.make ~phase:Diag.Service ~kind:Diag.Circuit_open
-             "request shed: the compile circuit breaker is open")
-    end
-    else begin
-      let timeout_us =
-        (* End-to-end deadline: the worker may use at most what is left
-           of it, and at most the per-attempt cap. *)
-        let remaining =
-          if p.q_deadline_us = infinity then None
-          else Some (Float.max 1e4 (p.q_deadline_us -. now))
-        in
-        match (cfg.s_timeout_us, remaining) with
-        | Some a, Some b -> Some (Float.min a b)
-        | (Some _ as a), None -> a
-        | None, r -> r
-      in
-      let h =
-        Worker.spawn ?timeout_us ?memlimit_bytes:cfg.s_memlimit_bytes
-          ~label:("serve:" ^ String.sub p.q_key 0 8)
-          ~attrs:
-            [
-              ("attempt", Json.num_of_int p.q_attempt);
-              ("degraded", Json.Bool p.q_degraded);
-            ]
-          (job_thunk p)
-      in
-      running := { r_handle = h; r_pending = p } :: !running
-    end
-  in
-  (* Decide what a worker verdict leads to: reply, retry, degrade,
-     poison. *)
-  let conclude ~now (p : pending) (v : Engine.result Worker.verdict) =
-    Breaker.record breaker ~now_us:now
-      ~ok:(match v with Worker.Returned (Ok _) -> true | _ -> false);
-    (* [retry] requeues exactly the pending it is given — the caller
-       threads accumulated state (the crash counter) through it. *)
-    let retry ?degraded (p : pending) =
-      let degraded = Option.value degraded ~default:p.q_degraded in
-      let delay =
-        Backoff.delay_us Backoff.default ~rng:p.q_rng
-          ~attempt:(p.q_attempt + 1)
-      in
-      Obs.Metrics.incr_counter "serve.retries";
-      queue :=
-        !queue
-        @ [
-            {
-              p with
-              q_attempt = p.q_attempt + 1;
-              q_ready_us = now +. delay;
-              q_degraded = degraded;
-              q_opts =
-                (if degraded then Engine.options_tag ~optimize:false
-                 else p.q_opts);
-            };
-          ]
-    in
-    match v with
-    | Worker.Returned (Ok r) -> reply_result p r ~now
-    | Worker.Returned (Error d) ->
-      if Diag.is_transient d.Diag.kind && p.q_attempt < cfg.s_retries then
-        retry p
-      else reply_error p ~status:"failed" ~diag:d ~now
-    | Worker.Crashed _ | Worker.Pipe_write_failed | Worker.Oom -> (
-      let crashes = p.q_crashes + 1 in
-      Obs.Metrics.incr_counter "serve.crashes";
-      let p = { p with q_crashes = crashes } in
-      if crashes >= cfg.s_poison_threshold then begin
-        (* Poison: quarantine the request itself. Journaled, so the
-           quarantine survives a restart; repeats are rejected at
-           admission without ever reaching a worker again. *)
-        Hashtbl.replace poisoned (journal_id p) ();
-        Obs.Metrics.incr_counter "serve.poisoned";
-        Format.eprintf
-          "occo serve: poisoned request %s after %d worker crashes@."
-          p.q_key crashes;
-        reply_error p ~status:"poisoned" ~now
-          ~diag:
-            (Diag.make ~phase:Diag.Service ~kind:Diag.Poisoned
-               ~context:[ ("crashes", string_of_int crashes) ]
-               "request crashed %d workers and was quarantined" crashes)
-      end
-      else if p.q_attempt < cfg.s_retries then retry p
-      else if not p.q_degraded then begin
-        (* Retries exhausted: one last lifeline at -O0. *)
-        Obs.Metrics.incr_counter "serve.degraded";
-        retry ~degraded:true p
-      end
-      else
-        reply_error p ~status:"crashed" ~now
-          ~diag:
-            (Diag.make ~phase:Diag.Service ~kind:Diag.Job_crashed
-               "worker died %d times; degraded fallback crashed too" crashes))
-    | Worker.Timed_out ->
-      if now >= p.q_deadline_us then begin
-        Obs.Metrics.incr_counter "serve.deadline_exceeded";
-        reply_error p ~status:"failed" ~now
-          ~diag:
-            (Diag.make ~phase:Diag.Service ~kind:Diag.Deadline_exceeded
-               "request deadline passed while compiling")
-      end
-      else if p.q_attempt < cfg.s_retries then retry p
-      else if not p.q_degraded then begin
-        Obs.Metrics.incr_counter "serve.degraded";
-        retry ~degraded:true p
-      end
-      else
-        reply_error p ~status:"timeout" ~now
-          ~diag:
-            (Diag.make ~phase:Diag.Service ~kind:Diag.Job_timeout
-               "worker exceeded its wall-clock limit on every attempt")
-  in
-  let reap ~timed_out ~now (r : running) =
-    running := List.filter (fun r' -> r' != r) !running;
-    if timed_out then Worker.kill r.r_handle;
-    conclude ~now r.r_pending (Worker.reap r.r_handle ~timed_out)
+    Engine.compile_cached cache ~source:req.Protocol.rq_source ~optimize ()
   in
   (* Admission: every request gets exactly one reply, and the expensive
      ones only get as far as their failure mode allows. *)
-  let admit (c : conn) (line : string) ~now =
+  let admit exec (c : conn) (line : string) =
+    let now = Obs.now_us () in
     Obs.Metrics.incr_counter "serve.requests";
     match Protocol.request_of_line line with
     | Error why ->
@@ -413,8 +258,8 @@ let serve (cfg : config) : int =
              [
                ("id", Json.Str req.Protocol.rq_id);
                ("status", Json.Str "stats");
-               ("queue_depth", Json.num_of_int (List.length !queue));
-               ("inflight", Json.num_of_int (List.length !running));
+               ("queue_depth", Json.num_of_int (Sup.queued exec));
+               ("inflight", Json.num_of_int (Sup.inflight exec));
                ("served", Json.num_of_int !served);
                ("metrics", Obs.Metrics.dump_json ());
              ])
@@ -422,51 +267,44 @@ let serve (cfg : config) : int =
         draining := true;
         send_line c (Protocol.reply ~id:req.Protocol.rq_id ~status:"draining" ())
       | Protocol.Compile ->
+        (* Overload watermark: new optimized work drops to the -O0 fast
+           path before the queue fills enough to shed. *)
         let degraded =
-          (* Overload watermark: new optimized work drops to the -O0
-             fast path before the queue fills enough to shed. *)
           req.Protocol.rq_optimize
-          && List.length !queue >= cfg.s_degrade_watermark
+          && Sup.queued exec >= cfg.s_degrade_watermark
         in
         let optimize = req.Protocol.rq_optimize && not degraded in
-        let key = Cache.key_of ~source:req.Protocol.rq_source in
-        let opts = Engine.options_tag ~optimize in
-        let p =
-          {
-            q_req = req;
-            q_key = key;
-            q_opts = opts;
-            q_conn = c;
-            q_received_us = now;
-            q_deadline_us =
-              (match req.Protocol.rq_deadline_ms with
-              | Some ms -> now +. (float_of_int ms *. 1e3)
-              | None -> infinity);
-            q_attempt = 0;
-            q_crashes = 0;
-            q_ready_us = now;
-            q_degraded = degraded;
-            q_rng = Random.State.make [| cfg.s_seed; Hashtbl.hash key |];
-          }
+        (* The job id is fixed here, so the poison set, the journal and
+           admission all key on the same (content hash, options). *)
+        let job =
+          Sup.job ~cls:"compile"
+            ~degraded:(compile req ~optimize:false)
+            ?deadline_us:
+              (Option.map
+                 (fun ms -> now +. (float_of_int ms *. 1e3))
+                 req.Protocol.rq_deadline_ms)
+            (Printf.sprintf "req:%s:%s"
+               (Cache.key_of ~source:req.Protocol.rq_source)
+               (Engine.options_tag ~optimize))
+            (compile req ~optimize)
+        in
+        let k = reply c req ~received_us:now ~degraded in
+        let reject st kind msg =
+          Sup.settle exec job st k
+            ~diag:(Diag.make ~phase:Diag.Service ~kind "%s" msg)
         in
         if !draining then
-          reply_error p ~status:"shed" ~now
-            ~diag:
-              (Diag.make ~phase:Diag.Service ~kind:Diag.Overloaded
-                 "service is draining; not accepting new work")
-        else if Hashtbl.mem poisoned (journal_id p) then begin
+          reject Sup.Shed Diag.Overloaded
+            "service is draining; not accepting new work"
+        else if Hashtbl.mem poisoned job.Sup.job_id then begin
           Obs.Metrics.incr_counter "serve.poisoned_rejects";
-          reply_error p ~status:"poisoned" ~now
-            ~diag:
-              (Diag.make ~phase:Diag.Service ~kind:Diag.Poisoned
-                 "request is quarantined: it previously crashed its workers")
+          reject Sup.Poisoned Diag.Poisoned
+            "request is quarantined: it previously crashed its workers"
         end
-        else if List.length !queue >= cfg.s_queue_cap then begin
+        else if Sup.queued exec >= cfg.s_queue_cap then begin
           Obs.Metrics.incr_counter "serve.shed.overload";
-          reply_error p ~status:"shed" ~now
-            ~diag:
-              (Diag.make ~phase:Diag.Service ~kind:Diag.Overloaded
-                 "queue full (%d); request shed" cfg.s_queue_cap)
+          reject Sup.Shed Diag.Overloaded
+            (Printf.sprintf "queue full (%d); request shed" cfg.s_queue_cap)
         end
         else begin
           if degraded then Obs.Metrics.incr_counter "serve.degraded";
@@ -477,151 +315,68 @@ let serve (cfg : config) : int =
               ~optimize
           with
           | Some summary ->
-            incr served;
             Obs.Metrics.incr_counter "serve.cache.hit";
-            journal_append p ~status:"ok" ~now;
-            send_line c
-              (Protocol.reply ~id:req.Protocol.rq_id ~status:"ok" ~cache:"hit"
-                 ~degraded ~elapsed_us:(Obs.now_us () -. now) ~summary ())
-          | None -> queue := !queue @ [ p ]
+            Sup.settle exec job Sup.Completed k
+              ~payload:
+                { Engine.er_summary = summary; er_cache = "hit";
+                  er_optimized = optimize }
+          | None -> Sup.submit exec ~degraded job k
         end)
   in
-  (* Pull complete lines out of a connection's buffer. *)
-  let drain_lines (c : conn) ~now =
-    let data = Buffer.contents c.c_buf in
-    let rec go start =
-      match String.index_from_opt data start '\n' with
-      | None ->
-        Buffer.clear c.c_buf;
-        Buffer.add_substring c.c_buf data start (String.length data - start)
-      | Some nl ->
-        let line = String.sub data start (nl - start) in
-        if String.trim line <> "" then admit c line ~now;
-        go (nl + 1)
-    in
-    go 0
-  in
-  let read_conn (c : conn) ~now =
+  (* Read a connection and admit every complete line in its buffer. *)
+  let read_conn exec (c : conn) =
     let chunk = Bytes.create 65536 in
     match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
     | 0 -> close_conn c
     | n ->
       Buffer.add_subbytes c.c_buf chunk 0 n;
-      drain_lines c ~now
+      let data = Buffer.contents c.c_buf in
+      let rec go start =
+        match String.index_from_opt data start '\n' with
+        | None ->
+          Buffer.clear c.c_buf;
+          Buffer.add_substring c.c_buf data start (String.length data - start)
+        | Some nl ->
+          let line = String.sub data start (nl - start) in
+          if String.trim line <> "" then admit exec c line;
+          go (nl + 1)
+      in
+      go 0
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c
   in
-  (* ---------------- the loop ---------------- *)
-  let loop () =
-    let live = ref true in
-    while !live do
-      let now = Obs.now_us () in
-      Obs.Metrics.set_gauge "serve.queue_depth"
-        (float_of_int (List.length !queue));
-      Obs.Metrics.set_gauge "serve.inflight"
-        (float_of_int (List.length !running));
-      (* Expire queued requests whose end-to-end deadline has passed:
-         they must not consume a worker they can no longer use. *)
-      let expired, alive =
-        List.partition (fun p -> now >= p.q_deadline_us) !queue
-      in
-      queue := alive;
-      List.iter
-        (fun p ->
-          Obs.Metrics.incr_counter "serve.deadline_exceeded";
-          reply_error p ~status:"failed" ~now
-            ~diag:
-              (Diag.make ~phase:Diag.Service ~kind:Diag.Deadline_exceeded
-                 "request deadline passed while queued"))
-        expired;
-      (* Launch every ready request while there is worker capacity. *)
-      let rec fill () =
-        if List.length !running < max 1 cfg.s_jobs then
-          match List.partition (fun p -> p.q_ready_us <= now) !queue with
-          | p :: rest_ready, not_ready ->
-            queue := rest_ready @ not_ready;
-            launch ~now p;
-            fill ()
-          | [], _ -> ()
-      in
-      fill ();
-      (* Kill workers past their wall-clock deadline. *)
-      List.iter
-        (fun r ->
-          if now >= r.r_handle.Worker.deadline_us then
-            reap ~timed_out:true ~now r)
-        !running;
-      (* Done draining? *)
-      if !draining && !queue = [] && !running = [] then live := false
-      else begin
-        let next_deadline =
-          List.fold_left
-            (fun acc r -> Float.min acc r.r_handle.Worker.deadline_us)
-            infinity !running
-        and next_ready =
-          List.fold_left
-            (fun acc p ->
-              Float.min acc (Float.min p.q_ready_us p.q_deadline_us))
-            infinity !queue
-        in
-        let horizon = Float.min next_deadline next_ready in
-        let wait_s =
-          if horizon = infinity then 0.25
-          else Float.max 0.01 (Float.min 0.25 ((horizon -. now) /. 1e6))
-        in
-        let conn_fds =
-          List.filter_map
-            (fun c -> if c.c_closed then None else Some c.c_fd)
-            !conns
-        and worker_fds = List.map (fun r -> r.r_handle.Worker.fd) !running in
-        let read_set =
-          (if !draining then [] else [ listen_fd ]) @ conn_fds @ worker_fds
-        in
-        match Unix.select read_set [] [] wait_s with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | ready, _, _ ->
+  let source =
+    {
+      Sup.src_fds =
+        (fun () ->
+          (if !draining then [] else [ listen_fd ])
+          @ List.filter_map
+              (fun c -> if c.c_closed then None else Some c.c_fd)
+              !conns);
+      src_ready =
+        (fun exec ready ->
           List.iter
             (fun fd ->
-              if fd = listen_fd then begin
+              if fd = listen_fd then
                 match Unix.accept listen_fd with
                 | cfd, _ ->
                   conns :=
                     { c_fd = cfd; c_buf = Buffer.create 256; c_closed = false }
                     :: !conns
                 | exception Unix.Unix_error _ -> ()
-              end
               else
-                match
-                  List.find_opt (fun r -> r.r_handle.Worker.fd = fd) !running
-                with
-                | Some r -> (
-                  match Worker.read_chunk r.r_handle with
-                  | `More -> ()
-                  | `Eof -> reap ~timed_out:false ~now:(Obs.now_us ()) r)
-                | None -> (
-                  match
-                    List.find_opt
-                      (fun c -> (not c.c_closed) && c.c_fd = fd)
-                      !conns
-                  with
-                  | Some c -> read_conn c ~now:(Obs.now_us ())
-                  | None -> ()))
+                List.iter
+                  (fun c -> if c.c_fd = fd && not c.c_closed then read_conn exec c)
+                  !conns)
             ready;
-          conns := List.filter (fun c -> not c.c_closed) !conns
-      end
-    done
+          conns := List.filter (fun c -> not c.c_closed) !conns);
+      src_live = (fun () -> not !draining);
+    }
   in
   let cleanup () =
-    (* No worker outlives the daemon; every journal line already hit
-       the disk. Compact so the next incarnation loads a snapshot. *)
-    List.iter
-      (fun r ->
-        Worker.kill r.r_handle;
-        ignore (Worker.reap r.r_handle ~timed_out:true))
-      !running;
-    running := [];
-    Option.iter Checkpoint.close journal;
-    Option.iter (fun p -> ignore (Checkpoint.compact p)) cfg.s_journal;
+    (* The supervisor has already killed its workers and closed the
+       journal; compact it so the next incarnation loads a snapshot. *)
+    Option.iter (fun p -> ignore (Checkpoint.compact p)) sup.Sup.c_journal;
     List.iter close_conn !conns;
     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
     (try Unix.unlink cfg.s_socket with Unix.Unix_error _ -> ());
@@ -629,12 +384,10 @@ let serve (cfg : config) : int =
     Sys.set_signal Sys.sigint old_int;
     Sys.set_signal Sys.sigpipe old_pipe
   in
-  Fun.protect ~finally:cleanup loop;
+  Fun.protect ~finally:cleanup (fun () -> ignore (Sup.run ~source sup []));
   let elapsed_s = (Obs.now_us () -. t_start) /. 1e6 in
   if !served > 0 && elapsed_s > 0. then
     Obs.Metrics.set_gauge "serve.jobs_per_s" (float_of_int !served /. elapsed_s);
-  Obs.Metrics.set_gauge "serve.queue_depth" 0.;
-  Obs.Metrics.set_gauge "serve.inflight" 0.;
   !served
 
 (* ------------------------------------------------------------------ *)

@@ -12,10 +12,13 @@
       diagnostic replies) and its tolerant parser;
     - {!Engine}: one request compiled through the cache at pass
       granularity (summary hit → RTL resume → full pipeline);
-    - {!Serve}: the daemon loop itself — bounded queue, load-shedding,
-      degraded [-O0] path, poison-job quarantine, end-to-end deadlines,
-      circuit breaker, SIGTERM drain, crash-safe [--resume] — and the
-      line-protocol client ([occo request]). *)
+    - {!Serve}: the daemon, a streaming job source on
+      {!Harness.Supervisor} (which owns retries, the [-O0] lifeline,
+      deadlines, poison quarantine, the circuit breaker and the
+      journal) — admission (bounded queue, load-shedding, degrade
+      watermark, poison rejects, warm hits), replies, SIGTERM drain,
+      the poison reload on [--resume] — and the line-protocol client
+      ([occo request]). *)
 
 module Cache = Cache
 module Protocol = Protocol

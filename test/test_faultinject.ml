@@ -101,16 +101,24 @@ let mutate_tests =
           (M.apply_linear M.Corrupt_conv_slot ghost' lin = None));
   ]
 
+(* A seeded mutation campaign run in-process, plus the chaos modes. *)
+let run_campaign ~seed ~mutants =
+  Result.map
+    (fun compiled ->
+      ( Harness.Campaign.run (Campaign.mutants compiled) ~seed ~trials:mutants,
+        Campaign.run_chaos_modes () ))
+    (Campaign.compile_corpus ())
+
 let campaign_tests =
   [
     Alcotest.test_case "seeded campaign kills every must-kill mutant" `Slow
       (fun () ->
-        match Campaign.run ~seed:3 ~mutants:24 () with
+        match run_campaign ~seed:3 ~mutants:24 with
         | Error d -> Alcotest.failf "campaign: %s" (Support.Diagnostics.to_string d)
-        | Ok rp ->
-          checki "tried all" 24 (List.length rp.Campaign.rp_results);
+        | Ok (rp, chaos) ->
+          checki "tried all" 24 (List.length rp.Harness.Campaign.results);
           check "must-kill classes all killed" true (Campaign.must_kill_ok rp);
-          check "chaos modes diagnosed" true (Campaign.chaos_ok rp));
+          check "chaos modes diagnosed" true (Campaign.chaos_ok chaos));
     Alcotest.test_case "campaign is deterministic in the seed" `Slow (fun () ->
         let survivors rp =
           List.map
@@ -119,15 +127,15 @@ let campaign_tests =
                r.Campaign.mr_site.M.site_loc))
             (Campaign.survivors rp)
         in
-        match (Campaign.run ~seed:11 ~mutants:18 (), Campaign.run ~seed:11 ~mutants:18 ()) with
-        | Ok a, Ok b -> check "same survivors" true (survivors a = survivors b)
+        match (run_campaign ~seed:11 ~mutants:18, run_campaign ~seed:11 ~mutants:18) with
+        | Ok (a, _), Ok (b, _) -> check "same survivors" true (survivors a = survivors b)
         | _ -> Alcotest.fail "campaign errored");
     Alcotest.test_case "JSON report parses and carries the matrix" `Slow
       (fun () ->
-        match Campaign.run ~seed:5 ~mutants:12 () with
+        match run_campaign ~seed:5 ~mutants:12 with
         | Error _ -> Alcotest.fail "campaign errored"
-        | Ok rp -> (
-          let j = Campaign.to_json rp in
+        | Ok (rp, chaos) -> (
+          let j = Campaign.to_json rp chaos in
           let s = Obs.Json.to_string j in
           match Obs.Json.parse_opt s with
           | None -> Alcotest.fail "report JSON does not re-parse"
@@ -144,14 +152,14 @@ let campaign_tests =
     Alcotest.test_case "campaign feeds the metrics counters" `Slow (fun () ->
         Obs.reset_all ();
         Obs.with_enabled (fun () ->
-            match Campaign.run ~seed:2 ~mutants:12 () with
+            match run_campaign ~seed:2 ~mutants:12 with
             | Error _ -> Alcotest.fail "campaign errored"
-            | Ok rp ->
+            | Ok (rp, _) ->
               let killed =
                 List.length
                   (List.filter
                      (fun r -> not r.Campaign.mr_survived)
-                     rp.Campaign.rp_results)
+                     rp.Harness.Campaign.results)
               in
               checki "chaos.mutants" 12 (Obs.Metrics.get_counter "chaos.mutants");
               checki "chaos.killed" killed (Obs.Metrics.get_counter "chaos.killed");

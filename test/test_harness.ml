@@ -303,7 +303,7 @@ let compact_tests =
 (* Breaker under the service admission loop                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The serve loop calls [allow] once per queued request each launch
+(* The supervisor loop calls [allow] once per queued job each launch
    round and [record] when the worker concludes. These tests drive the
    breaker exactly that way, with a simulated clock. *)
 let breaker_service_tests =
@@ -449,7 +449,7 @@ let test_config =
   }
 
 let job ?degraded ?(cls = "test") id run =
-  { Sup.job_id = id; job_class = cls; job_run = run; job_degraded = degraded }
+  Sup.job ~cls ?degraded:(Option.map (fun f ~attempt:_ -> f ()) degraded) id run
 
 let find outcomes id =
   match List.find_opt (fun o -> o.Sup.o_id = id) outcomes with
@@ -582,6 +582,186 @@ let supervisor_tests =
           outcomes);
   ]
 
+let hang ~attempt:_ =
+  while true do
+    ignore (Sys.opaque_identity 0)
+  done;
+  Ok 0
+
+let executor_tests =
+  [
+    Alcotest.test_case "a queued job past its deadline is never launched"
+      `Quick (fun () ->
+        (* one worker, held by a hanging job: the second job's deadline
+           passes while it waits in the queue *)
+        let cfg =
+          {
+            test_config with
+            Sup.c_jobs = 1;
+            c_retries = 0;
+            c_timeout_us = Some 0.5e6;
+          }
+        in
+        let late =
+          Sup.job ~cls:"test" ~deadline_us:(Obs.now_us () +. 50e3) "late"
+            (fun ~attempt:_ -> Ok 1)
+        in
+        let outcomes = Sup.run cfg [ job "hang" hang; late ] in
+        let o = find outcomes "late" in
+        check "failed" true (o.Sup.o_status = Sup.Failed);
+        check "deadline diagnostic" true
+          (match o.Sup.o_diag with
+          | Some d -> d.Diag.kind = Diag.Deadline_exceeded
+          | None -> false);
+        check_int "never launched" 0 o.Sup.o_attempts;
+        check "the hang timed out" true
+          ((find outcomes "hang").Sup.o_status = Sup.Timed_out));
+    Alcotest.test_case "a crash-looping job is poisoned, not degraded" `Quick
+      (fun () ->
+        let path = tmpfile "poison.jsonl" in
+        let j =
+          job "loop"
+            ~degraded:(fun () -> Ok (-1))
+            (fun ~attempt:_ ->
+              Unix.kill (Unix.getpid ()) Sys.sigkill;
+              Ok 0)
+        in
+        let cfg =
+          {
+            test_config with
+            Sup.c_retries = 5;
+            c_poison_threshold = Some 2;
+            c_journal = Some path;
+          }
+        in
+        let o = find (Sup.run cfg [ j ]) "loop" in
+        check "poisoned" true (o.Sup.o_status = Sup.Poisoned);
+        check_int "two crashed launches, no more" 2 o.Sup.o_attempts;
+        check_int "both crashed" 2 o.Sup.o_crashes;
+        check "journaled as poisoned" true
+          (List.exists
+             (fun e -> e.Checkpoint.e_status = "poisoned")
+             (Checkpoint.load path)));
+    Alcotest.test_case "a streaming source submits jobs until it closes"
+      `Quick (fun () ->
+        (* the source reads job names from a pipe, one per line *)
+        let rfd, wfd = Unix.pipe () in
+        let lines = "a\nb\n" in
+        ignore (Unix.write_substring wfd lines 0 (String.length lines));
+        Unix.close wfd;
+        let live = ref true and got = ref [] in
+        let source =
+          {
+            Sup.src_fds = (fun () -> if !live then [ rfd ] else []);
+            src_ready =
+              (fun exec _ ->
+                let buf = Bytes.create 64 in
+                match Unix.read rfd buf 0 64 with
+                | 0 ->
+                  live := false;
+                  Unix.close rfd
+                | n ->
+                  String.split_on_char '\n' (Bytes.sub_string buf 0 n)
+                  |> List.iter (fun id ->
+                         if id <> "" then
+                           Sup.submit exec
+                             (Sup.job ~cls:"test" id (fun ~attempt:_ ->
+                                  Ok (String.length id)))
+                             (fun o -> got := o :: !got)));
+            src_live = (fun () -> !live);
+          }
+        in
+        check "no static outcomes" true (Sup.run ~source test_config [] = []);
+        Alcotest.(check (list string))
+          "both streamed jobs completed" [ "a"; "b" ]
+          (List.sort compare
+             (List.filter_map
+                (fun o ->
+                  if o.Sup.o_status = Sup.Completed then Some o.Sup.o_id
+                  else None)
+                !got)));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The campaign kernel                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Campaign = Harness.Campaign
+
+(* A four-trial campaign whose trials finish in reverse index order
+   under four workers: trial [i] waits until the parent has recorded
+   trial [i+1] (a marker file [on_result] creates). *)
+let reverse_campaign ~dir : int Campaign.t =
+  let marker i = Filename.concat dir (string_of_int i) in
+  {
+    Campaign.job = "rev";
+    job_class = "test";
+    trial =
+      (fun ~seed:_ i ->
+        let t0 = Unix.gettimeofday () in
+        while
+          i < 3
+          && (not (Sys.file_exists (marker (i + 1))))
+          && Unix.gettimeofday () -. t0 < 10.
+        do
+          Unix.sleepf 0.005
+        done;
+        Some i);
+    record = (fun i -> close_out (open_out (marker i)));
+    record_report = ignore;
+    row_title = "parity";
+    row_width = 8;
+    rows = [ ("even", fun i -> i mod 2 = 0); ("odd", fun i -> i mod 2 = 1) ];
+    totals = [ { Campaign.name = "tried"; width = 6; counts = (fun _ -> true) } ];
+    rate = false;
+    columns = [ { Campaign.name = "big"; width = 12; counts = (fun i -> i > 1) } ];
+  }
+
+let marker_dir name =
+  let dir = Filename.temp_file "occo-campaign-" name in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  at_exit (fun () ->
+      try
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Unix.rmdir dir
+      with Sys_error _ | Unix.Unix_error _ -> ());
+  dir
+
+let campaign_tests =
+  [
+    Alcotest.test_case "supervised trials are reported in index order" `Quick
+      (fun () ->
+        let finished = ref [] in
+        let rp, outcomes =
+          Campaign.run_supervised
+            (reverse_campaign ~dir:(marker_dir "rev"))
+            ~on_result:(fun i -> finished := i :: !finished)
+            ~cfg:{ test_config with Sup.c_jobs = 4 }
+            ~seed:0 ~trials:4
+        in
+        check "every worker completed" true (Sup.all_ok outcomes);
+        Alcotest.(check (list int))
+          "the workers finished in reverse order" [ 3; 2; 1; 0 ]
+          (List.rev !finished);
+        Alcotest.(check (list int))
+          "the report lists them by index" [ 0; 1; 2; 3 ] rp.Campaign.results);
+    Alcotest.test_case "in-process and supervised runs tally alike" `Quick
+      (fun () ->
+        let quick =
+          {
+            (reverse_campaign ~dir:(marker_dir "quick")) with
+            Campaign.trial = (fun ~seed:_ i -> Some i);
+          }
+        in
+        let a = Campaign.run quick ~seed:0 ~trials:4 in
+        let b, _ = Campaign.run_supervised quick ~cfg:test_config ~seed:0 ~trials:4 in
+        check "same report" true (a = b);
+        check "tally" true
+          (Campaign.cell a ~row:"odd" ~col:"big" = Some 1
+          && Campaign.cell a ~row:"even" ~col:"tried" = Some 2));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Monotonic clock (satellite: lib/obs/control.ml)                    *)
 (* ------------------------------------------------------------------ *)
@@ -600,4 +780,5 @@ let clock_tests =
 let suite =
   ( "harness",
     backoff_tests @ breaker_tests @ breaker_service_tests @ checkpoint_tests
-    @ compact_tests @ worker_tests @ supervisor_tests @ clock_tests )
+    @ compact_tests @ worker_tests @ supervisor_tests @ executor_tests
+    @ campaign_tests @ clock_tests )

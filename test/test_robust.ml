@@ -22,6 +22,12 @@ let compiled_corpus =
     | Ok cs -> cs
     | Error d -> Alcotest.failf "corpus: %s" (Diagnostics.to_string d))
 
+(* One arm of the campaign over the shared corpus, run in-process. *)
+let run arm ~seed ~trials =
+  Result.map
+    (fun compiled -> Harness.Campaign.run (arm compiled) ~seed ~trials)
+    (Campaign.compile_corpus ~fuel ())
+
 let name_tests =
   [
     Alcotest.test_case "partner mode names round-trip" `Quick (fun () ->
@@ -75,7 +81,7 @@ let campaign_tests =
           compiled);
     Alcotest.test_case "every rogue mode is detected on every program" `Slow
       (fun () ->
-        match Campaign.run ~fuel ~seed:3 ~partners:28 () with
+        match run (Campaign.partners ~fuel) ~seed:3 ~trials:28 with
         | Error d -> Alcotest.failf "campaign: %s" (Diagnostics.to_string d)
         | Ok rp ->
           check "survival_ok" true (Campaign.survival_ok rp);
@@ -83,7 +89,7 @@ let campaign_tests =
             (Campaign.undetected_rogues rp = []);
           (* each rogue mode must be caught by its expected channel *)
           let by_mode m =
-            List.filter (fun t -> t.Campaign.t_mode = m) rp.Campaign.rb_trials
+            List.filter (fun t -> t.Campaign.t_mode = m) rp.Harness.Campaign.results
           in
           let all_have m pred =
             check (Partner.mode_name m) true
@@ -102,10 +108,10 @@ let campaign_tests =
           (* rogue trials still replay their prefix faithfully *)
           List.iter
             (fun t -> check "prefix" true t.Campaign.t_prefix_ok)
-            rp.Campaign.rb_trials);
+            rp.Harness.Campaign.results);
     Alcotest.test_case "same seed, same matrix" `Slow (fun () ->
         let json seed =
-          match Campaign.run ~fuel ~seed ~partners:14 () with
+          match run (Campaign.partners ~fuel) ~seed ~trials:14 with
           | Error d -> Alcotest.failf "campaign: %s" (Diagnostics.to_string d)
           | Ok rp -> Obs.Json.to_string (Campaign.to_json rp)
         in
@@ -132,10 +138,10 @@ let multi_tests =
           compiled);
     Alcotest.test_case "every rogue mode detected with a faithful sibling"
       `Slow (fun () ->
-        match Campaign.run_multi ~fuel ~seed:5 ~trials:28 () with
+        match run (Campaign.multi ~fuel) ~seed:5 ~trials:28 with
         | Error d -> Alcotest.failf "multi: %s" (Diagnostics.to_string d)
         | Ok rp ->
-          check "multi_survival_ok" true (Campaign.multi_survival_ok rp);
+          check "multi_survival_ok" true (Campaign.survival_ok rp);
           check "no undetected rogues" true
             (Campaign.undetected_rogues rp = []);
           (* every mode exercised at least once across 28 trials *)
@@ -144,17 +150,17 @@ let multi_tests =
               check (Partner.mode_name m) true
                 (List.exists
                    (fun t -> t.Campaign.t_mode = m)
-                   rp.Campaign.rb_trials))
+                   rp.Harness.Campaign.results))
             Partner.all_modes;
           (* the composite's replay prefix holds up to the global rogue
              activation even though it interleaves both partners *)
           List.iter
             (fun t -> check "prefix" true t.Campaign.t_prefix_ok)
-            rp.Campaign.rb_trials);
+            rp.Harness.Campaign.results);
     Alcotest.test_case "multi matrix is reproducible per seed" `Slow
       (fun () ->
         let json seed =
-          match Campaign.run_multi ~fuel ~seed ~trials:14 () with
+          match run (Campaign.multi ~fuel) ~seed ~trials:14 with
           | Error d -> Alcotest.failf "multi: %s" (Diagnostics.to_string d)
           | Ok rp -> Obs.Json.to_string (Campaign.to_json rp)
         in

@@ -11,6 +11,7 @@ module Protocol = Service.Protocol
 module Engine = Service.Engine
 module Serve = Service.Serve
 module Checkpoint = Harness.Checkpoint
+module Sup = Harness.Supervisor
 module Json = Obs.Json
 
 let check = Alcotest.(check bool)
@@ -271,10 +272,20 @@ let spawn_daemon cfg ~dir =
   in
   let pid = Unix.fork () in
   if pid = 0 then begin
+    (* metrics always on, as under [occo serve] *)
+    Obs.reset_all ();
+    Obs.enabled := true;
     (try ignore (Serve.serve cfg) with _ -> Unix._exit 2);
     Unix._exit 0
   end
   else (pid, socket)
+
+(* The default daemon config with [f] applied to its executor config. *)
+let with_sup f =
+  {
+    Serve.default_config with
+    Serve.s_supervisor = f Serve.default_config.Serve.s_supervisor;
+  }
 
 let serve_tests =
   [
@@ -282,9 +293,7 @@ let serve_tests =
       "compile, warm hit, SIGTERM drain, compacted journal" `Slow (fun () ->
         let dir = tmpdir "e2e-basic" in
         let journal = Filename.concat dir "journal.jsonl" in
-        let cfg =
-          { Serve.default_config with Serve.s_journal = Some journal }
-        in
+        let cfg = with_sup (fun c -> { c with Sup.c_journal = Some journal }) in
         let pid, socket = spawn_daemon cfg ~dir in
         Fun.protect
           ~finally:(fun () ->
@@ -318,10 +327,10 @@ let serve_tests =
       (fun () ->
         let cfg =
           {
-            Serve.default_config with
-            Serve.s_timeout_us = Some 0.5e6;
-            s_retries = 3;
-            s_chaos =
+            (with_sup (fun c ->
+                 { c with Sup.c_timeout_us = Some 0.5e6; c_retries = 3 }))
+            with
+            Serve.s_chaos =
               { Serve.no_chaos with Serve.ch_crash = true; ch_hang = true };
           }
         in
@@ -375,11 +384,15 @@ let serve_tests =
         let journal = Filename.concat dir "journal.jsonl" in
         let chaos_cfg =
           {
-            Serve.default_config with
-            Serve.s_journal = Some journal;
-            s_retries = 4;
-            s_poison_threshold = 2;
-            s_chaos =
+            (with_sup (fun c ->
+                 {
+                   c with
+                   Sup.c_journal = Some journal;
+                   c_retries = 4;
+                   c_poison_threshold = Some 2;
+                 }))
+            with
+            Serve.s_chaos =
               { Serve.no_chaos with Serve.ch_crash = true;
                 ch_crash_forever = true };
           }
@@ -402,11 +415,8 @@ let serve_tests =
            reloaded from the journal, so the request stays quarantined
            rather than crash-looping a fresh daemon *)
         let resumed =
-          {
-            Serve.default_config with
-            Serve.s_journal = Some journal;
-            s_resume = true;
-          }
+          with_sup (fun c ->
+              { c with Sup.c_journal = Some journal; c_resume = true })
         in
         let pid, socket = spawn_daemon resumed ~dir in
         Fun.protect
@@ -420,6 +430,67 @@ let serve_tests =
             check "fresh work compiles" true (status r2 = "ok");
             Unix.kill pid Sys.sigterm;
             wait_exit0 "resume" pid));
+    Alcotest.test_case "poison after the -O0 lifeline: repeats rejected"
+      `Slow (fun () ->
+        (* no retries: the first crash goes straight to the -O0
+           lifeline, the second reaches the poison threshold; the
+           quarantine must still cover the request as admitted *)
+        let cfg =
+          {
+            (with_sup (fun c ->
+                 { c with Sup.c_retries = 0; c_poison_threshold = Some 2 }))
+            with
+            Serve.s_chaos =
+              { Serve.no_chaos with Serve.ch_crash = true;
+                ch_crash_forever = true };
+          }
+        in
+        let dir = tmpdir "e2e-poison-degraded" in
+        let pid, socket = spawn_daemon cfg ~dir in
+        Fun.protect
+          ~finally:(fun () ->
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          (fun () ->
+            let src = source 8 in
+            check "poisoned" true (status (must ~socket (compile_req src)) = "poisoned");
+            check "repeat poisoned" true
+              (status (must ~socket (compile_req src)) = "poisoned");
+            let counter k =
+              Option.bind
+                (Option.bind
+                   (Json.member "metrics" (must ~socket (op_req Protocol.Stats)))
+                   (Json.member "counters"))
+                (Json.member k)
+              |> Fun.flip Option.bind Json.to_num
+              |> Option.fold ~none:0 ~some:int_of_float
+            in
+            check_int "two worker crashes, not four" 2 (counter "serve.crashes");
+            check_int "the repeat never reached a worker" 1
+              (counter "serve.poisoned_rejects");
+            Unix.kill pid Sys.sigterm;
+            wait_exit0 "poison-degraded" pid));
+    Alcotest.test_case "degrade watermark: optimized work drops to -O0"
+      `Slow (fun () ->
+        let dir = tmpdir "e2e-watermark" in
+        let journal = Filename.concat dir "journal.jsonl" in
+        let cfg =
+          {
+            (with_sup (fun c -> { c with Sup.c_journal = Some journal })) with
+            Serve.s_degrade_watermark = 0;
+          }
+        in
+        let pid, socket = spawn_daemon cfg ~dir in
+        Fun.protect
+          ~finally:(fun () ->
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          (fun () ->
+            let r = must ~socket (compile_req (source 9)) in
+            check "degraded reply" true (status r = "degraded");
+            Unix.kill pid Sys.sigterm;
+            wait_exit0 "watermark" pid;
+            check "journaled degraded" true
+              (List.map (fun e -> e.Checkpoint.e_status) (Checkpoint.load journal)
+              = [ "degraded" ])));
     Alcotest.test_case "deadline exceeded end to end" `Slow (fun () ->
         let cfg =
           {

@@ -460,13 +460,7 @@ let worker_tests =
 (* Supervisor gauges and breaker transition events                    *)
 (* ------------------------------------------------------------------ *)
 
-let ok_job id : int Sup.job =
-  {
-    Sup.job_id = id;
-    job_class = "test";
-    job_run = (fun ~attempt:_ -> Ok 1);
-    job_degraded = None;
-  }
+let ok_job id : int Sup.job = Sup.job ~cls:"test" id (fun ~attempt:_ -> Ok 1)
 
 let service_tests =
   [
