@@ -23,10 +23,21 @@
     bytes never crosses a chunk, so loads and stores of every integer
     chunk read or write one array directly. Concrete bytes come from a
     shared table ([Memdata.byte]) and small integer results are shared,
-    so a byte access allocates nothing beyond the returned option. All
-    observable behavior (every function of the interface) is unchanged;
-    [test/test_mem_diff.ml] checks this against the per-byte reference
-    implementation on random operation sequences.
+    so a byte access allocates nothing beyond the returned option.
+
+    Two choices keep the frame traffic of every call cheap. A block that
+    [free] leaves without any permission is {e retired}: it moves from the
+    live map to a list with one cons, keeping its bounds and contents
+    (CompCert's [free] only drops permissions), and loads, stores, [alloc]
+    and [free] never look at that list. A pointer stored with [Mint64], or
+    any value stored with [Many64], at an 8-aligned offset is a {e word
+    run}: the first cell of its 8-byte half-chunk holds
+    [Fragment (v, Q64, 7)] and the other seven hold one shared mark, read
+    back as [Fragment (v, Q64, 6)] ... [Fragment (v, Q64, 0)]. A write
+    that covers only part of a run first turns it into those eight
+    fragments. All observable behavior (every function of the interface)
+    is unchanged; [test/test_mem_diff.ml] checks this against the per-byte
+    reference implementation on random operation sequences.
 
     {b Copy-on-observe ownership.} A memory built by the interface below
     is persistent: a write copies the one chunk it touches and the path
@@ -105,30 +116,30 @@ type block_info = {
   b_owner : owner;
 }
 
+(** [alloc] is the only way to create a block and nothing deletes one, so
+    every block [b] with [0 < b < next_block] is in exactly one of
+    [blocks] and [dead], and [valid_block] is a bounds check. *)
 type t = {
   next_block : block;
-  blocks : block_info IMap.t;  (** blocks with at least one permission *)
-  dead : block_info IMap.t;
-      (** fully-freed blocks, kept for [valid_block]/[block_bounds]/
-          [contents_at] observability. Segregating them keeps [blocks] —
-          which every load, store and alloc searches and rebuilds — at
-          live-block size instead of growing by one tombstone per
-          function call executed by the interpreter. *)
+  blocks : block_info IMap.t;  (** live blocks *)
+  dead : (block * block_info) list;
+      (** retired blocks, newest first: those [free] left without any
+          permission, with their bounds and contents. A free conses onto
+          it; only observers ([block_bounds], [contents_at], [loadbytes],
+          [drop_perm], [grant_perm], [equal], [pp]) look past [blocks]
+          into it, so [blocks] — which every load, store, alloc and free
+          searches and rebuilds — stays at live-block size. *)
   owner : owner;
 }
 
-let empty =
-  { next_block = 1; blocks = IMap.empty; dead = IMap.empty; owner = nobody }
-
+let empty = { next_block = 1; blocks = IMap.empty; dead = []; owner = nobody }
 let nextblock m = m.next_block
-
-let valid_block m b =
-  b > 0 && b < m.next_block && (IMap.mem b m.blocks || IMap.mem b m.dead)
+let valid_block m b = b > 0 && b < m.next_block
 
 let find_block m b =
   match IMap.find_opt b m.blocks with
   | Some _ as r -> r
-  | None -> IMap.find_opt b m.dead
+  | None -> List.assoc_opt b m.dead
 
 let block_bounds m b =
   match find_block m b with
@@ -244,13 +255,12 @@ let free m b lo hi =
         in
         (match perms with
         | Uniform None ->
-          (* No permission left anywhere: retire the block to [dead]
-             (contents are retained, exactly as a freed block keeps its
-             contents in the one-map representation). *)
+          (* No permission left anywhere: retire the block, contents and
+             all. *)
           Some
             { m with
               blocks = IMap.remove b m.blocks;
-              dead = IMap.add b { bi with perms } m.dead }
+              dead = (b, { bi with perms }) :: m.dead }
         | _ -> Some { m with blocks = IMap.add b { bi with perms } m.blocks })
 
 let rec free_list m = function
@@ -300,14 +310,44 @@ let grant_perm m b lo hi p =
           | Uniform _ when lo <= bi.lo && hi >= bi.hi -> Uniform (Some p)
           | _ -> Carved (map_set_range (perms_to_map bi) lo hi (Some p))
         in
-        (* A grant on a fully-freed block resurrects permissions, so the
-           block moves back from [dead] to [blocks]. *)
-        Some
-          { m with
-            blocks = IMap.add b { bi with perms } m.blocks;
-            dead = IMap.remove b m.dead }
+        (* A grant on a retired block resurrects permissions, so the block
+           moves back from [dead] to [blocks]; a live block leaves the
+           list alone. *)
+        let dead =
+          if IMap.mem b m.blocks then m.dead else List.remove_assoc b m.dead
+        in
+        Some { m with blocks = IMap.add b { bi with perms } m.blocks; dead }
 
 (** {1 Loads and stores} *)
+
+(* {2 Word runs}
+
+   The 8-byte halves of a chunk start at cells 0 and 8. A half written
+   by [inj_value Q64 v] holds [Fragment (v, Q64, 7)] in its first cell
+   and [mark] in the other seven; cell [k] of it stands for
+   [Fragment (v, Q64, 7 - k)]. Marks come only in whole runs behind
+   their head, and never leave this module: every reader resolves them
+   with [cell]. *)
+
+let mark = Fragment (Vundef, Q64, -1)
+
+(* Cell [i] of chunk array [a], a mark resolved against its head. *)
+let cell a i =
+  let mv = a.(i) in
+  if mv != mark then mv
+  else
+    match a.(i land 8) with
+    | Fragment (v, q, _) -> Fragment (v, q, 7 - (i land 7))
+    | _ -> assert false (* a mark always follows its head *)
+
+(* Before a write into cell [i] of the writable [a] that does not cover
+   its whole half: turn a word run there into its eight fragments. *)
+let unmark a i =
+  let h = i land 8 in
+  if a.(h + 1) == mark then
+    for k = 1 to 7 do
+      a.(h + k) <- cell a (h + k)
+    done
 
 (* The data of chunk [ix]; the empty array when the chunk is missing (all
    [Undef]). *)
@@ -318,7 +358,7 @@ let chunk_data bi ix =
 
 let get_byte bi ofs =
   let a = chunk_data bi (chunk_ix ofs) in
-  if Array.length a = 0 then Undef else a.(chunk_sub ofs)
+  if Array.length a = 0 then Undef else cell a (chunk_sub ofs)
 
 (* Read [n] bytes starting at [ofs], paying one chunk lookup per chunk
    crossed (not per byte). Built back-to-front; the initial index is
@@ -330,7 +370,7 @@ let getN bi ofs n =
       let o = ofs + i in
       let ix' = chunk_ix o in
       let a = if ix' = ix then a else chunk_data bi ix' in
-      let mv = if Array.length a = 0 then Undef else a.(chunk_sub o) in
+      let mv = if Array.length a = 0 then Undef else cell a (chunk_sub o) in
       go (i - 1) ix' a (mv :: acc)
   in
   go (n - 1) (chunk_ix ofs - 1) [||] []
@@ -374,25 +414,33 @@ let write_bytes o bi ofs mvl =
     | mv :: rest ->
       let ix' = chunk_ix ofs in
       let a = if ix' = ix then a else writable o bi ix' in
-      a.(chunk_sub ofs) <- mv;
+      let i = chunk_sub ofs in
+      unmark a i;
+      a.(i) <- mv;
       go (ofs + 1) ix' a rest
   in
   go ofs (chunk_ix ofs - 1) [||] mvl
 
 (* Write [encode_val chunk v] at the aligned [ofs]. An aligned access of
    at most 8 bytes stays inside one chunk, so the integer and pointer
-   shapes fill one array directly; the rest go through the memval list. *)
+   shapes fill one array directly; the rest go through the memval list.
+   An 8-byte write covers its whole half, so it simply overwrites a run
+   there; the narrower ones [unmark] first. *)
 let write_val o bi ofs chunk v =
   match (chunk, v) with
   | (Mint8signed | Mint8unsigned), Vint n ->
-    (writable o bi (chunk_ix ofs)).(chunk_sub ofs) <- byte (Int32.to_int n land 0xFF)
+    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    unmark a i;
+    a.(i) <- byte (Int32.to_int n land 0xFF)
   | (Mint16signed | Mint16unsigned), Vint n ->
     let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    unmark a i;
     let x = Int32.to_int n in
     a.(i) <- byte (x land 0xFF);
     a.(i + 1) <- byte ((x lsr 8) land 0xFF)
   | Mint32, Vint n ->
     let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    unmark a i;
     let x = Int32.to_int n land 0xFFFFFFFF in
     a.(i) <- byte (x land 0xFF);
     a.(i + 1) <- byte ((x lsr 8) land 0xFF);
@@ -411,11 +459,12 @@ let write_val o bi ofs chunk v =
     a.(i + 6) <- byte ((hi lsr 16) land 0xFF);
     a.(i + 7) <- byte ((hi lsr 24) land 0xFF)
   | Mint64, Vptr _ | Many64, _ ->
-    (* [inj_value Q64 v]: a pointer, or any value spilled with [Many64]
-       (callee-save registers). *)
+    (* [inj_value Q64 v] as a word run: a pointer, or any value spilled
+       with [Many64] (callee-save registers). *)
     let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
-    for k = 0 to 7 do
-      a.(i + k) <- Fragment (v, Q64, 7 - k)
+    a.(i) <- Fragment (v, Q64, 7);
+    for k = 1 to 7 do
+      a.(i + k) <- mark
     done
   | _ -> write_bytes o bi ofs (encode_val chunk v)
 
@@ -454,7 +503,7 @@ let is_ptr = function Vptr _ -> true | _ -> false
    from the array; an undefined or mixed byte makes every integer chunk
    decode to [Vundef], exactly as [decode_val] does. *)
 let read_generic chunk a i =
-  Some (decode_val chunk (Array.to_list (Array.sub a i (size_chunk chunk))))
+  Some (decode_val chunk (List.init (size_chunk chunk) (fun k -> cell a (i + k))))
 
 let read_val chunk a i : value option =
   match chunk with
@@ -493,10 +542,11 @@ let read_val chunk a i : value option =
           (Vlong (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)))
     | Fragment (v0, Q64, 7) when self_equal v0 && (chunk = Many64 || is_ptr v0) ->
       (* A value stored by [inj_value Q64] (a pointer, or a [Many64]
-         spill): the same value at decreasing indices 7..0. Stores write
-         one shared value into all eight fragments, so physical equality
-         stands in for [proj_value]'s structural one; anything else falls
-         back to [proj_value]. *)
+         spill): a word run, or eight fragments of the same value at
+         decreasing indices 7..0 (a byte-wise copy of a run shares one
+         value among them, so physical equality stands in for
+         [proj_value]'s structural one); anything else falls back to
+         [proj_value]. *)
       let rec check k =
         k > 7
         ||
@@ -504,7 +554,7 @@ let read_val chunk a i : value option =
         | Fragment (v', Q64, idx) when idx = 7 - k && v' == v0 -> check (k + 1)
         | _ -> false
       in
-      if check 1 then Some v0 else read_generic chunk a i
+      if a.(i + 1) == mark || check 1 then Some v0 else read_generic chunk a i
     | Undef -> some_undef
     | _ -> read_generic chunk a i)
   | Mfloat32 | Mfloat64 | Many32 -> read_generic chunk a i
@@ -522,14 +572,10 @@ let loadbytes m b ofs n =
 
 let storebytes m b ofs mvl =
   match IMap.find_opt b m.blocks with
-  | None -> (
-    match IMap.find_opt b m.dead with
-    | None -> None
-    | Some bi ->
-      (* A dead block passes the range check only for the empty range,
-         which writes nothing. *)
-      let n = List.length mvl in
-      if not (block_range_perm bi ofs (ofs + n) Writable) then None else Some m)
+  | None ->
+    (* A retired block passes the range check only for the empty range,
+       which writes nothing. *)
+    if mvl = [] && valid_block m b then Some m else None
   | Some bi ->
     let n = List.length mvl in
     if not (block_range_perm bi ofs (ofs + n) Writable) then None
@@ -618,8 +664,9 @@ let contents_at m b ofs =
   | None -> Undef
   | Some bi -> get_byte bi ofs
 
+(* A retired block has no permission anywhere. *)
 let perm_at m b ofs =
-  match find_block m b with
+  match IMap.find_opt b m.blocks with
   | None -> None
   | Some bi -> block_perm bi ofs
 
@@ -647,11 +694,17 @@ let unchanged_on (pred : block -> int -> bool) m m' =
                && contents_at m b ofs = contents_at m' b ofs))
        true
 
+(* Structural equality of two chunks' data, except that a mark equals
+   only a mark (its head is compared like any other cell), so that it
+   implies equal contents. *)
+let data_equal a1 a2 =
+  Array.for_all2 (fun x y -> if x == mark || y == mark then x == y else x = y) a1 a2
+
 (* Equality is semantic, not representational: a carved block whose map
    happens to cover [lo, hi) uniformly equals the same block in uniform
-   form, an explicitly-[Undef] content chunk equals an absent one, and
-   owners are not compared. Structural fast paths cover the common
-   cases. *)
+   form, an explicitly-[Undef] content chunk equals an absent one, a word
+   run equals its eight fragments, and owners are not compared.
+   Structural fast paths cover the common cases. *)
 let block_equal b1 b2 =
   b1.lo = b2.lo && b1.hi = b2.hi
   && (match (b1.perms, b2.perms) with
@@ -662,17 +715,17 @@ let block_equal b1 b2 =
          ofs >= b1.hi || (block_perm b1 ofs = block_perm b2 ofs && go (ofs + 1))
        in
        go b1.lo)
-  && (IMap.equal (fun c1 c2 -> c1.c_data = c2.c_data) b1.contents b2.contents
+  && (IMap.equal (fun c1 c2 -> data_equal c1.c_data c2.c_data) b1.contents b2.contents
      ||
      let rec go ofs =
        ofs >= b1.hi || (get_byte b1 ofs = get_byte b2 ofs && go (ofs + 1))
      in
      go b1.lo)
 
-(* Equality compares the union view: whether a permission-less block sits
-   in [blocks] (freed piecewise, normalized carved) or in [dead] (freed
-   whole) is representation, not semantics. *)
-let all_blocks m = IMap.union (fun _ bi _ -> Some bi) m.blocks m.dead
+(* Equality compares the union view: whether a block is live or retired
+   is representation, not semantics. *)
+let all_blocks m =
+  List.fold_left (fun acc (b, bi) -> IMap.add b bi acc) m.blocks m.dead
 
 let equal m1 m2 =
   m1.next_block = m2.next_block

@@ -42,6 +42,9 @@ type t = { next_block : block; blocks : block_info IMap.t }
 let empty = { next_block = 1; blocks = IMap.empty }
 let nextblock m = m.next_block
 
+(* Blocks are never deleted: [free] only drops permissions. *)
+let valid_block m b = IMap.mem b m.blocks
+
 let block_bounds m b =
   match IMap.find_opt b m.blocks with
   | Some bi -> Some (bi.lo, bi.hi)

@@ -6,14 +6,19 @@
     validation harness for the [Mem] hot-path rewrite: the representation
     changed, the semantics must not.
 
-    The same operations also run on owned ([Mem.thaw]) memories with
-    interleaved freezes: in-place writes must agree with the oracle and
-    never reach a memory handed out earlier.
+    The operations store every chunk shape (pointers and [Many64] spills
+    included, at offsets biased toward multiples of 8 so that word runs
+    form) and copy ranges byte-wise with [loadbytes]/[storebytes] the way
+    a [memcpy] moves a pointer. The same operations also run on owned
+    ([Mem.thaw]) memories with interleaved freezes: in-place writes must
+    agree with the oracle and never reach a memory handed out earlier.
 
     Also contains the regression tests for the [grant_perm] bounds bug
-    (granting outside [lo, hi) used to mint permissions out of bounds)
-    and the representation test that alloc/free of a large block never
-    materializes per-offset permission entries. *)
+    (granting outside [lo, hi) used to mint permissions out of bounds),
+    the representation test that alloc/free of a large block never
+    materializes per-offset permission entries, [Mem.equal] across the
+    word-run and fragment representations and across retired blocks,
+    and the allocation bounds of frame retirement and word-run stores. *)
 
 open Memory
 open Memory.Values
@@ -35,6 +40,9 @@ type op =
   | OStorebytes of int * int * int list
   | OLoad of chunk * int * int
   | OLoadbytes of int * int * int
+  | OCopy of int * int * int * int * int
+      (** source block and offset, destination block and offset, length:
+          [loadbytes] then [storebytes] of the memvals it returned *)
 
 (* What a step observably did; compared between the two implementations. *)
 type outcome =
@@ -72,6 +80,10 @@ let step_new (m : Mem.t) : op -> Mem.t * outcome = function
     | None -> (m, ODone false))
   | OLoad (chunk, b, ofs) -> (m, OVal (Mem.load chunk m b ofs))
   | OLoadbytes (b, ofs, n) -> (m, OBytes (Mem.loadbytes m b ofs n))
+  | OCopy (sb, so, db, dof, n) -> (
+    match Option.bind (Mem.loadbytes m sb so n) (Mem.storebytes m db dof) with
+    | Some m' -> (m', ODone true)
+    | None -> (m, ODone false))
 
 let step_old (m : Mem_oracle.t) : op -> Mem_oracle.t * outcome = function
   | OAlloc (lo, hi) ->
@@ -103,17 +115,24 @@ let step_old (m : Mem_oracle.t) : op -> Mem_oracle.t * outcome = function
     | None -> (m, ODone false))
   | OLoad (chunk, b, ofs) -> (m, OVal (Mem_oracle.load chunk m b ofs))
   | OLoadbytes (b, ofs, n) -> (m, OBytes (Mem_oracle.loadbytes m b ofs n))
+  | OCopy (sb, so, db, dof, n) -> (
+    match
+      Option.bind (Mem_oracle.loadbytes m sb so n) (Mem_oracle.storebytes m db dof)
+    with
+    | Some m' -> (m', ODone true)
+    | None -> (m, ODone false))
 
-(* Observable state: bounds, permission and byte at every offset of a
-   window covering all generated ranges, for every block ever allocated
-   (plus one invalid id on each side). *)
+(* Observable state: validity, bounds, permission and byte at every
+   offset of a window covering all generated ranges, for every block ever
+   allocated (plus one invalid id on each side). *)
 let obs_window = List.init 72 (fun i -> i - 20)
 
 let observe_new (m : Mem.t) =
   List.init
     (Mem.nextblock m + 1)
     (fun b ->
-      ( Mem.block_bounds m b,
+      ( Mem.valid_block m b,
+        Mem.block_bounds m b,
         List.map (fun ofs -> (Mem.perm_at m b ofs, Mem.contents_at m b ofs)) obs_window
       ))
 
@@ -121,7 +140,8 @@ let observe_old (m : Mem_oracle.t) =
   List.init
     (Mem_oracle.nextblock m + 1)
     (fun b ->
-      ( Mem_oracle.block_bounds m b,
+      ( Mem_oracle.valid_block m b,
+        Mem_oracle.block_bounds m b,
         List.map
           (fun ofs -> (Mem_oracle.perm_at m b ofs, Mem_oracle.contents_at m b ofs))
           obs_window ))
@@ -133,13 +153,36 @@ let observe_old (m : Mem_oracle.t) =
 let gen_perm =
   QCheck.Gen.oneofl [ Mem.Nonempty; Mem.Readable; Mem.Writable; Mem.Freeable ]
 
-let gen_chunk =
+let gen_block = QCheck.Gen.int_range 0 4
+
+(* Offsets in [-16, 44], one in three a multiple of 8, where word runs
+   start. *)
+let gen_ofs =
+  QCheck.Gen.(
+    frequency [ (2, int_range (-16) 44); (1, map (fun k -> 8 * k) (int_range (-2) 5)) ])
+
+(* Stores of every shape the read and write paths special-case (bytes,
+   halves, words, longs, pointers, [Many64] spills) and of the generic
+   ones (floats, NaN included, [Many32], [Vundef]). *)
+let gen_any_chunk =
   QCheck.Gen.oneofl
     [ Mint8signed; Mint8unsigned; Mint16signed; Mint16unsigned; Mint32;
-      Mint64 ]
+      Mint64; Mfloat32; Mfloat64; Many32; Many64 ]
 
-let gen_block = QCheck.Gen.int_range 0 4
-let gen_ofs = QCheck.Gen.int_range (-16) 44
+let gen_value =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun n -> Vint (Int32.of_int n)) (int_range (-300) 70_000));
+      (2, map (fun n -> Vlong (Int64.of_int n)) int);
+      (2, map2 (fun b o -> Vptr (b, o)) gen_block (int_range 0 32));
+      (1, oneofl [ Vundef; Vfloat 1.5; Vfloat Float.nan; Vsingle 2.5 ]);
+    ]
+
+(* A stack frame: a block [0, 8k) that a call allocates, fills and frees
+   whole. *)
+let gen_frame_size = QCheck.Gen.map (fun k -> 8 * k) (QCheck.Gen.int_range 1 6)
+let gen_frame = QCheck.Gen.map (fun sz -> OAlloc (0, sz)) gen_frame_size
 
 let gen_op : op QCheck.Gen.t =
   let open QCheck.Gen in
@@ -147,7 +190,9 @@ let gen_op : op QCheck.Gen.t =
   frequency
     [
       (1, map (fun (lo, hi) -> OAlloc (lo, hi)) range);
+      (1, gen_frame);
       (2, map2 (fun b (lo, hi) -> OFree (b, lo, hi)) gen_block range);
+      (2, map2 (fun b sz -> OFree (b, 0, sz)) gen_block gen_frame_size);
       (2, map2 (fun b (lo, hi) -> ODropRange (b, lo, hi)) gen_block range);
       ( 2,
         map3
@@ -156,21 +201,25 @@ let gen_op : op QCheck.Gen.t =
       ( 3,
         map3 (fun b (lo, hi) p -> OGrant (b, lo, hi, p)) gen_block range
           gen_perm );
-      ( 4,
+      ( 6,
         map3
-          (fun chunk (b, ofs) v -> OStore (chunk, b, ofs, Vint (Int32.of_int v)))
-          gen_chunk (pair gen_block gen_ofs) (int_bound 1_000_000) );
+          (fun chunk (b, ofs) v -> OStore (chunk, b, ofs, v))
+          gen_any_chunk (pair gen_block gen_ofs) gen_value );
       ( 2,
         map3
           (fun b ofs bytes -> OStorebytes (b, ofs, bytes))
           gen_block gen_ofs
           (list_size (int_range 0 10) (int_bound 255)) );
-      ( 3,
-        map3 (fun chunk b ofs -> OLoad (chunk, b, ofs)) gen_chunk gen_block
+      ( 4,
+        map3 (fun chunk b ofs -> OLoad (chunk, b, ofs)) gen_any_chunk gen_block
           gen_ofs );
       ( 2,
         map3 (fun b ofs n -> OLoadbytes (b, ofs, n)) gen_block gen_ofs
           (int_range (-2) 12) );
+      ( 2,
+        map3
+          (fun (sb, so) (db, dof) n -> OCopy (sb, so, db, dof, n))
+          (pair gen_block gen_ofs) (pair gen_block gen_ofs) (int_range 0 16) );
     ]
 
 let pp_op op =
@@ -185,11 +234,17 @@ let pp_op op =
     Printf.sprintf "storebytes b%d @%d len %d" b ofs (List.length l)
   | OLoad (_, b, ofs) -> Printf.sprintf "load b%d @%d" b ofs
   | OLoadbytes (b, ofs, n) -> Printf.sprintf "loadbytes b%d @%d len %d" b ofs n
+  | OCopy (sb, so, db, dof, n) ->
+    Printf.sprintf "copy b%d @%d -> b%d @%d len %d" sb so db dof n
 
+(* Sequences start with a few frames, so that stores, copies and frees
+   find their target. *)
 let arb_ops =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-    QCheck.Gen.(list_size (int_range 1 40) gen_op)
+    QCheck.Gen.(
+      map2 ( @ ) (list_size (int_range 1 3) gen_frame)
+        (list_size (int_range 1 40) gen_op))
 
 (* A sequence biased toward the LM convention's argument-region protocol
    (Fig. 13): allocate a stack block, carve the argument region out
@@ -210,15 +265,19 @@ let arb_carve_ops =
   in
   QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops)) seq
 
+(* [compare] rather than [=]: a stored NaN must read back equal to
+   itself. *)
+let differ a b = compare a b <> 0
+
 let run_diff ops =
   let rec go mn mo = function
     | [] -> true
     | op :: rest ->
       let mn', rn = step_new mn op in
       let mo', ro = step_old mo op in
-      if rn <> ro then
+      if differ rn ro then
         QCheck.Test.fail_reportf "outcome mismatch on %s" (pp_op op)
-      else if observe_new mn' <> observe_old mo' then
+      else if differ (observe_new mn') (observe_old mo') then
         QCheck.Test.fail_reportf "state mismatch after %s" (pp_op op)
       else go mn' mo' rest
   in
@@ -237,24 +296,6 @@ let diff_carve =
 (* Copy-on-observe ownership                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Stores of every shape the read and write paths special-case (bytes,
-   halves, words, longs, pointers, [Many64] spills) and of the generic
-   ones (floats, NaN included, [Many32], [Vundef]). *)
-let gen_any_chunk =
-  QCheck.Gen.oneofl
-    [ Mint8signed; Mint8unsigned; Mint16signed; Mint16unsigned; Mint32;
-      Mint64; Mfloat32; Mfloat64; Many32; Many64 ]
-
-let gen_value =
-  let open QCheck.Gen in
-  frequency
-    [
-      (3, map (fun n -> Vint (Int32.of_int n)) (int_range (-300) 70_000));
-      (2, map (fun n -> Vlong (Int64.of_int n)) int);
-      (2, map2 (fun b o -> Vptr (b, o)) gen_block (int_range 0 32));
-      (1, oneofl [ Vundef; Vfloat 1.5; Vfloat Float.nan; Vsingle 2.5 ]);
-    ]
-
 (* A run of operations on an owned memory, with observation points where
    the run hands out its frozen memory and goes on either on a fresh
    [thaw] of it (what the Asm semantics does) or on the very memory it
@@ -265,15 +306,7 @@ let gen_run_op =
   let open QCheck.Gen in
   frequency
     [
-      (6, map (fun op -> Op op) gen_op);
-      ( 4,
-        map3
-          (fun chunk (b, ofs) v -> Op (OStore (chunk, b, ofs, v)))
-          gen_any_chunk (pair gen_block gen_ofs) gen_value );
-      ( 2,
-        map3
-          (fun chunk b ofs -> Op (OLoad (chunk, b, ofs)))
-          gen_any_chunk gen_block gen_ofs );
+      (12, map (fun op -> Op op) gen_op);
       (2, map (fun rethaw -> Observe { rethaw }) bool);
     ]
 
@@ -285,10 +318,6 @@ let arb_run =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map pp_run_op ops))
     QCheck.Gen.(list_size (int_range 1 60) gen_run_op)
-
-(* [compare] rather than [=]: a stored NaN must read back equal to
-   itself. *)
-let differ a b = compare a b <> 0
 
 let run_owned ops =
   let rec go mn mo snaps = function
@@ -320,6 +349,58 @@ let diff_owned =
 (* ------------------------------------------------------------------ *)
 (* Regressions and representation checks                               *)
 (* ------------------------------------------------------------------ *)
+
+(* Minor words allocated by [f ()]. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* A thawed memory that allocated and freed [n] 48-byte frames, then
+   allocated one more, and that frame. *)
+let after_retiring n =
+  let rec go m n =
+    let m, b = Mem.alloc m 0 48 in
+    if n = 0 then (m, b) else go (Option.get (Mem.free m b 0 48)) (n - 1)
+  in
+  go (Mem.thaw Mem.empty) n
+
+let free_words n =
+  let m, b = after_retiring n in
+  minor_words (fun () -> Mem.free m b 0 48)
+
+(* Every value stored as a word run into a frame at offset 8, then
+   partly or wholly overwritten (or not), then read back in every shape:
+   loads of each chunk inside the run, its bytes, and a byte-wise copy to
+   offset 24 loaded whole. *)
+let word_run_cases =
+  let values =
+    [ Vptr (1, 4); Vint 7l; Vlong 9L; Vfloat 1.5; Vfloat Float.nan; Vsingle 2.5;
+      Vundef ]
+  in
+  let overwrites =
+    [ []; [ OStore (Mint8unsigned, 1, 11, Vint 1l) ];
+      [ OStore (Mint16unsigned, 1, 8, Vint 1l) ];
+      [ OStore (Mint32, 1, 12, Vint 1l) ]; [ OStorebytes (1, 14, [ 1; 2; 3 ]) ];
+      [ OStore (Mint64, 1, 8, Vlong 5L) ] ]
+  in
+  let reads =
+    List.concat_map
+      (fun chunk -> List.map (fun ofs -> OLoad (chunk, 1, ofs)) [ 8; 12; 14 ])
+      [ Mint8unsigned; Mint16signed; Mint32; Mint64; Mfloat32; Mfloat64; Many32;
+        Many64 ]
+    @ [ OLoadbytes (1, 8, 8); OCopy (1, 8, 1, 24, 8); OLoad (Mint64, 1, 24);
+        OLoad (Many64, 1, 24) ]
+  in
+  List.concat_map
+    (fun chunk ->
+      List.concat_map
+        (fun v ->
+          List.map
+            (fun w -> (OAlloc (0, 32) :: OStore (chunk, 1, 8, v) :: w) @ reads)
+            overwrites)
+        values)
+    [ Many64; Mint64 ]
 
 let unit_tests =
   [
@@ -374,6 +455,49 @@ let unit_tests =
           (Mem.load Mint32 frozen b 0 = Some (Vint 2l));
         check "one chunk copied, one store in place" true
           (Mem.write_stats frozen = (1, 1)));
+    Alcotest.test_case "freeing a frame costs no more after 4096 retired frames"
+      `Quick (fun () ->
+        let one = free_words 1 and many = free_words 4096 in
+        if many > one then
+          Alcotest.failf "free after 4096 retired frames: %.0f words, after one: %.0f"
+            many one);
+    Alcotest.test_case "a pointer or Many64 store into an owned chunk is one cell"
+      `Quick (fun () ->
+        let m, b = Mem.alloc (Mem.thaw Mem.empty) 0 64 in
+        let m = Option.get (Mem.store Mint64 m b 0 (Vlong 0L)) in
+        let p = Vptr (b, 16) in
+        List.iter
+          (fun (chunk, ofs) ->
+            let w = minor_words (fun () -> Mem.store chunk m b ofs p) in
+            if w >= 16. then
+              Alcotest.failf "%a store of a pointer: %.0f words" pp_chunk chunk w)
+          [ (Many64, 8); (Mint64, 0) ]);
+    Alcotest.test_case "word runs read back like the oracle's fragments" `Quick
+      (fun () -> check "agree" true (List.for_all run_diff word_run_cases));
+    Alcotest.test_case "a word run equals its eight fragments" `Quick (fun () ->
+        let m0, b = Mem.alloc Mem.empty 0 16 in
+        List.iter
+          (fun v ->
+            let run = Option.get (Mem.store Many64 m0 b 8 v) in
+            let frags = Option.get (Mem.storebytes m0 b 8 (inj_value Q64 v)) in
+            check "equal" true (Mem.equal run frags);
+            check "same loadbytes" true
+              (Mem.loadbytes run b 8 8 = Mem.loadbytes frags b 8 8);
+            check "same load" true
+              (Mem.load Many64 run b 8 = Mem.load Many64 frags b 8))
+          [ Vptr (b, 4); Vint 7l; Vlong 9L ]);
+    Alcotest.test_case "a freed frame keeps its spill" `Quick (fun () ->
+        let m0, sp = Mem.alloc Mem.empty 0 32 in
+        let spill x =
+          let m = Option.get (Mem.store Many64 m0 sp 8 (Vint x)) in
+          Option.get (Mem.free m sp 0 32)
+        in
+        let m1 = spill 1l and m2 = spill 2l in
+        check "still a valid block" true (Mem.valid_block m1 sp);
+        check "unequal" false (Mem.equal m1 m2);
+        check "contents_at reads the spill" true
+          (Mem.contents_at m1 sp 8 = Fragment (Vint 1l, Q64, 7)
+          && Mem.contents_at m1 sp 15 = Fragment (Vint 1l, Q64, 0)));
   ]
 
 let suite =
