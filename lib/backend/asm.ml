@@ -57,7 +57,11 @@ let find_label (lbl : label) (code : instruction array) : int option =
 
 (** {1 Semantics} *)
 
-type state = { rs : Pregfile.t; m : Mem.t }
+(** An Asm state: the register file and the memory. [m] is mutable for
+    the threaded dispatcher only, whose instructions replace the memory
+    of the fresh record each superstep runs on (see {!exec}); the [m]
+    of a state handed to the LTS is never written again. *)
+type state = { rs : Pregfile.t; mutable m : Mem.t }
 
 type genv = (coq_function, unit) Genv.t
 
@@ -170,27 +174,40 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
     in the global environment, re-scans for labels and re-allocates the
     successor PC value on {e every} step. The fast path decodes each
     function once into an array of closures (superinstructions): operand
-    register indices, label targets, symbol addresses and successor PC
-    values are all resolved at decode time, so executing an instruction
-    is one array index plus one closure call. Decoded functions are
-    memoized in a per-[semantics] decode cache keyed by function block
-    (the shape the second-backend roadmap item needs: one cache per
-    backend signature); the global hit/miss counters feed the
-    [asm.decode_cache.*] bench gauges.
+    register indices, label targets, symbol addresses and the function's
+    PC values are all resolved at decode time, so executing an
+    instruction is one array index plus one one-argument closure call.
+    Decoded functions are memoized in a per-[semantics] decode cache
+    keyed by function block (the shape the second-backend roadmap item
+    needs: one cache per backend signature); the global hit/miss
+    counters feed the [asm.decode_cache.*] bench gauges.
+
+    Inside a superstep the PC is an int {e position}, not a register
+    write: a closure returns the position of its successor in the same
+    function — [pos + 1] on fallthrough, a jump or branch target
+    resolved at decode time, or the target of a call, tail call or
+    return that stays in this function's code — or {!left} when control
+    leaves the function (the closure wrote the PC itself), or {!stuck}
+    having written nothing. The superstep loop writes the PC register
+    once, when the superstep ends, from the function's table of
+    precomputed [Vptr (fb, p)] values.
 
     The threaded core executes over a {e flat mutable register file}
     and a memory the run owns ({!Mem.thaw}): a closure writes the run's
-    single register array in place and returns the successor memory —
-    the same memory when it only stored into chunks the run already
-    owns — so neither a register-to-register step nor such a store
-    builds a new state. Two invariants make this safe under the LTS
-    discipline:
+    single register array in place, and a store or frame operation
+    replaces the superstep's memory only when the memory model returns
+    a different one — it returns the same memory when it only stored
+    into chunks the run already owns — so neither a register-to-register
+    step nor such a store builds a new state. Two invariants make this
+    safe under the LTS discipline:
 
     - {e no write before fallibility is resolved}: a closure performs no
       register or memory write until every way it can get stuck has
-      been ruled out, so a stuck step leaves the state bit-identical and
-      the run loop's subsequent [at_external]/[final] probes see the
-      pre-step state;
+      been ruled out, so a stuck instruction leaves the state
+      bit-identical and the PC the loop writes at exit is that
+      instruction's own: the run loop's [at_external]/[final] probes
+      see the pre-instruction state, and the next [step] fails on it
+      again;
     - {e copy-on-observe}: the LTS hands out {!Pregfile.copy} snapshots
       and {!Mem.freeze}d memories at every observation point ([init],
       [at_external], [after_external], [final]) and never leaks the live
@@ -198,21 +215,41 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
       operators ([⊕], layering) and the co-execution harness can retain
       boundary payloads without seeing later mutations. *)
 
-(** A decoded instruction: mutates the register file in place and
-    returns the successor memory, or {!stuck_mem} having written
-    nothing. *)
-type exec = Pregfile.t -> Mem.t -> Mem.t
+(** A decoded instruction: mutates the superstep's register file in
+    place, replaces its memory when that changes, and returns the
+    position of its successor in the same function, {!left} or
+    {!stuck}. *)
+type exec = state -> int
 
-(* The result of a stuck [exec]: a memory no run ever holds, compared
-   physically, so a successful instruction returns its successor memory
-   without wrapping it in an option. *)
-let stuck_mem : Mem.t = Mem.freeze (Mem.thaw Mem.empty)
+(** The instruction wrote the PC: control left the function's code. *)
+let left = -1
 
-type decoded = exec array
+(** The instruction cannot execute, and wrote nothing. *)
+let stuck = -2
+
+(* A decoded function: a closure per instruction, and the PC value of
+   every position, [pcs.(p) = Vptr (fb, p)] for [0 <= p <= len], the
+   end of the code included. *)
+type decoded = { code : exec array; pcs : value array }
 
 let ipc = preg_index PC
 let isp = preg_index SP
 let ira = preg_index RA
+
+(* Install the successor memory of a store or frame operation. A store
+   into a chunk the run owns returns the same memory, and then nothing
+   is written. *)
+let set_mem st m' = if m' != st.m then st.m <- m'
+
+(* A control transfer to the code value [v] from function [fb] of
+   [len] instructions: its position when [v] is code of [fb], else
+   the PC is written and the run leaves. *)
+let transfer fb len (rs : Pregfile.t) v =
+  match v with
+  | Vptr (b, p) when b = fb && p >= 0 && p < len -> p
+  | _ ->
+    rs.(ipc) <- v;
+    left
 
 (* Operand fetch specialized on arity, so the common 0–3 argument cases
    build their value list without an intermediate index list. *)
@@ -225,293 +262,292 @@ let fetch_args (args : preg list) : Pregfile.t -> value list =
   | idx -> fun rs -> List.map (fun i -> rs.(i)) idx
 
 let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
-    (fb : block) (pos : int) (i : instruction) : exec =
-  let pc_next = Vptr (fb, pos + 1) in
-  let stuck : exec = fun _ _ -> stuck_mem in
+    (fb : block) (pcs : value array) (pos : int) (i : instruction) : exec =
+  let next = pos + 1 in
+  let len = Array.length f.fn_code in
   match i with
   | Pallocframe (sz, ofs_link, ofs_ra) ->
-    fun rs m -> (
-      match Mem.alloc_frame m sz ofs_link rs.(isp) ofs_ra rs.(ira) with
+    fun st -> (
+      let rs = st.rs in
+      match Mem.alloc_frame st.m sz ofs_link rs.(isp) ofs_ra rs.(ira) with
       | Some (m', b) ->
         rs.(isp) <- Vptr (b, 0);
-        rs.(ipc) <- pc_next;
-        m'
-      | None -> stuck_mem)
+        set_mem st m';
+        next
+      | None -> stuck)
   | Pfreeframe (sz, ofs_link, ofs_ra) ->
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match rs.(isp) with
       | Vptr (b, 0) -> (
+        let m = st.m in
         match (Mem.load Mint64 m b ofs_link, Mem.load Mint64 m b ofs_ra) with
         | Some link, Some ra -> (
           match Mem.free m b 0 sz with
           | Some m' ->
             rs.(isp) <- link;
             rs.(ira) <- ra;
-            rs.(ipc) <- pc_next;
-            m'
-          | None -> stuck_mem)
-        | _ -> stuck_mem)
-      | _ -> stuck_mem)
+            set_mem st m';
+            next
+          | None -> stuck)
+        | _ -> stuck)
+      | _ -> stuck)
   (* Superinstructions: the operand shapes the register allocator emits
      most (moves, constants, two-operand integer arithmetic, reg/stack
-     addressing) get dedicated closures that skip the operand list and
-     the [eval_operation]/[eval_addressing] dispatch. Each one computes
-     exactly what the generic arm below computes for the same shape —
-     the lockstep suite checks this against the naive interpreter. *)
+     addressing, integer compare-and-branch) get dedicated closures that
+     skip the operand list and the [eval_operation]/[eval_addressing]/
+     [eval_condition] dispatch. Each one computes exactly what the
+     generic arm below computes for the same shape — the lockstep suite
+     checks this against the naive interpreter. *)
   | Pop (Op.Omove, [ a ], res) ->
     let ia = preg_index a and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- rs.(ia);
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (Op.Ointconst n, [], res) ->
     let v = Vint n and ires = preg_index res in
-    fun rs m ->
-      rs.(ires) <- v;
-      rs.(ipc) <- pc_next;
-      m
+    fun st ->
+      st.rs.(ires) <- v;
+      next
   | Pop (Op.Olongconst n, [], res) ->
     let v = Vlong n and ires = preg_index res in
-    fun rs m ->
-      rs.(ires) <- v;
-      rs.(ipc) <- pc_next;
-      m
+    fun st ->
+      st.rs.(ires) <- v;
+      next
   | Pop (Op.Oaddimm n, [ a ], res) ->
     let vn = Vint n and ia = preg_index a and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- Values.add rs.(ia) vn;
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (Op.Oadd, [ a; b ], res) ->
     let ia = preg_index a and ib = preg_index b and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- Values.add rs.(ia) rs.(ib);
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (Op.Osub, [ a; b ], res) ->
     let ia = preg_index a and ib = preg_index b and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- Values.sub rs.(ia) rs.(ib);
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (Op.Omul, [ a; b ], res) ->
     let ia = preg_index a and ib = preg_index b and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- Values.mul rs.(ia) rs.(ib);
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (Op.Olongofint, [ a ], res) ->
     let ia = preg_index a and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- Values.longofint rs.(ia);
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (Op.Oaddlimm n, [ a ], res) ->
     let vn = Vlong n and ia = preg_index a and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- Values.addl rs.(ia) vn;
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (Op.Omullimm n, [ a ], res) ->
     let vn = Vlong n and ia = preg_index a and ires = preg_index res in
-    fun rs m ->
+    fun st ->
+      let rs = st.rs in
       rs.(ires) <- Values.mull rs.(ia) vn;
-      rs.(ipc) <- pc_next;
-      m
+      next
   | Pop (op, args, res) ->
     let fetch = fetch_args args in
     let ires = preg_index res in
-    fun rs m -> (
-      match Op.eval_operation gv rs.(isp) op (fetch rs) m with
+    fun st -> (
+      let rs = st.rs in
+      match Op.eval_operation gv rs.(isp) op (fetch rs) st.m with
       | Some v ->
         rs.(ires) <- v;
-        rs.(ipc) <- pc_next;
-        m
-      | None -> stuck_mem)
+        next
+      | None -> stuck)
   | Pload (chunk, Op.Aindexed ofs, [ a ], dst) ->
     let ia = preg_index a and idst = preg_index dst in
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match rs.(ia) with
       | Vptr (b, o) -> (
-        match Mem.load chunk m b (o + ofs) with
+        match Mem.load chunk st.m b (o + ofs) with
         | Some v ->
           rs.(idst) <- v;
-          rs.(ipc) <- pc_next;
-          m
-        | None -> stuck_mem)
-      | _ -> stuck_mem)
+          next
+        | None -> stuck)
+      | _ -> stuck)
   | Pload (chunk, Op.Ainstack ofs, [], dst) ->
     let idst = preg_index dst in
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match rs.(isp) with
       | Vptr (b, base) -> (
-        match Mem.load chunk m b (base + ofs) with
+        match Mem.load chunk st.m b (base + ofs) with
         | Some v ->
           rs.(idst) <- v;
-          rs.(ipc) <- pc_next;
-          m
-        | None -> stuck_mem)
-      | _ -> stuck_mem)
+          next
+        | None -> stuck)
+      | _ -> stuck)
   | Pload (chunk, Op.Aindexed2 ofs, [ a; b ], dst) ->
     (* Matches the generic arm exactly: [eval_addressing] on [Aindexed2]
        is [addl (addl v1 v2) ofs] and never gets stuck on two args. *)
     let ia = preg_index a and ib = preg_index b and idst = preg_index dst in
     let vofs = Vlong (Int64.of_int ofs) in
-    fun rs m -> (
-      match Mem.loadv chunk m (Values.addl (Values.addl rs.(ia) rs.(ib)) vofs) with
+    fun st -> (
+      let rs = st.rs in
+      match Mem.loadv chunk st.m (Values.addl (Values.addl rs.(ia) rs.(ib)) vofs) with
       | Some v ->
         rs.(idst) <- v;
-        rs.(ipc) <- pc_next;
-        m
-      | None -> stuck_mem)
+        next
+      | None -> stuck)
   | Pload (chunk, addr, args, dst) ->
     let fetch = fetch_args args in
     let idst = preg_index dst in
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match Op.eval_addressing gv rs.(isp) addr (fetch rs) with
       | Some va -> (
-        match Mem.loadv chunk m va with
+        match Mem.loadv chunk st.m va with
         | Some v ->
           rs.(idst) <- v;
-          rs.(ipc) <- pc_next;
-          m
-        | None -> stuck_mem)
-      | None -> stuck_mem)
+          next
+        | None -> stuck)
+      | None -> stuck)
   | Pstore (chunk, Op.Aindexed ofs, [ a ], src) ->
     let ia = preg_index a and isrc = preg_index src in
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match rs.(ia) with
       | Vptr (b, o) -> (
-        match Mem.store chunk m b (o + ofs) rs.(isrc) with
+        match Mem.store chunk st.m b (o + ofs) rs.(isrc) with
         | Some m' ->
-          rs.(ipc) <- pc_next;
-          m'
-        | None -> stuck_mem)
-      | _ -> stuck_mem)
+          set_mem st m';
+          next
+        | None -> stuck)
+      | _ -> stuck)
   | Pstore (chunk, Op.Ainstack ofs, [], src) ->
     let isrc = preg_index src in
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match rs.(isp) with
       | Vptr (b, base) -> (
-        match Mem.store chunk m b (base + ofs) rs.(isrc) with
+        match Mem.store chunk st.m b (base + ofs) rs.(isrc) with
         | Some m' ->
-          rs.(ipc) <- pc_next;
-          m'
-        | None -> stuck_mem)
-      | _ -> stuck_mem)
+          set_mem st m';
+          next
+        | None -> stuck)
+      | _ -> stuck)
   | Pstore (chunk, Op.Aindexed2 ofs, [ a; b ], src) ->
     let ia = preg_index a and ib = preg_index b and isrc = preg_index src in
     let vofs = Vlong (Int64.of_int ofs) in
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match
-        Mem.storev chunk m (Values.addl (Values.addl rs.(ia) rs.(ib)) vofs)
+        Mem.storev chunk st.m (Values.addl (Values.addl rs.(ia) rs.(ib)) vofs)
           rs.(isrc)
       with
       | Some m' ->
-        rs.(ipc) <- pc_next;
-        m'
-      | None -> stuck_mem)
+        set_mem st m';
+        next
+      | None -> stuck)
   | Pstore (chunk, addr, args, src) ->
     let fetch = fetch_args args in
     let isrc = preg_index src in
-    fun rs m -> (
+    fun st -> (
+      let rs = st.rs in
       match Op.eval_addressing gv rs.(isp) addr (fetch rs) with
       | Some va -> (
-        match Mem.storev chunk m va rs.(isrc) with
+        match Mem.storev chunk st.m va rs.(isrc) with
         | Some m' ->
-          rs.(ipc) <- pc_next;
-          m'
-        | None -> stuck_mem)
-      | None -> stuck_mem)
-  | Plabel _ ->
-    fun rs m ->
-      rs.(ipc) <- pc_next;
-      m
+          set_mem st m';
+          next
+        | None -> stuck)
+      | None -> stuck)
+  | Plabel _ -> fun _ -> next
   | Pjmp lbl -> (
     match find_label lbl f.fn_code with
-    | Some pos' ->
-      let target = Vptr (fb, pos') in
-      fun rs m ->
-        rs.(ipc) <- target;
-        m
-    | None -> stuck)
-  | Pjcc (cond, args, lbl) ->
+    | Some target -> fun _ -> target
+    | None -> fun _ -> stuck)
+  | Pjcc (cond, args, lbl) -> (
     (* The label resolves at decode time, but a missing label only
        sticks the taken branch — the fall-through must still work,
-       exactly as in [exec_instr]. *)
-    let eval_cond =
-      match (cond, args) with
-      | Op.Ccompimm (c, n), [ a ] ->
-        let vn = Vint n and ia = preg_index a in
-        fun rs _m -> Values.cmp_bool c rs.(ia) vn
-      | Op.Ccomp c, [ a; b ] ->
-        let ia = preg_index a and ib = preg_index b in
-        fun rs _m -> Values.cmp_bool c rs.(ia) rs.(ib)
-      | _ ->
-        let fetch = fetch_args args in
-        fun rs m -> Op.eval_condition cond (fetch rs) m
-    in
-    let target =
-      match find_label lbl f.fn_code with
-      | Some pos' -> Some (Vptr (fb, pos'))
-      | None -> None
-    in
-    fun rs m -> (
-      match eval_cond rs m with
-      | Some true -> (
-        match target with
-        | Some t ->
-          rs.(ipc) <- t;
-          m
-        | None -> stuck_mem)
-      | Some false ->
-        rs.(ipc) <- pc_next;
-        m
-      | None -> stuck_mem)
+       exactly as in [exec_instr]. The integer compares the code
+       generator emits test their operands in place instead of building
+       [Values.cmp_bool]'s option; a non-integer operand sticks, as
+       there. *)
+    let taken = match find_label lbl f.fn_code with Some p -> p | None -> stuck in
+    match (cond, args) with
+    | Op.Ccomp c, [ a; b ] ->
+      let ia = preg_index a and ib = preg_index b in
+      fun st -> (
+        match (st.rs.(ia), st.rs.(ib)) with
+        | Vint x, Vint y ->
+          if cmp_bool_of_int c (Int32.compare x y) then taken else next
+        | _ -> stuck)
+    | Op.Ccompimm (c, n), [ a ] ->
+      let ia = preg_index a in
+      fun st -> (
+        match st.rs.(ia) with
+        | Vint x -> if cmp_bool_of_int c (Int32.compare x n) then taken else next
+        | _ -> stuck)
+    | _ ->
+      let fetch = fetch_args args in
+      fun st -> (
+        match Op.eval_condition cond (fetch st.rs) st.m with
+        | Some true -> taken
+        | Some false -> next
+        | None -> stuck))
   | Pcall ros -> (
+    let ret = pcs.(next) in
     match ros with
     | Rsymbol id -> (
       match Genv.find_symbol ge id with
+      | Some b when b = fb ->
+        fun st ->
+          st.rs.(ira) <- ret;
+          0
       | Some b ->
         let vf = Vptr (b, 0) in
-        fun rs m ->
-          rs.(ira) <- pc_next;
+        fun st ->
+          let rs = st.rs in
+          rs.(ira) <- ret;
           rs.(ipc) <- vf;
-          m
-      | None -> stuck)
+          left
+      | None -> fun _ -> stuck)
     | Rreg r ->
       let ir = preg_index r in
       (* Read the callee address before overwriting RA: with an in-place
          register file, [Pcall RA] must call the OLD return address
          (matching [exec_instr], which resolves [ros] first). *)
-      fun rs m ->
+      fun st ->
+        let rs = st.rs in
         let vf = rs.(ir) in
-        rs.(ira) <- pc_next;
-        rs.(ipc) <- vf;
-        m)
+        rs.(ira) <- ret;
+        transfer fb len rs vf)
   | Pjmp_tail ros -> (
     match ros with
     | Rsymbol id -> (
       match Genv.find_symbol ge id with
+      | Some b when b = fb -> fun _ -> 0
       | Some b ->
         let vf = Vptr (b, 0) in
-        fun rs m ->
-          rs.(ipc) <- vf;
-          m
-      | None -> stuck)
+        fun st ->
+          st.rs.(ipc) <- vf;
+          left
+      | None -> fun _ -> stuck)
     | Rreg r ->
       let ir = preg_index r in
-      fun rs m ->
-        rs.(ipc) <- rs.(ir);
-        m)
-  | Pret ->
-    fun rs m ->
-      rs.(ipc) <- rs.(ira);
-      m
+      fun st -> transfer fb len st.rs st.rs.(ir))
+  | Pret -> fun st -> transfer fb len st.rs st.rs.(ira)
 
 let decode_function (ge : genv) (fb : block) (f : coq_function) : decoded =
   let gv = genv_view ge in
-  Array.mapi (fun pos i -> decode_instr gv ge f fb pos i) f.fn_code
+  let pcs = Array.init (Array.length f.fn_code + 1) (fun p -> Vptr (fb, p)) in
+  { code = Array.mapi (fun pos i -> decode_instr gv ge f fb pcs pos i) f.fn_code;
+    pcs }
 
 (* Global decode-cache counters: every consultation (including the
    same-block fast path) counts as a lookup; a miss decodes. The bench
@@ -572,6 +608,32 @@ let pc_eq (a : value) (b : value) : bool =
   | Vsingle x, Vsingle y -> x = y
   | _ -> false
 
+(* A superstep runs at most this many instructions, so fuel still
+   bounds the loops inside one function. *)
+let fuse_budget = 64
+
+(* [superstep d st ra budget pos] executes the instruction at [pos] (a
+   position of [d]'s code other than the return position [ra]) and its
+   successors while they stay in [d]'s code, differ from [ra] and the
+   budget lasts, then writes the PC once. A stuck instruction after the
+   first ends the superstep with the PC at it; when the first one is
+   stuck, nothing is written and the result is [false]. *)
+let rec superstep d st ra budget pos =
+  let next = d.code.(pos) st in
+  if next >= 0 then
+    if next < Array.length d.code && next <> ra && budget > 1 then
+      superstep d st ra (budget - 1) next
+    else begin
+      st.rs.(ipc) <- d.pcs.(next);
+      true
+    end
+  else if next = left then true
+  else if budget = fuse_budget then false
+  else begin
+    st.rs.(ipc) <- d.pcs.(pos);
+    true
+  end
+
 let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     (full_state, a_query, a_reply, a_query, a_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
@@ -592,55 +654,47 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
         | _ -> false)
     | _ -> false
   in
-  (* The run owns its register array and its memory exclusively between
-     observation points, so a step that only writes registers or owned
-     chunks reuses both state records; the singleton transition list is
-     the only allocation.
-
-     One LTS step executes a bounded {e run} of instructions, not just
-     one: after each decoded closure the dispatcher keeps going while
-     the PC stays inside the same function's code and differs from the
-     activation return address. Such intermediate states are provably
-     silent non-interaction states — [final] needs the PC to equal
+  (* One LTS step executes a bounded {e superstep} of instructions, not
+     just one: {!superstep} keeps going while the successor position
+     stays inside the same function's code and differs from the
+     position of the activation return address, computed once per
+     superstep. Such intermediate states are provably silent
+     non-interaction states — [final] needs the PC to equal
      [asm_init_ra] (excluded explicitly) and [at_external] needs a
      control transfer to the base of a {e non-internal} block (the
      current block is internal by construction) — and every internal
      step emits the empty trace, so fusing them under one transition
      preserves the observable behavior while paying the run loop's
-     probe-and-allocate overhead once per run instead of once per
-     instruction. A stuck instruction mid-run ends the fused step with
-     the progress made; the decode invariant (no register write before
-     fallibility is resolved) means re-executing it on the next [step]
-     fails identically, reporting the same stuck state one transition
-     later. The budget bounds a fused step so fuel still bounds
-     in-function loops. *)
-  let fuse_budget = 64 in
+     probe-and-allocate overhead once per superstep instead of once per
+     instruction. No PC inside a superstep is observable, so the PC
+     register is written once, at its end: the position it stopped at,
+     or whatever the instruction that left the function wrote.
+
+     A stuck instruction mid-superstep ends it with the PC at that
+     instruction; the decode invariant (no write before fallibility is
+     resolved) means re-executing it on the next [step] fails
+     identically, reporting the same stuck state one transition later.
+
+     The run owns its register array and its memory exclusively between
+     observation points: each superstep gets a fresh [{ rs; m }]
+     record, and a superstep that only writes registers or owned chunks
+     hands back the old state. *)
   let step_full =
     if threaded then fun s ->
-      match s.asm_st.rs.(ipc) with
+      let rs = s.asm_st.rs in
+      match rs.(ipc) with
       | Vptr (fb, pos) -> (
         match decoded_at ge dc fb with
-        | Some code when pos >= 0 && pos < Array.length code -> (
-          let m0 = code.(pos) s.asm_st.rs s.asm_st.m in
-          if m0 == stuck_mem then []
-          else
-            let rs = s.asm_st.rs in
-            let len = Array.length code in
-            let rec fuse budget m =
-              if budget = 0 then m
-              else
-                match rs.(ipc) with
-                | Vptr (fb', pos')
-                  when fb' = fb && pos' >= 0 && pos' < len
-                       && not (pc_eq rs.(ipc) s.asm_init_ra) ->
-                  let m' = code.(pos') rs m in
-                  if m' == stuck_mem then m else fuse (budget - 1) m'
-                | _ -> m
-            in
-            let m' = fuse (fuse_budget - 1) m0 in
-            [ ( Core.Events.e0,
-                if m' == s.asm_st.m then s
-                else { s with asm_st = { rs; m = m' } } ) ])
+        | Some d when pos >= 0 && pos < Array.length d.code ->
+          let m = s.asm_st.m in
+          let st = { rs; m } in
+          (* -1, no position, when the return address is not code of [fb]. *)
+          let ra =
+            match s.asm_init_ra with Vptr (b, p) when b = fb -> p | _ -> -1
+          in
+          if superstep d st ra fuse_budget pos then
+            [ (Core.Events.e0, if st.m == m then s else { s with asm_st = st }) ]
+          else []
         | _ -> [])
       | _ -> []
     else fun s ->

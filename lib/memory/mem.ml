@@ -559,7 +559,9 @@ let read_val chunk a i : value option =
     | _ -> read_generic chunk a i)
   | Mfloat32 | Mfloat64 | Many32 -> read_generic chunk a i
 
-let aligned chunk ofs = ofs mod align_chunk chunk = 0
+(* Alignments are powers of two, so a mask tests them without a
+   division, negative offsets included. *)
+let aligned chunk ofs = ofs land (align_chunk chunk - 1) = 0
 
 let loadbytes m b ofs n =
   if n < 0 then None

@@ -45,28 +45,59 @@ let separate_compilation name ~entry ~args ~expect units =
         | o ->
           Alcotest.failf "%s: target %a" name Driver.Runners.pp_c_outcome o))
 
+(* Both units compiled to Asm, their shared symbols, and the query
+   calling [entry] of the linked program. *)
+let asm_pair ~entry ~args (src1, src2) =
+  let p1 = parse src1 and p2 = parse src2 in
+  let a1 = Errors.get (Driver.Compiler.compile_c_to_asm src1) in
+  let a2 = Errors.get (Driver.Compiler.compile_c_to_asm src2) in
+  let symbols =
+    Driver.Linking.shared_symbols
+      [ Ast.prog_defs_names p1; Ast.prog_defs_names p2 ]
+  in
+  match query_for [ p1; p2 ] entry args symbols with
+  | None -> Alcotest.fail "no query"
+  | Some q -> (a1, a2, symbols, q)
+
 (* Theorem 3.5 on a pair of units. *)
-let asm_linking name ~entry ~args ~expect (src1, src2) =
+let asm_linking name ~entry ~args ~expect units =
   Alcotest.test_case name `Quick (fun () ->
-      let p1 = parse src1 and p2 = parse src2 in
-      let a1 = Errors.get (Driver.Compiler.compile_c_to_asm src1) in
-      let a2 = Errors.get (Driver.Compiler.compile_c_to_asm src2) in
-      let symbols =
-        Driver.Linking.shared_symbols
-          [ Ast.prog_defs_names p1; Ast.prog_defs_names p2 ]
+      let a1, a2, _, q = asm_pair ~entry ~args units in
+      match Driver.Linking.asm_link_experiment ~fuel a1 a2 q with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok e ->
+        check (name ^ ": (+) = linked") true e.Driver.Linking.exp_agree;
+        (match e.Driver.Linking.exp_linked with
+        | Core.Smallstep.Final (_, { cr_res = Vint n; _ }) ->
+          Alcotest.(check int32) name expect n
+        | o -> Alcotest.failf "%s: %a" name Driver.Runners.pp_c_outcome o))
+
+(* Theorem 3.5's composition run twice, on the threaded and on the
+   naive Asm dispatcher: the whole replies, register file and memory,
+   agree. *)
+let hcomp_threaded_naive name ~entry ~args units =
+  Alcotest.test_case name `Quick (fun () ->
+      let a1, a2, symbols, q = asm_pair ~entry ~args units in
+      let aq =
+        match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
+        | Some (_, aq) -> aq
+        | None -> Alcotest.fail "CA cannot marshal the query"
       in
-      match query_for [ p1; p2 ] entry args symbols with
-      | None -> Alcotest.fail "no query"
-      | Some q -> (
-        match Driver.Linking.asm_link_experiment ~fuel a1 a2 q with
-        | Error e -> Alcotest.failf "%s: %s" name e
-        | Ok e ->
-          check (name ^ ": (+) = linked") true e.Driver.Linking.exp_agree;
-          (match e.Driver.Linking.exp_linked with
-          | Core.Smallstep.Final (_, { cr_res = Vint n; _ }) ->
-            Alcotest.(check int32) name expect n
-          | o ->
-            Alcotest.failf "%s: %a" name Driver.Runners.pp_c_outcome o)))
+      let reply sem =
+        match
+          Core.Smallstep.run ~fuel
+            (Core.Hcomp.compose (sem ~symbols a1) (sem ~symbols a2))
+            ~oracle:(fun _ -> None) aq
+        with
+        | Core.Smallstep.Final (_, r) -> r
+        | _ -> Alcotest.failf "%s: (+) run did not finish" name
+      in
+      let t = reply Backend.Asm.semantics
+      and n = reply Backend.Asm.semantics_naive in
+      check (name ^ ": register files agree") true
+        (Pregfile.equal t.ar_rs n.ar_rs);
+      check (name ^ ": memories agree") true
+        (Memory.Mem.equal t.ar_mem n.ar_mem))
 
 (* Figure 1 of the paper. *)
 let fig1_a = "int mult(int n, int p) { return n * p; }"
@@ -181,4 +212,15 @@ let link_unit_tests =
         | Error e -> Alcotest.fail e);
   ]
 
-let suite = ("linking", tests @ [ thm34_property ] @ link_unit_tests)
+(* Thm 3.5's pairs as [Asm ⊕ Asm], threaded against naive. *)
+let hcomp_tests =
+  [
+    hcomp_threaded_naive "threaded and naive (+): mutual recursion"
+      ~entry:"odd" ~args:[ 7 ] (mutual_a, mutual_b);
+    hcomp_threaded_naive
+      "threaded and naive (+): cross-unit tail calls from an internal call"
+      ~entry:"sum" ~args:[ 10 ] (tail_a, mutual_b);
+  ]
+
+let suite =
+  ("linking", tests @ [ thm34_property ] @ link_unit_tests @ hcomp_tests)

@@ -13,7 +13,10 @@
       live array a later step mutates — the caller's query register
       file, the globally shared [Pregfile.init], and an oracle's view
       of an external call must all stay bit-identical across the rest
-      of the run. *)
+      of the run;
+    - stuck states: a threaded Asm run that goes wrong in the middle of
+      a superstep stops with the PC, register file and memory the naive
+      reference stops with, and has no further step. *)
 
 open Support
 open Memory.Values
@@ -105,6 +108,11 @@ let compile_for src =
   let arts = Errors.get (Driver.Compiler.compile p) in
   let q = Option.get (Driver.Runners.main_query ~symbols ~defs:p ()) in
   (symbols, arts, q)
+
+let a_query q =
+  match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
+  | Some (_, aq) -> aq
+  | None -> Alcotest.fail "CA cannot marshal the query"
 
 let unit_tests =
   [
@@ -219,18 +227,22 @@ let unit_tests =
             let symbols, arts, q =
               compile_for (read_file (Filename.concat "../examples/c" file))
             in
+            let aq = a_query q in
             let reply sem =
               match
-                Driver.Runners.run_a_level
+                Core.Smallstep.run ~fuel
                   (sem ~symbols arts.Driver.Compiler.asm)
-                  ~fuel q
+                  ~oracle:(fun _ -> None) aq
               with
-              | Ok (Core.Smallstep.Final (_, r)) -> r.Iface.Li.cr_mem
+              | Core.Smallstep.Final (_, r) -> r
               | _ -> Alcotest.failf "%s: Asm run did not finish" file
             in
+            let t = reply Backend.Asm.semantics
+            and n = reply Backend.Asm.semantics_naive in
+            check (file ^ ": reply register files agree") true
+              (Iface.Li.Pregfile.equal t.Iface.Li.ar_rs n.Iface.Li.ar_rs);
             check (file ^ ": reply memories agree") true
-              (Memory.Mem.equal (reply Backend.Asm.semantics)
-                 (reply Backend.Asm.semantics_naive)))
+              (Memory.Mem.equal t.Iface.Li.ar_mem n.Iface.Li.ar_mem))
           (example_files ()));
     Alcotest.test_case
       "owned memory: stores write in place, the query's memory stays intact"
@@ -241,12 +253,7 @@ let unit_tests =
            64; i++) a[i] = a[i] + i; return a[63]; }"
         in
         let symbols, arts, q = compile_for src in
-        let marshal () =
-          match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
-          | Some (_, aq) -> aq
-          | None -> Alcotest.fail "CA cannot marshal the query"
-        in
-        let aq = marshal () in
+        let aq = a_query q in
         let run sem =
           match
             Core.Smallstep.run ~fuel
@@ -267,7 +274,133 @@ let unit_tests =
         check "both runs leave the same memory" true
           (Memory.Mem.equal threaded naive);
         check "the query's memory is unchanged" true
-          (Memory.Mem.equal aq.Iface.Li.aq_mem (marshal ()).Iface.Li.aq_mem));
+          (Memory.Mem.equal aq.Iface.Li.aq_mem (a_query q).Iface.Li.aq_mem));
   ]
 
-let suite = ("mutstate", qcheck_tests @ unit_tests)
+(* --- Stuck states mid-superstep -------------------------------------- *)
+
+(* Step [l] from [aq] until it has no transition: the state it sticks
+   in, and the number of transitions it took. *)
+let run_until_stuck l aq =
+  let rec go s n =
+    if n > fuel then Alcotest.fail "no stuck state within the fuel"
+    else
+      match l.Core.Smallstep.step s with
+      | [] -> (s, n)
+      | [ (_, s') ] -> go s' (n + 1)
+      | _ -> Alcotest.fail "Asm step is not deterministic"
+  in
+  match l.Core.Smallstep.init aq with
+  | [ s ] -> go s 0
+  | _ -> Alcotest.fail "the query has no single initial state"
+
+let regs (s : Backend.Asm.full_state) = s.Backend.Asm.asm_st.Backend.Asm.rs
+let mem (s : Backend.Asm.full_state) = s.Backend.Asm.asm_st.Backend.Asm.m
+let pc_of s = Iface.Li.Pregfile.get Iface.Li.PC (regs s)
+
+(* The threaded and the naive Asm semantics go wrong in the same state —
+   same PC, register file and memory, neither final nor at an external
+   call — although the threaded one got stuck inside a superstep; and
+   stepping the threaded stuck state again finds no transition and
+   writes nothing. [pc], when given, is where both must stop. *)
+let sticks_alike ?pc ~symbols prog aq =
+  let l = Backend.Asm.semantics ~symbols prog in
+  let ln = Backend.Asm.semantics_naive ~symbols prog in
+  let t, steps_t = run_until_stuck l aq in
+  let n, steps_n = run_until_stuck ln aq in
+  check "the threaded run fused instructions" true (steps_t < steps_n);
+  check "neither run is final" true
+    (Option.is_none (l.Core.Smallstep.final t)
+    && Option.is_none (ln.Core.Smallstep.final n));
+  check "neither run is at an external call" true
+    (Option.is_none (l.Core.Smallstep.at_external t)
+    && Option.is_none (ln.Core.Smallstep.at_external n));
+  check "same PC" true (pc_of t = pc_of n);
+  Option.iter (fun pc -> check "PC at the stuck instruction" true (pc_of t = pc)) pc;
+  check "same register file" true (Iface.Li.Pregfile.equal (regs t) (regs n));
+  check "same memory" true (Memory.Mem.equal (mem t) (mem n));
+  let rs = Iface.Li.Pregfile.copy (regs t) in
+  check "the stuck state has no step" true (l.Core.Smallstep.step t = []);
+  check "stepping it wrote no register" true (Iface.Li.Pregfile.equal (regs t) rs);
+  check "stepping it wrote no memory" true (Memory.Mem.equal (mem t) (mem n))
+
+(* C programs whose [main] goes wrong after straight-line code. *)
+let stuck_c =
+  [
+    ( "division by a zero global",
+      "int z;\nint main(void) { int a = 7; int b = a * z + 3; return 100 / (b \
+       - 3); }" );
+    ( "load through a null global pointer",
+      "int *p;\nint main(void) { int a = 7; return *p + a; }" );
+    ( "store through a null global pointer",
+      "int *p;\nint main(void) { int a = 7; *p = a; return a; }" );
+    ( "out-of-bounds load after a loop",
+      "int a[40];\n\
+       int main(void) { int s = 0; for (int i = 0; i < 100; i++) s = s + a[i] \
+       + i; return s; }" );
+  ]
+
+(* Hand-built Asm for the failure paths C cannot reach: [main] as its
+   only function, and the PC it must stop at, given [main]'s block. *)
+let stuck_asm =
+  let open Backend.Asm in
+  let ax = Iface.Li.Mreg Target.Machregs.AX
+  and bx = Iface.Li.Mreg Target.Machregs.BX in
+  let at pos b = Vptr (b, pos) in
+  [
+    ( "taken branch to a missing label",
+      [ Pallocframe (16, 0, 8); Pop (Middle.Op.Ointconst 1l, [], ax);
+        Pop (Middle.Op.Ointconst 2l, [], bx);
+        Pop (Middle.Op.Oadd, [ ax; bx ], ax);
+        Pjcc (Middle.Op.Ccompimm (Memory.Mtypes.Ceq, 3l), [ ax ], 99);
+        Pfreeframe (16, 0, 8); Pret ],
+      at 4 );
+    ( "falling off the end of the code",
+      [ Pallocframe (16, 0, 8); Pop (Middle.Op.Ointconst 1l, [], ax);
+        Pop (Middle.Op.Oaddimm 2l, [ ax ], ax) ],
+      at 3 );
+    ( "ret to a non-code return address",
+      [ Pop (Middle.Op.Ointconst 1l, [], ax);
+        Pop (Middle.Op.Oaddimm 2l, [ ax ], ax);
+        Pop (Middle.Op.Ointconst 5l, [], Iface.Li.RA); Pret ],
+      fun _ -> Vint 5l );
+    ( "freeframe with a non-pointer SP",
+      [ Pallocframe (16, 0, 8); Pop (Middle.Op.Ointconst 1l, [], ax);
+        Pop (Middle.Op.Ointconst 0l, [], Iface.Li.SP); Pfreeframe (16, 0, 8);
+        Pret ],
+      at 3 );
+  ]
+
+let asm_main (code : Backend.Asm.instruction list) : Backend.Asm.program =
+  let main = Ident.intern "main" in
+  {
+    Iface.Ast.prog_defs =
+      [ ( main,
+          Iface.Ast.Gfun
+            (Iface.Ast.Internal
+               { Backend.Asm.fn_sig = Memory.Mtypes.signature_main;
+                 fn_code = Array.of_list code }) ) ];
+    prog_main = main;
+  }
+
+let stuck_tests =
+  List.map
+    (fun (name, src) ->
+      Alcotest.test_case ("Asm stuck mid-superstep: " ^ name) `Quick
+        (fun () ->
+          let symbols, arts, q = compile_for src in
+          sticks_alike ~symbols arts.Driver.Compiler.asm (a_query q)))
+    stuck_c
+  @ List.map
+      (fun (name, code, stop) ->
+        Alcotest.test_case ("Asm stuck mid-superstep: " ^ name)
+          `Quick (fun () ->
+            let prog = asm_main code in
+            let symbols = Iface.Ast.prog_defs_names prog in
+            let q = Option.get (Driver.Runners.main_query ~symbols ~defs:prog ()) in
+            match q.Iface.Li.cq_vf with
+            | Vptr (b, 0) -> sticks_alike ~pc:(stop b) ~symbols prog (a_query q)
+            | _ -> Alcotest.fail "main is not code"))
+      stuck_asm
+
+let suite = ("mutstate", qcheck_tests @ unit_tests @ stuck_tests)
