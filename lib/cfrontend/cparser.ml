@@ -177,8 +177,10 @@ type fstate = {
   mutable prelude : stmt list;  (** newest first *)
 }
 
+(* Temporaries are numbered per function, [t$1], [t$2], ...: a source
+   gets the same names whatever was compiled before it. *)
 let fresh_temp fs t =
-  let id = Ident.fresh_named "t" in
+  let id = Ident.intern (Printf.sprintf "t$%d" (List.length fs.temps + 1)) in
   fs.temps <- (id, t) :: fs.temps;
   id
 

@@ -225,7 +225,7 @@ let allocation ~(fast : Passes.Allocation.allocator)
       | Error _ ->
         (* Surfaced on the enclosing span and in the metrics registry. *)
         Obs.Metrics.incr_counter "alloc.linear_scan_fallback";
-        Obs.Trace.add_attr "allocator" (Obs.Json.Str "graph_fallback");
+        Obs.Trace.add_attr "allocator" (Obs.Json.Str "spill_fallback");
         attempt fallback rtl)
 
 (** {1 The pipeline} *)
@@ -254,7 +254,7 @@ let full : t =
     pass ~optional:true "CSE" RTL RTL Middle [ Va; Ext ] [ Va; Ext ] Cse.transf_program;
     pass ~optional:true "Deadcode" RTL RTL Middle [ Va; Ext ] [ Va; Ext ] Deadcode.transf_program;
     Keep "rtl_opt";
-    Pass (allocation ~fast:Allocation.allocate_linear_with ~fallback:Allocation.allocate_graph_with);
+    Pass (allocation ~fast:Allocation.allocate_linear_with ~fallback:Allocation.spill_everything);
     Keep "ltl";
     pass "Tunneling" LTL LTL Backend [ Ext ] [ Ext ] Tunneling.transf_program;
     Keep "ltl_tunneled";

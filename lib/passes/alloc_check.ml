@@ -42,8 +42,6 @@ open Allocation (* the [assignment] type *)
 
 let loc_of = function Lreg r -> R r | Lslot (i, t) -> S (Local, i, t)
 
-let scratches = [ R10; SI; X2; X3 ]
-
 (** {1 Check 1: the coloring} *)
 
 (* Early exit for the hot validation loops: the Errors monad threads a
@@ -78,7 +76,7 @@ let check_assignment_arr ~(live_out : int -> RSet.t) (f : R.coq_function)
     R.Regmap.iter
       (fun r a ->
         match a with
-        | Lreg m when List.mem m scratches ->
+        | Lreg m when List.mem m Allocation.scratches ->
           fail "pseudo-register x%d assigned the scratch register %s" r
             (mreg_name m)
         | _ -> ())

@@ -4,18 +4,25 @@
     arguments move from abstract values to locations ([CL]), under the
     typing invariant [wt].
 
-    The allocator is a greedy graph coloring over the liveness-based
-    interference graph:
-    - pseudo-registers live across a call may only receive callee-save
-      machine registers (or spill), since the LTL semantics clobbers
-      nothing but the convention gives no guarantee on caller-save
-      registers across calls;
-    - spilled pseudo-registers live in [Local] stack slots; operations on
-      spilled values go through reserved scratch registers (r10/rsi for
-      integers, x2/x3 for floats), which are excluded from allocation;
-    - calls marshal arguments with a parallel-move sequence (cycles are
-      broken through a reserved Local slot), mirroring CompCert's
-      [Parmov]. *)
+    The allocator is untrusted: {!Alloc_check} validates every coloring,
+    and the driver ([Driver.Pipeline.allocation]) tries two of them:
+    - {!allocate_linear_with}, the fast path: a linear scan over
+      liveness intervals with move and calling-convention hints.
+      Pseudo-registers live across a call may only receive callee-save
+      machine registers (or spill), since the convention gives no
+      guarantee on caller-save registers across calls;
+    - {!spill_everything}, the fallback when the validator rejects the
+      linear scan's coloring: each pseudo-register gets its own [Local]
+      slot, which the validator accepts by construction.
+
+    Spilled pseudo-registers live in [Local] stack slots; operations on
+    spilled values go through reserved scratch registers (r10/rsi for
+    integers, x6/x7 for floats), which are excluded from allocation.
+    Calls marshal arguments with a parallel-move sequence (cycles are
+    broken through a reserved [Local] slot), mirroring CompCert's
+    [Parmov]; a slot-to-slot move goes through r10 or x6, neither an
+    argument register, so it cannot clobber an argument already
+    placed. *)
 
 open Support
 open Support.Errors
@@ -31,11 +38,12 @@ module RSet = Middle.Liveness.RSet
 (* Scratch registers, reserved (never allocated). *)
 let int_scratch1 = R10
 let int_scratch2 = SI
-let float_scratch1 = X2
-let float_scratch2 = X3
+let float_scratch1 = X6
+let float_scratch2 = X7
+let scratches = [ int_scratch1; int_scratch2; float_scratch1; float_scratch2 ]
 
 let allocatable_int = [ AX; BX; CX; DX; DI; R8; R9; R12; R13; R14; R15 ]
-let allocatable_float = [ X0; X1; X4; X5; X6; X7 ]
+let allocatable_float = [ X0; X1; X2; X3; X4; X5 ]
 
 (* The scan loop's candidate pools, fixed per (class, across-call)
    combination — built once, not re-filtered per interval. Caller-save
@@ -103,7 +111,7 @@ let infer_types (f : R.coq_function) : typ R.Regmap.t =
     types;
   !m
 
-(** {1 Interference and coloring} *)
+(** {1 Allocators} *)
 
 type assignment = Lreg of mreg | Lslot of int * typ
 
@@ -114,124 +122,24 @@ let loc_of_assignment = function
 (** An allocator colors one function, given its inferred typing: a
     location per pseudo-register and the number of spill slots used.
     Allocators are untrusted: [Alloc_check] validates every coloring,
-    and the driver falls back to the graph allocator when it rejects a
+    and the driver falls back to {!spill_everything} when it rejects a
     linear-scan one. *)
 type allocator = typ R.Regmap.t -> R.coq_function -> assignment R.Regmap.t * int
 
-(* [allocate_graph_with types f]: the graph coloring itself, reusing an
-   already-inferred typing (type inference runs once per function, shared
-   with code generation). *)
-let allocate_graph_with (types : typ R.Regmap.t) (f : R.coq_function) :
-    assignment R.Regmap.t * int (* number of Local slots used, incl. temps *) =
-  let typ_of r = Option.value (R.Regmap.find_opt r types) ~default:Tlong in
-  let live_out = Middle.Liveness.analyze_out f in
-  (* Registers live across some call. *)
-  let across_call = ref RSet.empty in
-  R.Regmap.iter
-    (fun n i ->
-      match i with
-      | R.Icall (_, _, _, res, _) ->
-        across_call :=
-          RSet.union !across_call (RSet.remove res (live_out n))
-      | _ -> ())
-    f.R.fn_code;
-  (* Interference edges: at each definition, the defined register
-     interferes with everything live after it (except itself, and except
-     the source of a move). The defined register's neighbor set absorbs
-     the whole live-out set with one word-parallel union; only the
-     reverse edges are added bit by bit. *)
-  let interf : (int, RSet.t) Hashtbl.t = Hashtbl.create 64 in
-  let neighbors r = Option.value (Hashtbl.find_opt interf r) ~default:RSet.empty in
-  let add_against res out =
-    let out = RSet.remove res out in
-    Hashtbl.replace interf res (RSet.union (neighbors res) out);
-    RSet.iter (fun r -> Hashtbl.replace interf r (RSet.add res (neighbors r))) out
-  in
-  R.Regmap.iter
-    (fun n i ->
-      let out = live_out n in
-      match i with
-      | R.Iop (Op.Omove, [ src ], res, _) ->
-        add_against res (RSet.remove src out)
-      | R.Iop (_, _, res, _) | R.Iload (_, _, _, res, _) | R.Icall (_, _, _, res, _)
-        ->
-        add_against res out
-      | _ -> ())
-    f.R.fn_code;
-  (* Parameters are defined simultaneously at entry. *)
-  let add_edge a b =
-    if a <> b then begin
-      Hashtbl.replace interf a (RSet.add b (neighbors a));
-      Hashtbl.replace interf b (RSet.add a (neighbors b))
-    end
-  in
-  let rec pairwise = function
-    | [] -> ()
-    | p :: rest ->
-      List.iter (add_edge p) rest;
-      pairwise rest
-  in
-  pairwise f.R.fn_params;
-  (* All registers, ordered by decreasing interference degree. *)
-  let all_regs =
-    RSet.elements
-      (R.Regmap.fold
-         (fun _ i acc ->
-           RSet.union acc (RSet.of_list (R.instr_uses i @ R.instr_defs i)))
-         f.R.fn_code
-         (RSet.of_list f.R.fn_params))
-  in
-  (* Precompute degrees once: the sort comparator must not recount a
-     neighbor set (O(edges)) on every comparison. *)
-  let degrees : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      Hashtbl.replace degrees r
-        (RSet.cardinal
-           (Option.value (Hashtbl.find_opt interf r) ~default:RSet.empty)))
-    all_regs;
-  let degree r = Option.value (Hashtbl.find_opt degrees r) ~default:0 in
-  let ordered = List.sort (fun a b -> compare (degree b) (degree a)) all_regs in
-  let assignment = ref R.Regmap.empty in
-  let next_slot = ref 0 in
-  List.iter
-    (fun r ->
-      let t = typ_of r in
-      let neighbors =
-        Option.value (Hashtbl.find_opt interf r) ~default:RSet.empty
-      in
-      let used_regs =
-        RSet.fold
-          (fun r' acc ->
-            match R.Regmap.find_opt r' !assignment with
-            | Some (Lreg m) -> m :: acc
-            | _ -> acc)
-          neighbors []
-      in
-      let candidates =
-        let pool = if is_float_typ t then allocatable_float else allocatable_int in
-        let pool =
-          if RSet.mem r !across_call then List.filter is_callee_save pool
-          else
-            (* Prefer caller-save registers for values not live across
-               calls, keeping callee-saves (which cost a save/restore)
-               for when they are needed. *)
-            List.filter (fun m -> not (is_callee_save m)) pool
-            @ List.filter is_callee_save pool
-        in
-        List.filter (fun m -> not (List.mem m used_regs)) pool
-      in
-      let a =
-        match candidates with
-        | m :: _ -> Lreg m
-        | [] ->
-          let i = !next_slot in
-          incr next_slot;
-          Lslot (i, t)
-      in
-      assignment := R.Regmap.add r a !assignment)
-    ordered;
-  (!assignment, !next_slot)
+(** Every pseudo-register [r] in its own slot, [Local r]. No two
+    pseudo-registers share a location and none is held in a register
+    across a call, so the coloring passes the validator by
+    construction: machine registers carry values only within the
+    expansion of one RTL instruction. *)
+let spill_everything (types : typ R.Regmap.t) (f : R.coq_function) :
+    assignment R.Regmap.t * int =
+  let nregs = R.max_reg_function f + 1 in
+  let assign = ref R.Regmap.empty in
+  for r = 1 to nregs - 1 do
+    let t = Option.value (R.Regmap.find_opt r types) ~default:Tlong in
+    assign := R.Regmap.add r (Lslot (r, t)) !assign
+  done;
+  (!assign, nregs)
 
 (** {2 Linear scan}
 
@@ -242,14 +150,13 @@ let allocate_graph_with (types : typ R.Regmap.t) (f : R.coq_function) :
     spilling on exhaustion. Interval overlap over-approximates
     interference (two registers simultaneously live at a node share that
     node's position), so a coloring that keeps overlapping intervals
-    apart satisfies the validator's interference check; the callee-save
-    discipline across calls is the same pool restriction the graph
-    allocator applies.
+    apart satisfies the validator's interference check; values live
+    across a call take callee-save registers only.
 
     [~clobber:true] deliberately breaks it: every pseudo-register gets
     the first register of its pool regardless of overlap, a wrong
     coloring that tests use to prove the validator rejects it and the
-    driver falls back to the graph allocator. *)
+    driver falls back to {!spill_everything}. *)
 let allocate_linear_with ?(clobber = false) (types : typ R.Regmap.t)
     (f : R.coq_function) : assignment R.Regmap.t * int =
   let typ_of r = Option.value (R.Regmap.find_opt r types) ~default:Tlong in
@@ -337,7 +244,7 @@ let allocate_linear_with ?(clobber = false) (types : typ R.Regmap.t)
       rhint.(src) <- res)
     !all_moves;
   (* [a] and [b] interfere iff some definition of one happens while the
-     other is live-out (the graph allocator's rule, including its move
+     other is live-out (the validator's rule, including its move
      exemption: a move's destination does not interfere with its
      source), or both are parameters (defined simultaneously at entry).
      This is node-level truth, strictly finer than interval overlap: a

@@ -88,10 +88,10 @@ let transf_function (f : coq_function) : coq_function Errors.t =
   let lifted =
     ISet.of_list (List.map fst (lifted_params @ lifted_vars))
   in
-  (* For each unlifted parameter x, introduce a fresh temporary x' that
+  (* For each unlifted parameter x, introduce a temporary [x$p] that
      receives the argument and is copied into x's memory block. *)
   let renamed =
-    List.map (fun (id, t) -> (id, (Ident.fresh_named (Ident.name id), t)))
+    List.map (fun (id, t) -> (id, (Ident.intern (Ident.name id ^ "$p"), t)))
       unlifted_params
   in
   let params' =

@@ -17,26 +17,19 @@
       payload on every read ({e verify-on-read}) and a mismatch —
       bit-rot, truncation, a hostile edit — {e quarantines} the entry
       (moved aside, never deleted, so it can be triaged) and reports
-      [`Corrupt]; the caller re-derives and re-stores;
-    - {e epoch scoping for program payloads}: {!Support.Ident} interns
-      names positionally into a process-global table, so a marshaled IR
-      program is only guaranteed meaningful to readers whose intern
-      history extends the writer's — i.e. workers forked from the same
-      daemon incarnation (the daemon itself interns nothing after
-      startup, so every fork shares one frozen prefix). Program entries
-      are therefore stamped with the store's {e epoch} (fresh per
-      {!open_store}) and reads of marshaled payloads reject other
-      epochs as [`Stale]. The JSON summary is process-independent and
-      survives restarts — which is what makes a restarted daemon warm.
+      [`Corrupt]; the caller re-derives and re-stores.
+
+    Both kinds of entry survive a restart: an identifier is derived from
+    its name ({!Support.Ident}), so a marshaled program means the same
+    thing to every process of the same build that reads it, and a
+    restarted daemon is warm at the summary and the RTL tier alike
+    ({!Engine} names RTL entries after the build that wrote them).
 
     Every read outcome lands in the [serve.cache.*] counters. *)
 
 module Json = Obs.Json
 
-type t = {
-  dir : string;
-  epoch : string;  (** fresh per [open_store]: scopes program payloads *)
-}
+type t = { dir : string }
 
 (** The quarantine corner of the store: corrupt entries are moved here
     (with a unique suffix), never silently deleted. *)
@@ -49,12 +42,11 @@ let entry_name ~key ~pass ~opts = Printf.sprintf "%s.%s.%s.entry" key pass opts
 let entry_path (c : t) ~key ~pass ~opts =
   Filename.concat c.dir (entry_name ~key ~pass ~opts)
 
-let header ~pass ~opts ~epoch ~payload : Json.t =
+let header ~pass ~opts ~payload : Json.t =
   Json.Obj
     [
       ("pass", Json.Str pass);
       ("opts", Json.Str opts);
-      ("epoch", Json.Str epoch);
       ("checksum", Json.Str (Digest.to_hex (Digest.string payload)));
       ("bytes", Json.num_of_int (String.length payload));
     ]
@@ -71,18 +63,11 @@ let mkdir_p dir =
     by scanning the directory: orphan temp files from a crashed writer
     are scrubbed, entries whose header line does not even parse are
     quarantined immediately, and the entry count lands in the
-    [serve.cache.entries] gauge. [epoch] defaults to a token unique to
-    this process incarnation. *)
-let open_store ?epoch (dir : string) : t =
-  let epoch =
-    match epoch with
-    | Some e -> e
-    | None ->
-      Printf.sprintf "%d.%.0f" (Unix.getpid ()) (Unix.gettimeofday () *. 1e6)
-  in
+    [serve.cache.entries] gauge. *)
+let open_store (dir : string) : t =
   mkdir_p dir;
   mkdir_p (Filename.concat dir "quarantine");
-  let c = { dir; epoch } in
+  let c = { dir } in
   let entries = ref 0 in
   Array.iter
     (fun name ->
@@ -139,15 +124,13 @@ let write_all fd (s : string) =
     fsync'd, so the rename survives a power cut too). *)
 let put (c : t) ~key ~pass ~opts ~(payload : string) : unit =
   let final = entry_path c ~key ~pass ~opts in
-  let tmp =
-    Printf.sprintf "%s.%d.%s.tmp" final (Unix.getpid ()) c.epoch
-  in
+  let tmp = Printf.sprintf "%s.%d.tmp" final (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       write_all fd
-        (Json.to_string (header ~pass ~opts ~epoch:c.epoch ~payload) ^ "\n");
+        (Json.to_string (header ~pass ~opts ~payload) ^ "\n");
       write_all fd payload;
       Unix.fsync fd);
   Unix.rename tmp final;
@@ -165,7 +148,6 @@ let put (c : t) ~key ~pass ~opts ~(payload : string) : unit =
 type lookup =
   [ `Hit of string  (** checksum verified; here is the payload *)
   | `Miss  (** no such entry *)
-  | `Stale  (** a program entry from another epoch: unusable, not corrupt *)
   | `Corrupt  (** checksum mismatch; the entry was quarantined *) ]
 
 let quarantine (c : t) ~path ~why : unit =
@@ -184,15 +166,10 @@ let quarantine (c : t) ~path ~why : unit =
   Format.eprintf "occo serve: quarantined corrupt cache entry %s (%s)@."
     (Filename.basename path) why
 
-(** Look up [(key, pass, opts)]. [require_epoch] (default: the payload
-    is marshaled, i.e. [pass <> "summary"]) rejects entries written by
-    another store incarnation as [`Stale]. A checksum mismatch
-    quarantines the entry and returns [`Corrupt] — a corrupt entry is
-    never served and never seen twice. *)
-let get ?require_epoch (c : t) ~key ~pass ~opts : lookup =
-  let require_epoch =
-    match require_epoch with Some b -> b | None -> pass <> "summary"
-  in
+(** Look up [(key, pass, opts)]. A checksum mismatch quarantines the
+    entry and returns [`Corrupt] — a corrupt entry is never served and
+    never seen twice. *)
+let get (c : t) ~key ~pass ~opts : lookup =
   let path = entry_path c ~key ~pass ~opts in
   match open_in_bin path with
   | exception Sys_error _ -> `Miss
@@ -218,8 +195,7 @@ let get ?require_epoch (c : t) ~key ~pass ~opts : lookup =
         quarantine c ~path ~why:"unparseable header";
         `Corrupt
       | Some h -> (
-        let field k = Option.bind (Json.member k h) Json.to_str in
-        match field "checksum" with
+        match Option.bind (Json.member "checksum" h) Json.to_str with
         | None ->
           quarantine c ~path ~why:"header carries no checksum";
           `Corrupt
@@ -228,7 +204,6 @@ let get ?require_epoch (c : t) ~key ~pass ~opts : lookup =
             quarantine c ~path ~why:"checksum mismatch";
             `Corrupt
           end
-          else if require_epoch && field "epoch" <> Some c.epoch then `Stale
           else `Hit payload)))
 
 (* ------------------------------------------------------------------ *)

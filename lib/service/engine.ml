@@ -3,12 +3,12 @@
 
     Lookup order, cheapest first:
 
-    + {e summary hit} — the portable JSON summary of a previous full
-      compile. Nothing runs; this is the warm path (and the only one
-      the daemon may take in-process, since it touches no IR and hence
-      no {!Support.Ident} interning).
-    + {e rtl hit} — the optimized RTL program of a previous compile in
-      this store epoch. Only the backend re-runs
+    + {e summary hit} — the JSON summary of a previous full compile.
+      Nothing runs; this is the warm path (and the only one the daemon
+      takes in-process: everything that compiles runs in a worker).
+    + {e rtl hit} — the optimized RTL program of a previous compile
+      by this build of occo, in this daemon or an earlier one. Only the
+      backend re-runs
       ({!Driver.Compiler.backend_from_rtl}, register-allocation
       validator included), and the summary is re-stored.
     + {e miss} — the full pipeline runs; both the RTL program and the
@@ -51,25 +51,34 @@ let summary_json ~key ~optimize ~(rtl : Middle.Rtl.program)
 let put_summary cache ~key ~opts (j : Json.t) =
   Cache.put cache ~key ~pass:"summary" ~opts ~payload:(Json.to_string j)
 
-let put_rtl cache ~key ~opts (rtl : Middle.Rtl.program) =
-  Cache.put cache ~key ~pass:"rtl" ~opts ~payload:(Marshal.to_string rtl [])
+(* [Marshal] checks no types: an RTL entry written by another build of
+   occo can crash every worker that reads it, until the request is
+   poisoned. RTL entries are named after the running executable (size
+   and modification time), so another build misses them. *)
+let rtl_pass () =
+  match Unix.stat Sys.executable_name with
+  | st -> Printf.sprintf "rtl-%d-%.0f" st.Unix.st_size (st.Unix.st_mtime *. 1e6)
+  | exception Unix.Unix_error _ -> "rtl"
 
-(** The summary-only probe: safe to run in the daemon process itself
-    (pure JSON, no interning). [None] means "not warm — schedule it". *)
+let put_rtl cache ~key ~opts (rtl : Middle.Rtl.program) =
+  Cache.put cache ~key ~pass:(rtl_pass ()) ~opts
+    ~payload:(Marshal.to_string rtl [])
+
+(** The summary-only probe, cheap enough for the daemon process itself
+    (pure JSON, no compiling). [None] means "not warm — schedule it". *)
 let lookup_summary cache ~(source : string) ~(optimize : bool) : Json.t option
     =
   let key = Cache.key_of ~source in
   let opts = options_tag ~optimize in
   match Cache.get cache ~key ~pass:"summary" ~opts with
   | `Hit payload -> Json.parse_opt payload
-  | `Miss | `Stale -> None
-  | `Corrupt ->
-    (* Already quarantined by the cache; the caller re-derives. *)
+  | `Miss | `Corrupt ->
+    (* A corrupt entry is already quarantined; the caller re-derives. *)
     None
 
 (** Compile [source], going through the cache at every pass boundary.
-    Runs inside a worker (it compiles, hence interns); results are
-    plain data, marshalable back over the result pipe. *)
+    Runs inside a worker; results are plain data, marshalable back over
+    the result pipe. *)
 let compile_cached (cache : Cache.t) ~(source : string) ~(optimize : bool)
     ?budget_us () : (result, Diag.t) Stdlib.result =
   let key = Cache.key_of ~source in
@@ -84,11 +93,11 @@ let compile_cached (cache : Cache.t) ~(source : string) ~(optimize : bool)
         er_cache = "hit";
         er_optimized = optimize;
       }
-  | `Hit _ | `Miss | `Stale | `Corrupt -> (
+  | `Hit _ | `Miss | `Corrupt -> (
     (* Try to resume from the cached optimized RTL: only the backend
        (with its validators) re-runs. *)
     let from_rtl =
-      match Cache.get cache ~key ~pass:"rtl" ~opts with
+      match Cache.get cache ~key ~pass:(rtl_pass ()) ~opts with
       | `Hit payload -> (
         match (Marshal.from_string payload 0 : Middle.Rtl.program) with
         | rtl -> (
@@ -96,7 +105,7 @@ let compile_cached (cache : Cache.t) ~(source : string) ~(optimize : bool)
           | Ok (_, asm) -> Some (rtl, asm)
           | Error _ -> None)
         | exception _ -> None)
-      | `Miss | `Stale | `Corrupt -> None
+      | `Miss | `Corrupt -> None
     in
     match from_rtl with
     | Some (rtl, asm) ->

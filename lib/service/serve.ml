@@ -8,14 +8,10 @@
     actually compiling. Retry, degrade, breaker, deadline, poison and
     journal policy are the supervisor's; this module admits requests,
     turns outcomes into replies, and drains. The daemon process
-    {e never compiles}: compilation interns identifiers
-    ({!Support.Ident} is positional and process-global), and keeping
-    the parent's intern table frozen after startup is what makes every
-    forked worker see the same table and hence makes marshaled RTL
-    cache entries meaningful within a store epoch ({!Cache}). The only
-    cache access the parent allows itself is the JSON summary probe —
-    the warm fast path that answers a repeat request without forking
-    at all.
+    {e never compiles}: a compile that crashes, hangs or exhausts
+    memory takes a worker down, never the daemon. The only cache access
+    the parent allows itself is the JSON summary probe — the warm fast
+    path that answers a repeat request without forking at all.
 
     Failure modes, each first-class:
 
@@ -309,7 +305,7 @@ let serve (cfg : config) : int =
         else begin
           if degraded then Obs.Metrics.incr_counter "serve.degraded";
           (* Warm fast path: a verified summary answers in-process —
-             no fork, no interning, no queue. *)
+             no fork, no compile, no queue. *)
           match
             Engine.lookup_summary cache ~source:req.Protocol.rq_source
               ~optimize

@@ -7,7 +7,7 @@
 
     - {!Cache}: the content-addressed artifact store — atomic writes
       (tmp + fsync + rename), per-entry checksums, verify-on-read with
-      quarantine, epoch scoping for marshaled program payloads;
+      quarantine, entries that stay valid across restarts;
     - {!Protocol}: the line-JSON wire protocol (requests, typed
       diagnostic replies) and its tolerant parser;
     - {!Engine}: one request compiled through the cache at pass

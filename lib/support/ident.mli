@@ -1,26 +1,19 @@
-(** Interned identifiers: O(1) comparison, efficient maps, printable
-    names. Fresh identifiers (compiler temporaries) are allocated past
-    the interned ones. *)
+(** Identifiers derived from their names: O(1) comparison, efficient
+    maps, printable names, and the same identifier for the same name in
+    every process. *)
 
 type t = int
 
-(** Intern a source-level name (idempotent). *)
+(** The identifier of a name: the first 62 bits of its MD5 digest. Two
+    different names never share one: a collision raises [Failure]. *)
 val intern : string -> t
 
-(** A fresh identifier, never equal to any interned one. *)
-val fresh : unit -> t
-
-(** A fresh identifier printing as [prefix$n]. *)
-val fresh_named : string -> t
-
-(** The name an identifier prints as. *)
+(** The name an identifier was interned from, or [$n] if this process
+    never interned it. *)
 val name : t -> string
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
-module Tbl : Hashtbl.S with type key = t

@@ -2,14 +2,14 @@
     direct-threaded interpreter (ISSUE 9).
 
     The linear-scan allocator is untrusted by design: every run is
-    validated by [Alloc_check], with the graph allocator as the
-    driver's fallback when validation rejects. These tests pin the
+    validated by [Alloc_check], with the spill-everything allocator as
+    the driver's fallback when validation rejects. These tests pin the
     three legs of that argument:
     - both allocators produce validator-accepted code on the same
       random corpus (so the fast path is not surviving on fallback);
     - a deliberately clobbered linear-scan assignment IS rejected by
-      the validator, and the driver recovers through the graph
-      fallback rather than miscompiling;
+      the validator, and the driver recovers through the
+      spill-everything fallback rather than miscompiling;
     - the pre-decoded direct-threaded Asm interpreter agrees with the
       naive instruction-at-a-time decoder, on random programs and on
       the examples/c corpus. *)
@@ -53,7 +53,7 @@ let parses src =
 let allocators : (string * Passes.Allocation.allocator) list =
   [
     ("linear_scan", Passes.Allocation.allocate_linear_with ~clobber:false);
-    ("graph", Passes.Allocation.allocate_graph_with);
+    ("spill_everything", Passes.Allocation.spill_everything);
   ]
 
 let allocators_validate =
@@ -124,11 +124,11 @@ let unit_tests =
           | Ok () -> Alcotest.fail "validator accepted a clobbered assignment"
           | Error _ -> ()));
         (* End to end, the same clobber is survivable: a pipeline whose
-           Allocation stage runs it retries with the graph allocator and
-           counts the fallback. *)
+           Allocation stage runs it retries with the spill-everything
+           allocator and counts the fallback. *)
         let options =
           Testlib.Testutil.with_allocators ~fast:Testlib.Testutil.clobbered
-            ~fallback:Passes.Allocation.allocate_graph_with
+            ~fallback:Passes.Allocation.spill_everything
             Driver.Compiler.all_optims
         in
         Obs.reset_all ();

@@ -23,33 +23,42 @@ let basic =
       27l;
   ]
 
-let calling_convention =
+(* Calling-convention programs as (name, source, answer), run through
+   the default pipeline here and through the spill-everything allocator
+   in [spill_everything] below. *)
+let calling_convention_programs =
   [
-    diff_case "eight int args (stack passing)"
-      "int f(int a,int b,int c,int d,int e,int g,int h,int i) { return a+2*b+3*c+4*d+5*e+6*g+7*h+8*i; } int main(void) { return f(1,2,3,4,5,6,7,8); }"
-      204l;
-    diff_case "ten int args"
-      "int f(int a,int b,int c,int d,int e,int g,int h,int i,int j,int k) { return a+b+c+d+e+g+h+i+j+k; } int main(void) { return f(1,2,3,4,5,6,7,8,9,10); }"
-      55l;
-    diff_case "mixed int and float args"
-      "int f(int a, double x, int b, double y) { return a + b + (int)(x + y); } int main(void) { return f(1, 2.5, 3, 4.5); }"
-      11l;
-    diff_case "many float args (uses float arg registers)"
-      "int f(double a,double b,double c,double d,double e) { return (int)(a+b+c+d+e); } int main(void) { return f(1.0,2.0,3.0,4.0,5.0); }"
-      15l;
-    diff_case "stack args both directions"
-      "int g(int a,int b,int c,int d,int e,int f0,int h,int i) { return h * 10 + i; } int callg(void) { return g(0,0,0,0,0,0,3,7); } int main(void) { return callg(); }"
-      37l;
-    diff_case "callee-save pressure"
-      "int id(int x) { return x; } int main(void) { int a = id(1); int b = id(2); int c = id(3); int d = id(4); int e = id(5); int f = id(6); return a + 10*b + 100*c + 1000*d + 10000*e + 100000*f; }"
-      654321l;
-    diff_case "register pressure with spilling"
-      "int main(void) { int a=1,b=2,c=3,d=4,e=5,f=6,g=7,h=8,i=9,j=10,k=11,l=12,m=13,n=14,o=15,p=16; return a+b+c+d+e+f+g+h+i+j+k+l+m+n+o+p + a*p + b*o + c*n; }"
-      224l;
-    diff_case "tail-call shape"
-      "int iter(int n, int acc) { if (n == 0) return acc; return iter(n - 1, acc + n); } int main(void) { return iter(1000, 0); }"
-      500500l;
+    ( "eight int args (stack passing)",
+      "int f(int a,int b,int c,int d,int e,int g,int h,int i) { return a+2*b+3*c+4*d+5*e+6*g+7*h+8*i; } int main(void) { return f(1,2,3,4,5,6,7,8); }",
+      204l );
+    ( "ten int args",
+      "int f(int a,int b,int c,int d,int e,int g,int h,int i,int j,int k) { return a+b+c+d+e+g+h+i+j+k; } int main(void) { return f(1,2,3,4,5,6,7,8,9,10); }",
+      55l );
+    ( "mixed int and float args",
+      "int f(int a, double x, int b, double y) { return a + b + (int)(x + y); } int main(void) { return f(1, 2.5, 3, 4.5); }",
+      11l );
+    ( "many float args (uses float arg registers)",
+      "int f(double a,double b,double c,double d,double e) { return (int)(a+b+c+d+e); } int main(void) { return f(1.0,2.0,3.0,4.0,5.0); }",
+      15l );
+    ( "stack args both directions",
+      "int g(int a,int b,int c,int d,int e,int f0,int h,int i) { return h * 10 + i; } int callg(void) { return g(0,0,0,0,0,0,3,7); } int main(void) { return callg(); }",
+      37l );
+    ( "callee-save pressure",
+      "int id(int x) { return x; } int main(void) { int a = id(1); int b = id(2); int c = id(3); int d = id(4); int e = id(5); int f = id(6); return a + 10*b + 100*c + 1000*d + 10000*e + 100000*f; }",
+      654321l );
+    ( "register pressure with spilling",
+      "int main(void) { int a=1,b=2,c=3,d=4,e=5,f=6,g=7,h=8,i=9,j=10,k=11,l=12,m=13,n=14,o=15,p=16; return a+b+c+d+e+f+g+h+i+j+k+l+m+n+o+p + a*p + b*o + c*n; }",
+      224l );
+    ( "tail-call shape",
+      "int iter(int n, int acc) { if (n == 0) return acc; return iter(n - 1, acc + n); } int main(void) { return iter(1000, 0); }",
+      500500l );
   ]
+
+let cases ?options ?(prefix = "") =
+  List.map (fun (name, src, answer) ->
+      diff_case ?options (prefix ^ name) src answer)
+
+let calling_convention = cases calling_convention_programs
 
 let memory_programs =
   [
@@ -138,24 +147,56 @@ let optim_shapes =
   ]
 
 (* Stack-argument passing in every argument class. *)
-let stack_arg_classes =
+let stack_arg_programs =
   [
-    diff_case "float args spill to the stack"
-      "double f(double a, double b, double c, double d, double e, double g) { return a + 2.0*b + 3.0*c + 4.0*d + 5.0*e + 6.0*g; } int main(void) { return (int) f(1.0, 2.0, 3.0, 4.0, 5.0, 6.0); }"
-      91l;
-    diff_case "long args spill to the stack"
-      "long f(long a, long b, long c, long d, long e, long g, long h, long i) { return h * 100L + i; } int main(void) { return (int) f(1L,2L,3L,4L,5L,6L,7L,8L); }"
-      708l;
-    diff_case "mixed int/float args exhaust both register classes"
-      "int f(int a, double x, int b, double y, int c, double z, int d, double w, int e, double v, int g, double u) { return a+b+c+d+e+g + (int)(x+y+z+w+v+u); } int main(void) { return f(1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5, 5.5, 6, 6.5); }"
-      45l;
-    diff_case "single-precision args spill to the stack"
-      "float f(float a, float b, float c, float d, float e, float g) { return a + g; } int main(void) { return (int) f(1.0f,2.0f,3.0f,4.0f,5.0f,40.0f); }"
-      41l;
-    diff_case "pointer args on the stack"
-      "int f(int a,int b,int c,int d,int e,int g,int *p,int *q) { return *p + *q; } int x = 30; int y = 12; int main(void) { return f(0,0,0,0,0,0,&x,&y); }"
-      42l;
+    ( "float args spill to the stack",
+      "double f(double a, double b, double c, double d, double e, double g) { return a + 2.0*b + 3.0*c + 4.0*d + 5.0*e + 6.0*g; } int main(void) { return (int) f(1.0, 2.0, 3.0, 4.0, 5.0, 6.0); }",
+      91l );
+    ( "long args spill to the stack",
+      "long f(long a, long b, long c, long d, long e, long g, long h, long i) { return h * 100L + i; } int main(void) { return (int) f(1L,2L,3L,4L,5L,6L,7L,8L); }",
+      708l );
+    ( "mixed int/float args exhaust both register classes",
+      "int f(int a, double x, int b, double y, int c, double z, int d, double w, int e, double v, int g, double u) { return a+b+c+d+e+g + (int)(x+y+z+w+v+u); } int main(void) { return f(1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5, 5.5, 6, 6.5); }",
+      45l );
+    ( "single-precision args spill to the stack",
+      "float f(float a, float b, float c, float d, float e, float g) { return a + g; } int main(void) { return (int) f(1.0f,2.0f,3.0f,4.0f,5.0f,40.0f); }",
+      41l );
+    ( "pointer args on the stack",
+      "int f(int a,int b,int c,int d,int e,int g,int *p,int *q) { return *p + *q; } int x = 30; int y = 12; int main(void) { return f(0,0,0,0,0,0,&x,&y); }",
+      42l );
+    (* The float scratch registers are not argument registers: moving a
+       spilled argument to its [Outgoing] slot through a scratch must not
+       overwrite an argument already placed in a float register. *)
+    ( "ten computed double args",
+      "double f(double a, double b, double c, double d, double e, double g, double h, double i, double j, double l) { return a + b * 2.0 + c * 3.0 + d * 4.0 + e * 5.0 + g * 6.0 + h * 7.0 + i * 8.0 + j * 9.0 + l * 10.0; }\n\
+       double k(double a, double b, double c, double d, double e, double g, double h, double i, double j, double l) { return f(a * 1.5, b * 1.5, c * 1.5, d * 1.5, e * 1.5, g * 1.5, h * 1.5, i * 1.5, j * 1.5, l * 1.5); }\n\
+       int main(void) { return (int) k(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0); }",
+      577l );
   ]
+
+let stack_arg_classes = cases stack_arg_programs
+
+(* The spill-everything allocator as the Allocation stage's fast path
+   and fallback alike: the fallback must compile every program on its
+   own, not only the few a rejected linear scan hands it. *)
+let spill_everything =
+  let options =
+    with_allocators ~fast:Passes.Allocation.spill_everything
+      ~fallback:Passes.Allocation.spill_everything Driver.Compiler.all_optims
+  in
+  let dir = "../examples/c" in
+  Alcotest.test_case "spill-everything allocator: examples/c at every level"
+    `Quick (fun () ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".c")
+      |> List.iter (fun file ->
+             let path = Filename.concat dir file in
+             let src = In_channel.with_open_bin path In_channel.input_all in
+             match differential ~options src with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "%s: %s" file e))
+  :: cases ~options ~prefix:"spill-everything allocator: "
+       (calling_convention_programs @ stack_arg_programs)
 
 (* Regressions found by the random differential fuzzer. *)
 let regressions =
@@ -179,4 +220,4 @@ let regressions =
 let suite =
   ( "pipeline",
     basic @ calling_convention @ memory_programs @ arithmetic @ no_optim
-    @ optim_shapes @ stack_arg_classes @ regressions )
+    @ optim_shapes @ stack_arg_classes @ spill_everything @ regressions )

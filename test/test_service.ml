@@ -1,6 +1,6 @@
 (** Tests for the compile service ([lib/service]): the content-addressed
     on-disk cache (atomic writes, checksum verify-on-read, quarantine of
-    corrupt entries, epoch-scoped program payloads), the line-JSON wire
+    corrupt entries, payloads that survive a restart), the line-JSON wire
     protocol, the cached compile engine, and the daemon end to end —
     forked into a child process and driven over its Unix-domain socket
     through crash/hang/corruption chaos, poisoning, deadlines, overload
@@ -81,27 +81,20 @@ let cache_tests =
         check "second read is a plain miss" true
           (Cache.get c ~key ~pass:"summary" ~opts:"O2" = `Miss));
     Alcotest.test_case
-      "program payloads are epoch-scoped; summaries survive" `Quick
+      "program payloads and summaries survive a restart" `Quick
       (fun () ->
-        let dir = tmpdir "epoch" in
-        let a = Cache.open_store ~epoch:"session-a" dir in
+        let dir = tmpdir "restart" in
+        let a = Cache.open_store dir in
         let key = Cache.key_of ~source:"z" in
         Cache.put a ~key ~pass:"rtl" ~opts:"O2" ~payload:"marshaled";
         Cache.put a ~key ~pass:"summary" ~opts:"O2" ~payload:"{}";
-        (* same session: both hit *)
-        check "rtl hits in-session" true
-          (match Cache.get a ~key ~pass:"rtl" ~opts:"O2" with
-          | `Hit _ -> true
-          | _ -> false);
-        (* a restarted store must not trust another session's interned
-           program payloads, but portable summaries stay warm *)
-        let b = Cache.open_store ~epoch:"session-b" dir in
-        check "rtl is stale across sessions" true
-          (Cache.get b ~key ~pass:"rtl" ~opts:"O2" = `Stale);
+        (* identifiers are derived from names, so a reopened store
+           serves another session's program payloads too *)
+        let b = Cache.open_store dir in
+        check "rtl survives the restart" true
+          (Cache.get b ~key ~pass:"rtl" ~opts:"O2" = `Hit "marshaled");
         check "summary survives the restart" true
-          (match Cache.get b ~key ~pass:"summary" ~opts:"O2" with
-          | `Hit _ -> true
-          | _ -> false));
+          (Cache.get b ~key ~pass:"summary" ~opts:"O2" = `Hit "{}"));
     Alcotest.test_case "open_store scrubs orphans and junk entries" `Quick
       (fun () ->
         let dir = tmpdir "scrub" in
@@ -218,6 +211,34 @@ let engine_tests =
             (r.Engine.er_cache = "miss");
           check "reply records the tier" true (not r.Engine.er_optimized)
         | Error d -> Alcotest.failf "O0: %s" (Support.Diagnostics.to_string d));
+    Alcotest.test_case
+      "RTL marshaled under another intern history resumes to the same Asm"
+      `Quick (fun () ->
+        let src =
+          "int probe_sq(int probe_x) { return probe_x * probe_x; }\n\
+           int main(void) { return probe_sq(7); }\n"
+        in
+        (* The worker interns names this process never sees before it
+           compiles, as a worker of an earlier daemon might have. *)
+        let rtl =
+          match
+            Harness.Worker.run (fun () ->
+                List.iter
+                  (fun n -> ignore (Support.Ident.intern n))
+                  [ "probe_a"; "probe_b"; "probe_c" ];
+                match Driver.Compiler.compile_source_diag src with
+                | Ok arts -> Ok arts.Driver.Compiler.rtl
+                | Error f -> Error f.Driver.Compiler.fail_diag)
+          with
+          | Harness.Worker.Returned (Ok rtl) -> rtl
+          | _ -> Alcotest.fail "the worker's compile failed"
+        in
+        let own = Support.Errors.get (Driver.Compiler.compile_source src) in
+        match Driver.Compiler.backend_from_rtl rtl with
+        | Ok (_, asm) ->
+          check "same Asm as this process's own compile" true
+            (asm = own.Driver.Compiler.asm)
+        | Error e -> Alcotest.failf "backend_from_rtl: %s" e);
     Alcotest.test_case "a compile failure is a diagnostic, not a cache write"
       `Quick (fun () ->
         let c = Cache.open_store (tmpdir "engine-bad") in
@@ -372,12 +393,72 @@ let serve_tests =
               (cache_tier r2 <> "hit");
             Unix.kill pid Sys.sigterm;
             wait_exit0 "corrupt" pid;
-            let c =
-              Cache.open_store ~epoch:"inspect"
-                (Filename.concat dir "cache")
-            in
+            let c = Cache.open_store (Filename.concat dir "cache") in
             check "at least one quarantined entry" true
               (Cache.quarantined_count c >= 1)));
+    Alcotest.test_case "a restarted daemon resumes from the cached RTL" `Slow
+      (fun () ->
+        let dir = tmpdir "e2e-restart" in
+        let src = source 10 in
+        let with_daemon k =
+          let pid, socket = spawn_daemon Serve.default_config ~dir in
+          Fun.protect
+            ~finally:(fun () ->
+              try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+            (fun () ->
+              k socket;
+              Unix.kill pid Sys.sigterm;
+              wait_exit0 "restart" pid)
+        in
+        with_daemon (fun socket ->
+            check "cold compile" true
+              (cache_tier (must ~socket (compile_req src)) = "miss"));
+        (* Without its summary, the entry left to serve from is the RTL
+           an earlier daemon's worker marshaled. *)
+        Sys.remove
+          (Filename.concat (Filename.concat dir "cache")
+             (Cache.entry_name ~key:(Cache.key_of ~source:src) ~pass:"summary"
+                ~opts:"O2"));
+        with_daemon (fun socket ->
+            let r = must ~socket (compile_req src) in
+            check "ok after the restart" true (status r = "ok");
+            check "served from the RTL tier" true (cache_tier r = "rtl")));
+    Alcotest.test_case "another build of occo never reads this one's RTL"
+      `Slow (fun () ->
+        (* The test runner and ../bin/occo.exe are two builds: the RTL
+           this process caches must be a miss for a daemon of the other,
+           whose workers could otherwise crash on it. *)
+        let dir = tmpdir "e2e-build" in
+        let cache_dir = Filename.concat dir "cache" in
+        let src = source 11 in
+        (match
+           Engine.compile_cached (Cache.open_store cache_dir) ~source:src
+             ~optimize:true ()
+         with
+        | Ok r -> check "cold compile" true (r.Engine.er_cache = "miss")
+        | Error d -> Alcotest.failf "cold: %s" (Support.Diagnostics.to_string d));
+        Sys.remove
+          (Filename.concat cache_dir
+             (Cache.entry_name ~key:(Cache.key_of ~source:src) ~pass:"summary"
+                ~opts:"O2"));
+        let socket = Filename.concat dir "d.sock" in
+        let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+        let pid =
+          Unix.create_process "../bin/occo.exe"
+            [| "occo"; "serve"; "--socket"; socket; "--cache"; cache_dir |]
+            Unix.stdin null null
+        in
+        Unix.close null;
+        Fun.protect
+          ~finally:(fun () ->
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          (fun () ->
+            let r = must ~socket (compile_req src) in
+            check "ok" true (status r = "ok");
+            check "recompiled, not resumed from the other build's RTL" true
+              (cache_tier r = "miss");
+            Unix.kill pid Sys.sigterm;
+            wait_exit0 "other build" pid));
     Alcotest.test_case "poison: crash-looping request quarantined; \
                         survives --resume" `Slow (fun () ->
         let dir = tmpdir "e2e-poison" in
