@@ -1,163 +1,131 @@
 (** Horizontal composition of open semantics (paper, Definition 3.2 and
-    Figure 5).
+    Figure 5), written once for an indexed family of components over
+    the same language interface.
 
-    [compose l1 l2] builds the semantics [l1 ⊕ l2 : A ↠ A] of two
-    components over the same language interface. The composite state is an
-    alternating stack of activations: the head frame is running, the tail
-    frames are suspended callers awaiting answers (rules push/pop enable
-    mutual recursion to arbitrary depth).
+    [compose l1 l2] is [l1 ⊕ l2] and [compose_all ls] is
+    [ls.(0) ⊕ … ⊕ ls.(n-1)]: both are the one composite below, over two
+    or [n] components. The composite state is a stack of activations:
+    the head frame is running, the tail frames are suspended callers
+    awaiting answers (rules push/pop enable mutual recursion to
+    arbitrary depth).
 
     The implementation mirrors the eight rules of Fig. 5:
-    - [i°]  incoming question routed to the component whose domain accepts it;
+    - [i°]  an incoming question goes to the lowest-indexed component
+      whose domain accepts it;
     - [run] internal steps of the active frame;
-    - [i•]  final state of the last frame answers the incoming question;
-    - [push] an external question accepted by the other (or the same)
-      component starts a new activation on top of the stack;
+    - [i•]  the final state of the last frame answers the incoming
+      question;
+    - [push] an external question accepted by some component (the
+      active one included) starts a new activation on top of the stack,
+      routed as at [i°];
     - [pop] a finished activation answers the suspended frame below;
-    - [x°]  an external question accepted by neither component escapes to
+    - [x°]  an external question accepted by no component escapes to
       the environment;
-    - [x•]  an environment answer resumes the top frame. *)
+    - [x•]  an environment answer resumes the top frame.
+
+    [step] takes the active frame's internal step first and looks for a
+    push or pop only when there is none: by the contract of
+    {!Smallstep.lts}, only then may the frame be at an interaction
+    point, and the empty step has left its state as it was. *)
 
 open Smallstep
 module Diag = Support.Diagnostics
 
-type ('s1, 's2) frame = F1 of 's1 | F2 of 's2
+(* A component with its 0-based index, built once. A frame pairs it
+   with a state of that component; [frame] and [any] hide the state
+   type, so components of different state types share one stack. *)
+type ('s, 'q, 'r) component = { side : int; lts : ('s, 'q, 'r, 'q, 'r) lts }
 
-type ('s1, 's2) state = ('s1, 's2) frame list
+type ('q, 'r) frame = Frame : ('s, 'q, 'r) component * 's -> ('q, 'r) frame
+type ('q, 'r) state = ('q, 'r) frame list
+type ('q, 'r) any = Any : ('s, 'q, 'r) component -> ('q, 'r) any
 
-(** Which component of the composition a frame belongs to. *)
-type side = C1 | C2
-
-let side_name = function C1 -> "component-1" | C2 -> "component-2"
-
-(** Observable events at the component boundary: the push and pop rules
-    of Fig. 5, as seen from outside. [Bpush] fires when an external
-    question of the running frame starts a new activation; [Bpop] fires
-    when a finished activation answers the suspended caller below it.
-    Monitors (e.g. {!Robust.Property}) reconstruct the call tree from
-    these, pairing each pop with the push that opened the activation.
-
-    The hook is driven from the composite's [step] function while it
-    enumerates transitions, so it assumes the deterministic
-    first-transition execution discipline of {!Smallstep.run} /
-    {!Smallstep.run_to_interaction}: with a nondeterministic exploration
-    ([Smallstep.reachable]) events may fire for transitions never
-    taken. *)
 type ('q, 'r) boundary_event =
-  | Bpush of { caller : side; callee : side; question : 'q }
-  | Bpop of { callee : side; caller : side; answer : 'r }
+  | Bpush of { caller : int; callee : int; question : 'q }
+  | Bpop of { callee : int; caller : int; answer : 'r }
 
-(** [compose ?observe ?on_diag l1 l2]. [observe] receives every boundary
-    event (default: none, zero overhead). [on_diag] fires when both
-    domains accept the same question — linked programs have disjoint
-    domains, so an overlap means a masked linker error; the composite
-    still routes to [l1] (the historical preference), but the
-    diagnostic makes the overlap visible instead of silent. *)
-let compose ?(observe : (('q, 'r) boundary_event -> unit) option)
-    ?(on_diag : (Diag.t -> unit) option) (l1 : ('s1, 'q, 'r, 'q, 'r) lts)
-    (l2 : ('s2, 'q, 'r, 'q, 'r) lts) :
-    (('s1, 's2) state, 'q, 'r, 'q, 'r) lts =
-  let dom q = l1.dom q || l2.dom q in
-  let overlap ~rule q =
-    if l1.dom q && l2.dom q then
-      Option.iter
-        (fun f ->
-          f
-            (Diag.make ~phase:Diag.Linking ~kind:Diag.Domain_overlap
-               ~context:
-                 [ ("component-1", l1.name); ("component-2", l2.name);
-                   ("rule", rule) ]
-               "both %s and %s accept the question: overlapping domains \
-                (routing to %s masks a linker error)"
-               l1.name l2.name l1.name))
-        on_diag
-  in
+let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
+    ?(on_diag : (Diag.t -> unit) option) (cs : ('q, 'r) any list) :
+    (('q, 'r) state, 'q, 'r, 'q, 'r) lts =
   let emit e = match observe with Some f -> f e | None -> () in
-  (* i°: pick the accepting component. Linked programs have disjoint
-     domains; if both accept, component 1 is preferred (and [on_diag]
-     reports the overlap). *)
+  let accepts q (Any c) = c.lts.dom q in
+  let overlap ~rule accepting =
+    let names = List.map (fun (Any c) -> c.lts.name) accepting in
+    Diag.make ~phase:Diag.Linking ~kind:Diag.Domain_overlap
+      ~context:
+        (("rule", rule)
+        :: List.map
+             (fun (Any c) -> (Printf.sprintf "component-%d" c.side, c.lts.name))
+             accepting)
+      "%s accept the same question: overlapping domains (routing to %s \
+       masks a linker error)"
+      (String.concat " and " names) (List.hd names)
+  in
+  (* i° and push: the lowest accepting index. Linked programs have
+     disjoint domains, so [on_diag] hears of any other taker. *)
+  let route ~rule q =
+    match List.filter (accepts q) cs with
+    | [] -> None
+    | [ c ] -> Some c
+    | c :: _ as accepting ->
+      Option.iter (fun f -> f (overlap ~rule accepting)) on_diag;
+      Some c
+  in
   let init q =
-    overlap ~rule:"init" q;
-    if l1.dom q then List.map (fun s -> [ F1 s ]) (l1.init q)
-    else if l2.dom q then List.map (fun s -> [ F2 s ]) (l2.init q)
-    else []
-  in
-  let frame_side = function F1 _ -> C1 | F2 _ -> C2 in
-  let frame_final = function F1 s -> l1.final s | F2 s -> l2.final s in
-  let frame_external = function
-    | F1 s -> l1.at_external s
-    | F2 s -> l2.at_external s
-  in
-  let frame_resume f r =
-    match f with
-    | F1 s -> List.map (fun s' -> F1 s') (l1.after_external s r)
-    | F2 s -> List.map (fun s' -> F2 s') (l2.after_external s r)
+    match route ~rule:"init" q with
+    | Some (Any c) -> List.map (fun s -> [ Frame (c, s) ]) (c.lts.init q)
+    | None -> []
   in
   let step = function
     | [] -> []
-    | f :: k ->
-      (* Interaction probes come BEFORE the internal step: the concrete
-         semantics execute over mutable state, so [l.step] on the active
-         frame may write it in place. Probing [at_external]/[final]
-         first reads the pre-step state (stuck steps write nothing, and
-         a state with an enabled internal step is at neither kind of
-         interaction point in the concrete languages). The returned list
-         keeps internal transitions first, preserving the deterministic
-         first-transition discipline. *)
-      (* push: cross-component (or recursive) call *)
-      let pushes =
-        match frame_external f with
-        | Some q ->
-          overlap ~rule:"push" q;
-          let starts =
-            (if l1.dom q then List.map (fun s -> F1 s) (l1.init q) else [])
-            @ if l2.dom q then List.map (fun s -> F2 s) (l2.init q) else []
-          in
-          (match starts with
-          | f' :: _ ->
-            emit
-              (Bpush
-                 { caller = frame_side f; callee = frame_side f'; question = q })
-          | [] -> ());
-          List.map (fun f' -> (Events.e0, f' :: f :: k)) starts
-        | None -> []
-      in
-      (* pop: the active frame finished and a caller is waiting *)
-      let pops =
-        match (frame_final f, k) with
-        | Some r, caller :: k' ->
-          emit
-            (Bpop
-               { callee = frame_side f; caller = frame_side caller; answer = r });
-          List.map (fun f' -> (Events.e0, f' :: k')) (frame_resume caller r)
-        | _ -> []
-      in
-      (* run *)
-      let internal =
-        match f with
-        | F1 s -> List.map (fun (t, s') -> (t, F1 s' :: k)) (l1.step s)
-        | F2 s -> List.map (fun (t, s') -> (t, F2 s' :: k)) (l2.step s)
-      in
-      internal @ pushes @ pops
+    | (Frame (c, s) as f) :: k -> (
+      match c.lts.step s with
+      (* run; a deterministic step is mapped without a closure *)
+      | [ (t, s') ] -> [ (t, Frame (c, s') :: k) ]
+      | _ :: _ as ts -> List.map (fun (t, s') -> (t, Frame (c, s') :: k)) ts
+      | [] -> (
+        match c.lts.at_external s with
+        | Some q -> (
+          (* push, unless no component accepts [q] (x°) *)
+          match route ~rule:"push" q with
+          | Some (Any c') -> (
+            match c'.lts.init q with
+            | [] -> []
+            | ss ->
+              emit (Bpush { caller = c.side; callee = c'.side; question = q });
+              List.map (fun s' -> (Events.e0, Frame (c', s') :: f :: k)) ss)
+          | None -> [])
+        | None -> (
+          (* pop, unless [f] is the bottom frame (i•) *)
+          match (c.lts.final s, k) with
+          | Some r, Frame (c', sc) :: k' ->
+            emit (Bpop { callee = c.side; caller = c'.side; answer = r });
+            List.map
+              (fun sc' -> (Events.e0, Frame (c', sc') :: k'))
+              (c'.lts.after_external sc r)
+          | _ -> [])))
   in
-  (* x°: escapes to the environment only when neither component accepts *)
+  let dom q = List.exists (accepts q) cs in
+  (* x° *)
   let at_external = function
-    | f :: _ -> (
-      match frame_external f with
-      | Some q when (not (l1.dom q)) && not (l2.dom q) -> Some q
+    | Frame (c, s) :: _ -> (
+      match c.lts.at_external s with
+      | Some q when not (dom q) -> Some q
       | _ -> None)
     | [] -> None
   in
   (* x• *)
   let after_external st r =
     match st with
-    | f :: k -> List.map (fun f' -> f' :: k) (frame_resume f r)
+    | Frame (c, s) :: k ->
+      List.map (fun s' -> Frame (c, s') :: k) (c.lts.after_external s r)
     | [] -> []
   in
-  (* i•: only the bottom frame may answer the incoming question *)
-  let final = function [ f ] -> frame_final f | _ -> None in
+  (* i•: only the bottom frame answers the incoming question *)
+  let final = function [ Frame (c, s) ] -> c.lts.final s | _ -> None in
   {
-    name = Printf.sprintf "(%s (+) %s)" l1.name l2.name;
+    name =
+      "(" ^ String.concat " (+) " (List.map (fun (Any c) -> c.lts.name) cs) ^ ")";
     dom;
     init;
     step;
@@ -166,93 +134,10 @@ let compose ?(observe : (('q, 'r) boundary_event -> unit) option)
     final;
   }
 
-(** n-ary horizontal composition of components sharing a state type
-    (e.g. [n] translation units of the same language). Frames carry the
-    index of the component they belong to. Agreement with iterated binary
-    [compose] is checked in the test suite. [on_diag] reports overlapping
-    domains, as in {!compose}; routing goes to the lowest accepting
-    index. *)
-let compose_all ?(on_diag : (Diag.t -> unit) option)
-    (ls : ('s, 'q, 'r, 'q, 'r) lts array) :
-    ((int * 's) list, 'q, 'r, 'q, 'r) lts =
-  let n = Array.length ls in
-  let find_dom q =
-    let rec go i = if i >= n then None else if ls.(i).dom q then Some i else go (i + 1) in
-    go 0
-  in
-  let overlap ~rule q =
-    match on_diag with
-    | None -> ()
-    | Some f -> (
-      match List.filter (fun i -> ls.(i).dom q) (List.init n Fun.id) with
-      | _ :: _ :: _ as accepting ->
-        f
-          (Diag.make ~phase:Diag.Linking ~kind:Diag.Domain_overlap
-             ~context:
-               (("rule", rule)
-               :: List.map
-                    (fun i -> (Printf.sprintf "component-%d" i, ls.(i).name))
-                    accepting)
-             "%d components accept the same question: overlapping domains"
-             (List.length accepting))
-      | _ -> ())
-  in
-  let dom q = find_dom q <> None in
-  let init q =
-    overlap ~rule:"init" q;
-    match find_dom q with
-    | None -> []
-    | Some i -> List.map (fun s -> [ (i, s) ]) (ls.(i).init q)
-  in
-  let step = function
-    | [] -> []
-    | (i, s) :: k ->
-      (* As in [compose]: probe the interaction points before running the
-         internal step, which may mutate the active state in place. *)
-      let pushes =
-        match ls.(i).at_external s with
-        | Some q -> (
-          overlap ~rule:"push" q;
-          match find_dom q with
-          | Some j ->
-            List.map (fun s' -> (Events.e0, (j, s') :: (i, s) :: k)) (ls.(j).init q)
-          | None -> [])
-        | None -> []
-      in
-      let pops =
-        match (ls.(i).final s, k) with
-        | Some r, (j, sj) :: k' ->
-          List.map
-            (fun sj' -> (Events.e0, (j, sj') :: k'))
-            (ls.(j).after_external sj r)
-        | _ -> []
-      in
-      let internal =
-        List.map (fun (t, s') -> (t, (i, s') :: k)) (ls.(i).step s)
-      in
-      internal @ pushes @ pops
-  in
-  let at_external = function
-    | (i, s) :: _ -> (
-      match ls.(i).at_external s with
-      | Some q when find_dom q = None -> Some q
-      | _ -> None)
-    | [] -> None
-  in
-  let after_external st r =
-    match st with
-    | (i, s) :: k -> List.map (fun s' -> (i, s') :: k) (ls.(i).after_external s r)
-    | [] -> []
-  in
-  let final = function [ (i, s) ] -> ls.(i).final s | _ -> None in
-  {
-    name =
-      Printf.sprintf "(+)[%s]"
-        (String.concat "; " (Array.to_list (Array.map (fun l -> l.name) ls)));
-    dom;
-    init;
-    step;
-    at_external;
-    after_external;
-    final;
-  }
+let compose ?observe ?on_diag l1 l2 =
+  compose_list ?observe ?on_diag
+    [ Any { side = 0; lts = l1 }; Any { side = 1; lts = l2 } ]
+
+let compose_all ?on_diag ls =
+  compose_list ?on_diag
+    (List.mapi (fun side lts -> Any { side; lts }) (Array.to_list ls))

@@ -15,7 +15,11 @@ let opaque _ = "_"
     silent steps between interaction points, every outgoing call and the
     reply it got, the final answer, and stuck states. The [pp_*]
     renderers turn the interface-specific payloads into strings;
-    omitted ones print ["_"]. *)
+    omitted ones print ["_"].
+
+    Wrap only the outermost LTS of a run. Inside [⊕] a component's
+    [step] is also tried at every push and pop, where it is empty, so
+    an instrumented component there would log [Stuck] at each of them. *)
 let instrument ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque)
     ?(pp_ro = opaque) (l : ('s, 'qi, 'ri, 'qo, 'ro) lts) :
     ('s, 'qi, 'ri, 'qo, 'ro) lts =

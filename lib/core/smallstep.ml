@@ -25,19 +25,6 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   final : 's -> 'ri option;  (** [F ⊆ S × B•]: final states *)
 }
 
-(** Transport an LTS along bijections of its states — handy for wrappers. *)
-let map_states ~(fwd : 's -> 't) ~(bwd : 't -> 's) (l : ('s, 'a, 'b, 'c, 'd) lts) :
-    ('t, 'a, 'b, 'c, 'd) lts =
-  {
-    name = l.name;
-    dom = l.dom;
-    init = (fun q -> List.map fwd (l.init q));
-    step = (fun s -> List.map (fun (t, s') -> (t, fwd s')) (l.step (bwd s)));
-    at_external = (fun s -> l.at_external (bwd s));
-    after_external = (fun s r -> List.map fwd (l.after_external (bwd s) r));
-    final = (fun s -> l.final (bwd s));
-  }
-
 (** {1 Deterministic execution}
 
     The concrete semantics of the pipeline are deterministic; these
@@ -137,34 +124,3 @@ let run_to_interaction ~fuel (l : ('s, 'qi, 'ri, 'qo, 'ro) lts) s :
           | [] -> (List.rev trace, Istuck)))
   in
   go fuel [] s
-
-(** {1 Reachable-state enumeration}
-
-    Bounded breadth-first exploration of the (possibly nondeterministic)
-    transition relation, used by property-based tests of the framework on
-    toy transition systems. External calls are resumed through all answers
-    produced by [answers]. *)
-
-let reachable ?(bound = 10_000) (l : ('s, 'qi, 'ri, 'qo, 'ro) lts)
-    ~(answers : 'qo -> 'ro list) (q : 'qi) : 's list =
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let push s =
-    if not (Hashtbl.mem seen (Hashtbl.hash s, s)) then begin
-      Hashtbl.add seen (Hashtbl.hash s, s) ();
-      Queue.add s queue
-    end
-  in
-  List.iter push (l.init q);
-  let out = ref [] in
-  let count = ref 0 in
-  while (not (Queue.is_empty queue)) && !count < bound do
-    incr count;
-    let s = Queue.take queue in
-    out := s :: !out;
-    List.iter (fun (_, s') -> push s') (l.step s);
-    match l.at_external s with
-    | Some qo -> List.iter (fun ro -> List.iter push (l.after_external s ro)) (answers qo)
-    | None -> ()
-  done;
-  List.rev !out

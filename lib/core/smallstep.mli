@@ -7,7 +7,15 @@
 
 (** The tuple [⟨S, →, D, I, X, Y, F⟩] of Definition 3.1. Type parameters:
     states ['s]; incoming questions/answers ['qi]/['ri] (interface [B]);
-    outgoing questions/answers ['qo]/['ro] (interface [A]). *)
+    outgoing questions/answers ['qo]/['ro] (interface [A]).
+
+    The concrete semantics run over mutable state, and a [step] may
+    write its argument in place. Every LTS keeps two rules about that: a
+    state at an interaction point ([at_external] or [final] answers)
+    has no internal step, and a [step] that returns [[]] writes nothing.
+    The composites ({!Hcomp}, {!Vcomp}) rely on both: they take the
+    active state's internal step first, and probe [at_external] and
+    [final] only when it is empty. *)
 type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   name : string;
   dom : 'qi -> bool;  (** [D ⊆ B°]: accepted questions *)
@@ -17,13 +25,6 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   after_external : 's -> 'ro -> 's list;  (** [Y ⊆ S × A• × S] *)
   final : 's -> 'ri option;  (** [F ⊆ S × B•]: final states *)
 }
-
-(** Transport an LTS along a bijection of its states. *)
-val map_states :
-  fwd:('s -> 't) ->
-  bwd:('t -> 's) ->
-  ('s, 'a, 'b, 'c, 'd) lts ->
-  ('t, 'a, 'b, 'c, 'd) lts
 
 (** Outcome of a deterministic run (first enabled transition). *)
 type ('ri, 'qo) outcome =
@@ -70,12 +71,3 @@ val run_to_interaction :
   ('s, 'qi, 'ri, 'qo, 'ro) lts ->
   's ->
   Events.trace * ('s, 'ri, 'qo) interaction
-
-(** Bounded breadth-first exploration of a (possibly nondeterministic)
-    LTS; external calls are resumed through all answers of [answers]. *)
-val reachable :
-  ?bound:int ->
-  ('s, 'qi, 'ri, 'qo, 'ro) lts ->
-  answers:('qo -> 'ro list) ->
-  'qi ->
-  's list

@@ -21,29 +21,25 @@ let layer (l1 : ('s1, 'qc, 'rc, 'qb, 'rb) lts) (l2 : ('s2, 'qb, 'rb, 'qa, 'ra) l
     (('s1, 's2) state, 'qc, 'rc, 'qa, 'ra) lts =
   let dom = l1.dom in
   let init q = List.map (fun s -> Upper s) (l1.init q) in
-  (* Interaction probes run BEFORE the internal step: concrete semantics
-     execute over mutable state, so [l.step] may write the active state
-     in place; [at_external]/[final] must read the pre-step state. The
-     returned lists still put internal transitions first. *)
+  (* As in {!Hcomp}: the internal step first; the call and return
+     rules only when it is empty. *)
   let step = function
     | Upper s1 -> (
-      let calls =
+      match l1.step s1 with
+      | _ :: _ as ts -> List.map (fun (t, s') -> (t, Upper s')) ts
+      | [] -> (
         match l1.at_external s1 with
         | Some q when l2.dom q ->
           List.map (fun s2 -> (Events.e0, Lower (s1, s2))) (l2.init q)
-        | _ -> []
-      in
-      let internal = List.map (fun (t, s') -> (t, Upper s')) (l1.step s1) in
-      internal @ calls)
+        | _ -> []))
     | Lower (s1, s2) -> (
-      let returns =
+      match l2.step s2 with
+      | _ :: _ as ts -> List.map (fun (t, s2') -> (t, Lower (s1, s2'))) ts
+      | [] -> (
         match l2.final s2 with
         | Some r ->
           List.map (fun s1' -> (Events.e0, Upper s1')) (l1.after_external s1 r)
-        | None -> []
-      in
-      let internal = List.map (fun (t, s2') -> (t, Lower (s1, s2'))) (l2.step s2) in
-      internal @ returns)
+        | None -> []))
   in
   let at_external = function
     (* An upper-level call not accepted below has nowhere to go in a

@@ -177,8 +177,9 @@ type trial_result = {
   t_verdict : verdict;
 }
 
-(* Does the observed C1→C2 call sequence agree with the recorded trace
-   on the first [upto] activations (names and decoded arguments)? *)
+(* Does the observed sequence of partner activations agree with the
+   recorded trace on the first [upto] of them (names and decoded
+   arguments)? *)
 let prefix_matches ~(trace : Io.log_entry list) ~(calls : Property.call list)
     ~(upto : int) : bool =
   let rec go k ts cs =

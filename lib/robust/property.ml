@@ -53,16 +53,19 @@ type call = { c_name : string; c_args : int32 list option }
 type monitor = {
   m_observe : (a_query, a_reply) Hcomp.boundary_event -> unit;
   m_violations : unit -> violation list;  (** in event order *)
-  m_calls : unit -> call list;  (** C1→C2 activations, in order *)
+  m_calls : unit -> call list;  (** activations of the partner, in order *)
 }
+
+(* In [Hcomp.compose correct rogue] the correct component is index 0
+   and the partner index 1. *)
+let partner = 1
 
 (* What the monitor remembers about a pushed activation, to judge its
    pop. The partner's convention obligations only apply to partner
-   frames ([C2]); pushes into the correct component carry no pending
-   check. *)
+   frames; pushes into the correct component carry no pending check. *)
 type pending = {
-  pd_side : Hcomp.side;
-  pd_index : int;  (** partner activation index; -1 for C1 frames *)
+  pd_side : int;
+  pd_index : int;  (** partner activation index; -1 for correct frames *)
   pd_query : a_query;
   pd_export : (string * Memory.Mtypes.signature) option;
 }
@@ -125,15 +128,14 @@ let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
       let block = match pc with Vptr (b, 0) -> Some b | _ -> None in
       (* The partner's outgoing calls must stay in its declared import
          set, whichever side ends up serving them. *)
-      (if caller = Hcomp.C2 then
+      (if caller = partner then
          match block with
          | Some b when List.mem b partner_imports -> ()
          | _ ->
            violate ~prop:P_imports ~activation:(!count - 1)
              "partner called %a, outside its declared import set" Values.pp pc);
       let index, export =
-        match callee with
-        | Hcomp.C2 ->
+        if callee = partner then begin
           let ex = Option.bind block (fun b -> List.assoc_opt b exports) in
           let i = !count in
           incr count;
@@ -145,7 +147,8 @@ let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
               :: !calls
           | None -> ());
           (i, ex)
-        | Hcomp.C1 -> (-1, None)
+        end
+        else (-1, None)
       in
       stack :=
         { pd_side = callee; pd_index = index; pd_query = q; pd_export = export }

@@ -190,11 +190,11 @@ let monitor_tests =
   let mon () = Property.monitor ~exports:[ (1, ("f", sg)) ] ~partner_imports:[] () in
   let push m =
     m.Property.m_observe
-      (Hcomp.Bpush { caller = Hcomp.C1; callee = Hcomp.C2; question = q })
+      (Hcomp.Bpush { caller = 0; callee = 1; question = q })
   in
   let pop m r =
     m.Property.m_observe
-      (Hcomp.Bpop { callee = Hcomp.C2; caller = Hcomp.C1; answer = r })
+      (Hcomp.Bpop { callee = 1; caller = 0; answer = r })
   in
   let props m = Property.violated (m.Property.m_violations ()) in
   [
@@ -229,7 +229,7 @@ let monitor_tests =
       (fun () ->
         let m = mon () in
         m.Property.m_observe
-          (Hcomp.Bpush { caller = Hcomp.C2; callee = Hcomp.C1; question = q });
+          (Hcomp.Bpush { caller = 1; callee = 0; question = q });
         check "imports" true (props m = [ Property.P_imports ]));
   ]
 
@@ -248,8 +248,51 @@ let trivial_lts name : (unit, int, unit, int, unit) Core.Smallstep.lts =
     final = (fun _ -> Some ());
   }
 
+(* Both accept question 1: [caller] answers it with 10, [callee] with
+   20. From state 0 [caller] asks 1 and answers 100 plus the reply. *)
+let caller : (int, int, int, int, int) Core.Smallstep.lts =
+  {
+    Core.Smallstep.name = "caller";
+    dom = (fun q -> q = 0 || q = 1);
+    init = (fun q -> [ q ]);
+    step = (fun _ -> []);
+    at_external = (fun s -> if s = 0 then Some 1 else None);
+    after_external = (fun _ r -> [ 100 + r ]);
+    final = (fun s -> if s = 0 then None else if s = 1 then Some 10 else Some s);
+  }
+
+let callee : (int, int, int, int, int) Core.Smallstep.lts =
+  { caller with name = "callee"; dom = (fun q -> q = 1); final = (fun _ -> Some 20) }
+
 let hcomp_tests =
   [
+    Alcotest.test_case "overlapping domains at a push: one start, in component 0"
+      `Quick (fun () ->
+        let diags = ref [] and events = ref [] in
+        let l =
+          Hcomp.compose
+            ~observe:(fun e -> events := e :: !events)
+            ~on_diag:(fun d -> diags := d :: !diags)
+            caller callee
+        in
+        (match l.Core.Smallstep.init 0 with
+        | [ st ] ->
+          Alcotest.(check int) "transitions at the push" 1
+            (List.length (l.Core.Smallstep.step st))
+        | _ -> Alcotest.fail "expected one initial state");
+        check "pushed into component 0" true
+          (match !events with
+          | [ Hcomp.Bpush { caller = 0; callee = 0; question = 1 } ] -> true
+          | _ -> false);
+        check "overlap diagnosed at the push" true
+          (List.exists
+             (fun d ->
+               d.Diagnostics.kind = Diagnostics.Domain_overlap
+               && List.assoc_opt "rule" d.Diagnostics.context = Some "push")
+             !diags);
+        match Core.Smallstep.run ~fuel:10 l ~oracle:(fun _ -> None) 0 with
+        | Core.Smallstep.Final (_, 110) -> ()
+        | _ -> Alcotest.fail "component 0 should answer the pushed question");
     Alcotest.test_case "overlapping domains raise a diagnostic" `Quick
       (fun () ->
         let diags = ref [] in

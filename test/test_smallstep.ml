@@ -64,6 +64,12 @@ let loopy = toy_component "loopy"
 let run_toy lts ?(oracle = fun _ -> None) q =
   run ~fuel:1000 lts ~oracle q
 
+let same_outcome o1 o2 =
+  match (o1, o2) with
+  | Final (_, a), Final (_, b) -> a = b
+  | Refused, Refused | Out_of_fuel _, Out_of_fuel _ -> true
+  | _ -> false
+
 let unit_tests =
   [
     Alcotest.test_case "direct computation" `Quick (fun () ->
@@ -119,36 +125,52 @@ let hcomp_tests =
         match run ~fuel:1000 both ~oracle ("quad", 1) with
         | Final (_, r) -> checki "internal resolution preferred" 4 r
         | _ -> Alcotest.fail "expected final");
-    Alcotest.test_case "compose_all agrees with binary compose" `Quick
-      (fun () ->
-        let nary = Hcomp.compose_all [| doubler; incr |] in
-        let bin = Hcomp.compose doubler incr in
+    Alcotest.test_case "a nested binary ⊕ behaves as the flat n-ary ⊕"
+      `Quick (fun () ->
+        let nested = Hcomp.compose (Hcomp.compose doubler incr) loopy in
+        let flat = Hcomp.compose_all [| doubler; incr; loopy |] in
+        (match run_toy flat ("loop", 0) with
+        | Out_of_fuel _ -> ()
+        | _ -> Alcotest.fail "expected out of fuel");
         List.iter
-          (fun q ->
-            let o1 = run_toy nary q and o2 = run_toy bin q in
-            let same =
-              match (o1, o2) with
-              | Final (_, a), Final (_, b) -> a = b
-              | Refused, Refused -> true
-              | _ -> false
-            in
-            check "agree" true same)
-          [ ("double", 3); ("quad", 3); ("inc", 7) ]);
+          (fun q -> check "agree" true (same_outcome (run_toy nested q) (run_toy flat q)))
+          [ ("double", 3); ("quad", 3); ("inc", 7); ("loop", 0); ("dec", 1) ]);
     Alcotest.test_case "associativity of ⊕ (behavioral)" `Quick (fun () ->
         let l1 = Hcomp.compose (Hcomp.compose doubler incr) loopy in
         let l2 = Hcomp.compose doubler (Hcomp.compose incr loopy) in
         List.iter
-          (fun q ->
-            let o1 = run_toy l1 q and o2 = run_toy l2 q in
-            let same =
-              match (o1, o2) with
-              | Final (_, a), Final (_, b) -> a = b
-              | Refused, Refused -> true
-              | Out_of_fuel _, Out_of_fuel _ -> true
-              | _ -> false
-            in
-            check "agree" true same)
+          (fun q -> check "agree" true (same_outcome (run_toy l1 q) (run_toy l2 q)))
           [ ("double", 3); ("quad", 3); ("inc", 7); ("loop", 0) ]);
+  ]
+
+(* The composites take the active frame's internal step first and probe
+   [at_external] and [final] only when it is empty: one internal step of
+   [loopy], wrapped to count its probes, inside each composite. *)
+let probes_in_one_step (type s)
+    (build : (toy_state, q, r, q, r) lts -> (s, q, r, q, r) lts) =
+  let probes = ref 0 in
+  let counted =
+    {
+      loopy with
+      at_external = (fun s -> Stdlib.incr probes; loopy.at_external s);
+      final = (fun s -> Stdlib.incr probes; loopy.final s);
+    }
+  in
+  let l = build counted in
+  match l.init ("loop", 0) with
+  | [ st ] ->
+    checki "one internal step" 1 (List.length (l.step st));
+    !probes
+  | _ -> Alcotest.fail "expected one initial state"
+
+let probe_tests =
+  [
+    Alcotest.test_case "an internal step of a composite probes nothing" `Quick
+      (fun () ->
+        checki "compose" 0 (probes_in_one_step (fun l -> Hcomp.compose l incr));
+        checki "compose_all" 0
+          (probes_in_one_step (fun l -> Hcomp.compose_all [| l; incr |]));
+        checki "layer" 0 (probes_in_one_step (fun l -> Vcomp.layer l incr)));
   ]
 
 (* Layered composition (§3.5): calls flow downward only. *)
@@ -313,4 +335,4 @@ let prop_tests =
 let suite =
   ( "smallstep",
     unit_tests @ hcomp_tests @ vcomp_tests @ closed_tests @ robustness_tests
-    @ prop_tests )
+    @ probe_tests @ prop_tests )
