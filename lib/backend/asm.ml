@@ -549,9 +549,11 @@ let decode_function (ge : genv) (fb : block) (f : coq_function) : decoded =
   { code = Array.mapi (fun pos i -> decode_instr gv ge f fb pcs pos i) f.fn_code;
     pcs }
 
-(* Global decode-cache counters: every consultation (including the
-   same-block fast path) counts as a lookup; a miss decodes. The bench
-   derives the hit-rate gauge from these. *)
+(* Global decode-cache counters over the dispatcher's lookups only: each
+   one (including the same-block fast path) counts, and a miss decodes.
+   The interaction tests' "is this internal code?" probes consult the
+   same cache uncounted, so the hit-rate gauge the bench derives from
+   these describes decoding, not how often a caller probes. *)
 let decode_cache_lookups = ref 0
 let decode_cache_misses = ref 0
 let decode_cache_stats () = (!decode_cache_lookups, !decode_cache_misses)
@@ -570,15 +572,16 @@ type decode_cache = {
 let make_decode_cache () : decode_cache =
   { dc_tbl = Hashtbl.create 16; dc_last_fb = -1; dc_last = None }
 
-let decoded_at (ge : genv) (dc : decode_cache) (fb : block) : decoded option =
-  incr decode_cache_lookups;
+let find_decoded ~counted (ge : genv) (dc : decode_cache) (fb : block) :
+    decoded option =
+  if counted then incr decode_cache_lookups;
   if fb = dc.dc_last_fb then dc.dc_last
   else begin
     let d =
       match Hashtbl.find_opt dc.dc_tbl fb with
       | Some d -> d
       | None ->
-        incr decode_cache_misses;
+        if counted then incr decode_cache_misses;
         let d =
           match Genv.find_funct_ptr ge fb with
           | Some (Ast.Internal f) -> Some (decode_function ge fb f)
@@ -641,13 +644,13 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
   (* A state is at an interaction point when the PC leaves this unit's
      internal code: either at the environment return address (final) or
      at a block this unit does not define internally (external call).
-     The threaded dispatcher answers "is this internal code?" from the
-     decode cache, so the per-step interaction test costs no [Genv]
-     descent either. *)
+     The threaded semantics answers "is this internal code?" from the
+     decode cache (uncounted: a probe is not a dispatch), so the
+     interaction test costs no [Genv] descent either. *)
   let is_internal v =
     match v with
     | Vptr (b, 0) ->
-      if threaded then Option.is_some (decoded_at ge dc b)
+      if threaded then Option.is_some (find_decoded ~counted:false ge dc b)
       else (
         match Genv.find_funct_ptr ge b with
         | Some (Ast.Internal _) -> true
@@ -665,7 +668,7 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
      current block is internal by construction) — and every internal
      step emits the empty trace, so fusing them under one transition
      preserves the observable behavior while paying the run loop's
-     probe-and-allocate overhead once per superstep instead of once per
+     per-step overhead once per superstep instead of once per
      instruction. No PC inside a superstep is observable, so the PC
      register is written once, at its end: the position it stopped at,
      or whatever the instruction that left the function wrote.
@@ -684,7 +687,7 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
       let rs = s.asm_st.rs in
       match rs.(ipc) with
       | Vptr (fb, pos) -> (
-        match decoded_at ge dc fb with
+        match find_decoded ~counted:true ge dc fb with
         | Some d when pos >= 0 && pos < Array.length d.code ->
           let m = s.asm_st.m in
           let st = { rs; m } in

@@ -53,14 +53,6 @@ type stmt =
   | Scontinue
   | Sreturn of expr option
 
-(** [while (c) s] *)
-let swhile c s =
-  Sloop (Ssequence (Sifthenelse (c, Sskip, Sbreak), s), Sskip)
-
-(** [for (;c;inc) s] — initialization is sequenced before the loop. *)
-let sfor c s inc =
-  Sloop (Ssequence (Sifthenelse (c, Sskip, Sbreak), s), inc)
-
 type coq_function = {
   fn_return : ty;
   fn_params : (Ident.t * ty) list;
@@ -68,8 +60,6 @@ type coq_function = {
   fn_temps : (Ident.t * ty) list;
   fn_body : stmt;
 }
-
-let fn_type f = Tfunction (List.map snd f.fn_params, f.fn_return)
 
 let fn_sig f =
   signature_of_type (List.map snd f.fn_params) f.fn_return

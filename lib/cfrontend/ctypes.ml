@@ -23,15 +23,8 @@ type ty =
 
 let tint = Tint (I32, Signed)
 let tuint = Tint (I32, Unsigned)
-let tchar = Tint (I8, Signed)
-let tuchar = Tint (I8, Unsigned)
-let tshort = Tint (I16, Signed)
-let tushort = Tint (I16, Unsigned)
 let tlong = Tlong Signed
 let tulong = Tlong Unsigned
-let tdouble = Tfloat
-let tfloat = Tsingle
-let tptr t = Tpointer t
 
 let rec sizeof = function
   | Tvoid -> 1

@@ -10,10 +10,6 @@
 
 type iface = IC | IL | IM | IA
 
-let pp_iface fmt i =
-  Format.pp_print_string fmt
-    (match i with IC -> "C" | IL -> "L" | IM -> "M" | IA -> "A")
-
 type atom =
   | Injp
   | Inj
@@ -49,12 +45,6 @@ let atom_type (a : atom) (i : iface) : iface option =
   | CL -> if i = IC then Some IL else None
   | LM -> if i = IL then Some IM else None
   | MA -> if i = IM then Some IA else None
-
-let is_cklr = function
-  | Injp | Inj | Ext | Vainj | Vaext -> true
-  | _ -> false
-
-let is_structural = function CL | LM | MA -> true | _ -> false
 
 (** A convention term: a composition of atoms, read left (source side)
     to right (target side); [[]] is the identity. *)

@@ -4,8 +4,6 @@
 
 type iface = IC | IL | IM | IA
 
-val pp_iface : Format.formatter -> iface -> unit
-
 type atom =
   | Injp
   | Inj
@@ -25,9 +23,6 @@ val pp_atom : Format.formatter -> atom -> unit
 (** Endo-atoms keep the interface; structural atoms transport it
     ([CL : C→L], [LM : L→M], [MA : M→A]). [None] = ill-typed here. *)
 val atom_type : atom -> iface -> iface option
-
-val is_cklr : atom -> bool
-val is_structural : atom -> bool
 
 (** A term is a composition of atoms (associative with identity,
     Thm. 5.2), read source-side to target-side; [[]] is [id]. *)

@@ -153,8 +153,3 @@ end
 (** First-class packaging, used when a set of CKLRs must be manipulated
     uniformly (the sum [R = injp + inj + ext + vainj + vaext] of §5). *)
 type some_cklr = Some_cklr : (module CKLR with type world = 'w) -> some_cklr
-
-let all_basic : some_cklr list =
-  [ Some_cklr (module Ext); Some_cklr (module Inj); Some_cklr (module Injp) ]
-
-let cklr_name (Some_cklr (module R)) = R.name

@@ -57,6 +57,3 @@ end) : CKLR with type world = unit
 (** First-class packaging for manipulating sets of CKLRs (the sum
     [R = injp + inj + ext + vainj + vaext] of §5). *)
 type some_cklr = Some_cklr : (module CKLR with type world = 'w) -> some_cklr
-
-val all_basic : some_cklr list
-val cklr_name : some_cklr -> string

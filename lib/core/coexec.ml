@@ -123,32 +123,3 @@ let check ~fuel ~(l1 : ('s1, 'q1, 'r1, 'qo1, 'ro1) lts)
                 fail "source performs an external call but target terminates"
         in
         co s1 s2 1024)
-
-(** Variant where both oracles are given explicitly (used when the two
-    levels implement the environment independently, e.g. the Asm-level
-    oracle reads arguments from registers). The relatedness of the two
-    oracles is then part of the experiment setup. *)
-let check_with_oracles ~fuel ~l1 ~l2 ~(cc_in : ('wb, 'q1, 'q2, 'r1, 'r2) Simconv.t)
-    ~(oracle1 : 'qo1 -> 'ro1 option) ~(oracle2 : 'qo2 -> 'ro2 option)
-    ~(reply_ok : 'wb -> 'r1 -> 'r2 -> bool) (q1 : 'q1) : verdict =
-  match cc_in.Simconv.fwd_query q1 with
-  | None -> fail "cc_in cannot marshal the incoming question"
-  | Some (wb, q2) ->
-    record_query cc_in.Simconv.name;
-    let o1 = run ~fuel l1 ~oracle:oracle1 q1 in
-    let o2 = run ~fuel l2 ~oracle:oracle2 q2 in
-    let t1 = outcome_trace o1 and t2 = outcome_trace o2 in
-    (match (o1, o2) with
-    | Final (_, r1), Final (_, r2) ->
-      if not (Events.trace_equal t1 t2) then fail "event traces diverge"
-      else if record_check cc_in.Simconv.name (reply_ok wb r1 r2) then Pass
-      else fail "final answers are not related"
-    | Goes_wrong _, _ -> Pass (* source UB licenses any target behavior *)
-    | Refused, Refused -> Pass
-    | _, Goes_wrong (_, why) -> fail "target goes wrong (%s) but source does not" why
-    | Out_of_fuel _, _ | _, Out_of_fuel _ -> fail "fuel exhausted"
-    | Refused, _ -> fail "source refuses but target proceeds"
-    | _, Refused -> fail "target refuses the marshaled question"
-    | Env_stuck _, _ | _, Env_stuck _ -> fail "oracle refused an external call"
-    | Env_violation (_, why), _ | _, Env_violation (_, why) ->
-      fail "oracle answered outside the convention (%s)" why)

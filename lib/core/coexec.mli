@@ -27,17 +27,3 @@ val check :
   oracle:('qo1 -> 'ro1 option) ->
   'q1 ->
   verdict
-
-(** Variant with independent oracles at each level (e.g. an Asm-level
-    oracle decoding arguments from registers); the relatedness of the two
-    oracles is part of the experiment setup. *)
-val check_with_oracles :
-  fuel:int ->
-  l1:('s1, 'q1, 'r1, 'qo1, 'ro1) lts ->
-  l2:('s2, 'q2, 'r2, 'qo2, 'ro2) lts ->
-  cc_in:('wb, 'q1, 'q2, 'r1, 'r2) Simconv.t ->
-  oracle1:('qo1 -> 'ro1 option) ->
-  oracle2:('qo2 -> 'ro2 option) ->
-  reply_ok:('wb -> 'r1 -> 'r2 -> bool) ->
-  'q1 ->
-  verdict

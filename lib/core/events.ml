@@ -6,8 +6,6 @@
     from annotations; cross-component calls are {e not} events — they are
     the questions and answers of language interfaces. *)
 
-open Memory
-
 type eventval =
   | EVint of int32
   | EVlong of int64
@@ -22,20 +20,6 @@ type event =
 type trace = event list
 
 let e0 : trace = []
-
-let eventval_of_value = function
-  | Values.Vint n -> Some (EVint n)
-  | Values.Vlong n -> Some (EVlong n)
-  | Values.Vfloat f -> Some (EVfloat f)
-  | Values.Vsingle f -> Some (EVsingle f)
-  | _ -> None
-
-let value_of_eventval = function
-  | EVint n -> Values.Vint n
-  | EVlong n -> Values.Vlong n
-  | EVfloat f -> Values.Vfloat f
-  | EVsingle f -> Values.Vsingle f
-  | EVptr_global _ -> Values.Vundef
 
 let pp_eventval fmt = function
   | EVint n -> Format.fprintf fmt "%ld" n

@@ -26,7 +26,10 @@
     [step] takes the active frame's internal step first and looks for a
     push or pop only when there is none: by the contract of
     {!Smallstep.lts}, only then may the frame be at an interaction
-    point, and the empty step has left its state as it was. *)
+    point, and the empty step has left its state as it was. The run
+    loop of {!Smallstep} drives the composite itself the same way, so
+    [at_external] and [final] below are asked only when [step] is
+    empty: a push or pop never reaches them. *)
 
 open Smallstep
 module Diag = Support.Diagnostics

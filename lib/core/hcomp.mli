@@ -30,7 +30,10 @@ type ('q, 'r) boundary_event =
     and external questions go to the lowest-indexed component whose
     domain accepts them (i°, push); questions accepted by neither escape
     to the environment (x°). [step] takes the active frame's internal
-    step first, and looks for a push or pop only when it is empty.
+    step first, and looks for a push or pop only when it is empty; the
+    run loop of {!Smallstep} asks the composite's [at_external] (x°)
+    only when [step] is empty, so a push asks the running frame's
+    [at_external] once.
 
     [observe] receives every boundary (push/pop) event (default: none).
     [on_diag] fires with a [Domain_overlap] diagnostic whenever more

@@ -1,121 +1,89 @@
-(** Observed LTSs: wrap a transition system so every interaction point
-    lands in {!Obs.Interaction_log} (ISSUE 1 tentpole, part 4).
+(** Observed runs: {!Smallstep.run} with every interaction point of the
+    run recorded in {!Obs.Interaction_log}.
 
-    [instrument] is semantics-preserving by construction — every field
-    delegates to the underlying LTS and only records what it saw — so an
-    instrumented LTS produces the same [outcome] as the bare one (the
-    test suite checks this as a property). When observability is off the
-    LTS is returned unchanged, so there is no per-step cost. *)
+    The log is read off the run, not off the LTS's probes: the oracle
+    sees every outgoing call, and the outcome carries the final answer
+    or the stuck state. Only [init] (the question), [step] (a counter)
+    and [after_external] (the reply) are wrapped; [final] and
+    [at_external], which the run loop asks only at interaction points,
+    are not. The outcome is the bare run's. When observability is off
+    the run is {!Smallstep.run} itself, so there is no per-step cost. *)
 
 open Smallstep
 
 let opaque _ = "_"
 
-(** [instrument l] logs, per run: the incoming question, the number of
-    silent steps between interaction points, every outgoing call and the
-    reply it got, the final answer, and stuck states. The [pp_*]
+(** [run ~fuel l ~oracle q]: {!Smallstep.run}, logging the incoming
+    question, the number of silent steps between interaction points,
+    every outgoing call and the reply it got, the final answer or the
+    stuck state, and the fuel the run consumed (one unit per executed
+    step or resumption, [Smallstep.run]'s accounting). The [pp_*]
     renderers turn the interface-specific payloads into strings;
-    omitted ones print ["_"].
-
-    Wrap only the outermost LTS of a run. Inside [⊕] a component's
-    [step] is also tried at every push and pop, where it is empty, so
-    an instrumented component there would log [Stuck] at each of them. *)
-let instrument ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque)
-    ?(pp_ro = opaque) (l : ('s, 'qi, 'ri, 'qo, 'ro) lts) :
-    ('s, 'qi, 'ri, 'qo, 'ro) lts =
-  if not !Obs.enabled then l
+    omitted ones print ["_"]. *)
+let run ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque) ?(pp_ro = opaque)
+    ?check_reply ~fuel (l : ('s, 'qi, 'ri, 'qo, 'ro) lts)
+    ~(oracle : 'qo -> 'ro option) q : ('ri, 'qo) outcome =
+  if not !Obs.enabled then Smallstep.run ?check_reply ~fuel l ~oracle q
   else begin
-    let record = Obs.Interaction_log.record in
-    let steps = ref 0 in
+    let module Log = Obs.Interaction_log in
+    let steps = ref 0 and used = ref 0 and resumed = ref true in
     let flush () =
       if !steps > 0 then begin
-        record (Obs.Interaction_log.Steps !steps);
+        Log.record (Log.Steps !steps);
         Obs.Metrics.observe "lts.steps_between_interactions" (float_of_int !steps);
         steps := 0
       end
     in
-    {
-      l with
-      init =
-        (fun q ->
-          let ss = l.init q in
-          if ss <> [] then begin
-            steps := 0;
-            record (Obs.Interaction_log.Question (pp_qi q));
-            Obs.Metrics.incr_counter "lts.questions"
-          end;
-          ss);
-      step =
-        (fun s ->
-          let r = l.step s in
-          (match r with
-          | _ :: _ -> incr steps
-          | [] ->
-            flush ();
-            record Obs.Interaction_log.Stuck);
-          r);
-      at_external =
-        (fun s ->
-          let r = l.at_external s in
-          (match r with
-          | Some qo ->
-            flush ();
-            record (Obs.Interaction_log.Call (pp_qo qo));
-            Obs.Metrics.incr_counter "lts.calls"
-          | None -> ());
-          r);
-      after_external =
-        (fun s ro ->
-          let ss = l.after_external s ro in
-          record (Obs.Interaction_log.Reply (pp_ro ro));
-          ss);
-      final =
-        (fun s ->
-          let r = l.final s in
-          (match r with
-          | Some ri ->
-            flush ();
-            record (Obs.Interaction_log.Final (pp_ri ri));
-            Obs.Metrics.incr_counter "lts.finals"
-          | None -> ());
-          r);
-    }
-  end
-
-(** [run ~fuel l ~oracle q]: {!Smallstep.run} on the instrumented [l],
-    additionally recording the fuel the run consumed (one unit per
-    executed step or external resumption, mirroring [Smallstep.run]'s
-    accounting). *)
-let run ?pp_qi ?pp_ri ?pp_qo ?pp_ro ?check_reply ~fuel
-    (l : ('s, 'qi, 'ri, 'qo, 'ro) lts) ~(oracle : 'qo -> 'ro option) q :
-    ('ri, 'qo) outcome =
-  if not !Obs.enabled then Smallstep.run ?check_reply ~fuel l ~oracle q
-  else begin
-    let il = instrument ?pp_qi ?pp_ri ?pp_qo ?pp_ro l in
-    let used = ref 0 in
-    let counting =
+    let counted =
       {
-        il with
+        l with
+        init =
+          (fun q ->
+            let ss = l.init q in
+            if ss <> [] then begin
+              Log.record (Log.Question (pp_qi q));
+              Obs.Metrics.incr_counter "lts.questions"
+            end;
+            ss);
         step =
           (fun s ->
-            let r = il.step s in
-            if r <> [] then incr used;
+            let r = l.step s in
+            if r <> [] then begin
+              incr steps;
+              incr used
+            end;
             r);
         after_external =
           (fun s ro ->
-            let r = il.after_external s ro in
-            if r <> [] then incr used;
-            r);
+            let ss = l.after_external s ro in
+            Log.record (Log.Reply (pp_ro ro));
+            resumed := ss <> [];
+            if !resumed then incr used;
+            ss);
       }
+    in
+    let oracle qo =
+      flush ();
+      Log.record (Log.Call (pp_qo qo));
+      Obs.Metrics.incr_counter "lts.calls";
+      oracle qo
     in
     let o =
       Obs.Trace.with_span ("run:" ^ l.name) (fun () ->
-          Smallstep.run ?check_reply ~fuel counting ~oracle q)
+          Smallstep.run ?check_reply ~fuel counted ~oracle q)
     in
-    Obs.Interaction_log.record (Obs.Interaction_log.Fuel_consumed !used);
     (match o with
-    | Out_of_fuel _ -> Obs.Interaction_log.record Obs.Interaction_log.Out_of_fuel
+    | Final (_, r) ->
+      flush ();
+      Log.record (Log.Final (pp_ri r));
+      Obs.Metrics.incr_counter "lts.finals"
+    | Goes_wrong _ when !resumed ->
+      (* stuck, not a component refusing to resume *)
+      flush ();
+      Log.record Log.Stuck
     | _ -> ());
+    Log.record (Log.Fuel_consumed !used);
+    (match o with Out_of_fuel _ -> Log.record Log.Out_of_fuel | _ -> ());
     Obs.Metrics.observe "lts.fuel_consumed" (float_of_int !used);
     o
   end

@@ -27,9 +27,14 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
 
 (** {1 Deterministic execution}
 
-    The concrete semantics of the pipeline are deterministic; these
-    helpers run an LTS by always taking the first enabled transition.
-    The environment is a partial oracle answering outgoing questions. *)
+    The concrete semantics of the pipeline are deterministic; one loop
+    runs an LTS by always taking the first enabled transition. It takes
+    the internal step while there is one, and asks [final], then
+    [at_external], only when the step is empty: by the contract of
+    {!lts}, only then may the state be at an interaction point, and the
+    empty step has left it as it was. Fuel is one unit per step or
+    resumption, checked before stepping. The environment is a partial
+    oracle answering outgoing questions. *)
 
 type ('ri, 'qo) outcome =
   | Final of Events.trace * 'ri  (** terminated with an answer *)
@@ -55,6 +60,37 @@ let outcome_trace = function
     t
   | Refused -> []
 
+type ('s, 'ri, 'qo) interaction =
+  | Ifinal of 'ri
+  | Iexternal of 'qo * 's  (** external question together with the suspended state *)
+  | Istuck
+  | Ifuel
+
+(* Internal steps from [s] to the next interaction point: the fuel left,
+   the events so far (newest first) and the point reached. *)
+let rec advance l fuel trace s =
+  if fuel <= 0 then (fuel, trace, Ifuel)
+  else
+    match l.step s with
+    | (t, s') :: _ -> advance l (fuel - 1) (List.rev_append t trace) s'
+    | [] ->
+      ( fuel,
+        trace,
+        match l.final s with
+        | Some r -> Ifinal r
+        | None -> (
+          match l.at_external s with
+          | Some qo -> Iexternal (qo, s)
+          | None -> Istuck) )
+
+(** [run_to_interaction ~fuel l s] advances [s] to its next interaction
+    point: a final or external state, a stuck one, or the end of the
+    fuel. The co-execution checker drives both sides with it. *)
+let run_to_interaction ~fuel (l : ('s, 'qi, 'ri, 'qo, 'ro) lts) s :
+    Events.trace * ('s, 'ri, 'qo) interaction =
+  let _, trace, i = advance l fuel [] s in
+  (List.rev trace, i)
+
 (** [run ~fuel lts ~oracle q] activates [lts] on [q] and runs it to
     completion, answering outgoing questions with [oracle].
 
@@ -72,55 +108,20 @@ let run ?(check_reply = fun _ _ -> Ok ()) ~fuel
     | [] -> Refused
     | s0 :: _ ->
       let rec go fuel trace s =
-        if fuel <= 0 then Out_of_fuel (List.rev trace)
-        else
-          match l.final s with
-          | Some r -> Final (List.rev trace, r)
-          | None -> (
-            match l.at_external s with
-            | Some qo -> (
-              match oracle qo with
-              | None -> Env_stuck (List.rev trace, qo)
-              | Some ro -> (
-                match check_reply qo ro with
-                | Error why -> Env_violation (List.rev trace, why)
-                | Ok () -> (
-                  match l.after_external s ro with
-                  | s' :: _ -> go (fuel - 1) trace s'
-                  | [] ->
-                    Goes_wrong
-                      (List.rev trace, "no resumption after external call"))))
-            | None -> (
-              match l.step s with
-              | (t, s') :: _ -> go (fuel - 1) (List.rev_append t trace) s'
-              | [] -> Goes_wrong (List.rev trace, "stuck state")))
+        match advance l fuel trace s with
+        | _, trace, Ifinal r -> Final (List.rev trace, r)
+        | _, trace, Istuck -> Goes_wrong (List.rev trace, "stuck state")
+        | _, trace, Ifuel -> Out_of_fuel (List.rev trace)
+        | fuel, trace, Iexternal (qo, s) -> (
+          match oracle qo with
+          | None -> Env_stuck (List.rev trace, qo)
+          | Some ro -> (
+            match check_reply qo ro with
+            | Error why -> Env_violation (List.rev trace, why)
+            | Ok () -> (
+              match l.after_external s ro with
+              | s' :: _ -> go (fuel - 1) trace s'
+              | [] ->
+                Goes_wrong (List.rev trace, "no resumption after external call"))))
       in
       go fuel [] s0
-
-(** {1 Running to the next interaction point}
-
-    Used by the co-execution checker: advance a state until it reaches a
-    final state, an external state, gets stuck, or exhausts its fuel. *)
-
-type ('s, 'ri, 'qo) interaction =
-  | Ifinal of 'ri
-  | Iexternal of 'qo * 's  (** external question together with the suspended state *)
-  | Istuck
-  | Ifuel
-
-let run_to_interaction ~fuel (l : ('s, 'qi, 'ri, 'qo, 'ro) lts) s :
-    Events.trace * ('s, 'ri, 'qo) interaction =
-  let rec go fuel trace s =
-    if fuel <= 0 then (List.rev trace, Ifuel)
-    else
-      match l.final s with
-      | Some r -> (List.rev trace, Ifinal r)
-      | None -> (
-        match l.at_external s with
-        | Some qo -> (List.rev trace, Iexternal (qo, s))
-        | None -> (
-          match l.step s with
-          | (t, s') :: _ -> go (fuel - 1) (List.rev_append t trace) s'
-          | [] -> (List.rev trace, Istuck)))
-  in
-  go fuel [] s

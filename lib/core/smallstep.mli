@@ -13,9 +13,9 @@
     write its argument in place. Every LTS keeps two rules about that: a
     state at an interaction point ([at_external] or [final] answers)
     has no internal step, and a [step] that returns [[]] writes nothing.
-    The composites ({!Hcomp}, {!Vcomp}) rely on both: they take the
-    active state's internal step first, and probe [at_external] and
-    [final] only when it is empty. *)
+    Every driver relies on both: {!run}, {!run_to_interaction} and the
+    composites ({!Hcomp}, {!Vcomp}) take the internal step first, and
+    probe [final] and [at_external] only when it is empty. *)
 type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   name : string;
   dom : 'qi -> bool;  (** [D ⊆ B°]: accepted questions *)
@@ -45,7 +45,8 @@ val pp_outcome :
 val outcome_trace : ('ri, 'qo) outcome -> Events.trace
 
 (** [run ~fuel lts ~oracle q] activates [lts] on [q] and runs it to
-    completion, answering outgoing questions with [oracle].
+    completion, answering outgoing questions with [oracle]. Fuel is one
+    unit per internal step or resumption, checked before stepping.
     [check_reply] validates each oracle answer against its question; a
     rejected answer yields [Env_violation] instead of resuming with a
     convention-breaking value. *)
@@ -65,7 +66,7 @@ type ('s, 'ri, 'qo) interaction =
   | Ifuel
 
 (** Advance a state to its next interaction point (used by the
-    co-execution checker). *)
+    co-execution checker), by the same loop and fuel rule as {!run}. *)
 val run_to_interaction :
   fuel:int ->
   ('s, 'qi, 'ri, 'qo, 'ro) lts ->

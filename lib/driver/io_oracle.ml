@@ -30,11 +30,6 @@ type primitive = {
 
 type log_entry = { call_name : string; call_args : int32 list; call_res : int32 }
 
-let pp_log_entry fmt e =
-  Format.fprintf fmt "%s(%s) -> %ld" e.call_name
-    (String.concat ", " (List.map Int32.to_string e.call_args))
-    e.call_res
-
 type 'q oracle = { ask : 'q -> ('q, 'q) Either.t option }
 
 (** Shared logging state: [make_log ()] gives a recorder and a reader. *)

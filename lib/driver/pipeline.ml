@@ -195,30 +195,36 @@ let pass ?optional name src tgt phase outgoing incoming transf =
     When the [fast] allocator's coloring is rejected (or it crashes),
     the stage retries once with [fallback] and validates again —
     performance from the fast path, correctness from the check. Only an
-    accepted LTL program leaves the stage. *)
+    accepted LTL program leaves the stage. Liveness is solved once per
+    function, inside the first Allocation span, and every allocator and
+    validation of the stage reads that solution. *)
 let allocation ~(fast : Passes.Allocation.allocator)
     ~(fallback : Passes.Allocation.allocator) : stage =
   let name = "Allocation" and phase = Diag.Backend in
-  let attempt allocator rtl =
+  let attempt liveness allocator rtl =
     let open Diag in
     let* ltl, assignments =
       guarded ~name ~phase ~before:Sizes.rtl
         ~after:(fun (l, _) -> Sizes.ltl l)
-        (Passes.Allocation.transf_program_with_assignments ~allocator)
+        (fun rtl ->
+          Passes.Allocation.transf_program_with_assignments ~allocator
+            ~liveness:(Lazy.force liveness) rtl)
         rtl
     in
     let* () =
       guarded ~kind:Validation_failure ~name:"AllocCheck" ~phase
         ~before:Sizes.ltl
         ~after:(fun () -> Sizes.ltl ltl)
-        (Passes.Alloc_check.validate_program ~assignments rtl)
+        (Passes.Alloc_check.validate_program ~assignments
+           ~liveness:(Lazy.force liveness) rtl)
         ltl
     in
     Ok ltl
   in
   let conv = Convalg.Cterm.[ Wt; Ext; CL ] in
   stage name RTL LTL phase conv conv (fun rtl ->
-      match attempt fast rtl with
+      let liveness = lazy (Middle.Liveness.solve_program rtl) in
+      match attempt liveness fast rtl with
       | Ok ltl ->
         Obs.Trace.add_attr "allocator" (Obs.Json.Str "linear_scan");
         Ok ltl
@@ -226,7 +232,7 @@ let allocation ~(fast : Passes.Allocation.allocator)
         (* Surfaced on the enclosing span and in the metrics registry. *)
         Obs.Metrics.incr_counter "alloc.linear_scan_fallback";
         Obs.Trace.add_attr "allocator" (Obs.Json.Str "spill_fallback");
-        attempt fallback rtl)
+        attempt liveness fallback rtl)
 
 (** {1 The pipeline} *)
 

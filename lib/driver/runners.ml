@@ -62,36 +62,29 @@ let run_c_level lts ~fuel ?(oracle = fun _ -> None) ?check_reply (q : c_query) :
     ~pp_qo:(Format.asprintf "%a" pp_c_query)
     ?check_reply ~fuel lts ~oracle q
 
+(* A lower-level run: the query marshaled down through [cc] (named
+   [conv] in the error), the reply marshaled back up. *)
+let run_through cc conv lts ~fuel ?(oracle = fun _ -> None) ?check_reply
+    (q : c_query) : (c_outcome, string) result =
+  match cc.Simconv.fwd_query q with
+  | None -> Error (conv ^ " cannot marshal the query")
+  | Some (w, q') ->
+    map_outcome (cc.Simconv.bwd_reply w)
+      (Obs_lts.run ?check_reply ~fuel lts ~oracle q')
+
 (** Run an [L]-interfaced semantics (LTL, Linear) on a C query through
     [CL]. *)
-let run_l_level lts ~fuel ?(oracle = fun _ -> None) (q : c_query) :
-    (c_outcome, string) result =
-  match cc_cl.Simconv.fwd_query q with
-  | None -> Error "CL cannot marshal the query"
-  | Some (w, lq) ->
-    let o = Obs_lts.run ~fuel lts ~oracle lq in
-    map_outcome (fun r -> cc_cl.Simconv.bwd_reply w r) o
+let run_l_level lts ~fuel ?oracle q = run_through cc_cl "CL" lts ~fuel ?oracle q
 
 (** Run Mach on a C query through [CL · LM]. *)
-let run_m_level lts ~fuel ?(oracle = fun _ -> None) (q : c_query) :
-    (c_outcome, string) result =
-  match cc_cm.Simconv.fwd_query q with
-  | None -> Error "CL.LM cannot marshal the query"
-  | Some (w, mq) ->
-    let o = Obs_lts.run ~fuel lts ~oracle mq in
-    map_outcome (fun r -> cc_cm.Simconv.bwd_reply w r) o
+let run_m_level lts ~fuel ?oracle q = run_through cc_cm "CL.LM" lts ~fuel ?oracle q
 
 (** Run Asm on a C query through [CA = CL · LM · MA]. [oracle] answers
     A-level external calls; [check_reply] validates those answers
     against the A-side of the convention, diagnosing misbehaving
     environments as [Env_violation]. *)
-let run_a_level lts ~fuel ?(oracle = fun _ -> None) ?check_reply (q : c_query) :
-    (c_outcome, string) result =
-  match cc_ca.Simconv.fwd_query q with
-  | None -> Error "CA cannot marshal the query"
-  | Some (w, aq) ->
-    let o = Obs_lts.run ?check_reply ~fuel lts ~oracle aq in
-    map_outcome (fun r -> cc_ca.Simconv.bwd_reply w r) o
+let run_a_level lts ~fuel ?oracle ?check_reply q =
+  run_through cc_ca "CA" lts ~fuel ?oracle ?check_reply q
 
 (** The refinement check on outcomes used by the differential harness:
     traces must agree and the target's answer must refine the source's

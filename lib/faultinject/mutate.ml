@@ -61,9 +61,6 @@ let class_name = function
   | Retarget_branch -> "retarget-branch"
   | Corrupt_conv_slot -> "corrupt-conv-slot"
 
-let class_of_name s =
-  List.find_opt (fun c -> class_name c = s) all_classes
-
 (** A mutation site: the function and the instruction within it.
     [site_loc] is a CFG node for RTL classes and an instruction index
     for Linear ones; [site_note] describes the planned corruption. *)

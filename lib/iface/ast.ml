@@ -62,13 +62,6 @@ let prog_defs_names p = List.map fst p.prog_defs
 let find_def p id =
   List.assoc_opt id p.prog_defs
 
-(** Functions defined (with a body) by this translation unit: these make
-    up the domain [D] of the unit's open semantics. *)
-let defined_functions p =
-  List.filter_map
-    (fun (id, d) -> match d with Gfun (Internal _) -> Some id | _ -> None)
-    p.prog_defs
-
 (** {1 Syntactic linking}
 
     [link p1 p2] merges the definitions of two translation units:

@@ -552,10 +552,9 @@ let cc_ca : (ca_world, c_query, a_query, c_reply, a_reply) Simconv.t =
            || Regfile.get r w.ca_rs = Pregfile.get (Mreg r) rs')
          all_mregs
     (* Memory: the source answer memory embeds into the target answer
-       memory with the argument region restored. *)
-    && (match mix w.ca_sg w.ca_sp w.ca_mem r3.ar_mem with
-       | Some _ -> mem_embeds r1.cr_mem r3.ar_mem
-       | None -> mem_embeds r1.cr_mem r3.ar_mem)
+       memory. Whether the argument region was restored is not
+       checked. *)
+    && mem_embeds r1.cr_mem r3.ar_mem
   in
   let generic = Simconv.compose cc_cl (Simconv.compose cc_lm cc_ma) in
   let fwd_query q1 =

@@ -52,11 +52,6 @@ let symbol_address ge id ofs =
   | Some b -> Vptr (b, ofs)
   | None -> Vundef
 
-let invert_symbol ge b =
-  Ident.Map.fold
-    (fun id b' acc -> if b = b' then Some id else acc)
-    ge.symbols None
-
 let find_def_by_block ge b = BMap.find_opt b ge.blocks
 
 let find_funct_ptr ge b =

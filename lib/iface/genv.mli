@@ -18,7 +18,6 @@ val make_symtbl : Ident.t list -> block Ident.Map.t * block
 val globalenv : symbols:Ident.t list -> ('fn, 'v) Ast.program -> ('fn, 'v) t
 val find_symbol : ('fn, 'v) t -> Ident.t -> block option
 val symbol_address : ('fn, 'v) t -> Ident.t -> int -> value
-val invert_symbol : ('fn, 'v) t -> block -> Ident.t option
 val find_def_by_block : ('fn, 'v) t -> block -> ('fn, 'v) Ast.globdef option
 val find_funct_ptr : ('fn, 'v) t -> block -> 'fn Ast.fundef option
 

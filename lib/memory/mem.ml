@@ -66,14 +66,6 @@ let perm_rank = function
 (** [perm_order p1 p2]: permission [p1] implies permission [p2]. *)
 let perm_order p1 p2 = perm_rank p1 >= perm_rank p2
 
-let pp_permission fmt p =
-  Format.pp_print_string fmt
-    (match p with
-    | Nonempty -> "nonempty"
-    | Readable -> "readable"
-    | Writable -> "writable"
-    | Freeable -> "freeable")
-
 module IMap = Map.Make (Int)
 
 (* Contents chunking: 16-byte arrays keyed by [ofs asr chunk_bits].

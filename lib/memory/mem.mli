@@ -12,8 +12,6 @@ type permission = Nonempty | Readable | Writable | Freeable
 (** [perm_order p1 p2]: permission [p1] implies permission [p2]. *)
 val perm_order : permission -> permission -> bool
 
-val pp_permission : Format.formatter -> permission -> unit
-
 type t
 
 (** The empty memory; block identifiers start at 1. *)

@@ -169,17 +169,3 @@ let decode_val chunk (mvl : memval list) : value =
     | Many32 -> (
       match proj_value Q32 mvl with Some v -> v | None -> Vundef)
     | _ -> Vundef)
-
-(** Values loaded with a chunk are normalized: e.g. anything loaded with
-    [Mint8signed] is a sign-extended 8-bit integer. *)
-let load_result chunk v =
-  match (chunk, v) with
-  | (Mint8signed | Mint8unsigned | Mint16signed | Mint16unsigned | Mint32), Vint _
-    ->
-    v
-  | Mint64, (Vlong _ | Vptr _) -> v
-  | Mfloat32, Vsingle _ -> v
-  | Mfloat64, Vfloat _ -> v
-  | Many32, (Vint _ | Vsingle _) -> v
-  | Many64, _ -> v
-  | _ -> Vundef

@@ -55,9 +55,6 @@ let val_inject f v1 v2 =
     match apply f b with Some (b'', d) -> b' = b'' && o' = o + d | None -> false)
   | _ -> v1 = v2
 
-let val_inject_list f l1 l2 =
-  List.length l1 = List.length l2 && List.for_all2 (val_inject f) l1 l2
-
 (** Constructive direction: the canonical target value related to [v]. *)
 let map_val f v =
   match v with
@@ -74,14 +71,6 @@ let memval_inject f mv1 mv2 =
   | Fragment (v1, q1, i1), Fragment (v2, q2, i2) ->
     q1 = q2 && i1 = i2 && val_inject f v1 v2
   | _ -> false
-
-let map_memval f = function
-  | Undef -> Some Undef
-  | Byte b -> Some (Byte b)
-  | Fragment (v, q, i) -> (
-    match map_val f v with
-    | Some v' -> Some (Fragment (v', q, i))
-    | None -> None)
 
 (** {1 Memory extensions [≤m]} *)
 

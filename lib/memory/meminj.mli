@@ -28,13 +28,10 @@ val pp : Format.formatter -> t -> unit
     refines into anything; pointers are relocated along [f]. *)
 val val_inject : t -> value -> value -> bool
 
-val val_inject_list : t -> value list -> value list -> bool
-
 (** Constructive direction: the canonical target value related to [v]. *)
 val map_val : t -> value -> value option
 
 val memval_inject : t -> memval -> memval -> bool
-val map_memval : t -> memval -> memval option
 
 (** {1 Memory relations} *)
 

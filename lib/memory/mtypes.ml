@@ -11,13 +11,6 @@ type typ =
   | Tsingle  (** 32-bit floating-point *)
   | Tany64  (** any 64-bit-representable value; used for register saves *)
 
-let typ_size = function
-  | Tint -> 4
-  | Tlong -> 8
-  | Tfloat -> 8
-  | Tsingle -> 4
-  | Tany64 -> 8
-
 (** Number of 8-byte stack words occupied by a value of the given type.
     Every stack slot is 8-byte aligned on our 64-bit target. *)
 let typ_words (_ : typ) = 1

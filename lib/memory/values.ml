@@ -9,8 +9,6 @@ open Mtypes
 
 type block = int
 
-let pp_block fmt b = Format.fprintf fmt "b%d" b
-
 type value =
   | Vundef
   | Vint of int32
@@ -22,12 +20,6 @@ type value =
 let vtrue = Vint 1l
 let vfalse = Vint 0l
 let of_bool b = if b then vtrue else vfalse
-let vzero = Vint 0l
-let vzerol = Vlong 0L
-
-(* Null pointers are represented as the 64-bit integer 0, as on a 64-bit
-   CompCert target. *)
-let vnullptr = Vlong 0L
 
 let pp fmt = function
   | Vundef -> Format.pp_print_string fmt "undef"
@@ -392,18 +384,6 @@ let cmpfs_bool c v1 v2 =
   match (v1, v2) with
   | Vsingle a, Vsingle b -> cmpf_bool c (Vfloat a) (Vfloat b)
   | _ -> None
-
-let of_optbool = function Some b -> of_bool b | None -> Vundef
-
-(** Truth value of a value used as a condition, as in C. [None] when the
-    value does not have a defined truth value. *)
-let bool_of_value = function
-  | Vint n -> Some (n <> 0l)
-  | Vlong n -> Some (n <> 0L)
-  | Vfloat f -> Some (f <> 0.0)
-  | Vsingle f -> Some (f <> 0.0)
-  | Vptr _ -> Some true
-  | Vundef -> None
 
 (** Normalize a value to a register type: keep values matching the type,
     turn everything else into [Vundef]. Used when reading uninitialized

@@ -192,7 +192,13 @@ let transfer_cached tbl n (live_out : RSet.t) : RSet.t =
   if n < 0 || n >= tbl.du_size then RSet.empty
   else RSet.union (RSet.diff live_out tbl.du_defs.(n)) tbl.du_uses.(n)
 
-let solve_out_uncached (f : Rtl.coq_function) : def_use * (int -> RSet.t) =
+(** A solved liveness analysis of one function: the fixpoint is the
+    costly part, and [live_in]/[live_out] read it. A client that needs
+    one function's liveness twice solves it once and passes the
+    solution along. *)
+type solution = { tbl : def_use; out : int -> RSet.t }
+
+let solve (f : Rtl.coq_function) : solution =
   let tbl = def_use_table f in
   (* Successor edges as a dense array, built in one code traversal: the
      solver asks for them once per node when inverting the graph and once
@@ -215,31 +221,7 @@ let solve_out_uncached (f : Rtl.coq_function) : def_use * (int -> RSet.t) =
       ~transfer:(fun n out -> transfer_cached tbl n out)
       ~entries:[] (List.rev !nodes)
   in
-  (tbl, live_out)
-
-(* Solved-liveness cache, keyed on the function value itself (physical
-   equality — [coq_function]s are immutable). The register allocator and
-   its validator each ask for the same function's liveness within one
-   compilation, but a whole program's functions are allocated first and
-   validated after, so a single-entry cache would always miss: a small
-   FIFO of recent solves covers the program. The cached solution is a
-   pure lookup into a solved dense array, so sharing it is safe. *)
-let solve_cap = 64
-let solve_memo : (Rtl.coq_function * (def_use * (int -> RSet.t))) list ref =
-  ref []
-
-let solve_out (f : Rtl.coq_function) : def_use * (int -> RSet.t) =
-  match List.find_opt (fun (g, _) -> g == f) !solve_memo with
-  | Some (_, r) -> r
-  | None ->
-    let r = solve_out_uncached f in
-    let kept =
-      if List.length !solve_memo >= solve_cap then
-        List.filteri (fun i _ -> i < solve_cap - 1) !solve_memo
-      else !solve_memo
-    in
-    solve_memo := (f, r) :: kept;
-    r
+  { tbl; out = live_out }
 
 (* live-in memoized in a dense array over nodes. *)
 let memo_live_in tbl (live_out : int -> RSet.t) : int -> RSet.t =
@@ -255,21 +237,24 @@ let memo_live_in tbl (live_out : int -> RSet.t) : int -> RSet.t =
       s
     end
 
-(** [analyze f] returns [live_in]: for each node, the registers live at
-    the entrance of the node's instruction. Results are memoized, so
-    repeated queries at the same node cost one array read. *)
-let analyze (f : Rtl.coq_function) : int -> RSet.t =
-  let tbl, live_out = solve_out f in
-  memo_live_in tbl live_out
-
 (** Live-out of each node. *)
-let analyze_out (f : Rtl.coq_function) : int -> RSet.t =
-  snd (solve_out f)
+let live_out (s : solution) : int -> RSet.t = s.out
 
-(** Both live-in and live-out from a single fixpoint solve, for clients
-    that need the two views of the same analysis (the allocation
-    validator runs its coloring check on live-out and its code check on
-    live-in). *)
-let analyze_both (f : Rtl.coq_function) : (int -> RSet.t) * (int -> RSet.t) =
-  let tbl, live_out = solve_out f in
-  (memo_live_in tbl live_out, live_out)
+(** Live-in of each node: the registers live at the entrance of the
+    node's instruction. Results are memoized, so repeated queries at the
+    same node cost one array read. *)
+let live_in (s : solution) : int -> RSet.t = memo_live_in s.tbl s.out
+
+let analyze (f : Rtl.coq_function) : int -> RSet.t = live_in (solve f)
+let analyze_out (f : Rtl.coq_function) : int -> RSet.t = live_out (solve f)
+
+(** Every internal function's liveness, by name: the Allocation stage
+    solves it once and hands it to the allocator and to its
+    validator. *)
+let solve_program (p : Rtl.program) : (Support.Ident.t * solution) list =
+  List.filter_map
+    (fun (id, d) ->
+      match d with
+      | Iface.Ast.Gfun (Iface.Ast.Internal f) -> Some (id, solve f)
+      | _ -> None)
+    p.Iface.Ast.prog_defs

@@ -218,36 +218,6 @@ let eval_operation (ge : genv_view) (sp : value) (op : operation)
     | Some b -> Some (of_bool b)
     | None -> Some Vundef)
 
-(** Number of arguments expected by an operation. *)
-let rec args_of_operation = function
-  | Omove -> 1
-  | Ointconst _ | Olongconst _ | Ofloatconst _ | Osingleconst _
-  | Oaddrsymbol _ | Oaddrstack _ ->
-    0
-  | Oaddimm _ | Omulimm _ | Oandimm _ | Oorimm _ | Oxorimm _ | Oshlimm _
-  | Oshrimm _ | Oshruimm _ | Oneg | Onot | Ocast8signed | Ocast8unsigned
-  | Ocast16signed | Ocast16unsigned | Oaddlimm _ | Omullimm _ | Oandlimm _
-  | Oorlimm _ | Oxorlimm _ | Oshllimm _ | Oshrlimm _ | Oshrluimm _ | Onegl
-  | Onotl | Olongofint | Olongofintu | Ointoflong | Ofloatofint | Ointoffloat
-  | Ofloatoflong | Olongoffloat | Osingleoffloat | Ofloatofsingle
-  | Osingleofint | Ointofsingle | Onegf | Oabsf | Onegfs ->
-    1
-  | Oadd | Osub | Omul | Odiv | Odivu | Omod | Omodu | Oand | Oor | Oxor
-  | Oshl | Oshr | Oshru | Oaddl | Osubl | Omull | Odivl | Odivlu | Omodl
-  | Omodlu | Oandl | Oorl | Oxorl | Oshll | Oshrl | Oshrlu | Oaddf | Osubf
-  | Omulf | Odivf | Oaddfs | Osubfs | Omulfs | Odivfs ->
-    2
-  | Olea (Aindexed _ | Ascaled _) -> 1
-  | Olea (Aindexed2 _ | Aindexed2scaled _) -> 2
-  | Olea (Aglobal _ | Ainstack _) -> 0
-  | Ocmp c -> args_of_condition c
-
-and args_of_condition = function
-  | Ccomp _ | Ccompu _ | Ccompl _ | Ccomplu _ | Ccompf _ | Ccompfs _ -> 2
-  | Ccompimm _ | Ccompuimm _ | Ccomplimm _ | Ccompluimm _ | Cmaskzero _
-  | Cmasknotzero _ ->
-    1
-
 (** The machine type of an operation's result (used by the register
     allocator and the [wt] reasoning). *)
 let type_of_operation = function

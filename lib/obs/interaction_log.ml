@@ -5,12 +5,14 @@
     incoming questions, outgoing calls and their replies, final answers
     (§2) — but [Smallstep.run] discards all of that and keeps the
     outcome. This log is the executable counterpart of the paper's
-    interaction traces: [Obs_lts.instrument] (in [Core]) wraps an LTS so
-    that each of these events lands here, already rendered to strings so
-    this module stays independent of the language-interface types.
+    interaction traces: [Obs_lts.run] (in [Core]) records each of these
+    events of a run here, already rendered to strings so this module
+    stays independent of the language-interface types.
 
     Events are recorded in order; [Steps] counts the silent internal
-    steps executed since the previous interaction point. *)
+    steps executed since the previous interaction point. A run's last
+    events are [Fuel_consumed] and, when the fuel ran out,
+    [Out_of_fuel]. *)
 
 type event =
   | Question of string  (** incoming question activating the LTS *)

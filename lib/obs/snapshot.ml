@@ -36,9 +36,3 @@ let capture () : t =
 let merge ?pid (s : t) : unit =
   Trace.graft ~pid:(Option.value pid ~default:s.sn_pid) s.sn_spans;
   Metrics.absorb s.sn_metrics
-
-(** Spans + histogram buckets in a snapshot, a cheap size proxy for the
-    merge-overhead accounting in EXPERIMENTS.md. *)
-let weight (s : t) : int =
-  let rec spans n (sp : Trace.span) = List.fold_left spans (n + 1) sp.Trace.children in
-  List.fold_left spans 0 s.sn_spans + List.length s.sn_metrics.Metrics.s_histograms

@@ -193,23 +193,3 @@ let export_chrome (path : string) =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Json.to_string (to_chrome_json ())))
-
-(** Human-readable tree of the recorded spans. *)
-let pp_tree fmt () =
-  let rec pp_span indent sp =
-    Format.fprintf fmt "%s%s  %.3f ms" indent sp.name (sp.dur_us /. 1e3);
-    (match sp.attrs with
-    | [] -> ()
-    | attrs ->
-      Format.fprintf fmt "  {%s}"
-        (String.concat ", "
-           (List.map (fun (k, v) -> k ^ "=" ^ Json.to_string v) attrs)));
-    Format.pp_print_newline fmt ();
-    List.iter (pp_span (indent ^ "  ")) sp.children
-  in
-  List.iter (pp_span "") (roots ());
-  List.iter
-    (fun (pid, spans) ->
-      Format.fprintf fmt "[worker %d]@." pid;
-      List.iter (pp_span "  ") spans)
-    (grafted ())

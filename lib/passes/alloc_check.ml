@@ -134,13 +134,10 @@ let check_assignment_arr ~(live_out : int -> RSet.t) (f : R.coq_function)
     ok ()
   with Check_fail e -> Error e
 
-let check_assignment_with ~(live_out : int -> RSet.t) (f : R.coq_function)
-    (assign : assignment R.Regmap.t) : unit Errors.t =
-  check_assignment_arr ~live_out f assign (loc_array_of assign)
-
 let check_assignment (f : R.coq_function) (assign : assignment R.Regmap.t) :
     unit Errors.t =
-  check_assignment_with ~live_out:(Middle.Liveness.analyze_out f) f assign
+  check_assignment_arr ~live_out:(Middle.Liveness.analyze_out f) f assign
+    (loc_array_of assign)
 
 (** {1 Check 2: the code} *)
 
@@ -169,8 +166,8 @@ type tag =
    copying equations. Writing a location rebinds its storage class to a
    fresh cell — surviving members of the old class keep reading the old
    root, which is what makes a call's caller-save kill safe. Everything
-   is generation-stamped and arena-allocated, so one scratch store is
-   reused across every RTL node of every function: resetting it is one
+   is generation-stamped and arena-allocated, so one store serves every
+   RTL node of every function of a validation: resetting it is one
    integer bump, and steady-state validation allocates only the tag
    lists themselves. *)
 module AbsState = struct
@@ -384,11 +381,6 @@ module AbsState = struct
              false)))
           a.slot_keys;
     a
-
-  (* One scratch store reused across every validation in the process;
-     [reset] runs per RTL node, so cross-node and cross-function reuse
-     costs nothing and saves rebuilding the store each time. *)
-  let scratch = lazy (create ())
 end
 
 (* [Tentry] tags (and their singleton lists, for the initial-state
@@ -401,8 +393,6 @@ let tentry_tables (n : int) : (R.reg -> tag) * (R.reg -> tag list) =
   let sing = Array.init n (fun r -> [ tbl.(r) ]) in
   ( (fun r -> if r >= 0 && r < n then tbl.(r) else Tentry r),
     fun r -> if r >= 0 && r < n then sing.(r) else [ Tentry r ] )
-
-let tentry_table (n : int) : R.reg -> tag = fst (tentry_tables n)
 
 (* Interned singleton tag lists for the walk's writes. *)
 let tags_def = [ Tdef ]
@@ -586,13 +576,12 @@ and walk (env : walk_env) (n : L.node) (a : AbsState.t) ~(performed : bool)
       | _ -> fail "unexpected LTL instruction at node %d" n)
 
 (* Initial abstract state at an RTL node: every live-in register's entry
-   value sits in its assigned location. Resets and refills the scratch
-   store — the previous node's state becomes garbage by generation bump,
-   not by traversal. [tsing] is the interned singleton table, so a fresh
-   equation binds without consing. *)
-let init_state (tsing : R.reg -> tag list) (loc_arr : loc option array)
-    (live_in : RSet.t) : AbsState.t =
-  let a = Lazy.force AbsState.scratch in
+   value sits in its assigned location. Resets and refills the
+   validation's store [a] — the previous node's state becomes garbage by
+   generation bump, not by traversal. [tsing] is the interned singleton
+   table, so a fresh equation binds without consing. *)
+let init_state (a : AbsState.t) (tsing : R.reg -> tag list)
+    (loc_arr : loc option array) (live_in : RSet.t) : AbsState.t =
   AbsState.reset a;
   RSet.iter
     (fun r ->
@@ -607,8 +596,9 @@ let init_state (tsing : R.reg -> tag list) (loc_arr : loc option array)
    expansion contains no distinguished operation. *)
 let is_move = function R.Iop (Op.Omove, [ _ ], _, _) -> true | _ -> false
 
-let check_code_arr ~(live_in : int -> RSet.t) (f : R.coq_function)
-    (loc_arr : loc option array) (ltl : L.coq_function) : unit Errors.t =
+let check_code_arr (store : AbsState.t) ~(live_in : int -> RSet.t)
+    (f : R.coq_function) (loc_arr : loc option array) (ltl : L.coq_function) :
+    unit Errors.t =
   let max_n =
     match R.Regmap.max_binding_opt f.R.fn_code with Some (n, _) -> n | None -> -1
   in
@@ -647,49 +637,54 @@ let check_code_arr ~(live_in : int -> RSet.t) (f : R.coq_function)
         env.w_instr <- instr;
         env.w_defs <- R.instr_defs instr;
         env.w_origin <- n;
-        let a0 = init_state tsing loc_arr (live_in n) in
+        let a0 = init_state store tsing loc_arr (live_in n) in
         walk env n a0 ~performed:(is_move instr) ~fuel:64)
       f.R.fn_code;
     ok ()
   with Check_fail e -> Error e
 
-let check_code_with ~(live_in : int -> RSet.t) (f : R.coq_function)
-    (assign : assignment R.Regmap.t) (ltl : L.coq_function) : unit Errors.t =
-  check_code_arr ~live_in f (loc_array_of assign) ltl
-
 let check_code (f : R.coq_function) (assign : assignment R.Regmap.t)
     (ltl : L.coq_function) : unit Errors.t =
-  check_code_with ~live_in:(Middle.Liveness.analyze f) f assign ltl
+  check_code_arr (AbsState.create ()) ~live_in:(Middle.Liveness.analyze f) f
+    (loc_array_of assign) ltl
 
-(** Run both validation passes on one function. Liveness is solved once,
-    the assignment is re-indexed once, and both checks read them. *)
-let validate (f : R.coq_function) (assign : assignment R.Regmap.t)
+(** Run both validation passes on one function, given its solved
+    liveness and the validation's store. The assignment is re-indexed
+    once, and both checks read it. *)
+let validate store live (f : R.coq_function) (assign : assignment R.Regmap.t)
     (ltl : L.coq_function) : unit Errors.t =
-  let live_in, live_out = Middle.Liveness.analyze_both f in
   let loc_arr = loc_array_of assign in
-  let* () = check_assignment_arr ~live_out f assign loc_arr in
-  check_code_arr ~live_in f loc_arr ltl
+  let* () =
+    check_assignment_arr ~live_out:(Middle.Liveness.live_out live) f assign
+      loc_arr
+  in
+  check_code_arr store ~live_in:(Middle.Liveness.live_in live) f loc_arr ltl
 
 (** Validate a whole program against [Allocation]. The allocator's own
     (untrusted) colorings are taken from [assignments] when provided —
     the CompCert architecture, where validation consumes the allocator's
     output rather than re-deriving it; both checks treat the assignment
     as hostile. Without [assignments] the deterministic coloring is
-    recomputed, for callers that only hold the two programs. *)
-let validate_program ?(assignments = []) (rtl : R.program) (ltl : L.program) :
-    unit Errors.t =
+    recomputed, for callers that only hold the two programs. [liveness]
+    is every internal function's solved liveness
+    ({!Middle.Liveness.solve_program}), the one the allocator read; one
+    abstract store serves the whole validation. *)
+let validate_program ?(assignments = []) ~liveness (rtl : R.program)
+    (ltl : L.program) : unit Errors.t =
+  let store = AbsState.create () in
   fold_list
     (fun () (id, d) ->
       match d with
       | Iface.Ast.Gfun (Iface.Ast.Internal rf) -> (
         match Iface.Ast.find_def ltl id with
         | Some (Iface.Ast.Gfun (Iface.Ast.Internal lf)) ->
+          let live = List.assoc id liveness in
           let assign =
             match List.assoc_opt id assignments with
             | Some assign -> assign
-            | None -> fst (Allocation.allocate rf)
+            | None -> fst (Allocation.allocate live rf)
           in
-          (match validate rf assign lf with
+          (match validate store live rf assign lf with
           | Ok () -> ok ()
           | Error e -> error "%s: %s" (Support.Ident.name id) e)
         | _ -> error "%s: missing from the LTL program" (Support.Ident.name id))

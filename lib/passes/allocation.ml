@@ -119,19 +119,24 @@ let loc_of_assignment = function
   | Lreg r -> R r
   | Lslot (i, t) -> S (Local, i, t)
 
-(** An allocator colors one function, given its inferred typing: a
-    location per pseudo-register and the number of spill slots used.
+(** An allocator colors one function, given its liveness and its
+    inferred typing: a location per pseudo-register and the number of
+    spill slots used.
     Allocators are untrusted: [Alloc_check] validates every coloring,
     and the driver falls back to {!spill_everything} when it rejects a
     linear-scan one. *)
-type allocator = typ R.Regmap.t -> R.coq_function -> assignment R.Regmap.t * int
+type allocator =
+  Middle.Liveness.solution ->
+  typ R.Regmap.t ->
+  R.coq_function ->
+  assignment R.Regmap.t * int
 
 (** Every pseudo-register [r] in its own slot, [Local r]. No two
     pseudo-registers share a location and none is held in a register
     across a call, so the coloring passes the validator by
     construction: machine registers carry values only within the
     expansion of one RTL instruction. *)
-let spill_everything (types : typ R.Regmap.t) (f : R.coq_function) :
+let spill_everything _ (types : typ R.Regmap.t) (f : R.coq_function) :
     assignment R.Regmap.t * int =
   let nregs = R.max_reg_function f + 1 in
   let assign = ref R.Regmap.empty in
@@ -157,10 +162,10 @@ let spill_everything (types : typ R.Regmap.t) (f : R.coq_function) :
     the first register of its pool regardless of overlap, a wrong
     coloring that tests use to prove the validator rejects it and the
     driver falls back to {!spill_everything}. *)
-let allocate_linear_with ?(clobber = false) (types : typ R.Regmap.t)
+let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
     (f : R.coq_function) : assignment R.Regmap.t * int =
   let typ_of r = Option.value (R.Regmap.find_opt r types) ~default:Tlong in
-  let live_out = Middle.Liveness.analyze_out f in
+  let live_out = Middle.Liveness.live_out live in
   let nregs = R.max_reg_function f + 1 in
   (* Interval bounds, indexed by pseudo-register. Parameters are defined
      simultaneously at a virtual entry position -1, so they all overlap
@@ -367,8 +372,8 @@ let allocate_linear_with ?(clobber = false) (types : typ R.Regmap.t)
     assign_arr;
   (!assignment, !next_slot)
 
-let allocate (f : R.coq_function) : assignment R.Regmap.t * int =
-  allocate_linear_with (infer_types f) f
+let allocate live (f : R.coq_function) : assignment R.Regmap.t * int =
+  allocate_linear_with live (infer_types f) f
 
 (** {1 Parallel moves}
 
@@ -501,10 +506,10 @@ let loc_of (aarr : assignment option array) (typ_of : R.reg -> typ) (r : R.reg) 
 (* Translate one function; also returns the coloring used, so the
    validator can check the allocator's actual (untrusted) output instead
    of re-deriving it. *)
-let transf_function_with_assignment ~(allocator : allocator)
+let transf_function_with_assignment ~(allocator : allocator) live
     (f : R.coq_function) : (L.coq_function * assignment R.Regmap.t) Errors.t =
   let types = infer_types f in
-  let assign, nslots = allocator types f in
+  let assign, nslots = allocator live types f in
   (* Dense views of the typing and the coloring for the translation's
      per-operand probes. *)
   let nregs =
@@ -682,8 +687,11 @@ let transf_function_with_assignment ~(allocator : allocator)
 
 (** Translate a whole program, returning alongside the LTL the coloring
     the allocator chose for each internal function — the untrusted input
-    [Alloc_check.validate_program] validates. *)
-let transf_program_with_assignments ~(allocator : allocator) (p : R.program) :
+    [Alloc_check.validate_program] validates. [liveness] holds every
+    internal function's solved liveness
+    ({!Middle.Liveness.solve_program}). *)
+let transf_program_with_assignments ~(allocator : allocator) ~liveness
+    (p : R.program) :
     (L.program * (Support.Ident.t * assignment R.Regmap.t) list) Errors.t =
   let open Errors in
   let* defs =
@@ -691,7 +699,9 @@ let transf_program_with_assignments ~(allocator : allocator) (p : R.program) :
       (fun (id, d) ->
         match d with
         | Iface.Ast.Gfun (Iface.Ast.Internal f) ->
-          let* f', assign = transf_function_with_assignment ~allocator f in
+          let* f', assign =
+            transf_function_with_assignment ~allocator (List.assoc id liveness) f
+          in
           ok ((id, Iface.Ast.Gfun (Iface.Ast.Internal f')), Some (id, assign))
         | Iface.Ast.Gfun (Iface.Ast.External ef) ->
           ok ((id, Iface.Ast.Gfun (Iface.Ast.External ef)), None)

@@ -42,10 +42,6 @@ type violation = {
   v_detail : string;
 }
 
-let pp_violation fmt v =
-  Format.fprintf fmt "[%s] activation %d: %s" (prop_name v.v_prop)
-    v.v_activation v.v_detail
-
 (** One recorded call from the correct component into the partner, for
     the replay-prefix sanity check. *)
 type call = { c_name : string; c_args : int32 list option }

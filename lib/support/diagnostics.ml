@@ -144,14 +144,6 @@ let of_exn ?pass ~phase (e : exn) : t =
     context = [ ("exception", Printexc.to_string e) ];
   }
 
-(** Flatten to key/value pairs, ready for a JSON or log renderer (the
-    [Obs.Json] dependency lives upstream, so the rendering does too). *)
-let to_fields (d : t) : (string * string) list =
-  [ ("phase", phase_name d.phase); ("kind", kind_name d.kind) ]
-  @ (match d.pass with Some p -> [ ("pass", p) ] | None -> [])
-  @ [ ("message", d.message) ]
-  @ d.context
-
 let pp fmt (d : t) =
   Format.fprintf fmt "[%s/%s]%s %s" (phase_name d.phase) (kind_name d.kind)
     (match d.pass with Some p -> " " ^ p ^ ":" | None -> "")

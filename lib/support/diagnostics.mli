@@ -75,9 +75,6 @@ val error :
 (** Capture a caught exception as an [Internal_error] diagnostic. *)
 val of_exn : ?pass:string -> phase:phase -> exn -> t
 
-(** Key/value pairs for a JSON or log renderer. *)
-val to_fields : t -> (string * string) list
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -43,10 +43,6 @@ let rec fold_list f acc = function
     let* acc = f acc x in
     fold_list f acc xs
 
-let of_option ~msg = function
-  | Some x -> Ok x
-  | None -> Error msg
-
 let get = function
   | Ok x -> x
   | Error msg -> invalid_arg ("Errors.get: " ^ msg)

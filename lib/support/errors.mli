@@ -14,7 +14,6 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 val map_list : ('a -> 'b t) -> 'a list -> 'b list t
 val iter_list : ('a -> unit t) -> 'a list -> unit t
 val fold_list : ('a -> 'b -> 'a t) -> 'a -> 'b list -> 'a t
-val of_option : msg:string -> 'a option -> 'a t
 
 (** Extract the value; raises [Invalid_argument] on [Error] (tests and
     examples only). *)

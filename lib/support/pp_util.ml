@@ -1,16 +1,5 @@
 (** Pretty-printing helpers shared by all language printers. *)
 
-let pp_list ?(sep = ", ") pp fmt xs =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt sep)
-    pp fmt xs
-
-let pp_comma_list pp fmt xs =
-  Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ",@ ") pp fmt xs
-
-let pp_semi_list pp fmt xs =
-  Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ";@ ") pp fmt xs
-
 let to_string pp x = Format.asprintf "%a" pp x
 
 (** Print a table as aligned columns, used by the benchmark harness to

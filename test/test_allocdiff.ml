@@ -62,17 +62,20 @@ let allocators_validate =
       QCheck.assume (parses src);
       let p = Cfrontend.Cparser.parse_program src in
       let rtl = (Errors.get (Driver.Compiler.compile p)).Driver.Compiler.rtl in
+      let liveness = Middle.Liveness.solve_program rtl in
       List.for_all
         (fun (name, allocator) ->
           match
-            Passes.Allocation.transf_program_with_assignments ~allocator rtl
+            Passes.Allocation.transf_program_with_assignments ~allocator
+              ~liveness rtl
           with
           | Error e ->
             QCheck.Test.fail_reportf "%s allocation failed: %s@.--- program \
                                       ---@.%s" name e src
           | Ok (ltl, assigns) -> (
             match
-              Passes.Alloc_check.validate_program ~assignments:assigns rtl ltl
+              Passes.Alloc_check.validate_program ~assignments:assigns
+                ~liveness rtl ltl
             with
             | Ok () -> true
             | Error e ->
@@ -107,6 +110,7 @@ let unit_tests =
         in
         let p = Cfrontend.Cparser.parse_program src in
         let rtl = (Errors.get (Driver.Compiler.compile p)).Driver.Compiler.rtl in
+        let liveness = Middle.Liveness.solve_program rtl in
         let clean_outcome, _ = run_both_interps src in
         (* The clobbered allocator funnels every virtual register into
            the head of the pool; with three values live at once that
@@ -114,12 +118,13 @@ let unit_tests =
            crash — must be what catches it. *)
         (match
            Passes.Allocation.transf_program_with_assignments
-             ~allocator:Testlib.Testutil.clobbered rtl
+             ~allocator:Testlib.Testutil.clobbered ~liveness rtl
          with
         | Error _ -> ()
         | Ok (ltl, assigns) -> (
           match
-            Passes.Alloc_check.validate_program ~assignments:assigns rtl ltl
+            Passes.Alloc_check.validate_program ~assignments:assigns ~liveness
+              rtl ltl
           with
           | Ok () -> Alcotest.fail "validator accepted a clobbered assignment"
           | Error _ -> ()));

@@ -99,6 +99,43 @@ let hcomp_threaded_naive name ~entry ~args units =
       check (name ^ ": memories agree") true
         (Memory.Mem.equal t.ar_mem n.ar_mem))
 
+(* Under the step-first run loop, each [⊕] push asks the caller's
+   [at_external] once: the composite's own [at_external] is not probed
+   when its step (the push) succeeds. *)
+let one_answer_per_push name ~entry ~args ~pushes:expected units =
+  Alcotest.test_case name `Quick (fun () ->
+      let a1, a2, symbols, q = asm_pair ~entry ~args units in
+      let aq =
+        match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
+        | Some (_, aq) -> aq
+        | None -> Alcotest.fail "CA cannot marshal the query"
+      in
+      let answers = ref 0 and pushes = ref 0 in
+      let counted (l : _ Core.Smallstep.lts) =
+        {
+          l with
+          at_external =
+            (fun s ->
+              let r = l.at_external s in
+              if Option.is_some r then incr answers;
+              r);
+        }
+      in
+      let observe = function
+        | Core.Hcomp.Bpush _ -> incr pushes
+        | Core.Hcomp.Bpop _ -> ()
+      in
+      let l =
+        Core.Hcomp.compose ~observe
+          (counted (Backend.Asm.semantics ~symbols a1))
+          (counted (Backend.Asm.semantics ~symbols a2))
+      in
+      (match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) aq with
+      | Core.Smallstep.Final _ -> ()
+      | _ -> Alcotest.fail "(+) run did not finish");
+      Alcotest.(check int) "pushes" expected !pushes;
+      Alcotest.(check int) "answers = pushes" !pushes !answers)
+
 (* Figure 1 of the paper. *)
 let fig1_a = "int mult(int n, int p) { return n * p; }"
 let fig1_b = "int mult(int n, int p); int sqr(int n) { return mult(n, n); }"
@@ -220,6 +257,8 @@ let hcomp_tests =
     hcomp_threaded_naive
       "threaded and naive (+): cross-unit tail calls from an internal call"
       ~entry:"sum" ~args:[ 10 ] (tail_a, mutual_b);
+    one_answer_per_push "Asm (+) Asm: one at_external answer per push"
+      ~entry:"even" ~args:[ 10 ] ~pushes:10 (mutual_a, mutual_b);
   ]
 
 let suite =

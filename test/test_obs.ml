@@ -1,7 +1,7 @@
-(** Tests for the observability layer (ISSUE 1): span nesting and
-    ordering, Chrome-trace JSON well-formedness (parsed back with the
-    in-tree parser), metrics arithmetic, and the
-    [Obs_lts.instrument]-preserves-outcome property. *)
+(** Tests for the observability layer: span nesting and ordering,
+    Chrome-trace JSON well-formedness (parsed back with the in-tree
+    parser), metrics arithmetic, and observed runs ([Obs_lts.run]):
+    the outcome of the bare run and the exact interaction log. *)
 
 open Core
 
@@ -270,7 +270,7 @@ let metrics_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Obs_lts.instrument preserves outcomes                               *)
+(* Observed runs: Obs_lts.run                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The toy component of test_smallstep: [double]/[quad] over a
@@ -299,37 +299,37 @@ let toy_oracle (f, n) = if f = "double" then Some (2 * n) else None
 let toy_questions =
   [ ("double", 21); ("quad", 5); ("loop", 0); ("inc", 1); ("double", -3) ]
 
-let instrument_tests =
+let run_tests =
   [
-    Alcotest.test_case "instrument preserves toy outcomes" `Quick (fun () ->
+    Alcotest.test_case "Obs_lts.run keeps toy outcomes" `Quick (fun () ->
         List.iter
-          (fun q ->
-            let bare = Smallstep.run ~fuel:100 toy ~oracle:toy_oracle q in
-            let obs =
-              with_fresh_obs (fun () ->
-                  Smallstep.run ~fuel:100 (Obs_lts.instrument toy)
-                    ~oracle:toy_oracle q)
-            in
-            check "same outcome" true (bare = obs))
-          toy_questions);
+          (fun fuel ->
+            List.iter
+              (fun q ->
+                let bare = Smallstep.run ~fuel toy ~oracle:toy_oracle q in
+                let obs =
+                  with_fresh_obs (fun () ->
+                      Obs_lts.run ~fuel toy ~oracle:toy_oracle q)
+                in
+                check "same outcome" true (bare = obs))
+              toy_questions)
+          [ 0; 1; 2; 100 ]);
     Alcotest.test_case "interaction log records the run shape" `Quick (fun () ->
         let evs =
           with_fresh_obs (fun () ->
               ignore
                 (Obs_lts.run ~fuel:100 toy ~oracle:toy_oracle
                    ~pp_qi:(fun (f, n) -> Printf.sprintf "%s(%d)" f n)
-                   ~pp_ri:string_of_int ("quad", 5));
+                   ~pp_ri:string_of_int
+                   ~pp_qo:(fun (f, n) -> Printf.sprintf "%s(%d)" f n)
+                   ~pp_ro:string_of_int ("quad", 5));
               Obs.Interaction_log.events ())
         in
         let open Obs.Interaction_log in
-        check "question logged" true (List.mem (Question "quad(5)") evs);
-        check "call logged" true
-          (List.exists (function Call _ -> true | _ -> false) evs);
-        check "reply logged" true
-          (List.exists (function Reply _ -> true | _ -> false) evs);
-        check "final logged" true (List.mem (Final "20") evs);
-        check "fuel accounted" true
-          (List.exists (function Fuel_consumed _ -> true | _ -> false) evs));
+        check "event for event" true
+          (evs
+          = [ Question "quad(5)"; Call "double(5)"; Reply "10"; Final "20";
+              Fuel_consumed 1 ]));
     Alcotest.test_case "out-of-fuel is observed" `Quick (fun () ->
         let evs =
           with_fresh_obs (fun () ->
@@ -337,7 +337,7 @@ let instrument_tests =
               Obs.Interaction_log.events ())
         in
         check "out of fuel logged" true (List.mem Obs.Interaction_log.Out_of_fuel evs));
-    Alcotest.test_case "instrument preserves pipeline outcomes" `Quick (fun () ->
+    Alcotest.test_case "Obs_lts.run keeps C/A outcomes" `Quick (fun () ->
         let src =
           "int sq(int x) { return x * x; }\n\
            int main(void) { int s = 0; int i; for (i = 0; i < 6; i = i + 1) s \
@@ -390,4 +390,4 @@ let instrument_tests =
 
 let suite =
   ( "obs",
-    span_tests @ chrome_tests @ metrics_tests @ instrument_tests )
+    span_tests @ chrome_tests @ metrics_tests @ run_tests )

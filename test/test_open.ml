@@ -183,4 +183,32 @@ let coexec_tests =
         | Core.Coexec.Fail _ -> ());
   ]
 
-let suite = ("open-components", observable_tests @ coexec_tests)
+(* The interaction log of an observed Asm run whose environment calls go
+   through the A-level oracle, event for event: the steps between calls
+   and the fuel are the run loop's accounting. *)
+let log_tests =
+  [
+    Alcotest.test_case "interaction log of an Asm run with calls" `Quick
+      (fun () ->
+        let rec_, _ = Driver.Io_oracle.make_log () in
+        let oracle = Driver.Io_oracle.a_oracle ~symbols (prims (ref [])) rec_ in
+        let arts = Errors.get (Driver.Compiler.compile program) in
+        let l = Backend.Asm.semantics ~symbols arts.asm in
+        Obs.reset_all ();
+        let evs =
+          Obs.with_enabled (fun () ->
+              ignore (Driver.Runners.run_a_level l ~fuel ~oracle (query 2));
+              Obs.Interaction_log.events ())
+        in
+        let open Obs.Interaction_log in
+        (* two iterations, each calling env_twice and env_out *)
+        let call = [ Steps 1; Call "_"; Reply "_" ] in
+        let expected =
+          (Question "_" :: List.concat [ call; call; call; call ])
+          @ [ Steps 1; Final "_"; Fuel_consumed 9 ]
+        in
+        if evs <> expected then
+          Alcotest.failf "log:@.%a" (Format.pp_print_list pp_event) evs);
+  ]
+
+let suite = ("open-components", observable_tests @ coexec_tests @ log_tests)

@@ -354,6 +354,10 @@ let alloc_check_tests =
             | _ -> (id, d))
           p.Iface.Ast.prog_defs }
   in
+  let validate rtl =
+    Passes.Alloc_check.validate_program
+      ~liveness:(Middle.Liveness.solve_program rtl) rtl
+  in
   [
     Alcotest.test_case "validator accepts the allocator's output" `Quick
       (fun () ->
@@ -361,7 +365,7 @@ let alloc_check_tests =
           compile_rtl_ltl
             "int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); } int main(void) { return fib(10); }"
         in
-        match Passes.Alloc_check.validate_program rtl ltl with
+        match validate rtl ltl with
         | Ok () -> ()
         | Error e -> Alcotest.fail e);
     Alcotest.test_case "validator rejects a corrupted operand" `Quick
@@ -379,7 +383,7 @@ let alloc_check_tests =
                 fn.Backend.Ltl.fn_code }
         in
         match
-          Passes.Alloc_check.validate_program rtl (mutate_ltl_fn "f" corrupt ltl)
+          validate rtl (mutate_ltl_fn "f" corrupt ltl)
         with
         | Ok () -> Alcotest.fail "corruption not detected"
         | Error _ -> ());
@@ -401,7 +405,7 @@ let alloc_check_tests =
                 fn.Backend.Ltl.fn_code }
         in
         match
-          Passes.Alloc_check.validate_program rtl (mutate_ltl_fn "f" corrupt ltl)
+          validate rtl (mutate_ltl_fn "f" corrupt ltl)
         with
         | Ok () -> Alcotest.fail "dropped move not detected"
         | Error _ -> ());
@@ -425,7 +429,7 @@ let alloc_check_tests =
                 fn.Backend.Ltl.fn_code }
         in
         match
-          Passes.Alloc_check.validate_program rtl (mutate_ltl_fn "f" corrupt ltl)
+          validate rtl (mutate_ltl_fn "f" corrupt ltl)
         with
         | Ok () -> Alcotest.fail "swapped arguments not detected"
         | Error _ -> ());

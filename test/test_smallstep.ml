@@ -143,20 +143,23 @@ let hcomp_tests =
           [ ("double", 3); ("quad", 3); ("inc", 7); ("loop", 0) ]);
   ]
 
-(* The composites take the active frame's internal step first and probe
-   [at_external] and [final] only when it is empty: one internal step of
-   [loopy], wrapped to count its probes, inside each composite. *)
+(* Every driver takes the internal step first and probes [at_external]
+   and [final] only when it is empty. [counted l] is [l] with its probes
+   counted. *)
+let counted l =
+  let probes = ref 0 in
+  ( {
+      l with
+      at_external = (fun s -> Stdlib.incr probes; l.at_external s);
+      final = (fun s -> Stdlib.incr probes; l.final s);
+    },
+    probes )
+
+(* One internal step of [loopy], counted, inside a composite. *)
 let probes_in_one_step (type s)
     (build : (toy_state, q, r, q, r) lts -> (s, q, r, q, r) lts) =
-  let probes = ref 0 in
-  let counted =
-    {
-      loopy with
-      at_external = (fun s -> Stdlib.incr probes; loopy.at_external s);
-      final = (fun s -> Stdlib.incr probes; loopy.final s);
-    }
-  in
-  let l = build counted in
+  let counted_loopy, probes = counted loopy in
+  let l = build counted_loopy in
   match l.init ("loop", 0) with
   | [ st ] ->
     checki "one internal step" 1 (List.length (l.step st));
@@ -171,6 +174,34 @@ let probe_tests =
         checki "compose_all" 0
           (probes_in_one_step (fun l -> Hcomp.compose_all [| l; incr |]));
         checki "layer" 0 (probes_in_one_step (fun l -> Vcomp.layer l incr)));
+    Alcotest.test_case "run probes only at interaction points" `Quick
+      (fun () ->
+        let l, probes = counted loopy in
+        (match run ~fuel:50 l ~oracle:(fun _ -> None) ("loop", 0) with
+        | Out_of_fuel _ -> ()
+        | _ -> Alcotest.fail "expected out of fuel");
+        checki "loopy, run out of fuel" 0 !probes;
+        (match l.init ("loop", 0) with
+        | [ s0 ] -> (
+          match run_to_interaction ~fuel:50 l s0 with
+          | _, Ifuel -> ()
+          | _ -> Alcotest.fail "expected the fuel to run out")
+        | _ -> Alcotest.fail "expected one initial state");
+        checki "loopy, run_to_interaction" 0 !probes;
+        let l, probes = counted doubler in
+        (* one internal step, then [final] at the final state *)
+        ignore (run_toy l ("double", 21));
+        checki "double" 1 !probes;
+        (* [final] and [at_external] at the external state, then [final]
+           after the reply *)
+        probes := 0;
+        ignore (run_toy l ~oracle:(fun (_, n) -> Some (2 * n)) ("quad", 5));
+        checki "quad" 3 !probes;
+        probes := 0;
+        (match l.init ("quad", 5) with
+        | [ s0 ] -> ignore (run_to_interaction ~fuel:50 l s0)
+        | _ -> Alcotest.fail "expected one initial state");
+        checki "quad, run_to_interaction" 2 !probes);
   ]
 
 (* Layered composition (§3.5): calls flow downward only. *)
