@@ -50,7 +50,8 @@ let rec find_label (lbl : label) (c : code) : code option =
 
 (** {1 Semantics}
 
-    States carry the code suffix still to execute. *)
+    States carry the code suffix still to execute. The two execution
+    cores and the register file an activation owns are {!Ltl}'s. *)
 
 type stackframe = {
   sf_f : coq_function;
@@ -59,13 +60,8 @@ type stackframe = {
   sf_code : code;  (** continuation in the caller *)
 }
 
-(* As in {!Ltl}, the running activation's locset is a type parameter:
-   the flat mutable [Ltl.Mls.t] in the shipped interpreter, the
-   persistent [Locset.t] in the reference interpreter the lockstep
-   suite runs against. Suspended frames and Callstate/Returnstate
-   always hold persistent snapshots ([Ltl.locops.freeze]). *)
-type 'ls state =
-  | State of stackframe list * coq_function * value * code * 'ls * Mem.t
+type state =
+  | State of stackframe list * coq_function * value * code * Locset.t * Mem.t
   | Callstate of stackframe list * value * signature * Locset.t * Mem.t
   | Returnstate of stackframe list * Locset.t * Mem.t
 
@@ -78,17 +74,12 @@ let parent_locset (init_ls : Locset.t) = function
   | [] -> init_ls
   | fr :: _ -> fr.sf_ls
 
-let free_stack m sp sz =
-  match sp with
-  | Vptr (b, 0) -> Mem.free m b 0 sz
-  | _ -> if sz = 0 then Some m else None
-
-let step (ge : genv) (ops : 'ls Ltl.locops) (init_ls : Locset.t)
-    (s : 'ls state) : (Core.Events.trace * 'ls state) list =
+let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
+    (init_ls : Locset.t) (s : state) : (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
-  let mget r ls = ops.Ltl.lget r ls in
-  let mget_list rl ls = List.map (fun r -> ops.Ltl.lget r ls) rl in
-  let mset r v ls = ops.Ltl.lset r v ls in
+  let mget r (ls : Locset.t) = Regfile.get r ls.regs in
+  let mget_list rl ls = List.map (fun r -> mget r ls) rl in
+  let mset r v ls = Locset.set_reg rset r v ls in
   let ros_address ros ls =
     match ros with
     | Rreg r -> Some (mget r ls)
@@ -135,40 +126,31 @@ let step (ge : genv) (ops : 'ls Ltl.locops) (init_ls : Locset.t)
           | None -> [])
         | None -> [])
       | Lgetstack (sl, ofs, ty, dst) ->
-        let v = ops.Ltl.sget sl ofs ty ls in
+        let v = Locset.get_slot sl ofs ty ls in
         ret (State (stack, f, sp, next, mset dst v ls, m))
       | Lsetstack (src, sl, ofs, ty) ->
-        let v = mget src ls in
-        ret (State (stack, f, sp, next, ops.Ltl.sset sl ofs ty v ls, m))
+        let ls' = Locset.set_slot sl ofs ty (mget src ls) ls in
+        ret (State (stack, f, sp, next, ls', m))
       | Lcall (sg, ros) -> (
         match ros_address ros ls with
         | Some vf ->
-          (* Copy-on-suspend: one persistent snapshot shared by the
-             frame and the callstate. *)
-          let fls = ops.Ltl.freeze ls in
-          let frame = { sf_f = f; sf_sp = sp; sf_ls = fls; sf_code = next } in
-          ret (Callstate (frame :: stack, vf, sg, fls, m))
+          let frame = { sf_f = f; sf_sp = sp; sf_ls = ls; sf_code = next } in
+          ret (Callstate (frame :: stack, vf, sg, ls, m))
         | None -> [])
       | Ltailcall (sg, ros) -> (
         match ros_address ros ls with
         | Some vf -> (
-          match free_stack m sp f.fn_stacksize with
+          match Ltl.free_stack m sp f.fn_stacksize with
           | Some m' ->
-            let ls' =
-              Ltl.return_regs (parent_locset init_ls stack) (ops.Ltl.freeze ls)
-            in
+            let ls' = Ltl.return_regs (parent_locset init_ls stack) ls in
             ret (Callstate (stack, vf, sg, ls', m'))
           | None -> [])
         | None -> [])
       | Lreturn -> (
-        match free_stack m sp f.fn_stacksize with
+        match Ltl.free_stack m sp f.fn_stacksize with
         | Some m' ->
-          ret
-            (Returnstate
-               ( stack,
-                 Ltl.return_regs (parent_locset init_ls stack)
-                   (ops.Ltl.freeze ls),
-                 m' ))
+          let ls' = Ltl.return_regs (parent_locset init_ls stack) ls in
+          ret (Returnstate (stack, ls', m'))
         | None -> [])))
   | Callstate (stack, vf, sg, ls, m) -> (
     match Genv.find_funct ge vf with
@@ -176,9 +158,7 @@ let step (ge : genv) (ops : 'ls Ltl.locops) (init_ls : Locset.t)
       if not (signature_equal sg f.fn_sig) then []
       else
         let m1, b = Mem.alloc m 0 f.fn_stacksize in
-        ret
-          (State
-             (stack, f, Vptr (b, 0), f.fn_code, ops.Ltl.thaw (Ltl.call_regs ls), m1))
+        ret (State (stack, f, Vptr (b, 0), f.fn_code, Ltl.call_regs ls, m1))
     | Some (Ast.External _) | None -> [])
   | Returnstate (stack, ls, m) -> (
     match stack with
@@ -186,14 +166,15 @@ let step (ge : genv) (ops : 'ls Ltl.locops) (init_ls : Locset.t)
       ret
         (State
            ( stack', frame.sf_f, frame.sf_sp, frame.sf_code,
-             ops.Ltl.thaw (Ltl.merge_slots frame.sf_ls ls), m ))
+             Ltl.merge_slots frame.sf_ls ls, m ))
     | [] -> [])
 
-type 'ls full_state = { lin_init_ls : Locset.t; lin_st : 'ls state }
+type full_state = { lin_init_ls : Locset.t; lin_st : state }
 
-let semantics_gen (ops : 'ls Ltl.locops) ~(symbols : Ident.t list) (p : program) :
-    ('ls full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
+    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
+  let rset = if mutate then Regfile.update else Regfile.set in
   {
     Core.Smallstep.name = "Linear";
     dom =
@@ -209,7 +190,7 @@ let semantics_gen (ops : 'ls Ltl.locops) ~(symbols : Ident.t list) (p : program)
       (fun s ->
         List.map
           (fun (t, st) -> (t, { s with lin_st = st }))
-          (step ge ops s.lin_init_ls s.lin_st));
+          (step ge ~rset s.lin_init_ls s.lin_st));
     at_external =
       (fun s ->
         match s.lin_st with
@@ -220,7 +201,7 @@ let semantics_gen (ops : 'ls Ltl.locops) ~(symbols : Ident.t list) (p : program)
       (fun s r ->
         match s.lin_st with
         | Callstate (stack, _, _, _, _) ->
-          [ { s with lin_st = Returnstate (stack, r.lr_ls, r.lr_mem) } ]
+          [ { s with lin_st = Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem) } ]
         | _ -> []);
     final =
       (fun s ->
@@ -229,18 +210,17 @@ let semantics_gen (ops : 'ls Ltl.locops) ~(symbols : Ident.t list) (p : program)
         | _ -> None);
   }
 
-(** The Linear open semantics, on the flat mutable locset. *)
+(** The Linear open semantics, on the in-place register file. *)
 let semantics ~(symbols : Ident.t list) (p : program) :
-    (Ltl.Mls.t full_state, l_query, l_reply, l_query, l_reply)
-    Core.Smallstep.lts =
-  semantics_gen Ltl.mut_locops ~symbols p
+    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+  semantics_gen ~mutate:true ~symbols p
 
-(** The same semantics on the persistent locset — the reference the
-    mutable-state lockstep suite runs against [semantics]. *)
+(** The same semantics on the persistent (copy-on-write) register file —
+    the reference the mutable-state lockstep suite runs against
+    [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
-    (Locset.t full_state, l_query, l_reply, l_query, l_reply)
-    Core.Smallstep.lts =
-  semantics_gen Ltl.pure_locops ~symbols p
+    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+  semantics_gen ~mutate:false ~symbols p
 
 (** {1 Printing} *)
 

@@ -65,131 +65,46 @@ let successors_instr = function
 (** {1 Locset manipulation at calls (CompCert's [LTL.call_regs],
     [LTL.return_regs])} *)
 
-(* The callee sees the caller's Outgoing slots as its Incoming slots. *)
+(* The callee starts on the caller's registers, in a register file of
+   its own, and sees the caller's Outgoing slots as its Incoming
+   slots. *)
 let call_regs (caller : Locset.t) : Locset.t =
-  let ls =
-    List.fold_left
-      (fun ls r -> Locset.set (R r) (Locset.get (R r) caller) ls)
-      Locset.init all_mregs
-  in
-  (* Incoming slots are resolved on demand below; we materialize the
-     plausible argument range eagerly. *)
-  LocMap.fold
-    (fun l v ls ->
-      match l with
-      | S (Outgoing, ofs, ty) -> Locset.set (S (Incoming, ofs, ty)) v ls
-      | _ -> ls)
-    caller ls
+  { Locset.init with regs = Regfile.copy caller.regs; incoming = caller.outgoing }
 
 (* At return: callee-save from the caller, caller-save (including result
    registers) from the callee. Stack slots belong to activations and are
    not part of a return's locset. *)
 let return_regs (caller : Locset.t) (callee : Locset.t) : Locset.t =
-  List.fold_left
-    (fun ls r ->
-      if is_callee_save r then Locset.set (R r) (Locset.get (R r) caller) ls
-      else Locset.set (R r) (Locset.get (R r) callee) ls)
-    Locset.init all_mregs
+  { Locset.init with regs = Regfile.return_regs caller.regs callee.regs }
 
-(* When a caller resumes after a call, its own stack slots (Local and
-   Outgoing) are restored from its suspended locset; machine registers
-   come from the returned locset. *)
+(* When a caller resumes after a call, its own stack slots are restored
+   from its suspended locset; machine registers come from the returned
+   locset. *)
 let merge_slots (caller : Locset.t) (returned : Locset.t) : Locset.t =
-  LocMap.fold
-    (fun l v ls -> match l with S _ -> LocMap.add l v ls | R _ -> ls)
-    caller returned
+  { caller with regs = returned.regs }
 
-(** {1 Execution-time location sets}
+(** {1 Semantics}
 
-    The transition rules are parameterized over the representation of
-    the {e running} activation's locset ({!locops}), giving two cores:
-
-    - the {e persistent} core, where the running locset is the same
-      [Locset.t] map the [L] interface carries ([freeze]/[thaw] are the
-      identity) — the naive reference;
-    - the {e mutable} core ({!Mls}): a flat value array for the machine
-      registers (written in place — the overwhelming majority of LTL
-      writes) over a persistent map for the stack slots.
-
-    Suspension points pin down the copy-on-observe discipline: stack
-    frames and [Callstate]/[Returnstate] locsets are always persistent
-    [Locset.t] snapshots ([freeze] materializes the register array into
-    the map, i.e. copy-on-suspend), so queries, replies and suspended
-    frames never alias the array the running activation keeps writing. *)
-
-type 'ls locops = {
-  lget : mreg -> 'ls -> value;
-  lset : mreg -> value -> 'ls -> 'ls;
-  sget : slot_kind -> int -> typ -> 'ls -> value;
-  sset : slot_kind -> int -> typ -> value -> 'ls -> 'ls;
-  freeze : 'ls -> Locset.t;  (** persistent snapshot, for suspension points *)
-  thaw : Locset.t -> 'ls;  (** private running representation *)
-}
-
-let pure_locops : Locset.t locops =
-  {
-    lget = (fun r ls -> Locset.get (R r) ls);
-    lset = (fun r v ls -> Locset.set (R r) v ls);
-    sget = (fun sl ofs ty ls -> Locset.get (S (sl, ofs, ty)) ls);
-    sset = (fun sl ofs ty v ls -> Locset.set (S (sl, ofs, ty)) v ls);
-    freeze = Fun.id;
-    thaw = Fun.id;
-  }
-
-(** Flat mutable locset: machine registers in a dense array (in-place
-    writes, O(1) reads with no comparator calls), stack slots in the
-    persistent map. Register reads always go to the array, slot reads
-    always to the map, so the map's register entries may go stale
-    between [freeze]s without being observable. *)
-module Mls = struct
-  type t = {
-    mutable slots : Locset.t;
-    regs : value array;  (** indexed by [mreg_index] *)
-  }
-
-  let thaw (ls : Locset.t) : t =
-    { slots = ls;
-      regs = Array.init num_mregs (fun i -> Locset.get (R mreg_of_index.(i)) ls) }
-
-  let get r (mls : t) = mls.regs.(mreg_index r)
-
-  let set r v (mls : t) =
-    mls.regs.(mreg_index r) <- v;
-    mls
-
-  let sget sl ofs ty (mls : t) = Locset.get (S (sl, ofs, ty)) mls.slots
-
-  let sset sl ofs ty v (mls : t) =
-    mls.slots <- Locset.set (S (sl, ofs, ty)) v mls.slots;
-    mls
-
-  let freeze (mls : t) : Locset.t =
-    let ls = ref mls.slots in
-    Array.iteri (fun i v -> ls := Locset.set (R mreg_of_index.(i)) v !ls) mls.regs;
-    !ls
-end
-
-let mut_locops : Mls.t locops =
-  {
-    lget = Mls.get;
-    lset = Mls.set;
-    sget = Mls.sget;
-    sset = Mls.sset;
-    freeze = Mls.freeze;
-    thaw = Mls.thaw;
-  }
-
-(** {1 Semantics} *)
+    One [step] runs both execution cores, chosen by the register write
+    it is given (as in {!Mach}): [Regfile.set], copy-on-write, for the
+    naive reference, or [Regfile.update], in place, for the default
+    core. Slots are persistent maps in both. An activation writes in
+    place only a register file it owns: [call_regs] copies the caller's
+    when the activation starts, and [after_external] copies the
+    environment's reply before the activation resumes on it. A
+    suspended activation's locset is never written again (it resumes on
+    the returned registers), so a frame, a query handed to the
+    environment and a final answer need no copy. *)
 
 type stackframe = {
   sf_f : coq_function;
   sf_sp : value;
   sf_pc : node;
-  sf_ls : Locset.t;  (** locset snapshot at call time (copy-on-suspend) *)
+  sf_ls : Locset.t;  (** the caller's locset at the call *)
 }
 
-type 'ls state =
-  | State of stackframe list * coq_function * value * node * 'ls * Mem.t
+type state =
+  | State of stackframe list * coq_function * value * node * Locset.t * Mem.t
   | Callstate of stackframe list * value * signature * Locset.t * Mem.t
   | Returnstate of stackframe list * Locset.t * Mem.t
 
@@ -209,14 +124,14 @@ let free_stack m sp sz =
 
 (* The locset of the incoming query is threaded through the whole
    execution as the "parent" of the bottom activation. Writes go through
-   [ops] only on success paths, so a stuck step leaves an in-place
-   locset untouched. *)
-let step (ge : genv) (ops : 'ls locops) (init_ls : Locset.t) (s : 'ls state) :
-    (Core.Events.trace * 'ls state) list =
+   [rset] only on success paths, so a stuck step leaves an in-place
+   register file untouched. *)
+let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
+    (init_ls : Locset.t) (s : state) : (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
-  let mget r ls = ops.lget r ls in
-  let mget_list rl ls = List.map (fun r -> ops.lget r ls) rl in
-  let mset r v ls = ops.lset r v ls in
+  let mget r (ls : Locset.t) = Regfile.get r ls.regs in
+  let mget_list rl ls = List.map (fun r -> mget r ls) rl in
+  let mset r v ls = Locset.set_reg rset r v ls in
   let ros_address ros ls =
     match ros with
     | Rreg r -> Some (mget r ls)
@@ -251,19 +166,16 @@ let step (ge : genv) (ops : 'ls locops) (init_ls : Locset.t) (s : 'ls state) :
           | None -> [])
         | None -> [])
       | Lgetstack (sl, ofs, ty, dst, n) ->
-        let v = ops.sget sl ofs ty ls in
+        let v = Locset.get_slot sl ofs ty ls in
         ret (State (stack, f, sp, n, mset dst v ls, m))
       | Lsetstack (src, sl, ofs, ty, n) ->
-        let v = mget src ls in
-        ret (State (stack, f, sp, n, ops.sset sl ofs ty v ls, m))
+        let ls' = Locset.set_slot sl ofs ty (mget src ls) ls in
+        ret (State (stack, f, sp, n, ls', m))
       | Lcall (sg, ros, n) -> (
         match ros_address ros ls with
         | Some vf ->
-          (* Copy-on-suspend: the frame and the callstate carry one
-             persistent snapshot of the running locset. *)
-          let fls = ops.freeze ls in
-          let frame = { sf_f = f; sf_sp = sp; sf_pc = n; sf_ls = fls } in
-          ret (Callstate (frame :: stack, vf, sg, fls, m))
+          let frame = { sf_f = f; sf_sp = sp; sf_pc = n; sf_ls = ls } in
+          ret (Callstate (frame :: stack, vf, sg, ls, m))
         | None -> [])
       | Ltailcall (sg, ros) -> (
         match ros_address ros ls with
@@ -272,7 +184,7 @@ let step (ge : genv) (ops : 'ls locops) (init_ls : Locset.t) (s : 'ls state) :
           | Some m' ->
             (* Tail calls pass the parent's locset view: callee-save
                values must already be restored. *)
-            let ls' = return_regs (parent_locset init_ls stack) (ops.freeze ls) in
+            let ls' = return_regs (parent_locset init_ls stack) ls in
             ret (Callstate (stack, vf, sg, ls', m'))
           | None -> [])
         | None -> [])
@@ -283,11 +195,7 @@ let step (ge : genv) (ops : 'ls locops) (init_ls : Locset.t) (s : 'ls state) :
       | Lreturn -> (
         match free_stack m sp f.fn_stacksize with
         | Some m' ->
-          ret
-            (Returnstate
-               ( stack,
-                 return_regs (parent_locset init_ls stack) (ops.freeze ls),
-                 m' ))
+          ret (Returnstate (stack, return_regs (parent_locset init_ls stack) ls, m'))
         | None -> [])))
   | Callstate (stack, vf, sg, ls, m) -> (
     match Genv.find_funct ge vf with
@@ -295,24 +203,22 @@ let step (ge : genv) (ops : 'ls locops) (init_ls : Locset.t) (s : 'ls state) :
       if not (signature_equal sg f.fn_sig) then []
       else
         let m1, b = Mem.alloc m 0 f.fn_stacksize in
-        ret
-          (State
-             (stack, f, Vptr (b, 0), f.fn_entrypoint, ops.thaw (call_regs ls), m1))
+        ret (State (stack, f, Vptr (b, 0), f.fn_entrypoint, call_regs ls, m1))
     | Some (Ast.External _) | None -> [])
   | Returnstate (stack, ls, m) -> (
     match stack with
     | frame :: stack' ->
       ret
         (State
-           ( stack', frame.sf_f, frame.sf_sp, frame.sf_pc,
-             ops.thaw (merge_slots frame.sf_ls ls), m ))
+           (stack', frame.sf_f, frame.sf_sp, frame.sf_pc, merge_slots frame.sf_ls ls, m))
     | [] -> [])
 
-type 'ls full_state = { ltl_init_ls : Locset.t; ltl_st : 'ls state }
+type full_state = { ltl_init_ls : Locset.t; ltl_st : state }
 
-let semantics_gen (ops : 'ls locops) ~(symbols : Ident.t list) (p : program) :
-    ('ls full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
+    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
+  let rset = if mutate then Regfile.update else Regfile.set in
   {
     Core.Smallstep.name = "LTL";
     dom =
@@ -328,7 +234,7 @@ let semantics_gen (ops : 'ls locops) ~(symbols : Ident.t list) (p : program) :
       (fun s ->
         List.map
           (fun (t, st) -> (t, { s with ltl_st = st }))
-          (step ge ops s.ltl_init_ls s.ltl_st));
+          (step ge ~rset s.ltl_init_ls s.ltl_st));
     at_external =
       (fun s ->
         match s.ltl_st with
@@ -339,7 +245,7 @@ let semantics_gen (ops : 'ls locops) ~(symbols : Ident.t list) (p : program) :
       (fun s r ->
         match s.ltl_st with
         | Callstate (stack, _, _, _, _) ->
-          [ { s with ltl_st = Returnstate (stack, r.lr_ls, r.lr_mem) } ]
+          [ { s with ltl_st = Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem) } ]
         | _ -> []);
     final =
       (fun s ->
@@ -348,16 +254,17 @@ let semantics_gen (ops : 'ls locops) ~(symbols : Ident.t list) (p : program) :
         | _ -> None);
   }
 
-(** The LTL open semantics, on the flat mutable locset. *)
+(** The LTL open semantics, on the in-place register file. *)
 let semantics ~(symbols : Ident.t list) (p : program) :
-    (Mls.t full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
-  semantics_gen mut_locops ~symbols p
+    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+  semantics_gen ~mutate:true ~symbols p
 
-(** The same semantics on the persistent locset — the reference the
-    mutable-state lockstep suite runs against [semantics]. *)
+(** The same semantics on the persistent (copy-on-write) register file —
+    the reference the mutable-state lockstep suite runs against
+    [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
-    (Locset.t full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
-  semantics_gen pure_locops ~symbols p
+    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+  semantics_gen ~mutate:false ~symbols p
 
 (** {1 Printing} *)
 

@@ -34,7 +34,6 @@ type classification =
   | Cl_l of signedness  (** 64-bit integer computation *)
   | Cl_f  (** double *)
   | Cl_s  (** single *)
-  | Cl_ptr of ty  (** pointer *)
   | Cl_default
 
 let classify_arith t1 t2 =

@@ -54,12 +54,6 @@ let pp_outcome pp_ri fmt = function
   | Refused -> Format.fprintf fmt "query refused"
   | Out_of_fuel _ -> Format.fprintf fmt "out of fuel"
 
-let outcome_trace = function
-  | Final (t, _) | Goes_wrong (t, _) | Env_stuck (t, _) | Env_violation (t, _)
-  | Out_of_fuel t ->
-    t
-  | Refused -> []
-
 type ('s, 'ri, 'qo) interaction =
   | Ifinal of 'ri
   | Iexternal of 'qo * 's  (** external question together with the suspended state *)

@@ -42,8 +42,6 @@ val pp_outcome :
   ('ri, 'qo) outcome ->
   unit
 
-val outcome_trace : ('ri, 'qo) outcome -> Events.trace
-
 (** [run ~fuel lts ~oracle q] activates [lts] on [q] and runs it to
     completion, answering outgoing questions with [oracle]. Fuel is one
     unit per internal step or resumption, checked before stepping.

@@ -30,8 +30,6 @@ type primitive = {
 
 type log_entry = { call_name : string; call_args : int32 list; call_res : int32 }
 
-type 'q oracle = { ask : 'q -> ('q, 'q) Either.t option }
-
 (** Shared logging state: [make_log ()] gives a recorder and a reader. *)
 let make_log () =
   let log = ref [] in
@@ -77,40 +75,49 @@ let c_oracle ~symbols (prims : primitive list) record : c_query -> c_reply optio
       | None -> None)
     | _ -> None)
 
+(** {1 The A-level calling convention of a primitive}
+
+    Shared by the [A]-level oracle and the synthesized partners of
+    [Robust.Partner], whose faithful replies are this oracle's. *)
+
+(** Decode the integer arguments of a query per the convention's
+    argument registers ([None] if any argument is not an integer in a
+    register: the primitives are integer-only). *)
+let decode_int_args ~(sg : signature) (rs : Pregfile.t) : int32 list option =
+  List.fold_right
+    (fun l acc ->
+      match (l, acc) with
+      | Locations.R r, Some ns -> (
+        match Pregfile.get (Mreg r) rs with
+        | Vint n -> Some (n :: ns)
+        | _ -> None)
+      | _ -> None)
+    (Conventions.loc_arguments sg) (Some [])
+
+(** The reply of a well-behaved callee: result in the result register,
+    [PC := RA], everything else (registers and memory) untouched. *)
+let convention_reply ~(sg : signature) ~(res : value) (q : a_query) : a_reply =
+  let rs' =
+    q.aq_rs
+    |> Pregfile.set (Mreg (Conventions.loc_result sg)) res
+    |> Pregfile.set PC (Pregfile.get RA q.aq_rs)
+  in
+  { ar_rs = rs'; ar_mem = q.aq_mem }
+
 (** The [A]-level oracle: decodes the arguments from the calling
-    convention's argument registers, and returns per the convention
-    (result in the result register, [PC := RA], SP preserved). *)
+    convention's argument registers, and returns per the convention. *)
 let a_oracle ~symbols (prims : primitive list) record : a_query -> a_reply option
     =
  fun q ->
-  let rs = q.aq_rs in
-  match name_of_vf ~symbols (Pregfile.get PC rs) with
+  match name_of_vf ~symbols (Pregfile.get PC q.aq_rs) with
   | None -> None
   | Some name -> (
     match find_prim prims name with
     | Some p -> (
-      let arg_locs = Conventions.loc_arguments p.prim_sig in
-      let ints =
-        List.fold_right
-          (fun l acc ->
-            match (l, acc) with
-            | Locations.R r, Some ns -> (
-              match Pregfile.get (Mreg r) rs with
-              | Vint n -> Some (n :: ns)
-              | _ -> None)
-            | _ -> None (* integer register args only *))
-          arg_locs (Some [])
-      in
-      match ints with
+      match decode_int_args ~sg:p.prim_sig q.aq_rs with
       | Some args ->
         let res = p.prim_impl args in
         record { call_name = name; call_args = args; call_res = res };
-        let rs' =
-          rs
-          |> Pregfile.set (Mreg (Conventions.loc_result p.prim_sig))
-               (Vint res)
-          |> Pregfile.set PC (Pregfile.get RA rs)
-        in
-        Some { ar_rs = rs'; ar_mem = q.aq_mem }
+        Some (convention_reply ~sg:p.prim_sig ~res:(Vint res) q)
       | None -> None)
     | None -> None)

@@ -52,39 +52,52 @@ let main_query ~symbols ~(defs : ('f, 'v) Ast.program) ?(name = "main")
    observability is off, and a span plus replayable interaction log
    (question, steps, calls/replies, final answer, fuel) when on. *)
 
+(* A renderer for the interaction log, which calls it only when
+   observability is on. Both arguments are taken before formatting:
+   [Format.asprintf "%a"] alone would build its buffer and formatter on
+   every run. *)
+let str pp x = Format.asprintf "%a" pp x
+
 (** Run a [C]-interfaced semantics (Clight through RTL) on a C query.
     [check_reply] validates oracle answers (see {!Smallstep.run}). *)
 let run_c_level lts ~fuel ?(oracle = fun _ -> None) ?check_reply (q : c_query) :
     c_outcome =
-  Obs_lts.run
-    ~pp_qi:(Format.asprintf "%a" pp_c_query)
-    ~pp_ri:(Format.asprintf "%a" pp_c_reply)
-    ~pp_qo:(Format.asprintf "%a" pp_c_query)
+  Obs_lts.run ~pp_qi:(str pp_c_query) ~pp_ri:(str pp_c_reply) ~pp_qo:(str pp_c_query)
     ?check_reply ~fuel lts ~oracle q
 
 (* A lower-level run: the query marshaled down through [cc] (named
-   [conv] in the error), the reply marshaled back up. *)
-let run_through cc conv lts ~fuel ?(oracle = fun _ -> None) ?check_reply
-    (q : c_query) : (c_outcome, string) result =
+   [conv] in the error), the reply marshaled back up. The log shows the
+   run's question and final answer as the C query and reply they were
+   marshaled from and back to, so every level's log of a query opens and
+   closes alike; calls and replies print with the interface's own
+   printers [pp_q] and [pp_r]. *)
+let run_through cc conv pp_q pp_r lts ~fuel ?(oracle = fun _ -> None)
+    ?check_reply (q : c_query) : (c_outcome, string) result =
   match cc.Simconv.fwd_query q with
   | None -> Error (conv ^ " cannot marshal the query")
   | Some (w, q') ->
-    map_outcome (cc.Simconv.bwd_reply w)
-      (Obs_lts.run ?check_reply ~fuel lts ~oracle q')
+    let bwd = cc.Simconv.bwd_reply w in
+    let pp_ri r = match bwd r with Some r -> str pp_c_reply r | None -> "_" in
+    map_outcome bwd
+      (Obs_lts.run
+         ~pp_qi:(fun _ -> str pp_c_query q)
+         ~pp_ri ~pp_qo:(str pp_q) ~pp_ro:(str pp_r) ?check_reply ~fuel lts ~oracle q')
 
 (** Run an [L]-interfaced semantics (LTL, Linear) on a C query through
     [CL]. *)
-let run_l_level lts ~fuel ?oracle q = run_through cc_cl "CL" lts ~fuel ?oracle q
+let run_l_level lts ~fuel ?oracle q =
+  run_through cc_cl "CL" pp_l_query pp_l_reply lts ~fuel ?oracle q
 
 (** Run Mach on a C query through [CL · LM]. *)
-let run_m_level lts ~fuel ?oracle q = run_through cc_cm "CL.LM" lts ~fuel ?oracle q
+let run_m_level lts ~fuel ?oracle q =
+  run_through cc_cm "CL.LM" pp_m_query pp_m_reply lts ~fuel ?oracle q
 
 (** Run Asm on a C query through [CA = CL · LM · MA]. [oracle] answers
     A-level external calls; [check_reply] validates those answers
     against the A-side of the convention, diagnosing misbehaving
     environments as [Env_violation]. *)
 let run_a_level lts ~fuel ?oracle ?check_reply q =
-  run_through cc_ca "CA" lts ~fuel ?oracle ?check_reply q
+  run_through cc_ca "CA" pp_a_query pp_a_reply lts ~fuel ?oracle ?check_reply q
 
 (** The refinement check on outcomes used by the differential harness:
     traces must agree and the target's answer must refine the source's

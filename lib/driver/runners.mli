@@ -39,17 +39,20 @@ val run_c_level :
   c_query ->
   c_outcome
 
+(** The lower-level runners log the question and the final answer as the
+    C query and reply they were marshaled from and back to, and calls
+    and replies with their interface's printer ([Li.pp_l_query] …). *)
 val run_l_level :
-  ('s, l_query, l_reply, 'qo, 'ro) Smallstep.lts ->
+  ('s, l_query, l_reply, l_query, l_reply) Smallstep.lts ->
   fuel:int ->
-  ?oracle:('qo -> 'ro option) ->
+  ?oracle:(l_query -> l_reply option) ->
   c_query ->
   (c_outcome, string) result
 
 val run_m_level :
-  ('s, m_query, m_reply, 'qo, 'ro) Smallstep.lts ->
+  ('s, m_query, m_reply, m_query, m_reply) Smallstep.lts ->
   fuel:int ->
-  ?oracle:('qo -> 'ro option) ->
+  ?oracle:(m_query -> m_reply option) ->
   c_query ->
   (c_outcome, string) result
 
@@ -57,10 +60,10 @@ val run_m_level :
     the convention; violations surface as [Env_violation], a diagnosed
     outcome. *)
 val run_a_level :
-  ('s, a_query, a_reply, 'qo, 'ro) Smallstep.lts ->
+  ('s, a_query, a_reply, a_query, a_reply) Smallstep.lts ->
   fuel:int ->
-  ?oracle:('qo -> 'ro option) ->
-  ?check_reply:('qo -> 'ro -> (unit, string) result) ->
+  ?oracle:(a_query -> a_reply option) ->
+  ?check_reply:(a_query -> a_reply -> (unit, string) result) ->
   c_query ->
   (c_outcome, string) result
 

@@ -172,7 +172,7 @@ let read_outgoing_slot m sp ofs ty =
 (** Equality of location maps on the footprint relevant to a signature:
     all machine registers and the outgoing argument slots of [sg]. *)
 let locset_eq_on sg (ls1 : Locset.t) (ls2 : Locset.t) =
-  List.for_all (fun r -> Locset.get (R r) ls1 = Locset.get (R r) ls2) all_mregs
+  Regfile.equal ls1.regs ls2.regs
   && List.for_all
        (fun l ->
          match l with
@@ -181,17 +181,12 @@ let locset_eq_on sg (ls1 : Locset.t) (ls2 : Locset.t) =
        (Conventions.loc_arguments sg)
 
 let make_locset_sg sg (rs : Regfile.t) (m : Mem.t) (sp : value) : Locset.t =
-  let ls =
-    List.fold_left
-      (fun ls r -> Locset.set (R r) (Regfile.get r rs) ls)
-      Locset.init all_mregs
-  in
   List.fold_left
     (fun ls l ->
       match l with
       | S (Outgoing, ofs, ty) -> Locset.set l (read_outgoing_slot m sp ofs ty) ls
       | _ -> ls)
-    ls (Conventions.loc_arguments sg)
+    { Locset.init with regs = rs } (Conventions.loc_arguments sg)
 
 (** [free_args sg m sp] removes all permissions on the argument region,
     producing the source-level memory [m̄] (Fig. 13: the source never sees
@@ -254,16 +249,9 @@ let cc_lm : (lm_world, l_query, m_query, l_reply, m_reply) Simconv.t =
     chk_reply =
       (fun w r1 r2 ->
         (* rs' ≡R ls' on all machine registers … *)
-        List.for_all
-          (fun r ->
-            lessdef (Locset.get (R r) r1.lr_ls) (Regfile.get r r2.mr_rs))
-          all_mregs
+        Regfile.for_all2 lessdef r1.lr_ls.regs r2.mr_rs
         (* … callee-save registers preserved from the question … *)
-        && List.for_all
-             (fun r ->
-               (not (is_callee_save r))
-               || Regfile.get r r2.mr_rs = Regfile.get r w.lm_rs)
-             all_mregs
+        && Regfile.keeps_callee_save ~caller:w.lm_rs r2.mr_rs
         (* … and the argument region is restored in the answer memory. *)
         &&
         match mix w.lm_sg w.lm_sp w.lm_mem r1.lr_mem with
@@ -273,11 +261,7 @@ let cc_lm : (lm_world, l_query, m_query, l_reply, m_reply) Simconv.t =
       (fun q1 ->
         let sg = q1.lq_sg in
         let n = Conventions.size_arguments sg in
-        let rs =
-          List.fold_left
-            (fun rs r -> Regfile.set r (Locset.get (R r) q1.lq_ls) rs)
-            Regfile.init all_mregs
-        in
+        let rs = q1.lq_ls.regs in
         if n = 0 then
           let w = { lm_sg = sg; lm_rs = rs; lm_mem = q1.lq_mem; lm_sp = Vlong 0L } in
           Some
@@ -311,25 +295,15 @@ let cc_lm : (lm_world, l_query, m_query, l_reply, m_reply) Simconv.t =
               ));
     fwd_reply =
       (fun w r1 ->
-        let rs' =
-          List.fold_left
-            (fun rs r ->
-              if is_callee_save r then Regfile.set r (Regfile.get r w.lm_rs) rs
-              else Regfile.set r (Locset.get (R r) r1.lr_ls) rs)
-            Regfile.init all_mregs
-        in
+        let rs' = Regfile.return_regs w.lm_rs r1.lr_ls.regs in
         match mix w.lm_sg w.lm_sp w.lm_mem r1.lr_mem with
         | Some m' -> Some { mr_rs = rs'; mr_mem = m' }
         | None -> None);
     bwd_reply =
       (fun w r2 ->
-        let ls' =
-          List.fold_left
-            (fun ls r -> Locset.set (R r) (Regfile.get r r2.mr_rs) ls)
-            Locset.init all_mregs
-        in
         match free_args w.lm_sg r2.mr_mem w.lm_sp with
-        | Some mbar -> Some { lr_ls = ls'; lr_mem = mbar }
+        | Some mbar ->
+          Some { lr_ls = { Locset.init with regs = r2.mr_rs }; lr_mem = mbar }
         | None -> None);
     (* The signature is not recoverable from an M question. *)
     bwd_query = (fun _ -> None);
@@ -353,18 +327,13 @@ let cc_ma : (ma_world, m_query, a_query, m_reply, a_reply) Simconv.t =
         && Pregfile.get PC q2.aq_rs = q1.mq_vf
         && Pregfile.get SP q2.aq_rs = q1.mq_sp
         && Pregfile.get RA q2.aq_rs = q1.mq_ra
-        && List.for_all
-             (fun r -> Pregfile.get (Mreg r) q2.aq_rs = Regfile.get r q1.mq_rs)
-             all_mregs
+        && Regfile.equal (Pregfile.to_regfile q2.aq_rs) q1.mq_rs
         && Mem.equal q1.mq_mem q2.aq_mem);
     chk_reply =
       (fun w r1 r2 ->
         Pregfile.get SP r2.ar_rs = w.ma_sp
         && Pregfile.get PC r2.ar_rs = w.ma_ra
-        && List.for_all
-             (fun r ->
-               lessdef (Regfile.get r r1.mr_rs) (Pregfile.get (Mreg r) r2.ar_rs))
-             all_mregs
+        && Regfile.for_all2 lessdef r1.mr_rs (Pregfile.to_regfile r2.ar_rs)
         && Mem.equal r1.mr_mem r2.ar_mem);
     fwd_query =
       (fun q1 ->
@@ -381,7 +350,6 @@ let cc_ma : (ma_world, m_query, a_query, m_reply, a_reply) Simconv.t =
         let rs' =
           Pregfile.of_regfile r1.mr_rs
           |> Pregfile.set SP w.ma_sp |> Pregfile.set PC w.ma_ra
-          |> Pregfile.set RA Vundef
         in
         Some { ar_rs = rs'; ar_mem = r1.mr_mem });
     bwd_reply =
@@ -546,11 +514,7 @@ let cc_ca : (ca_world, c_query, a_query, c_reply, a_reply) Simconv.t =
     (* Result in the result register. *)
     && lessdef r1.cr_res (Pregfile.get (Mreg (Conventions.loc_result w.ca_sg)) rs')
     (* Callee-save registers preserved (the CA guarantee, paper §5). *)
-    && List.for_all
-         (fun r ->
-           (not (is_callee_save r))
-           || Regfile.get r w.ca_rs = Pregfile.get (Mreg r) rs')
-         all_mregs
+    && Regfile.keeps_callee_save ~caller:w.ca_rs (Pregfile.to_regfile rs')
     (* Memory: the source answer memory embeds into the target answer
        memory. Whether the argument region was restored is not
        checked. *)
@@ -575,15 +539,10 @@ let cc_ca : (ca_world, c_query, a_query, c_reply, a_reply) Simconv.t =
            restored; the argument region of the question's memory is
            mixed back into the answer memory. *)
         let rs' =
-          List.fold_left
-            (fun rs r ->
-              if is_callee_save r then
-                Pregfile.set (Mreg r) (Regfile.get r w.ca_rs) rs
-              else Pregfile.set (Mreg r) Vundef rs)
-            Pregfile.init all_mregs
-          |> Pregfile.set (Mreg (Conventions.loc_result w.ca_sg)) r1.cr_res
+          Regfile.return_regs w.ca_rs Regfile.init
+          |> Regfile.set (Conventions.loc_result w.ca_sg) r1.cr_res
+          |> Pregfile.of_regfile
           |> Pregfile.set PC w.ca_ra |> Pregfile.set SP w.ca_sp
-          |> Pregfile.set RA Vundef
         in
         match transplant_diff ~before:w.ca_src_mem ~after:r1.cr_mem ~onto:w.ca_mem with
         | Some m' -> Some { ar_rs = rs'; ar_mem = m' }

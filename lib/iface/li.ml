@@ -45,6 +45,12 @@ type l_query = {
 
 type l_reply = { lr_ls : Locations.Locset.t; lr_mem : Mem.t }
 
+let pp_l_query fmt q =
+  Format.fprintf fmt "@[%a[%a] %a@]" Values.pp q.lq_vf pp_signature q.lq_sg
+    Locations.Locset.pp q.lq_ls
+
+let pp_l_reply fmt r = Locations.Locset.pp fmt r.lr_ls
+
 (** {1 Interface M} *)
 
 type m_query = {
@@ -56,6 +62,12 @@ type m_query = {
 }
 
 type m_reply = { mr_rs : Machregs.Regfile.t; mr_mem : Mem.t }
+
+let pp_m_query fmt q =
+  Format.fprintf fmt "@[%a sp=%a ra=%a %a@]" Values.pp q.mq_vf Values.pp q.mq_sp
+    Values.pp q.mq_ra Machregs.Regfile.pp q.mq_rs
+
+let pp_m_reply fmt r = Machregs.Regfile.pp fmt r.mr_rs
 
 (** {1 Interface A}
 
@@ -79,7 +91,10 @@ let pp_preg fmt = function
 let all_pregs =
   PC :: SP :: RA :: SCR :: List.map (fun r -> Mreg r) Machregs.all_mregs
 
-let num_pregs = 4 + Machregs.num_mregs
+(* The machine registers follow PC, SP, RA and SCR, in [mreg_index]
+   order, so a [Machregs.Regfile.t] is a slice of a [Pregfile.t]. *)
+let mreg_base = 4
+let num_pregs = mreg_base + Machregs.num_mregs
 
 (** Dense ordinal of an architectural register, in [0, num_pregs). *)
 let preg_index = function
@@ -87,7 +102,7 @@ let preg_index = function
   | SP -> 1
   | RA -> 2
   | SCR -> 3
-  | Mreg r -> 4 + Machregs.mreg_index r
+  | Mreg r -> mreg_base + Machregs.mreg_index r
 
 module Pregfile = struct
   (* A dense array indexed by [preg_index], updated copy-on-write (like
@@ -116,15 +131,12 @@ module Pregfile = struct
      point (query/reply marshaling), never the live array. *)
   let copy : t -> t = Array.copy
 
+  (** The machine registers of [mrs], with PC, SP, RA and SCR undefined. *)
   let of_regfile (mrs : Machregs.Regfile.t) : t =
-    List.fold_left
-      (fun rf r -> set (Mreg r) (Machregs.Regfile.get r mrs) rf)
-      init Machregs.all_mregs
+    Array.append (Array.make mreg_base Vundef) mrs
 
   let to_regfile (rf : t) : Machregs.Regfile.t =
-    List.fold_left
-      (fun mrs r -> Machregs.Regfile.set r (get (Mreg r) rf) mrs)
-      Machregs.Regfile.init Machregs.all_mregs
+    Array.sub rf mreg_base Machregs.num_mregs
 
   let equal (a : t) (b : t) =
     a == b
@@ -145,3 +157,6 @@ end
 
 type a_query = { aq_rs : Pregfile.t; aq_mem : Mem.t }
 type a_reply = { ar_rs : Pregfile.t; ar_mem : Mem.t }
+
+let pp_a_query fmt q = Pregfile.pp fmt q.aq_rs
+let pp_a_reply fmt r = Pregfile.pp fmt r.ar_rs

@@ -26,9 +26,7 @@
     matrices line up mode-for-mode. *)
 
 open Support
-open Memory.Mtypes
 open Memory.Values
-open Target
 open Iface
 open Iface.Li
 module Chaos = Faultinject.Chaos_oracle
@@ -62,35 +60,6 @@ let mode_name = function
   | Early_halt -> "early-halt"
 
 let mode_of_name s = List.find_opt (fun m -> mode_name m = s) all_modes
-
-(** {1 The A-level calling convention, partner side}
-
-    The reply shape of a well-behaved partner, identical to the
-    [A]-level oracle of {!Driver.Io_oracle}: result in the result
-    register, [PC := RA], everything else (registers and memory)
-    untouched. *)
-
-let convention_reply ~(sg : signature) ~(res : value) (q : a_query) : a_reply =
-  let rs' =
-    q.aq_rs
-    |> Pregfile.set (Mreg (Conventions.loc_result sg)) res
-    |> Pregfile.set PC (Pregfile.get RA q.aq_rs)
-  in
-  { ar_rs = rs'; ar_mem = q.aq_mem }
-
-(** Decode the integer arguments of a query per the convention's
-    argument registers ([None] if any argument is not an integer in a
-    register — the corpus partners are integer-only). *)
-let decode_int_args ~(sg : signature) (rs : Pregfile.t) : int32 list option =
-  List.fold_right
-    (fun l acc ->
-      match (l, acc) with
-      | Locations.R r, Some ns -> (
-        match Pregfile.get (Mreg r) rs with
-        | Vint n -> Some (n :: ns)
-        | _ -> None)
-      | _ -> None)
-    (Conventions.loc_arguments sg) (Some [])
 
 (** The blocks of the partner's exported symbols under the shared symbol
     table — the domain of the synthesized LTS, and the import set of the
@@ -154,7 +123,7 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
      natural continuation — replaying recorded results against different
      arguments would silently erase the perturbation. *)
   let recorded_result (p : Io.primitive) i (q : a_query) : int32 =
-    let args = decode_int_args ~sg:p.Io.prim_sig q.aq_rs in
+    let args = Io.decode_int_args ~sg:p.Io.prim_sig q.aq_rs in
     let fallback () =
       match args with Some a -> p.Io.prim_impl a | None -> 0l
     in
@@ -173,19 +142,19 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
       incr count;
       let sg = p.Io.prim_sig in
       let res = recorded_result p i q in
-      let well = convention_reply ~sg ~res:(Vint res) q in
+      let well = Io.convention_reply ~sg ~res:(Vint res) q in
       if mode = Replay_faithful || i <> rogue_at then [ Answer well ]
       else begin
         rogue_fired := true;
         match mode with
         | Replay_faithful -> [ Answer well ]
         | Wrong_result ->
-          [ Answer (convention_reply ~sg ~res:(Vint (Int32.add res 1l)) q) ]
+          [ Answer (Io.convention_reply ~sg ~res:(Vint (Int32.add res 1l)) q) ]
         | Clobber_callee_save ->
           [ Answer { well with ar_rs = Chaos.clobber_callee_saves well.ar_rs } ]
         | Wild_pointer ->
-          [ Answer (convention_reply ~sg ~res:(Chaos.wild_pointer q.aq_mem) q) ]
-        | Early_halt -> [ Answer (convention_reply ~sg ~res:Vundef q) ]
+          [ Answer (Io.convention_reply ~sg ~res:(Chaos.wild_pointer q.aq_mem) q) ]
+        | Early_halt -> [ Answer (Io.convention_reply ~sg ~res:Vundef q) ]
         | Silent_divergence -> [ Spin ]
         | Call_storm -> (
           match entry_block with

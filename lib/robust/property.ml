@@ -139,7 +139,7 @@ let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
           | Some (name, sg) ->
             calls :=
               { c_name = name;
-                c_args = Partner.decode_int_args ~sg q.aq_rs }
+                c_args = Driver.Io_oracle.decode_int_args ~sg q.aq_rs }
               :: !calls
           | None -> ());
           (i, ex)

@@ -45,16 +45,14 @@ let pp_loc fmt = function
   | R r -> pp_mreg fmt r
   | S (k, o, t) -> Format.fprintf fmt "%a(%d):%a" pp_slot_kind k o pp_typ t
 
-module LocMap = Map.Make (struct
-  type t = loc
-
-  let compare = compare
-end)
-
 (** {1 Location maps}
 
     The locset component of the [L] language interface (paper, Table 2):
-    a total map from locations to values, defaulting to [Vundef].
+    a total map from locations to values, defaulting to [Vundef]. Its
+    register half is the [M] interface's register file, so [LM]
+    (Appendix C.2) relates the two register for register; its slots are
+    three maps, one per kind, from a word offset to the value stored
+    there and the type it was written at.
 
     Writes follow CompCert's [Locmap.set] discipline:
 
@@ -63,43 +61,75 @@ end)
       ill-typed slot write stores [Vundef], mirroring the in-memory
       realization where a store followed by a differently-typed load
       yields garbage), and {e invalidates} every overlapping slot
-      binding of a different type. *)
+      binding of a different type. Since [typ_words t = 1], the slots
+      overlapping a slot are those at its kind and offset, so the write
+      replaces one binding and a read at another type finds [Vundef]. *)
 
 module Locset = struct
-  type t = value LocMap.t
+  module Slots = Map.Make (Int)
 
-  let init : t = LocMap.empty
-  let get (l : loc) (m : t) = Option.value (LocMap.find_opt l m) ~default:Vundef
+  type t = {
+    regs : Regfile.t;
+    local : (value * typ) Slots.t;
+    incoming : (value * typ) Slots.t;
+    outgoing : (value * typ) Slots.t;
+  }
 
-  let set (l : loc) (v : value) (m : t) : t =
+  let init : t =
+    { regs = Regfile.init; local = Slots.empty; incoming = Slots.empty;
+      outgoing = Slots.empty }
+
+  let slots k ls =
+    match k with Local -> ls.local | Incoming -> ls.incoming | Outgoing -> ls.outgoing
+
+  (* [typ] has constant constructors only: [==] is its equality. *)
+  let get_slot k ofs ty ls =
+    match Slots.find_opt ofs (slots k ls) with
+    | Some (v, ty') when ty' == ty -> v
+    | _ -> Vundef
+
+  let set_slot k ofs ty v ls =
+    let s = Slots.add ofs ((if has_type v ty then v else Vundef), ty) (slots k ls) in
+    match k with
+    | Local -> { ls with local = s }
+    | Incoming -> { ls with incoming = s }
+    | Outgoing -> { ls with outgoing = s }
+
+  (** A register write through [rset]: [Regfile.set], or
+      [Regfile.update] on a register file the writer owns, which leaves
+      the locset itself unchanged. *)
+  let set_reg rset r v ls =
+    let regs = rset r v ls.regs in
+    if regs == ls.regs then ls else { ls with regs }
+
+  let get (l : loc) (ls : t) =
+    match l with R r -> Regfile.get r ls.regs | S (k, ofs, ty) -> get_slot k ofs ty ls
+
+  let set (l : loc) (v : value) (ls : t) : t =
     match l with
-    | R _ -> LocMap.add l v m
-    | S (_, _, ty) ->
-      let m =
-        LocMap.filter (fun l' _ -> not (locs_overlap l l' && l' <> l)) m
-      in
-      LocMap.add l (if has_type v ty then v else Vundef) m
+    | R r -> set_reg Regfile.set r v ls
+    | S (k, ofs, ty) -> set_slot k ofs ty v ls
+
+  (** The same locset on a register file of its own, for an interpreter
+      that writes it in place. *)
+  let copy (ls : t) : t = { ls with regs = Regfile.copy ls.regs }
 
   (** The canonical locset after an environment call: callee-save
       registers keep their value, everything else (caller-save registers
       and all stack slots, which belong to the finished activation) is
       forgotten. *)
-  let undef_caller_save (m : t) : t =
-    LocMap.filter
-      (fun l _ -> match l with R r -> is_callee_save r | S _ -> false)
-      m
+  let undef_caller_save (ls : t) : t =
+    { init with regs = Regfile.return_regs ls.regs Regfile.init }
 
-  let equal (a : t) (b : t) =
-    LocMap.for_all (fun l v -> get l b = v) a
-    && LocMap.for_all (fun l v -> get l a = v) b
-
-  let pp fmt (m : t) =
-    Format.fprintf fmt "@[<h>{";
-    LocMap.iter
-      (fun l v ->
-        match v with
-        | Vundef -> ()
-        | v -> Format.fprintf fmt " %a=%a" pp_loc l Memory.Values.pp v)
-      m;
-    Format.fprintf fmt " }@]"
+  let pp fmt (ls : t) =
+    let pp_slots fmt k =
+      Slots.iter
+        (fun ofs (v, ty) ->
+          match v with
+          | Vundef -> ()
+          | v -> Format.fprintf fmt " %a=%a" pp_loc (S (k, ofs, ty)) Memory.Values.pp v)
+        (slots k ls)
+    in
+    Format.fprintf fmt "@[<h>{%a%a%a%a }@]" Regfile.pp_bindings ls.regs pp_slots
+      Local pp_slots Incoming pp_slots Outgoing
 end

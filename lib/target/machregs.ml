@@ -47,9 +47,6 @@ let mreg_index = function
   | X0 -> 14 | X1 -> 15 | X2 -> 16 | X3 -> 17
   | X4 -> 18 | X5 -> 19 | X6 -> 20 | X7 -> 21
 
-(* Inverse of [mreg_index], for walking a flat register file. *)
-let mreg_of_index : mreg array = Array.of_list all_mregs
-
 let is_float_mreg = function
   | X0 | X1 | X2 | X3 | X4 | X5 | X6 | X7 -> true
   | _ -> false
@@ -100,8 +97,6 @@ module Regfile = struct
       rf'
     end
 
-  let set_list rvs rf = List.fold_left (fun rf (r, v) -> set r v rf) rf rvs
-
   (* Snapshot for the mutable-execution cores (copy-on-observe): a
      mutating interpreter must hand out copies at query/reply
      boundaries, never its live array. *)
@@ -114,19 +109,36 @@ module Regfile = struct
     rf.(mreg_index r) <- v;
     rf
 
+  (** The callee-save rule of a return: callee-save registers from
+      [caller], every other register (results included) from [callee].
+      A fresh array. *)
+  let return_regs (caller : t) (callee : t) : t =
+    Array.mapi (fun i v -> if callee_save_tbl.(i) then caller.(i) else v) callee
+
   let equal (a : t) (b : t) =
     a == b
     ||
     let rec go i = i >= num_mregs || (a.(i) = b.(i) && go (i + 1)) in
     go 0
 
-  let pp fmt (rf : t) =
-    Format.fprintf fmt "@[<h>{";
+  (** [rs] holds [caller]'s callee-save registers, the registers
+      [return_regs] takes from the caller. *)
+  let keeps_callee_save ~(caller : t) (rs : t) =
+    let rec go i =
+      i >= num_mregs || ((not callee_save_tbl.(i) || rs.(i) = caller.(i)) && go (i + 1))
+    in
+    go 0
+
+  let for_all2 (p : value -> value -> bool) (a : t) (b : t) = Array.for_all2 p a b
+
+  (* The defined registers, each as " r=v". *)
+  let pp_bindings fmt (rf : t) =
     List.iter
       (fun r ->
         match get r rf with
         | Vundef -> ()
         | v -> Format.fprintf fmt " %a=%a" pp_mreg r Memory.Values.pp v)
-      all_mregs;
-    Format.fprintf fmt " }@]"
+      all_mregs
+
+  let pp fmt (rf : t) = Format.fprintf fmt "@[<h>{%a }@]" pp_bindings rf
 end

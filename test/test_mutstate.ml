@@ -16,7 +16,11 @@
       of the run;
     - stuck states: a threaded Asm run that goes wrong in the middle of
       a superstep stops with the PC, register file and memory the naive
-      reference stops with, and has no further step. *)
+      reference stops with, and has no further step;
+    - allocation: on examples/c, an LTL or Linear run allocates at most
+      2.5 times the minor words of an RTL run of the same query (a
+      deterministic count, so a core that goes back to rebuilding its
+      locset at every write or call fails here). *)
 
 open Support
 open Memory.Values
@@ -114,8 +118,40 @@ let a_query q =
   | Some (_, aq) -> aq
   | None -> Alcotest.fail "CA cannot marshal the query"
 
+(* Minor words of one run of a level, with observability off. *)
+let run_words ~symbols q (l : Driver.Pipeline.level) =
+  Obs.enabled := false;
+  let w0 = Gc.minor_words () in
+  ignore (Driver.Pipeline.run_level ~symbols ~fuel q l);
+  Gc.minor_words () -. w0
+
 let unit_tests =
   [
+    Alcotest.test_case
+      "LTL and Linear allocate at most 2.5x RTL's words per run on examples/c"
+      `Quick (fun () ->
+        List.iter
+          (fun file ->
+            let p =
+              Cfrontend.Cparser.parse_program
+                (read_file (Filename.concat "../examples/c" file))
+            in
+            let symbols = Iface.Ast.prog_defs_names p in
+            let q = Option.get (Driver.Differential.main_query_of p) in
+            let levels = Result.get_ok (Driver.Compiler.compile_levels p) in
+            let words name =
+              run_words ~symbols q
+                (List.find (fun (l : Driver.Pipeline.level) -> l.level = name) levels)
+            in
+            let rtl = words "rtl_opt" in
+            List.iter
+              (fun name ->
+                let w = words name in
+                if w > 2.5 *. rtl then
+                  Alcotest.failf "%s: %s allocates %.0f words, %.2fx rtl_opt's %.0f"
+                    file name w (w /. rtl) rtl)
+              [ "ltl"; "ltl_tunneled"; "linear"; "linear_clean" ])
+          (example_files ()));
     Alcotest.test_case
       "mutable and persistent interpreters agree on examples/c" `Quick
       (fun () ->
@@ -158,7 +194,7 @@ let unit_tests =
             (pp_pregs aq.Iface.Li.aq_rs = before);
           check "global Pregfile.init unscathed" true
             (Array.for_all (fun v -> v = Vundef) Iface.Li.Pregfile.init));
-        match Driver.Runners.cc_cm.Core.Simconv.fwd_query q with
+        (match Driver.Runners.cc_cm.Core.Simconv.fwd_query q with
         | None -> Alcotest.fail "CM cannot marshal the query"
         | Some (_, mq) ->
           let before = pp_mregs mq.Iface.Li.mq_rs in
@@ -166,6 +202,24 @@ let unit_tests =
           ignore (Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) mq);
           check "Mach query register file unscathed" true
             (pp_mregs mq.Iface.Li.mq_rs = before));
+        (* The L level: the CL query's locset shares [Regfile.init]
+           (main takes no argument), which must stay all-[Vundef]. *)
+        match Iface.Callconv.cc_cl.Core.Simconv.fwd_query q with
+        | None -> Alcotest.fail "CL cannot marshal the query"
+        | Some (_, lq) ->
+          let regs = lq.Iface.Li.lq_ls.Target.Locations.Locset.regs in
+          let before = pp_mregs regs in
+          let run name l =
+            match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) lq with
+            | Core.Smallstep.Final _ ->
+              check (name ^ " query registers unscathed") true (pp_mregs regs = before)
+            | _ -> Alcotest.failf "%s run did not finish" name
+          in
+          run "LTL" (Backend.Ltl.semantics ~symbols arts.Driver.Compiler.ltl_tunneled);
+          run "Linear"
+            (Backend.Linear.semantics ~symbols arts.Driver.Compiler.linear_clean);
+          check "global Regfile.init unscathed" true
+            (Array.for_all (fun v -> v = Vundef) Target.Machregs.Regfile.init));
     Alcotest.test_case
       "at_external snapshot is not aliased by later mutation" `Quick
       (fun () ->
@@ -212,13 +266,37 @@ let unit_tests =
         | Ok o ->
           Alcotest.failf "run did not finish: %a" Driver.Runners.pp_c_outcome o
         | Error e -> Alcotest.failf "marshal error: %s" e);
-        match !captured with
+        (match !captured with
         | None -> Alcotest.fail "no external call reached the oracle"
         | Some (rs, before, m, dump) ->
           check "external-call snapshot unchanged after the run" true
             (pp_pregs rs = before);
           check "external-call memory unchanged after the run" true
             (mem_dump m = dump));
+        (* The same at the L level: the locset LTL hands the oracle is
+           the suspended caller's, which the run must not write again. *)
+        let pp_ls ls = Format.asprintf "%a" Target.Locations.Locset.pp ls in
+        let captured = ref None in
+        let oracle (lq : Iface.Li.l_query) =
+          let ls = lq.Iface.Li.lq_ls in
+          if !captured = None then captured := Some (ls, pp_ls ls);
+          Iface.Callconv.cc_cl.Core.Simconv.fwd_reply
+            (lq.Iface.Li.lq_sg, ls)
+            { Iface.Li.cr_res = Vint 7l; cr_mem = lq.Iface.Li.lq_mem }
+        in
+        (match
+           Driver.Runners.run_l_level
+             (Backend.Ltl.semantics ~symbols arts.Driver.Compiler.ltl_tunneled)
+             ~fuel ~oracle q
+         with
+        | Ok (Core.Smallstep.Final _) -> ()
+        | Ok o -> Alcotest.failf "LTL run did not finish: %a" Driver.Runners.pp_c_outcome o
+        | Error e -> Alcotest.failf "marshal error: %s" e);
+        match !captured with
+        | None -> Alcotest.fail "no external call reached the LTL oracle"
+        | Some (ls, before) ->
+          check "LTL external-call locset unchanged after the run" true
+            (pp_ls ls = before));
     Alcotest.test_case
       "threaded and naive Asm answer with equal memories on examples/c"
       `Quick (fun () ->

@@ -375,6 +375,44 @@ let run_tests =
         in
         checks "clight outcome unchanged" bare_c obs_c;
         check "asm outcome unchanged" true (bare_a = obs_a));
+    Alcotest.test_case
+      "every level's log opens and closes with the Clight log's C query and reply"
+      `Quick (fun () ->
+        let dir = "../examples/c" in
+        let files =
+          Sys.readdir dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".c")
+        in
+        check "corpus present" true (files <> []);
+        List.iter
+          (fun file ->
+            let ic = open_in_bin (Filename.concat dir file) in
+            let src = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            let p = Cfrontend.Cparser.parse_program src in
+            let symbols = Iface.Ast.prog_defs_names p in
+            let q = Option.get (Driver.Differential.main_query_of p) in
+            let levels = Result.get_ok (Driver.Compiler.compile_levels p) in
+            let ends (l : Driver.Pipeline.level) =
+              with_fresh_obs (fun () ->
+                  ignore (Driver.Pipeline.run_level ~symbols ~fuel:3_000_000 q l);
+                  List.filter
+                    (function
+                      | Obs.Interaction_log.Question _ | Obs.Interaction_log.Final _ ->
+                        true
+                      | _ -> false)
+                    (Obs.Interaction_log.events ()))
+            in
+            let reference = ends (List.hd levels) in
+            check (file ^ ": the Clight log has a question and a final answer") true
+              (List.length reference = 2);
+            List.iter
+              (fun (l : Driver.Pipeline.level) ->
+                check
+                  (Printf.sprintf "%s: %s question and answer" file l.level)
+                  true (ends l = reference))
+              levels)
+          files);
     Alcotest.test_case "coexec records check counters" `Quick (fun () ->
         with_fresh_obs (fun () ->
             let cc = Simconv.cc_id ~name:"idtest" () in

@@ -201,11 +201,22 @@ let log_tests =
               Obs.Interaction_log.events ())
         in
         let open Obs.Interaction_log in
-        (* two iterations, each calling env_twice and env_out *)
-        let call = [ Steps 1; Call "_"; Reply "_" ] in
+        (* two iterations, each calling env_twice (b1) and env_out (b2):
+           the question and the answer as the C query and reply, each
+           call and reply as the A-level register file *)
+        let call q r = [ Steps 1; Call ("{ " ^ q ^ " }"); Reply ("{ " ^ r ^ " }") ] in
         let expected =
-          (Question "_" :: List.concat [ call; call; call; call ])
-          @ [ Steps 1; Final "_"; Fuel_consumed 9 ]
+          (Question "&b3+0[(int) -> int](2)"
+           :: List.concat
+                [ call "pc=&b1+0 sp=&b4+0 ra=&b3+14 bx=2 di=0 r12=0 r13=0"
+                    "pc=&b3+14 sp=&b4+0 ra=&b3+14 ax=0 bx=2 di=0 r12=0 r13=0";
+                  call "pc=&b2+0 sp=&b4+0 ra=&b3+18 ax=0 bx=2 si=0 di=1 r12=0 r13=0 r14=0"
+                    "pc=&b3+18 sp=&b4+0 ra=&b3+18 ax=0 bx=2 si=0 di=1 r12=0 r13=0 r14=0";
+                  call "pc=&b1+0 sp=&b4+0 ra=&b3+14 ax=0 bx=2 si=0 di=1 r12=0 r13=1 r14=0"
+                    "pc=&b3+14 sp=&b4+0 ra=&b3+14 ax=2 bx=2 si=0 di=1 r12=0 r13=1 r14=0";
+                  call "pc=&b2+0 sp=&b4+0 ra=&b3+18 ax=2 bx=2 si=2 di=1 r12=0 r13=1 r14=2"
+                    "pc=&b3+18 sp=&b4+0 ra=&b3+18 ax=0 bx=2 si=2 di=1 r12=0 r13=1 r14=2" ])
+          @ [ Steps 1; Final "2"; Fuel_consumed 9 ]
         in
         if evs <> expected then
           Alcotest.failf "log:@.%a" (Format.pp_print_list pp_event) evs);

@@ -339,7 +339,35 @@ int main(void) {
       42l;
   ]
 
+(* A terminating loop longer than the differential's fuel: 400,000
+   iterations are more Clight steps than [Differential.fuel] allows, but
+   fewer LTL ones, so a lower level answers where the reference has not.
+   The reference has made no promise yet, so the verdict is inconclusive
+   and no other level runs. *)
+let out_of_fuel =
+  [
+    Alcotest.test_case "an out-of-fuel Clight reference is inconclusive" `Quick
+      (fun () ->
+        let src =
+          {|
+int main(void) {
+  int s = 0;
+  for (int i = 0; i < 400000; i++) s = s + (i & 3);
+  return s & 255;
+}
+|}
+        in
+        match differential src with
+        | Error e -> Alcotest.fail e
+        | Ok [ { level = "clight1"; outcome = Ok (Core.Smallstep.Out_of_fuel _) } ]
+          -> ()
+        | Ok results ->
+          Alcotest.failf "@[<v>expected only an out-of-fuel reference:@,%a@]"
+            (Format.pp_print_list pp_level_result)
+            results);
+  ]
+
 let suite =
   ( "programs",
     sorting @ number_theory @ data_structures @ floating_point @ misc
-    @ interpreter )
+    @ interpreter @ out_of_fuel )
