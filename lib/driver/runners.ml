@@ -63,7 +63,7 @@ let str pp x = Format.asprintf "%a" pp x
 let run_c_level lts ~fuel ?(oracle = fun _ -> None) ?check_reply (q : c_query) :
     c_outcome =
   Obs_lts.run ~pp_qi:(str pp_c_query) ~pp_ri:(str pp_c_reply) ~pp_qo:(str pp_c_query)
-    ?check_reply ~fuel lts ~oracle q
+    ~pp_ro:(str pp_c_reply) ?check_reply ~fuel lts ~oracle q
 
 (* A lower-level run: the query marshaled down through [cc] (named
    [conv] in the error), the reply marshaled back up. The log shows the

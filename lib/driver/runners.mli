@@ -32,10 +32,10 @@ val main_query :
   c_query option
 
 val run_c_level :
-  ('s, c_query, c_reply, c_query, 'ro) Smallstep.lts ->
+  ('s, c_query, c_reply, c_query, c_reply) Smallstep.lts ->
   fuel:int ->
-  ?oracle:(c_query -> 'ro option) ->
-  ?check_reply:(c_query -> 'ro -> (unit, string) result) ->
+  ?oracle:(c_query -> c_reply option) ->
+  ?check_reply:(c_query -> c_reply -> (unit, string) result) ->
   c_query ->
   c_outcome
 

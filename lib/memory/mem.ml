@@ -19,38 +19,49 @@
     comparison. Only blocks actually carved by [free]/[drop_perm]/
     [grant_perm] on a sub-range (the [LM] argument-region protocol) fall
     back to a per-offset [Carved] map. Contents are chunked: bytes live in
-    16-byte arrays keyed by [ofs asr 4]; an aligned access of at most 8
-    bytes never crosses a chunk, so loads and stores of every integer
+    16-byte arrays, chunk [k] of a block holding the offsets whose
+    [ofs asr 4] is [k] more than its [lo]'s; an aligned access of at most
+    8 bytes never crosses a chunk, so loads and stores of every integer
     chunk read or write one array directly. Concrete bytes come from a
     shared table ([Memdata.byte]) and small integer results are shared,
     so a byte access allocates nothing beyond the returned option.
 
-    Two choices keep the frame traffic of every call cheap. A block that
-    [free] leaves without any permission is {e retired}: it moves from the
-    live map to a list with one cons, keeping its bounds and contents
-    (CompCert's [free] only drops permissions), and loads, stores, [alloc]
-    and [free] never look at that list. A pointer stored with [Mint64], or
-    any value stored with [Many64], at an 8-aligned offset is a {e word
-    run}: the first cell of its 8-byte half-chunk holds
-    [Fragment (v, Q64, 7)] and the other seven hold one shared mark, read
-    back as [Fragment (v, Q64, 6)] ... [Fragment (v, Q64, 0)]. A write
-    that covers only part of a run first turns it into those eight
-    fragments. All observable behavior (every function of the interface)
-    is unchanged; [test/test_mem_diff.ml] checks this against the per-byte
-    reference implementation on random operation sequences.
+    {b Dense tables.} Block ids are dense ([valid_block] is
+    [0 < b < next_block]) and so are a block's chunk indices, so both
+    maps are radix tables over integer keys with a fixed fan-out of 16:
+    a lookup is one array index per level, two levels for a block of up
+    to 4 KB or a memory of up to 255 blocks. The block table maps every
+    id in [1, next_block) to its record. A block that [free] leaves
+    without any permission is {e retired} in place: its record keeps its
+    bounds and contents (CompCert's [free] only drops permissions) and
+    reads as no permission anywhere, so a retired block costs a free
+    nothing beyond its new record and a later [grant_perm] revives it
+    where it is.
+
+    A pointer stored with [Mint64], or any value stored with [Many64], at
+    an 8-aligned offset is a {e word run}: the first cell of its 8-byte
+    half-chunk holds [Fragment (v, Q64, 7)] and the other seven hold one
+    shared mark, read back as [Fragment (v, Q64, 6)] ...
+    [Fragment (v, Q64, 0)]. A write that covers only part of a run first
+    turns it into those eight fragments. All observable behavior (every
+    function of the interface) is unchanged; [test/test_mem_diff.ml]
+    checks this against the per-byte reference implementation on random
+    operation sequences.
 
     {b Copy-on-observe ownership.} A memory built by the interface below
-    is persistent: a write copies the one chunk it touches and the path
-    to it. A memory returned by {!thaw} instead belongs to one {e owner},
-    a run that promises to use it linearly (never touching a memory again
-    once an operation has returned its successor). Chunks and blocks
-    carry the owner that created them; a write under the owner that
-    already holds the chunk updates it in place and returns the same
-    memory. Anything inherited from before the [thaw] is copied once, on
-    its first write. {!freeze} ends the ownership, after which the memory
-    and everything it shares are persistent again, so the run hands out
-    frozen memories at its observation points and nobody ever sees a
-    later in-place write. *)
+    is persistent: a write copies the one chunk it touches and the table
+    nodes on the path to it, one per level. A memory returned by {!thaw}
+    instead belongs to one {e owner}, a run that promises to use it
+    linearly (never touching a memory again once an operation has
+    returned its successor). Chunks, block records and table nodes carry
+    the owner that created them; a write under the owner that already
+    holds them updates them in place and returns the same memory, so an
+    owned memory allocates, frees, loads and stores in O(1) and allocates
+    nothing beyond a new chunk or block record. Anything inherited from
+    before the [thaw] is copied once, on its first write. {!freeze} ends
+    the ownership, after which the memory and everything it shares are
+    persistent again, so the run hands out frozen memories at its
+    observation points and nobody ever sees a later in-place write. *)
 
 open Values
 open Memdata
@@ -66,9 +77,10 @@ let perm_rank = function
 (** [perm_order p1 p2]: permission [p1] implies permission [p2]. *)
 let perm_order p1 p2 = perm_rank p1 >= perm_rank p2
 
+(* Per-offset permissions of carved blocks. *)
 module IMap = Map.Make (Int)
 
-(* Contents chunking: 16-byte arrays keyed by [ofs asr chunk_bits].
+(* Contents chunking: 16-byte arrays indexed by [ofs asr chunk_bits].
    [asr]/[land] implement floor division and modulus, correct for the
    negative offsets negative-bound blocks use. *)
 let chunk_bits = 4
@@ -90,7 +102,85 @@ let new_owner () = { live = true; in_place = 0; copied = 0 }
    so nothing it holds is ever written in place. *)
 let nobody = { live = false; in_place = 0; copied = 0 }
 
+(** {1 Radix tables}
+
+    A table maps the keys [0 <= k < 16{^d}] of a tree [d] levels deep.
+    A leaf holds the values of 16 consecutive keys; an inner node at
+    [shift] picks its child by bits [shift .. shift + 3] of the key.
+    Unwritten keys read as the table's default, and [Nil] stands for a
+    subtree with no written key. Every node carries the owner that may
+    update it in place, as chunks do. *)
+
+let tab_bits = 4
+let fanout = 1 lsl tab_bits
+let tab_mask = fanout - 1
+
+type 'a node =
+  | Nil
+  | Leaf of { l_owner : owner; vals : 'a array }
+  | Inner of { i_owner : owner; shift : int; kids : 'a node array }
+
+(* The root [n] holds exactly the keys below [1 lsl span n]. *)
+let span = function Inner i -> i.shift + tab_bits | Nil | Leaf _ -> tab_bits
+
+let rec find n k dflt =
+  match n with
+  | Leaf l -> l.vals.(k land tab_mask)
+  | Inner i -> find i.kids.((k lsr i.shift) land tab_mask) k dflt
+  | Nil -> dflt
+
+(* The value at [k] of the table rooted at [root]; [dflt] outside it,
+   negative keys included. *)
+let get root k dflt = if k lsr span root <> 0 then dflt else find root k dflt
+
+(* The node [n], at level [shift], with [k] bound to [v]: [n] itself,
+   updated in place, when [o] owns it, else a copy [o] owns. *)
+let rec put o dflt n shift k v =
+  let j = (k lsr shift) land tab_mask in
+  match n with
+  | Leaf l when l.l_owner == o ->
+    l.vals.(j) <- v;
+    n
+  | Inner i when i.i_owner == o ->
+    let kid = i.kids.(j) in
+    let kid' = put o dflt kid (shift - tab_bits) k v in
+    if kid' != kid then i.kids.(j) <- kid';
+    n
+  | Leaf l ->
+    let vals = Array.copy l.vals in
+    vals.(j) <- v;
+    Leaf { l_owner = o; vals }
+  | Inner i ->
+    let kids = Array.copy i.kids in
+    kids.(j) <- put o dflt kids.(j) (shift - tab_bits) k v;
+    Inner { i_owner = o; shift; kids }
+  | Nil when shift = 0 ->
+    let vals = Array.make fanout dflt in
+    vals.(j) <- v;
+    Leaf { l_owner = o; vals }
+  | Nil ->
+    let kids = Array.make fanout Nil in
+    kids.(j) <- put o dflt Nil (shift - tab_bits) k v;
+    Inner { i_owner = o; shift; kids }
+
+(* The table [root] with [k] bound to [v], written under [o]. A key past
+   the root's span first grows the table by a level, the old root
+   becoming the first child of the new one. *)
+let rec set o dflt root k v =
+  if k < 0 then invalid_arg "Mem: negative table key";
+  let s = span root in
+  if k lsr s = 0 then put o dflt root (s - tab_bits) k v
+  else
+    let kids = Array.make fanout Nil in
+    kids.(0) <- root;
+    set o dflt (Inner { i_owner = o; shift = s; kids }) k v
+
+(** {1 Memory states} *)
+
 type chunk = { c_owner : owner; c_data : memval array }
+
+(* A missing chunk: all [Undef]. *)
+let no_chunk = { c_owner = nobody; c_data = [||] }
 
 type perms =
   | Uniform of permission option
@@ -101,42 +191,43 @@ type perms =
 type block_info = {
   lo : int;
   hi : int;
-  mutable contents : chunk IMap.t;
-      (** 16-byte chunks; missing = all [Undef]. Updated in place only
-          through a record its live owner holds. *)
+  mutable contents : chunk node;
+      (** chunk [chunk_key bi ofs] holds offset [ofs]; missing = all
+          [Undef]. Updated in place only through a record its live owner
+          holds. *)
   perms : perms;
   b_owner : owner;
 }
 
+(* What the block table reads outside [1, next_block): no bounds and no
+   permission. *)
+let no_block = { lo = 0; hi = 0; contents = Nil; perms = Uniform None; b_owner = nobody }
+
+(* The key of the chunk holding offset [ofs] of [bi]. *)
+let chunk_key bi ofs = chunk_ix ofs - chunk_ix bi.lo
+
 (** [alloc] is the only way to create a block and nothing deletes one, so
-    every block [b] with [0 < b < next_block] is in exactly one of
-    [blocks] and [dead], and [valid_block] is a bounds check. *)
+    [blocks] binds every [b] with [0 < b < next_block], live or retired,
+    and [valid_block] is a bounds check. An owned memory is one record
+    that its owner's operations update and return. *)
 type t = {
-  next_block : block;
-  blocks : block_info IMap.t;  (** live blocks *)
-  dead : (block * block_info) list;
-      (** retired blocks, newest first: those [free] left without any
-          permission, with their bounds and contents. A free conses onto
-          it; only observers ([block_bounds], [contents_at], [loadbytes],
-          [drop_perm], [grant_perm], [equal], [pp]) look past [blocks]
-          into it, so [blocks] — which every load, store, alloc and free
-          searches and rebuilds — stays at live-block size. *)
+  mutable next_block : block;
+  mutable blocks : block_info node;
   owner : owner;
 }
 
-let empty = { next_block = 1; blocks = IMap.empty; dead = []; owner = nobody }
+let empty = { next_block = 1; blocks = Nil; owner = nobody }
 let nextblock m = m.next_block
 let valid_block m b = b > 0 && b < m.next_block
 
-let find_block m b =
-  match IMap.find_opt b m.blocks with
-  | Some _ as r -> r
-  | None -> List.assoc_opt b m.dead
+(* The record of block [b]; [no_block] when [b] is not valid. *)
+let block m b = get m.blocks b no_block
 
 let block_bounds m b =
-  match find_block m b with
-  | Some bi -> Some (bi.lo, bi.hi)
-  | None -> None
+  if valid_block m b then
+    let bi = block m b in
+    Some (bi.lo, bi.hi)
+  else None
 
 (** {1 Ownership} *)
 
@@ -156,12 +247,9 @@ let block_perm bi ofs =
   | Carved pm -> IMap.find_opt ofs pm
 
 let perm m b ofs p =
-  match IMap.find b m.blocks with
-  | exception Not_found -> false
-  | bi -> (
-    match block_perm bi ofs with
-    | None -> false
-    | Some p' -> perm_order p' p)
+  match block_perm (block m b) ofs with
+  | None -> false
+  | Some p' -> perm_order p' p
 
 let block_range_perm bi lo hi p =
   lo >= hi
@@ -179,13 +267,7 @@ let block_range_perm bi lo hi p =
     in
     go lo
 
-let range_perm m b lo hi p =
-  lo >= hi
-  ||
-  match IMap.find_opt b m.blocks with
-  | None -> false
-  | Some bi -> block_range_perm bi lo hi p
-
+let range_perm m b lo hi p = block_range_perm (block m b) lo hi p
 let valid_pointer m b ofs = perm m b ofs Nonempty
 
 (* Weak validity: valid or one-past-the-end, as used by pointer
@@ -222,38 +304,57 @@ let map_set_range pm lo hi p =
 (* Normalize: an emptied carved map means no permission anywhere. *)
 let carved pm = if IMap.is_empty pm then Uniform None else Carved pm
 
+(* {2 The write path}
+
+   Every write runs under an owner: the memory's own when it is thawed,
+   otherwise a fresh one that dies when the write returns, which makes
+   the persistent write "copy what you touch" and the owned write
+   "update what you already own" the same code. *)
+
+let write_owner m = if m.owner.live then m.owner else new_owner ()
+let release m o = if o != m.owner then o.live <- false
+
+(* [m] with block [b] bound to the record [bi] and [next_block] set,
+   written under [o]: [m] itself when [o] owns it. *)
+let install m o b bi next_block =
+  let blocks = set o no_block m.blocks b bi in
+  if o == m.owner then begin
+    if blocks != m.blocks then m.blocks <- blocks;
+    m.next_block <- next_block;
+    m
+  end
+  else { next_block; blocks; owner = m.owner }
+
+(* [m] with block [b]'s permissions replaced by [perms]. *)
+let set_perms m b bi perms =
+  let o = write_owner m in
+  let m' = install m o b { bi with perms; b_owner = o } m.next_block in
+  release m o;
+  m'
+
 (** {1 Allocation and deallocation} *)
 
 let alloc m lo hi =
   let b = m.next_block in
-  let bi =
-    { lo; hi; contents = IMap.empty; perms = Uniform (Some Freeable);
-      b_owner = m.owner }
-  in
-  ({ m with next_block = b + 1; blocks = IMap.add b bi m.blocks }, b)
+  let o = write_owner m in
+  let bi = { lo; hi; contents = Nil; perms = Uniform (Some Freeable); b_owner = o } in
+  let m' = install m o b bi (b + 1) in
+  release m o;
+  (m', b)
 
 let free m b lo hi =
   if lo >= hi then Some m
   else
-    match IMap.find_opt b m.blocks with
-    | None -> None (* never-allocated or already fully freed: no permission *)
-    | Some bi ->
-      if not (block_range_perm bi lo hi Freeable) then None
-      else
-        let perms =
-          match bi.perms with
-          | Uniform _ when lo <= bi.lo && hi >= bi.hi -> Uniform None
-          | _ -> carved (map_set_range (perms_to_map bi) lo hi None)
-        in
-        (match perms with
-        | Uniform None ->
-          (* No permission left anywhere: retire the block, contents and
-             all. *)
-          Some
-            { m with
-              blocks = IMap.remove b m.blocks;
-              dead = (b, { bi with perms }) :: m.dead }
-        | _ -> Some { m with blocks = IMap.add b { bi with perms } m.blocks })
+    let bi = block m b in
+    (* A never-allocated or retired block has no permission. *)
+    if not (block_range_perm bi lo hi Freeable) then None
+    else
+      let perms =
+        match bi.perms with
+        | Uniform _ when lo <= bi.lo && hi >= bi.hi -> Uniform None
+        | _ -> carved (map_set_range (perms_to_map bi) lo hi None)
+      in
+      Some (set_perms m b bi perms)
 
 let rec free_list m = function
   | [] -> Some m
@@ -265,50 +366,40 @@ let drop_range m b lo hi = free m b lo hi
 
 (** Restrict permissions on a range to at most [p]. *)
 let drop_perm m b lo hi p =
-  match find_block m b with
-  | None -> None
-  | Some bi ->
-    if lo >= hi then Some m
+  if not (valid_block m b) then None
+  else if lo >= hi then Some m
+  else
+    let bi = block m b in
+    if not (block_range_perm bi lo hi p) then None
     else
-      if not (block_range_perm bi lo hi p) then None
-      else
-        (* [bi] is live: a [dead] block has no permission and cannot pass
-           the range check above. *)
-        let perms =
-          match bi.perms with
-          | Uniform (Some p0) when p0 = p -> bi.perms
-          | Uniform _ when lo <= bi.lo && hi >= bi.hi -> Uniform (Some p)
-          | _ -> Carved (map_set_range (perms_to_map bi) lo hi (Some p))
-        in
-        Some { m with blocks = IMap.add b { bi with perms } m.blocks }
+      let perms =
+        match bi.perms with
+        | Uniform (Some p0) when p0 = p -> bi.perms
+        | Uniform _ when lo <= bi.lo && hi >= bi.hi -> Uniform (Some p)
+        | _ -> Carved (map_set_range (perms_to_map bi) lo hi (Some p))
+      in
+      Some (set_perms m b bi perms)
 
 (** Re-grant permission [p] on a range (used by [LM.mix] to restore the
     argument region after an external call returns). The range is clamped
     to the block's [lo, hi) bounds — a grant cannot make offsets outside
     the allocation valid — and a range entirely outside the bounds is an
-    error ([None]). *)
+    error ([None]). A grant on a retired block revives it. *)
 let grant_perm m b lo hi p =
-  match find_block m b with
-  | None -> None
-  | Some bi ->
-    if lo >= hi then Some m
+  if not (valid_block m b) then None
+  else if lo >= hi then Some m
+  else
+    let bi = block m b in
+    let lo = max lo bi.lo and hi = min hi bi.hi in
+    if lo >= hi then None
     else
-      let lo = max lo bi.lo and hi = min hi bi.hi in
-      if lo >= hi then None
-      else
-        let perms =
-          match bi.perms with
-          | Uniform (Some p0) when p0 = p -> bi.perms
-          | Uniform _ when lo <= bi.lo && hi >= bi.hi -> Uniform (Some p)
-          | _ -> Carved (map_set_range (perms_to_map bi) lo hi (Some p))
-        in
-        (* A grant on a retired block resurrects permissions, so the block
-           moves back from [dead] to [blocks]; a live block leaves the
-           list alone. *)
-        let dead =
-          if IMap.mem b m.blocks then m.dead else List.remove_assoc b m.dead
-        in
-        Some { m with blocks = IMap.add b { bi with perms } m.blocks; dead }
+      let perms =
+        match bi.perms with
+        | Uniform (Some p0) when p0 = p -> bi.perms
+        | Uniform _ when lo <= bi.lo && hi >= bi.hi -> Uniform (Some p)
+        | _ -> Carved (map_set_range (perms_to_map bi) lo hi (Some p))
+      in
+      Some (set_perms m b bi perms)
 
 (** {1 Loads and stores} *)
 
@@ -332,6 +423,10 @@ let cell a i =
     | Fragment (v, q, _) -> Fragment (v, q, 7 - (i land 7))
     | _ -> assert false (* a mark always follows its head *)
 
+(* Cell [i] of chunk data [a], the empty array of a missing chunk
+   included. *)
+let cell_or_undef a i = if Array.length a = 0 then Undef else cell a i
+
 (* Before a write into cell [i] of the writable [a] that does not cover
    its whole half: turn a word run there into its eight fragments. *)
 let unmark a i =
@@ -341,77 +436,58 @@ let unmark a i =
       a.(h + k) <- cell a (h + k)
     done
 
-(* The data of chunk [ix]; the empty array when the chunk is missing (all
-   [Undef]). *)
-let chunk_data bi ix =
-  match IMap.find ix bi.contents with
-  | c -> c.c_data
-  | exception Not_found -> [||]
+(* The data of chunk [k] of [bi]; the empty array when the chunk is
+   missing (all [Undef]). *)
+let chunk_data bi k = (get bi.contents k no_chunk).c_data
 
-let get_byte bi ofs =
-  let a = chunk_data bi (chunk_ix ofs) in
-  if Array.length a = 0 then Undef else cell a (chunk_sub ofs)
+let get_byte bi ofs = cell_or_undef (chunk_data bi (chunk_key bi ofs)) (chunk_sub ofs)
 
 (* Read [n] bytes starting at [ofs], paying one chunk lookup per chunk
-   crossed (not per byte). Built back-to-front; the initial index is
-   strictly below every index in range, so the first iteration fetches. *)
+   crossed (not per byte). Built back-to-front; the initial key is
+   strictly below every key in range, so the first iteration fetches. *)
 let getN bi ofs n =
-  let rec go i ix a acc =
+  let rec go i k a acc =
     if i < 0 then acc
     else
       let o = ofs + i in
-      let ix' = chunk_ix o in
-      let a = if ix' = ix then a else chunk_data bi ix' in
-      let mv = if Array.length a = 0 then Undef else cell a (chunk_sub o) in
-      go (i - 1) ix' a (mv :: acc)
+      let k' = chunk_key bi o in
+      let a = if k' = k then a else chunk_data bi k' in
+      go (i - 1) k' a (cell_or_undef a (chunk_sub o) :: acc)
   in
-  go (n - 1) (chunk_ix ofs - 1) [||] []
-
-(* {2 The write path}
-
-   Every write runs under an owner: the memory's own when it is thawed,
-   otherwise a fresh one that dies when the write returns, which makes
-   the persistent write "copy what you touch" and the owned write
-   "update what you already own" the same code. *)
-
-let write_owner m = if m.owner.live then m.owner else new_owner ()
-let release m o = if o != m.owner then o.live <- false
+  go (n - 1) (chunk_key bi ofs - 1) [||] []
 
 (* The record of a block that [o] may update: [bi] itself when [o] owns
-   it, else a copy [o] owns, which {!install} then puts in the map. *)
+   it, else a copy [o] owns, which the caller then installs. *)
 let adopt o bi = if bi.b_owner == o then bi else { bi with b_owner = o }
 
-let install m b bi bi' =
-  if bi' == bi then m else { m with blocks = IMap.add b bi' m.blocks }
-
-(* Chunk [ix] of [bi] (owned by the live [o]) as an array [o] may write
+(* Chunk [k] of [bi] (owned by the live [o]) as an array [o] may write
    in place: an owned chunk is returned as is, a foreign one is copied
    once and a missing one created, both then owned by [o]. *)
-let own_chunk o bi ix a =
-  o.copied <- o.copied + 1;
-  bi.contents <- IMap.add ix { c_owner = o; c_data = a } bi.contents;
-  a
-
-let writable o bi ix =
-  match IMap.find ix bi.contents with
-  | c when c.c_owner == o ->
+let writable o bi k =
+  let c = get bi.contents k no_chunk in
+  if c.c_owner == o then begin
     o.in_place <- o.in_place + 1;
     c.c_data
-  | c -> own_chunk o bi ix (Array.copy c.c_data)
-  | exception Not_found -> own_chunk o bi ix (Array.make chunk_size Undef)
+  end
+  else begin
+    let a = if c == no_chunk then Array.make chunk_size Undef else Array.copy c.c_data in
+    o.copied <- o.copied + 1;
+    bi.contents <- set o no_chunk bi.contents k { c_owner = o; c_data = a };
+    a
+  end
 
 let write_bytes o bi ofs mvl =
-  let rec go ofs ix a = function
+  let rec go ofs k a = function
     | [] -> ()
     | mv :: rest ->
-      let ix' = chunk_ix ofs in
-      let a = if ix' = ix then a else writable o bi ix' in
+      let k' = chunk_key bi ofs in
+      let a = if k' = k then a else writable o bi k' in
       let i = chunk_sub ofs in
       unmark a i;
       a.(i) <- mv;
-      go (ofs + 1) ix' a rest
+      go (ofs + 1) k' a rest
   in
-  go ofs (chunk_ix ofs - 1) [||] mvl
+  go ofs (chunk_key bi ofs - 1) [||] mvl
 
 (* Write [encode_val chunk v] at the aligned [ofs]. An aligned access of
    at most 8 bytes stays inside one chunk, so the integer and pointer
@@ -421,17 +497,17 @@ let write_bytes o bi ofs mvl =
 let write_val o bi ofs chunk v =
   match (chunk, v) with
   | (Mint8signed | Mint8unsigned), Vint n ->
-    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let a = writable o bi (chunk_key bi ofs) and i = chunk_sub ofs in
     unmark a i;
     a.(i) <- byte (Int32.to_int n land 0xFF)
   | (Mint16signed | Mint16unsigned), Vint n ->
-    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let a = writable o bi (chunk_key bi ofs) and i = chunk_sub ofs in
     unmark a i;
     let x = Int32.to_int n in
     a.(i) <- byte (x land 0xFF);
     a.(i + 1) <- byte ((x lsr 8) land 0xFF)
   | Mint32, Vint n ->
-    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let a = writable o bi (chunk_key bi ofs) and i = chunk_sub ofs in
     unmark a i;
     let x = Int32.to_int n land 0xFFFFFFFF in
     a.(i) <- byte (x land 0xFF);
@@ -439,7 +515,7 @@ let write_val o bi ofs chunk v =
     a.(i + 2) <- byte ((x lsr 16) land 0xFF);
     a.(i + 3) <- byte ((x lsr 24) land 0xFF)
   | Mint64, Vlong n ->
-    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let a = writable o bi (chunk_key bi ofs) and i = chunk_sub ofs in
     let lo = Int64.to_int (Int64.logand n 0xFFFFFFFFL) in
     let hi = Int64.to_int (Int64.shift_right_logical n 32) in
     a.(i) <- byte (lo land 0xFF);
@@ -453,7 +529,7 @@ let write_val o bi ofs chunk v =
   | Mint64, Vptr _ | Many64, _ ->
     (* [inj_value Q64 v] as a word run: a pointer, or any value spilled
        with [Many64] (callee-save registers). *)
-    let a = writable o bi (chunk_ix ofs) and i = chunk_sub ofs in
+    let a = writable o bi (chunk_key bi ofs) and i = chunk_sub ofs in
     a.(i) <- Fragment (v, Q64, 7);
     for k = 1 to 7 do
       a.(i + k) <- mark
@@ -497,6 +573,15 @@ let is_ptr = function Vptr _ -> true | _ -> false
 let read_generic chunk a i =
   Some (decode_val chunk (List.init (size_chunk chunk) (fun k -> cell a (i + k))))
 
+(* Cells [i + k .. i + 7] of [a] are fragments of [v0] itself at
+   indices [7 - k] down to 0. *)
+let rec q64_tail a i v0 k =
+  k > 7
+  ||
+  match a.(i + k) with
+  | Fragment (v', Q64, idx) when idx = 7 - k && v' == v0 -> q64_tail a i v0 (k + 1)
+  | _ -> false
+
 let read_val chunk a i : value option =
   match chunk with
   | Mint8unsigned -> ( match a.(i) with Byte b -> some_int b | _ -> some_undef)
@@ -539,14 +624,8 @@ let read_val chunk a i : value option =
          value among them, so physical equality stands in for
          [proj_value]'s structural one); anything else falls back to
          [proj_value]. *)
-      let rec check k =
-        k > 7
-        ||
-        match a.(i + k) with
-        | Fragment (v', Q64, idx) when idx = 7 - k && v' == v0 -> check (k + 1)
-        | _ -> false
-      in
-      if a.(i + 1) == mark || check 1 then Some v0 else read_generic chunk a i
+      if a.(i + 1) == mark || q64_tail a i v0 1 then Some v0
+      else read_generic chunk a i
     | Undef -> some_undef
     | _ -> read_generic chunk a i)
   | Mfloat32 | Mfloat64 | Many32 -> read_generic chunk a i
@@ -556,63 +635,57 @@ let read_val chunk a i : value option =
 let aligned chunk ofs = ofs land (align_chunk chunk - 1) = 0
 
 let loadbytes m b ofs n =
-  if n < 0 then None
+  if n < 0 || not (valid_block m b) then None
   else
-    match find_block m b with
-    | None -> None
-    | Some bi ->
-      if not (block_range_perm bi ofs (ofs + n) Readable) then None
-      else Some (getN bi ofs n)
+    let bi = block m b in
+    if not (block_range_perm bi ofs (ofs + n) Readable) then None
+    else Some (getN bi ofs n)
 
 let storebytes m b ofs mvl =
-  match IMap.find_opt b m.blocks with
-  | None ->
+  if not (valid_block m b) then None
+  else
+    let bi = block m b in
     (* A retired block passes the range check only for the empty range,
        which writes nothing. *)
-    if mvl = [] && valid_block m b then Some m else None
-  | Some bi ->
-    let n = List.length mvl in
-    if not (block_range_perm bi ofs (ofs + n) Writable) then None
+    if not (block_range_perm bi ofs (ofs + List.length mvl) Writable) then None
     else
       let o = write_owner m in
       let bi' = adopt o bi in
       write_bytes o bi' ofs mvl;
+      let m' = if bi' == bi then m else install m o b bi' m.next_block in
       release m o;
-      Some (install m b bi bi')
+      Some m'
 
 let load chunk m b ofs =
   if not (aligned chunk ofs) then None
   else
-    match IMap.find b m.blocks with
-    | exception Not_found -> None
-    | bi ->
-      if not (block_range_perm bi ofs (ofs + size_chunk chunk) Readable) then None
-      else
-        let a = chunk_data bi (chunk_ix ofs) in
-        if Array.length a = 0 then some_undef else read_val chunk a (chunk_sub ofs)
+    let bi = block m b in
+    if not (block_range_perm bi ofs (ofs + size_chunk chunk) Readable) then None
+    else
+      let a = chunk_data bi (chunk_key bi ofs) in
+      if Array.length a = 0 then some_undef else read_val chunk a (chunk_sub ofs)
 
 let store chunk m b ofs v =
   if not (aligned chunk ofs) then None
   else
-    match IMap.find b m.blocks with
-    | exception Not_found -> None
-    | bi ->
-      if not (block_range_perm bi ofs (ofs + size_chunk chunk) Writable) then None
-      else begin
-        let o = write_owner m in
-        let bi' = adopt o bi in
-        write_val o bi' ofs chunk v;
-        release m o;
-        Some (install m b bi bi')
-      end
+    let bi = block m b in
+    if not (block_range_perm bi ofs (ofs + size_chunk chunk) Writable) then None
+    else begin
+      let o = write_owner m in
+      let bi' = adopt o bi in
+      write_val o bi' ofs chunk v;
+      let m' = if bi' == bi then m else install m o b bi' m.next_block in
+      release m o;
+      Some m'
+    end
 
 (* Fused frame allocation: observably identical to [alloc m 0 sz]
    followed by two [store Mint64] of the frame link and return address,
-   but fills the block's contents before inserting it into the blocks map
-   once instead of three times. [Pallocframe] executes this on every
-   function entry. The two stores succeed exactly when both offsets are
-   8-aligned and inside [0, sz), which is checked before anything is
-   built. *)
+   but fills the block's contents before installing it in the block
+   table once instead of three times. [Pallocframe] executes this on
+   every function entry. The two stores succeed exactly when both
+   offsets are 8-aligned and inside [0, sz), which is checked before
+   anything is built. *)
 let alloc_frame m sz ofs_link link ofs_ra ra =
   let fits ofs = ofs mod 8 = 0 && ofs >= 0 && ofs + 8 <= sz in
   if not (fits ofs_link && fits ofs_ra) then None
@@ -620,13 +693,13 @@ let alloc_frame m sz ofs_link link ofs_ra ra =
     let b = m.next_block in
     let o = write_owner m in
     let bi =
-      { lo = 0; hi = sz; contents = IMap.empty; perms = Uniform (Some Freeable);
-        b_owner = o }
+      { lo = 0; hi = sz; contents = Nil; perms = Uniform (Some Freeable); b_owner = o }
     in
     write_val o bi ofs_link Mint64 link;
     write_val o bi ofs_ra Mint64 ra;
+    let m' = install m o b bi (b + 1) in
     release m o;
-    Some ({ m with next_block = b + 1; blocks = IMap.add b bi m.blocks }, b)
+    Some (m', b)
 
 let loadv chunk m = function
   | Vptr (b, ofs) -> load chunk m b ofs
@@ -637,11 +710,16 @@ let storev chunk m a v =
 
 (** {1 Observation helpers used by relational checks} *)
 
+(* [f b (block m b) acc] over every valid [b], in increasing order. *)
+let fold_blocks m f acc =
+  let rec go b acc = if b >= m.next_block then acc else go (b + 1) (f b (block m b) acc) in
+  go 1 acc
+
 (** All (block, offset) pairs that hold at least [Nonempty] permission.
     Only used by bounded relational checks in tests; memories there are
     small. *)
 let fold_live_offsets m f acc =
-  IMap.fold
+  fold_blocks m
     (fun b bi acc ->
       match bi.perms with
       | Uniform None -> acc
@@ -651,28 +729,19 @@ let fold_live_offsets m f acc =
         in
         go bi.lo acc
       | Carved pm -> IMap.fold (fun ofs _ acc -> f b ofs acc) pm acc)
-    m.blocks acc
+    acc
 
-let contents_at m b ofs =
-  match find_block m b with
-  | None -> Undef
-  | Some bi -> get_byte bi ofs
+let contents_at m b ofs = get_byte (block m b) ofs
 
-(* A retired block has no permission anywhere. *)
-let perm_at m b ofs =
-  match IMap.find_opt b m.blocks with
-  | None -> None
-  | Some bi -> block_perm bi ofs
+(* A retired block has no permission. *)
+let perm_at m b ofs = block_perm (block m b) ofs
 
 (** Per-offset permission entries materialized for block [b]: 0 while the
     block is in the uniform representation, the carved-map cardinality
     otherwise. Representation introspection for tests and the bench; not
     part of the semantics. *)
 let perm_entries m b =
-  match IMap.find_opt b m.blocks with
-  | None -> 0
-  | Some bi -> (
-    match bi.perms with Uniform _ -> 0 | Carved pm -> IMap.cardinal pm)
+  match (block m b).perms with Uniform _ -> 0 | Carved pm -> IMap.cardinal pm
 
 (** [unchanged_on pred m m'] holds when every location satisfying [pred]
     keeps its permission and contents from [m] to [m']. This is CompCert's
@@ -688,46 +757,52 @@ let unchanged_on (pred : block -> int -> bool) m m' =
                && contents_at m b ofs = contents_at m' b ofs))
        true
 
-(* Structural equality of two chunks' data, except that a mark equals
-   only a mark (its head is compared like any other cell), so that it
-   implies equal contents. *)
+(* Equality of two chunks' data. The structural fast path lets a mark
+   equal only a mark (its head is compared like any other cell), so that
+   it implies equal contents; otherwise the cells are compared resolved,
+   a missing chunk reading as all [Undef]. *)
 let data_equal a1 a2 =
-  Array.for_all2 (fun x y -> if x == mark || y == mark then x == y else x = y) a1 a2
+  a1 == a2
+  || Array.length a1 = Array.length a2
+     && Array.for_all2 (fun x y -> if x == mark || y == mark then x == y else x = y) a1 a2
+  ||
+  let rec go i =
+    i >= chunk_size || (cell_or_undef a1 i = cell_or_undef a2 i && go (i + 1))
+  in
+  go 0
 
 (* Equality is semantic, not representational: a carved block whose map
    happens to cover [lo, hi) uniformly equals the same block in uniform
    form, an explicitly-[Undef] content chunk equals an absent one, a word
-   run equals its eight fragments, and owners are not compared.
-   Structural fast paths cover the common cases. *)
+   run equals its eight fragments, whether a block is live or retired is
+   not compared beyond its permissions, and owners are not compared.
+   Offsets outside [lo, hi) are never written, so comparing the chunks
+   that cover [lo, hi) whole compares the contents. *)
 let block_equal b1 b2 =
-  b1.lo = b2.lo && b1.hi = b2.hi
-  && (match (b1.perms, b2.perms) with
-     | Uniform p, Uniform q -> p = q
-     | Carved p, Carved q when IMap.equal ( = ) p q -> true
-     | _ ->
-       let rec go ofs =
-         ofs >= b1.hi || (block_perm b1 ofs = block_perm b2 ofs && go (ofs + 1))
-       in
-       go b1.lo)
-  && (IMap.equal (fun c1 c2 -> data_equal c1.c_data c2.c_data) b1.contents b2.contents
-     ||
-     let rec go ofs =
-       ofs >= b1.hi || (get_byte b1 ofs = get_byte b2 ofs && go (ofs + 1))
+  b1 == b2
+  || b1.lo = b2.lo && b1.hi = b2.hi
+     && (match (b1.perms, b2.perms) with
+        | Uniform p, Uniform q -> p = q
+        | Carved p, Carved q when IMap.equal ( = ) p q -> true
+        | _ ->
+          let rec go ofs =
+            ofs >= b1.hi || (block_perm b1 ofs = block_perm b2 ofs && go (ofs + 1))
+          in
+          go b1.lo)
+     &&
+     let last = chunk_key b1 (b1.hi - 1) in
+     let rec go k =
+       k > last || (data_equal (chunk_data b1 k) (chunk_data b2 k) && go (k + 1))
      in
-     go b1.lo)
-
-(* Equality compares the union view: whether a block is live or retired
-   is representation, not semantics. *)
-let all_blocks m =
-  List.fold_left (fun acc (b, bi) -> IMap.add b bi acc) m.blocks m.dead
+     go 0
 
 let equal m1 m2 =
-  m1.next_block = m2.next_block
-  && IMap.equal block_equal (all_blocks m1) (all_blocks m2)
+  let rec go b =
+    b >= m1.next_block || (block_equal (block m1 b) (block m2 b) && go (b + 1))
+  in
+  m1.next_block = m2.next_block && (m1.blocks == m2.blocks || go 1)
 
 let pp fmt m =
   Format.fprintf fmt "@[<v>mem (next=b%d)" m.next_block;
-  IMap.iter
-    (fun b bi -> Format.fprintf fmt "@ b%d: [%d,%d)" b bi.lo bi.hi)
-    (all_blocks m);
+  fold_blocks m (fun b bi () -> Format.fprintf fmt "@ b%d: [%d,%d)" b bi.lo bi.hi) ();
   Format.fprintf fmt "@]"

@@ -12,13 +12,19 @@
     a [memcpy] moves a pointer. The same operations also run on owned
     ([Mem.thaw]) memories with interleaved freezes: in-place writes must
     agree with the oracle and never reach a memory handed out earlier.
+    Three generators aim at the radix tables behind [Mem]: thousands of
+    retired frames make the block table several levels deep, blocks with
+    a negative [lo] and hundreds of chunks make a chunk table deeper than
+    one node, and two runs thawed from one frozen memory write the same
+    blocks in turn.
 
     Also contains the regression tests for the [grant_perm] bounds bug
     (granting outside [lo, hi) used to mint permissions out of bounds),
     the representation test that alloc/free of a large block never
     materializes per-offset permission entries, [Mem.equal] across the
     word-run and fragment representations and across retired blocks,
-    and the allocation bounds of frame retirement and word-run stores. *)
+    and the allocation bounds of frame retirement and word-run stores and
+    loads. *)
 
 open Memory
 open Memory.Values
@@ -43,6 +49,9 @@ type op =
   | OCopy of int * int * int * int * int
       (** source block and offset, destination block and offset, length:
           [loadbytes] then [storebytes] of the memvals it returned *)
+  | OFrames of int * int
+      (** [n] frames of [sz] bytes, each allocated, given a pointer at
+          offset 0 and freed whole before the next *)
 
 (* What a step observably did; compared between the two implementations. *)
 type outcome =
@@ -84,6 +93,15 @@ let step_new (m : Mem.t) : op -> Mem.t * outcome = function
     match Option.bind (Mem.loadbytes m sb so n) (Mem.storebytes m db dof) with
     | Some m' -> (m', ODone true)
     | None -> (m, ODone false))
+  | OFrames (n, sz) ->
+    let rec go m n =
+      if n = 0 then m
+      else
+        let m, b = Mem.alloc m 0 sz in
+        let m = Option.get (Mem.store Mint64 m b 0 (Vptr (b, 0))) in
+        go (Option.get (Mem.free m b 0 sz)) (n - 1)
+    in
+    (go m n, ODone true)
 
 let step_old (m : Mem_oracle.t) : op -> Mem_oracle.t * outcome = function
   | OAlloc (lo, hi) ->
@@ -121,30 +139,43 @@ let step_old (m : Mem_oracle.t) : op -> Mem_oracle.t * outcome = function
     with
     | Some m' -> (m', ODone true)
     | None -> (m, ODone false))
+  | OFrames (n, sz) ->
+    let rec go m n =
+      if n = 0 then m
+      else
+        let m, b = Mem_oracle.alloc m 0 sz in
+        let m = Option.get (Mem_oracle.store Mint64 m b 0 (Vptr (b, 0))) in
+        go (Option.get (Mem_oracle.free m b 0 sz)) (n - 1)
+    in
+    (go m n, ODone true)
 
 (* Observable state: validity, bounds, permission and byte at every
    offset of a window covering all generated ranges, for every block ever
-   allocated (plus one invalid id on each side). *)
+   allocated (plus one invalid id on each side). Past 64 blocks, the
+   first and last 8 and every 97th stand for the rest. *)
 let obs_window = List.init 72 (fun i -> i - 20)
 
-let observe_new (m : Mem.t) =
-  List.init
-    (Mem.nextblock m + 1)
+let observed_blocks nb =
+  if nb <= 64 then List.init (nb + 1) Fun.id
+  else List.filter (fun b -> b <= 8 || b >= nb - 8 || b mod 97 = 0) (List.init (nb + 1) Fun.id)
+
+let observe_new ?(window = obs_window) (m : Mem.t) =
+  List.map
     (fun b ->
       ( Mem.valid_block m b,
         Mem.block_bounds m b,
-        List.map (fun ofs -> (Mem.perm_at m b ofs, Mem.contents_at m b ofs)) obs_window
-      ))
+        List.map (fun ofs -> (Mem.perm_at m b ofs, Mem.contents_at m b ofs)) window ))
+    (observed_blocks (Mem.nextblock m))
 
-let observe_old (m : Mem_oracle.t) =
-  List.init
-    (Mem_oracle.nextblock m + 1)
+let observe_old ?(window = obs_window) (m : Mem_oracle.t) =
+  List.map
     (fun b ->
       ( Mem_oracle.valid_block m b,
         Mem_oracle.block_bounds m b,
         List.map
           (fun ofs -> (Mem_oracle.perm_at m b ofs, Mem_oracle.contents_at m b ofs))
-          obs_window ))
+          window ))
+    (observed_blocks (Mem_oracle.nextblock m))
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -184,7 +215,9 @@ let gen_value =
 let gen_frame_size = QCheck.Gen.map (fun k -> 8 * k) (QCheck.Gen.int_range 1 6)
 let gen_frame = QCheck.Gen.map (fun sz -> OAlloc (0, sz)) gen_frame_size
 
-let gen_op : op QCheck.Gen.t =
+(* Operations on the blocks [gen_block] draws, at the offsets [gen_ofs]
+   draws. *)
+let gen_op_on gen_block gen_ofs : op QCheck.Gen.t =
   let open QCheck.Gen in
   let range = pair gen_ofs gen_ofs in
   frequency
@@ -236,12 +269,15 @@ let pp_op op =
   | OLoadbytes (b, ofs, n) -> Printf.sprintf "loadbytes b%d @%d len %d" b ofs n
   | OCopy (sb, so, db, dof, n) ->
     Printf.sprintf "copy b%d @%d -> b%d @%d len %d" sb so db dof n
+  | OFrames (n, sz) -> Printf.sprintf "%d frames of %d bytes" n sz
+
+let gen_op = gen_op_on gen_block gen_ofs
+let print_ops ops = String.concat "; " (List.map pp_op ops)
 
 (* Sequences start with a few frames, so that stores, copies and frees
    find their target. *)
 let arb_ops =
-  QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+  QCheck.make ~print:print_ops
     QCheck.Gen.(
       map2 ( @ ) (list_size (int_range 1 3) gen_frame)
         (list_size (int_range 1 40) gen_op))
@@ -263,25 +299,63 @@ let arb_carve_ops =
       ((OAlloc (alo, ahi) :: ODropRange (1, clo, chi) :: middle)
       @ [ OGrant (1, clo, chi, p); OLoadbytes (1, alo, ahi - alo) ])
   in
-  QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_op ops)) seq
+  QCheck.make ~print:print_ops seq
+
+(* A block table several levels deep: a few live frames, then hundreds
+   to thousands of frames allocated and retired, then operations on the
+   first blocks and on the ids around [next_block] (the last retired
+   frames, then blocks the operations allocate). *)
+let arb_deep_ops =
+  let open QCheck.Gen in
+  let seq =
+    let* live = list_size (int_range 1 3) gen_frame in
+    let* n = int_range 200 4500 in
+    let* sz = gen_frame_size in
+    let nb = List.length live + n + 1 in
+    let near = oneof [ gen_block; int_range (nb - 3) (nb + 4) ] in
+    let* rest = list_size (int_range 1 25) (gen_op_on near gen_ofs) in
+    return (live @ (OFrames (n, sz) :: rest))
+  in
+  QCheck.make ~print:print_ops seq
+
+(* Chunk tables deeper than one node: two blocks with a negative [lo] and
+   hundreds of chunks (now and then past 256 chunks, three levels),
+   written and read across their whole extent, then read back whole. *)
+let wide_window = List.init 400 (fun i -> (13 * i) - 620)
+
+let arb_wide_ops =
+  let open QCheck.Gen in
+  let seq =
+    let* lo = int_range (-600) (-1) in
+    let* lo2 = int_range (-40) (-1) in
+    let* hi = frequency [ (3, int_range 260 900); (1, int_range 4100 4560) ] in
+    let gen_wofs =
+      frequency
+        [ (2, int_range (lo - 8) (hi + 8)); (1, map (fun k -> 8 * k) (int_range (lo / 8) (hi / 8))) ]
+    in
+    let* ops = list_size (int_range 1 40) (gen_op_on (int_range 0 3) gen_wofs) in
+    return
+      ((OAlloc (lo, hi) :: OAlloc (lo2, hi) :: ops)
+      @ [ OLoadbytes (1, lo, hi - lo); OLoadbytes (2, lo2, hi - lo2) ])
+  in
+  QCheck.make ~print:print_ops seq
 
 (* [compare] rather than [=]: a stored NaN must read back equal to
    itself. *)
 let differ a b = compare a b <> 0
 
-let run_diff ops =
-  let rec go mn mo = function
-    | [] -> true
-    | op :: rest ->
-      let mn', rn = step_new mn op in
-      let mo', ro = step_old mo op in
-      if differ rn ro then
-        QCheck.Test.fail_reportf "outcome mismatch on %s" (pp_op op)
-      else if differ (observe_new mn') (observe_old mo') then
-        QCheck.Test.fail_reportf "state mismatch after %s" (pp_op op)
-      else go mn' mo' rest
-  in
-  go Mem.empty Mem_oracle.empty ops
+(* One operation on both sides, compared. *)
+let step_both ?window mn mo op =
+  let mn', rn = step_new mn op in
+  let mo', ro = step_old mo op in
+  if differ rn ro then QCheck.Test.fail_reportf "outcome mismatch on %s" (pp_op op)
+  else if differ (observe_new ?window mn') (observe_old ?window mo') then
+    QCheck.Test.fail_reportf "state mismatch after %s" (pp_op op)
+  else (mn', mo')
+
+let run_diff ?window ops =
+  ignore (List.fold_left (fun (mn, mo) op -> step_both ?window mn mo op) (Mem.empty, Mem_oracle.empty) ops);
+  true
 
 let diff_random =
   QCheck.Test.make ~name:"random op sequences agree with per-byte oracle"
@@ -291,6 +365,16 @@ let diff_carve =
   QCheck.Test.make
     ~name:"carve-then-grant round-trips agree with per-byte oracle (LM.mix)"
     ~count:300 arb_carve_ops run_diff
+
+let diff_deep =
+  QCheck.Test.make
+    ~name:"thousands of retired frames: a deep block table agrees with the oracle"
+    ~count:20 arb_deep_ops run_diff
+
+let diff_wide =
+  QCheck.Test.make
+    ~name:"negative lo, hundreds of chunks: deep chunk tables agree with the oracle"
+    ~count:60 arb_wide_ops (run_diff ~window:wide_window)
 
 (* ------------------------------------------------------------------ *)
 (* Copy-on-observe ownership                                           *)
@@ -319,32 +403,69 @@ let arb_run =
     ~print:(fun ops -> String.concat "; " (List.map pp_run_op ops))
     QCheck.Gen.(list_size (int_range 1 60) gen_run_op)
 
+(* Run [ops] from [mn] and [mo], adding the memories handed out to
+   [snaps]. *)
+let rec run_ops mn mo snaps = function
+  | [] -> (mn, mo, snaps)
+  | Observe { rethaw } :: rest ->
+    let sn = Mem.freeze mn in
+    run_ops (if rethaw then Mem.thaw sn else sn) mo ((sn, mo) :: snaps) rest
+  | Op op :: rest ->
+    let mn, mo = step_both mn mo op in
+    run_ops mn mo snaps rest
+
+let unchanged snaps =
+  List.for_all (fun (sn, so) -> not (differ (observe_new sn) (observe_old so))) snaps
+  || QCheck.Test.fail_report "a handed-out memory changed after the run went on"
+
 let run_owned ops =
-  let rec go mn mo snaps = function
-    | [] ->
-      List.for_all
-        (fun (sn, so) -> not (differ (observe_new sn) (observe_old so)))
-        snaps
-      || QCheck.Test.fail_report
-           "a handed-out memory changed after the run went on"
-    | Observe { rethaw } :: rest ->
-      let sn = Mem.freeze mn in
-      go (if rethaw then Mem.thaw sn else sn) mo ((sn, mo) :: snaps) rest
-    | Op op :: rest ->
-      let mn', rn = step_new mn op in
-      let mo', ro = step_old mo op in
-      if differ rn ro then
-        QCheck.Test.fail_reportf "outcome mismatch on %s" (pp_op op)
-      else if differ (observe_new mn') (observe_old mo') then
-        QCheck.Test.fail_reportf "state mismatch after %s" (pp_op op)
-      else go mn' mo' snaps rest
-  in
-  go (Mem.thaw Mem.empty) Mem_oracle.empty [] ops
+  let _, _, snaps = run_ops (Mem.thaw Mem.empty) Mem_oracle.empty [] ops in
+  unchanged snaps
 
 let diff_owned =
   QCheck.Test.make
     ~name:"owned runs agree with the oracle and never write a frozen memory"
     ~count:300 arb_run run_owned
+
+(* Two runs thawed from one frozen memory take turns: each must agree
+   with its own copy of the oracle, and neither may write the frozen
+   memory or the other's. The prefix, run owned, may first retire
+   hundreds of frames, so that the runs share a block table more than
+   one level deep. *)
+type fork = { prefix : run_op list; left : run_op list; right : run_op list }
+
+let arb_fork =
+  let open QCheck.Gen in
+  let ops = list_size (int_range 1 20) gen_run_op in
+  let gen =
+    let* frames = frequency [ (1, return []); (1, map (fun n -> [ OFrames (n, 16) ]) (int_range 16 600)) ] in
+    let* prefix = ops and* left = ops and* right = ops in
+    let setup = List.map (fun op -> Op op) ([ OAlloc (0, 48); OAlloc (-16, 40); OAlloc (0, 32) ] @ frames) in
+    return { prefix = setup @ prefix; left; right }
+  in
+  let print f =
+    String.concat " | "
+      (List.map (fun ops -> String.concat "; " (List.map pp_run_op ops)) [ f.prefix; f.left; f.right ])
+  in
+  QCheck.make ~print gen
+
+let run_fork { prefix; left; right } =
+  let mn, mo, snaps = run_ops (Mem.thaw Mem.empty) Mem_oracle.empty [] prefix in
+  let frozen = Mem.freeze mn in
+  let rec turns (a, oa, ls) (b, ob, rs) snaps =
+    match ls with
+    | [] -> if rs = [] then snaps else turns (b, ob, rs) (a, oa, []) snaps
+    | l :: ls ->
+      let a, oa, snaps = run_ops a oa snaps [ l ] in
+      turns (b, ob, rs) (a, oa, ls) snaps
+  in
+  unchanged
+    (turns (Mem.thaw frozen, mo, left) (Mem.thaw frozen, mo, right) ((frozen, mo) :: snaps))
+
+let diff_fork =
+  QCheck.Test.make
+    ~name:"two runs thawed from one memory never write each other's blocks"
+    ~count:100 arb_fork run_fork
 
 (* ------------------------------------------------------------------ *)
 (* Regressions and representation checks                               *)
@@ -472,6 +593,20 @@ let unit_tests =
             if w >= 16. then
               Alcotest.failf "%a store of a pointer: %.0f words" pp_chunk chunk w)
           [ (Many64, 8); (Mint64, 0) ]);
+    Alcotest.test_case "a 64-bit load of a word run allocates only its answer"
+      `Quick (fun () ->
+        let m, b = Mem.alloc (Mem.thaw Mem.empty) 0 64 in
+        let p = Vptr (b, 16) in
+        let m = Option.get (Mem.store Mint64 m b 0 p) in
+        let m = Option.get (Mem.store Many64 m b 8 p) in
+        (* a byte-wise copy: eight fragments sharing one value *)
+        let m = Option.get (Option.bind (Mem.loadbytes m b 0 8) (Mem.storebytes m b 24)) in
+        List.iter
+          (fun (chunk, ofs) ->
+            let w = minor_words (fun () -> Mem.load chunk m b ofs) in
+            if w > 2. then
+              Alcotest.failf "%a load of a word run at %d: %.0f words" pp_chunk chunk ofs w)
+          [ (Mint64, 0); (Many64, 0); (Mint64, 8); (Many64, 8); (Mint64, 24); (Many64, 24) ]);
     Alcotest.test_case "word runs read back like the oracle's fragments" `Quick
       (fun () -> check "agree" true (List.for_all run_diff word_run_cases));
     Alcotest.test_case "a word run equals its eight fragments" `Quick (fun () ->
@@ -503,4 +638,5 @@ let unit_tests =
 let suite =
   ( "mem-diff",
     unit_tests
-    @ List.map QCheck_alcotest.to_alcotest [ diff_random; diff_carve; diff_owned ] )
+    @ List.map QCheck_alcotest.to_alcotest
+        [ diff_random; diff_carve; diff_owned; diff_deep; diff_wide; diff_fork ] )

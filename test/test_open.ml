@@ -220,6 +220,31 @@ let log_tests =
         in
         if evs <> expected then
           Alcotest.failf "log:@.%a" (Format.pp_print_list pp_event) evs);
+    Alcotest.test_case "interaction log of a Clight run renders its replies"
+      `Quick (fun () ->
+        let rec_, _ = Driver.Io_oracle.make_log () in
+        let oracle = Driver.Io_oracle.c_oracle ~symbols (prims (ref [])) rec_ in
+        let l = Cfrontend.Clight.semantics ~symbols program in
+        Obs.reset_all ();
+        let evs =
+          Obs.with_enabled (fun () ->
+              ignore (Driver.Runners.run_c_level l ~fuel ~oracle (query 2));
+              Obs.Interaction_log.events ())
+        in
+        let open Obs.Interaction_log in
+        (* env_twice (b1) doubles, env_out (b2) answers 0: each reply to
+           an outgoing call is the C reply's value, not [_] *)
+        let call q r = [ Call q; Reply r ] in
+        let expected =
+          (Question "&b3+0[(int) -> int](2)" :: Steps 15
+           :: call "&b1+0[(int) -> int](0)" "0")
+          @ (Steps 6 :: call "&b2+0[(int, int) -> int](1, 0)" "0")
+          @ (Steps 13 :: call "&b1+0[(int) -> int](1)" "2")
+          @ (Steps 6 :: call "&b2+0[(int, int) -> int](1, 2)" "0")
+          @ [ Steps 13; Final "2"; Fuel_consumed 57 ]
+        in
+        if evs <> expected then
+          Alcotest.failf "log:@.%a" (Format.pp_print_list pp_event) evs);
   ]
 
 let suite = ("open-components", observable_tests @ coexec_tests @ log_tests)
