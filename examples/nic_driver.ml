@@ -72,6 +72,7 @@ let sigma_nic : (nic_state, io_query, io_reply, net_query, net_reply) Smallstep.
         | NicIdle (IoWrite (r, _)) when r <> reg_tx -> Some (IoVal 0)
         | NicIdle (IoRead r) when r <> reg_rx -> Some (IoVal 0)
         | _ -> None);
+    handover = None;
   }
 
 (* The NIC answers reads of RX with the polled byte: we need the byte from
@@ -104,6 +105,7 @@ let sigma_nic : (nic_state2, io_query, io_reply, net_query, net_reply) Smallstep
         | N_init (IoRead _), NetByte b -> [ N_done b ]
         | _ -> []);
     final = (fun s -> match s with N_done v -> Some (IoVal v) | _ -> None);
+    handover = None;
   }
 
 (** {1 sigma_io : IO ↠ C — C-callable I/O primitives} *)
@@ -153,6 +155,7 @@ let sigma_io ~(symbols : Ident.t list) :
         match s with
         | IoC_done (v, m) -> Some { cr_res = Vint (Int32.of_int v); cr_mem = m }
         | _ -> None);
+    handover = None;
   }
 
 (** {1 sigma_io' : IO ↠ A — the assembly-level axiomatization (eq. 7)}
@@ -208,6 +211,7 @@ let sigma_io_asm ~(symbols : Ident.t list) :
           [ IoA_done { ar_rs = rs'; ar_mem = q.aq_mem } ]
         | _ -> []);
     final = (fun s -> match s with IoA_done r -> Some r | _ -> None);
+    handover = None;
   }
 
 (** {1 The driver, in C} *)

@@ -208,12 +208,17 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
       instruction's own: the run loop's [at_external]/[final] probes
       see the pre-instruction state, and the next [step] fails on it
       again;
-    - {e copy-on-observe}: the LTS hands out {!Pregfile.copy} snapshots
-      and {!Mem.freeze}d memories at every observation point ([init],
-      [at_external], [after_external], [final]) and never leaks the live
-      array or an owned memory into a query or reply, so composition
-      operators ([⊕], layering) and the co-execution harness can retain
-      boundary payloads without seeing later mutations. *)
+    - {e copy-on-observe}: [at_external] and [final] hand out
+      {!Pregfile.copy} snapshots and {!Mem.freeze}d memories, and [init]
+      and [after_external] copy and thaw what they receive, so whoever
+      keeps a query or reply (the run loop, an oracle, layering, the
+      co-execution harness, an [⊕] hook) never sees a later mutation.
+      The one exception is the handover ({!Core.Smallstep.handover}): at
+      an [⊕] push or pop between two threaded activations, the live
+      array and the owned memory go to the next activation as is, and
+      [init] or [after_external] adopts a payload whose memory is owned
+      without a copy or a thaw. The activation that hands them over is
+      suspended or finished, and never reads them again. *)
 
 (** A decoded instruction: mutates the superstep's register file in
     place, replaces its memory when that changes, and returns the
@@ -703,13 +708,16 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     else fun s ->
       List.map (fun (t, st) -> (t, { s with asm_st = st })) (step ge s.asm_st)
   in
-  (* Copy-on-observe memory: the threaded run thaws every memory it
-     receives, so its stores update the chunks it owns in place, and
-     freezes the memory it hands out, counting the run's in-place writes
-     and chunk copies since the thaw. The naive reference stays on the
-     persistent memory model throughout. *)
-  let own m = if threaded then Mem.thaw m else m in
-  let observe m =
+  (* Payloads. What [at_external] and [final] hand out is a snapshot: a
+     copy of the register file, and the memory frozen, which adds the
+     run's in-place writes and chunk copies since its thaw to the
+     [mem.cow.*] counters. [adopt] takes an inbound payload: one whose
+     memory is owned was handed over ({!Core.Smallstep.handover}) and
+     becomes the activation's as is; any other may be shared
+     ([Pregfile.init] is one shared array), so its register file is
+     copied and, threaded, its memory thawed. The naive reference stays
+     on the persistent memory model and has no handover. *)
+  let snapshot_mem m =
     if Mem.owned m then begin
       let in_place, copied = Mem.write_stats m in
       Obs.Metrics.incr_counter ~by:in_place "mem.cow.in_place";
@@ -718,49 +726,60 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     end
     else m
   in
+  let adopt rs m =
+    if Mem.owned m then { rs; m }
+    else { rs = Pregfile.copy rs; m = (if threaded then Mem.thaw m else m) }
+  in
+  (* An external call is a control transfer to the base of a global
+     symbol block this unit does not define internally. Return addresses
+     point into the middle of code blocks and are excluded; garbage PCs
+     are stuck, not external. *)
+  let at_call s =
+    let pc = s.asm_st.rs.(ipc) in
+    Genv.plausible_funct ge pc
+    && (not (is_internal pc))
+    && not (pc_eq pc s.asm_init_ra)
+  in
+  let returned s = pc_eq s.asm_st.rs.(ipc) s.asm_init_ra in
   {
     Core.Smallstep.name = "Asm";
     dom = (fun q -> is_internal (Pregfile.get PC q.aq_rs));
-    (* Copy-on-observe, inbound: the query's register file may be shared
-       (sibling components in a [⊕]-composition marshal queries out of
-       their own suspended state, and [Pregfile.init] itself is a shared
-       array), so the activation takes a private copy it may then mutate;
-       its memory likewise becomes the activation's own. *)
-    init = (fun q -> [ { asm_init_ra = Pregfile.get RA q.aq_rs;
-                         asm_st = { rs = Pregfile.copy q.aq_rs;
-                                    m = own q.aq_mem } } ]);
+    init =
+      (fun q ->
+        [ { asm_init_ra = Pregfile.get RA q.aq_rs; asm_st = adopt q.aq_rs q.aq_mem } ]);
     (* A final state has no internal step, even when the return address
        is code of this unit (a function called from inside the unit
        that tail-calls into another unit is answered there): [⊕] offers
        the internal step before the pop, and would otherwise go on
        running the caller's code inside the callee's activation. *)
-    step =
-      (fun s ->
-        if pc_eq s.asm_st.rs.(ipc) s.asm_init_ra then [] else step_full s);
+    step = (fun s -> if returned s then [] else step_full s);
     at_external =
       (fun s ->
-        (* An external call is a control transfer to the base of a global
-           symbol block this unit does not define internally. Return
-           addresses point into the middle of code blocks and are excluded;
-           garbage PCs are stuck, not external. *)
-        let pc = s.asm_st.rs.(ipc) in
-        if
-          Genv.plausible_funct ge pc
-          && (not (is_internal pc))
-          && not (pc_eq pc s.asm_init_ra)
-        then
-          (* Copy-on-observe, outbound: the callee (or environment) must
-             see a snapshot, not the live array this run keeps writing. *)
-          Some { aq_rs = Pregfile.copy s.asm_st.rs; aq_mem = observe s.asm_st.m }
+        if at_call s then
+          Some { aq_rs = Pregfile.copy s.asm_st.rs; aq_mem = snapshot_mem s.asm_st.m }
         else None);
-    after_external =
-      (fun s r ->
-        [ { s with asm_st = { rs = Pregfile.copy r.ar_rs; m = own r.ar_mem } } ]);
+    (* A suspended activation never reads its register file or memory
+       again: the reply's replace them. *)
+    after_external = (fun s r -> [ { s with asm_st = adopt r.ar_rs r.ar_mem } ]);
     final =
       (fun s ->
-        if pc_eq s.asm_st.rs.(ipc) s.asm_init_ra then
-          Some { ar_rs = Pregfile.copy s.asm_st.rs; ar_mem = observe s.asm_st.m }
+        if returned s then
+          Some { ar_rs = Pregfile.copy s.asm_st.rs; ar_mem = snapshot_mem s.asm_st.m }
         else None);
+    handover =
+      (if threaded then
+         Some
+           {
+             hand_external =
+               (fun s ->
+                 if at_call s then Some { aq_rs = s.asm_st.rs; aq_mem = s.asm_st.m }
+                 else None);
+             hand_final =
+               (fun s ->
+                 if returned s then Some { ar_rs = s.asm_st.rs; ar_mem = s.asm_st.m }
+                 else None);
+           }
+       else None);
   }
 
 (** The Asm open semantics, on the direct-threaded dispatcher. *)

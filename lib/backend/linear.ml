@@ -208,6 +208,7 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         match s.lin_st with
         | Returnstate ([], ls, m) -> Some { lr_ls = ls; lr_mem = m }
         | _ -> None);
+    handover = None;
   }
 
 (** The Linear open semantics, on the in-place register file. *)

@@ -252,6 +252,7 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         match s.ltl_st with
         | Returnstate ([], ls, m) -> Some { lr_ls = ls; lr_mem = m }
         | _ -> None);
+    handover = None;
   }
 
 (** The LTL open semantics, on the in-place register file. *)

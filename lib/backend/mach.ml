@@ -283,6 +283,7 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         | Returnstate { ra; rs; m; _ } when ra = s.mach_init_ra ->
           Some { mr_rs = Regfile.copy rs; mr_mem = m }
         | _ -> None);
+    handover = None;
   }
 
 (** The Mach open semantics, on the in-place register file. *)

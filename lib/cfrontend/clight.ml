@@ -307,4 +307,5 @@ let semantics ?(mode : entry_mode = `Mem_params) ~(symbols : Ident.t list)
         match s with
         | Returnstate (v, Kstop, m) -> Some { cr_res = v; cr_mem = m }
         | _ -> None);
+    handover = None;
   }

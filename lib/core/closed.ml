@@ -24,4 +24,5 @@ let close (l : ('s, 'qi, 'ri, 'qo, 'ro) lts) ~(entry : 'qi)
     at_external = (fun (Sys s) -> l.at_external s);
     after_external = (fun (Sys s) r -> List.map (fun s' -> Sys s') (l.after_external s r));
     final = (fun (Sys s) -> Option.bind (l.final s) decode);
+    handover = None;
   }

@@ -29,7 +29,16 @@
     point, and the empty step has left its state as it was. The run
     loop of {!Smallstep} drives the composite itself the same way, so
     [at_external] and [final] below are asked only when [step] is
-    empty: a push or pop never reaches them. *)
+    empty: a push or pop never reaches them.
+
+    A push or pop hands the payload over ({!Smallstep.handover}) when
+    the running component and the receiving one both have the
+    capability: the caller's question or the callee's answer goes to
+    the next activation as is, with no snapshot. A receiver without the
+    capability gets a snapshot, and so does everything that leaves the
+    composite: x° and i• answer through the plain probes, and the
+    composite itself has no handover. The [observe] hook only borrows
+    an event's payload. *)
 
 open Smallstep
 module Diag = Support.Diagnostics
@@ -50,7 +59,6 @@ type ('q, 'r) boundary_event =
 let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
     ?(on_diag : (Diag.t -> unit) option) (cs : ('q, 'r) any list) :
     (('q, 'r) state, 'q, 'r, 'q, 'r) lts =
-  let emit e = match observe with Some f -> f e | None -> () in
   let accepts q (Any c) = c.lts.dom q in
   let overlap ~rule accepting =
     let names = List.map (fun (Any c) -> c.lts.name) accepting in
@@ -66,47 +74,80 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
   in
   (* i° and push: the lowest accepting index. Linked programs have
      disjoint domains, so [on_diag] hears of any other taker. *)
-  let route ~rule q =
-    match List.filter (accepts q) cs with
+  let rec route ~rule q = function
     | [] -> None
-    | [ c ] -> Some c
-    | c :: _ as accepting ->
-      Option.iter (fun f -> f (overlap ~rule accepting)) on_diag;
-      Some c
+    | (Any c as a) :: rest when c.lts.dom q ->
+      (match on_diag with
+      | Some f when List.exists (accepts q) rest ->
+        f (overlap ~rule (a :: List.filter (accepts q) rest))
+      | _ -> ());
+      Some a
+    | _ :: rest -> route ~rule q rest
+  in
+  (* The payloads of a push and a pop: handed over when the running
+     component [c] and the receiving one [c'] both have the capability,
+     a snapshot otherwise. The question is asked before its callee is
+     known, so a callee without the capability has [c] ask again. *)
+  let question c s =
+    match c.lts.handover with
+    | Some h -> h.hand_external s
+    | None -> c.lts.at_external s
+  in
+  let answer c s c' =
+    match (c.lts.handover, c'.lts.handover) with
+    | Some h, Some _ -> h.hand_final s
+    | _ -> c.lts.final s
   in
   let init q =
-    match route ~rule:"init" q with
+    match route ~rule:"init" q cs with
     | Some (Any c) -> List.map (fun s -> [ Frame (c, s) ]) (c.lts.init q)
     | None -> []
   in
+  (* A new activation of [c'] on [q], above the running frame [f]. *)
+  let push (Frame (c, _) as f) k c' q =
+    match c'.lts.init q with
+    | [] -> []
+    | ss ->
+      (match observe with
+      | Some o -> o (Bpush { caller = c.side; callee = c'.side; question = q })
+      | None -> ());
+      List.map (fun s' -> (Events.e0, Frame (c', s') :: f :: k)) ss
+  in
   let step = function
     | [] -> []
-    | (Frame (c, s) as f) :: k -> (
+    | (Frame (c, s) as f) :: k as st -> (
       match c.lts.step s with
-      (* run; a deterministic step is mapped without a closure *)
-      | [ (t, s') ] -> [ (t, Frame (c, s') :: k) ]
+      (* run; a deterministic step is mapped without a closure, and one
+         that returns its own state leaves the stack as it is *)
+      | [ (t, s') ] -> [ (t, if s' == s then st else Frame (c, s') :: k) ]
       | _ :: _ as ts -> List.map (fun (t, s') -> (t, Frame (c, s') :: k)) ts
       | [] -> (
-        match c.lts.at_external s with
+        match question c s with
         | Some q -> (
           (* push, unless no component accepts [q] (x°) *)
-          match route ~rule:"push" q with
-          | Some (Any c') -> (
-            match c'.lts.init q with
-            | [] -> []
-            | ss ->
-              emit (Bpush { caller = c.side; callee = c'.side; question = q });
-              List.map (fun s' -> (Events.e0, Frame (c', s') :: f :: k)) ss)
+          match route ~rule:"push" q cs with
+          | Some (Any c') ->
+            if Option.is_some c.lts.handover && Option.is_none c'.lts.handover
+            then
+              match c.lts.at_external s with
+              | Some q -> push f k c' q
+              | None -> []
+            else push f k c' q
           | None -> [])
         | None -> (
           (* pop, unless [f] is the bottom frame (i•) *)
-          match (c.lts.final s, k) with
-          | Some r, Frame (c', sc) :: k' ->
-            emit (Bpop { callee = c.side; caller = c'.side; answer = r });
-            List.map
-              (fun sc' -> (Events.e0, Frame (c', sc') :: k'))
-              (c'.lts.after_external sc r)
-          | _ -> [])))
+          match k with
+          | Frame (c', sc) :: k' -> (
+            match answer c s c' with
+            | Some r ->
+              (match observe with
+              | Some o -> o (Bpop { callee = c.side; caller = c'.side; answer = r })
+              | None -> ());
+              List.map
+                (fun sc' -> (Events.e0, Frame (c', sc') :: k'))
+                (c'.lts.after_external sc r)
+            | None -> [])
+          | [] -> [])))
   in
   let dom q = List.exists (accepts q) cs in
   (* x° *)
@@ -135,6 +176,7 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
     at_external;
     after_external;
     final;
+    handover = None;
   }
 
 let compose ?observe ?on_diag l1 l2 =

@@ -35,7 +35,16 @@ type ('q, 'r) boundary_event =
     only when [step] is empty, so a push asks the running frame's
     [at_external] once.
 
+    A push or pop between two components that have the
+    {!Smallstep.handover} capability hands the question or answer over
+    without a snapshot; every other payload, and every one that leaves
+    the composite (x°, i•), is a snapshot. The composite has no
+    handover capability of its own.
+
     [observe] receives every boundary (push/pop) event (default: none).
+    It borrows the event's payload only while it runs: a handed-over
+    register file or memory is the next activation's to write, so a
+    hook snapshots whatever it keeps.
     [on_diag] fires with a [Domain_overlap] diagnostic whenever more
     than one component accepts a question at i° or push (rule ["init"]
     or ["push"]): linked programs have disjoint domains, so an overlap

@@ -59,4 +59,6 @@ let strengthen (p_in : ('wb, 'qi, 'ri) t) (p_out : ('wa, 'qo, 'ro) t)
           | Some w when p_out.query_inv w q -> Some q
           | _ -> None)
         | None -> None);
+    (* the filtered [at_external] must not be gone round *)
+    handover = None;
   }

@@ -6,7 +6,8 @@
     or the stuck state. Only [init] (the question), [step] (a counter)
     and [after_external] (the reply) are wrapped; [final] and
     [at_external], which the run loop asks only at interaction points,
-    are not. The outcome is the bare run's. When observability is off
+    are not, and the handover capability, which the run never uses, is
+    dropped. The outcome is the bare run's. When observability is off
     the run is {!Smallstep.run} itself, so there is no per-step cost. *)
 
 open Smallstep
@@ -60,6 +61,7 @@ let run ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque) ?(pp_ro = opaque)
             resumed := ss <> [];
             if !resumed then incr used;
             ss);
+        handover = None;
       }
     in
     let oracle qo =

@@ -15,7 +15,15 @@
     has no internal step, and a [step] that returns [[]] writes nothing.
     Every driver relies on both: {!run}, {!run_to_interaction} and the
     composites ({!Hcomp}, {!Vcomp}) take the internal step first, and
-    probe [final] and [at_external] only when it is empty. *)
+    probe [final] and [at_external] only when it is empty.
+
+    A question or answer the probes return is the caller's to keep: an
+    LTS whose state is mutable hands out a snapshot. The optional
+    {!handover} capability saves that snapshot where the payload goes
+    straight to the next activation. A wrapper that overrides a probe,
+    [init] or [after_external] (as [{ l with at_external = … }]) must
+    also wrap the capability or drop it ([handover = None]); otherwise
+    a composite goes round the wrapper at every push and pop. *)
 type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   name : string;
   dom : 'qi -> bool;  (** [D ⊆ B°]: accepted questions *)
@@ -24,6 +32,27 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   at_external : 's -> 'qo option;  (** [X ⊆ S × A°]: external states *)
   after_external : 's -> 'ro -> 's list;  (** [Y ⊆ S × A• × S] *)
   final : 's -> 'ri option;  (** [F ⊆ S × B•]: final states *)
+  handover : ('s, 'ri, 'qo) handover option;
+}
+
+(** The handover capability: [at_external] and [final] without the
+    snapshot. [hand_external s] and [hand_final s] answer exactly when
+    [at_external s] and [final s] do, with the same question or answer,
+    but its payload is the state's own (for Asm, the live register file
+    and the owned memory, {!Memory.Mem.owned}). The state gives it up:
+    a suspended state is only resumed by [after_external], which must
+    not read what it handed over, and a final one is dropped.
+
+    The payload carries its own mark, so the receiving LTS's [init] or
+    [after_external] adopts a handed-over payload as is and takes a
+    snapshot of any other. Only {!Hcomp} uses the capability, at a push
+    or pop whose running and receiving components both have it; the
+    receiver answers with at most one state. Every payload that leaves
+    a composite, at x° and i• (Fig. 5), in {!run}, {!Vcomp} or
+    {!Coexec}, comes from the plain probes. *)
+and ('s, 'ri, 'qo) handover = {
+  hand_external : 's -> 'qo option;
+  hand_final : 's -> 'ri option;
 }
 
 (** Outcome of a deterministic run (first enabled transition). *)

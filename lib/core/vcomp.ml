@@ -61,4 +61,5 @@ let layer (l1 : ('s1, 'qc, 'rc, 'qb, 'rb) lts) (l2 : ('s2, 'qb, 'rb, 'qa, 'ra) l
     at_external;
     after_external;
     final;
+    handover = None;
   }

@@ -61,7 +61,10 @@
     before the [thaw] is copied once, on its first write. {!freeze} ends
     the ownership, after which the memory and everything it shares are
     persistent again, so the run hands out frozen memories at its
-    observation points and nobody ever sees a later in-place write. *)
+    observation points and nobody ever sees a later in-place write. The
+    one owned memory a run hands out goes to the run that continues it
+    (an [⊕] handover, see [mem.mli]), which writes it under the same
+    owner. *)
 
 open Values
 open Memdata

@@ -48,9 +48,10 @@ val free_list : t -> (block * int * int) list -> t option
 
 (** [alloc_frame m sz ofs_link link ofs_ra ra] is observably identical to
     [alloc m 0 sz] followed by [store Mint64] of [link] at [ofs_link] and
-    [ra] at [ofs_ra], but performs one blocks-map insertion instead of
-    three. The [Pallocframe] fast path in the Asm interpreter uses it;
-    the naive reference interpreter keeps the three-step composition. *)
+    [ra] at [ofs_ra], but fills the new block before it installs it in
+    the block table, once instead of three times. The [Pallocframe] fast
+    path in the Asm interpreter uses it; the naive reference interpreter
+    keeps the three-step composition. *)
 val alloc_frame :
   t -> int -> int -> value -> int -> value -> (t * block) option
 
@@ -94,7 +95,14 @@ val storebytes : t -> block -> int -> memval list -> t option
     first write, so the argument of [thaw] is never modified. [freeze]
     ends the run's ownership: the result, and every memory that shares
     structure with it, is persistent again. A run hands out only frozen
-    memories at its observation points. *)
+    memories at its observation points.
+
+    One exception: a run may hand its owned memory over to the run that
+    continues it, and give it up (the handover capability of
+    [Core.Smallstep.lts]: an [⊕] push or pop between two threaded Asm
+    activations). An owned memory in a question or reply is the mark
+    of a handover: the receiver adopts it as is, without a [thaw], and
+    takes over its owner. Every other payload memory is frozen. *)
 
 (** [thaw m] is [m] owned by a fresh run. It freezes [m] first, so a
     still-owned argument loses its owner. *)

@@ -232,4 +232,5 @@ let semantics ~(symbols : Ident.t list) (p : program) :
         match s with
         | Returnstate (v, Kstop, m) -> Some { cr_res = v; cr_mem = m }
         | _ -> None);
+    handover = None;
   }

@@ -292,6 +292,7 @@ let semantics_gen (ops : 'rs regops) ~(symbols : Ident.t list) (p : program) :
         match s with
         | Returnstate ([], v, m) -> Some { cr_res = v; cr_mem = m }
         | _ -> None);
+    handover = None;
   }
 
 (** The RTL open semantics, on the flat mutable register set. *)

@@ -179,6 +179,7 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
         (fun s _r ->
           match s with Storm { storm_reply; _ } -> [ Answer storm_reply ] | _ -> []);
       final = (fun s -> match s with Answer r -> Some r | _ -> None);
+      handover = None;
     }
   in
   {

@@ -62,7 +62,10 @@ let partner = 1
 type pending = {
   pd_side : int;
   pd_index : int;  (** partner activation index; -1 for correct frames *)
-  pd_query : a_query;
+  pd_rs : Pregfile.t;
+      (** the question's register file, copied: the push event only lends
+          it to the monitor, and a handed-over one is the callee's to
+          write *)
   pd_export : (string * Memory.Mtypes.signature) option;
 }
 
@@ -83,9 +86,9 @@ let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
         violations := { v_prop = prop; v_activation = activation; v_detail = detail } :: !violations)
       fmt
   in
-  let check_partner_reply ~index ~(q : a_query) ~(sg : Memory.Mtypes.signature)
-      ~(name : string) (r : a_reply) =
-    let rs = q.aq_rs and rs' = r.ar_rs in
+  let check_partner_reply ~index ~(rs : Pregfile.t)
+      ~(sg : Memory.Mtypes.signature) ~(name : string) (r : a_reply) =
+    let rs' = r.ar_rs in
     if Pregfile.get PC rs' <> Pregfile.get RA rs then
       violate ~prop:P_callee_save ~activation:index
         "%s did not return to RA: pc' = %a, ra = %a" name Values.pp
@@ -147,7 +150,12 @@ let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
         else (-1, None)
       in
       stack :=
-        { pd_side = callee; pd_index = index; pd_query = q; pd_export = export }
+        {
+          pd_side = callee;
+          pd_index = index;
+          pd_rs = Pregfile.copy q.aq_rs;
+          pd_export = export;
+        }
         :: !stack
     | Hcomp.Bpop { callee; caller = _; answer = r } -> (
       match !stack with
@@ -155,7 +163,7 @@ let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
         stack := rest;
         (match pd.pd_export with
         | Some (name, sg) ->
-          check_partner_reply ~index:pd.pd_index ~q:pd.pd_query ~sg ~name r
+          check_partner_reply ~index:pd.pd_index ~rs:pd.pd_rs ~sg ~name r
         | None -> ())
       | _ ->
         (* A pop without a matching push can only mean the composite was

@@ -72,17 +72,20 @@ let asm_linking name ~entry ~args ~expect units =
           Alcotest.(check int32) name expect n
         | o -> Alcotest.failf "%s: %a" name Driver.Runners.pp_c_outcome o))
 
+(* The A-level query [CA] marshals [q] to. *)
+let c_aq q =
+  match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
+  | Some (_, aq) -> aq
+  | None -> Alcotest.fail "CA cannot marshal the query"
+
 (* Theorem 3.5's composition run twice, on the threaded and on the
    naive Asm dispatcher: the whole replies, register file and memory,
-   agree. *)
+   agree, and the threaded answer leaves the composite (i•) as a
+   snapshot although its pushes and pops handed owned state over. *)
 let hcomp_threaded_naive name ~entry ~args units =
   Alcotest.test_case name `Quick (fun () ->
       let a1, a2, symbols, q = asm_pair ~entry ~args units in
-      let aq =
-        match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
-        | Some (_, aq) -> aq
-        | None -> Alcotest.fail "CA cannot marshal the query"
-      in
+      let aq = c_aq q in
       let reply sem =
         match
           Core.Smallstep.run ~fuel
@@ -97,44 +100,59 @@ let hcomp_threaded_naive name ~entry ~args units =
       check (name ^ ": register files agree") true
         (Pregfile.equal t.ar_rs n.ar_rs);
       check (name ^ ": memories agree") true
-        (Memory.Mem.equal t.ar_mem n.ar_mem))
+        (Memory.Mem.equal t.ar_mem n.ar_mem);
+      check (name ^ ": the answer's memory is frozen") false
+        (Memory.Mem.owned t.ar_mem))
 
-(* Under the step-first run loop, each [⊕] push asks the caller's
-   [at_external] once: the composite's own [at_external] is not probed
-   when its step (the push) succeeds. *)
+(* Under the step-first run loop, each [⊕] push asks the caller once:
+   the composite's own [at_external] is not probed when its step (the
+   push) succeeds. Between two threaded Asm components the question is
+   handed over ({!Core.Smallstep.handover}), so the wrapper counts the
+   answers of both probes, as a wrapper of a probe must, and every push
+   must have gone through the handover. The run is made with an
+   [observe] hook that counts the pushes, and without one. *)
 let one_answer_per_push name ~entry ~args ~pushes:expected units =
   Alcotest.test_case name `Quick (fun () ->
       let a1, a2, symbols, q = asm_pair ~entry ~args units in
-      let aq =
-        match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
-        | Some (_, aq) -> aq
-        | None -> Alcotest.fail "CA cannot marshal the query"
+      let aq = c_aq q in
+      let run ~hooked =
+        let answers = ref 0 and handed = ref 0 and pushes = ref 0 in
+        let count n probe s =
+          let r = probe s in
+          if Option.is_some r then incr n;
+          r
+        in
+        let counted (l : _ Core.Smallstep.lts) =
+          {
+            l with
+            at_external = count answers l.at_external;
+            handover =
+              Option.map
+                (fun (h : _ Core.Smallstep.handover) ->
+                  { h with hand_external = count handed h.hand_external })
+                l.handover;
+          }
+        in
+        let observe = function
+          | Core.Hcomp.Bpush _ -> incr pushes
+          | Core.Hcomp.Bpop _ -> ()
+        in
+        let l1 = counted (Backend.Asm.semantics ~symbols a1)
+        and l2 = counted (Backend.Asm.semantics ~symbols a2) in
+        let l =
+          if hooked then Core.Hcomp.compose ~observe l1 l2
+          else Core.Hcomp.compose l1 l2
+        in
+        (match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) aq with
+        | Core.Smallstep.Final _ -> ()
+        | _ -> Alcotest.fail "(+) run did not finish");
+        let pushes = if hooked then !pushes else expected in
+        Alcotest.(check int) "pushes" expected pushes;
+        Alcotest.(check int) "answers = pushes" pushes (!answers + !handed);
+        Alcotest.(check int) "every push handed over" pushes !handed
       in
-      let answers = ref 0 and pushes = ref 0 in
-      let counted (l : _ Core.Smallstep.lts) =
-        {
-          l with
-          at_external =
-            (fun s ->
-              let r = l.at_external s in
-              if Option.is_some r then incr answers;
-              r);
-        }
-      in
-      let observe = function
-        | Core.Hcomp.Bpush _ -> incr pushes
-        | Core.Hcomp.Bpop _ -> ()
-      in
-      let l =
-        Core.Hcomp.compose ~observe
-          (counted (Backend.Asm.semantics ~symbols a1))
-          (counted (Backend.Asm.semantics ~symbols a2))
-      in
-      (match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) aq with
-      | Core.Smallstep.Final _ -> ()
-      | _ -> Alcotest.fail "(+) run did not finish");
-      Alcotest.(check int) "pushes" expected !pushes;
-      Alcotest.(check int) "answers = pushes" !pushes !answers)
+      run ~hooked:true;
+      run ~hooked:false)
 
 (* Figure 1 of the paper. *)
 let fig1_a = "int mult(int n, int p) { return n * p; }"
@@ -261,5 +279,182 @@ let hcomp_tests =
       ~entry:"even" ~args:[ 10 ] ~pushes:10 (mutual_a, mutual_b);
   ]
 
+(* {1 Handover: owned state crosses a push or pop, snapshots leave}
+
+   [Asm ⊕ Asm] hands the running activation's register file and owned
+   memory to the next one at a push or pop. Every payload that leaves
+   the composite, or reaches a component without the capability, must
+   still be a snapshot: a copied register file and a frozen memory
+   (for i•, see [hcomp_threaded_naive]). *)
+
+(* The benchmark corpus's mutual recursion (even.c and odd.c): every
+   call of [is_even] and [is_odd] crosses the unit boundary. *)
+let parity_a =
+  "int is_odd(int n);\n\
+   int is_even(int n) { if (n == 0) return 1; return is_odd(n - 1) & 1; }\n\
+   int parity_sum(int k) { int s = 0; for (int i = 0; i < k; i++) s += \
+   is_even(i) * i; return s; }"
+
+let parity_b =
+  "int is_even(int n);\n\
+   int is_odd(int n) { if (n == 0) return 0; return is_even(n - 1) & 1; }"
+
+(* [even] recurses through [odd] in the other unit down to [env], which
+   neither unit defines: x° from the top of a handed-over chain. *)
+let chain_a =
+  "int odd(int n); int env(int n);\n\
+   int even(int n) { if (n == 0) return env(7); return odd(n - 1) + 1; }"
+
+let chain_b = "int even(int n); int odd(int n) { return even(n - 1) + 1; }"
+
+(* Minor words of a warm, untraced run of [l] on [q] through [C]; the
+   run must answer parity_sum(64) = 992. *)
+let warm_words l q =
+  let traced = !Obs.enabled in
+  Obs.enabled := false;
+  ignore (Driver.Runners.run_a_level l ~fuel q);
+  let w0 = Gc.minor_words () in
+  let o = Driver.Runners.run_a_level l ~fuel q in
+  let w = Gc.minor_words () -. w0 in
+  Obs.enabled := traced;
+  (match o with
+  | Ok (Core.Smallstep.Final (_, { cr_res = Vint 992l; _ })) -> ()
+  | _ -> Alcotest.fail "parity_sum(64) did not answer 992");
+  w
+
+(* Record that every payload [l] receives is a snapshot: its memory is
+   not owned. [l] has no handover capability to wrap. *)
+let receives_snapshots ~received ~owned (l : _ Core.Smallstep.lts) =
+  let inbound m =
+    incr received;
+    if Memory.Mem.owned m then incr owned
+  in
+  {
+    l with
+    init = (fun q -> inbound q.aq_mem; l.init q);
+    after_external = (fun s r -> inbound r.ar_mem; l.after_external s r);
+  }
+
+let handover_tests =
+  [
+    Alcotest.test_case "Asm (+) Asm allocates at most 2x the linked program"
+      `Quick (fun () ->
+        let a1, a2, symbols, q =
+          asm_pair ~entry:"parity_sum" ~args:[ 64 ] (parity_a, parity_b)
+        in
+        let sem = Backend.Asm.semantics ~symbols in
+        let linked = Errors.get (Backend.Asm.link a1 a2) in
+        let composed = warm_words (Core.Hcomp.compose (sem a1) (sem a2)) q in
+        let alone = warm_words (sem linked) q in
+        if composed > 2. *. alone then
+          Alcotest.failf "(+) %.0f words, linked %.0f: %.2fx" composed alone
+            (composed /. alone));
+    Alcotest.test_case
+      "Asm (+) Asm: an x-circle call from a handed-over chain is a snapshot"
+      `Quick (fun () ->
+        let a1, a2, symbols, q =
+          asm_pair ~entry:"even" ~args:[ 6 ] (chain_a, chain_b)
+        in
+        let sem = Backend.Asm.semantics ~symbols in
+        let pushes = ref 0 in
+        let observe = function
+          | Core.Hcomp.Bpush _ -> incr pushes
+          | Core.Hcomp.Bpop _ -> ()
+        in
+        let env =
+          {
+            Driver.Io_oracle.prim_name = "env";
+            prim_sig = { sig_args = [ Tint ]; sig_res = Some Tint };
+            prim_impl = (function [ n ] -> Int32.mul n 10l | _ -> 0l);
+          }
+        in
+        let record, _ = Driver.Io_oracle.make_log () in
+        let answer = Driver.Io_oracle.a_oracle ~symbols [ env ] record in
+        let kept = ref [] in
+        let oracle (aq : a_query) =
+          check "the call's memory is frozen" false (Memory.Mem.owned aq.aq_mem);
+          kept :=
+            ( aq,
+              Pregfile.copy aq.aq_rs,
+              Format.asprintf "%a" Memory.Mem.pp aq.aq_mem,
+              !pushes )
+            :: !kept;
+          answer aq
+        in
+        (match
+           Core.Smallstep.run ~fuel
+             (Core.Hcomp.compose ~observe (sem a1) (sem a2))
+             ~oracle (c_aq q)
+         with
+        | Core.Smallstep.Final (_, r) ->
+          Alcotest.(check bool)
+            "even(6) = 76" true
+            (Pregfile.get (Mreg Target.Machregs.AX) r.ar_rs = Vint 76l)
+        | _ -> Alcotest.fail "(+) run did not finish");
+        match !kept with
+        | [ (aq, rs, mem, pushed) ] ->
+          Alcotest.(check int) "called six pushes deep" 6 pushed;
+          check "the kept register file is unchanged" true
+            (Pregfile.equal aq.aq_rs rs);
+          Alcotest.(check string) "the kept memory is unchanged" mem
+            (Format.asprintf "%a" Memory.Mem.pp aq.aq_mem)
+        | k -> Alcotest.failf "%d environment calls, expected 1" (List.length k));
+    Alcotest.test_case
+      "Asm (+) naive Asm: a receiver without the handover gets snapshots"
+      `Quick (fun () ->
+        let a1, a2, symbols, q =
+          asm_pair ~entry:"even" ~args:[ 10 ] (mutual_a, mutual_b)
+        in
+        let received = ref 0 and owned = ref 0 in
+        let l =
+          Core.Hcomp.compose
+            (Backend.Asm.semantics ~symbols a1)
+            (receives_snapshots ~received ~owned
+               (Backend.Asm.semantics_naive ~symbols a2))
+        in
+        (match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) (c_aq q) with
+        | Core.Smallstep.Final _ -> ()
+        | _ -> Alcotest.fail "(+) run did not finish");
+        (* five activations of [odd], and the five answers they wait for *)
+        Alcotest.(check int) "payloads received" 10 !received;
+        Alcotest.(check int) "owned memories received" 0 !owned);
+    Alcotest.test_case
+      "Asm (+) partner: a receiver without the handover gets snapshots"
+      `Quick (fun () ->
+        let src = "int prim(int n); int top(int n) { return prim(n) + prim(n + 1); }" in
+        let p = parse src in
+        let asm = Errors.get (Driver.Compiler.compile_c_to_asm src) in
+        let symbols = Driver.Linking.shared_symbols [ Ast.prog_defs_names p ] in
+        let q =
+          match query_for [ p ] "top" [ 4 ] symbols with
+          | Some q -> q
+          | None -> Alcotest.fail "no query"
+        in
+        let prim =
+          {
+            Driver.Io_oracle.prim_name = "prim";
+            prim_sig = { sig_args = [ Tint ]; sig_res = Some Tint };
+            prim_impl = (function [ n ] -> Int32.mul n 3l | _ -> 0l);
+          }
+        in
+        let partner =
+          Robust.Partner.synthesize ~symbols ~prims:[ prim ]
+            ~entry:(Ident.intern "top") ~trace:[]
+            ~mode:Robust.Partner.Replay_faithful ~rogue_at:(-1) ()
+        in
+        let received = ref 0 and owned = ref 0 in
+        let l =
+          Core.Hcomp.compose
+            (Backend.Asm.semantics ~symbols asm)
+            (receives_snapshots ~received ~owned partner.Robust.Partner.p_lts)
+        in
+        (match Driver.Runners.run_a_level l ~fuel q with
+        | Ok (Core.Smallstep.Final (_, { cr_res = Vint 27l; _ })) -> ()
+        | _ -> Alcotest.fail "(+) run did not answer 27");
+        Alcotest.(check int) "payloads received" 2 !received;
+        Alcotest.(check int) "owned memories received" 0 !owned);
+  ]
+
 let suite =
-  ("linking", tests @ [ thm34_property ] @ link_unit_tests @ hcomp_tests)
+  ( "linking",
+    tests @ [ thm34_property ] @ link_unit_tests @ hcomp_tests @ handover_tests )

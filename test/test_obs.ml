@@ -292,6 +292,7 @@ let toy : (toy_state, string * int, int, string * int, int) Smallstep.lts =
     after_external =
       (fun s ans -> match s with Start ("quad", _) -> [ Done (2 * ans) ] | _ -> []);
     final = (fun s -> match s with Done r -> Some r | _ -> None);
+    handover = None;
   }
 
 let toy_oracle (f, n) = if f = "double" then Some (2 * n) else None

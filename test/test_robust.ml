@@ -225,6 +225,17 @@ let monitor_tests =
             Li.ar_rs = Li.Pregfile.set result_reg Vundef good_reply.Li.ar_rs
           };
         check "welltyped" true (props m = [ Property.P_welltyped ]));
+    Alcotest.test_case "the monitor copies the register file a push lends it"
+      `Quick (fun () ->
+        let m = mon () in
+        let lent = Li.Pregfile.copy rs in
+        m.Property.m_observe
+          (Hcomp.Bpush
+             { caller = 0; callee = 1; question = { q with Li.aq_rs = lent } });
+        (* a handed-over register file is the callee's to write *)
+        lent.(Li.preg_index Li.SP) <- Vptr (2, 64);
+        pop m good_reply;
+        check "clean" true (props m = []));
     Alcotest.test_case "partner-initiated call outside imports" `Quick
       (fun () ->
         let m = mon () in
@@ -246,6 +257,7 @@ let trivial_lts name : (unit, int, unit, int, unit) Core.Smallstep.lts =
     at_external = (fun _ -> None);
     after_external = (fun _ _ -> []);
     final = (fun _ -> Some ());
+    handover = None;
   }
 
 (* Both accept question 1: [caller] answers it with 10, [callee] with
@@ -259,6 +271,7 @@ let caller : (int, int, int, int, int) Core.Smallstep.lts =
     at_external = (fun s -> if s = 0 then Some 1 else None);
     after_external = (fun _ r -> [ 100 + r ]);
     final = (fun s -> if s = 0 then None else if s = 1 then Some 10 else Some s);
+    handover = None;
   }
 
 let callee : (int, int, int, int, int) Core.Smallstep.lts =

@@ -55,6 +55,7 @@ let toy_component (name : string) : (toy_state, q, r, q, r) lts =
         | Start ("quad", _) -> [ Done (2 * ans) ]
         | _ -> []);
     final = (fun s -> match s with Done r -> Some r | _ -> None);
+    handover = None;
   }
 
 let doubler = toy_component "doubler"
