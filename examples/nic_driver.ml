@@ -161,11 +161,12 @@ let sigma_io ~(symbols : Ident.t list) :
 (** {1 sigma_io' : IO ↠ A — the assembly-level axiomatization (eq. 7)}
 
     The same primitives, specified at the level of machine registers: the
-    argument values are read from the argument registers of the calling
-    convention, and the answer sets the result register, restores SP and
-    jumps to RA — the shape the [CA] convention prescribes. *)
+    argument values are read where the calling convention puts them, and
+    the answer sets the result register and jumps to RA — the shape the
+    [CA] convention prescribes ({!Iface.Callconv.ca_arguments} and
+    [ca_reply]). *)
 
-type io_a_state = IoA_init of a_query | IoA_done of a_reply
+type io_a_state = IoA_init of signature * a_query | IoA_done of a_reply
 
 let sigma_io_asm ~(symbols : Ident.t list) :
     (io_a_state, a_query, a_reply, io_query, io_reply) Smallstep.lts =
@@ -175,40 +176,33 @@ let sigma_io_asm ~(symbols : Ident.t list) :
     | Some b -> Vptr (b, 0)
     | None -> Vundef
   in
-  let classify q =
-    let rs = q.aq_rs in
-    let pc = Pregfile.get PC rs in
-    if pc = addr_of id_io_read then
-      match Pregfile.get (Mreg Target.Machregs.DI) rs with
-      | Vint r -> Some (IoRead (Int32.to_int r))
-      | _ -> None
-    else if pc = addr_of id_io_write then
-      match
-        ( Pregfile.get (Mreg Target.Machregs.DI) rs,
-          Pregfile.get (Mreg Target.Machregs.SI) rs )
-      with
-      | Vint r, Vint v -> Some (IoWrite (Int32.to_int r, Int32.to_int v))
-      | _ -> None
+  let signature_of q =
+    let pc = Pregfile.get PC q.aq_rs in
+    if pc = addr_of id_io_read then Some sg_read
+    else if pc = addr_of id_io_write then Some sg_write
     else None
+  in
+  let classify sg q =
+    match Callconv.ca_arguments sg q with
+    | [ Vint r ] -> Some (IoRead (Int32.to_int r))
+    | [ Vint r; Vint v ] -> Some (IoWrite (Int32.to_int r, Int32.to_int v))
+    | _ -> None
   in
   {
     Smallstep.name = "sigma_io'";
-    dom = (fun q -> classify q <> None);
-    init = (fun q -> [ IoA_init q ]);
+    dom =
+      (fun q ->
+        match signature_of q with Some sg -> classify sg q <> None | None -> false);
+    init =
+      (fun q -> match signature_of q with Some sg -> [ IoA_init (sg, q) ] | None -> []);
     step = (fun _ -> []);
-    at_external = (fun s -> match s with IoA_init q -> classify q | _ -> None);
+    at_external =
+      (fun s -> match s with IoA_init (sg, q) -> classify sg q | _ -> None);
     after_external =
       (fun s (IoVal v) ->
         match s with
-        | IoA_init q ->
-          (* Return per the calling convention: result in AX, PC := RA,
-             SP preserved. *)
-          let rs' =
-            q.aq_rs
-            |> Pregfile.set (Mreg Target.Machregs.AX) (Vint (Int32.of_int v))
-            |> Pregfile.set PC (Pregfile.get RA q.aq_rs)
-          in
-          [ IoA_done { ar_rs = rs'; ar_mem = q.aq_mem } ]
+        | IoA_init (sg, q) ->
+          [ IoA_done (Callconv.ca_reply ~sg ~res:(Vint (Int32.of_int v)) q) ]
         | _ -> []);
     final = (fun s -> match s with IoA_done r -> Some r | _ -> None);
     handover = None;

@@ -75,23 +75,31 @@ let () =
   let show name outcome =
     Format.printf "%-28s %a@." name Driver.Runners.pp_c_outcome outcome
   in
-  show "Clight(A.c) (+) Clight(B.c):"
-    (Driver.Runners.run_c_level composed ~fuel q);
+  let src_out = Driver.Runners.run_c_level composed ~fuel q in
+  show "Clight(A.c) (+) Clight(B.c):" src_out;
 
   let asm_a = Errors.get (Driver.Compiler.compile_c_to_asm unit_a) in
   let asm_b = Errors.get (Driver.Compiler.compile_c_to_asm unit_b) in
   let aa = Backend.Asm.semantics ~symbols asm_a in
   let ab = Backend.Asm.semantics ~symbols asm_b in
-  (match Driver.Runners.run_a_level (Core.Hcomp.compose aa ab) ~fuel q with
-  | Ok o -> show "Asm(A.s) (+) Asm(B.s):" o
-  | Error e -> Format.printf "error: %s@." e);
-
   let linked_asm = Errors.get (Backend.Asm.link asm_a asm_b) in
-  (match
-     Driver.Runners.run_a_level (Backend.Asm.semantics ~symbols linked_asm) ~fuel q
-   with
-  | Ok o -> show "Asm(A.s + B.s):" o
-  | Error e -> Format.printf "error: %s@." e);
-
-  Format.printf
-    "@.All three agree: Cor. 3.9 (separate compilation) and Thm. 3.5@.(linking implements horizontal composition) on this instance.@."
+  (* Each Asm semantics must agree with the source composition: the same
+     answer both ways round. *)
+  let agrees name lts =
+    match Driver.Runners.run_a_level lts ~fuel q with
+    | Ok o ->
+      show name o;
+      Driver.Runners.outcome_refines src_out o
+      && Driver.Runners.outcome_refines o src_out
+    | Error e ->
+      Format.printf "error: %s@." e;
+      false
+  in
+  let hcomp_ok = agrees "Asm(A.s) (+) Asm(B.s):" (Core.Hcomp.compose aa ab) in
+  let linked_ok =
+    agrees "Asm(A.s + B.s):" (Backend.Asm.semantics ~symbols linked_asm)
+  in
+  if hcomp_ok && linked_ok then
+    Format.printf
+      "@.All three agree: Cor. 3.9 (separate compilation) and Thm. 3.5@.(linking implements horizontal composition) on this instance.@."
+  else Format.printf "@.The three semantics DISAGREE on this instance.@."

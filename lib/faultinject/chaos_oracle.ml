@@ -20,6 +20,7 @@ open Memory
 open Memory.Mtypes
 open Memory.Values
 open Target
+open Iface
 open Iface.Li
 
 type mode =
@@ -127,33 +128,17 @@ let fuel_for mode ~fuel = match mode with Burn_fuel -> burnt_fuel | _ -> fuel
     The reply-side obligations of the conventions, as executable checks
     suitable for [Smallstep.run ~check_reply]. A violated obligation
     yields [Error why], which the interpreter turns into
-    [Env_violation] — detected, reported, no exception. *)
+    [Env_violation] — detected, reported, no exception. The obligations
+    are {!Iface.Callconv}'s; each check reports the first breach. *)
 
-(* A value the convention can accept for a result of type [t]: it must
-   have the type, and any pointer must be into memory the caller could
-   know about (i.e. allocated — blocks >= nextblock violate the
-   injection). *)
-let check_result_value ~mem v t =
-  if not (has_rettype v t) then
-    Error
-      (Format.asprintf "ill-typed result %a for return type %a" Values.pp v
-         (fun fmt -> function
-           | Some t -> pp_typ fmt t
-           | None -> Format.pp_print_string fmt "void")
-         t)
-  else
-    match v with
-    | Vptr (b, _) when b >= Mem.nextblock mem ->
-      Error
-        (Format.asprintf
-           "result pointer %a outside the injection (nextblock %d)" Values.pp
-           v (Mem.nextblock mem))
-    | _ -> Ok ()
+let first_breach = function
+  | [] -> Ok ()
+  | b :: _ -> Error (Format.asprintf "%a" Callconv.pp_breach b)
 
 (** C-level conformance: the reply's result value must match the query
     signature's result type and not leak unallocated pointers. *)
 let conformance_c (q : c_query) (r : c_reply) : (unit, string) result =
-  check_result_value ~mem:r.cr_mem r.cr_res q.cq_sg.sig_res
+  first_breach (Callconv.result_breaches ~mem:r.cr_mem q.cq_sg.sig_res r.cr_res)
 
 (** A-level conformance, the reply side of the paper's eq. (7): the
     environment must return to the caller ([PC' = RA]), preserve the
@@ -161,29 +146,4 @@ let conformance_c (q : c_query) (r : c_reply) : (unit, string) result =
     injection-respecting value in the result register. *)
 let conformance_a ?(sg = signature_main) (q : a_query) (r : a_reply) :
     (unit, string) result =
-  let rs = q.aq_rs and rs' = r.ar_rs in
-  if Pregfile.get PC rs' <> Pregfile.get RA rs then
-    Error
-      (Format.asprintf "environment did not return to RA: pc' = %a, ra = %a"
-         Values.pp (Pregfile.get PC rs') Values.pp (Pregfile.get RA rs))
-  else if Pregfile.get SP rs' <> Pregfile.get SP rs then
-    Error
-      (Format.asprintf "environment moved the stack pointer: %a -> %a"
-         Values.pp (Pregfile.get SP rs) Values.pp (Pregfile.get SP rs'))
-  else
-    let clobbered =
-      List.filter
-        (fun m -> Pregfile.get (Mreg m) rs' <> Pregfile.get (Mreg m) rs)
-        Machregs.callee_save_regs
-    in
-    match clobbered with
-    | m :: _ ->
-      Error
-        (Format.asprintf "environment clobbered callee-save %a: %a -> %a"
-           Machregs.pp_mreg m Values.pp
-           (Pregfile.get (Mreg m) rs)
-           Values.pp
-           (Pregfile.get (Mreg m) rs'))
-    | [] ->
-      let res = Pregfile.get (Mreg (Conventions.loc_result sg)) rs' in
-      check_result_value ~mem:r.ar_mem res sg.sig_res
+  first_breach (Callconv.ca_breaches ~sg q.aq_rs r)

@@ -11,11 +11,14 @@
     - [cc_lm]: [LM : L ⇔ M] — location maps realized as machine registers
       and in-memory argument regions, with the argument region carved out
       of the source memory ([free_args]/[mix], Appendix C.2, Fig. 13);
-    - [cc_ma]: [MA : M ⇔ A] — explicit PC/SP/RA registers (Appendix C.3);
-    - [cc_asm (R)]: a CKLR on the [A] interface.
+    - [cc_ma]: [MA : M ⇔ A] — explicit PC/SP/RA registers (Appendix C.3).
 
     The composite [CA ≡ CL · LM · MA] is the structural content of the C
-    calling convention (paper §5). *)
+    calling convention (paper §5). This module is also the one place that
+    says how a call at the [A] interface passes its arguments and how its
+    callee must return ([ca_arguments], [ca_reply], [ca_breaches]): the
+    A-level oracles, the chaos conformance checks, the synthesized
+    partners and the boundary monitors all read it. *)
 
 open Memory
 open Memory.Mtypes
@@ -368,67 +371,123 @@ let cc_ma : (ma_world, m_query, a_query, m_reply, a_reply) Simconv.t =
         Some { ma_sp = q1.mq_sp; ma_ra = q1.mq_ra; ma_rs = q1.mq_rs });
   }
 
-(** {1 CKLRs on the A interface} *)
+(** {1 A call at the [A] interface (eq. (7))}
 
-let cc_asm (type w) (module R : Cklr.CKLR with type world = w) :
-    (w c_world, a_query, a_query, a_reply, a_reply) Simconv.t =
-  let grow (cw : w c_world) m1 m2 : w = R.grow cw.cw m1 m2 in
+    The C calling convention seen from one A-level call (paper §5's
+    [CA], Fig. 13): the arguments sit in the argument registers and in
+    the outgoing region at SP, and the callee answers with the result in
+    the result register, returning to RA with SP and every callee-save
+    register kept. *)
+
+(** The arguments of an A-level call with signature [sg], read from the
+    argument registers and the outgoing region at SP. *)
+let ca_arguments sg (q : a_query) : value list =
+  let rs = q.aq_rs in
+  Conventions.extract_arguments sg
+    (make_locset_sg sg (Pregfile.to_regfile rs) q.aq_mem (Pregfile.get SP rs))
+
+(** The result an A-level reply gives a call with signature [sg]. *)
+let ca_result sg (r : a_reply) : value =
+  Pregfile.get (Mreg (Conventions.loc_result sg)) r.ar_rs
+
+(** The reply of a callee that answers [res] to [q]: the result in the
+    result register and [PC := RA], every other register and the memory
+    as in the question. *)
+let ca_reply ~sg ~res (q : a_query) : a_reply =
+  let rs = q.aq_rs in
   {
-    Simconv.name = R.name ^ "@A";
-    chk_query =
-      (fun w q1 q2 ->
-        List.for_all
-          (fun r -> R.match_val w.cw (Pregfile.get r q1.aq_rs) (Pregfile.get r q2.aq_rs))
-          all_pregs
-        && R.match_mem w.cw q1.aq_mem q2.aq_mem);
-    chk_reply =
-      (fun w r1 r2 ->
-        let w' = grow w r1.ar_mem r2.ar_mem in
-        R.acc w.cw w'
-        && List.for_all
-             (fun r ->
-               R.match_val w' (Pregfile.get r r1.ar_rs) (Pregfile.get r r2.ar_rs))
-             all_pregs
-        && R.match_mem w' r1.ar_mem r2.ar_mem);
-    fwd_query =
-      (fun q1 ->
-        let w, m2 = R.init q1.aq_mem in
-        let rec map_regs rs = function
-          | [] -> Some rs
-          | r :: rest -> (
-            match R.map_val w (Pregfile.get r q1.aq_rs) with
-            | Some v -> map_regs (Pregfile.set r v rs) rest
-            | None -> None)
-        in
-        match map_regs Pregfile.init all_pregs with
-        | Some rs2 ->
-          Some
-            ( { cw = w; cw_next1 = Mem.nextblock q1.aq_mem; cw_next2 = Mem.nextblock m2 },
-              { aq_rs = rs2; aq_mem = m2 } )
-        | None -> None);
-    fwd_reply =
-      (fun w r1 ->
-        let w' = grow w r1.ar_mem r1.ar_mem in
-        let rec map_regs rs = function
-          | [] -> Some rs
-          | r :: rest -> (
-            match R.map_val w' (Pregfile.get r r1.ar_rs) with
-            | Some v -> map_regs (Pregfile.set r v rs) rest
-            | None -> None)
-        in
-        match map_regs Pregfile.init all_pregs with
-        | Some rs' -> Some { ar_rs = rs'; ar_mem = r1.ar_mem }
-        | None -> None);
-    bwd_reply = (fun _w r2 -> Some r2);
-    bwd_query = (fun _ -> None);
-    infer_world =
-      (fun q1 q2 ->
-        let w, _ = R.init q1.aq_mem in
-        Some
-          { cw = w; cw_next1 = Mem.nextblock q1.aq_mem;
-            cw_next2 = Mem.nextblock q2.aq_mem });
+    ar_rs =
+      Pregfile.set (Mreg (Conventions.loc_result sg)) res rs
+      |> Pregfile.set PC (Pregfile.get RA rs);
+    ar_mem = q.aq_mem;
   }
 
+(** How a reply breaks the convention. *)
+type breach =
+  | Not_to_ra of { pc : value; ra : value }  (** [PC' ≠ RA] *)
+  | Sp_moved of { sp : value; sp' : value }
+  | Callee_save_clobbered of { reg : mreg; before : value; after : value }
+  | Ill_typed of { res : value; ty : typ option }
+      (** the result is outside the signature's result type *)
+  | Outside_injection of { res : value; nextblock : block }
+      (** the result points into a block at or beyond the reply memory's
+          [nextblock]: unallocated, so related to no source block *)
+
+(** A breach as the chaos conformance checks report it. *)
+let pp_breach fmt = function
+  | Not_to_ra { pc; ra } ->
+    Format.fprintf fmt "environment did not return to RA: pc' = %a, ra = %a"
+      Values.pp pc Values.pp ra
+  | Sp_moved { sp; sp' } ->
+    Format.fprintf fmt "environment moved the stack pointer: %a -> %a" Values.pp
+      sp Values.pp sp'
+  | Callee_save_clobbered { reg; before; after } ->
+    Format.fprintf fmt "environment clobbered callee-save %a: %a -> %a" pp_mreg
+      reg Values.pp before Values.pp after
+  | Ill_typed { res; ty } ->
+    Format.fprintf fmt "ill-typed result %a for return type %a" Values.pp res
+      (fun fmt -> function
+        | Some t -> pp_typ fmt t
+        | None -> Format.pp_print_string fmt "void")
+      ty
+  | Outside_injection { res; nextblock } ->
+    Format.fprintf fmt "result pointer %a outside the injection (nextblock %d)"
+      Values.pp res nextblock
+
+(** The breaches of a result [res] of type [ty] answered with memory
+    [mem], at any interface: its type, then its injection. *)
+let result_breaches ~mem ty res =
+  (if has_rettype res ty then [] else [ Ill_typed { res; ty } ])
+  @
+  match res with
+  | Vptr (b, _) when b >= Mem.nextblock mem ->
+    [ Outside_injection { res; nextblock = Mem.nextblock mem } ]
+  | _ -> []
+
+(* The register breaches of a reply [rs'] to a question [rs]: RA, SP,
+   then each callee-save register. *)
+let reg_breaches (rs : Pregfile.t) (rs' : Pregfile.t) =
+  let kept r = Pregfile.get r rs = Pregfile.get r rs' in
+  (if Pregfile.get PC rs' = Pregfile.get RA rs then []
+   else [ Not_to_ra { pc = Pregfile.get PC rs'; ra = Pregfile.get RA rs } ])
+  @ (if kept SP then []
+     else [ Sp_moved { sp = Pregfile.get SP rs; sp' = Pregfile.get SP rs' } ])
+  @ List.filter_map
+      (fun m ->
+        if kept (Mreg m) then None
+        else
+          Some
+            (Callee_save_clobbered
+               { reg = m; before = Pregfile.get (Mreg m) rs;
+                 after = Pregfile.get (Mreg m) rs' }))
+      callee_save_regs
+
+(** Every breach of the reply [r] to a call with signature [sg] whose
+    question had the register file [rs], in order: RA, SP, each
+    callee-save register, the result's type, the result's injection.
+    The argument region is not among them: it needs the question's
+    memory, which a boundary monitor only borrows. *)
+let ca_breaches ~sg (rs : Pregfile.t) (r : a_reply) =
+  reg_breaches rs r.ar_rs
+  @ result_breaches ~mem:r.ar_mem sg.sig_res (ca_result sg r)
+
+(* The answer memory [m'] holds the question's argument region at SP with
+   the question's bytes and permission (Fig. 13). *)
+let ca_arguments_kept sg (q : a_query) m' =
+  let n = 8 * Conventions.size_arguments sg in
+  n = 0
+  ||
+  match Pregfile.get SP q.aq_rs with
+  | Vptr (b, base) ->
+    let m = q.aq_mem in
+    let rec same ofs =
+      ofs >= base + n
+      || Mem.perm_at m b ofs = Mem.perm_at m' b ofs
+         && Mem.contents_at m b ofs = Mem.contents_at m' b ofs
+         && same (ofs + 1)
+    in
+    Mem.valid_block m b && Mem.valid_block m' b && same base
+  | _ -> false
 
 (** {1 The composite [CA = CL · LM · MA : C ⇔ A] (paper §5)}
 
@@ -455,10 +514,7 @@ let mem_embeds m1 m2 = Mem.unchanged_on (fun _ _ -> true) m1 m2
 
 type ca_world = {
   ca_sg : signature;
-  ca_rs : Regfile.t;  (** machine registers at the question *)
-  ca_sp : value;
-  ca_ra : value;
-  ca_mem : Mem.t;  (** target memory at the question *)
+  ca_q : a_query;  (** the target question *)
   ca_src_mem : Mem.t;  (** source memory at the question *)
 }
 
@@ -479,45 +535,26 @@ let transplant_diff ~before ~after ~onto =
 
 let cc_ca : (ca_world, c_query, a_query, c_reply, a_reply) Simconv.t =
   let infer (q1 : c_query) (q3 : a_query) : ca_world option =
-    let rs = q3.aq_rs in
-    Some
-      {
-        ca_sg = q1.cq_sg;
-        ca_rs = Pregfile.to_regfile rs;
-        ca_sp = Pregfile.get SP rs;
-        ca_ra = Pregfile.get RA rs;
-        ca_mem = q3.aq_mem;
-        ca_src_mem = q1.cq_mem;
-      }
+    Some { ca_sg = q1.cq_sg; ca_q = q3; ca_src_mem = q1.cq_mem }
   in
   let chk_query (w : ca_world) (q1 : c_query) (q3 : a_query) =
-    let rs = q3.aq_rs in
+    let rs = q3.aq_rs and rs0 = w.ca_q.aq_rs in
     Pregfile.get PC rs = q1.cq_vf
     && signature_equal w.ca_sg q1.cq_sg
-    && Pregfile.get SP rs = w.ca_sp
-    && Pregfile.get RA rs = w.ca_ra
-    (* Arguments, read per the calling convention from registers and the
-       in-memory argument region. *)
-    && (let ls = make_locset_sg w.ca_sg (Pregfile.to_regfile rs) q3.aq_mem w.ca_sp in
-        lessdef_list q1.cq_args (Conventions.extract_arguments w.ca_sg ls))
+    && Pregfile.get SP rs = Pregfile.get SP rs0
+    && Pregfile.get RA rs = Pregfile.get RA rs0
+    && lessdef_list q1.cq_args (ca_arguments w.ca_sg q3)
     (* Source memory embeds into the target memory with the argument
        region carved out (Fig. 13). *)
-    && (match free_args w.ca_sg q3.aq_mem w.ca_sp with
+    && (match free_args w.ca_sg q3.aq_mem (Pregfile.get SP rs) with
        | Some mbar -> mem_embeds q1.cq_mem mbar
        | None -> false)
   in
   let chk_reply (w : ca_world) (r1 : c_reply) (r3 : a_reply) =
-    let rs' = r3.ar_rs in
-    (* MA: return to the caller with the stack pointer restored. *)
-    Pregfile.get PC rs' = w.ca_ra
-    && Pregfile.get SP rs' = w.ca_sp
-    (* Result in the result register. *)
-    && lessdef r1.cr_res (Pregfile.get (Mreg (Conventions.loc_result w.ca_sg)) rs')
-    (* Callee-save registers preserved (the CA guarantee, paper §5). *)
-    && Regfile.keeps_callee_save ~caller:w.ca_rs (Pregfile.to_regfile rs')
-    (* Memory: the source answer memory embeds into the target answer
-       memory. Whether the argument region was restored is not
-       checked. *)
+    reg_breaches w.ca_q.aq_rs r3.ar_rs = []
+    && lessdef r1.cr_res (ca_result w.ca_sg r3)
+    && ca_arguments_kept w.ca_sg w.ca_q r3.ar_mem
+    (* The source answer memory embeds into the target answer memory. *)
     && mem_embeds r1.cr_mem r3.ar_mem
   in
   let generic = Simconv.compose cc_cl (Simconv.compose cc_lm cc_ma) in
@@ -536,24 +573,23 @@ let cc_ca : (ca_world, c_query, a_query, c_reply, a_reply) Simconv.t =
       (fun w r1 ->
         (* Canonical target answer: result placed, callee-saves restored
            from the question, caller-saves clobbered, PC := RA, SP
-           restored; the argument region of the question's memory is
-           mixed back into the answer memory. *)
+           restored; the environment's writes land on the question's
+           memory, so its argument region is kept. *)
+        let rs = w.ca_q.aq_rs in
         let rs' =
-          Regfile.return_regs w.ca_rs Regfile.init
+          Regfile.return_regs (Pregfile.to_regfile rs) Regfile.init
           |> Regfile.set (Conventions.loc_result w.ca_sg) r1.cr_res
           |> Pregfile.of_regfile
-          |> Pregfile.set PC w.ca_ra |> Pregfile.set SP w.ca_sp
+          |> Pregfile.set PC (Pregfile.get RA rs)
+          |> Pregfile.set SP (Pregfile.get SP rs)
         in
-        match transplant_diff ~before:w.ca_src_mem ~after:r1.cr_mem ~onto:w.ca_mem with
+        match
+          transplant_diff ~before:w.ca_src_mem ~after:r1.cr_mem ~onto:w.ca_q.aq_mem
+        with
         | Some m' -> Some { ar_rs = rs'; ar_mem = m' }
         | None -> None);
     bwd_reply =
-      (fun w r3 ->
-        Some
-          {
-            cr_res = Pregfile.get (Mreg (Conventions.loc_result w.ca_sg)) r3.ar_rs;
-            cr_mem = r3.ar_mem;
-          });
+      (fun w r3 -> Some { cr_res = ca_result w.ca_sg r3; cr_mem = r3.ar_mem });
     bwd_query = (fun _ -> None);
     infer_world = infer;
   }

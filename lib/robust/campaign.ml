@@ -214,11 +214,7 @@ let judge ~(cp : compiled) ~fuel ~index ~mode ~rogue_at env : trial_result =
   in
   try
     let env = env () in
-    let exports =
-      List.map
-        (fun (b, p) -> (b, (p.Io.prim_name, p.Io.prim_sig)))
-        (Partner.export_table ~symbols:cp.cc_symbols cp.cc_prims)
-    in
+    let exports = Io.export_table ~symbols:cp.cc_symbols cp.cc_prims in
     let mon = Property.monitor ~exports ~partner_imports:[] () in
     let composed =
       Core.Hcomp.compose ~observe:mon.Property.m_observe

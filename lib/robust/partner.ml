@@ -61,19 +61,6 @@ let mode_name = function
 
 let mode_of_name s = List.find_opt (fun m -> mode_name m = s) all_modes
 
-(** The blocks of the partner's exported symbols under the shared symbol
-    table — the domain of the synthesized LTS, and the import set of the
-    correct component. *)
-let export_table ~(symbols : Ident.t list) (prims : Io.primitive list) :
-    (block * Io.primitive) list =
-  let symtbl, _ = Genv.make_symtbl symbols in
-  List.filter_map
-    (fun p ->
-      Option.map
-        (fun b -> (b, p))
-        (Ident.Map.find_opt (Ident.intern p.Io.prim_name) symtbl))
-    prims
-
 (** {1 States of a synthesized partner}
 
     Partners compute instantly: an activation is born knowing its answer
@@ -108,14 +95,11 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
     ~(entry : Ident.t) ~(trace : Io.log_entry list) ~(mode : mode)
     ~(rogue_at : int) () : t =
   let symtbl, _ = Genv.make_symtbl symbols in
-  let exports = export_table ~symbols prims in
+  let exports = Io.export_table ~symbols prims in
   let entry_block = Ident.Map.find_opt entry symtbl in
   let trace_arr = Array.of_list trace in
   let count = ref 0 in
   let rogue_fired = ref false in
-  let find_export pc =
-    match pc with Vptr (b, 0) -> List.assoc_opt b exports | _ -> None
-  in
   (* Replay the recorded reply only while the run is still on-script:
      same callee, same arguments as the recorded activation. Once the
      actual call diverges from the trace (e.g. downstream of a rogue
@@ -123,7 +107,7 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
      natural continuation — replaying recorded results against different
      arguments would silently erase the perturbation. *)
   let recorded_result (p : Io.primitive) i (q : a_query) : int32 =
-    let args = Io.decode_int_args ~sg:p.Io.prim_sig q.aq_rs in
+    let args = Io.int_args (Callconv.ca_arguments p.Io.prim_sig q) in
     let fallback () =
       match args with Some a -> p.Io.prim_impl a | None -> 0l
     in
@@ -135,26 +119,25 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
     else fallback ()
   in
   let init q =
-    match find_export (Pregfile.get PC q.aq_rs) with
+    match Io.find_export exports (Pregfile.get PC q.aq_rs) with
     | None -> []
     | Some p ->
       let i = !count in
       incr count;
       let sg = p.Io.prim_sig in
       let res = recorded_result p i q in
-      let well = Io.convention_reply ~sg ~res:(Vint res) q in
+      let reply v = Callconv.ca_reply ~sg ~res:v q in
+      let well = reply (Vint res) in
       if mode = Replay_faithful || i <> rogue_at then [ Answer well ]
       else begin
         rogue_fired := true;
         match mode with
         | Replay_faithful -> [ Answer well ]
-        | Wrong_result ->
-          [ Answer (Io.convention_reply ~sg ~res:(Vint (Int32.add res 1l)) q) ]
+        | Wrong_result -> [ Answer (reply (Vint (Int32.add res 1l))) ]
         | Clobber_callee_save ->
           [ Answer { well with ar_rs = Chaos.clobber_callee_saves well.ar_rs } ]
-        | Wild_pointer ->
-          [ Answer (Io.convention_reply ~sg ~res:(Chaos.wild_pointer q.aq_mem) q) ]
-        | Early_halt -> [ Answer (Io.convention_reply ~sg ~res:Vundef q) ]
+        | Wild_pointer -> [ Answer (reply (Chaos.wild_pointer q.aq_mem)) ]
+        | Early_halt -> [ Answer (reply Vundef) ]
         | Silent_divergence -> [ Spin ]
         | Call_storm -> (
           match entry_block with
@@ -170,7 +153,7 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
   let lts =
     {
       Core.Smallstep.name = Printf.sprintf "partner[%s]" (mode_name mode);
-      dom = (fun q -> find_export (Pregfile.get PC q.aq_rs) <> None);
+      dom = (fun q -> Io.find_export exports (Pregfile.get PC q.aq_rs) <> None);
       init;
       step = (fun s -> match s with Spin -> [ (Core.Events.e0, Spin) ] | _ -> []);
       at_external =

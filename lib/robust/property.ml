@@ -19,12 +19,15 @@
       [Vundef] violates this even though [Vundef] vacuously inhabits
       every type.
 
-    Violations are accumulated as data; the monitor never raises. *)
+    The last three read the breaches {!Iface.Callconv.ca_breaches} finds
+    in a partner's reply ({!prop_of_breach}). Violations are accumulated
+    as data; the monitor never raises. *)
 
-open Memory
 open Memory.Values
+open Iface
 open Iface.Li
 module Hcomp = Core.Hcomp
+module Io = Driver.Io_oracle
 
 type prop = P_imports | P_callee_save | P_memory | P_welltyped
 
@@ -36,10 +39,15 @@ let prop_name = function
   | P_memory -> "memory"
   | P_welltyped -> "welltyped"
 
+(** The property a breach of the convention violates. *)
+let prop_of_breach : Callconv.breach -> prop = function
+  | Not_to_ra _ | Sp_moved _ | Callee_save_clobbered _ -> P_callee_save
+  | Ill_typed _ -> P_welltyped
+  | Outside_injection _ -> P_memory
+
 type violation = {
   v_prop : prop;
   v_activation : int;  (** 0-based partner activation index, -1 if unknown *)
-  v_detail : string;
 }
 
 (** One recorded call from the correct component into the partner, for
@@ -66,83 +74,54 @@ type pending = {
       (** the question's register file, copied: the push event only lends
           it to the monitor, and a handed-over one is the callee's to
           write *)
-  pd_export : (string * Memory.Mtypes.signature) option;
+  pd_export : Io.primitive option;
 }
 
 (** [monitor ~exports ~partner_imports ()] builds a boundary monitor.
-    [exports] maps partner export blocks to (name, signature);
-    [partner_imports] is the set of blocks the partner has declared it
-    may call (empty for the synthesized partners, whose rogue re-entrant
-    calls must therefore trip the imports property). *)
-let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
+    [exports] maps partner export blocks to their primitives
+    ({!Driver.Io_oracle.export_table}); [partner_imports] is the set of
+    blocks the partner has declared it may call (empty for the
+    synthesized partners, whose rogue re-entrant calls must therefore
+    trip the imports property). *)
+let monitor ~(exports : (block * Io.primitive) list)
     ~(partner_imports : block list) () : monitor =
   let violations = ref [] in
   let calls = ref [] in
   let stack = ref [] in
   let count = ref 0 in
-  let violate ~prop ~activation fmt =
-    Format.kasprintf
-      (fun detail ->
-        violations := { v_prop = prop; v_activation = activation; v_detail = detail } :: !violations)
-      fmt
+  let violate prop activation =
+    violations := { v_prop = prop; v_activation = activation } :: !violations
   in
-  let check_partner_reply ~index ~(rs : Pregfile.t)
-      ~(sg : Memory.Mtypes.signature) ~(name : string) (r : a_reply) =
-    let rs' = r.ar_rs in
-    if Pregfile.get PC rs' <> Pregfile.get RA rs then
-      violate ~prop:P_callee_save ~activation:index
-        "%s did not return to RA: pc' = %a, ra = %a" name Values.pp
-        (Pregfile.get PC rs') Values.pp (Pregfile.get RA rs);
-    if Pregfile.get SP rs' <> Pregfile.get SP rs then
-      violate ~prop:P_callee_save ~activation:index
-        "%s moved the stack pointer: %a -> %a" name Values.pp
-        (Pregfile.get SP rs) Values.pp (Pregfile.get SP rs');
+  (* Every breach of the convention, and an undefined result: the
+     convention lets [Vundef] stand for any result, but a partner that
+     gives up that way breaks [welltyped]. *)
+  let check_partner_reply ~index ~rs (p : Io.primitive) (r : a_reply) =
+    let sg = p.Io.prim_sig in
     List.iter
-      (fun m ->
-        let before = Pregfile.get (Mreg m) rs
-        and after = Pregfile.get (Mreg m) rs' in
-        if before <> after then
-          violate ~prop:P_callee_save ~activation:index
-            "%s clobbered callee-save %a: %a -> %a" name Target.Machregs.pp_mreg
-            m Values.pp before Values.pp after)
-      Target.Machregs.callee_save_regs;
-    let res = Pregfile.get (Mreg (Target.Conventions.loc_result sg)) rs' in
-    (match res with
-    | Vptr (b, _) when b >= Mem.nextblock r.ar_mem ->
-      violate ~prop:P_memory ~activation:index
-        "%s returned a pointer outside the injection: %a (nextblock %d)" name
-        Values.pp res (Mem.nextblock r.ar_mem)
-    | _ -> ());
-    if res = Vundef then
-      violate ~prop:P_welltyped ~activation:index
-        "%s returned no defined result" name
-    else if not (has_rettype res sg.Memory.Mtypes.sig_res) then
-      violate ~prop:P_welltyped ~activation:index
-        "%s returned an ill-typed result: %a" name Values.pp res
+      (fun b -> violate (prop_of_breach b) index)
+      (Callconv.ca_breaches ~sg rs r);
+    if Callconv.ca_result sg r = Vundef then violate P_welltyped index
   in
   let observe (e : (a_query, a_reply) Hcomp.boundary_event) =
     match e with
     | Hcomp.Bpush { caller; callee; question = q } ->
       let pc = Pregfile.get PC q.aq_rs in
-      let block = match pc with Vptr (b, 0) -> Some b | _ -> None in
       (* The partner's outgoing calls must stay in its declared import
          set, whichever side ends up serving them. *)
       (if caller = partner then
-         match block with
-         | Some b when List.mem b partner_imports -> ()
-         | _ ->
-           violate ~prop:P_imports ~activation:(!count - 1)
-             "partner called %a, outside its declared import set" Values.pp pc);
+         match pc with
+         | Vptr (b, 0) when List.mem b partner_imports -> ()
+         | _ -> violate P_imports (!count - 1));
       let index, export =
         if callee = partner then begin
-          let ex = Option.bind block (fun b -> List.assoc_opt b exports) in
+          let ex = Io.find_export exports pc in
           let i = !count in
           incr count;
           (match ex with
-          | Some (name, sg) ->
+          | Some p ->
             calls :=
-              { c_name = name;
-                c_args = Driver.Io_oracle.decode_int_args ~sg q.aq_rs }
+              { c_name = p.Io.prim_name;
+                c_args = Io.int_args (Callconv.ca_arguments p.Io.prim_sig q) }
               :: !calls
           | None -> ());
           (i, ex)
@@ -161,15 +140,13 @@ let monitor ~(exports : (block * (string * Memory.Mtypes.signature)) list)
       match !stack with
       | pd :: rest when pd.pd_side = callee ->
         stack := rest;
-        (match pd.pd_export with
-        | Some (name, sg) ->
-          check_partner_reply ~index:pd.pd_index ~rs:pd.pd_rs ~sg ~name r
-        | None -> ())
+        Option.iter
+          (fun p -> check_partner_reply ~index:pd.pd_index ~rs:pd.pd_rs p r)
+          pd.pd_export
       | _ ->
         (* A pop without a matching push can only mean the composite was
            driven nondeterministically; record it rather than raise. *)
-        violate ~prop:P_imports ~activation:(-1)
-          "unmatched pop at the component boundary")
+        violate P_imports (-1))
   in
   {
     m_observe = observe;

@@ -196,6 +196,60 @@ let ma_tests =
           (cc_ma.Simconv.chk_reply w mr { ar_rs = rs_bad; ar_mem = mq.mq_mem }));
   ]
 
+(* A call at the A interface through CA: seven integer arguments, the
+   last passed in the outgoing region at SP. *)
+let sg7 = { sig_args = List.init 7 (fun _ -> Tint); sig_res = Some Tint }
+let args7 = List.init 7 (fun i -> Vint (Int32.of_int (20 + i)))
+
+let ca_tests =
+  [
+    Alcotest.test_case "CA reply: the argument region is restored (Fig. 13)"
+      `Quick (fun () ->
+        let q = c_query_for sg7 args7 in
+        let w, aq = Option.get (cc_ca.Simconv.fwd_query q) in
+        let r1 = { cr_res = Vint 7l; cr_mem = q.cq_mem } in
+        let r3 = Option.get (cc_ca.Simconv.fwd_reply w r1) in
+        check "canonical reply accepted" true (cc_ca.Simconv.chk_reply w r1 r3);
+        match Pregfile.get SP aq.aq_rs with
+        | Vptr (b, ofs) ->
+          let overwritten =
+            Option.get (Mem.store Memdata.Mint32 r3.ar_mem b ofs (Vint 99l))
+          in
+          check "overwritten argument slot rejected" false
+            (cc_ca.Simconv.chk_reply w r1 { r3 with ar_mem = overwritten });
+          let dropped =
+            Option.get (Mem.drop_perm r3.ar_mem b ofs (ofs + 8) Readable)
+          in
+          check "argument slot permission dropped rejected" false
+            (cc_ca.Simconv.chk_reply w r1 { r3 with ar_mem = dropped })
+        | _ -> Alcotest.fail "expected a stack pointer");
+    Alcotest.test_case "ca_breaches: RA, SP, callee-saves, type, injection"
+      `Quick (fun () ->
+        let _, aq =
+          Option.get
+            (cc_ca.Simconv.fwd_query (c_query_for sg_iii [ Vint 1l; Vint 2l; Vint 3l ]))
+        in
+        let wild = Vptr (Mem.nextblock aq.aq_mem + 64, 0) in
+        let r = ca_reply ~sg:sg_iii ~res:wild aq in
+        check "a wild int is ill-typed and outside the injection" true
+          (match ca_breaches ~sg:sg_iii aq.aq_rs r with
+          | [ Ill_typed _; Outside_injection _ ] -> true
+          | _ -> false);
+        let r =
+          { r with
+            ar_rs =
+              r.ar_rs |> Pregfile.set PC (Vlong 9L) |> Pregfile.set SP (Vlong 8L)
+              |> Pregfile.set (Mreg BX) (Vint 5l) |> Pregfile.set (Mreg R15) (Vint 6l) }
+        in
+        check "every breach, in order" true
+          (match ca_breaches ~sg:sg_iii aq.aq_rs r with
+          | [ Not_to_ra _; Sp_moved _;
+              Callee_save_clobbered { reg = BX; _ };
+              Callee_save_clobbered { reg = R15; _ };
+              Ill_typed _; Outside_injection _ ] -> true
+          | _ -> false));
+  ]
+
 let wt_tests =
   [
     Alcotest.test_case "wt accepts well-typed queries" `Quick (fun () ->
@@ -269,4 +323,5 @@ let cklr_tests =
           (Meminj.injp_acc w0 (Meminj.injp_world f m0' m0)));
   ]
 
-let suite = ("callconv", cl_tests @ lm_tests @ ma_tests @ wt_tests @ cklr_tests)
+let suite =
+  ("callconv", cl_tests @ lm_tests @ ma_tests @ ca_tests @ wt_tests @ cklr_tests)

@@ -52,16 +52,45 @@ int pipeline(int n) {
 let program = Cfrontend.Cparser.parse_program src
 let symbols = Ast.prog_defs_names program
 
-let query n =
+(* A second input: a primitive with seven integer arguments, one more
+   than there are argument registers, so the caller passes the last one
+   in the outgoing region at SP. Every argument moves the answer. *)
+let prims7 _ =
+  [
+    { Driver.Io_oracle.prim_name = "env_mix7";
+      prim_sig = { sig_args = List.init 7 (fun _ -> Tint); sig_res = Some Tint };
+      prim_impl =
+        List.fold_left (fun acc x -> Int32.add (Int32.mul acc 10l) x) 0l };
+  ]
+
+let program7 =
+  Cfrontend.Cparser.parse_program
+    {|
+int env_mix7(int a, int b, int c, int d, int e, int f, int g);
+
+int pipeline(int n) {
+  int acc = 0;
+  for (int i = 0; i < n; i++)
+    acc = env_mix7(i, 1, 2, 3, 4, 5, acc + 1);
+  return acc;
+}
+|}
+
+let query_in program n =
+  let symbols = Ast.prog_defs_names program in
   let ge = Genv.globalenv ~symbols program in
   let m = Option.get (Genv.init_mem ~symbols program) in
   { cq_vf = Genv.symbol_address ge (Ident.intern "pipeline") 0;
     cq_sg = { sig_args = [ Tint ]; sig_res = Some Tint };
     cq_args = [ Vint (Int32.of_int n) ]; cq_mem = m }
 
+let query = query_in program
+
 (* Run the source (Clight, C-level oracle) and the target (Asm, A-level
-   oracle) and compare results and logged interactions. *)
-let run_both n =
+   oracle) of an input and compare results and logged interactions. *)
+let run_both ?(input = (program, prims)) n =
+  let program, prims = input in
+  let symbols = Ast.prog_defs_names program in
   let st1 = ref [] and st2 = ref [] in
   let rec1, log1 = Driver.Io_oracle.make_log () in
   let rec2, log2 = Driver.Io_oracle.make_log () in
@@ -70,7 +99,7 @@ let run_both n =
   let l1 = Cfrontend.Clight.semantics ~symbols program in
   let arts = Errors.get (Driver.Compiler.compile program) in
   let l2 = Backend.Asm.semantics ~symbols arts.asm in
-  let q = query n in
+  let q = query_in program n in
   let o1 = Core.Smallstep.run ~fuel l1 ~oracle:c_oracle q in
   let o2 =
     match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
@@ -91,26 +120,37 @@ let run_both n =
   in
   (o1, o2, log1 (), log2 ())
 
+(* The inputs the two levels must agree on: register arguments only,
+   and a primitive taking one argument on the stack. *)
+let inputs = [ (program, prims); (program7, prims7) ]
+
 let observable_tests =
   [
     Alcotest.test_case "results agree through the environment" `Quick
       (fun () ->
-        let o1, o2, _, _ = run_both 5 in
-        match (o1, o2) with
-        | Core.Smallstep.Final (_, r1), Core.Smallstep.Final (_, r2) ->
-          check "lessdef" true (lessdef r1.cr_res r2.cr_res);
-          check "defined" true (r1.cr_res <> Vundef)
-        | _ -> Alcotest.fail "expected two final outcomes");
+        List.iter
+          (fun input ->
+            let o1, o2, _, _ = run_both ~input 5 in
+            match (o1, o2) with
+            | Core.Smallstep.Final (_, r1), Core.Smallstep.Final (_, r2) ->
+              check "lessdef" true (lessdef r1.cr_res r2.cr_res);
+              check "defined" true (r1.cr_res <> Vundef)
+            | _ -> Alcotest.fail "expected two final outcomes")
+          inputs);
     Alcotest.test_case "interaction sequences coincide" `Quick (fun () ->
-        let _, _, log1, log2 = run_both 6 in
-        Alcotest.(check int) "same length" (List.length log1) (List.length log2);
-        List.iter2
-          (fun (e1 : Driver.Io_oracle.log_entry) e2 ->
-            check "same call" true
-              (e1.call_name = e2.Driver.Io_oracle.call_name
-              && e1.call_args = e2.Driver.Io_oracle.call_args
-              && e1.call_res = e2.Driver.Io_oracle.call_res))
-          log1 log2);
+        List.iter
+          (fun input ->
+            let _, _, log1, log2 = run_both ~input 6 in
+            check "calls logged" true (log1 <> []);
+            Alcotest.(check int) "same length" (List.length log1) (List.length log2);
+            List.iter2
+              (fun (e1 : Driver.Io_oracle.log_entry) e2 ->
+                check "same call" true
+                  (e1.call_name = e2.Driver.Io_oracle.call_name
+                  && e1.call_args = e2.Driver.Io_oracle.call_args
+                  && e1.call_res = e2.Driver.Io_oracle.call_res))
+              log1 log2)
+          inputs);
     Alcotest.test_case "interaction order is source order" `Quick (fun () ->
         let _, _, log1, _ = run_both 2 in
         let names = List.map (fun e -> e.Driver.Io_oracle.call_name) log1 in
@@ -122,7 +162,12 @@ let observable_tests =
         match Core.Smallstep.run ~fuel l1 ~oracle:(fun _ -> None) (query 1) with
         | Core.Smallstep.Env_stuck (_, q) ->
           check "stuck on env_twice" true
-            (Driver.Io_oracle.name_of_vf ~symbols q.cq_vf = Some "env_twice")
+            (Option.map
+               (fun p -> p.Driver.Io_oracle.prim_name)
+               (Driver.Io_oracle.find_export
+                  (Driver.Io_oracle.export_table ~symbols (prims (ref [])))
+                  q.cq_vf)
+            = Some "env_twice")
         | _ -> Alcotest.fail "expected env-stuck");
   ]
 

@@ -187,7 +187,10 @@ let monitor_tests =
       ar_mem = Mem.empty;
     }
   in
-  let mon () = Property.monitor ~exports:[ (1, ("f", sg)) ] ~partner_imports:[] () in
+  let f =
+    { Driver.Io_oracle.prim_name = "f"; prim_sig = sg; prim_impl = (fun _ -> 3l) }
+  in
+  let mon () = Property.monitor ~exports:[ (1, f) ] ~partner_imports:[] () in
   let push m =
     m.Property.m_observe
       (Hcomp.Bpush { caller = 0; callee = 1; question = q })
