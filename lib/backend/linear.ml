@@ -42,11 +42,34 @@ type program = (coq_function, unit) Ast.program
 let internal_sig f = f.fn_sig
 let link p1 p2 = Ast.link ~internal_sig p1 p2
 
-let rec find_label (lbl : label) (c : code) : code option =
-  match c with
-  | [] -> None
-  | Llabel l :: rest when l = lbl -> Some rest
-  | _ :: rest -> find_label lbl rest
+(* Each label's code suffix. The first occurrence of a duplicated label
+   wins, as in a scan of the code from its start. *)
+let label_table (c : code) : (label, code) Hashtbl.t =
+  let t = Hashtbl.create 16 in
+  let rec go = function
+    | [] -> ()
+    | Llabel l :: rest ->
+      if not (Hashtbl.mem t l) then Hashtbl.add t l rest;
+      go rest
+    | _ :: rest -> go rest
+  in
+  go c;
+  t
+
+(** [per_function build f] is [build f], computed on the first request
+    for [f] and kept, as Asm decodes a function on its first call.
+    Functions are few, so they are told apart physically in a short
+    list. Linear and Mach keep their label tables in one per
+    semantics. *)
+let per_function (build : 'f -> 'a) : 'f -> 'a =
+  let tables = ref [] in
+  fun f ->
+    match List.assq_opt f !tables with
+    | Some t -> t
+    | None ->
+      let t = build f in
+      tables := (f, t) :: !tables;
+      t
 
 (** {1 Semantics}
 
@@ -67,15 +90,17 @@ type state =
 
 type genv = (coq_function, unit) Genv.t
 
-let genv_view (ge : genv) : Op.genv_view =
-  { Op.find_symbol = (fun id -> Genv.find_symbol ge id) }
-
 let parent_locset (init_ls : Locset.t) = function
   | [] -> init_ls
   | fr :: _ -> fr.sf_ls
 
-let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
-    (init_ls : Locset.t) (s : state) : (Core.Events.trace * state) list =
+(* [gv] is [ge]'s view for operations and [find_label] resolves taken
+   branches through a function's label table, built on the first taken
+   branch in it; both are built once per semantics. *)
+let step (ge : genv) (gv : Op.genv_view)
+    ~(find_label : coq_function -> label -> code option)
+    ~(rset : mreg -> value -> Regfile.t -> Regfile.t) (init_ls : Locset.t)
+    (s : state) : (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
   let mget r (ls : Locset.t) = Regfile.get r ls.regs in
   let mget_list rl ls = List.map (fun r -> mget r ls) rl in
@@ -96,30 +121,30 @@ let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
       match instr with
       | Llabel _ -> ret (State (stack, f, sp, next, ls, m))
       | Lgoto lbl -> (
-        match find_label lbl f.fn_code with
+        match find_label f lbl with
         | Some code' -> ret (State (stack, f, sp, code', ls, m))
         | None -> [])
       | Lcond (cond, args, lbl) -> (
         match Op.eval_condition cond (mget_list args ls) m with
         | Some true -> (
-          match find_label lbl f.fn_code with
+          match find_label f lbl with
           | Some code' -> ret (State (stack, f, sp, code', ls, m))
           | None -> [])
         | Some false -> ret (State (stack, f, sp, next, ls, m))
         | None -> [])
       | Lop (op, args, res) -> (
-        match Op.eval_operation (genv_view ge) sp op (mget_list args ls) m with
+        match Op.eval_operation gv sp op (mget_list args ls) m with
         | Some v -> ret (State (stack, f, sp, next, mset res v ls, m))
         | None -> [])
       | Lload (chunk, addr, args, dst) -> (
-        match Op.eval_addressing (genv_view ge) sp addr (mget_list args ls) with
+        match Op.eval_addressing gv sp addr (mget_list args ls) with
         | Some va -> (
           match Mem.loadv chunk m va with
           | Some v -> ret (State (stack, f, sp, next, mset dst v ls, m))
           | None -> [])
         | None -> [])
       | Lstore (chunk, addr, args, src) -> (
-        match Op.eval_addressing (genv_view ge) sp addr (mget_list args ls) with
+        match Op.eval_addressing gv sp addr (mget_list args ls) with
         | Some va -> (
           match Mem.storev chunk m va (mget src ls) with
           | Some m' -> ret (State (stack, f, sp, next, ls, m'))
@@ -174,6 +199,9 @@ type full_state = { lin_init_ls : Locset.t; lin_st : state }
 let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
     (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
+  let gv = { Op.find_symbol = (fun id -> Genv.find_symbol ge id) } in
+  let labels = per_function (fun f -> label_table f.fn_code) in
+  let find_label f lbl = Hashtbl.find_opt (labels f) lbl in
   let rset = if mutate then Regfile.update else Regfile.set in
   {
     Core.Smallstep.name = "Linear";
@@ -190,7 +218,7 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
       (fun s ->
         List.map
           (fun (t, st) -> (t, { s with lin_st = st }))
-          (step ge ~rset s.lin_init_ls s.lin_st));
+          (step ge gv ~find_label ~rset s.lin_init_ls s.lin_st));
     at_external =
       (fun s ->
         match s.lin_st with

@@ -20,7 +20,8 @@ open Iface.Li
 
 type node = int
 
-module Nodemap = Map.Make (Int)
+(** Node-indexed code, as in RTL ({!Middle.Rtl.Code}). *)
+module Code = Rtl.Code
 
 type ros = Rreg of mreg | Rsymbol of Ident.t
 
@@ -36,7 +37,7 @@ type instruction =
   | Lcond of Op.condition * mreg list * node * node
   | Lreturn
 
-type code = instruction Nodemap.t
+type code = instruction Code.t
 
 type coq_function = {
   fn_sig : signature;
@@ -110,9 +111,6 @@ type state =
 
 type genv = (coq_function, unit) Genv.t
 
-let genv_view (ge : genv) : Op.genv_view =
-  { Op.find_symbol = (fun id -> Genv.find_symbol ge id) }
-
 let parent_locset (init_ls : Locset.t) = function
   | [] -> init_ls
   | fr :: _ -> fr.sf_ls
@@ -125,8 +123,10 @@ let free_stack m sp sz =
 (* The locset of the incoming query is threaded through the whole
    execution as the "parent" of the bottom activation. Writes go through
    [rset] only on success paths, so a stuck step leaves an in-place
-   register file untouched. *)
-let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
+   register file untouched. [gv] is [ge]'s view for operations, built
+   once per semantics. *)
+let step (ge : genv) (gv : Op.genv_view)
+    ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
     (init_ls : Locset.t) (s : state) : (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
   let mget r (ls : Locset.t) = Regfile.get r ls.regs in
@@ -142,24 +142,24 @@ let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
   in
   match s with
   | State (stack, f, sp, pc, ls, m) -> (
-    match Nodemap.find_opt pc f.fn_code with
+    match Code.get f.fn_code pc with
     | None -> []
     | Some instr -> (
       match instr with
       | Lnop n -> ret (State (stack, f, sp, n, ls, m))
       | Lop (op, args, res, n) -> (
-        match Op.eval_operation (genv_view ge) sp op (mget_list args ls) m with
+        match Op.eval_operation gv sp op (mget_list args ls) m with
         | Some v -> ret (State (stack, f, sp, n, mset res v ls, m))
         | None -> [])
       | Lload (chunk, addr, args, dst, n) -> (
-        match Op.eval_addressing (genv_view ge) sp addr (mget_list args ls) with
+        match Op.eval_addressing gv sp addr (mget_list args ls) with
         | Some va -> (
           match Mem.loadv chunk m va with
           | Some v -> ret (State (stack, f, sp, n, mset dst v ls, m))
           | None -> [])
         | None -> [])
       | Lstore (chunk, addr, args, src, n) -> (
-        match Op.eval_addressing (genv_view ge) sp addr (mget_list args ls) with
+        match Op.eval_addressing gv sp addr (mget_list args ls) with
         | Some va -> (
           match Mem.storev chunk m va (mget src ls) with
           | Some m' -> ret (State (stack, f, sp, n, ls, m'))
@@ -218,6 +218,7 @@ type full_state = { ltl_init_ls : Locset.t; ltl_st : state }
 let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
     (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
+  let gv = { Op.find_symbol = (fun id -> Genv.find_symbol ge id) } in
   let rset = if mutate then Regfile.update else Regfile.set in
   {
     Core.Smallstep.name = "LTL";
@@ -234,7 +235,7 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
       (fun s ->
         List.map
           (fun (t, st) -> (t, { s with ltl_st = st }))
-          (step ge ~rset s.ltl_init_ls s.ltl_st));
+          (step ge gv ~rset s.ltl_init_ls s.ltl_st));
     at_external =
       (fun s ->
         match s.ltl_st with
@@ -304,6 +305,6 @@ let pp_instruction fmt i =
 let pp_function fmt (f : coq_function) =
   Format.fprintf fmt "@[<v>ltl function(%a) stack %d entry %d@," pp_signature
     f.fn_sig f.fn_stacksize f.fn_entrypoint;
-  let nodes = List.sort (fun (a, _) (b, _) -> compare b a) (Nodemap.bindings f.fn_code) in
+  let nodes = Code.fold (fun n i acc -> (n, i) :: acc) f.fn_code [] in
   List.iter (fun (n, i) -> Format.fprintf fmt "  %4d: %a@," n pp_instruction i) nodes;
   Format.fprintf fmt "@]"

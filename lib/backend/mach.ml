@@ -58,12 +58,17 @@ type program = (coq_function, unit) Ast.program
 let internal_sig f = f.fn_sig
 let link p1 p2 = Ast.link ~internal_sig p1 p2
 
-let find_label (lbl : label) (code : instruction array) : int option =
-  let rec go i =
-    if i >= Array.length code then None
-    else match code.(i) with Mlabel l when l = lbl -> Some (i + 1) | _ -> go (i + 1)
-  in
-  go 0
+(* Each label's position: the index after it. The first occurrence of a
+   duplicated label wins, as in a scan of the code from its start. *)
+let label_table (code : instruction array) : (label, int) Hashtbl.t =
+  let t = Hashtbl.create 16 in
+  Array.iteri
+    (fun i instr ->
+      match instr with
+      | Mlabel l -> if not (Hashtbl.mem t l) then Hashtbl.add t l (i + 1)
+      | _ -> ())
+    code;
+  t
 
 (** {1 Semantics} *)
 
@@ -80,9 +85,6 @@ type state =
   | Returnstate of { ra : value; sp : value; rs : Regfile.t; m : Mem.t }
 
 type genv = (coq_function, unit) Genv.t
-
-let genv_view (ge : genv) : Op.genv_view =
-  { Op.find_symbol = (fun id -> Genv.find_symbol ge id) }
 
 let ros_address (ge : genv) ros (rs : Regfile.t) =
   match ros with
@@ -112,9 +114,13 @@ let store_stack m sp ofs ty v =
    reference) and [Regfile.update] (in-place, the default). Writes only
    happen on success paths, so a stuck step leaves an in-place register
    file untouched and the run loop's interaction probes see the pre-step
-   state. *)
-let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
-    (s : state) : (Core.Events.trace * state) list =
+   state. [gv] is [ge]'s view for operations and [find_label] resolves
+   taken branches through a function's label table, built on the first
+   taken branch in it; both are built once per semantics. *)
+let step (ge : genv) (gv : Op.genv_view)
+    ~(find_label : coq_function -> label -> int option)
+    ~(rset : mreg -> value -> Regfile.t -> Regfile.t) (s : state) :
+    (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
   match s with
   | State ({ f; fb; sp; pc; rs; m } as st) -> (
@@ -141,12 +147,12 @@ let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
         | None -> [])
       | Mop (op, args, res) -> (
         let vl = List.map (fun r -> Regfile.get r rs) args in
-        match Op.eval_operation (genv_view ge) sp op vl m with
+        match Op.eval_operation gv sp op vl m with
         | Some v -> ret (State { st with pc = pc + 1; rs = rset res v rs })
         | None -> [])
       | Mload (chunk, addr, args, dst) -> (
         let vl = List.map (fun r -> Regfile.get r rs) args in
-        match Op.eval_addressing (genv_view ge) sp addr vl with
+        match Op.eval_addressing gv sp addr vl with
         | Some va -> (
           match Mem.loadv chunk m va with
           | Some v -> ret (State { st with pc = pc + 1; rs = rset dst v rs })
@@ -154,7 +160,7 @@ let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
         | None -> [])
       | Mstore (chunk, addr, args, src) -> (
         let vl = List.map (fun r -> Regfile.get r rs) args in
-        match Op.eval_addressing (genv_view ge) sp addr vl with
+        match Op.eval_addressing gv sp addr vl with
         | Some va -> (
           match Mem.storev chunk m va (Regfile.get src rs) with
           | Some m' -> ret (State { st with pc = pc + 1; m = m' })
@@ -183,14 +189,14 @@ let step (ge : genv) ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
             | _ -> [])
           | _ -> []))
       | Mgoto lbl -> (
-        match find_label lbl f.fn_code with
+        match find_label f lbl with
         | Some pc' -> ret (State { st with pc = pc' })
         | None -> [])
       | Mcond (cond, args, lbl) -> (
         let vl = List.map (fun r -> Regfile.get r rs) args in
         match Op.eval_condition cond vl m with
         | Some true -> (
-          match find_label lbl f.fn_code with
+          match find_label f lbl with
           | Some pc' -> ret (State { st with pc = pc' })
           | None -> [])
         | Some false -> ret (State { st with pc = pc + 1 })
@@ -243,6 +249,9 @@ type full_state = { mach_init_ra : value; mach_st : state }
 let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
     (full_state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
+  let gv = { Op.find_symbol = (fun id -> Genv.find_symbol ge id) } in
+  let labels = Linear.per_function (fun f -> label_table f.fn_code) in
+  let find_label f lbl = Hashtbl.find_opt (labels f) lbl in
   let rset = if mutate then Regfile.update else Regfile.set in
   {
     Core.Smallstep.name = "Mach";
@@ -261,7 +270,7 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
     step =
       (fun s ->
         List.map (fun (t, st) -> (t, { s with mach_st = st }))
-          (step ge ~rset s.mach_st));
+          (step ge gv ~find_label ~rset s.mach_st));
     at_external =
       (fun s ->
         match s.mach_st with

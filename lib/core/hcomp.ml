@@ -111,7 +111,10 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
       (match observe with
       | Some o -> o (Bpush { caller = c.side; callee = c'.side; question = q })
       | None -> ());
-      List.map (fun s' -> (Events.e0, Frame (c', s') :: f :: k)) ss
+      (* a deterministic [init] is mapped without a closure *)
+      (match ss with
+      | [ s' ] -> [ (Events.e0, Frame (c', s') :: f :: k) ]
+      | _ -> List.map (fun s' -> (Events.e0, Frame (c', s') :: f :: k)) ss)
   in
   let step = function
     | [] -> []
@@ -143,9 +146,10 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
               (match observe with
               | Some o -> o (Bpop { callee = c.side; caller = c'.side; answer = r })
               | None -> ());
-              List.map
-                (fun sc' -> (Events.e0, Frame (c', sc') :: k'))
-                (c'.lts.after_external sc r)
+              (* a deterministic resumption is mapped without a closure *)
+              (match c'.lts.after_external sc r with
+              | [ sc' ] -> [ (Events.e0, Frame (c', sc') :: k') ]
+              | scs -> List.map (fun sc' -> (Events.e0, Frame (c', sc') :: k')) scs)
             | None -> [])
           | [] -> [])))
   in

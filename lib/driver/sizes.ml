@@ -73,10 +73,10 @@ let cminorsel (p : Middle.Cminorsel.program) =
   measure (fun f -> cminorsel_stmt f.Middle.Cminorsel.fn_body) p
 
 let rtl (p : Middle.Rtl.program) =
-  measure (fun f -> Middle.Rtl.Regmap.cardinal f.Middle.Rtl.fn_code) p
+  measure (fun f -> Middle.Rtl.Code.cardinal f.Middle.Rtl.fn_code) p
 
 let ltl (p : Backend.Ltl.program) =
-  measure (fun f -> Backend.Ltl.Nodemap.cardinal f.Backend.Ltl.fn_code) p
+  measure (fun f -> Backend.Ltl.Code.cardinal f.Backend.Ltl.fn_code) p
 
 let linear (p : Backend.Linear.program) =
   measure (fun f -> List.length f.Backend.Linear.fn_code) p

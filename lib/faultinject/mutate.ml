@@ -100,7 +100,7 @@ let perturb_cond = function
 let rtl_fun_sites (cls : mclass) (name : string) (f : R.coq_function) :
     site list =
   let site loc note = { site_fun = name; site_loc = loc; site_note = note } in
-  R.Regmap.fold
+  R.Code.fold
     (fun pc instr acc ->
       let here =
         match (cls, instr) with
@@ -168,7 +168,7 @@ let reachable_funs (callees : 'f -> string list)
   go [] [ "main" ]
 
 let rtl_callees (f : R.coq_function) : string list =
-  R.Regmap.fold
+  R.Code.fold
     (fun _ instr acc ->
       match instr with
       | R.Icall (_, R.Rsymbol id, _, _, _) | R.Itailcall (_, R.Rsymbol id, _) ->
@@ -206,10 +206,15 @@ let with_successor instr n =
     matches (wrong class, missing node). *)
 let apply_rtl (cls : mclass) (s : site) (p : R.program) : R.program option =
   map_program_fun p s.site_fun (fun f ->
-      match R.Regmap.find_opt s.site_loc f.R.fn_code with
+      match R.Code.get f.R.fn_code s.site_loc with
       | None -> None
       | Some instr -> (
-        let set i = { f with R.fn_code = R.Regmap.add s.site_loc i f.R.fn_code } in
+        let with_code edits =
+          let b = R.Code.builder ~of_code:f.R.fn_code () in
+          List.iter (fun (n, i) -> R.Code.set b n i) edits;
+          { f with R.fn_code = R.Code.freeze b }
+        in
+        let set i = with_code [ (s.site_loc, i) ] in
         match (cls, instr) with
         | Swap_operands, R.Iop (op, [ a; b ], res, n) when non_commutative op ->
           Some (set (R.Iop (op, [ b; a ], res, n)))
@@ -230,13 +235,7 @@ let apply_rtl (cls : mclass) (s : site) (p : R.program) : R.program option =
           match (with_successor instr fresh, R.successors_instr instr) with
           | Some first, [ n ] ->
             let second = Option.get (with_successor instr n) in
-            Some
-              {
-                f with
-                R.fn_code =
-                  R.Regmap.add s.site_loc first
-                    (R.Regmap.add fresh second f.R.fn_code);
-              }
+            Some (with_code [ (fresh, second); (s.site_loc, first) ])
           | _ -> None)
         | Retarget_branch, R.Icond (c, args, n1, n2) when n1 <> n2 ->
           Some (set (R.Icond (c, args, n2, n1)))

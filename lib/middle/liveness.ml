@@ -118,15 +118,29 @@ end = struct
 
   let of_list l = List.fold_left (fun s i -> add i s) empty l
 
+  (* [ctz_byte.[b]]: the index of the lowest set bit of the byte [b > 0]. *)
+  let ctz_byte =
+    Bytes.init 256 (fun b ->
+        let rec go i = if b = 0 || (b lsr i) land 1 = 1 then i else go (i + 1) in
+        Char.chr (go 0))
+
+  (* The index of the lowest set bit of [x <> 0], in constant time: three
+     halvings of the search window, then one byte-table read. Logical
+     shifts keep the sign bit (bit 62) an ordinary bit. *)
+  let lowest_bit x =
+    let i = if x land 0xFFFF_FFFF = 0 then 32 else 0 in
+    let x = x lsr i in
+    let j = if x land 0xFFFF = 0 then 16 else 0 in
+    let x = x lsr j in
+    let k = if x land 0xFF = 0 then 8 else 0 in
+    i + j + k + Char.code (Bytes.unsafe_get ctz_byte ((x lsr k) land 0xFF))
+
   let iter f s =
     for w = 0 to Array.length s - 1 do
       let x = ref s.(w) in
       while !x <> 0 do
-        let b = !x land - !x in
-        (* lowest set bit *)
-        let rec log2 b i = if b = 1 then i else log2 (b lsr 1) (i + 1) in
-        f ((w * bits) + log2 b 0);
-        x := !x land lnot b
+        f ((w * bits) + lowest_bit !x);
+        x := !x land (!x - 1)
       done
     done
 
@@ -160,90 +174,62 @@ end
 
 module Solver = Support.Fixpoint.Make (L)
 
-(* Per-node defs/uses in dense arrays keyed by node — converted to sets
-   once per analysis, probed without hashing on every transfer
-   application inside the fixpoint loop. *)
-type def_use = {
-  du_size : int;  (** one past the largest node id *)
-  du_defs : RSet.t array;
-  du_uses : RSet.t array;
-}
+(* Transfer function of an instruction:
+   live-in = (live-out \ defs) ∪ uses, read off the instruction. [remove]
+   and [add] return their argument physically when it already has the
+   answer, so a stable transfer application allocates nothing. *)
+let add_regs rl s = List.fold_left (fun s r -> RSet.add r s) s rl
 
-let def_use_table (f : Rtl.coq_function) : def_use =
-  let size =
-    match Rtl.Regmap.max_binding_opt f.Rtl.fn_code with
-    | Some (n, _) -> n + 1
-    | None -> 0
-  in
-  let defs = Array.make size RSet.empty in
-  let uses = Array.make size RSet.empty in
-  Rtl.Regmap.iter
-    (fun n i ->
-      defs.(n) <- RSet.of_list (Rtl.instr_defs i);
-      uses.(n) <- RSet.of_list (Rtl.instr_uses i))
-    f.Rtl.fn_code;
-  { du_size = size; du_defs = defs; du_uses = uses }
+let add_ros (ros : Rtl.ros) s =
+  match ros with Rtl.Rreg r -> RSet.add r s | Rtl.Rsymbol _ -> s
 
-(* Transfer function at node [n]:
-   live-in = (live-out \ defs) ∪ uses.
-   [diff] and [union] return an argument physically whenever they can,
-   so a stable transfer application allocates nothing. *)
-let transfer_cached tbl n (live_out : RSet.t) : RSet.t =
-  if n < 0 || n >= tbl.du_size then RSet.empty
-  else RSet.union (RSet.diff live_out tbl.du_defs.(n)) tbl.du_uses.(n)
+let transfer (code : Rtl.code) n (live_out : RSet.t) : RSet.t =
+  match Rtl.Code.get code n with
+  | None | Some (Rtl.Inop _ | Rtl.Ireturn None) -> live_out
+  | Some (Rtl.Iop (_, args, res, _) | Rtl.Iload (_, _, args, res, _)) ->
+    add_regs args (RSet.remove res live_out)
+  | Some (Rtl.Istore (_, _, args, src, _)) -> RSet.add src (add_regs args live_out)
+  | Some (Rtl.Icall (_, ros, args, res, _)) ->
+    add_ros ros (add_regs args (RSet.remove res live_out))
+  | Some (Rtl.Itailcall (_, ros, args)) -> add_ros ros (add_regs args live_out)
+  | Some (Rtl.Icond (_, args, _, _)) -> add_regs args live_out
+  | Some (Rtl.Ireturn (Some r)) -> RSet.add r live_out
 
 (** A solved liveness analysis of one function: the fixpoint is the
     costly part, and [live_in]/[live_out] read it. A client that needs
     one function's liveness twice solves it once and passes the
     solution along. *)
-type solution = { tbl : def_use; out : int -> RSet.t }
+type solution = { code : Rtl.code; out : int -> RSet.t }
 
 let solve (f : Rtl.coq_function) : solution =
-  let tbl = def_use_table f in
-  (* Successor edges as a dense array, built in one code traversal: the
-     solver asks for them once per node when inverting the graph and once
-     when sizing it, and each query through the code tree would allocate
-     a fresh list. *)
-  let succs = Array.make (max tbl.du_size 1) [] in
-  let nodes = ref [] in
-  Rtl.Regmap.iter
-    (fun n i ->
-      if n >= 0 && n < tbl.du_size then begin
-        succs.(n) <- Rtl.successors_instr i;
-        nodes := n :: !nodes
-      end)
-    f.Rtl.fn_code;
+  let code = f.Rtl.fn_code in
   (* solve_backward gives the fact at the exit of each node: the join of
      live-ins of successors. live-in is then one transfer application. *)
   let live_out =
-    Solver.solve_backward
-      ~successors:(fun n -> if n >= 0 && n < tbl.du_size then succs.(n) else [])
-      ~transfer:(fun n out -> transfer_cached tbl n out)
-      ~entries:[] (List.rev !nodes)
+    Solver.solve_backward ~successors:(Rtl.successors code) ~transfer:(transfer code)
+      ~entries:[] (Rtl.nodes code)
   in
-  { tbl; out = live_out }
-
-(* live-in memoized in a dense array over nodes. *)
-let memo_live_in tbl (live_out : int -> RSet.t) : int -> RSet.t =
-  let memo = Array.make (max tbl.du_size 1) RSet.empty in
-  let filled = Array.make (max tbl.du_size 1) false in
-  fun n ->
-    if n < 0 || n >= tbl.du_size then RSet.empty
-    else if filled.(n) then memo.(n)
-    else begin
-      let s = transfer_cached tbl n (live_out n) in
-      memo.(n) <- s;
-      filled.(n) <- true;
-      s
-    end
+  { code; out = live_out }
 
 (** Live-out of each node. *)
 let live_out (s : solution) : int -> RSet.t = s.out
 
 (** Live-in of each node: the registers live at the entrance of the
-    node's instruction. Results are memoized, so repeated queries at the
-    same node cost one array read. *)
-let live_in (s : solution) : int -> RSet.t = memo_live_in s.tbl s.out
+    node's instruction. Results are memoized in a dense array over
+    nodes, so repeated queries at the same node cost one array read. *)
+let live_in (s : solution) : int -> RSet.t =
+  let size = Rtl.Code.size s.code in
+  let memo = Array.make size RSet.empty in
+  let filled = Array.make size false in
+  fun n ->
+    if n < 0 || n >= size then RSet.empty
+    else if filled.(n) then memo.(n)
+    else begin
+      let l = transfer s.code n (s.out n) in
+      memo.(n) <- l;
+      filled.(n) <- true;
+      l
+    end
 
 let analyze (f : Rtl.coq_function) : int -> RSet.t = live_in (solve f)
 let analyze_out (f : Rtl.coq_function) : int -> RSet.t = live_out (solve f)

@@ -18,9 +18,102 @@ type reg = int
 
 let pp_reg fmt r = Format.fprintf fmt "x%d" r
 
+(** Maps keyed by pseudo-register: the naive core's register set. *)
 module Regmap = Map.Make (Int)
 
 type node = int
+
+(** Node-indexed code, shared with LTL: the instruction at node [n]
+    sits in slot [n] of an array, and a node without one reads as
+    [None]. Nodes are dense counters, so a fetch is one bounds-checked
+    array read. The array is trimmed (its last slot holds an
+    instruction), so equal code has one representation.
+
+    Iteration is in increasing node order. The linear scan numbers its
+    positions in that order, and the chaos sites and every dump follow
+    it. *)
+module Code : sig
+  type 'i t
+
+  val empty : 'i t
+  val get : 'i t -> node -> 'i option
+  val mem : 'i t -> node -> bool
+  val iter : (node -> 'i -> unit) -> 'i t -> unit
+  val fold : (node -> 'i -> 'a -> 'a) -> 'i t -> 'a -> 'a
+  val map : ('i -> 'j) -> 'i t -> 'j t
+  val mapi : (node -> 'i -> 'j) -> 'i t -> 'j t
+
+  (** The number of nodes holding an instruction. *)
+  val cardinal : 'i t -> int
+
+  (** The largest node holding an instruction; 0 for empty code. *)
+  val max_node : 'i t -> node
+
+  (** One past {!max_node}; 0 for empty code. Every node holding an
+      instruction is below it. *)
+  val size : 'i t -> int
+
+  (** A growable table that code is built in: RTLgen, Inlining, CSE,
+      Renumber, the allocator's expansion chains and the chaos mutator
+      write nodes in any order, then {!freeze} it. *)
+  type 'i builder
+
+  (** A builder holding [c]'s instructions, or none. *)
+  val builder : ?of_code:'i t -> unit -> 'i builder
+
+  (** [set b n i] puts [i] at node [n], replacing any instruction
+      there. [n] must be non-negative. *)
+  val set : 'i builder -> node -> 'i -> unit
+
+  (** The code built so far; [b] stays usable. *)
+  val freeze : 'i builder -> 'i t
+end = struct
+  type 'i t = 'i option array
+
+  let empty = [||]
+  let get c n = if n >= 0 && n < Array.length c then Array.unsafe_get c n else None
+  let mem c n = match get c n with Some _ -> true | None -> false
+
+  let iter f c =
+    for n = 0 to Array.length c - 1 do
+      match Array.unsafe_get c n with Some i -> f n i | None -> ()
+    done
+
+  let fold f c acc =
+    let rec go n acc =
+      if n >= Array.length c then acc
+      else
+        go (n + 1)
+          (match Array.unsafe_get c n with Some i -> f n i acc | None -> acc)
+    in
+    go 0 acc
+
+  let mapi f c =
+    Array.mapi (fun n o -> match o with Some i -> Some (f n i) | None -> None) c
+
+  let map f c = mapi (fun _ i -> f i) c
+  let cardinal c = fold (fun _ _ k -> k + 1) c 0
+  let size c = Array.length c
+  let max_node c = max 0 (Array.length c - 1)
+
+  type 'i builder = { mutable arr : 'i option array; mutable len : int }
+
+  let builder ?(of_code = empty) () =
+    { arr = Array.append of_code (Array.make 16 None); len = Array.length of_code }
+
+  let set b n i =
+    if n < 0 then invalid_arg "Rtl.Code.set: negative node";
+    let cap = Array.length b.arr in
+    if n >= cap then begin
+      let arr = Array.make (max (n + 1) (2 * cap)) None in
+      Array.blit b.arr 0 arr 0 cap;
+      b.arr <- arr
+    end;
+    b.arr.(n) <- Some i;
+    if n >= b.len then b.len <- n + 1
+
+  let freeze b = Array.sub b.arr 0 b.len
+end
 
 (** Call targets: register-indirect or by symbol. *)
 type ros = Rreg of reg | Rsymbol of Ident.t
@@ -35,7 +128,7 @@ type instruction =
   | Icond of Op.condition * reg list * node * node
   | Ireturn of reg option
 
-type code = instruction Regmap.t
+type code = instruction Code.t
 
 type coq_function = {
   fn_sig : signature;
@@ -57,6 +150,14 @@ let successors_instr = function
   | Icond (_, _, n1, n2) -> [ n1; n2 ]
   | Itailcall _ | Ireturn _ -> []
 
+(** The successors of node [n] of [c]; none where [c] holds nothing. *)
+let successors (c : code) n =
+  match Code.get c n with Some i -> successors_instr i | None -> []
+
+(** The nodes of [c] holding an instruction, in increasing order: the
+    node list the dataflow analyses seed their solver with. *)
+let nodes (c : code) = List.rev (Code.fold (fun n _ l -> n :: l) c [])
+
 let instr_uses = function
   | Inop _ -> []
   | Iop (_, args, _, _) -> args
@@ -77,12 +178,12 @@ let instr_defs = function
 
 let max_reg_function (f : coq_function) =
   let m = List.fold_left max 0 f.fn_params in
-  Regmap.fold
+  Code.fold
     (fun _ i acc ->
-      List.fold_left max acc (instr_uses i @ instr_defs i))
+      List.fold_left max (List.fold_left max acc (instr_uses i)) (instr_defs i))
     f.fn_code m
 
-let max_node (f : coq_function) = Regmap.fold (fun n _ acc -> max n acc) f.fn_code 0
+let max_node (f : coq_function) = Code.max_node f.fn_code
 
 (** {1 Semantics}
 
@@ -172,9 +273,6 @@ type 'rs state =
 
 type genv = (coq_function, unit) Genv.t
 
-let genv_view (ge : genv) : Op.genv_view =
-  { Op.find_symbol = (fun id -> Genv.find_symbol ge id) }
-
 let ros_address (ge : genv) ops ros rs =
   match ros with
   | Rreg r -> Some (ops.oget r rs)
@@ -188,31 +286,32 @@ let free_stack m sp sz =
 
 (* Writes go through [ops.oset] only on success paths: a stuck step has
    not touched an in-place register set, so the interaction probes that
-   follow see the pre-step state. *)
-let step (ge : genv) (ops : 'rs regops) (s : 'rs state) :
+   follow see the pre-step state. [gv] is [ge]'s view for operations,
+   built once per semantics. *)
+let step (ge : genv) (gv : Op.genv_view) (ops : 'rs regops) (s : 'rs state) :
     (Core.Events.trace * 'rs state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
   let rget_list rl rs = List.map (fun r -> ops.oget r rs) rl in
   match s with
   | State (stack, f, sp, pc, rs, m) -> (
-    match Regmap.find_opt pc f.fn_code with
+    match Code.get f.fn_code pc with
     | None -> []
     | Some instr -> (
       match instr with
       | Inop n -> ret (State (stack, f, sp, n, rs, m))
       | Iop (op, args, res, n) -> (
-        match Op.eval_operation (genv_view ge) sp op (rget_list args rs) m with
+        match Op.eval_operation gv sp op (rget_list args rs) m with
         | Some v -> ret (State (stack, f, sp, n, ops.oset res v rs, m))
         | None -> [])
       | Iload (chunk, addr, args, dst, n) -> (
-        match Op.eval_addressing (genv_view ge) sp addr (rget_list args rs) with
+        match Op.eval_addressing gv sp addr (rget_list args rs) with
         | Some va -> (
           match Mem.loadv chunk m va with
           | Some v -> ret (State (stack, f, sp, n, ops.oset dst v rs, m))
           | None -> [])
         | None -> [])
       | Istore (chunk, addr, args, src, n) -> (
-        match Op.eval_addressing (genv_view ge) sp addr (rget_list args rs) with
+        match Op.eval_addressing gv sp addr (rget_list args rs) with
         | Some va -> (
           match Mem.storev chunk m va (ops.oget src rs) with
           | Some m' -> ret (State (stack, f, sp, n, rs, m'))
@@ -267,6 +366,7 @@ let step (ge : genv) (ops : 'rs regops) (s : 'rs state) :
 let semantics_gen (ops : 'rs regops) ~(symbols : Ident.t list) (p : program) :
     ('rs state, c_query, c_reply, c_query, c_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
+  let gv = { Op.find_symbol = (fun id -> Genv.find_symbol ge id) } in
   {
     Core.Smallstep.name = "RTL";
     dom =
@@ -275,7 +375,7 @@ let semantics_gen (ops : 'rs regops) ~(symbols : Ident.t list) (p : program) :
         | Some (Ast.Internal f) -> signature_equal q.cq_sg f.fn_sig
         | _ -> false);
     init = (fun q -> [ Callstate ([], q.cq_vf, q.cq_sg, q.cq_args, q.cq_mem) ]);
-    step = (fun s -> step ge ops s);
+    step = (fun s -> step ge gv ops s);
     at_external =
       (fun s ->
         match s with
@@ -340,6 +440,6 @@ let pp_instruction fmt (i : instruction) =
 let pp_function fmt (f : coq_function) =
   Format.fprintf fmt "@[<v>function(%a) stack %d entry %d@," pp_signature f.fn_sig
     f.fn_stacksize f.fn_entrypoint;
-  let nodes = List.sort (fun (a, _) (b, _) -> compare b a) (Regmap.bindings f.fn_code) in
+  let nodes = Code.fold (fun n i acc -> (n, i) :: acc) f.fn_code [] in
   List.iter (fun (n, i) -> Format.fprintf fmt "  %4d: %a@," n pp_instruction i) nodes;
   Format.fprintf fmt "@]"

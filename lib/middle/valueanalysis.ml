@@ -144,13 +144,8 @@ let abstract_cond (cond : Op.condition) (args : aval list) : bool option =
     | None -> None
     | Some vl -> Op.eval_condition cond vl Memory.Mem.empty)
 
-(* The transfer probes the code through a dense array: the solver applies
-   it once per worklist step, so a balanced-tree descent per application
-   would dominate the solve. *)
-let transfer_arr (code : Rtl.instruction option array) n (ae : aenv) : aenv =
-  match
-    (ae, if n >= 0 && n < Array.length code then code.(n) else None)
-  with
+let transfer (code : Rtl.code) n (ae : aenv) : aenv =
+  match (ae, Rtl.Code.get code n) with
   | None, _ | _, None -> ae
   | Some _, Some i -> (
     match i with
@@ -164,28 +159,7 @@ let transfer_arr (code : Rtl.instruction option array) n (ae : aenv) : aenv =
 (** [analyze f] returns the abstract environment at the entrance of each
     node. *)
 let analyze (f : Rtl.coq_function) : int -> aenv =
-  let size =
-    match Rtl.Regmap.max_binding_opt f.Rtl.fn_code with
-    | Some (n, _) -> n + 1
-    | None -> 0
-  in
-  (* Code and successor edges as dense arrays, built in one traversal:
-     the solver asks for a node's successors on every dequeue, so the
-     per-query [successors_instr] list is materialized once per node
-     rather than once per worklist step. *)
-  let code = Array.make (max size 1) None in
-  let succs = Array.make (max size 1) [] in
-  let nodes = ref [] in
-  Rtl.Regmap.iter
-    (fun n i ->
-      if n >= 0 && n < size then begin
-        code.(n) <- Some i;
-        succs.(n) <- Rtl.successors_instr i;
-        nodes := n :: !nodes
-      end)
-    f.Rtl.fn_code;
-  Solver.solve
-    ~successors:(fun n -> if n >= 0 && n < size then succs.(n) else [])
-    ~transfer:(transfer_arr code)
+  let code = f.Rtl.fn_code in
+  Solver.solve ~successors:(Rtl.successors code) ~transfer:(transfer code)
     ~entries:[ (f.Rtl.fn_entrypoint, Some AMap.empty) ]
-    (List.rev !nodes)
+    (Rtl.nodes code)

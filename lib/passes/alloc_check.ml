@@ -38,9 +38,7 @@ module L = Backend.Ltl
 module Op = Middle.Op
 module RSet = Middle.Liveness.RSet
 
-open Allocation (* the [assignment] type *)
-
-let loc_of = function Lreg r -> R r | Lslot (i, t) -> S (Local, i, t)
+type assignment = Allocation.assignment
 
 (** {1 Check 1: the coloring} *)
 
@@ -52,31 +50,15 @@ exception Check_fail of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Check_fail s)) fmt
 
-(* The assignment, re-indexed as a dense array keyed on pseudo-register
-   index. Pseudo-registers are small consecutive integers, so every probe
-   — and both checks probe once per (definition, live register) pair —
-   becomes one bounds-checked array read instead of a balanced-tree
-   descent or a hash lookup. Built once per function and shared by the
-   coloring check, the symbolic walk's initial states, and the boundary
-   checks. *)
-let loc_array_of (assign : assignment R.Regmap.t) : loc option array =
-  let maxr =
-    match R.Regmap.max_binding_opt assign with Some (r, _) -> r | None -> 0
-  in
-  let arr = Array.make (maxr + 1) None in
-  R.Regmap.iter (fun r a -> arr.(r) <- Some (loc_of a)) assign;
-  arr
-
-let check_assignment_arr ~(live_out : int -> RSet.t) (f : R.coq_function)
-    (assign : assignment R.Regmap.t) (loc_arr : loc option array) :
-    unit Errors.t =
-  let loc r = if r < Array.length loc_arr then loc_arr.(r) else None in
+let check_assignment ~(live_out : int -> RSet.t) (f : R.coq_function)
+    (assign : assignment option array) : unit Errors.t =
+  let loc = Allocation.assigned assign in
   try
     (* Reserved scratch registers must not be allocated. *)
-    R.Regmap.iter
+    Array.iteri
       (fun r a ->
         match a with
-        | Lreg m when List.mem m Allocation.scratches ->
+        | Some (R m) when List.memq m Allocation.scratches ->
           fail "pseudo-register x%d assigned the scratch register %s" r
             (mreg_name m)
         | _ -> ())
@@ -84,7 +66,7 @@ let check_assignment_arr ~(live_out : int -> RSet.t) (f : R.coq_function)
     (* Interference: at every definition point, the defined register's
        location must not overlap any live-out register's location (except
        the moved-from register of a move). *)
-    R.Regmap.iter
+    R.Code.iter
       (fun n i ->
         match R.instr_defs i with
         | [] -> ()
@@ -114,7 +96,7 @@ let check_assignment_arr ~(live_out : int -> RSet.t) (f : R.coq_function)
             defs)
       f.R.fn_code;
     (* Values live across calls must not sit in caller-save registers. *)
-    R.Regmap.iter
+    R.Code.iter
       (fun n i ->
         match i with
         | R.Icall (_, _, _, res, _) ->
@@ -134,17 +116,23 @@ let check_assignment_arr ~(live_out : int -> RSet.t) (f : R.coq_function)
     ok ()
   with Check_fail e -> Error e
 
-let check_assignment (f : R.coq_function) (assign : assignment R.Regmap.t) :
-    unit Errors.t =
-  check_assignment_arr ~live_out:(Middle.Liveness.analyze_out f) f assign
-    (loc_array_of assign)
-
 (** {1 Check 2: the code} *)
 
 type tag =
   | Tentry of R.reg  (** the value [r] had at instruction entry *)
   | Tdef  (** the value defined by this instruction *)
   | Topaque
+
+(* Constructor by constructor: the walk tests tags once per (node, live
+   register) pair, where polymorphic equality would call the runtime's
+   generic compare. *)
+let tag_equal (t : tag) (t' : tag) =
+  match (t, t') with
+  | Tentry r, Tentry r' -> r = r'
+  | Tdef, Tdef | Topaque, Topaque -> true
+  | (Tentry _ | Tdef | Topaque), _ -> false
+
+let rec mem_tag t = function [] -> false | t' :: l -> tag_equal t t' || mem_tag t l
 
 (* The abstract state is a set of equations [(l, t)]: location [l] holds
    the value denoted by tag [t]. One location may satisfy several
@@ -286,8 +274,8 @@ module AbsState = struct
   let holds l tag (a : t) =
     let c = cell_of_key a (key_of l) in
     c >= 0
-    && ((loc_equal a.label.(c) l && List.mem tag a.tags.(find a c))
-       || List.exists (fun (l', t') -> loc_equal l l' && t' = tag) a.extra.(c))
+    && ((loc_equal a.label.(c) l && mem_tag tag a.tags.(find a c))
+       || List.exists (fun (l', t') -> loc_equal l l' && tag_equal t' tag) a.extra.(c))
 
   let tags_of l (a : t) =
     let c = cell_of_key a (key_of l) in
@@ -405,16 +393,16 @@ let out_tag (tent : R.reg -> tag) (instr : R.instruction) (defs : R.reg list)
     (r : R.reg) : tag =
   match instr with
   | R.Iop (Op.Omove, [ src ], dst, _) when r = dst -> tent src
-  | _ -> if List.mem r defs then Tdef else tent r
+  | _ -> if List.memq r defs then Tdef else tent r
 
 (* [at]/[entering] locate the boundary for error messages — plain ints,
    so the success path allocates no context. *)
-let check_boundary (tent : R.reg -> tag) (loc_arr : loc option array)
+let check_boundary (tent : R.reg -> tag) (assign : assignment option array)
     (instr : R.instruction) ~(defs : R.reg list) (live : RSet.t)
     (a : AbsState.t) ~(at : int) ~(entering : int) : unit =
   RSet.iter
     (fun r ->
-      match (if r < Array.length loc_arr then loc_arr.(r) else None) with
+      match Allocation.assigned assign r with
       | None ->
         fail "after node %d, entering %d: live pseudo-register x%d has no \
               location" at entering r
@@ -435,23 +423,22 @@ let args_hold (tent : R.reg -> tag) (a : AbsState.t) (margs : mreg list)
    signatures small without allocating a closure (or re-passing ten
    arguments) per hop. *)
 type walk_env = {
-  w_barr : bool array;  (** RTL node set — the expansion boundaries *)
   w_tent : R.reg -> tag;
-  w_f : R.coq_function;
-  w_larr : L.instruction option array;
-  w_loc_arr : loc option array;
+  w_f : R.coq_function;  (** its nodes are the expansion boundaries *)
+  w_ltl : L.code;
+  w_assign : assignment option array;
   w_live_in : int -> RSet.t;
   mutable w_instr : R.instruction;  (** RTL instruction being covered *)
   mutable w_defs : R.reg list;  (** its [instr_defs] *)
   mutable w_origin : int;  (** its RTL node, for error messages *)
 }
 
-let env_is_boundary env n = n >= 0 && n < Array.length env.w_barr && env.w_barr.(n)
+let env_is_boundary env n = R.Code.mem env.w_f.R.fn_code n
 
 (* A boundary has been reached with state [a]: every live-in register of
    the target node must sit in its location. *)
 let env_boundary env (n : L.node) (a : AbsState.t) : unit =
-  check_boundary env.w_tent env.w_loc_arr env.w_instr ~defs:env.w_defs
+  check_boundary env.w_tent env.w_assign env.w_instr ~defs:env.w_defs
     (env.w_live_in n) a ~at:env.w_origin ~entering:n
 
 (* Symbolically execute the LTL chain from [n] until boundary nodes,
@@ -474,8 +461,7 @@ and walk (env : walk_env) (n : L.node) (a : AbsState.t) ~(performed : bool)
   if fuel = 0 then fail "expansion does not terminate"
   else
     let tent = env.w_tent in
-    match (if n >= 0 && n < Array.length env.w_larr then env.w_larr.(n) else None)
-    with
+    match L.Code.get env.w_ltl n with
     | None -> fail "missing LTL node %d" n
     | Some li -> (
       match (li, env.w_instr) with
@@ -581,14 +567,13 @@ and walk (env : walk_env) (n : L.node) (a : AbsState.t) ~(performed : bool)
    generation bump, not by traversal. [tsing] is the interned singleton
    table, so a fresh equation binds without consing. *)
 let init_state (a : AbsState.t) (tsing : R.reg -> tag list)
-    (loc_arr : loc option array) (live_in : RSet.t) : AbsState.t =
+    (assign : assignment option array) (live_in : RSet.t) : AbsState.t =
   AbsState.reset a;
   RSet.iter
     (fun r ->
-      if r < Array.length loc_arr then
-        match loc_arr.(r) with
-        | Some l -> ignore (AbsState.add_tags l (tsing r) a)
-        | None -> ())
+      match Allocation.assigned assign r with
+      | Some l -> ignore (AbsState.add_tags l (tsing r) a)
+      | None -> ())
     live_in;
   a
 
@@ -596,35 +581,16 @@ let init_state (a : AbsState.t) (tsing : R.reg -> tag list)
    expansion contains no distinguished operation. *)
 let is_move = function R.Iop (Op.Omove, [ _ ], _, _) -> true | _ -> false
 
-let check_code_arr (store : AbsState.t) ~(live_in : int -> RSet.t)
-    (f : R.coq_function) (loc_arr : loc option array) (ltl : L.coq_function) :
-    unit Errors.t =
-  let max_n =
-    match R.Regmap.max_binding_opt f.R.fn_code with Some (n, _) -> n | None -> -1
-  in
-  let barr = Array.make (max_n + 1) false in
-  R.Regmap.iter (fun n _ -> barr.(n) <- true) f.R.fn_code;
-  (* The LTL code re-indexed as a dense array: the symbolic walk visits
-     each expansion node once per covering RTL origin, so tree lookups
-     on every hop dominate; an array probe is one bounds check. *)
-  let larr =
-    let max_l =
-      match L.Nodemap.max_binding_opt ltl.L.fn_code with
-      | Some (n, _) -> n
-      | None -> -1
-    in
-    let a = Array.make (max_l + 1) None in
-    L.Nodemap.iter (fun n i -> a.(n) <- Some i) ltl.L.fn_code;
-    a
-  in
-  let tent, tsing = tentry_tables (Array.length loc_arr) in
+let check_code (store : AbsState.t) ~(live_in : int -> RSet.t)
+    (f : R.coq_function) (assign : assignment option array)
+    (ltl : L.coq_function) : unit Errors.t =
+  let tent, tsing = tentry_tables (Array.length assign) in
   let env =
     {
-      w_barr = barr;
       w_tent = tent;
       w_f = f;
-      w_larr = larr;
-      w_loc_arr = loc_arr;
+      w_ltl = ltl.L.fn_code;
+      w_assign = assign;
       w_live_in = live_in;
       w_instr = R.Ireturn None;
       w_defs = [];
@@ -632,33 +598,25 @@ let check_code_arr (store : AbsState.t) ~(live_in : int -> RSet.t)
     }
   in
   try
-    R.Regmap.iter
+    R.Code.iter
       (fun n instr ->
         env.w_instr <- instr;
         env.w_defs <- R.instr_defs instr;
         env.w_origin <- n;
-        let a0 = init_state store tsing loc_arr (live_in n) in
+        let a0 = init_state store tsing assign (live_in n) in
         walk env n a0 ~performed:(is_move instr) ~fuel:64)
       f.R.fn_code;
     ok ()
   with Check_fail e -> Error e
 
-let check_code (f : R.coq_function) (assign : assignment R.Regmap.t)
-    (ltl : L.coq_function) : unit Errors.t =
-  check_code_arr (AbsState.create ()) ~live_in:(Middle.Liveness.analyze f) f
-    (loc_array_of assign) ltl
-
 (** Run both validation passes on one function, given its solved
-    liveness and the validation's store. The assignment is re-indexed
-    once, and both checks read it. *)
-let validate store live (f : R.coq_function) (assign : assignment R.Regmap.t)
+    liveness and the validation's store. *)
+let validate store live (f : R.coq_function) (assign : assignment option array)
     (ltl : L.coq_function) : unit Errors.t =
-  let loc_arr = loc_array_of assign in
   let* () =
-    check_assignment_arr ~live_out:(Middle.Liveness.live_out live) f assign
-      loc_arr
+    check_assignment ~live_out:(Middle.Liveness.live_out live) f assign
   in
-  check_code_arr store ~live_in:(Middle.Liveness.live_in live) f loc_arr ltl
+  check_code store ~live_in:(Middle.Liveness.live_in live) f assign ltl
 
 (** Validate a whole program against [Allocation]. The allocator's own
     (untrusted) colorings are taken from [assignments] when provided —

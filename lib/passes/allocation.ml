@@ -59,21 +59,19 @@ let pool_float_normal =
   List.filter (fun m -> not (is_callee_save m)) allocatable_float
   @ pool_float_across
 
-let is_float_typ = function
-  | Tfloat | Tsingle -> true
-  | Tint | Tlong | Tany64 -> false
-
 (** {1 Type inference for pseudo-registers} *)
 
-let infer_types (f : R.coq_function) : typ R.Regmap.t =
-  (* Dense by pseudo-register index: the fixpoint loop below revisits
-     every instruction until no type changes, so each [set] probe must be
-     an array read, not a balanced-tree descent allocating a new map. *)
+(** The type of each pseudo-register, indexed by register: the first
+    definition found gives it, and a register no definition types reads
+    [Tlong]. *)
+let infer_types (f : R.coq_function) : typ array =
   let nregs = R.max_reg_function f + 1 in
-  let types : typ option array = Array.make nregs None in
+  let types = Array.make nregs Tlong in
+  let known = Array.make nregs false in
   let set r t =
-    if r >= 0 && r < nregs && types.(r) = None then begin
-      types.(r) <- Some t;
+    if r >= 0 && r < nregs && not known.(r) then begin
+      types.(r) <- t;
+      known.(r) <- true;
       true
     end
     else false
@@ -81,70 +79,68 @@ let infer_types (f : R.coq_function) : typ R.Regmap.t =
   List.iter2
     (fun r t -> ignore (set r t))
     f.R.fn_params f.R.fn_sig.sig_args;
-  (* The instruction list, materialized once: re-walking the code tree on
-     every fixpoint round costs more than the rounds themselves. *)
-  let instrs = R.Regmap.fold (fun _ i acc -> i :: acc) f.R.fn_code [] in
+  (* Rounds until no type changes. Each round visits the nodes in
+     decreasing order: where definitions disagree, the first one found
+     wins, so the order fixes the type. *)
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun i ->
-        match i with
-        | R.Iop (Op.Omove, [ src ], res, _) -> (
-          match (if src >= 0 && src < nregs then types.(src) else None) with
-          | Some t -> if set res t then changed := true
-          | None -> ())
-        | R.Iop (op, _, res, _) -> (
-          match Op.type_of_operation op with
-          | Some t -> if set res t then changed := true
-          | None -> ())
-        | R.Iload (chunk, _, _, dst, _) ->
-          if set dst (Memory.Memdata.type_of_chunk chunk) then changed := true
-        | R.Icall (sg, _, _, res, _) ->
-          if set res (proj_sig_res sg) then changed := true
-        | _ -> ())
-      instrs
+    for n = R.max_node f downto 0 do
+      match R.Code.get f.R.fn_code n with
+      | Some (R.Iop (Op.Omove, [ src ], res, _)) ->
+        if src >= 0 && src < nregs && known.(src) && set res types.(src) then
+          changed := true
+      | Some (R.Iop (op, _, res, _)) -> (
+        match Op.type_of_operation op with
+        | Some t -> if set res t then changed := true
+        | None -> ())
+      | Some (R.Iload (chunk, _, _, dst, _)) ->
+        if set dst (Memory.Memdata.type_of_chunk chunk) then changed := true
+      | Some (R.Icall (sg, _, _, res, _)) ->
+        if set res (proj_sig_res sg) then changed := true
+      | _ -> ()
+    done
   done;
-  let m = ref R.Regmap.empty in
-  Array.iteri
-    (fun r t -> match t with Some t -> m := R.Regmap.add r t !m | None -> ())
-    types;
-  !m
+  types
+
+(* The type of [r] in [types], [Tlong] beyond it. *)
+let typ_in (types : typ array) r =
+  if r >= 0 && r < Array.length types then types.(r) else Tlong
 
 (** {1 Allocators} *)
 
-type assignment = Lreg of mreg | Lslot of int * typ
-
-let loc_of_assignment = function
-  | Lreg r -> R r
-  | Lslot (i, t) -> S (Local, i, t)
+(** Where a pseudo-register lives: a machine register [R m], or a spill
+    slot [S (Local, i, t)]. *)
+type assignment = loc
 
 (** An allocator colors one function, given its liveness and its
-    inferred typing: a location per pseudo-register and the number of
-    spill slots used.
+    inferred typing ({!infer_types}): a location per pseudo-register,
+    indexed by register ([None] for a register it leaves unassigned),
+    and the number of spill slots used.
     Allocators are untrusted: [Alloc_check] validates every coloring,
     and the driver falls back to {!spill_everything} when it rejects a
     linear-scan one. *)
 type allocator =
   Middle.Liveness.solution ->
-  typ R.Regmap.t ->
+  typ array ->
   R.coq_function ->
-  assignment R.Regmap.t * int
+  assignment option array * int
+
+(** The location a coloring gives [r], if it gives one. *)
+let assigned (assign : assignment option array) r =
+  if r >= 0 && r < Array.length assign then assign.(r) else None
 
 (** Every pseudo-register [r] in its own slot, [Local r]. No two
     pseudo-registers share a location and none is held in a register
     across a call, so the coloring passes the validator by
     construction: machine registers carry values only within the
     expansion of one RTL instruction. *)
-let spill_everything _ (types : typ R.Regmap.t) (f : R.coq_function) :
-    assignment R.Regmap.t * int =
+let spill_everything _ (types : typ array) (f : R.coq_function) :
+    assignment option array * int =
   let nregs = R.max_reg_function f + 1 in
-  let assign = ref R.Regmap.empty in
-  for r = 1 to nregs - 1 do
-    let t = Option.value (R.Regmap.find_opt r types) ~default:Tlong in
-    assign := R.Regmap.add r (Lslot (r, t)) !assign
-  done;
-  (!assign, nregs)
+  ( Array.init nregs (fun r ->
+        if r = 0 then None else Some (S (Local, r, typ_in types r))),
+    nregs )
 
 (** {2 Linear scan}
 
@@ -162,9 +158,9 @@ let spill_everything _ (types : typ R.Regmap.t) (f : R.coq_function) :
     the first register of its pool regardless of overlap, a wrong
     coloring that tests use to prove the validator rejects it and the
     driver falls back to {!spill_everything}. *)
-let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
-    (f : R.coq_function) : assignment R.Regmap.t * int =
-  let typ_of r = Option.value (R.Regmap.find_opt r types) ~default:Tlong in
+let allocate_linear_with ?(clobber = false) live (types : typ array)
+    (f : R.coq_function) : assignment option array * int =
+  let typ_of = typ_in types in
   let live_out = Middle.Liveness.live_out live in
   let nregs = R.max_reg_function f + 1 in
   (* Interval bounds, indexed by pseudo-register. Parameters are defined
@@ -177,9 +173,7 @@ let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
     if p > ifinish.(r) then ifinish.(r) <- p
   in
   List.iter (fun r -> extend r (-1)) f.R.fn_params;
-  let max_node =
-    match R.Regmap.max_binding_opt f.R.fn_code with Some (n, _) -> n | None -> 0
-  in
+  let max_node = R.max_node f in
   (* Definition sites per pseudo-register and the move-source exemption
      per node, collected in the same pass: they turn the node-level
      interference probe below into a scan of one register's (usually
@@ -189,7 +183,7 @@ let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
   let across_call = ref RSet.empty in
   let all_moves = ref [] in
   let pos = ref 0 in
-  R.Regmap.iter
+  R.Code.iter
     (fun n i ->
       let p = !pos in
       incr pos;
@@ -226,7 +220,7 @@ let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
       (fun r l -> match l with R m -> suggest r m | S _ -> ())
       args locs
   in
-  R.Regmap.iter
+  R.Code.iter
     (fun _ i ->
       match i with
       | R.Icall (sg, _, args, res, _) ->
@@ -275,9 +269,8 @@ let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
         if c <> 0 then c else compare ifinish.(a) ifinish.(b))
       !intervals
   in
-  (* The coloring under construction, dense by pseudo-register index;
-     the external [Regmap] view is built once at the end. *)
-  let assign_arr : assignment option array = Array.make nregs None in
+  (* The coloring under construction, indexed by pseudo-register. *)
+  let assign : assignment option array = Array.make nregs None in
   let next_slot = ref 0 in
   (* Active intervals holding a machine register, sorted by increasing
      finish; [reg_used] mirrors their occupancy for O(pool) probes. Each
@@ -319,8 +312,8 @@ let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
     let from_vreg s =
       if s < 0 then None
       else
-        match assign_arr.(s) with
-        | Some (Lreg m) when usable m -> Some m
+        match assign.(s) with
+        | Some (R m) when usable m -> Some m
         | _ -> None
     in
     match from_vreg hint.(r) with
@@ -355,24 +348,17 @@ let allocate_linear_with ?(clobber = false) live (types : typ R.Regmap.t)
             reg_used.(mreg_index m) <- true;
             active := insert (ifinish.(r), r, m) !active
           end;
-          Lreg m
+          R m
         | None ->
           let i = !next_slot in
           incr next_slot;
-          Lslot (i, t)
+          S (Local, i, t)
       in
-      assign_arr.(r) <- Some a)
+      assign.(r) <- Some a)
     intervals;
-  let assignment = ref R.Regmap.empty in
-  Array.iteri
-    (fun r a ->
-      match a with
-      | Some a -> assignment := R.Regmap.add r a !assignment
-      | None -> ())
-    assign_arr;
-  (!assignment, !next_slot)
+  (assign, !next_slot)
 
-let allocate live (f : R.coq_function) : assignment R.Regmap.t * int =
+let allocate live (f : R.coq_function) : assignment option array * int =
   allocate_linear_with live (infer_types f) f
 
 (** {1 Parallel moves}
@@ -417,7 +403,7 @@ let compile_parallel_move ~(temp_slot : int) (moves : (loc * loc * typ) list) :
 (** {1 Code generation} *)
 
 type gen_state = {
-  mutable code : L.code;
+  code : L.instruction L.Code.builder;
   mutable next_node : int;
 }
 
@@ -429,7 +415,7 @@ let emit_chain (st : gen_state) (builders : (L.node -> L.instruction) list)
     (fun mk cont ->
       let n = st.next_node in
       st.next_node <- n + 1;
-      st.code <- L.Nodemap.add n (mk cont) st.code;
+      L.Code.set st.code n (mk cont);
       n)
     builders cont
 
@@ -457,27 +443,21 @@ let move_loc (src : loc) (dst : loc) : (L.node -> L.instruction) list =
 
 let moves_code moves = List.concat_map (fun (s, d) -> move_loc s d) moves
 
-(* The assignment as a dense array keyed on pseudo-register index: code
-   generation probes it once per operand, so each probe is an array read
-   rather than a balanced-tree descent. *)
-let aget (aarr : assignment option array) r =
-  if r >= 0 && r < Array.length aarr then aarr.(r) else None
-
 (* Read the pseudo-registers [args] into machine registers, spilled ones
    through scratches. Returns (prefix builders, machine registers). *)
-let read_args (aarr : assignment option array) (typ_of : R.reg -> typ)
+let read_args (assign : assignment option array) (typ_of : R.reg -> typ)
     (args : R.reg list) : (L.node -> L.instruction) list * mreg list =
   let next_scratch = ref 0 in
   let prefix = ref [] in
   let regs =
     List.map
       (fun r ->
-        match aget aarr r with
-        | Some (Lreg m) -> m
-        | Some (Lslot (i, t)) ->
+        match assigned assign r with
+        | Some (R m) -> m
+        | Some (S (k, i, t)) ->
           let sc = scratch_for t !next_scratch in
           incr next_scratch;
-          prefix := !prefix @ [ (fun n -> L.Lgetstack (Local, i, t, sc, n)) ];
+          prefix := !prefix @ [ (fun n -> L.Lgetstack (k, i, t, sc, n)) ];
           sc
         | None ->
           (* Never-assigned register: undefined value; read a scratch. *)
@@ -488,47 +468,32 @@ let read_args (aarr : assignment option array) (typ_of : R.reg -> typ)
 
 (* Write machine register result into the location of [res]. Returns the
    destination machine register for the op and suffix builders. *)
-let write_res (aarr : assignment option array) (typ_of : R.reg -> typ)
+let write_res (assign : assignment option array) (typ_of : R.reg -> typ)
     (res : R.reg) : mreg * (L.node -> L.instruction) list =
-  match aget aarr res with
-  | Some (Lreg m) -> (m, [])
-  | Some (Lslot (i, t)) ->
+  match assigned assign res with
+  | Some (R m) -> (m, [])
+  | Some (S (k, i, t)) ->
     let sc = scratch_for t 0 in
-    (sc, [ (fun n -> L.Lsetstack (sc, Local, i, t, n)) ])
+    (sc, [ (fun n -> L.Lsetstack (sc, k, i, t, n)) ])
   | None -> (scratch_for (typ_of res) 0, [])
 
-let loc_of (aarr : assignment option array) (typ_of : R.reg -> typ) (r : R.reg) :
+let loc_of (assign : assignment option array) (typ_of : R.reg -> typ) (r : R.reg) :
     loc =
-  match aget aarr r with
-  | Some a -> loc_of_assignment a
+  match assigned assign r with
+  | Some l -> l
   | None -> R (scratch_for (typ_of r) 0)
 
 (* Translate one function; also returns the coloring used, so the
    validator can check the allocator's actual (untrusted) output instead
    of re-deriving it. *)
 let transf_function_with_assignment ~(allocator : allocator) live
-    (f : R.coq_function) : (L.coq_function * assignment R.Regmap.t) Errors.t =
+    (f : R.coq_function) : (L.coq_function * assignment option array) Errors.t =
   let types = infer_types f in
   let assign, nslots = allocator live types f in
-  (* Dense views of the typing and the coloring for the translation's
-     per-operand probes. *)
-  let nregs =
-    let m = R.max_reg_function f in
-    let m =
-      match R.Regmap.max_binding_opt assign with
-      | Some (r, _) -> max m r
-      | None -> m
-    in
-    m + 1
-  in
-  let tarr = Array.make nregs Tlong in
-  R.Regmap.iter (fun r t -> if r < nregs then tarr.(r) <- t) types;
-  let typ_of r = if r >= 0 && r < nregs then tarr.(r) else Tlong in
-  let aarr : assignment option array = Array.make nregs None in
-  R.Regmap.iter (fun r a -> if r < nregs then aarr.(r) <- Some a) assign;
+  let typ_of = typ_in types in
   let temp_slot = nslots in
   let callee_slot = nslots + 1 in
-  let st = { code = L.Nodemap.empty; next_node = R.max_node f + 1 } in
+  let st = { code = L.Code.builder (); next_node = R.max_node f + 1 } in
   let transl_node (i : R.instruction) : L.instruction =
     (* The first instruction of the expansion occupies node [n]; the rest
        chain through fresh nodes. We build the tail first. *)
@@ -545,24 +510,24 @@ let transf_function_with_assignment ~(allocator : allocator) live
          returns no builders and the move lowers to a bare [Lnop], which
          the validator accepts (the copy equation is trivially
          satisfied) and linearization elides on fall-through. *)
-      let s = loc_of aarr typ_of src and d = loc_of aarr typ_of res in
+      let s = loc_of assign typ_of src and d = loc_of assign typ_of res in
       with_chain (move_loc s d) n'
     | R.Iop (op, args, res, n') ->
-      let prefix, margs = read_args aarr typ_of args in
-      let mres, suffix = write_res aarr typ_of res in
+      let prefix, margs = read_args assign typ_of args in
+      let mres, suffix = write_res assign typ_of res in
       with_chain
         (prefix @ [ (fun n -> L.Lop (op, margs, mres, n)) ] @ suffix)
         n'
     | R.Iload (chunk, addr, args, dst, n') ->
-      let prefix, margs = read_args aarr typ_of args in
-      let mres, suffix = write_res aarr typ_of dst in
+      let prefix, margs = read_args assign typ_of args in
+      let mres, suffix = write_res assign typ_of dst in
       with_chain
         (prefix @ [ (fun n -> L.Lload (chunk, addr, margs, mres, n)) ] @ suffix)
         n'
     | R.Istore (chunk, addr, args, src, n') -> (
-      let prefix, margs = read_args aarr typ_of args in
-      match aget aarr src with
-      | Some (Lreg msrc) ->
+      let prefix, margs = read_args assign typ_of args in
+      match assigned assign src with
+      | Some (R msrc) ->
         with_chain
           (prefix @ [ (fun n -> L.Lstore (chunk, addr, margs, msrc, n)) ])
           n'
@@ -571,15 +536,10 @@ let transf_function_with_assignment ~(allocator : allocator) live
            scratch, freeing the second for the stored value. *)
         let t = typ_of src in
         let ssrc = if is_float_typ t then float_scratch1 else int_scratch2 in
-        let sloc =
-          match aget aarr src with
-          | Some (Lslot (i, st')) -> Some (i, st')
-          | _ -> None
-        in
         let load_src n =
-          match sloc with
-          | Some (i, st') -> L.Lgetstack (Local, i, st', ssrc, n)
-          | None -> L.Lop (Op.Omove, [ ssrc ], ssrc, n)
+          match assigned assign src with
+          | Some (S (k, i, st')) -> L.Lgetstack (k, i, st', ssrc, n)
+          | _ -> L.Lop (Op.Omove, [ ssrc ], ssrc, n)
         in
         with_chain
           (prefix
@@ -594,7 +554,7 @@ let transf_function_with_assignment ~(allocator : allocator) live
       let arg_locs = loc_arguments sg in
       let moves =
         List.map2
-          (fun r l -> (loc_of aarr typ_of r, l, typ_of r))
+          (fun r l -> (loc_of assign typ_of r, l, typ_of r))
           args arg_locs
       in
       let par = compile_parallel_move ~temp_slot moves in
@@ -606,10 +566,10 @@ let transf_function_with_assignment ~(allocator : allocator) live
              argument moves (which may clobber both its register and the
              scratches), and fetch it just before the call. *)
           ( L.Rreg int_scratch1,
-            move_loc (loc_of aarr typ_of r) (S (Local, callee_slot, Tlong)),
+            move_loc (loc_of assign typ_of r) (S (Local, callee_slot, Tlong)),
             move_loc (S (Local, callee_slot, Tlong)) (R int_scratch1) )
       in
-      let res_loc = loc_of aarr typ_of res in
+      let res_loc = loc_of assign typ_of res in
       let result_moves = move_loc (R (loc_result sg)) res_loc in
       with_chain
         (ros_park @ moves_code par @ ros_fetch
@@ -620,7 +580,7 @@ let transf_function_with_assignment ~(allocator : allocator) live
       let arg_locs = loc_arguments sg in
       let moves =
         List.map2
-          (fun r l -> (loc_of aarr typ_of r, l, typ_of r))
+          (fun r l -> (loc_of assign typ_of r, l, typ_of r))
           args arg_locs
       in
       let par = compile_parallel_move ~temp_slot moves in
@@ -629,14 +589,14 @@ let transf_function_with_assignment ~(allocator : allocator) live
         | R.Rsymbol id -> (L.Rsymbol id, [])
         | R.Rreg r ->
           ( L.Rreg int_scratch1,
-            move_loc (loc_of aarr typ_of r) (R int_scratch1) )
+            move_loc (loc_of assign typ_of r) (R int_scratch1) )
       in
       (match ros_prefix @ moves_code par with
       | [] -> L.Ltailcall (sg, ros')
       | first :: rest ->
         first (emit_chain st rest (emit_chain st [ (fun _ -> L.Ltailcall (sg, ros')) ] 0)))
     | R.Icond (cond, args, n1, n2) -> (
-      let prefix, margs = read_args aarr typ_of args in
+      let prefix, margs = read_args assign typ_of args in
       match prefix with
       | [] -> L.Lcond (cond, margs, n1, n2)
       | first :: rest ->
@@ -646,7 +606,7 @@ let transf_function_with_assignment ~(allocator : allocator) live
     | R.Ireturn optr -> (
       let moves =
         match optr with
-        | Some r -> move_loc (loc_of aarr typ_of r) (R (loc_result f.R.fn_sig))
+        | Some r -> move_loc (loc_of assign typ_of r) (R (loc_result f.R.fn_sig))
         | None -> []
       in
       match moves with
@@ -654,13 +614,7 @@ let transf_function_with_assignment ~(allocator : allocator) live
       | first :: rest -> first (emit_chain st rest (emit_chain st [ (fun _ -> L.Lreturn) ] 0)))
   in
   (* Translate each RTL node; expansions allocate fresh LTL nodes. *)
-  R.Regmap.iter
-    (fun n i ->
-      (* Evaluate the expansion first: it allocates fresh chain nodes in
-         [st.code], which the final add must not discard. *)
-      let ins = transl_node i in
-      st.code <- L.Nodemap.add n ins st.code)
-    f.R.fn_code;
+  R.Code.iter (fun n i -> L.Code.set st.code n (transl_node i)) f.R.fn_code;
   (* Entry: marshal incoming arguments from calling-convention locations
      (registers and Incoming slots) to the parameters' locations. *)
   let entry_moves =
@@ -671,7 +625,7 @@ let transf_function_with_assignment ~(allocator : allocator) live
         arg_locs
     in
     List.map2
-      (fun l p -> (l, loc_of aarr typ_of p, typ_of p))
+      (fun l p -> (l, loc_of assign typ_of p, typ_of p))
       incoming f.R.fn_params
   in
   let par = compile_parallel_move ~temp_slot entry_moves in
@@ -680,7 +634,7 @@ let transf_function_with_assignment ~(allocator : allocator) live
     ( {
         L.fn_sig = f.R.fn_sig;
         fn_stacksize = f.R.fn_stacksize;
-        fn_code = st.code;
+        fn_code = L.Code.freeze st.code;
         fn_entrypoint = entry;
       },
       assign )
@@ -692,7 +646,7 @@ let transf_function_with_assignment ~(allocator : allocator) live
     ({!Middle.Liveness.solve_program}). *)
 let transf_program_with_assignments ~(allocator : allocator) ~liveness
     (p : R.program) :
-    (L.program * (Support.Ident.t * assignment R.Regmap.t) list) Errors.t =
+    (L.program * (Support.Ident.t * assignment option array) list) Errors.t =
   let open Errors in
   let* defs =
     map_list

@@ -71,88 +71,79 @@ let kill_loads n =
         n.reg_of_rhs;
   }
 
-(* Predecessor counts, to delimit extended basic blocks. *)
-let predecessor_counts (f : R.coq_function) : (int, int) Hashtbl.t =
-  let preds = Hashtbl.create 64 in
-  R.Regmap.iter
-    (fun _ i ->
-      List.iter
-        (fun s -> Hashtbl.replace preds s (1 + Option.value (Hashtbl.find_opt preds s) ~default:0))
-        (R.successors_instr i))
-    f.R.fn_code;
-  Hashtbl.replace preds f.R.fn_entrypoint
-    (1 + Option.value (Hashtbl.find_opt preds f.R.fn_entrypoint) ~default:0);
+(* Predecessor counts by node, to delimit extended basic blocks; the
+   entry has one more. A node beyond the code holds nothing to walk, so
+   it needs no count. *)
+let predecessor_counts (f : R.coq_function) : int array =
+  let preds = Array.make (R.Code.size f.R.fn_code) 0 in
+  let count n = if n >= 0 && n < Array.length preds then preds.(n) <- preds.(n) + 1 in
+  R.Code.iter (fun _ i -> List.iter count (R.successors_instr i)) f.R.fn_code;
+  count f.R.fn_entrypoint;
   preds
 
 let transf_function (f : R.coq_function) : R.coq_function Errors.t =
   let preds = predecessor_counts f in
-  let code = ref f.R.fn_code in
-  let visited = Hashtbl.create 64 in
+  let code = R.Code.builder ~of_code:f.R.fn_code () in
+  let visited = Array.make (R.Code.size f.R.fn_code) false in
   (* Walk extended basic blocks carrying the numbering; restart with the
      empty numbering at join points. *)
   let rec walk n (num : numbering) =
-    if Hashtbl.mem visited n then ()
-    else begin
-      Hashtbl.add visited n ();
-      let num =
-        if Option.value (Hashtbl.find_opt preds n) ~default:0 > 1 then
-          empty_numbering
-        else num
-      in
-      match R.Regmap.find_opt n !code with
-      | None -> ()
-      | Some i -> (
-        match i with
-        | R.Iop (Op.Omove, [ src ], res, n') ->
-          let v, num = vn_of num src in
-          walk n' (set_known num res v)
-        | R.Iop (op, args, res, n') when op_is_pure op ->
-          let vns, num = vns_of num args in
-          let key = rhs_key_op op vns in
-          (match RhsMap.find_opt key num.reg_of_rhs with
-          | Some (r0, vn0)
-            when R.Regmap.find_opt r0 num.num_of_reg = Some vn0 ->
-            (* Previous result still available: replace by a move. *)
-            code := R.Regmap.add n (R.Iop (Op.Omove, [ r0 ], res, n')) !code;
-            walk n' (set_known num res vn0)
-          | _ ->
-            let num = set_unknown num res in
-            let vn, num = vn_of num res in
-            let num =
-              { num with reg_of_rhs = RhsMap.add key (res, vn) num.reg_of_rhs }
-            in
-            walk n' num)
-        | R.Iop (_, _, res, n') -> walk n' (set_unknown num res)
-        | R.Iload (chunk, addr, args, dst, n') ->
-          let vns, num = vns_of num args in
-          let key = rhs_key_load chunk addr vns in
-          (match RhsMap.find_opt key num.reg_of_rhs with
-          | Some (r0, vn0)
-            when R.Regmap.find_opt r0 num.num_of_reg = Some vn0 ->
-            code := R.Regmap.add n (R.Iop (Op.Omove, [ r0 ], dst, n')) !code;
-            walk n' (set_known num dst vn0)
-          | _ ->
-            let num = set_unknown num dst in
-            let vn, num = vn_of num dst in
-            let num =
-              { num with reg_of_rhs = RhsMap.add key (dst, vn) num.reg_of_rhs }
-            in
-            walk n' num)
-        | R.Istore (_, _, _, _, n') -> walk n' (kill_loads num)
-        | R.Icall (_, _, _, res, n') ->
-          (* Calls may change memory arbitrarily (including allocation
-             and deallocation, which affect pointer-comparison results):
-             drop all equations. *)
-          walk n' (set_unknown empty_numbering res)
-        | R.Inop n' -> walk n' num
-        | R.Icond (_, _, n1, n2) ->
-          walk n1 num;
-          walk n2 num
-        | R.Itailcall _ | R.Ireturn _ -> ())
-    end
+    match R.Code.get f.R.fn_code n with
+    | None -> ()
+    | Some _ when visited.(n) -> ()
+    | Some i -> (
+      visited.(n) <- true;
+      let num = if preds.(n) > 1 then empty_numbering else num in
+      match i with
+      | R.Iop (Op.Omove, [ src ], res, n') ->
+        let v, num = vn_of num src in
+        walk n' (set_known num res v)
+      | R.Iop (op, args, res, n') when op_is_pure op ->
+        let vns, num = vns_of num args in
+        let key = rhs_key_op op vns in
+        (match RhsMap.find_opt key num.reg_of_rhs with
+        | Some (r0, vn0)
+          when R.Regmap.find_opt r0 num.num_of_reg = Some vn0 ->
+          (* Previous result still available: replace by a move. *)
+          R.Code.set code n (R.Iop (Op.Omove, [ r0 ], res, n'));
+          walk n' (set_known num res vn0)
+        | _ ->
+          let num = set_unknown num res in
+          let vn, num = vn_of num res in
+          let num =
+            { num with reg_of_rhs = RhsMap.add key (res, vn) num.reg_of_rhs }
+          in
+          walk n' num)
+      | R.Iop (_, _, res, n') -> walk n' (set_unknown num res)
+      | R.Iload (chunk, addr, args, dst, n') ->
+        let vns, num = vns_of num args in
+        let key = rhs_key_load chunk addr vns in
+        (match RhsMap.find_opt key num.reg_of_rhs with
+        | Some (r0, vn0)
+          when R.Regmap.find_opt r0 num.num_of_reg = Some vn0 ->
+          R.Code.set code n (R.Iop (Op.Omove, [ r0 ], dst, n'));
+          walk n' (set_known num dst vn0)
+        | _ ->
+          let num = set_unknown num dst in
+          let vn, num = vn_of num dst in
+          let num =
+            { num with reg_of_rhs = RhsMap.add key (dst, vn) num.reg_of_rhs }
+          in
+          walk n' num)
+      | R.Istore (_, _, _, _, n') -> walk n' (kill_loads num)
+      | R.Icall (_, _, _, res, n') ->
+        (* Calls may change memory arbitrarily (including allocation
+           and deallocation, which affect pointer-comparison results):
+           drop all equations. *)
+        walk n' (set_unknown empty_numbering res)
+      | R.Inop n' -> walk n' num
+      | R.Icond (_, _, n1, n2) ->
+        walk n1 num;
+        walk n2 num
+      | R.Itailcall _ | R.Ireturn _ -> ())
   in
   walk f.R.fn_entrypoint empty_numbering;
-  ok { f with R.fn_code = !code }
+  ok { f with R.fn_code = R.Code.freeze code }
 
 let transf_program (p : R.program) : R.program Errors.t =
   Iface.Ast.transform_program transf_function p

@@ -27,7 +27,7 @@ let transf_function (f : R.coq_function) : R.coq_function Errors.t =
   ok
     {
       f with
-      R.fn_code = R.Regmap.mapi (fun n i -> transf_instr (live_out n) i) f.R.fn_code;
+      R.fn_code = R.Code.mapi (fun n i -> transf_instr (live_out n) i) f.R.fn_code;
     }
 
 let transf_program (p : R.program) : R.program Errors.t =

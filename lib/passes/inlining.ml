@@ -19,20 +19,18 @@ let max_size = 16
 
 let is_inlinable (f : R.coq_function) : bool =
   f.R.fn_stacksize = 0
-  && R.Regmap.cardinal f.R.fn_code <= max_size
-  && R.Regmap.for_all
-       (fun _ i ->
-         match i with
-         | R.Icall _ | R.Itailcall _ -> false
-         | _ -> true)
-       f.R.fn_code
+  && R.Code.cardinal f.R.fn_code <= max_size
+  && R.Code.fold
+       (fun _ i ok ->
+         ok && match i with R.Icall _ | R.Itailcall _ -> false | _ -> true)
+       f.R.fn_code true
 
 (* Splice [callee]'s body into [st]'s code graph. Registers are shifted
    by [reg_base], nodes are remapped to fresh ones. Returns the entry
    node; [Ireturn]s become moves of the result into [res] followed by a
    jump to [cont]. *)
 type splice_state = {
-  mutable code : R.code;
+  code : R.instruction R.Code.builder;
   mutable next_node : int;
   mutable next_reg : int;
 }
@@ -42,19 +40,24 @@ let splice (st : splice_state) (callee : R.coq_function) (args : R.reg list)
   let reg_base = st.next_reg in
   st.next_reg <- st.next_reg + R.max_reg_function callee + 1;
   let shift_reg r = reg_base + r in
-  let node_map = Hashtbl.create 16 in
-  R.Regmap.iter
+  (* The callee's nodes, in increasing order, take the next fresh nodes;
+     [node_map.(n)] is -1 where the callee holds nothing. *)
+  let node_map = Array.make (R.Code.size callee.R.fn_code) (-1) in
+  R.Code.iter
     (fun n _ ->
-      Hashtbl.add node_map n st.next_node;
+      node_map.(n) <- st.next_node;
       st.next_node <- st.next_node + 1)
     callee.R.fn_code;
-  let shift_node n = Hashtbl.find node_map n in
+  let shift_node n =
+    if n >= 0 && n < Array.length node_map && node_map.(n) >= 0 then node_map.(n)
+    else raise Not_found
+  in
   let fresh_node () =
     let n = st.next_node in
     st.next_node <- n + 1;
     n
   in
-  R.Regmap.iter
+  R.Code.iter
     (fun n i ->
       let i' =
         match i with
@@ -72,7 +75,7 @@ let splice (st : splice_state) (callee : R.coq_function) (args : R.reg list)
         | R.Ireturn None -> R.Inop cont
         | R.Icall _ | R.Itailcall _ -> assert false
       in
-      st.code <- R.Regmap.add (shift_node n) i' st.code)
+      R.Code.set st.code (shift_node n) i')
     callee.R.fn_code;
   (* Parameter binding: moves from the argument registers. *)
   let entry = shift_node callee.R.fn_entrypoint in
@@ -83,7 +86,7 @@ let splice (st : splice_state) (callee : R.coq_function) (args : R.reg list)
       (* Evaluate the tail first: it mutates [st.code]. *)
       let cont' = bind params' args' cont in
       let n = fresh_node () in
-      st.code <- R.Regmap.add n (R.Iop (Op.Omove, [ a ], shift_reg p, cont')) st.code;
+      R.Code.set st.code n (R.Iop (Op.Omove, [ a ], shift_reg p, cont'));
       n
     | _ -> cont
   in
@@ -94,12 +97,12 @@ let transf_function (candidates : R.coq_function Ident.Map.t)
     (f : R.coq_function) : R.coq_function Errors.t =
   let st =
     {
-      code = f.R.fn_code;
+      code = R.Code.builder ~of_code:f.R.fn_code ();
       next_node = R.max_node f + 1;
       next_reg = R.max_reg_function f + 1;
     }
   in
-  R.Regmap.iter
+  R.Code.iter
     (fun n i ->
       match i with
       | R.Icall (sg, R.Rsymbol id, args, res, cont) -> (
@@ -107,11 +110,11 @@ let transf_function (candidates : R.coq_function Ident.Map.t)
         | Some callee when Memory.Mtypes.signature_equal sg callee.R.fn_sig
                            && List.length args = List.length callee.R.fn_params ->
           let entry = splice st callee args res cont in
-          st.code <- R.Regmap.add n (R.Inop entry) st.code
+          R.Code.set st.code n (R.Inop entry)
         | _ -> ())
       | _ -> ())
     f.R.fn_code;
-  ok { f with R.fn_code = st.code }
+  ok { f with R.fn_code = R.Code.freeze st.code }
 
 let transf_program (p : R.program) : R.program Errors.t =
   let candidates =

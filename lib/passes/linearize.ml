@@ -11,15 +11,24 @@ module L = Backend.Ltl
 module Lin = Backend.Linear
 
 let enumerate (f : L.coq_function) : int list =
-  let visited = Hashtbl.create 64 in
+  (* An ill-formed instruction may name a node beyond the code; such a
+     node holds nothing, and is marked in [beyond]. *)
+  let visited = Array.make (L.Code.size f.L.fn_code) false in
+  let beyond = ref [] in
   let order = ref [] in
   let rec dfs n =
-    if not (Hashtbl.mem visited n) then begin
-      Hashtbl.add visited n ();
-      order := n :: !order;
-      match L.Nodemap.find_opt n f.L.fn_code with
-      | Some i -> List.iter dfs (L.successors_instr i)
-      | None -> ()
+    if n >= 0 && n < Array.length visited then begin
+      if not visited.(n) then begin
+        visited.(n) <- true;
+        order := n :: !order;
+        match L.Code.get f.L.fn_code n with
+        | Some i -> List.iter dfs (L.successors_instr i)
+        | None -> ()
+      end
+    end
+    else if not (List.memq n !beyond) then begin
+      beyond := n :: !beyond;
+      order := n :: !order
     end
   in
   dfs f.L.fn_entrypoint;
@@ -34,7 +43,7 @@ let transf_function (f : L.coq_function) : Lin.coq_function Errors.t =
     | [] -> ()
     | n :: rest ->
       emit (Lin.Llabel n);
-      (match L.Nodemap.find_opt n f.L.fn_code with
+      (match L.Code.get f.L.fn_code n with
       | None -> ()
       | Some i -> (
         let goto_unless_next target =

@@ -16,12 +16,12 @@ module R = Middle.Rtl
 module Op = Middle.Op
 
 type state = {
-  mutable code : R.code;
+  code : R.instruction R.Code.builder;
   mutable next_node : int;
   mutable next_reg : int;
 }
 
-let new_state () = { code = R.Regmap.empty; next_node = 1; next_reg = 1 }
+let new_state () = { code = R.Code.builder (); next_node = 1; next_reg = 1 }
 
 let fresh_reg st =
   let r = st.next_reg in
@@ -31,7 +31,7 @@ let fresh_reg st =
 let add_instr st i =
   let n = st.next_node in
   st.next_node <- n + 1;
-  st.code <- R.Regmap.add n i st.code;
+  R.Code.set st.code n i;
   n
 
 let reserve_node st =
@@ -39,7 +39,7 @@ let reserve_node st =
   st.next_node <- n + 1;
   n
 
-let patch_node st n i = st.code <- R.Regmap.add n i st.code
+let patch_node st n i = R.Code.set st.code n i
 
 (* Variable environment: CminorSel locals to RTL registers. *)
 type venv = R.reg Ident.Map.t
@@ -163,7 +163,7 @@ let transf_function (f : Sel.coq_function) : R.coq_function Errors.t =
       R.fn_sig = f.Sel.fn_sig;
       fn_params = params;
       fn_stacksize = f.Sel.fn_stackspace;
-      fn_code = st.code;
+      fn_code = R.Code.freeze st.code;
       fn_entrypoint = entry;
     }
 

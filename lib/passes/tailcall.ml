@@ -17,7 +17,7 @@ module R = Middle.Rtl
 let rec return_measures_to (code : R.code) (n : R.node) (r : R.reg) fuel =
   if fuel = 0 then false
   else
-    match R.Regmap.find_opt n code with
+    match R.Code.get code n with
     | Some (R.Inop n') -> return_measures_to code n' r (fuel - 1)
     | Some (R.Iop (Middle.Op.Omove, [ src ], dst, n')) when src = r ->
       return_measures_to code n' dst (fuel - 1)
@@ -39,7 +39,7 @@ let transf_function (f : R.coq_function) : R.coq_function Errors.t =
     {
       f with
       R.fn_code =
-        R.Regmap.map (transf_instr f.R.fn_stacksize f.R.fn_code) f.R.fn_code;
+        R.Code.map (transf_instr f.R.fn_stacksize f.R.fn_code) f.R.fn_code;
     }
 
 let transf_program (p : R.program) : R.program Errors.t =

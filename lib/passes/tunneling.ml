@@ -5,24 +5,24 @@ module Errors = Support.Errors
 module L = Backend.Ltl
 
 (* Union-find over nodes: the representative of [n] is the final target
-   of the [Lnop] chain starting at [n]. Cycles of [Lnop]s (infinite
-   loops) keep their entry as representative. *)
+   of the [Lnop] chain starting at [n], memoized in [target] (-1 while
+   unknown). Cycles of [Lnop]s (infinite loops) keep their entry as
+   representative, and a node without an instruction is its own. *)
 let compute_targets (code : L.code) : int -> int =
-  let target = Hashtbl.create 64 in
+  let target = Array.make (L.Code.size code) (-1) in
   let rec chase path n =
-    match Hashtbl.find_opt target n with
-    | Some t -> t
-    | None ->
-      if List.mem n path then n
-      else (
-        match L.Nodemap.find_opt n code with
-        | Some (L.Lnop n') ->
-          let t = chase (n :: path) n' in
-          Hashtbl.replace target n t;
-          t
-        | _ ->
-          Hashtbl.replace target n n;
-          n)
+    if n < 0 || n >= Array.length target then n
+    else if target.(n) >= 0 then target.(n)
+    else if List.memq n path then n
+    else
+      match L.Code.get code n with
+      | Some (L.Lnop n') ->
+        let t = chase (n :: path) n' in
+        target.(n) <- t;
+        t
+      | _ ->
+        target.(n) <- n;
+        n
   in
   fun n -> chase [] n
 
@@ -43,7 +43,7 @@ let transf_function (f : L.coq_function) : L.coq_function Errors.t =
   Errors.ok
     {
       f with
-      L.fn_code = L.Nodemap.map tr f.L.fn_code;
+      L.fn_code = L.Code.map tr f.L.fn_code;
       fn_entrypoint = t f.L.fn_entrypoint;
     }
 

@@ -27,7 +27,13 @@ type loc =
   | R of mreg
   | S of slot_kind * int * typ
 
-let loc_equal (a : loc) (b : loc) = a = b
+(* Constructor by constructor: register, kind and type are immediates,
+   so no case reaches the runtime's polymorphic compare. *)
+let loc_equal (a : loc) (b : loc) =
+  match (a, b) with
+  | R r1, R r2 -> r1 == r2
+  | S (k1, o1, t1), S (k2, o2, t2) -> k1 == k2 && o1 = o2 && t1 == t2
+  | (R _ | S _), _ -> false
 
 (** [locs_overlap l1 l2]: do the two locations denote overlapping
     storage? Registers overlap only with themselves; slots of the same

@@ -175,7 +175,7 @@ let driver_tests =
               { Memory.Mtypes.sig_args = []; sig_res = Some Memory.Mtypes.Tint };
             fn_params = [];
             fn_stacksize = 0;
-            fn_code = Middle.Rtl.Regmap.empty;
+            fn_code = Middle.Rtl.Code.empty;
             fn_entrypoint = 1;
           }
         in

@@ -125,8 +125,83 @@ let run_words ~symbols q (l : Driver.Pipeline.level) =
   ignore (Driver.Pipeline.run_level ~symbols ~fuel q l);
   Gc.minor_words () -. w0
 
-let unit_tests =
+(* [arts_p] with [main]'s body updated. *)
+let with_main_code arts_p update =
+  {
+    arts_p with
+    Iface.Ast.prog_defs =
+      List.map
+        (fun (id, d) ->
+          match d with
+          | Iface.Ast.Gfun (Iface.Ast.Internal f) when Ident.name id = "main" ->
+            (id, Iface.Ast.Gfun (Iface.Ast.Internal (update f)))
+          | _ -> (id, d))
+        arts_p.Iface.Ast.prog_defs;
+  }
+
+(* Labels 1 and 2 each occur twice. [goto 2] and the taken branch to 1
+   reach 7 through the first occurrences; the second ones lead to 9. *)
+let duplicate_label_tests =
+  let open Middle.Op in
+  let ax = Target.Machregs.AX in
+  let expect name run =
+    Alcotest.test_case
+      (name ^ ": a branch to a duplicated label takes the first") `Quick
+      (fun () ->
+        let symbols, arts, q = compile_for "int main(void) { return 0; }" in
+        let answer sem =
+          match run sem ~symbols arts q with
+          | Ok (Core.Smallstep.Final (_, r)) -> r.Iface.Li.cr_res
+          | o ->
+            Alcotest.failf "no answer: %s"
+              (match o with
+              | Ok o -> Format.asprintf "%a" Driver.Runners.pp_c_outcome o
+              | Error e -> e)
+        in
+        List.iter
+          (fun (core, sem) ->
+            check core true (answer sem = Memory.Values.Vint 7l))
+          [ ("mutable", `Mutable); ("naive", `Naive) ])
+  in
   [
+    expect "Linear" (fun sem ~symbols arts q ->
+        let module Lin = Backend.Linear in
+        let p =
+          with_main_code arts.Driver.Compiler.linear_clean (fun f ->
+              {
+                f with
+                Lin.fn_code =
+                  [ Lin.Lop (Ointconst 0l, [], ax); Lin.Lgoto 2;
+                    Lin.Llabel 1; Lin.Lop (Ointconst 7l, [], ax); Lin.Lreturn;
+                    Lin.Llabel 2;
+                    Lin.Lcond (Ccompimm (Memory.Mtypes.Ceq, 0l), [ ax ], 1);
+                    Lin.Llabel 2; Lin.Llabel 1; Lin.Lop (Ointconst 9l, [], ax);
+                    Lin.Lreturn ];
+              })
+        in
+        let sem = match sem with `Mutable -> Lin.semantics | `Naive -> Lin.semantics_naive in
+        Driver.Runners.run_l_level (sem ~symbols p) ~fuel q);
+    expect "Mach" (fun sem ~symbols arts q ->
+        let module M = Backend.Mach in
+        let p =
+          with_main_code arts.Driver.Compiler.mach (fun f ->
+              {
+                f with
+                M.fn_code =
+                  [| M.Mop (Ointconst 0l, [], ax); M.Mgoto 2;
+                     M.Mlabel 1; M.Mop (Ointconst 7l, [], ax); M.Mreturn;
+                     M.Mlabel 2;
+                     M.Mcond (Ccompimm (Memory.Mtypes.Ceq, 0l), [ ax ], 1);
+                     M.Mlabel 2; M.Mlabel 1; M.Mop (Ointconst 9l, [], ax);
+                     M.Mreturn |];
+              })
+        in
+        let sem = match sem with `Mutable -> M.semantics | `Naive -> M.semantics_naive in
+        Driver.Runners.run_m_level (sem ~symbols p) ~fuel q);
+  ]
+
+let unit_tests =
+  duplicate_label_tests @ [
     Alcotest.test_case
       "LTL and Linear allocate at most 2.5x RTL's words per run on examples/c"
       `Quick (fun () ->

@@ -127,7 +127,7 @@ let selection_tests =
 (* --- RTL optimizations ----------------------------------------------- *)
 
 let count_instrs pred (f : R.coq_function) =
-  R.Regmap.fold (fun _ i acc -> if pred i then acc + 1 else acc) f.R.fn_code 0
+  R.Code.fold (fun _ i acc -> if pred i then acc + 1 else acc) f.R.fn_code 0
 
 let rtl_opt_tests =
   [
@@ -199,7 +199,7 @@ let rtl_opt_tests =
       (fun () ->
         let arts = compile "int f(int x) { while (x > 0) x = x - 1; return x; }" in
         let f = find_fn arts.rtl "f" in
-        let n = R.Regmap.cardinal f.R.fn_code in
+        let n = R.Code.cardinal f.R.fn_code in
         let max_id = R.max_node f in
         check "ids within 1..n" true (max_id <= n + 1));
   ]
@@ -213,12 +213,12 @@ let backend_tests =
         let f = find_fn arts.ltl_tunneled "f" in
         (* After tunneling, no branch targets an Lnop that merely forwards. *)
         let target_is_forwarding n =
-          match L.Nodemap.find_opt n f.L.fn_code with
+          match L.Code.get f.L.fn_code n with
           | Some (L.Lnop _) -> true
           | _ -> false
         in
         let ok = ref true in
-        L.Nodemap.iter
+        L.Code.iter
           (fun _ i ->
             match i with
             | L.Lcond (_, _, n1, n2) ->
@@ -331,10 +331,68 @@ let parmove_tests =
              regs dsts));
   ]
 
+(* --- Dense tables: register sets and node-indexed code ---------------- *)
+
+let table_tests =
+  let module RSet = Middle.Liveness.RSet in
+  let bits = Sys.int_size in
+  (* Registers over four words, with each word's bits 0, 61 and 62. *)
+  let gen_regs =
+    QCheck.(
+      list_of_size (Gen.int_range 0 40)
+        (oneof
+           [
+             int_range 0 ((4 * bits) - 1);
+             map
+               (fun (w, b) -> (w * bits) + b)
+               (pair (int_range 0 3) (oneofl [ 0; 61; 62 ]));
+           ]))
+  in
+  (* A builder's writes: nodes in any order, repeats included. *)
+  let gen_writes =
+    QCheck.(list_of_size (Gen.int_range 0 60) (pair (int_range 0 120) small_int))
+  in
+  let module M = Map.Make (Int) in
+  let code_of writes =
+    let b = R.Code.builder () in
+    List.iter (fun (n, v) -> R.Code.set b n v) writes;
+    R.Code.freeze b
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"RSet iter, fold and elements match a bit scan"
+         ~count:500 gen_regs (fun regs ->
+           let s = RSet.of_list regs in
+           (* the reference: every bit position probed one by one *)
+           let scan = List.filter (fun i -> RSet.mem i s) (List.init (4 * bits) Fun.id) in
+           let iterated = ref [] in
+           RSet.iter (fun i -> iterated := i :: !iterated) s;
+           List.rev !iterated = scan
+           && RSet.fold (fun i l -> i :: l) s [] = List.rev scan
+           && RSet.elements s = scan
+           && scan = List.sort_uniq compare regs
+           && RSet.cardinal s = List.length scan));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Code builder: increasing order, gaps, cardinal"
+         ~count:500 gen_writes (fun writes ->
+           let c = code_of writes in
+           (* the reference: the same writes into a map *)
+           let m = List.fold_left (fun m (n, v) -> M.add n v m) M.empty writes in
+           R.Code.fold (fun n v l -> (n, v) :: l) c [] = List.rev (M.bindings m)
+           && List.for_all
+                (fun n -> R.Code.get c n = M.find_opt n m)
+                (List.init 130 (fun n -> n - 5))
+           && R.Code.cardinal c = M.cardinal m
+           && R.Code.max_node c
+              = (match M.max_binding_opt m with Some (n, _) -> n | None -> 0)
+           && R.Code.mapi (fun n v -> n + v) c
+              = code_of (M.bindings (M.mapi (fun n v -> n + v) m))));
+  ]
+
 let suite0 =
   ( "passes",
     simpllocals_tests @ cminorgen_tests @ selection_tests @ rtl_opt_tests
-    @ backend_tests @ parmove_tests )
+    @ backend_tests @ parmove_tests @ table_tests )
 
 (* --- Allocation validation (translation validation) ------------------- *)
 
@@ -375,7 +433,7 @@ let alloc_check_tests =
         let corrupt fn =
           { fn with
             Backend.Ltl.fn_code =
-              Backend.Ltl.Nodemap.map
+              Backend.Ltl.Code.map
                 (function
                   | Backend.Ltl.Lop (Middle.Op.Oadd, args, _, n) ->
                     Backend.Ltl.Lop (Middle.Op.Oadd, args, Target.Machregs.R15, n)
@@ -396,7 +454,7 @@ let alloc_check_tests =
           let changed = ref false in
           { fn with
             Backend.Ltl.fn_code =
-              Backend.Ltl.Nodemap.map
+              Backend.Ltl.Code.map
                 (function
                   | Backend.Ltl.Lop (Middle.Op.Omove, _, _, n) when not !changed ->
                     changed := true;
@@ -419,7 +477,7 @@ let alloc_check_tests =
         let corrupt fn =
           { fn with
             Backend.Ltl.fn_code =
-              Backend.Ltl.Nodemap.map
+              Backend.Ltl.Code.map
                 (function
                   | Backend.Ltl.Lop (Middle.Op.Omove, args, Target.Machregs.DI, n) ->
                     Backend.Ltl.Lop (Middle.Op.Omove, args, Target.Machregs.SI, n)

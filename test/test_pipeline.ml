@@ -217,7 +217,51 @@ let regressions =
       78l;
   ]
 
+(* The compile path's allocation, pinned: minor words are a function of
+   the code alone, so the ceiling is the measured value and any change
+   that allocates more on the compile path fails here. The inputs are
+   examples/c and 40 generated draws (seed 1, drawn as [occo fuzz] draws
+   them), compiled at O2 with observability off; a first compile interns
+   every name, so only the second is counted. *)
+let compile_words_ceiling = 3_843_622.
+
+let compile_words_gate =
+  [
+    Alcotest.test_case "compile_levels minor words stay at the pinned ceiling"
+      `Quick (fun () ->
+        let examples =
+          Sys.readdir "../examples/c" |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".c")
+          |> List.sort compare
+          |> List.map (fun f ->
+                 In_channel.with_open_bin (Filename.concat "../examples/c" f)
+                   In_channel.input_all)
+        in
+        let draws =
+          List.init 40 (fun i ->
+              let st = Random.State.make [| 1; 104729 * (i + 1) |] in
+              QCheck.Gen.generate1 ~rand:st (QCheck.gen Testlib.Test_gen.arb_program))
+        in
+        let programs = List.map Cfrontend.Cparser.parse_program (examples @ draws) in
+        let compile_all () =
+          List.iter
+            (fun p -> ignore (Driver.Compiler.compile_levels p))
+            programs
+        in
+        let saved = !Obs.enabled in
+        Obs.enabled := false;
+        compile_all ();
+        let w0 = Gc.minor_words () in
+        compile_all ();
+        let words = Gc.minor_words () -. w0 in
+        Obs.enabled := saved;
+        if words > compile_words_ceiling then
+          Alcotest.failf "compile_levels allocated %.0f minor words (ceiling %.0f)"
+            words compile_words_ceiling);
+  ]
+
 let suite =
   ( "pipeline",
     basic @ calling_convention @ memory_programs @ arithmetic @ no_optim
-    @ optim_shapes @ stack_arg_classes @ spill_everything @ regressions )
+    @ optim_shapes @ stack_arg_classes @ spill_everything @ regressions
+    @ compile_words_gate )

@@ -58,6 +58,28 @@ let unit_tests =
     Alcotest.test_case "register writes are not normalized" `Quick (fun () ->
         let ls = Locset.set (R AX) (Vsingle 1.5) Locset.init in
         check "kept" true (Locset.get (R AX) ls = Vsingle 1.5));
+    Alcotest.test_case "loc_equal is structural equality on every pair"
+      `Quick (fun () ->
+        let locs =
+          List.map (fun m -> R m) all_mregs
+          @ List.concat_map
+              (fun k ->
+                List.concat_map
+                  (fun o ->
+                    List.map
+                      (fun t -> S (k, o, t))
+                      [ Tint; Tlong; Tfloat; Tsingle; Tany64 ])
+                  [ -1; 0; 1; 2; 7; 64 ])
+              [ Local; Incoming; Outgoing ]
+        in
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                if loc_equal a b <> (a = b) then
+                  Alcotest.failf "loc_equal %a %a" pp_loc a pp_loc b)
+              locs)
+          locs);
   ]
 
 let prop_tests =
