@@ -173,10 +173,26 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
     [step] re-matches [f.fn_code.(pos)], re-resolves the function block
     in the global environment, re-scans for labels and re-allocates the
     successor PC value on {e every} step. The fast path decodes each
-    function once into an array of closures (superinstructions): operand
-    register indices, label targets, symbol addresses and the function's
-    PC values are all resolved at decode time, so executing an
-    instruction is one array index plus one one-argument closure call.
+    function once into an array of closures: everything that does not
+    depend on the running state is resolved at decode time, so executing
+    an instruction is one array index plus one one-argument closure call
+    that builds no argument list, closure, option or intermediate
+    address. Resolved at decode time are operand register indices,
+    label targets, the function's PC values, and:
+    - symbol addresses ([Oaddrsymbol], [Aglobal], direct calls), which
+      become constants; an unknown symbol decodes to a closure that is
+      stuck, as [exec_instr] is;
+    - addressing modes: a load or store reads its block and offset
+      straight from the registers into [Mem.load] or [Mem.store], and
+      only [Olea] builds the address as a value;
+    - operators and conditions, resolved by arity ({!Op.arity},
+      {!Op.test}) to the [Values] function that [eval_operation] and
+      [eval_condition] apply, with an immediate as its constant second
+      operand. The decoder has one arm per arity, not per operator, so
+      covering another operator takes no new arm, and which [Values]
+      function an operator applies is written once, in [Op]. The
+      [asmdecode] suite checks every decoded shape against
+      [exec_instr].
     Decoded functions are memoized in a per-[semantics] decode cache
     keyed by function block (the shape the second-backend roadmap item
     needs: one cache per backend signature); the global hit/miss
@@ -256,15 +272,102 @@ let transfer fb len (rs : Pregfile.t) v =
     rs.(ipc) <- v;
     left
 
-(* Operand fetch specialized on arity, so the common 0–3 argument cases
-   build their value list without an intermediate index list. *)
-let fetch_args (args : preg list) : Pregfile.t -> value list =
-  match List.map preg_index args with
-  | [] -> fun _ -> []
-  | [ a ] -> fun rs -> [ rs.(a) ]
-  | [ a; b ] -> fun rs -> [ rs.(a); rs.(b) ]
-  | [ a; b; c ] -> fun rs -> [ rs.(a); rs.(b); rs.(c) ]
-  | idx -> fun rs -> List.map (fun i -> rs.(i)) idx
+(* A memory access: a load into a register or a store from one. *)
+type access = Load of chunk * int | Store of chunk * int
+
+(* Perform [acc] at offset [o] of block [b], then continue at [next]. *)
+let access acc next st b o =
+  match acc with
+  | Load (chunk, idst) -> (
+    match Mem.load chunk st.m b o with
+    | Some v ->
+      st.rs.(idst) <- v;
+      next
+    | None -> stuck)
+  | Store (chunk, isrc) -> (
+    match Mem.store chunk st.m b o st.rs.(isrc) with
+    | Some m' ->
+      set_mem st m';
+      next
+    | None -> stuck)
+
+(* [locate gv addr args acc next] performs [acc] at the block and offset
+   [addr] designates on the registers [args], or sticks where
+   [Op.eval_addressing] followed by [Mem.loadv] or [Mem.storev] would:
+   those need a pointer, so an address that is not one, a missing
+   symbol or a mismatched operand count sticks. A [Vlong] offset added
+   to a pointer is read with [Int64.to_int], as [Values.addl] reads
+   it. *)
+let locate (gv : Op.genv_view) (addr : Op.addressing) (args : preg list)
+    (acc : access) (next : int) : exec =
+  match (addr, List.map preg_index args) with
+  | Op.Aindexed ofs, [ a ] -> (
+    fun st -> match st.rs.(a) with Vptr (b, o) -> access acc next st b (o + ofs) | _ -> stuck)
+  | Op.Aindexed2 ofs, [ a; c ] -> (
+    fun st ->
+      match (st.rs.(a), st.rs.(c)) with
+      | Vptr (b, o), Vlong n | Vlong n, Vptr (b, o) ->
+        access acc next st b (o + Int64.to_int n + ofs)
+      | _ -> stuck)
+  | Op.Aindexed2scaled (sc, ofs), [ a; c ] -> (
+    let sc = Int64.of_int sc in
+    fun st ->
+      match (st.rs.(a), st.rs.(c)) with
+      | Vptr (b, o), Vlong n -> access acc next st b (o + Int64.to_int (Int64.mul n sc) + ofs)
+      | _ -> stuck)
+  | Op.Aglobal (id, ofs), [] -> (
+    match gv.Op.find_symbol id with
+    | Some b -> fun st -> access acc next st b ofs
+    | None -> fun _ -> stuck)
+  | Op.Ainstack ofs, [] -> (
+    fun st ->
+      match st.rs.(isp) with Vptr (b, base) -> access acc next st b (base + ofs) | _ -> stuck)
+  (* [Ascaled]: a scaled index alone is an integer, never a pointer. *)
+  | _ -> fun _ -> stuck
+
+(* [Olea]: [Op.eval_addressing] on the registers [args], the one place
+   the decoder builds an address as a value. *)
+let decode_lea (gv : Op.genv_view) (addr : Op.addressing) (args : preg list)
+    (ires : int) (next : int) : exec =
+  let vlong n = Vlong (Int64.of_int n) in
+  let set st v =
+    st.rs.(ires) <- v;
+    next
+  in
+  match (addr, List.map preg_index args) with
+  | Op.Aindexed ofs, [ a ] ->
+    let vofs = vlong ofs in
+    fun st -> set st (addl st.rs.(a) vofs)
+  | Op.Aindexed2 ofs, [ a; c ] ->
+    let vofs = vlong ofs in
+    fun st -> set st (addl (addl st.rs.(a) st.rs.(c)) vofs)
+  | Op.Ascaled (sc, ofs), [ a ] -> (
+    let sc = Int64.of_int sc and vofs = vlong ofs in
+    fun st ->
+      match st.rs.(a) with Vlong n -> set st (addl (Vlong (Int64.mul n sc)) vofs) | _ -> stuck)
+  | Op.Aindexed2scaled (sc, ofs), [ a; c ] -> (
+    let sc = Int64.of_int sc and vofs = vlong ofs in
+    fun st ->
+      match st.rs.(c) with
+      | Vlong n -> set st (addl (addl st.rs.(a) (Vlong (Int64.mul n sc))) vofs)
+      | _ -> stuck)
+  | Op.Aglobal (id, ofs), [] -> (
+    match gv.Op.find_symbol id with
+    | Some b ->
+      let v = Vptr (b, ofs) in
+      fun st -> set st v
+    | None -> fun _ -> stuck)
+  | Op.Ainstack ofs, [] -> (
+    fun st ->
+      match st.rs.(isp) with Vptr (b, base) -> set st (Vptr (b, base + ofs)) | _ -> stuck)
+  | _ -> fun _ -> stuck
+
+(* [Op.eval_condition cond] on the registers [args]. *)
+let decode_test (cond : Op.condition) (args : preg list) : state -> bool option =
+  match (Op.test cond, List.map preg_index args) with
+  | Op.Test2 f, [ a; b ] -> fun st -> f st.m st.rs.(a) st.rs.(b)
+  | Op.Test_imm (f, n), [ a ] -> fun st -> f st.m st.rs.(a) n
+  | _ -> fun _ -> None
 
 let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
     (fb : block) (pcs : value array) (pos : int) (i : instruction) : exec =
@@ -297,180 +400,82 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
           | None -> stuck)
         | _ -> stuck)
       | _ -> stuck)
-  (* Superinstructions: the operand shapes the register allocator emits
-     most (moves, constants, two-operand integer arithmetic, reg/stack
-     addressing, integer compare-and-branch) get dedicated closures that
-     skip the operand list and the [eval_operation]/[eval_addressing]/
-     [eval_condition] dispatch. Each one computes exactly what the
-     generic arm below computes for the same shape — the lockstep suite
-     checks this against the naive interpreter. *)
-  | Pop (Op.Omove, [ a ], res) ->
-    let ia = preg_index a and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- rs.(ia);
-      next
-  | Pop (Op.Ointconst n, [], res) ->
-    let v = Vint n and ires = preg_index res in
-    fun st ->
-      st.rs.(ires) <- v;
-      next
-  | Pop (Op.Olongconst n, [], res) ->
-    let v = Vlong n and ires = preg_index res in
-    fun st ->
-      st.rs.(ires) <- v;
-      next
-  | Pop (Op.Oaddimm n, [ a ], res) ->
-    let vn = Vint n and ia = preg_index a and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- Values.add rs.(ia) vn;
-      next
-  | Pop (Op.Oadd, [ a; b ], res) ->
-    let ia = preg_index a and ib = preg_index b and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- Values.add rs.(ia) rs.(ib);
-      next
-  | Pop (Op.Osub, [ a; b ], res) ->
-    let ia = preg_index a and ib = preg_index b and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- Values.sub rs.(ia) rs.(ib);
-      next
-  | Pop (Op.Omul, [ a; b ], res) ->
-    let ia = preg_index a and ib = preg_index b and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- Values.mul rs.(ia) rs.(ib);
-      next
-  | Pop (Op.Olongofint, [ a ], res) ->
-    let ia = preg_index a and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- Values.longofint rs.(ia);
-      next
-  | Pop (Op.Oaddlimm n, [ a ], res) ->
-    let vn = Vlong n and ia = preg_index a and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- Values.addl rs.(ia) vn;
-      next
-  | Pop (Op.Omullimm n, [ a ], res) ->
-    let vn = Vlong n and ia = preg_index a and ires = preg_index res in
-    fun st ->
-      let rs = st.rs in
-      rs.(ires) <- Values.mull rs.(ia) vn;
-      next
-  | Pop (op, args, res) ->
-    let fetch = fetch_args args in
+  (* An operator is resolved by its arity ([Op.arity]) to the [Values]
+     function [Op.eval_operation] applies, and a symbol's address to a
+     constant; an operand count the operator does not take sticks, as
+     there. *)
+  | Pop (op, args, res) -> (
     let ires = preg_index res in
-    fun st -> (
-      let rs = st.rs in
-      match Op.eval_operation gv rs.(isp) op (fetch rs) st.m with
-      | Some v ->
-        rs.(ires) <- v;
+    match (Op.arity op, List.map preg_index args) with
+    | Op.Move, [ a ] ->
+      fun st ->
+        let rs = st.rs in
+        rs.(ires) <- rs.(a);
         next
-      | None -> stuck)
-  | Pload (chunk, Op.Aindexed ofs, [ a ], dst) ->
-    let ia = preg_index a and idst = preg_index dst in
-    fun st -> (
-      let rs = st.rs in
-      match rs.(ia) with
-      | Vptr (b, o) -> (
-        match Mem.load chunk st.m b (o + ofs) with
-        | Some v ->
-          rs.(idst) <- v;
-          next
-        | None -> stuck)
-      | _ -> stuck)
-  | Pload (chunk, Op.Ainstack ofs, [], dst) ->
-    let idst = preg_index dst in
-    fun st -> (
-      let rs = st.rs in
-      match rs.(isp) with
-      | Vptr (b, base) -> (
-        match Mem.load chunk st.m b (base + ofs) with
-        | Some v ->
-          rs.(idst) <- v;
-          next
-        | None -> stuck)
-      | _ -> stuck)
-  | Pload (chunk, Op.Aindexed2 ofs, [ a; b ], dst) ->
-    (* Matches the generic arm exactly: [eval_addressing] on [Aindexed2]
-       is [addl (addl v1 v2) ofs] and never gets stuck on two args. *)
-    let ia = preg_index a and ib = preg_index b and idst = preg_index dst in
-    let vofs = Vlong (Int64.of_int ofs) in
-    fun st -> (
-      let rs = st.rs in
-      match Mem.loadv chunk st.m (Values.addl (Values.addl rs.(ia) rs.(ib)) vofs) with
-      | Some v ->
-        rs.(idst) <- v;
+    | Op.Const v, _ ->
+      fun st ->
+        st.rs.(ires) <- v;
         next
-      | None -> stuck)
-  | Pload (chunk, addr, args, dst) ->
-    let fetch = fetch_args args in
-    let idst = preg_index dst in
-    fun st -> (
-      let rs = st.rs in
-      match Op.eval_addressing gv rs.(isp) addr (fetch rs) with
-      | Some va -> (
-        match Mem.loadv chunk st.m va with
-        | Some v ->
-          rs.(idst) <- v;
+    | Op.Symbol (id, ofs), _ -> (
+      match gv.Op.find_symbol id with
+      | Some b ->
+        let v = Vptr (b, ofs) in
+        fun st ->
+          st.rs.(ires) <- v;
           next
-        | None -> stuck)
-      | None -> stuck)
-  | Pstore (chunk, Op.Aindexed ofs, [ a ], src) ->
-    let ia = preg_index a and isrc = preg_index src in
-    fun st -> (
-      let rs = st.rs in
-      match rs.(ia) with
-      | Vptr (b, o) -> (
-        match Mem.store chunk st.m b (o + ofs) rs.(isrc) with
-        | Some m' ->
-          set_mem st m';
+      | None -> fun _ -> stuck)
+    | Op.Stack ofs, _ -> (
+      fun st ->
+        let rs = st.rs in
+        match rs.(isp) with
+        | Vptr (b, base) ->
+          rs.(ires) <- Vptr (b, base + ofs);
           next
-        | None -> stuck)
-      | _ -> stuck)
-  | Pstore (chunk, Op.Ainstack ofs, [], src) ->
-    let isrc = preg_index src in
-    fun st -> (
-      let rs = st.rs in
-      match rs.(isp) with
-      | Vptr (b, base) -> (
-        match Mem.store chunk st.m b (base + ofs) rs.(isrc) with
-        | Some m' ->
-          set_mem st m';
-          next
-        | None -> stuck)
-      | _ -> stuck)
-  | Pstore (chunk, Op.Aindexed2 ofs, [ a; b ], src) ->
-    let ia = preg_index a and ib = preg_index b and isrc = preg_index src in
-    let vofs = Vlong (Int64.of_int ofs) in
-    fun st -> (
-      let rs = st.rs in
-      match
-        Mem.storev chunk st.m (Values.addl (Values.addl rs.(ia) rs.(ib)) vofs)
-          rs.(isrc)
-      with
-      | Some m' ->
-        set_mem st m';
+        | _ -> stuck)
+    | Op.Unary f, [ a ] ->
+      fun st ->
+        let rs = st.rs in
+        rs.(ires) <- f rs.(a);
         next
-      | None -> stuck)
-  | Pstore (chunk, addr, args, src) ->
-    let fetch = fetch_args args in
-    let isrc = preg_index src in
-    fun st -> (
-      let rs = st.rs in
-      match Op.eval_addressing gv rs.(isp) addr (fetch rs) with
-      | Some va -> (
-        match Mem.storev chunk st.m va rs.(isrc) with
-        | Some m' ->
-          set_mem st m';
+    | Op.Binary f, [ a; b ] ->
+      fun st ->
+        let rs = st.rs in
+        rs.(ires) <- f rs.(a) rs.(b);
+        next
+    | Op.Binary_imm (f, n), [ a ] ->
+      fun st ->
+        let rs = st.rs in
+        rs.(ires) <- f rs.(a) n;
+        next
+    | Op.Unary_partial f, [ a ] -> (
+      fun st ->
+        let rs = st.rs in
+        match f rs.(a) with
+        | Some v ->
+          rs.(ires) <- v;
           next
         | None -> stuck)
-      | None -> stuck)
+    | Op.Binary_partial f, [ a; b ] -> (
+      fun st ->
+        let rs = st.rs in
+        match f rs.(a) rs.(b) with
+        | Some v ->
+          rs.(ires) <- v;
+          next
+        | None -> stuck)
+    | Op.Lea addr, _ -> decode_lea gv addr args ires next
+    | Op.Cmp cond, _ ->
+      (* a condition that cannot be decided yields [Vundef] *)
+      let t = decode_test cond args in
+      fun st ->
+        st.rs.(ires) <- (match t st with Some b -> of_bool b | None -> Vundef);
+        next
+    | ( ( Op.Move | Op.Unary _ | Op.Binary _ | Op.Binary_imm _ | Op.Unary_partial _
+        | Op.Binary_partial _ ),
+        _ ) ->
+      fun _ -> stuck)
+  | Pload (chunk, addr, args, dst) -> locate gv addr args (Load (chunk, preg_index dst)) next
+  | Pstore (chunk, addr, args, src) -> locate gv addr args (Store (chunk, preg_index src)) next
   | Plabel _ -> fun _ -> next
   | Pjmp lbl -> (
     match find_label lbl f.fn_code with
@@ -479,32 +484,13 @@ let decode_instr (gv : Op.genv_view) (ge : genv) (f : coq_function)
   | Pjcc (cond, args, lbl) -> (
     (* The label resolves at decode time, but a missing label only
        sticks the taken branch — the fall-through must still work,
-       exactly as in [exec_instr]. The integer compares the code
-       generator emits test their operands in place instead of building
-       [Values.cmp_bool]'s option; a non-integer operand sticks, as
-       there. *)
+       exactly as in [exec_instr]. *)
     let taken = match find_label lbl f.fn_code with Some p -> p | None -> stuck in
-    match (cond, args) with
-    | Op.Ccomp c, [ a; b ] ->
-      let ia = preg_index a and ib = preg_index b in
-      fun st -> (
-        match (st.rs.(ia), st.rs.(ib)) with
-        | Vint x, Vint y ->
-          if cmp_bool_of_int c (Int32.compare x y) then taken else next
-        | _ -> stuck)
-    | Op.Ccompimm (c, n), [ a ] ->
-      let ia = preg_index a in
-      fun st -> (
-        match st.rs.(ia) with
-        | Vint x -> if cmp_bool_of_int c (Int32.compare x n) then taken else next
-        | _ -> stuck)
-    | _ ->
-      let fetch = fetch_args args in
-      fun st -> (
-        match Op.eval_condition cond (fetch st.rs) st.m with
-        | Some true -> taken
-        | Some false -> next
-        | None -> stuck))
+    let branch = function Some true -> taken | Some false -> next | None -> stuck in
+    match (Op.test cond, List.map preg_index args) with
+    | Op.Test2 f, [ a; b ] -> fun st -> branch (f st.m st.rs.(a) st.rs.(b))
+    | Op.Test_imm (f, n), [ a ] -> fun st -> branch (f st.m st.rs.(a) n)
+    | _ -> fun _ -> stuck)
   | Pcall ros -> (
     let ret = pcs.(next) in
     match ros with
@@ -583,9 +569,9 @@ let find_decoded ~counted (ge : genv) (dc : decode_cache) (fb : block) :
   if fb = dc.dc_last_fb then dc.dc_last
   else begin
     let d =
-      match Hashtbl.find_opt dc.dc_tbl fb with
-      | Some d -> d
-      | None ->
+      match Hashtbl.find dc.dc_tbl fb with
+      | d -> d
+      | exception Not_found ->
         if counted then incr decode_cache_misses;
         let d =
           match Genv.find_funct_ptr ge fb with
@@ -601,20 +587,6 @@ let find_decoded ~counted (ge : genv) (dc : decode_cache) (fb : block) :
   end
 
 type full_state = { asm_init_ra : value; asm_st : state }
-
-(* PC-shaped value equality, specialized to avoid the polymorphic
-   [caml_compare] the per-step final/at-external tests would otherwise
-   pay. Agrees with [(=)] on every case, including its IEEE treatment
-   of float payloads (NaN unequal to itself). *)
-let pc_eq (a : value) (b : value) : bool =
-  match (a, b) with
-  | Vptr (b1, o1), Vptr (b2, o2) -> b1 = b2 && o1 = o2
-  | Vint x, Vint y -> Int32.equal x y
-  | Vlong x, Vlong y -> Int64.equal x y
-  | Vundef, Vundef -> true
-  | Vfloat x, Vfloat y -> x = y
-  | Vsingle x, Vsingle y -> x = y
-  | _ -> false
 
 (* A superstep runs at most this many instructions, so fuel still
    bounds the loops inside one function. *)
@@ -738,15 +710,17 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     let pc = s.asm_st.rs.(ipc) in
     Genv.plausible_funct ge pc
     && (not (is_internal pc))
-    && not (pc_eq pc s.asm_init_ra)
+    && not (Values.equal pc s.asm_init_ra)
   in
-  let returned s = pc_eq s.asm_st.rs.(ipc) s.asm_init_ra in
+  let returned s = Values.equal s.asm_st.rs.(ipc) s.asm_init_ra in
+  let init q = { asm_init_ra = Pregfile.get RA q.aq_rs; asm_st = adopt q.aq_rs q.aq_mem } in
+  (* A suspended activation never reads its register file or memory
+     again: the reply's replace them. *)
+  let resume s r = { s with asm_st = adopt r.ar_rs r.ar_mem } in
   {
     Core.Smallstep.name = "Asm";
     dom = (fun q -> is_internal (Pregfile.get PC q.aq_rs));
-    init =
-      (fun q ->
-        [ { asm_init_ra = Pregfile.get RA q.aq_rs; asm_st = adopt q.aq_rs q.aq_mem } ]);
+    init = (fun q -> [ init q ]);
     (* A final state has no internal step, even when the return address
        is code of this unit (a function called from inside the unit
        that tail-calls into another unit is answered there): [⊕] offers
@@ -758,9 +732,7 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
         if at_call s then
           Some { aq_rs = Pregfile.copy s.asm_st.rs; aq_mem = snapshot_mem s.asm_st.m }
         else None);
-    (* A suspended activation never reads its register file or memory
-       again: the reply's replace them. *)
-    after_external = (fun s r -> [ { s with asm_st = adopt r.ar_rs r.ar_mem } ]);
+    after_external = (fun s r -> [ resume s r ]);
     final =
       (fun s ->
         if returned s then
@@ -778,6 +750,8 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
                (fun s ->
                  if returned s then Some { ar_rs = s.asm_st.rs; ar_mem = s.asm_st.m }
                  else None);
+             take_init = init;
+             take_reply = resume;
            }
        else None);
   }

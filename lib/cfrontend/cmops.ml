@@ -61,7 +61,6 @@ let eval_unop (op : unary_operation) (v : value) : value option =
 
 let eval_binop (op : binary_operation) (v1 : value) (v2 : value) (m : Mem.t) :
     value option =
-  let valid b o = Mem.weak_valid_pointer m b o in
   let some v = match v with Vundef -> None | v -> Some v in
   match op with
   | Oadd -> some (add v1 v2)
@@ -101,7 +100,7 @@ let eval_binop (op : binary_operation) (v1 : value) (v2 : value) (m : Mem.t) :
   | Ocmp c -> Option.map of_bool (cmp_bool c v1 v2)
   | Ocmpu c -> Option.map of_bool (cmpu_bool c v1 v2)
   | Ocmpl c -> Option.map of_bool (cmpl_bool c v1 v2)
-  | Ocmplu c -> Option.map of_bool (cmplu_bool ~valid c v1 v2)
+  | Ocmplu c -> Option.map of_bool (cmplu_bool ~valid:Mem.weak_valid_pointer m c v1 v2)
   | Ocmpf c -> Option.map of_bool (cmpf_bool c v1 v2)
   | Ocmpfs c -> Option.map of_bool (cmpfs_bool c v1 v2)
 

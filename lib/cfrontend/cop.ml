@@ -296,7 +296,6 @@ let sem_shr v1 t1 v2 t2 =
     v1 t1 v2 t2
 
 let sem_cmp c v1 t1 v2 t2 m =
-  let valid b o = Mem.weak_valid_pointer m b o in
   if is_pointer_ty t1 || is_pointer_ty t2 then
     (* Pointer comparison at 64 bits. *)
     let norm v t =
@@ -308,7 +307,7 @@ let sem_cmp c v1 t1 v2 t2 m =
     in
     match (norm v1 t1, norm v2 t2) with
     | Some v1', Some v2' -> (
-      match cmplu_bool ~valid c v1' v2' with
+      match cmplu_bool ~valid:Mem.weak_valid_pointer m c v1' v2' with
       | Some b -> Some (of_bool b)
       | None -> None)
     | _ -> None
@@ -319,7 +318,8 @@ let sem_cmp c v1 t1 v2 t2 m =
         Option.map of_bool r)
       ~long_op:(fun g a b ->
         let r =
-          if g = Unsigned then cmplu_bool ~valid c a b else cmpl_bool c a b
+          if g = Unsigned then cmplu_bool ~valid:Mem.weak_valid_pointer m c a b
+          else cmpl_bool c a b
         in
         Option.map of_bool r)
       ~float_op:(fun a b -> Option.map of_bool (cmpf_bool c a b))

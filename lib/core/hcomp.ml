@@ -73,15 +73,17 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
       (String.concat " and " names) (List.hd names)
   in
   (* i° and push: the lowest accepting index. Linked programs have
-     disjoint domains, so [on_diag] hears of any other taker. *)
+     disjoint domains, so [on_diag] hears of any other taker. [route]
+     returns the suffix of [cs] that starts with the accepting
+     component, [[]] when none accepts, so routing builds no option. *)
   let rec route ~rule q = function
-    | [] -> None
-    | (Any c as a) :: rest when c.lts.dom q ->
+    | [] -> []
+    | (Any c as a) :: rest as taker when c.lts.dom q ->
       (match on_diag with
       | Some f when List.exists (accepts q) rest ->
         f (overlap ~rule (a :: List.filter (accepts q) rest))
       | _ -> ());
-      Some a
+      taker
     | _ :: rest -> route ~rule q rest
   in
   (* The payloads of a push and a pop: handed over when the running
@@ -100,25 +102,35 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
   in
   let init q =
     match route ~rule:"init" q cs with
-    | Some (Any c) -> List.map (fun s -> [ Frame (c, s) ]) (c.lts.init q)
-    | None -> []
-  in
-  (* A new activation of [c'] on [q], above the running frame [f]. *)
-  let push (Frame (c, _) as f) k c' q =
-    match c'.lts.init q with
+    | Any c :: _ -> List.map (fun s -> [ Frame (c, s) ]) (c.lts.init q)
     | [] -> []
-    | ss ->
-      (match observe with
-      | Some o -> o (Bpush { caller = c.side; callee = c'.side; question = q })
-      | None -> ());
-      (* a deterministic [init] is mapped without a closure *)
-      (match ss with
-      | [ s' ] -> [ (Events.e0, Frame (c', s') :: f :: k) ]
-      | _ -> List.map (fun s' -> (Events.e0, Frame (c', s') :: f :: k)) ss)
+  in
+  let pushed c c' q =
+    match observe with
+    | Some o -> o (Bpush { caller = c.side; callee = c'.side; question = q })
+    | None -> ()
+  in
+  (* A new activation of [c'] on [q], above the stack [st] whose
+     running component is [c]. A receiver with the handover capability
+     answers with its one state. *)
+  let push c st c' q =
+    match c'.lts.handover with
+    | Some h ->
+      pushed c c' q;
+      [ (Events.e0, Frame (c', h.take_init q) :: st) ]
+    | None -> (
+      match c'.lts.init q with
+      | [] -> []
+      | ss ->
+        pushed c c' q;
+        (* a deterministic [init] is mapped without a closure *)
+        (match ss with
+        | [ s' ] -> [ (Events.e0, Frame (c', s') :: st) ]
+        | _ -> List.map (fun s' -> (Events.e0, Frame (c', s') :: st)) ss))
   in
   let step = function
     | [] -> []
-    | (Frame (c, s) as f) :: k as st -> (
+    | Frame (c, s) :: k as st -> (
       match c.lts.step s with
       (* run; a deterministic step is mapped without a closure, and one
          that returns its own state leaves the stack as it is *)
@@ -129,14 +141,14 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
         | Some q -> (
           (* push, unless no component accepts [q] (x°) *)
           match route ~rule:"push" q cs with
-          | Some (Any c') ->
+          | Any c' :: _ ->
             if Option.is_some c.lts.handover && Option.is_none c'.lts.handover
             then
               match c.lts.at_external s with
-              | Some q -> push f k c' q
+              | Some q -> push c st c' q
               | None -> []
-            else push f k c' q
-          | None -> [])
+            else push c st c' q
+          | [] -> [])
         | None -> (
           (* pop, unless [f] is the bottom frame (i•) *)
           match k with
@@ -147,9 +159,12 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
               | Some o -> o (Bpop { callee = c.side; caller = c'.side; answer = r })
               | None -> ());
               (* a deterministic resumption is mapped without a closure *)
-              (match c'.lts.after_external sc r with
-              | [ sc' ] -> [ (Events.e0, Frame (c', sc') :: k') ]
-              | scs -> List.map (fun sc' -> (Events.e0, Frame (c', sc') :: k')) scs)
+              (match c'.lts.handover with
+              | Some h -> [ (Events.e0, Frame (c', h.take_reply sc r) :: k') ]
+              | None -> (
+                match c'.lts.after_external sc r with
+                | [ sc' ] -> [ (Events.e0, Frame (c', sc') :: k') ]
+                | scs -> List.map (fun sc' -> (Events.e0, Frame (c', sc') :: k')) scs))
             | None -> [])
           | [] -> [])))
   in

@@ -23,13 +23,15 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   at_external : 's -> 'qo option;  (** [X ⊆ S × A°]: external states *)
   after_external : 's -> 'ro -> 's list;  (** [Y ⊆ S × A• × S] *)
   final : 's -> 'ri option;  (** [F ⊆ S × B•]: final states *)
-  handover : ('s, 'ri, 'qo) handover option;
+  handover : ('s, 'qi, 'ri, 'qo, 'ro) handover option;
       (** probes that hand the payload over instead of snapshotting it *)
 }
 
-and ('s, 'ri, 'qo) handover = {
+and ('s, 'qi, 'ri, 'qo, 'ro) handover = {
   hand_external : 's -> 'qo option;
   hand_final : 's -> 'ri option;
+  take_init : 'qi -> 's;
+  take_reply : 's -> 'ro -> 's;
 }
 
 (** {1 Deterministic execution}

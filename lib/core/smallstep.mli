@@ -32,7 +32,7 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   at_external : 's -> 'qo option;  (** [X ⊆ S × A°]: external states *)
   after_external : 's -> 'ro -> 's list;  (** [Y ⊆ S × A• × S] *)
   final : 's -> 'ri option;  (** [F ⊆ S × B•]: final states *)
-  handover : ('s, 'ri, 'qo) handover option;
+  handover : ('s, 'qi, 'ri, 'qo, 'ro) handover option;
 }
 
 (** The handover capability: [at_external] and [final] without the
@@ -45,14 +45,21 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
 
     The payload carries its own mark, so the receiving LTS's [init] or
     [after_external] adopts a handed-over payload as is and takes a
-    snapshot of any other. Only {!Hcomp} uses the capability, at a push
-    or pop whose running and receiving components both have it; the
-    receiver answers with at most one state. Every payload that leaves
+    snapshot of any other. [take_init q] and [take_reply s r] are the
+    one state that [init q] and [after_external s r] answer with: an
+    LTS with the capability answers every question its [dom] accepts,
+    and every reply, with exactly one state. Only {!Hcomp} uses the
+    capability: it hands the payload over at a push or pop whose
+    running and receiving components both have it, and takes the
+    receiver's state with [take_init] or [take_reply] whenever the
+    receiver has it. Every payload that leaves
     a composite, at x° and i• (Fig. 5), in {!run}, {!Vcomp} or
     {!Coexec}, comes from the plain probes. *)
-and ('s, 'ri, 'qo) handover = {
+and ('s, 'qi, 'ri, 'qo, 'ro) handover = {
   hand_external : 's -> 'qo option;
   hand_final : 's -> 'ri option;
+  take_init : 'qi -> 's;
+  take_reply : 's -> 'ro -> 's;
 }
 
 (** Outcome of a deterministic run (first enabled transition). *)

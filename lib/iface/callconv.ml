@@ -483,7 +483,7 @@ let ca_arguments_kept sg (q : a_query) m' =
     let rec same ofs =
       ofs >= base + n
       || Mem.perm_at m b ofs = Mem.perm_at m' b ofs
-         && Mem.contents_at m b ofs = Mem.contents_at m' b ofs
+         && Memdata.memval_equal (Mem.contents_at m b ofs) (Mem.contents_at m' b ofs)
          && same (ofs + 1)
     in
     Mem.valid_block m b && Mem.valid_block m' b && same base
@@ -529,7 +529,7 @@ let transplant_diff ~before ~after ~onto =
       | None -> None
       | Some m ->
         let c = Mem.contents_at after b ofs in
-        if Mem.contents_at before b ofs = c then Some m
+        if Memdata.memval_equal (Mem.contents_at before b ofs) c then Some m
         else Mem.storebytes m b ofs [ c ])
     (Some onto)
 

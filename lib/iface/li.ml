@@ -141,7 +141,7 @@ module Pregfile = struct
   let equal (a : t) (b : t) =
     a == b
     ||
-    let rec go i = i >= num_pregs || (a.(i) = b.(i) && go (i + 1)) in
+    let rec go i = i >= num_pregs || (Values.equal a.(i) b.(i) && go (i + 1)) in
     go 0
 
   let pp fmt rf =

@@ -563,10 +563,6 @@ let sext bits x =
 
 let byte_at a i = match a.(i) with Byte b -> b | _ -> -1
 
-(* [v = v] (false only for a NaN float), the condition under which
-   [proj_value]'s structural comparison accepts a fragment run that
-   physical equality accepts. *)
-let self_equal = function Vfloat f | Vsingle f -> f = f | _ -> true
 let is_ptr = function Vptr _ -> true | _ -> false
 
 (* [decode_val chunk] of the [size_chunk chunk] memvals at [i] of chunk
@@ -620,7 +616,7 @@ let read_val chunk a i : value option =
         let hi = b4 lor (b5 lsl 8) lor (b6 lsl 16) lor (b7 lsl 24) in
         Some
           (Vlong (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)))
-    | Fragment (v0, Q64, 7) when self_equal v0 && (chunk = Many64 || is_ptr v0) ->
+    | Fragment (v0, Q64, 7) when chunk = Many64 || is_ptr v0 ->
       (* A value stored by [inj_value Q64] (a pointer, or a [Many64]
          spill): a word run, or eight fragments of the same value at
          decreasing indices 7..0 (a byte-wise copy of a run shares one
@@ -757,7 +753,7 @@ let unchanged_on (pred : block -> int -> bool) m m' =
          ok
          && ((not (pred b ofs))
             || perm_at m b ofs = perm_at m' b ofs
-               && contents_at m b ofs = contents_at m' b ofs))
+               && memval_equal (contents_at m b ofs) (contents_at m' b ofs)))
        true
 
 (* Equality of two chunks' data. The structural fast path lets a mark
@@ -767,10 +763,12 @@ let unchanged_on (pred : block -> int -> bool) m m' =
 let data_equal a1 a2 =
   a1 == a2
   || Array.length a1 = Array.length a2
-     && Array.for_all2 (fun x y -> if x == mark || y == mark then x == y else x = y) a1 a2
+     && Array.for_all2
+          (fun x y -> if x == mark || y == mark then x == y else memval_equal x y)
+          a1 a2
   ||
   let rec go i =
-    i >= chunk_size || (cell_or_undef a1 i = cell_or_undef a2 i && go (i + 1))
+    i >= chunk_size || (memval_equal (cell_or_undef a1 i) (cell_or_undef a2 i) && go (i + 1))
   in
   go 0
 

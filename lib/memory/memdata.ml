@@ -74,6 +74,15 @@ type memval =
   | Byte of int  (** one concrete byte, 0..255 *)
   | Fragment of value * quantity * int
 
+(** Memval equality, with fragment values compared by {!Values.equal}
+    (floats by their bits). *)
+let memval_equal a b =
+  match (a, b) with
+  | Undef, Undef -> true
+  | Byte x, Byte y -> x = y
+  | Fragment (v, q, i), Fragment (v', q', i') -> Values.equal v v' && q = q' && i = i'
+  | _ -> false
+
 (** {1 Byte-level encoding} *)
 
 let rec bytes_of_int64 count (n : int64) =
@@ -119,7 +128,7 @@ let proj_value q mvl =
       List.for_all2
         (fun mv expected_idx ->
           match mv with
-          | Fragment (v', q', idx) -> v' = v0 && q' = q && idx = expected_idx
+          | Fragment (v', q', idx) -> Values.equal v' v0 && q' = q && idx = expected_idx
           | _ -> false)
         mvl
         (List.init n (fun i -> n - 1 - i))

@@ -53,7 +53,7 @@ let val_inject f v1 v2 =
   | Vundef, _ -> true
   | Vptr (b, o), Vptr (b', o') -> (
     match apply f b with Some (b'', d) -> b' = b'' && o' = o + d | None -> false)
-  | _ -> v1 = v2
+  | _ -> Values.equal v1 v2
 
 (** Constructive direction: the canonical target value related to [v]. *)
 let map_val f v =

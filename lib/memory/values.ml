@@ -31,7 +31,20 @@ let pp fmt = function
 
 let to_string v = Format.asprintf "%a" pp v
 
-let equal (a : value) (b : value) = a = b
+(** Value equality, comparing float payloads by their bits, as
+    CompCert's [Float.eq_dec] does: [0.0] and [-0.0] differ, and a NaN
+    equals a NaN with the same bits. OCaml's [( = )] and [compare] get
+    both cases wrong for this purpose, so no value comparison that must
+    be exact reads them. *)
+let equal (a : value) (b : value) =
+  match (a, b) with
+  | Vundef, Vundef -> true
+  | Vint x, Vint y -> Int32.equal x y
+  | Vlong x, Vlong y -> Int64.equal x y
+  | Vfloat x, Vfloat y | Vsingle x, Vsingle y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Vptr (b1, o1), Vptr (b2, o2) -> b1 = b2 && o1 = o2
+  | _ -> false
 
 (** Round a float to single precision. *)
 let to_single f = Int32.float_of_bits (Int32.bits_of_float f)
@@ -61,7 +74,7 @@ let has_rettype v = function
     [lessdef v1 v2] is the refinement order [≤v] of the paper (§3.1):
     [Vundef] may be refined into any value. *)
 
-let lessdef v1 v2 = v1 = Vundef || v1 = v2
+let lessdef v1 v2 = match v1 with Vundef -> true | _ -> equal v1 v2
 let lessdef_list l1 l2 =
   List.length l1 = List.length l2 && List.for_all2 lessdef l1 l2
 
@@ -325,7 +338,14 @@ let intofsingle = function
     Pointer comparisons are only defined within a common block (the paper's
     memory model is block-structured; inter-block ordering is unspecified).
     Equality across distinct blocks requires validity of both pointers,
-    which is checked by the caller-provided [valid] predicate. *)
+    which the caller-provided [valid m] predicate checks in the memory
+    [m]; taking [m] as an argument, it needs no closure per comparison. *)
+
+(* The two defined outcomes of a comparison, allocated once: a
+   comparison builds no option. *)
+let some_true = Some true
+let some_false = Some false
+let some_bool b = if b then some_true else some_false
 
 let cmp_bool_of_int c (n : int) =
   match c with
@@ -338,39 +358,40 @@ let cmp_bool_of_int c (n : int) =
 
 let cmp_bool c v1 v2 =
   match (v1, v2) with
-  | Vint a, Vint b -> Some (cmp_bool_of_int c (Int32.compare a b))
+  | Vint a, Vint b -> some_bool (cmp_bool_of_int c (Int32.compare a b))
   | _ -> None
 
 let cmpu_bool c v1 v2 =
   match (v1, v2) with
-  | Vint a, Vint b -> Some (cmp_bool_of_int c (Int32.unsigned_compare a b))
+  | Vint a, Vint b -> some_bool (cmp_bool_of_int c (Int32.unsigned_compare a b))
   | _ -> None
 
 let cmpl_bool c v1 v2 =
   match (v1, v2) with
-  | Vlong a, Vlong b -> Some (cmp_bool_of_int c (Int64.compare a b))
+  | Vlong a, Vlong b -> some_bool (cmp_bool_of_int c (Int64.compare a b))
   | _ -> None
 
-let cmplu_bool ~valid c v1 v2 =
+let cmplu_bool ~valid m c v1 v2 =
   match (v1, v2) with
-  | Vlong a, Vlong b -> Some (cmp_bool_of_int c (Int64.unsigned_compare a b))
+  | Vlong a, Vlong b -> some_bool (cmp_bool_of_int c (Int64.unsigned_compare a b))
   | Vptr (b1, o1), Vptr (b2, o2) ->
     if b1 = b2 then
-      if valid b1 o1 && valid b2 o2 then Some (cmp_bool_of_int c (compare o1 o2))
+      if valid m b1 o1 && valid m b2 o2 then
+        some_bool (cmp_bool_of_int c (Int.compare o1 o2))
       else None
-    else if valid b1 o1 && valid b2 o2 then
-      match c with Ceq -> Some false | Cne -> Some true | _ -> None
+    else if valid m b1 o1 && valid m b2 o2 then
+      match c with Ceq -> some_false | Cne -> some_true | _ -> None
     else None
   | Vptr (b1, o1), Vlong 0L | Vlong 0L, Vptr (b1, o1) ->
-    if valid b1 o1 then
-      match c with Ceq -> Some false | Cne -> Some true | _ -> None
+    if valid m b1 o1 then
+      match c with Ceq -> some_false | Cne -> some_true | _ -> None
     else None
   | _ -> None
 
 let cmpf_bool c v1 v2 =
   match (v1, v2) with
   | Vfloat a, Vfloat b ->
-    Some
+    some_bool
       (match c with
       | Ceq -> a = b
       | Cne -> a <> b

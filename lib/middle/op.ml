@@ -83,23 +83,152 @@ type operation =
 
 type genv_view = { find_symbol : Ident.t -> block option }
 
+(** {2 Operators and conditions by arity}
+
+    [arity op] is the [Values] function that [eval_operation] applies
+    for [op], with the operands it takes: an immediate becomes the
+    function's constant second operand. [test cond] does the same for a
+    condition. [eval_operation] and [eval_condition] read these tables,
+    so each operator's semantics is written once; the threaded Asm
+    decoder reads them too, once per instruction, and executes the
+    function it finds on the registers. *)
+
+type arity =
+  | Move  (** one operand, returned as is *)
+  | Const of value  (** a constant; any operands are ignored *)
+  | Symbol of Ident.t * int  (** a global's address; operands ignored *)
+  | Stack of int  (** an offset from [sp]; operands ignored *)
+  | Unary of (value -> value)
+  | Binary of (value -> value -> value)
+  | Binary_imm of (value -> value -> value) * value
+      (** one operand, and the immediate as the second *)
+  | Unary_partial of (value -> value option)  (** [None] is stuck *)
+  | Binary_partial of (value -> value -> value option)
+  | Lea of addressing  (** the address as a value *)
+  | Cmp of condition  (** the condition as [0], [1] or [Vundef] *)
+
+(* The casts, applied to their width once. *)
+let cast8signed = sign_ext 8
+let cast8unsigned = zero_ext 8
+let cast16signed = sign_ext 16
+let cast16unsigned = zero_ext 16
+
+let arity (op : operation) : arity =
+  match op with
+  | Omove -> Move
+  | Ointconst n -> Const (Vint n)
+  | Olongconst n -> Const (Vlong n)
+  | Ofloatconst f -> Const (Vfloat f)
+  | Osingleconst f -> Const (Vsingle f)
+  | Oaddrsymbol (id, ofs) -> Symbol (id, ofs)
+  | Oaddrstack ofs -> Stack ofs
+  | Oadd -> Binary add
+  | Oaddimm n -> Binary_imm (add, Vint n)
+  | Osub -> Binary sub
+  | Omul -> Binary mul
+  | Omulimm n -> Binary_imm (mul, Vint n)
+  | Odiv -> Binary_partial divs
+  | Odivu -> Binary_partial divu
+  | Omod -> Binary_partial mods
+  | Omodu -> Binary_partial modu
+  | Oand -> Binary and_
+  | Oandimm n -> Binary_imm (and_, Vint n)
+  | Oor -> Binary or_
+  | Oorimm n -> Binary_imm (or_, Vint n)
+  | Oxor -> Binary xor
+  | Oxorimm n -> Binary_imm (xor, Vint n)
+  | Oshl -> Binary shl
+  | Oshlimm n -> Binary_imm (shl, Vint n)
+  | Oshr -> Binary shr
+  | Oshrimm n -> Binary_imm (shr, Vint n)
+  | Oshru -> Binary shru
+  | Oshruimm n -> Binary_imm (shru, Vint n)
+  | Oneg -> Unary neg
+  | Onot -> Unary notint
+  | Ocast8signed -> Unary cast8signed
+  | Ocast8unsigned -> Unary cast8unsigned
+  | Ocast16signed -> Unary cast16signed
+  | Ocast16unsigned -> Unary cast16unsigned
+  | Oaddl -> Binary addl
+  | Oaddlimm n -> Binary_imm (addl, Vlong n)
+  | Osubl -> Binary subl
+  | Omull -> Binary mull
+  | Omullimm n -> Binary_imm (mull, Vlong n)
+  | Odivl -> Binary_partial divls
+  | Odivlu -> Binary_partial divlu
+  | Omodl -> Binary_partial modls
+  | Omodlu -> Binary_partial modlu
+  | Oandl -> Binary andl
+  | Oandlimm n -> Binary_imm (andl, Vlong n)
+  | Oorl -> Binary orl
+  | Oorlimm n -> Binary_imm (orl, Vlong n)
+  | Oxorl -> Binary xorl
+  | Oxorlimm n -> Binary_imm (xorl, Vlong n)
+  | Oshll -> Binary shll
+  | Oshllimm n -> Binary_imm (shll, Vint n)
+  | Oshrl -> Binary shrl
+  | Oshrlimm n -> Binary_imm (shrl, Vint n)
+  | Oshrlu -> Binary shrlu
+  | Oshrluimm n -> Binary_imm (shrlu, Vint n)
+  | Onegl -> Unary negl
+  | Onotl -> Unary notl
+  | Olea addr -> Lea addr
+  | Olongofint -> Unary longofint
+  | Olongofintu -> Unary longofintu
+  | Ointoflong -> Unary intoflong
+  | Ofloatofint -> Unary floatofint
+  | Ointoffloat -> Unary_partial intoffloat
+  | Ofloatoflong -> Unary floatoflong
+  | Olongoffloat -> Unary_partial longoffloat
+  | Osingleoffloat -> Unary singleoffloat
+  | Ofloatofsingle -> Unary floatofsingle
+  | Osingleofint -> Unary singleofint
+  | Ointofsingle -> Unary_partial intofsingle
+  | Onegf -> Unary negf
+  | Oabsf -> Unary absf
+  | Oaddf -> Binary addf
+  | Osubf -> Binary subf
+  | Omulf -> Binary mulf
+  | Odivf -> Binary divf
+  | Onegfs -> Unary negfs
+  | Oaddfs -> Binary addfs
+  | Osubfs -> Binary subfs
+  | Omulfs -> Binary mulfs
+  | Odivfs -> Binary divfs
+  | Ocmp c -> Cmp c
+
+(** A condition by arity: the comparison it applies, of two operands
+    or of one operand and an immediate. The memory is read only by the
+    unsigned 64-bit comparisons, for the weak validity of pointers. *)
+type test =
+  | Test2 of (Mem.t -> value -> value -> bool option)
+  | Test_imm of (Mem.t -> value -> value -> bool option) * value
+
+let maskzero _ v n = match and_ v n with Vint r -> some_bool (r = 0l) | _ -> None
+let masknotzero _ v n = match and_ v n with Vint r -> some_bool (r <> 0l) | _ -> None
+
+let test (cond : condition) : test =
+  match cond with
+  | Ccomp c -> Test2 (fun _ v1 v2 -> cmp_bool c v1 v2)
+  | Ccompu c -> Test2 (fun _ v1 v2 -> cmpu_bool c v1 v2)
+  | Ccompimm (c, n) -> Test_imm ((fun _ v1 v2 -> cmp_bool c v1 v2), Vint n)
+  | Ccompuimm (c, n) -> Test_imm ((fun _ v1 v2 -> cmpu_bool c v1 v2), Vint n)
+  | Ccompl c -> Test2 (fun _ v1 v2 -> cmpl_bool c v1 v2)
+  | Ccomplu c -> Test2 (fun m v1 v2 -> cmplu_bool ~valid:Mem.weak_valid_pointer m c v1 v2)
+  | Ccomplimm (c, n) -> Test_imm ((fun _ v1 v2 -> cmpl_bool c v1 v2), Vlong n)
+  | Ccompluimm (c, n) ->
+    Test_imm ((fun m v1 v2 -> cmplu_bool ~valid:Mem.weak_valid_pointer m c v1 v2), Vlong n)
+  | Ccompf c -> Test2 (fun _ v1 v2 -> cmpf_bool c v1 v2)
+  | Ccompfs c -> Test2 (fun _ v1 v2 -> cmpfs_bool c v1 v2)
+  | Cmaskzero n -> Test_imm (maskzero, Vint n)
+  | Cmasknotzero n -> Test_imm (masknotzero, Vint n)
+
+(** {2 The reference evaluators} *)
+
 let eval_condition (cond : condition) (vl : value list) (m : Mem.t) : bool option =
-  let valid b o = Mem.weak_valid_pointer m b o in
-  match (cond, vl) with
-  | Ccomp c, [ v1; v2 ] -> cmp_bool c v1 v2
-  | Ccompu c, [ v1; v2 ] -> cmpu_bool c v1 v2
-  | Ccompimm (c, n), [ v1 ] -> cmp_bool c v1 (Vint n)
-  | Ccompuimm (c, n), [ v1 ] -> cmpu_bool c v1 (Vint n)
-  | Ccompl c, [ v1; v2 ] -> cmpl_bool c v1 v2
-  | Ccomplu c, [ v1; v2 ] -> cmplu_bool ~valid c v1 v2
-  | Ccomplimm (c, n), [ v1 ] -> cmpl_bool c v1 (Vlong n)
-  | Ccompluimm (c, n), [ v1 ] -> cmplu_bool ~valid c v1 (Vlong n)
-  | Ccompf c, [ v1; v2 ] -> cmpf_bool c v1 v2
-  | Ccompfs c, [ v1; v2 ] -> cmpfs_bool c v1 v2
-  | Cmaskzero n, [ v1 ] -> (
-    match and_ v1 (Vint n) with Vint r -> Some (r = 0l) | _ -> None)
-  | Cmasknotzero n, [ v1 ] -> (
-    match and_ v1 (Vint n) with Vint r -> Some (r <> 0l) | _ -> None)
+  match (test cond, vl) with
+  | Test2 f, [ v1; v2 ] -> f m v1 v2
+  | Test_imm (f, n), [ v1 ] -> f m v1 n
   | _ -> None
 
 let eval_addressing (ge : genv_view) (sp : value) (addr : addressing)
@@ -126,97 +255,36 @@ let eval_addressing (ge : genv_view) (sp : value) (addr : addressing)
 
 let eval_operation (ge : genv_view) (sp : value) (op : operation)
     (vl : value list) (m : Mem.t) : value option =
-  let b1 f = match vl with [ v1 ] -> f v1 | _ -> None in
-  let b2 f = match vl with [ v1; v2 ] -> f v1 v2 | _ -> None in
-  let t1 f = b1 (fun v -> Some (f v)) in
-  let t2 f = b2 (fun v1 v2 -> Some (f v1 v2)) in
-  match op with
-  | Omove -> b1 (fun v -> Some v)
-  | Ointconst n -> Some (Vint n)
-  | Olongconst n -> Some (Vlong n)
-  | Ofloatconst f -> Some (Vfloat f)
-  | Osingleconst f -> Some (Vsingle f)
-  | Oaddrsymbol (id, ofs) -> (
+  match (arity op, vl) with
+  | Move, [ v ] -> Some v
+  | Const v, _ -> Some v
+  | Symbol (id, ofs), _ -> (
     match ge.find_symbol id with Some b -> Some (Vptr (b, ofs)) | None -> None)
-  | Oaddrstack ofs -> (
+  | Stack ofs, _ -> (
     match sp with Vptr (b, base) -> Some (Vptr (b, base + ofs)) | _ -> None)
-  | Oadd -> t2 add
-  | Oaddimm n -> t1 (fun v -> add v (Vint n))
-  | Osub -> t2 sub
-  | Omul -> t2 mul
-  | Omulimm n -> t1 (fun v -> mul v (Vint n))
-  | Odiv -> b2 divs
-  | Odivu -> b2 divu
-  | Omod -> b2 mods
-  | Omodu -> b2 modu
-  | Oand -> t2 and_
-  | Oandimm n -> t1 (fun v -> and_ v (Vint n))
-  | Oor -> t2 or_
-  | Oorimm n -> t1 (fun v -> or_ v (Vint n))
-  | Oxor -> t2 xor
-  | Oxorimm n -> t1 (fun v -> xor v (Vint n))
-  | Oshl -> t2 shl
-  | Oshlimm n -> t1 (fun v -> shl v (Vint n))
-  | Oshr -> t2 shr
-  | Oshrimm n -> t1 (fun v -> shr v (Vint n))
-  | Oshru -> t2 shru
-  | Oshruimm n -> t1 (fun v -> shru v (Vint n))
-  | Oneg -> t1 neg
-  | Onot -> t1 notint
-  | Ocast8signed -> t1 (sign_ext 8)
-  | Ocast8unsigned -> t1 (zero_ext 8)
-  | Ocast16signed -> t1 (sign_ext 16)
-  | Ocast16unsigned -> t1 (zero_ext 16)
-  | Oaddl -> t2 addl
-  | Oaddlimm n -> t1 (fun v -> addl v (Vlong n))
-  | Osubl -> t2 subl
-  | Omull -> t2 mull
-  | Omullimm n -> t1 (fun v -> mull v (Vlong n))
-  | Odivl -> b2 divls
-  | Odivlu -> b2 divlu
-  | Omodl -> b2 modls
-  | Omodlu -> b2 modlu
-  | Oandl -> t2 andl
-  | Oandlimm n -> t1 (fun v -> andl v (Vlong n))
-  | Oorl -> t2 orl
-  | Oorlimm n -> t1 (fun v -> orl v (Vlong n))
-  | Oxorl -> t2 xorl
-  | Oxorlimm n -> t1 (fun v -> xorl v (Vlong n))
-  | Oshll -> t2 shll
-  | Oshllimm n -> t1 (fun v -> shll v (Vint n))
-  | Oshrl -> t2 shrl
-  | Oshrlimm n -> t1 (fun v -> shrl v (Vint n))
-  | Oshrlu -> t2 shrlu
-  | Oshrluimm n -> t1 (fun v -> shrlu v (Vint n))
-  | Onegl -> t1 negl
-  | Onotl -> t1 notl
-  | Olea addr -> eval_addressing ge sp addr vl
-  | Olongofint -> t1 longofint
-  | Olongofintu -> t1 longofintu
-  | Ointoflong -> t1 intoflong
-  | Ofloatofint -> t1 floatofint
-  | Ointoffloat -> b1 intoffloat
-  | Ofloatoflong -> t1 floatoflong
-  | Olongoffloat -> b1 longoffloat
-  | Osingleoffloat -> t1 singleoffloat
-  | Ofloatofsingle -> t1 floatofsingle
-  | Osingleofint -> t1 singleofint
-  | Ointofsingle -> b1 intofsingle
-  | Onegf -> t1 negf
-  | Oabsf -> t1 absf
-  | Oaddf -> t2 addf
-  | Osubf -> t2 subf
-  | Omulf -> t2 mulf
-  | Odivf -> t2 divf
-  | Onegfs -> t1 negfs
-  | Oaddfs -> t2 addfs
-  | Osubfs -> t2 subfs
-  | Omulfs -> t2 mulfs
-  | Odivfs -> t2 divfs
-  | Ocmp c -> (
-    match eval_condition c vl m with
-    | Some b -> Some (of_bool b)
-    | None -> Some Vundef)
+  | Unary f, [ v ] -> Some (f v)
+  | Binary f, [ v1; v2 ] -> Some (f v1 v2)
+  | Binary_imm (f, n), [ v ] -> Some (f v n)
+  | Unary_partial f, [ v ] -> f v
+  | Binary_partial f, [ v1; v2 ] -> f v1 v2
+  | Lea addr, _ -> eval_addressing ge sp addr vl
+  | Cmp c, _ -> (
+    match eval_condition c vl m with Some b -> Some (of_bool b) | None -> Some Vundef)
+  | (Move | Unary _ | Binary _ | Binary_imm _ | Unary_partial _ | Binary_partial _), _
+    ->
+    None
+
+(** Operator equality and order, comparing float constants by their
+    bits ({!Values.equal}); on every other operator they agree with
+    [( = )] and [compare], since the rest is first-order data without
+    floats. *)
+let compare_operation (a : operation) (b : operation) =
+  match (a, b) with
+  | Ofloatconst x, Ofloatconst y | Osingleconst x, Osingleconst y ->
+    Int64.compare (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> compare a b
+
+let equal_operation a b = compare_operation a b = 0
 
 (** The machine type of an operation's result (used by the register
     allocator and the [wt] reasoning). *)

@@ -13,16 +13,18 @@ type aval =
   | Const of value  (** known constant (never a pointer) *)
   | Vtop
 
+(* Constants compare by {!Memory.Values.equal}, floats by their bits:
+   [0.0] and [-0.0] are different constants, and a NaN is its own. *)
 let aval_equal a b =
   match (a, b) with
   | Vbot, Vbot | Vtop, Vtop -> true
-  | Const v1, Const v2 -> v1 = v2
+  | Const v1, Const v2 -> equal v1 v2
   | _ -> false
 
 let aval_lub a b =
   match (a, b) with
   | Vbot, x | x, Vbot -> x
-  | Const v1, Const v2 -> if v1 = v2 then a else Vtop
+  | Const _, Const _ -> if aval_equal a b then a else Vtop
   | _ -> Vtop
 
 module AMap = Map.Make (Int)

@@ -468,7 +468,7 @@ and walk (env : walk_env) (n : L.node) (a : AbsState.t) ~(performed : bool)
       (* The instruction-specific step. *)
       | L.Lnop n', R.Inop _ -> walk_from env n' a ~performed:true ~fuel:(fuel - 1)
       | L.Lop (op, margs, res, n'), R.Iop (rop, rargs, _, _)
-        when op = rop && op <> Op.Omove && not performed ->
+        when Op.equal_operation op rop && op <> Op.Omove && not performed ->
         if args_hold tent a margs rargs then
           walk_from env n'
             (AbsState.set_tags (R res) tags_def a)

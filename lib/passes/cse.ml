@@ -15,8 +15,10 @@ module Op = Middle.Op
 
 (* Value-numbering keys: the right-hand side over the value numbers of
    its arguments, compared structurally. Operations and addressing modes
-   are first-order data, so the polymorphic compare is exact — and far
-   cheaper than serializing each instruction into a string key. *)
+   are first-order data, so the polymorphic compare is exact on them —
+   and far cheaper than serializing each instruction into a string key —
+   except on float constants, which {!Op.compare_operation} orders by
+   their bits ([0.0] and [-0.0] are different constants). *)
 type rhs =
   | Rop of Op.operation * int list
   | Rload of Memory.Memdata.chunk * Op.addressing * int list
@@ -24,7 +26,12 @@ type rhs =
 module RhsMap = Map.Make (struct
   type t = rhs
 
-  let compare = Stdlib.compare
+  let compare a b =
+    match (a, b) with
+    | Rop (o1, l1), Rop (o2, l2) ->
+      let c = Op.compare_operation o1 o2 in
+      if c <> 0 then c else Stdlib.compare l1 l2
+    | _ -> Stdlib.compare a b
 end)
 
 type numbering = {

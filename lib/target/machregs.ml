@@ -118,7 +118,7 @@ module Regfile = struct
   let equal (a : t) (b : t) =
     a == b
     ||
-    let rec go i = i >= num_mregs || (a.(i) = b.(i) && go (i + 1)) in
+    let rec go i = i >= num_mregs || (Memory.Values.equal a.(i) b.(i) && go (i + 1)) in
     go 0
 
   (** [rs] holds [caller]'s callee-save registers, the registers

@@ -21,6 +21,7 @@ let () =
       Test_parametricity.suite;
       Test_passes.suite;
       Test_allocdiff.suite;
+      Test_asmdecode.suite;
       Test_mutstate.suite;
       Test_convalg.suite;
       Test_stages.suite;

@@ -110,6 +110,14 @@ let unit_tests =
         check "detected" false (Mem.unchanged_on (fun _ _ -> true) m m');
         check "outside footprint" true
           (Mem.unchanged_on (fun b _ -> b <> b1) m m'));
+    Alcotest.test_case "a NaN stored whole reads back, and its memory equals itself"
+      `Quick (fun () ->
+        let m, b1, _, _ = arena () in
+        let m = Option.get (Mem.store Many64 m b1 8 (Vfloat Float.nan)) in
+        check "read back" true
+          (match Mem.load Many64 m b1 8 with Some v -> equal v (Vfloat Float.nan) | None -> false);
+        check "equal" true (Mem.equal m m);
+        check "unchanged" true (Mem.unchanged_on (fun _ _ -> true) m m));
   ]
 
 let prop_tests =

@@ -241,6 +241,49 @@ int main(void) {
       5187l;
   ]
 
+(* Float constants that OCaml's [( = )] and [compare] confuse: [0.0]
+   with [-0.0], and a NaN with nothing, not even itself. The optimizing
+   passes compare float constants by their bits, so each program below
+   answers at every level as it does in Clight. *)
+let float_constants =
+  [
+    diff_case "value analysis keeps 0.0 and -0.0 apart"
+      {|
+int f(int c) {
+  double x;
+  if (c) x = 0.0; else x = -0.0;
+  double y = 1.0 / x;
+  if (y > 0.0) return 1;
+  return 2;
+}
+int main(void) { return f(0); }
+|}
+      2l;
+    diff_case "CSE does not merge 0.0 * p with -0.0 * p"
+      {|
+int f(double p) {
+  double a = 0.0 * p;
+  double b = -0.0 * p;
+  double y = 1.0 / b;
+  double z = 1.0 / a;
+  if (y < 0.0) return 1;
+  return 2;
+}
+int main(void) { return f(1.0); }
+|}
+      1l;
+    diff_case "a folded NaN constant passes the allocation validator"
+      {|
+int main(void) {
+  double z = 0.0;
+  double x = z / z;
+  if (x != x) return 1;
+  return 2;
+}
+|}
+      1l;
+  ]
+
 (* Comma-separated multi-variable loops exercise the parser's statement
    lowering; these came up while writing the tests above. *)
 let misc =
@@ -369,5 +412,5 @@ int main(void) {
 
 let suite =
   ( "programs",
-    sorting @ number_theory @ data_structures @ floating_point @ misc
+    sorting @ number_theory @ data_structures @ floating_point @ float_constants @ misc
     @ interpreter @ out_of_fuel )

@@ -66,8 +66,18 @@ let unit_tests =
         check "-1 >u 1" true (cmpu_bool Clt (vi (-1)) (vi 1) = Some false));
     Alcotest.test_case "cmplu null vs valid ptr" `Quick (fun () ->
         check "ne" true
-          (cmplu_bool ~valid:(fun _ _ -> true) Cne (Vptr (1, 0)) (Vlong 0L)
+          (cmplu_bool ~valid:(fun () _ _ -> true) () Cne (Vptr (1, 0)) (Vlong 0L)
           = Some true));
+    Alcotest.test_case "lessdef compares floats by their bits" `Quick (fun () ->
+        check "a NaN refines itself" true (lessdef (Vfloat Float.nan) (Vfloat Float.nan));
+        check "a single NaN refines itself" true
+          (lessdef (Vsingle Float.nan) (Vsingle Float.nan));
+        check "0.0 does not refine to -0.0" false (lessdef (Vfloat 0.0) (Vfloat (-0.0)));
+        check "-0.0 does not refine to 0.0" false (lessdef (Vfloat (-0.0)) (Vfloat 0.0));
+        check "undef refines to a NaN" true (lessdef Vundef (Vfloat Float.nan));
+        check "equal agrees" true
+          (equal (Vfloat Float.nan) (Vfloat Float.nan)
+          && not (equal (Vfloat 0.0) (Vfloat (-0.0)))));
     Alcotest.test_case "has_type ptr is long" `Quick (fun () ->
         check "t" true (has_type (Vptr (1, 0)) Tlong));
     Alcotest.test_case "has_type any64" `Quick (fun () ->
