@@ -57,11 +57,13 @@ let find_label (lbl : label) (code : instruction array) : int option =
 
 (** {1 Semantics} *)
 
-(** An Asm state: the register file and the memory. [m] is mutable for
-    the threaded dispatcher only, whose instructions replace the memory
-    of the fresh record each superstep runs on (see {!exec}); the [m]
-    of a state handed to the LTS is never written again. *)
-type state = { rs : Pregfile.t; mutable m : Mem.t }
+(** An Asm state: the register file, the memory, and [init_ra], the
+    return address of the query the activation was entered with (the
+    activation is final when the PC reaches it). [m] is mutable for the
+    threaded dispatcher only, whose supersteps write the activation's
+    one state record in place (see {!exec}); the naive reference builds
+    a new record at every step. *)
+type state = { rs : Pregfile.t; mutable m : Mem.t; init_ra : value }
 
 type genv = (coq_function, unit) Genv.t
 
@@ -155,15 +157,16 @@ let exec_instr (ge : genv) (f : coq_function) (fb : block) (pos : int)
   | Pret -> Some (Pregfile.set PC (Pregfile.get RA rs) rs, m)
 
 (** The naive dispatcher: one [Genv] lookup plus one instruction match
-    per step. Kept as the executable reference the direct-threaded
-    dispatcher below is tested against in lockstep. *)
+    per step, and a new state record. Kept as the executable reference
+    the direct-threaded dispatcher below is tested against in
+    lockstep. *)
 let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
   match Pregfile.get PC s.rs with
   | Vptr (fb, pos) -> (
     match Genv.find_funct_ptr ge fb with
     | Some (Ast.Internal f) when pos >= 0 && pos < Array.length f.fn_code -> (
       match exec_instr ge f fb pos f.fn_code.(pos) s.rs s.m with
-      | Some (rs', m') -> [ (Core.Events.e0, { rs = rs'; m = m' }) ]
+      | Some (rs', m') -> [ (Core.Events.e0, { s with rs = rs'; m = m' }) ]
       | None -> [])
     | _ -> [])
   | _ -> []
@@ -209,13 +212,13 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
     precomputed [Vptr (fb, p)] values.
 
     The threaded core executes over a {e flat mutable register file}
-    and a memory the run owns ({!Mem.thaw}): a closure writes the run's
-    single register array in place, and a store or frame operation
-    replaces the superstep's memory only when the memory model returns
-    a different one — it returns the same memory when it only stored
-    into chunks the run already owns — so neither a register-to-register
-    step nor such a store builds a new state. Two invariants make this
-    safe under the LTS discipline:
+    and a memory the run owns ({!Mem.thaw}), in the activation's one
+    state record: a closure writes the record's register array in
+    place, and a store or frame operation replaces the record's memory
+    only when the memory model returns a different one — it returns
+    the same memory when it only stored into chunks the run already
+    owns — so no step builds a state. Two invariants make this safe
+    under the LTS discipline:
 
     - {e no write before fallibility is resolved}: a closure performs no
       register or memory write until every way it can get stuck has
@@ -236,10 +239,9 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
       without a copy or a thaw. The activation that hands them over is
       suspended or finished, and never reads them again. *)
 
-(** A decoded instruction: mutates the superstep's register file in
-    place, replaces its memory when that changes, and returns the
-    position of its successor in the same function, {!left} or
-    {!stuck}. *)
+(** A decoded instruction: mutates the state's register file in place,
+    replaces its memory when that changes, and returns the position of
+    its successor in the same function, {!left} or {!stuck}. *)
 type exec = state -> int
 
 (** The instruction wrote the PC: control left the function's code. *)
@@ -586,8 +588,6 @@ let find_decoded ~counted (ge : genv) (dc : decode_cache) (fb : block) :
     d
   end
 
-type full_state = { asm_init_ra : value; asm_st : state }
-
 (* A superstep runs at most this many instructions, so fuel still
    bounds the loops inside one function. *)
 let fuse_budget = 64
@@ -615,7 +615,7 @@ let rec superstep d st ra budget pos =
   end
 
 let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
-    (full_state, a_query, a_reply, a_query, a_reply) Core.Smallstep.lts =
+    (state, a_query, a_reply, a_query, a_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
   let dc = make_decode_cache () in
   (* A state is at an interaction point when the PC leaves this unit's
@@ -640,7 +640,7 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
      position of the activation return address, computed once per
      superstep. Such intermediate states are provably silent
      non-interaction states — [final] needs the PC to equal
-     [asm_init_ra] (excluded explicitly) and [at_external] needs a
+     [init_ra] (excluded explicitly) and [at_external] needs a
      control transfer to the base of a {e non-internal} block (the
      current block is internal by construction) — and every internal
      step emits the empty trace, so fusing them under one transition
@@ -656,29 +656,20 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
      identically, reporting the same stuck state one transition later.
 
      The run owns its register array and its memory exclusively between
-     observation points: each superstep gets a fresh [{ rs; m }]
-     record, and a superstep that only writes registers or owned chunks
-     hands back the old state. *)
+     observation points, so a superstep writes them in the activation's
+     one state record and hands that record back. *)
   let step_full =
     if threaded then fun s ->
-      let rs = s.asm_st.rs in
-      match rs.(ipc) with
+      match s.rs.(ipc) with
       | Vptr (fb, pos) -> (
         match find_decoded ~counted:true ge dc fb with
         | Some d when pos >= 0 && pos < Array.length d.code ->
-          let m = s.asm_st.m in
-          let st = { rs; m } in
           (* -1, no position, when the return address is not code of [fb]. *)
-          let ra =
-            match s.asm_init_ra with Vptr (b, p) when b = fb -> p | _ -> -1
-          in
-          if superstep d st ra fuse_budget pos then
-            [ (Core.Events.e0, if st.m == m then s else { s with asm_st = st }) ]
-          else []
+          let ra = match s.init_ra with Vptr (b, p) when b = fb -> p | _ -> -1 in
+          if superstep d s ra fuse_budget pos then [ (Core.Events.e0, s) ] else []
         | _ -> [])
       | _ -> []
-    else fun s ->
-      List.map (fun (t, st) -> (t, { s with asm_st = st })) (step ge s.asm_st)
+    else step ge
   in
   (* Payloads. What [at_external] and [final] hand out is a snapshot: a
      copy of the register file, and the memory frozen, which adds the
@@ -698,25 +689,25 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     end
     else m
   in
-  let adopt rs m =
-    if Mem.owned m then { rs; m }
-    else { rs = Pregfile.copy rs; m = (if threaded then Mem.thaw m else m) }
+  let adopt init_ra rs m =
+    if Mem.owned m then { rs; m; init_ra }
+    else { rs = Pregfile.copy rs; m = (if threaded then Mem.thaw m else m); init_ra }
   in
   (* An external call is a control transfer to the base of a global
      symbol block this unit does not define internally. Return addresses
      point into the middle of code blocks and are excluded; garbage PCs
      are stuck, not external. *)
   let at_call s =
-    let pc = s.asm_st.rs.(ipc) in
+    let pc = s.rs.(ipc) in
     Genv.plausible_funct ge pc
     && (not (is_internal pc))
-    && not (Values.equal pc s.asm_init_ra)
+    && not (Values.equal pc s.init_ra)
   in
-  let returned s = Values.equal s.asm_st.rs.(ipc) s.asm_init_ra in
-  let init q = { asm_init_ra = Pregfile.get RA q.aq_rs; asm_st = adopt q.aq_rs q.aq_mem } in
+  let returned s = Values.equal s.rs.(ipc) s.init_ra in
+  let init q = adopt (Pregfile.get RA q.aq_rs) q.aq_rs q.aq_mem in
   (* A suspended activation never reads its register file or memory
      again: the reply's replace them. *)
-  let resume s r = { s with asm_st = adopt r.ar_rs r.ar_mem } in
+  let resume s r = adopt s.init_ra r.ar_rs r.ar_mem in
   {
     Core.Smallstep.name = "Asm";
     dom = (fun q -> is_internal (Pregfile.get PC q.aq_rs));
@@ -730,13 +721,13 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     at_external =
       (fun s ->
         if at_call s then
-          Some { aq_rs = Pregfile.copy s.asm_st.rs; aq_mem = snapshot_mem s.asm_st.m }
+          Some { aq_rs = Pregfile.copy s.rs; aq_mem = snapshot_mem s.m }
         else None);
     after_external = (fun s r -> [ resume s r ]);
     final =
       (fun s ->
         if returned s then
-          Some { ar_rs = Pregfile.copy s.asm_st.rs; ar_mem = snapshot_mem s.asm_st.m }
+          Some { ar_rs = Pregfile.copy s.rs; ar_mem = snapshot_mem s.m }
         else None);
     handover =
       (if threaded then
@@ -744,11 +735,11 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
            {
              hand_external =
                (fun s ->
-                 if at_call s then Some { aq_rs = s.asm_st.rs; aq_mem = s.asm_st.m }
+                 if at_call s then Some { aq_rs = s.rs; aq_mem = s.m }
                  else None);
              hand_final =
                (fun s ->
-                 if returned s then Some { ar_rs = s.asm_st.rs; ar_mem = s.asm_st.m }
+                 if returned s then Some { ar_rs = s.rs; ar_mem = s.m }
                  else None);
              take_init = init;
              take_reply = resume;
@@ -758,13 +749,13 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
 
 (** The Asm open semantics, on the direct-threaded dispatcher. *)
 let semantics ~(symbols : Ident.t list) (p : program) :
-    (full_state, a_query, a_reply, a_query, a_reply) Core.Smallstep.lts =
+    (state, a_query, a_reply, a_query, a_reply) Core.Smallstep.lts =
   semantics_gen ~threaded:true ~symbols p
 
 (** The same semantics on the naive per-step dispatcher — the reference
     the differential suite locksteps against [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
-    (full_state, a_query, a_reply, a_query, a_reply) Core.Smallstep.lts =
+    (state, a_query, a_reply, a_query, a_reply) Core.Smallstep.lts =
   semantics_gen ~threaded:false ~symbols p
 
 (** {1 Printing} *)

@@ -73,8 +73,10 @@ let per_function (build : 'f -> 'a) : 'f -> 'a =
 
 (** {1 Semantics}
 
-    States carry the code suffix still to execute. The two execution
-    cores and the register file an activation owns are {!Ltl}'s. *)
+    States carry the code suffix still to execute. The call stack, the
+    two execution cores and the register file an activation owns are
+    {!Ltl}'s: the stack ends in a base that holds the locset of the
+    incoming query, and the run is final when it returns to it. *)
 
 type stackframe = {
   sf_f : coq_function;
@@ -83,24 +85,30 @@ type stackframe = {
   sf_code : code;  (** continuation in the caller *)
 }
 
+(** The suspended activations, innermost first, down to the base. *)
+type stack =
+  | Stackbase of Locset.t  (** the locset of the incoming query *)
+  | Stackframe of stackframe * stack
+
 type state =
-  | State of stackframe list * coq_function * value * code * Locset.t * Mem.t
-  | Callstate of stackframe list * value * signature * Locset.t * Mem.t
-  | Returnstate of stackframe list * Locset.t * Mem.t
+  | State of stack * coq_function * value * code * Locset.t * Mem.t
+  | Callstate of stack * value * signature * Locset.t * Mem.t
+  | Returnstate of stack * Locset.t * Mem.t
 
 type genv = (coq_function, unit) Genv.t
 
-let parent_locset (init_ls : Locset.t) = function
-  | [] -> init_ls
-  | fr :: _ -> fr.sf_ls
+(* The locset of the activation's caller. *)
+let parent_locset = function
+  | Stackbase ls -> ls
+  | Stackframe (fr, _) -> fr.sf_ls
 
 (* [gv] is [ge]'s view for operations and [find_label] resolves taken
    branches through a function's label table, built on the first taken
    branch in it; both are built once per semantics. *)
 let step (ge : genv) (gv : Op.genv_view)
     ~(find_label : coq_function -> label -> code option)
-    ~(rset : mreg -> value -> Regfile.t -> Regfile.t) (init_ls : Locset.t)
-    (s : state) : (Core.Events.trace * state) list =
+    ~(rset : mreg -> value -> Regfile.t -> Regfile.t) (s : state) :
+    (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
   let mget r (ls : Locset.t) = Regfile.get r ls.regs in
   let mget_list rl ls = List.map (fun r -> mget r ls) rl in
@@ -160,21 +168,21 @@ let step (ge : genv) (gv : Op.genv_view)
         match ros_address ros ls with
         | Some vf ->
           let frame = { sf_f = f; sf_sp = sp; sf_ls = ls; sf_code = next } in
-          ret (Callstate (frame :: stack, vf, sg, ls, m))
+          ret (Callstate (Stackframe (frame, stack), vf, sg, ls, m))
         | None -> [])
       | Ltailcall (sg, ros) -> (
         match ros_address ros ls with
         | Some vf -> (
           match Ltl.free_stack m sp f.fn_stacksize with
           | Some m' ->
-            let ls' = Ltl.return_regs (parent_locset init_ls stack) ls in
+            let ls' = Ltl.return_regs (parent_locset stack) ls in
             ret (Callstate (stack, vf, sg, ls', m'))
           | None -> [])
         | None -> [])
       | Lreturn -> (
         match Ltl.free_stack m sp f.fn_stacksize with
         | Some m' ->
-          let ls' = Ltl.return_regs (parent_locset init_ls stack) ls in
+          let ls' = Ltl.return_regs (parent_locset stack) ls in
           ret (Returnstate (stack, ls', m'))
         | None -> [])))
   | Callstate (stack, vf, sg, ls, m) -> (
@@ -185,19 +193,14 @@ let step (ge : genv) (gv : Op.genv_view)
         let m1, b = Mem.alloc m 0 f.fn_stacksize in
         ret (State (stack, f, Vptr (b, 0), f.fn_code, Ltl.call_regs ls, m1))
     | Some (Ast.External _) | None -> [])
-  | Returnstate (stack, ls, m) -> (
-    match stack with
-    | frame :: stack' ->
-      ret
-        (State
-           ( stack', frame.sf_f, frame.sf_sp, frame.sf_code,
-             Ltl.merge_slots frame.sf_ls ls, m ))
-    | [] -> [])
-
-type full_state = { lin_init_ls : Locset.t; lin_st : state }
+  | Returnstate (Stackframe (frame, stack), ls, m) ->
+    ret
+      (State
+         (stack, frame.sf_f, frame.sf_sp, frame.sf_code, Ltl.merge_slots frame.sf_ls ls, m))
+  | Returnstate (Stackbase _, _, _) -> []
 
 let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
-    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+    (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
   let gv = { Op.find_symbol = (fun id -> Genv.find_symbol ge id) } in
   let labels = per_function (fun f -> label_table f.fn_code) in
@@ -211,44 +214,36 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         | Some (Ast.Internal f) -> signature_equal q.lq_sg f.fn_sig
         | _ -> false);
     init =
-      (fun q ->
-        [ { lin_init_ls = q.lq_ls;
-            lin_st = Callstate ([], q.lq_vf, q.lq_sg, q.lq_ls, q.lq_mem) } ]);
-    step =
-      (fun s ->
-        List.map
-          (fun (t, st) -> (t, { s with lin_st = st }))
-          (step ge gv ~find_label ~rset s.lin_init_ls s.lin_st));
+      (fun q -> [ Callstate (Stackbase q.lq_ls, q.lq_vf, q.lq_sg, q.lq_ls, q.lq_mem) ]);
+    step = step ge gv ~find_label ~rset;
     at_external =
-      (fun s ->
-        match s.lin_st with
+      (function
         | Callstate (_, vf, sg, ls, m) when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
           Some { lq_vf = vf; lq_sg = sg; lq_ls = ls; lq_mem = m }
         | _ -> None);
     after_external =
       (fun s r ->
-        match s.lin_st with
+        match s with
         | Callstate (stack, _, _, _, _) ->
-          [ { s with lin_st = Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem) } ]
+          [ Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem) ]
         | _ -> []);
     final =
-      (fun s ->
-        match s.lin_st with
-        | Returnstate ([], ls, m) -> Some { lr_ls = ls; lr_mem = m }
+      (function
+        | Returnstate (Stackbase _, ls, m) -> Some { lr_ls = ls; lr_mem = m }
         | _ -> None);
     handover = None;
   }
 
 (** The Linear open semantics, on the in-place register file. *)
 let semantics ~(symbols : Ident.t list) (p : program) :
-    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+    (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:true ~symbols p
 
 (** The same semantics on the persistent (copy-on-write) register file —
     the reference the mutable-state lockstep suite runs against
     [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
-    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+    (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:false ~symbols p
 
 (** {1 Printing} *)

@@ -86,6 +86,11 @@ let merge_slots (caller : Locset.t) (returned : Locset.t) : Locset.t =
 
 (** {1 Semantics}
 
+    The call stack ends in a base that holds the locset of the query
+    the run was entered with, the parent of the bottom activation, as
+    in CompCertO's [LTL]; the run is final when it returns to that
+    base.
+
     One [step] runs both execution cores, chosen by the register write
     it is given (as in {!Mach}): [Regfile.set], copy-on-write, for the
     naive reference, or [Regfile.update], in place, for the default
@@ -104,30 +109,34 @@ type stackframe = {
   sf_ls : Locset.t;  (** the caller's locset at the call *)
 }
 
+(** The suspended activations, innermost first, down to the base. *)
+type stack =
+  | Stackbase of Locset.t  (** the locset of the incoming query *)
+  | Stackframe of stackframe * stack
+
 type state =
-  | State of stackframe list * coq_function * value * node * Locset.t * Mem.t
-  | Callstate of stackframe list * value * signature * Locset.t * Mem.t
-  | Returnstate of stackframe list * Locset.t * Mem.t
+  | State of stack * coq_function * value * node * Locset.t * Mem.t
+  | Callstate of stack * value * signature * Locset.t * Mem.t
+  | Returnstate of stack * Locset.t * Mem.t
 
 type genv = (coq_function, unit) Genv.t
 
-let parent_locset (init_ls : Locset.t) = function
-  | [] -> init_ls
-  | fr :: _ -> fr.sf_ls
+(* The locset of the activation's caller. *)
+let parent_locset = function
+  | Stackbase ls -> ls
+  | Stackframe (fr, _) -> fr.sf_ls
 
 let free_stack m sp sz =
   match sp with
   | Vptr (b, 0) -> Mem.free m b 0 sz
   | _ -> if sz = 0 then Some m else None
 
-(* The locset of the incoming query is threaded through the whole
-   execution as the "parent" of the bottom activation. Writes go through
-   [rset] only on success paths, so a stuck step leaves an in-place
-   register file untouched. [gv] is [ge]'s view for operations, built
-   once per semantics. *)
+(* Writes go through [rset] only on success paths, so a stuck step
+   leaves an in-place register file untouched. [gv] is [ge]'s view for
+   operations, built once per semantics. *)
 let step (ge : genv) (gv : Op.genv_view)
-    ~(rset : mreg -> value -> Regfile.t -> Regfile.t)
-    (init_ls : Locset.t) (s : state) : (Core.Events.trace * state) list =
+    ~(rset : mreg -> value -> Regfile.t -> Regfile.t) (s : state) :
+    (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
   let mget r (ls : Locset.t) = Regfile.get r ls.regs in
   let mget_list rl ls = List.map (fun r -> mget r ls) rl in
@@ -175,7 +184,7 @@ let step (ge : genv) (gv : Op.genv_view)
         match ros_address ros ls with
         | Some vf ->
           let frame = { sf_f = f; sf_sp = sp; sf_pc = n; sf_ls = ls } in
-          ret (Callstate (frame :: stack, vf, sg, ls, m))
+          ret (Callstate (Stackframe (frame, stack), vf, sg, ls, m))
         | None -> [])
       | Ltailcall (sg, ros) -> (
         match ros_address ros ls with
@@ -184,7 +193,7 @@ let step (ge : genv) (gv : Op.genv_view)
           | Some m' ->
             (* Tail calls pass the parent's locset view: callee-save
                values must already be restored. *)
-            let ls' = return_regs (parent_locset init_ls stack) ls in
+            let ls' = return_regs (parent_locset stack) ls in
             ret (Callstate (stack, vf, sg, ls', m'))
           | None -> [])
         | None -> [])
@@ -195,7 +204,7 @@ let step (ge : genv) (gv : Op.genv_view)
       | Lreturn -> (
         match free_stack m sp f.fn_stacksize with
         | Some m' ->
-          ret (Returnstate (stack, return_regs (parent_locset init_ls stack) ls, m'))
+          ret (Returnstate (stack, return_regs (parent_locset stack) ls, m'))
         | None -> [])))
   | Callstate (stack, vf, sg, ls, m) -> (
     match Genv.find_funct ge vf with
@@ -205,18 +214,12 @@ let step (ge : genv) (gv : Op.genv_view)
         let m1, b = Mem.alloc m 0 f.fn_stacksize in
         ret (State (stack, f, Vptr (b, 0), f.fn_entrypoint, call_regs ls, m1))
     | Some (Ast.External _) | None -> [])
-  | Returnstate (stack, ls, m) -> (
-    match stack with
-    | frame :: stack' ->
-      ret
-        (State
-           (stack', frame.sf_f, frame.sf_sp, frame.sf_pc, merge_slots frame.sf_ls ls, m))
-    | [] -> [])
-
-type full_state = { ltl_init_ls : Locset.t; ltl_st : state }
+  | Returnstate (Stackframe (frame, stack), ls, m) ->
+    ret (State (stack, frame.sf_f, frame.sf_sp, frame.sf_pc, merge_slots frame.sf_ls ls, m))
+  | Returnstate (Stackbase _, _, _) -> []
 
 let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
-    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+    (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
   let gv = { Op.find_symbol = (fun id -> Genv.find_symbol ge id) } in
   let rset = if mutate then Regfile.update else Regfile.set in
@@ -228,44 +231,36 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         | Some (Ast.Internal f) -> signature_equal q.lq_sg f.fn_sig
         | _ -> false);
     init =
-      (fun q ->
-        [ { ltl_init_ls = q.lq_ls;
-            ltl_st = Callstate ([], q.lq_vf, q.lq_sg, q.lq_ls, q.lq_mem) } ]);
-    step =
-      (fun s ->
-        List.map
-          (fun (t, st) -> (t, { s with ltl_st = st }))
-          (step ge gv ~rset s.ltl_init_ls s.ltl_st));
+      (fun q -> [ Callstate (Stackbase q.lq_ls, q.lq_vf, q.lq_sg, q.lq_ls, q.lq_mem) ]);
+    step = step ge gv ~rset;
     at_external =
-      (fun s ->
-        match s.ltl_st with
+      (function
         | Callstate (_, vf, sg, ls, m) when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
           Some { lq_vf = vf; lq_sg = sg; lq_ls = ls; lq_mem = m }
         | _ -> None);
     after_external =
       (fun s r ->
-        match s.ltl_st with
+        match s with
         | Callstate (stack, _, _, _, _) ->
-          [ { s with ltl_st = Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem) } ]
+          [ Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem) ]
         | _ -> []);
     final =
-      (fun s ->
-        match s.ltl_st with
-        | Returnstate ([], ls, m) -> Some { lr_ls = ls; lr_mem = m }
+      (function
+        | Returnstate (Stackbase _, ls, m) -> Some { lr_ls = ls; lr_mem = m }
         | _ -> None);
     handover = None;
   }
 
 (** The LTL open semantics, on the in-place register file. *)
 let semantics ~(symbols : Ident.t list) (p : program) :
-    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+    (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:true ~symbols p
 
 (** The same semantics on the persistent (copy-on-write) register file —
     the reference the mutable-state lockstep suite runs against
     [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
-    (full_state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
+    (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:false ~symbols p
 
 (** {1 Printing} *)

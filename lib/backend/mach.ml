@@ -70,7 +70,11 @@ let label_table (code : instruction array) : (label, int) Hashtbl.t =
     code;
   t
 
-(** {1 Semantics} *)
+(** {1 Semantics}
+
+    Every state keeps [init_ra], the return address of the query the
+    run was entered with: the run is final when it returns there, and a
+    final state has no step. *)
 
 type state =
   | State of {
@@ -80,9 +84,17 @@ type state =
       pc : int;
       rs : Regfile.t;
       m : Mem.t;
+      init_ra : value;
     }
-  | Callstate of { vf : value; sp : value; ra : value; rs : Regfile.t; m : Mem.t }
-  | Returnstate of { ra : value; sp : value; rs : Regfile.t; m : Mem.t }
+  | Callstate of {
+      vf : value;
+      sp : value;
+      ra : value;
+      rs : Regfile.t;
+      m : Mem.t;
+      init_ra : value;
+    }
+  | Returnstate of { ra : value; sp : value; rs : Regfile.t; m : Mem.t; init_ra : value }
 
 type genv = (coq_function, unit) Genv.t
 
@@ -123,7 +135,7 @@ let step (ge : genv) (gv : Op.genv_view)
     (Core.Events.trace * state) list =
   let ret s' = [ (Core.Events.e0, s') ] in
   match s with
-  | State ({ f; fb; sp; pc; rs; m } as st) -> (
+  | State ({ f; fb; sp; pc; rs; m; init_ra } as st) -> (
     if pc < 0 || pc >= Array.length f.fn_code then []
     else
       match f.fn_code.(pc) with
@@ -170,7 +182,7 @@ let step (ge : genv) (gv : Op.genv_view)
         match ros_address ge ros rs with
         | Some vf ->
           let ra = Vptr (fb, pc + 1) in
-          ret (Callstate { vf; sp; ra; rs; m })
+          ret (Callstate { vf; sp; ra; rs; m; init_ra })
         | None -> [])
       | Mtailcall (_sg, ros) -> (
         match ros_address ge ros rs with
@@ -184,7 +196,7 @@ let step (ge : genv) (gv : Op.genv_view)
             match sp with
             | Vptr (b, 0) -> (
               match Mem.free m b 0 f.fn_layout.fl_size with
-              | Some m' -> ret (Callstate { vf; sp = parent_sp; ra; rs; m = m' })
+              | Some m' -> ret (Callstate { vf; sp = parent_sp; ra; rs; m = m'; init_ra })
               | None -> [])
             | _ -> [])
           | _ -> []))
@@ -210,11 +222,11 @@ let step (ge : genv) (gv : Op.genv_view)
           match sp with
           | Vptr (b, 0) -> (
             match Mem.free m b 0 f.fn_layout.fl_size with
-            | Some m' -> ret (Returnstate { ra; sp = parent_sp; rs; m = m' })
+            | Some m' -> ret (Returnstate { ra; sp = parent_sp; rs; m = m'; init_ra })
             | None -> [])
           | _ -> [])
         | _ -> []))
-  | Callstate { vf; sp; ra; rs; m } -> (
+  | Callstate { vf; sp; ra; rs; m; init_ra } -> (
     match (vf, Genv.find_funct ge vf) with
     | Vptr (fb, 0), Some (Ast.Internal f) ->
       let m1, b = Mem.alloc m 0 f.fn_layout.fl_size in
@@ -223,20 +235,24 @@ let step (ge : genv) (gv : Op.genv_view)
       (match store_stack m1 sp' f.fn_layout.fl_ofs_link Tlong sp with
       | Some m2 -> (
         match store_stack m2 sp' f.fn_layout.fl_ofs_ra Tlong ra with
-        | Some m3 -> ret (State { f; fb; sp = sp'; pc = 0; rs; m = m3 })
+        | Some m3 -> ret (State { f; fb; sp = sp'; pc = 0; rs; m = m3; init_ra })
         | None -> [])
       | None -> [])
     | _ -> [])
-  | Returnstate { ra; sp; rs; m } -> (
+  (* A final state has no step, even when the return address is code of
+     this unit (a function called from inside the unit that tail-calls
+     into another unit is answered there): [⊕] offers the step before
+     the pop, and would otherwise run the caller's code inside the
+     callee's activation. *)
+  | Returnstate { ra; init_ra; _ } when Values.equal ra init_ra -> []
+  | Returnstate { ra; sp; rs; m; init_ra } -> (
     match ra with
     | Vptr (fb, pc) -> (
       match Genv.find_funct_ptr ge fb with
       | Some (Ast.Internal f) when pc > 0 && pc <= Array.length f.fn_code ->
-        ret (State { f; fb; sp; pc; rs; m })
+        ret (State { f; fb; sp; pc; rs; m; init_ra })
       | _ -> [])
     | _ -> [])
-
-type full_state = { mach_init_ra : value; mach_st : state }
 
 (* [mutate] selects the execution core. The mutable core owns its
    register array exclusively between observation points and follows
@@ -247,7 +263,7 @@ type full_state = { mach_init_ra : value; mach_st : state }
    writing). The pure core makes the copies too: they are cheap,
    boundary-only, and keep the two cores observably identical. *)
 let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
-    (full_state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
+    (state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
   let gv = { Op.find_symbol = (fun id -> Genv.find_symbol ge id) } in
   let labels = Linear.per_function (fun f -> label_table f.fn_code) in
@@ -262,34 +278,24 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         | _ -> false);
     init =
       (fun q ->
-        [ { mach_init_ra = q.mq_ra;
-            mach_st =
-              Callstate { vf = q.mq_vf; sp = q.mq_sp; ra = q.mq_ra;
-                          rs = Regfile.copy q.mq_rs; m = q.mq_mem }
-          } ]);
-    step =
-      (fun s ->
-        List.map (fun (t, st) -> (t, { s with mach_st = st }))
-          (step ge gv ~find_label ~rset s.mach_st));
+        [ Callstate { vf = q.mq_vf; sp = q.mq_sp; ra = q.mq_ra;
+                      rs = Regfile.copy q.mq_rs; m = q.mq_mem; init_ra = q.mq_ra } ]);
+    step = step ge gv ~find_label ~rset;
     at_external =
-      (fun s ->
-        match s.mach_st with
-        | Callstate { vf; sp; ra; rs; m } when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
+      (function
+        | Callstate { vf; sp; ra; rs; m; _ } when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
           Some { mq_vf = vf; mq_sp = sp; mq_ra = ra;
                  mq_rs = Regfile.copy rs; mq_mem = m }
         | _ -> None);
     after_external =
       (fun s r ->
-        match s.mach_st with
-        | Callstate { sp; ra; _ } ->
-          [ { s with
-              mach_st =
-                Returnstate { ra; sp; rs = Regfile.copy r.mr_rs; m = r.mr_mem } } ]
+        match s with
+        | Callstate { sp; ra; init_ra; _ } ->
+          [ Returnstate { ra; sp; rs = Regfile.copy r.mr_rs; m = r.mr_mem; init_ra } ]
         | _ -> []);
     final =
-      (fun s ->
-        match s.mach_st with
-        | Returnstate { ra; rs; m; _ } when ra = s.mach_init_ra ->
+      (function
+        | Returnstate { ra; rs; m; init_ra; _ } when Values.equal ra init_ra ->
           Some { mr_rs = Regfile.copy rs; mr_mem = m }
         | _ -> None);
     handover = None;
@@ -297,14 +303,14 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
 
 (** The Mach open semantics, on the in-place register file. *)
 let semantics ~(symbols : Ident.t list) (p : program) :
-    (full_state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
+    (state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:true ~symbols p
 
 (** The same semantics on the persistent (copy-on-write) register file —
     the reference the mutable-state lockstep suite runs against
     [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
-    (full_state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
+    (state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:false ~symbols p
 
 (** {1 Printing} *)

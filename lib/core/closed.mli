@@ -3,13 +3,11 @@
 
 open Smallstep
 
-type 's state = Sys of 's
-
 (** [close lts ~entry ~decode]: the unique question [()] activates [lts]
     on the conventional entry query; the exit status is decoded from the
-    final answer. *)
+    final answer. The closed semantics runs over [lts]'s own states. *)
 val close :
   ('s, 'qi, 'ri, 'qo, 'ro) lts ->
   entry:'qi ->
   decode:('ri -> int32 option) ->
-  ('s state, unit, int32, 'qo, 'ro) lts
+  ('s, unit, int32, 'qo, 'ro) lts

@@ -48,7 +48,7 @@ let rec cminor_stmt (s : Middle.Cminor.stmt) =
   | Sseq (a, b) -> cminor_stmt a + cminor_stmt b
   | Sifthenelse (_, a, b) -> 1 + cminor_stmt a + cminor_stmt b
   | Sloop a | Sblock a -> 1 + cminor_stmt a
-  | Sassign _ | Sstore _ | Scall _ | Stailcall _ | Sexit _ | Sreturn _ -> 1
+  | Sassign _ | Sstore _ | Scall _ | Sexit _ | Sreturn _ -> 1
 
 let rec cminorsel_stmt (s : Middle.Cminorsel.stmt) =
   let open Middle.Cminorsel in
@@ -57,7 +57,7 @@ let rec cminorsel_stmt (s : Middle.Cminorsel.stmt) =
   | Sseq (a, b) -> cminorsel_stmt a + cminorsel_stmt b
   | Sifthenelse (_, a, b) -> 1 + cminorsel_stmt a + cminorsel_stmt b
   | Sloop a | Sblock a -> 1 + cminorsel_stmt a
-  | Sassign _ | Sstore _ | Scall _ | Stailcall _ | Sexit _ | Sreturn _ -> 1
+  | Sassign _ | Sstore _ | Scall _ | Sexit _ | Sreturn _ -> 1
 
 (* The measures, one per pipeline level. *)
 

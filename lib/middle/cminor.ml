@@ -35,7 +35,6 @@ type stmt =
   | Sassign of Ident.t * expr
   | Sstore of chunk * expr * expr
   | Scall of Ident.t option * signature * expr * expr list
-  | Stailcall of signature * expr * expr list
   | Sseq of stmt * stmt
   | Sifthenelse of expr * stmt * stmt
   | Sloop of stmt
@@ -147,13 +146,6 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
       match (eval_expr ge sp e m a, eval_exprlist ge sp e m args) with
       | Some vf, Some vargs ->
         ret (Callstate (vf, sg, vargs, Kcall (optid, f, sp, e, k), m))
-      | _ -> [])
-    | Stailcall (sg, a, args) -> (
-      match (eval_expr ge sp e m a, eval_exprlist ge sp e m args) with
-      | Some vf, Some vargs -> (
-        match free_stack m sp f.fn_stackspace with
-        | Some m' -> ret (Callstate (vf, sg, vargs, call_cont k, m'))
-        | None -> [])
       | _ -> [])
     | Sseq (s1, s2) -> ret (State (f, s1, Kseq (s2, k), sp, e, m))
     | Sifthenelse (a, s1, s2) -> (

@@ -113,17 +113,6 @@ let rec transl_stmt st (env : venv) (s : Sel.stmt) (nd : R.node)
       let n1 = add_instr st (R.Icall (sg, R.Rreg rf, regs, rres, nd)) in
       let* n2 = transl_exprlist st env args regs n1 in
       transl_expr st env a rf n2)
-  | Sel.Stailcall (sg, a, args) ->
-    let regs = List.map (fun _ -> fresh_reg st) args in
-    (match a with
-    | Sel.Eop (Op.Oaddrsymbol (id, 0), []) ->
-      let n1 = add_instr st (R.Itailcall (sg, R.Rsymbol id, regs)) in
-      transl_exprlist st env args regs n1
-    | _ ->
-      let rf = fresh_reg st in
-      let n1 = add_instr st (R.Itailcall (sg, R.Rreg rf, regs)) in
-      let* n2 = transl_exprlist st env args regs n1 in
-      transl_expr st env a rf n2)
   | Sel.Sseq (s1, s2) ->
     let* n2 = transl_stmt st env s2 nd nexits rret in
     transl_stmt st env s1 n2 nexits rret

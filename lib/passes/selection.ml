@@ -205,8 +205,6 @@ let rec sel_stmt (s : Cm.stmt) : Sel.stmt Support.Errors.t =
     ok (Sel.Sstore (chunk, am, args, sel_expr a))
   | Cm.Scall (optid, sg, a, args) ->
     ok (Sel.Scall (optid, sg, sel_expr a, List.map sel_expr args))
-  | Cm.Stailcall (sg, a, args) ->
-    ok (Sel.Stailcall (sg, sel_expr a, List.map sel_expr args))
   | Cm.Sseq (s1, s2) ->
     let* s1' = sel_stmt s1 in
     let* s2' = sel_stmt s2 in

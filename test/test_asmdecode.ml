@@ -227,7 +227,7 @@ let agrees (i, rs, m) =
   (* The threaded run owns its memory; a frozen one must behave alike. *)
   List.for_all
     (fun m0 ->
-      let st = { Asm.rs = Pregfile.copy rs; m = m0 } in
+      let st = { Asm.rs = Pregfile.copy rs; m = m0; init_ra = Vundef } in
       let next = d.Asm.code.(pos) st in
       match reference with
       | None ->

@@ -447,8 +447,8 @@ let run_until_stuck l aq =
   | [ s ] -> go s 0
   | _ -> Alcotest.fail "the query has no single initial state"
 
-let regs (s : Backend.Asm.full_state) = s.Backend.Asm.asm_st.Backend.Asm.rs
-let mem (s : Backend.Asm.full_state) = s.Backend.Asm.asm_st.Backend.Asm.m
+let regs (s : Backend.Asm.state) = s.Backend.Asm.rs
+let mem (s : Backend.Asm.state) = s.Backend.Asm.m
 let pc_of s = Iface.Li.Pregfile.get Iface.Li.PC (regs s)
 
 (* The threaded and the naive Asm semantics go wrong in the same state —

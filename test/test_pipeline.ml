@@ -217,51 +217,113 @@ let regressions =
       78l;
   ]
 
+(* The inputs of the allocation gates below: examples/c and 40
+   generated draws (seed 1, drawn as [occo fuzz] draws them), parsed. *)
+let gate_programs () =
+  let examples =
+    Sys.readdir "../examples/c" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat "../examples/c" f)
+             In_channel.input_all)
+  in
+  let draws =
+    List.init 40 (fun i ->
+        let st = Random.State.make [| 1; 104729 * (i + 1) |] in
+        QCheck.Gen.generate1 ~rand:st (QCheck.gen Testlib.Test_gen.arb_program))
+  in
+  List.map Cfrontend.Cparser.parse_program (examples @ draws)
+
+(* The minor words of the second of two calls of [f], with observability
+   off: the first interns every name, so only the second is counted. *)
+let second_call_words f =
+  let saved = !Obs.enabled in
+  Obs.enabled := false;
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  let words = Gc.minor_words () -. w0 in
+  Obs.enabled := saved;
+  words
+
 (* The compile path's allocation, pinned: minor words are a function of
    the code alone, so the ceiling is the measured value and any change
-   that allocates more on the compile path fails here. The inputs are
-   examples/c and 40 generated draws (seed 1, drawn as [occo fuzz] draws
-   them), compiled at O2 with observability off; a first compile interns
-   every name, so only the second is counted. *)
+   that allocates more on the compile path fails here. The programs are
+   compiled at O2. *)
 let compile_words_ceiling = 3_843_173.
 
-let compile_words_gate =
+(* The interpreters' allocation, pinned per differential level: each
+   kept level's [Pipeline.run_level] on [main] of every program, as the
+   differential runs it. Each ceiling is the measured value. *)
+let level_words_ceilings =
+  [
+    ("clight1", 3_738_827.);
+    ("clight2", 1_884_018.);
+    ("csharpminor", 1_550_980.);
+    ("cminor", 1_824_500.);
+    ("cminorsel", 2_580_470.);
+    ("rtl_gen", 2_561_884.);
+    ("rtl_opt", 2_492_064.);
+    ("ltl", 3_458_256.);
+    ("ltl_tunneled", 2_761_618.);
+    ("linear", 4_028_732.);
+    ("linear_clean", 2_900_890.);
+    ("mach", 3_919_018.);
+    ("asm", 576_607.);
+  ]
+
+let words_gates =
   [
     Alcotest.test_case "compile_levels minor words stay at the pinned ceiling"
       `Quick (fun () ->
-        let examples =
-          Sys.readdir "../examples/c" |> Array.to_list
-          |> List.filter (fun f -> Filename.check_suffix f ".c")
-          |> List.sort compare
-          |> List.map (fun f ->
-                 In_channel.with_open_bin (Filename.concat "../examples/c" f)
-                   In_channel.input_all)
+        let programs = gate_programs () in
+        let words =
+          second_call_words (fun () ->
+              List.iter (fun p -> ignore (Driver.Compiler.compile_levels p)) programs)
         in
-        let draws =
-          List.init 40 (fun i ->
-              let st = Random.State.make [| 1; 104729 * (i + 1) |] in
-              QCheck.Gen.generate1 ~rand:st (QCheck.gen Testlib.Test_gen.arb_program))
-        in
-        let programs = List.map Cfrontend.Cparser.parse_program (examples @ draws) in
-        let compile_all () =
-          List.iter
-            (fun p -> ignore (Driver.Compiler.compile_levels p))
-            programs
-        in
-        let saved = !Obs.enabled in
-        Obs.enabled := false;
-        compile_all ();
-        let w0 = Gc.minor_words () in
-        compile_all ();
-        let words = Gc.minor_words () -. w0 in
-        Obs.enabled := saved;
         if words > compile_words_ceiling then
           Alcotest.failf "compile_levels allocated %.0f minor words (ceiling %.0f)"
             words compile_words_ceiling);
+    Alcotest.test_case "each level's runs stay at its pinned minor words"
+      `Quick (fun () ->
+        let runs =
+          List.filter_map
+            (fun p ->
+              Option.map
+                (fun q ->
+                  ( Iface.Ast.prog_defs_names p,
+                    q,
+                    Result.get_ok (Driver.Compiler.compile_levels p) ))
+                (Driver.Differential.main_query_of p))
+            (gate_programs ())
+        in
+        let words name =
+          let runs =
+            List.map
+              (fun (symbols, q, levels) ->
+                (symbols, q, List.find (fun (l : Driver.Pipeline.level) -> l.level = name) levels))
+              runs
+          in
+          second_call_words (fun () ->
+              List.iter
+                (fun (symbols, q, l) ->
+                  ignore
+                    (Driver.Pipeline.run_level ~symbols ~fuel:Driver.Differential.fuel q l))
+                runs)
+        in
+        let measured = List.map (fun (name, c) -> (name, words name, c)) level_words_ceilings in
+        let over = List.filter (fun (_, w, c) -> w > c) measured in
+        if over <> [] then
+          Alcotest.failf "@[<v>%a@]"
+            (Format.pp_print_list (fun fmt (name, w, c) ->
+                 Format.fprintf fmt "%-12s %.0f minor words (ceiling %.0f)%s" name w c
+                   (if w > c then " OVER" else "")))
+            measured);
   ]
 
 let suite =
   ( "pipeline",
     basic @ calling_convention @ memory_programs @ arithmetic @ no_optim
     @ optim_shapes @ stack_arg_classes @ spill_everything @ regressions
-    @ compile_words_gate )
+    @ words_gates )
