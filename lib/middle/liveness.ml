@@ -1,27 +1,31 @@
 (** Liveness analysis over RTL (backward dataflow, CompCert's [Liveness]).
 
-    Used by register allocation (interference construction) and by the
-    dead-code elimination pass. *)
+    Used by register allocation (interference construction), its
+    validator, and the dead-code elimination pass. The solver grows one
+    bit row per node in place; the allocator and the validator read the
+    rows as {!RSet.t}s. *)
 
 (** Sets of pseudo-registers. Pseudo-registers are small non-negative
     integers, so an immutable packed bitset (63 bits per word, trailing
     zero words trimmed so the representation is canonical) beats a
-    balanced tree on every operation the dataflow solver performs:
-    [union]/[diff]/[equal] are word-parallel, [mem]/[add]/[remove] are
+    balanced tree on every operation the allocator and its validator
+    perform: [union] is word-parallel, [mem]/[add]/[remove] are
     O(words). The interface is the [Set.Make (Int)] subset the compiler
     uses. *)
 module RSet : sig
   type t
 
   val empty : t
-  val is_empty : t -> bool
   val mem : int -> t -> bool
   val add : int -> t -> t
   val remove : int -> t -> t
   val union : t -> t -> t
-  val diff : t -> t -> t
-  val equal : t -> t -> bool
   val of_list : int list -> t
+
+  (** [of_bits a ofs len]: the set whose words are [a.(ofs)] to
+      [a.(ofs + len - 1)], the layout of {!solution}'s rows. *)
+  val of_bits : int array -> int -> int -> t
+
   val elements : t -> int list
   val cardinal : t -> int
   val iter : (int -> unit) -> t -> unit
@@ -31,7 +35,6 @@ end = struct
 
   let bits = Sys.int_size
   let empty : t = [||]
-  let is_empty s = Array.length s = 0
 
   let trim (a : t) : t =
     let n = ref (Array.length a) in
@@ -90,33 +93,14 @@ end = struct
       r
     end
 
-  let diff (a : t) (b : t) : t =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 || lb = 0 then a
-    else begin
-      (* Nothing to remove: keep [a] physically (no copy). *)
-      let l = min la lb in
-      let rec disjoint i = i >= l || (a.(i) land b.(i) = 0 && disjoint (i + 1)) in
-      if disjoint 0 then a
-      else begin
-        let r = Array.copy a in
-        for i = 0 to l - 1 do
-          r.(i) <- a.(i) land lnot b.(i)
-        done;
-        trim r
-      end
-    end
-
-  let equal (a : t) (b : t) =
-    a == b
-    ||
-    let la = Array.length a in
-    la = Array.length b
-    &&
-    let rec go i = i >= la || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
   let of_list l = List.fold_left (fun s i -> add i s) empty l
+
+  let of_bits a ofs len =
+    let n = ref len in
+    while !n > 0 && a.(ofs + !n - 1) = 0 do
+      decr n
+    done;
+    if !n = 0 then empty else Array.sub a ofs !n
 
   (* [ctz_byte.[b]]: the index of the lowest set bit of the byte [b > 0]. *)
   let ctz_byte =
@@ -164,75 +148,109 @@ end = struct
     !c
 end
 
-module L = struct
-  type t = RSet.t
-
-  let bot = RSet.empty
-  let equal = RSet.equal
-  let lub = RSet.union
-end
-
-module Solver = Support.Fixpoint.Make (L)
-
-(* Transfer function of an instruction:
-   live-in = (live-out \ defs) ∪ uses, read off the instruction. [remove]
-   and [add] return their argument physically when it already has the
-   answer, so a stable transfer application allocates nothing. *)
-let add_regs rl s = List.fold_left (fun s r -> RSet.add r s) s rl
-
-let add_ros (ros : Rtl.ros) s =
-  match ros with Rtl.Rreg r -> RSet.add r s | Rtl.Rsymbol _ -> s
-
-let transfer (code : Rtl.code) n (live_out : RSet.t) : RSet.t =
-  match Rtl.Code.get code n with
-  | None | Some (Rtl.Inop _ | Rtl.Ireturn None) -> live_out
-  | Some (Rtl.Iop (_, args, res, _) | Rtl.Iload (_, _, args, res, _)) ->
-    add_regs args (RSet.remove res live_out)
-  | Some (Rtl.Istore (_, _, args, src, _)) -> RSet.add src (add_regs args live_out)
-  | Some (Rtl.Icall (_, ros, args, res, _)) ->
-    add_ros ros (add_regs args (RSet.remove res live_out))
-  | Some (Rtl.Itailcall (_, ros, args)) -> add_ros ros (add_regs args live_out)
-  | Some (Rtl.Icond (_, args, _, _)) -> add_regs args live_out
-  | Some (Rtl.Ireturn (Some r)) -> RSet.add r live_out
+let bits = Sys.int_size
 
 (** A solved liveness analysis of one function: the fixpoint is the
-    costly part, and [live_in]/[live_out] read it. A client that needs
-    one function's liveness twice solves it once and passes the
-    solution along. *)
-type solution = { code : Rtl.code; out : int -> RSet.t }
+    costly part, and [live_in]/[live_out] read it. Node [n]'s live-out
+    set is row [n] of a bit table, [width] words at [n * width], which
+    the solver grows in place. A client that needs one function's
+    liveness twice solves it once and passes the solution along. *)
+type solution = {
+  code : Rtl.code;
+  width : int;
+  rows : int array;
+  mutable outs : RSet.t array;  (** [live_out]'s sets, built on its first call *)
+}
+
+let add_bit (dst : int array) r = dst.(r / bits) <- dst.(r / bits) lor (1 lsl (r mod bits))
+
+let rec add_bits dst = function
+  | [] -> ()
+  | r :: rl ->
+    add_bit dst r;
+    add_bits dst rl
+
+let add_ros dst = function Rtl.Rreg r -> add_bit dst r | Rtl.Rsymbol _ -> ()
+let kill_bit (dst : int array) r = dst.(r / bits) <- dst.(r / bits) land lnot (1 lsl (r mod bits))
+
+(* Into [dst], node [n]'s live-in bits: live-in = (live-out \ defs) ∪
+   uses, read off the instruction. *)
+let live_in_bits (s : solution) n (dst : int array) =
+  Array.blit s.rows (n * s.width) dst 0 s.width;
+  match Rtl.Code.get s.code n with
+  | None | Some (Rtl.Inop _ | Rtl.Ireturn None) -> ()
+  | Some (Rtl.Iop (_, args, res, _) | Rtl.Iload (_, _, args, res, _)) ->
+    kill_bit dst res;
+    add_bits dst args
+  | Some (Rtl.Istore (_, _, args, src, _)) ->
+    add_bits dst args;
+    add_bit dst src
+  | Some (Rtl.Icall (_, ros, args, res, _)) ->
+    kill_bit dst res;
+    add_bits dst args;
+    add_ros dst ros
+  | Some (Rtl.Itailcall (_, ros, args)) ->
+    add_bits dst args;
+    add_ros dst ros
+  | Some (Rtl.Icond (_, args, _, _)) -> add_bits dst args
+  | Some (Rtl.Ireturn (Some r)) -> add_bit dst r
 
 let solve (f : Rtl.coq_function) : solution =
   let code = f.Rtl.fn_code in
-  (* solve_backward gives the fact at the exit of each node: the join of
-     live-ins of successors. live-in is then one transfer application. *)
-  let live_out =
-    Solver.solve_backward ~successors:(Rtl.successors code) ~transfer:(transfer code)
-      ~entries:[] (Rtl.nodes code)
-  in
-  { code; out = live_out }
+  let g = Rtl.graph code in
+  let width = (Rtl.max_reg code / bits) + 1 in
+  let s = { code; width; rows = Array.make (Support.Fixpoint.size g * width) 0; outs = [||] } in
+  (* A visit computes the node's live-in once; each flow ORs it into a
+     predecessor's live-out row. *)
+  let live_in = Array.make width 0 in
+  Support.Fixpoint.backward g
+    ~visit:(fun n -> live_in_bits s n live_in)
+    ~flow:(fun _ p ->
+      let base = p * width in
+      let grew = ref false in
+      for w = 0 to width - 1 do
+        let old = s.rows.(base + w) in
+        let x = old lor live_in.(w) in
+        if x <> old then begin
+          s.rows.(base + w) <- x;
+          grew := true
+        end
+      done;
+      !grew);
+  s
+
+let size (s : solution) = Array.length s.rows / s.width
+
+(** Whether [r] is live out of node [n], read off the table. *)
+let is_live_out (s : solution) n r =
+  n >= 0 && n < size s
+  && r / bits < s.width
+  && s.rows.((n * s.width) + (r / bits)) land (1 lsl (r mod bits)) <> 0
 
 (** Live-out of each node. *)
-let live_out (s : solution) : int -> RSet.t = s.out
+let live_out (s : solution) : int -> RSet.t =
+  if Array.length s.outs = 0 then
+    s.outs <- Array.init (size s) (fun n -> RSet.of_bits s.rows (n * s.width) s.width);
+  fun n -> if n >= 0 && n < Array.length s.outs then s.outs.(n) else RSet.empty
 
 (** Live-in of each node: the registers live at the entrance of the
     node's instruction. Results are memoized in a dense array over
     nodes, so repeated queries at the same node cost one array read. *)
 let live_in (s : solution) : int -> RSet.t =
-  let size = Rtl.Code.size s.code in
+  let size = size s in
   let memo = Array.make size RSet.empty in
-  let filled = Array.make size false in
+  let filled = Bytes.make size '\000' in
+  let scratch = Array.make s.width 0 in
   fun n ->
     if n < 0 || n >= size then RSet.empty
-    else if filled.(n) then memo.(n)
+    else if Bytes.get filled n <> '\000' then memo.(n)
     else begin
-      let l = transfer s.code n (s.out n) in
+      live_in_bits s n scratch;
+      let l = RSet.of_bits scratch 0 s.width in
       memo.(n) <- l;
-      filled.(n) <- true;
+      Bytes.set filled n '\001';
       l
     end
-
-let analyze (f : Rtl.coq_function) : int -> RSet.t = live_in (solve f)
-let analyze_out (f : Rtl.coq_function) : int -> RSet.t = live_out (solve f)
 
 (** Every internal function's liveness, by name: the Allocation stage
     solves it once and hands it to the allocator and to its

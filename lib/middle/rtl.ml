@@ -43,6 +43,11 @@ module Code : sig
   val map : ('i -> 'j) -> 'i t -> 'j t
   val mapi : (node -> 'i -> 'j) -> 'i t -> 'j t
 
+  (** [rewrite f c] is [mapi f c], but shares what [f] leaves alone:
+      an instruction [f] returns physically unchanged keeps its slot,
+      and where [f] changes nothing the result is [c] itself. *)
+  val rewrite : (node -> 'i -> 'i) -> 'i t -> 'i t
+
   (** The number of nodes holding an instruction. *)
   val cardinal : 'i t -> int
 
@@ -92,6 +97,32 @@ end = struct
     Array.mapi (fun n o -> match o with Some i -> Some (f n i) | None -> None) c
 
   let map f c = mapi (fun _ i -> f i) c
+
+  let rewrite f c =
+    (* [c] until the first change; a copy from there on. *)
+    let rec scan n =
+      if n >= Array.length c then c
+      else
+        match Array.unsafe_get c n with
+        | Some i ->
+          let j = f n i in
+          if j == i then scan (n + 1)
+          else begin
+            let c' = Array.copy c in
+            c'.(n) <- Some j;
+            for n = n + 1 to Array.length c - 1 do
+              match Array.unsafe_get c n with
+              | Some i ->
+                let j = f n i in
+                if j != i then c'.(n) <- Some j
+              | None -> ()
+            done;
+            c'
+          end
+        | None -> scan (n + 1)
+    in
+    scan 0
+
   let cardinal c = fold (fun _ _ k -> k + 1) c 0
   let size c = Array.length c
   let max_node c = max 0 (Array.length c - 1)
@@ -150,13 +181,43 @@ let successors_instr = function
   | Icond (_, _, n1, n2) -> [ n1; n2 ]
   | Itailcall _ | Ireturn _ -> []
 
-(** The successors of node [n] of [c]; none where [c] holds nothing. *)
-let successors (c : code) n =
-  match Code.get c n with Some i -> successors_instr i | None -> []
+(** [successors_instr i], passed to [f] in order; no list is built. *)
+let iter_successors f = function
+  | Inop n | Iop (_, _, _, n) | Iload (_, _, _, _, n) | Istore (_, _, _, _, n)
+  | Icall (_, _, _, _, n) ->
+    f n
+  | Icond (_, _, n1, n2) ->
+    f n1;
+    f n2
+  | Itailcall _ | Ireturn _ -> ()
 
-(** The nodes of [c] holding an instruction, in increasing order: the
-    node list the dataflow analyses seed their solver with. *)
-let nodes (c : code) = List.rev (Code.fold (fun n _ l -> n :: l) c [])
+(** The flow graph of [c], over its nodes [0 .. Code.size c - 1]: what
+    the dataflow analyses solve on. *)
+let graph (c : code) : Fixpoint.graph =
+  let size = Code.size c in
+  let first = Array.make (size + 1) 0 in
+  for n = 0 to size - 1 do
+    first.(n + 1) <-
+      (first.(n)
+      +
+      match Code.get c n with
+      | Some (Inop _ | Iop _ | Iload _ | Istore _ | Icall _) -> 1
+      | Some (Icond _) -> 2
+      | Some (Itailcall _ | Ireturn _) | None -> 0)
+  done;
+  let succ = Array.make first.(size) 0 in
+  for n = 0 to size - 1 do
+    match Code.get c n with
+    | Some
+        ( Inop s | Iop (_, _, _, s) | Iload (_, _, _, _, s) | Istore (_, _, _, _, s)
+        | Icall (_, _, _, _, s) ) ->
+      succ.(first.(n)) <- s
+    | Some (Icond (_, _, s1, s2)) ->
+      succ.(first.(n)) <- s1;
+      succ.(first.(n) + 1) <- s2
+    | Some (Itailcall _ | Ireturn _) | None -> ()
+  done;
+  { Fixpoint.first; succ }
 
 let instr_uses = function
   | Inop _ -> []
@@ -176,12 +237,32 @@ let instr_defs = function
     [ res ]
   | _ -> []
 
+(** Every register [i] reads or writes, passed to [f]; no list is
+    built. *)
+let iter_regs f = function
+  | Inop _ | Ireturn None -> ()
+  | Iop (_, args, r, _) | Iload (_, _, args, r, _) | Istore (_, _, args, r, _) ->
+    List.iter f args;
+    f r
+  | Icall (_, ros, args, res, _) ->
+    (match ros with Rreg r -> f r | Rsymbol _ -> ());
+    List.iter f args;
+    f res
+  | Itailcall (_, ros, args) ->
+    (match ros with Rreg r -> f r | Rsymbol _ -> ());
+    List.iter f args
+  | Icond (_, args, _, _) -> List.iter f args
+  | Ireturn (Some r) -> f r
+
+(** The largest register [c] mentions; 0 when it mentions none. *)
+let max_reg (c : code) =
+  let m = ref 0 in
+  let note r = if r > !m then m := r in
+  Code.iter (fun _ i -> iter_regs note i) c;
+  !m
+
 let max_reg_function (f : coq_function) =
-  let m = List.fold_left max 0 f.fn_params in
-  Code.fold
-    (fun _ i acc ->
-      List.fold_left max (List.fold_left max acc (instr_uses i)) (instr_defs i))
-    f.fn_code m
+  List.fold_left max (max_reg f.fn_code) f.fn_params
 
 let max_node (f : coq_function) = Code.max_node f.fn_code
 

@@ -4,164 +4,236 @@
     The abstract domain tracks known constant values per register. Memory
     is treated conservatively (loads return ⊤); read-only global data is
     the province of the [va] invariant checked at interaction boundaries
-    (paper, Appendix B.3). Used by [Constprop] and [Deadcode]. *)
+    (paper, Appendix B.3). Used by [Constprop].
+
+    The fact at a node is unreachable (⊥), or the registers holding a
+    known constant there; every other register is ⊤. A reachable fact
+    is an immutable list of bindings that lists only the constants,
+    which keeps it small in functions with many registers. It orders
+    registers by the last node that writes each, latest first. The
+    solver visits nodes in about the order they run, so a write
+    usually lands at the head of the list: it allocates one binding,
+    and the fact shares the rest with the one it came from, as facts
+    share whole lists wherever they agree. A join filters the target's
+    list by the incoming one, stops where the two share their tail,
+    and builds a new list only when it drops a binding: it neither
+    merges nor compares whole environments. *)
 
 open Memory.Values
 
-type aval =
-  | Vbot  (** unreachable / no value *)
-  | Const of value  (** known constant (never a pointer) *)
-  | Vtop
+(* A fact's bindings by decreasing key, each a register's key and its
+   constant. A constant is never [Vundef] or a pointer. A register's
+   key is one past the last node that writes it, so no register has
+   key -1 and [unreached] is a row no fact can be. *)
+type row = Nil | Bind of int * value * row
 
-(* Constants compare by {!Memory.Values.equal}, floats by their bits:
-   [0.0] and [-0.0] are different constants, and a NaN is its own. *)
-let aval_equal a b =
-  match (a, b) with
-  | Vbot, Vbot | Vtop, Vtop -> true
-  | Const v1, Const v2 -> equal v1 v2
-  | _ -> false
+let unreached = Bind (-1, Vundef, Nil)
 
-let aval_lub a b =
-  match (a, b) with
-  | Vbot, x | x, Vbot -> x
-  | Const _, Const _ -> if aval_equal a b then a else Vtop
-  | _ -> Vtop
+(** The solved analysis of one function: node [n]'s fact is
+    [rows.(n)], keyed by [keys]. [folds] marks the operations whose
+    last visit, which saw that fact, computed a constant. *)
+type t = { code : Rtl.code; keys : int array; rows : row array; folds : Bytes.t }
 
-module AMap = Map.Make (Int)
+let reached (t : t) n = n >= 0 && n < Array.length t.rows && t.rows.(n) != unreached
 
-(* Abstract register environments. [None] encodes unreachable (⊥).
-   Canonical form: a register absent from the map is [Vtop], and [Vtop]
-   is never stored — environments only hold the registers with a known
-   constant, which keeps them small (and [equal]/[lub] cheap) even in
-   functions with many registers. *)
-type aenv = aval AMap.t option
+(* The constant of the register of key [k] in [row], or [Vundef]. *)
+let rec find_key (row : row) k =
+  match row with
+  | Bind (k', v, rest) -> if k' > k then find_key rest k else if k' = k then v else Vundef
+  | Nil -> Vundef
 
-let aenv_get r (ae : aenv) =
-  match ae with
-  | None -> Vbot
-  | Some m -> Option.value (AMap.find_opt r m) ~default:Vtop
+(* [r]'s constant in [row]; a register that no node writes has key 0
+   and holds none. *)
+let find keys row r =
+  let k = if r < Array.length keys then keys.(r) else 0 in
+  if k = 0 then Vundef else find_key row k
 
-(* Physical-equality preserving: writing a value a register already has
-   (or [Vtop] to an absent register) returns [ae] itself, so a stable
-   transfer application allocates nothing and the fixpoint solver's
-   physical-equality fast path fires instead of a structural compare. *)
-let aenv_set r v (ae : aenv) =
-  match ae with
-  | None -> None
-  | Some m -> (
-    match (v, AMap.find_opt r m) with
-    | Vtop, None -> ae
-    | Vtop, Some _ -> Some (AMap.remove r m)
-    | _, Some v0 when aval_equal v0 v -> ae
-    | _, _ -> Some (AMap.add r v m))
+(* Node [n]'s row; an unreachable node knows no constant either. *)
+let row (t : t) n = if reached t n then t.rows.(n) else Nil
 
-module L = struct
-  type t = aenv
+(** The constant [r] holds at the entrance of node [n], or [Vundef]
+    when it holds none known there (and everywhere in an unreachable
+    node). *)
+let const (t : t) n r = find t.keys (row t n) r
 
-  let bot : t = None
+(** The registers with a known constant at the entrance of node [n],
+    in increasing order; [None] where [n] is unreachable. *)
+let fact (t : t) n : (Rtl.reg * value) list option =
+  let reg k =
+    match Rtl.Code.get t.code (k - 1) with
+    | Some (Rtl.Iop (_, _, r, _) | Rtl.Iload (_, _, _, r, _) | Rtl.Icall (_, _, _, r, _)) -> r
+    | _ -> invalid_arg "Valueanalysis.fact"
+  in
+  let rec bindings acc = function
+    | Bind (k, v, rest) -> bindings ((reg k, v) :: acc) rest
+    | Nil -> List.sort (fun (r1, _) (r2, _) -> compare r1 r2) acc
+  in
+  if reached t n then Some (bindings [] t.rows.(n)) else None
 
-  let equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some m1, Some m2 -> m1 == m2 || AMap.equal aval_equal m1 m2
-    | _ -> false
-
-  let lub a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some m1, Some m2 ->
-      if m1 == m2 then a
-      else
-        (* Keys present in only one side lub with the implicit [Vtop],
-           so the canonical result keeps only keys agreeing on both
-           sides (modulo [aval_lub]). *)
-        Some
-          (AMap.merge
-             (fun _ v1 v2 ->
-               match (v1, v2) with
-               | Some v1, Some v2 -> (
-                 match aval_lub v1 v2 with Vtop -> None | v -> Some v)
-               | _ -> None)
-             m1 m2)
-end
-
-module Solver = Support.Fixpoint.Make (L)
-
-(* Abstract evaluation of an operation over known constants: delegate to
-   the concrete evaluator on constant arguments (no pointers, no sp, no
-   symbols, no memory dependence). *)
-let no_symbols = { Op.find_symbol = (fun _ -> None) }
-
+(* Operations whose result depends on more than their constant
+   arguments: symbols, the stack pointer and the memory. *)
 let pure_op = function
   | Op.Oaddrsymbol _ | Op.Oaddrstack _ | Op.Olea _ | Op.Ocmp (Op.Ccomplu _)
   | Op.Ocmp (Op.Ccompluimm _) | Op.Omove ->
     false
   | _ -> true
 
-let eval_const (op : Op.operation) (vl : value list) : aval =
-  match Op.eval_operation no_symbols Vundef op vl Memory.Mem.empty with
-  | Some ((Vint _ | Vlong _ | Vfloat _ | Vsingle _) as v) -> Const v
-  | _ -> Vtop
+let constant = function
+  | (Vint _ | Vlong _ | Vfloat _ | Vsingle _) as v -> v
+  | _ -> Vundef
 
-let abstract_op (op : Op.operation) (args : aval list) : aval =
-  if not (pure_op op) then Vtop
+(* [Op.eval_condition]'s answer on the constants of [args] in [row],
+   read through [Op.test] once the arguments are known, with no
+   argument list; [None] when an argument is not a known constant. The
+   unsigned 64-bit comparisons, which read the memory, are never
+   folded. *)
+let test_row keys row (cond : Op.condition) (args : Rtl.reg list) : bool option =
+  match (cond, args) with
+  | (Op.Ccomplu _ | Op.Ccompluimm _), _ -> None
+  | _, [ r1; r2 ] -> (
+    match (find keys row r1, find keys row r2) with
+    | Vundef, _ | _, Vundef -> None
+    | v1, v2 -> (
+      match Op.test cond with Op.Test2 f -> f Memory.Mem.empty v1 v2 | Op.Test_imm _ -> None))
+  | _, [ r1 ] -> (
+    match find keys row r1 with
+    | Vundef -> None
+    | v1 -> (
+      match Op.test cond with
+      | Op.Test_imm (f, imm) -> f Memory.Mem.empty v1 imm
+      | Op.Test2 _ -> None))
+  | _ -> None
+
+let rec all_known keys row = function
+  | [] -> true
+  | r :: rl -> find keys row r != Vundef && all_known keys row rl
+
+(* [Op.eval_operation]'s answer on the constants of [args] in [row]
+   when it is a constant, else [Vundef]: every argument must be known,
+   and the operator is applied through [Op.arity], each argument read
+   once. *)
+let eval_row keys row (op : Op.operation) (args : Rtl.reg list) : value =
+  if not (pure_op op) then Vundef
   else
-    let concrete =
-      List.fold_right
-        (fun a acc ->
-          match (a, acc) with
-          | Const v, Some vs -> Some (v :: vs)
-          | _ -> None)
-        args (Some [])
-    in
-    match concrete with None -> Vtop | Some vl -> eval_const op vl
+    match args with
+    | [ r ] -> (
+      match find keys row r with
+      | Vundef -> Vundef
+      | v -> (
+        match Op.arity op with
+        | Op.Const c -> constant c
+        | Op.Unary f -> constant (f v)
+        | Op.Binary_imm (f, imm) -> constant (f v imm)
+        | Op.Unary_partial f -> ( match f v with Some v -> constant v | None -> Vundef)
+        | Op.Cmp cond -> (
+          match test_row keys row cond args with Some b -> of_bool b | None -> Vundef)
+        | _ -> Vundef))
+    | [ r1; r2 ] -> (
+      match (find keys row r1, find keys row r2) with
+      | Vundef, _ | _, Vundef -> Vundef
+      | v1, v2 -> (
+        match Op.arity op with
+        | Op.Const c -> constant c
+        | Op.Binary f -> constant (f v1 v2)
+        | Op.Binary_partial f -> ( match f v1 v2 with Some v -> constant v | None -> Vundef)
+        | Op.Cmp cond -> (
+          match test_row keys row cond args with Some b -> of_bool b | None -> Vundef)
+        | _ -> Vundef))
+    | _ -> (
+      (* No operator takes these operands but a constant. *)
+      match Op.arity op with
+      | Op.Const c when all_known keys row args -> constant c
+      | _ -> Vundef)
 
-(* [abstract_op] fused with the environment lookups: builds the concrete
-   argument list only when every argument is a known constant, so the
-   common all-[Vtop] transfer application allocates nothing. *)
-let abstract_op_regs (op : Op.operation) (args : Rtl.reg list) (ae : aenv) :
-    aval =
-  if not (pure_op op) then Vtop
+(** The constant that [op] computes from [args] at node [n], or
+    [Vundef] when it is not a known constant. *)
+let eval_op (t : t) n op args = eval_row t.keys (row t n) op args
+
+(** Whether the operation at node [n] computes a known constant, as
+    {!eval_op} would answer, without evaluating it again. *)
+let folds (t : t) n = n >= 0 && n < Bytes.length t.folds && Bytes.get t.folds n <> '\000'
+
+(** Whether [cond] on [args] is statically known at node [n]. *)
+let eval_cond (t : t) n cond args = test_row t.keys (row t n) cond args
+
+(* [row] with the register of key [k] holding [v] ([Vundef]: ⊤);
+   [row] itself when it already does. Constants compare by
+   {!Memory.Values.equal}, floats by their bits: [0.0] and [-0.0] are
+   different constants, and a NaN is its own. *)
+let rec set_row (row : row) k v =
+  match row with
+  | Bind (k', v0, rest) when k' > k ->
+    let rest' = set_row rest k v in
+    if rest' == rest then row else Bind (k', v0, rest')
+  | Bind (k', v0, rest) when k' = k ->
+    if v == Vundef then rest else if equal v0 v then row else Bind (k, v, rest)
+  | _ -> if v == Vundef then row else Bind (k, v, row)
+
+(* The fact leaving node [n], given its fact at the entrance. *)
+let transfer (t : t) n =
+  let row = t.rows.(n) in
+  if row == unreached then row
   else
-    let rec consts acc = function
-      | [] -> eval_const op (List.rev acc)
-      | r :: rest -> (
-        match aenv_get r ae with Const v -> consts (v :: acc) rest | _ -> Vtop)
-    in
-    consts [] args
+    match Rtl.Code.get t.code n with
+    | Some (Rtl.Iop (Op.Omove, [ src ], res, _)) ->
+      set_row row t.keys.(res) (find t.keys row src)
+    | Some (Rtl.Iop (op, args, res, _)) ->
+      let v = eval_row t.keys row op args in
+      Bytes.set t.folds n (if v == Vundef then '\000' else '\001');
+      set_row row t.keys.(res) v
+    | Some (Rtl.Iload (_, _, _, res, _) | Rtl.Icall (_, _, _, res, _)) ->
+      set_row row t.keys.(res) Vundef
+    | _ -> row
 
-let abstract_cond (cond : Op.condition) (args : aval list) : bool option =
-  match cond with
-  | Op.Ccomplu _ | Op.Ccompluimm _ -> None
-  | _ -> (
-    let concrete =
-      List.fold_right
-        (fun a acc ->
-          match (a, acc) with
-          | Const v, Some vs -> Some (v :: vs)
-          | _ -> None)
-        args (Some [])
-    in
-    match concrete with
-    | None -> None
-    | Some vl -> Op.eval_condition cond vl Memory.Mem.empty)
+(* [src] without its bindings of keys above [k]. *)
+let rec skip (src : row) k =
+  match src with Bind (k', _, rest) when k' > k -> skip rest k | _ -> src
 
-let transfer (code : Rtl.code) n (ae : aenv) : aenv =
-  match (ae, Rtl.Code.get code n) with
-  | None, _ | _, None -> ae
-  | Some _, Some i -> (
-    match i with
-    | Rtl.Iop (Op.Omove, [ src ], res, _) -> aenv_set res (aenv_get src ae) ae
-    | Rtl.Iop (op, args, res, _) ->
-      aenv_set res (abstract_op_regs op args ae) ae
-    | Rtl.Iload (_, _, _, dst, _) -> aenv_set dst Vtop ae
-    | Rtl.Icall (_, _, _, res, _) -> aenv_set res Vtop ae
-    | _ -> ae)
+(* [dst] less the bindings [src] does not agree with; [dst] itself when
+   [src] agrees with all of them. The walk stops where the two rows
+   share their tail. *)
+let rec filter (dst : row) (src : row) =
+  if dst == src then dst
+  else
+    match dst with
+    | Nil -> dst
+    | Bind (k, v, rest) -> (
+      match skip src k with
+      | Bind (k', v', src') when k' = k && (v' == v || equal v' v) ->
+        let rest' = filter rest src' in
+        if rest' == rest then dst else Bind (k, v, rest')
+      | src' -> filter rest src')
 
-(** [analyze f] returns the abstract environment at the entrance of each
-    node. *)
-let analyze (f : Rtl.coq_function) : int -> aenv =
+(** [analyze f] solves the analysis: the entry point's fact is every
+    register ⊤, and every other fact starts unreachable. A visit
+    computes the fact leaving its node once; a node reached for the
+    first time takes it as it is, and a join filters by it. *)
+let analyze (f : Rtl.coq_function) : t =
   let code = f.Rtl.fn_code in
-  Solver.solve ~successors:(Rtl.successors code) ~transfer:(transfer code)
-    ~entries:[ (f.Rtl.fn_entrypoint, Some AMap.empty) ]
-    (Rtl.nodes code)
+  let dest = function
+    | Rtl.Iop (_, _, r, _) | Rtl.Iload (_, _, _, r, _) | Rtl.Icall (_, _, _, r, _) -> r
+    | _ -> -1
+  in
+  let keys = Array.make (Rtl.Code.fold (fun _ i m -> max m (dest i)) code (-1) + 1) 0 in
+  Rtl.Code.iter (fun n i -> if dest i >= 0 then keys.(dest i) <- n + 1) code;
+  let g = Rtl.graph code in
+  let size = Support.Fixpoint.size g in
+  let t = { code; keys; rows = Array.make size unreached; folds = Bytes.make size '\000' } in
+  if f.Rtl.fn_entrypoint >= 0 && f.Rtl.fn_entrypoint < size then
+    t.rows.(f.Rtl.fn_entrypoint) <- Nil;
+  let out = ref unreached in
+  Support.Fixpoint.forward g
+    ~visit:(fun n -> out := transfer t n)
+    ~flow:(fun _ m ->
+      let row = t.rows.(m) in
+      let row' =
+        if !out == unreached || row == !out then row
+        else if row == unreached then !out
+        else filter row !out
+      in
+      if row' == row then false
+      else begin
+        t.rows.(m) <- row';
+        true
+      end);
+  t

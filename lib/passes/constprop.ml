@@ -13,52 +13,43 @@ module R = Middle.Rtl
 module Op = Middle.Op
 module VA = Middle.Valueanalysis
 
-let const_for (v : value) : Op.operation option =
-  match v with
-  | Vint n -> Some (Op.Ointconst n)
-  | Vlong n -> Some (Op.Olongconst n)
-  | Vfloat f -> Some (Op.Ofloatconst f)
-  | Vsingle f -> Some (Op.Osingleconst f)
-  | Vundef | Vptr _ -> None
-
-let transf_instr (ae : VA.aenv) (i : R.instruction) : R.instruction =
+(* The instruction at node [n], rewritten with what value analysis
+   knows at its entrance; [i] itself where it knows nothing useful. *)
+let transf_instr (va : VA.t) n (i : R.instruction) : R.instruction =
   match i with
-  | R.Iop (op, args, res, n) -> (
-    let avals = List.map (fun r -> VA.aenv_get r ae) args in
+  | R.Iop (Op.Omove, _, _, _)
+  | R.Iop ((Op.Ointconst _ | Op.Olongconst _ | Op.Ofloatconst _ | Op.Osingleconst _), [], _, _)
+    ->
+    i
+  | R.Iop (op, args, res, s) -> (
     (* If the whole operation is statically known, emit the constant. *)
-    match VA.abstract_op op avals with
-    | VA.Const v -> (
-      match const_for v with
-      | Some cop -> R.Iop (cop, [], res, n)
-      | None -> i)
-    | _ -> (
+    match if VA.folds va n then VA.eval_op va n op args else Vundef with
+    | Vint k -> R.Iop (Op.Ointconst k, [], res, s)
+    | Vlong k -> R.Iop (Op.Olongconst k, [], res, s)
+    | Vfloat f -> R.Iop (Op.Ofloatconst f, [], res, s)
+    | Vsingle f -> R.Iop (Op.Osingleconst f, [], res, s)
+    | Vundef | Vptr _ -> (
       (* Otherwise strengthen operands: replace a known-constant second
          operand by the immediate form. *)
-      match (op, args, avals) with
-      | Op.Oadd, [ r1; _ ], [ _; VA.Const (Vint n2) ] ->
-        R.Iop (Op.Oaddimm n2, [ r1 ], res, n)
-      | Op.Oaddl, [ r1; _ ], [ _; VA.Const (Vlong n2) ] ->
-        R.Iop (Op.Oaddlimm n2, [ r1 ], res, n)
-      | Op.Omul, [ r1; _ ], [ _; VA.Const (Vint n2) ] ->
-        R.Iop (Op.Omulimm n2, [ r1 ], res, n)
-      | Op.Omull, [ r1; _ ], [ _; VA.Const (Vlong n2) ] ->
-        R.Iop (Op.Omullimm n2, [ r1 ], res, n)
+      match (op, args) with
+      | (Op.Oadd | Op.Oaddl | Op.Omul | Op.Omull), [ r1; r2 ] -> (
+        match (op, VA.const va n r2) with
+        | Op.Oadd, Vint n2 -> R.Iop (Op.Oaddimm n2, [ r1 ], res, s)
+        | Op.Oaddl, Vlong n2 -> R.Iop (Op.Oaddlimm n2, [ r1 ], res, s)
+        | Op.Omul, Vint n2 -> R.Iop (Op.Omulimm n2, [ r1 ], res, s)
+        | Op.Omull, Vlong n2 -> R.Iop (Op.Omullimm n2, [ r1 ], res, s)
+        | _ -> i)
       | _ -> i))
   | R.Icond (cond, args, n1, n2) -> (
-    let avals = List.map (fun r -> VA.aenv_get r ae) args in
-    match VA.abstract_cond cond avals with
+    match VA.eval_cond va n cond args with
     | Some true -> R.Inop n1
     | Some false -> R.Inop n2
     | None -> i)
   | _ -> i
 
 let transf_function (f : R.coq_function) : R.coq_function Errors.t =
-  let analysis = VA.analyze f in
-  ok
-    {
-      f with
-      R.fn_code = R.Code.mapi (fun n i -> transf_instr (analysis n) i) f.R.fn_code;
-    }
+  let va = VA.analyze f in
+  ok { f with R.fn_code = R.Code.rewrite (transf_instr va) f.R.fn_code }
 
 let transf_program (p : R.program) : R.program Errors.t =
   Iface.Ast.transform_program transf_function p

@@ -1,5 +1,5 @@
-(** Dead-code elimination based on liveness (a neededness-lite version of
-    CompCert's [Deadcode]).
+(** Dead-code elimination by liveness (CompCert's [Deadcode] without its
+    neededness analysis).
 
     Simulation convention: [va·ext ↠ va·ext] (Table 3).
 
@@ -11,24 +11,20 @@ open Support.Errors
 module Errors = Support.Errors
 module R = Middle.Rtl
 module Op = Middle.Op
-module RSet = Middle.Liveness.RSet
+module Liveness = Middle.Liveness
 
 (* Operations that may be partial (division by zero) still go wrong when
    executed, so removing them when dead strictly increases definedness —
    which the [ext] direction of the convention allows. *)
-let transf_instr (live_out : RSet.t) (i : R.instruction) : R.instruction =
+let transf_instr (live : Liveness.solution) n (i : R.instruction) : R.instruction =
   match i with
-  | R.Iop (_, _, res, n) when not (RSet.mem res live_out) -> R.Inop n
-  | R.Iload (_, _, _, dst, n) when not (RSet.mem dst live_out) -> R.Inop n
+  | R.Iop (_, _, res, s) when not (Liveness.is_live_out live n res) -> R.Inop s
+  | R.Iload (_, _, _, dst, s) when not (Liveness.is_live_out live n dst) -> R.Inop s
   | _ -> i
 
 let transf_function (f : R.coq_function) : R.coq_function Errors.t =
-  let live_out = Middle.Liveness.analyze_out f in
-  ok
-    {
-      f with
-      R.fn_code = R.Code.mapi (fun n i -> transf_instr (live_out n) i) f.R.fn_code;
-    }
+  let live = Liveness.solve f in
+  ok { f with R.fn_code = R.Code.rewrite (transf_instr live) f.R.fn_code }
 
 let transf_program (p : R.program) : R.program Errors.t =
   Iface.Ast.transform_program transf_function p

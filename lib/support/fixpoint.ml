@@ -1,118 +1,103 @@
-(** Generic worklist fixpoint solver over integer-indexed flow graphs.
+(** Worklist fixpoint engine over dense flow graphs.
 
-    This is the analogue of CompCert's [Kildall] library. Dataflow analyses
-    (liveness, constant propagation, value analysis, neededness) instantiate
-    the [SEMILATTICE] signature and solve either in the forward or the
-    backward direction. Nodes are plain integers (RTL nodes, Linear labels). *)
+    This is the analogue of CompCert's [Kildall] library. Nodes are
+    small non-negative integers (RTL nodes are allocated from 1), so a
+    graph is two flat arrays in compressed rows, built once per
+    function, and the engine's queue and membership flags are arrays
+    too: a visit allocates nothing. The facts belong to the analysis,
+    which joins them ({!forward}), so the engine never compares or
+    copies one. *)
 
-module type SEMILATTICE = sig
-  type t
+type graph = { first : int array; succ : int array }
 
-  val bot : t
-  val equal : t -> t -> bool
+let size g = Array.length g.first - 1
 
-  (** Least upper bound. Must be monotone; the solver iterates to a
-      post-fixpoint and relies on finite ascending chains for termination
-      (analyses with infinite-height lattices must widen in [lub]).
-      Implementations should return one of their arguments physically
-      when it already absorbs the other — the solver tests physical
-      equality before the (potentially expensive) [equal]. *)
-  val lub : t -> t -> t
-end
-
-module type SOLVER = sig
-  type fact
-
-  (** [solve ~successors ~transfer ~entries nodes] returns the least solution
-      [s] such that for every node [n] and successor [m] of [n],
-      [transfer n s(n) <= s(m)], and [v <= s(n)] for every entry [(n, v)].
-      The returned function gives the fact at the *entrance* of each node. *)
-  val solve :
-    successors:(int -> int list) ->
-    transfer:(int -> fact -> fact) ->
-    entries:(int * fact) list ->
-    int list ->
-    int -> fact
-
-  (** Backward analysis: facts flow from successors to predecessors. The
-      returned function gives the fact at the *exit* of each node, i.e. the
-      join of the transferred facts of all successors. *)
-  val solve_backward :
-    successors:(int -> int list) ->
-    transfer:(int -> fact -> fact) ->
-    entries:(int * fact) list ->
-    int list ->
-    int -> fact
-end
-
-module Make (L : SEMILATTICE) : SOLVER with type fact = L.t = struct
-  type fact = L.t
-
-  (* Both directions run on a dense-array engine: nodes are small
-     non-negative integers (RTL nodes and Linear labels are allocated
-     sequentially from 1), so facts, the visited queue and the
-     predecessor lists live in flat arrays — no hashing in the hot loop.
-     The queue holds each node at most once ([in_queue]), so a ring
-     buffer of [n + 1] slots never overflows. *)
-
-  let run ~(edges : int -> int list) ~transfer ~entries ~(seed : int list)
-      (size : int) : int -> L.t =
-    let value = Array.make size L.bot in
-    let in_queue = Array.make size false in
-    let queue = Array.make (size + 1) 0 in
-    let head = ref 0 and tail = ref 0 in
-    let enqueue n =
-      if not in_queue.(n) then begin
-        in_queue.(n) <- true;
-        queue.(!tail) <- n;
-        tail := (!tail + 1) mod Array.length queue
+(* The predecessor rows of [g], by two passes: count each node's
+   predecessors into the slot after its own and sum the counts up, so
+   that [first.(m)] is where [m]'s row starts; then fill each row
+   through [first.(m)] as its cursor, which leaves it at the start of
+   the next row, and shift back. *)
+let reverse (g : graph) : graph =
+  let size = size g in
+  let first = Array.make (size + 1) 0 in
+  Array.iter (fun m -> if m >= 0 && m < size then first.(m + 1) <- first.(m + 1) + 1) g.succ;
+  for n = 1 to size do
+    first.(n) <- first.(n) + first.(n - 1)
+  done;
+  let pred = Array.make first.(size) 0 in
+  for n = 0 to size - 1 do
+    for e = g.first.(n) to g.first.(n + 1) - 1 do
+      let m = g.succ.(e) in
+      if m >= 0 && m < size then begin
+        pred.(first.(m)) <- n;
+        first.(m) <- first.(m) + 1
       end
-    in
-    let augment n v =
-      let old = value.(n) in
-      let merged = L.lub old v in
-      (* [lub] preserves sharing when one side absorbs the other, so a
-         physical-equality check skips most [equal] calls. *)
-      if merged != old && not (L.equal old merged) then begin
-        value.(n) <- merged;
-        enqueue n
-      end
-    in
-    List.iter (fun (n, v) -> augment n v) entries;
-    List.iter enqueue seed;
-    while !head <> !tail do
-      let n = queue.(!head) in
-      head := (!head + 1) mod Array.length queue;
-      in_queue.(n) <- false;
-      let out = transfer n value.(n) in
-      List.iter (fun p -> augment p out) (edges n)
+    done
+  done;
+  for n = size downto 1 do
+    first.(n) <- first.(n - 1)
+  done;
+  first.(0) <- 0;
+  { first; succ = pred }
+
+(* Into [order], the nodes of [g] in depth-first postorder: a search
+   from each node, in increasing order, that no earlier search reached.
+   [seen] starts all clear and ends all set. The search recurses along
+   its path, as the other walks over code do. *)
+let postorder (g : graph) (order : int array) (seen : Bytes.t) =
+  let size = size g in
+  let k = ref 0 in
+  let rec search n =
+    Bytes.set seen n '\001';
+    for e = g.first.(n) to g.first.(n + 1) - 1 do
+      let m = g.succ.(e) in
+      if m >= 0 && m < size && Bytes.get seen m = '\000' then search m
     done;
-    fun n -> if n >= 0 && n < size then value.(n) else L.bot
+    order.(!k) <- n;
+    incr k
+  in
+  for root = 0 to size - 1 do
+    if Bytes.get seen root = '\000' then search root
+  done
 
-  let graph_size entries nodes successors =
-    let m = List.fold_left (fun acc (n, _) -> max acc n) 0 entries in
-    List.fold_left
-      (fun acc n -> List.fold_left max (max acc n) (successors n))
-      m nodes
-    + 1
+(* The worklist over [g]: [queue] holds every node, in the order of
+   their first visits, and [queued] is all set. The queue holds each
+   node at most once, so a ring of [size + 1] slots never overflows. *)
+let run (g : graph) queue queued ~visit ~flow =
+  let size = size g in
+  let ring = size + 1 in
+  let head = ref 0 and tail = ref size in
+  while !head <> !tail do
+    let n = queue.(!head) in
+    head := if !head + 1 = ring then 0 else !head + 1;
+    Bytes.set queued n '\000';
+    visit n;
+    for e = g.first.(n) to g.first.(n + 1) - 1 do
+      let m = g.succ.(e) in
+      if m >= 0 && m < size && flow n m && Bytes.get queued m = '\000' then begin
+        Bytes.set queued m '\001';
+        queue.(!tail) <- m;
+        tail := if !tail + 1 = ring then 0 else !tail + 1
+      end
+    done
+  done
 
-  let solve ~successors ~transfer ~entries nodes =
-    run
-      ~edges:successors
-      ~transfer ~entries ~seed:nodes
-      (graph_size entries nodes successors)
+(* A node comes after its predecessors in reverse postorder, and after
+   its successors in postorder, except across the edges that close
+   loops. *)
+let forward g ~visit ~flow =
+  let size = size g in
+  let queue = Array.make (size + 1) 0 and queued = Bytes.make size '\000' in
+  postorder g queue queued;
+  for k = 0 to (size / 2) - 1 do
+    let n = queue.(k) in
+    queue.(k) <- queue.(size - 1 - k);
+    queue.(size - 1 - k) <- n
+  done;
+  run g queue queued ~visit ~flow
 
-  let solve_backward ~successors ~transfer ~entries nodes =
-    let size = graph_size entries nodes successors in
-    (* Invert the graph, then run the forward engine on it. *)
-    let preds = Array.make size [] in
-    List.iter
-      (fun n -> List.iter (fun m -> preds.(m) <- n :: preds.(m)) (successors n))
-      nodes;
-    (* Seed in reverse: node ids grow roughly in program order, so
-       processing later nodes first lets facts propagate backward in few
-       passes. *)
-    run
-      ~edges:(fun n -> preds.(n))
-      ~transfer ~entries ~seed:(List.rev nodes) size
-end
+let backward g ~visit ~flow =
+  let size = size g in
+  let queue = Array.make (size + 1) 0 and queued = Bytes.make size '\000' in
+  postorder g queue queued;
+  run (reverse g) queue queued ~visit ~flow

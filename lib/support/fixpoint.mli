@@ -1,38 +1,30 @@
-(** Generic worklist fixpoint solver over integer-indexed flow graphs
-    (the analogue of CompCert's [Kildall]); used by liveness, value
-    analysis and dead-code elimination. *)
+(** Worklist fixpoint engine over dense flow graphs (the analogue of
+    CompCert's [Kildall]); liveness and value analysis run on it. *)
 
-module type SEMILATTICE = sig
-  type t
+(** A flow graph over the nodes [0 .. size - 1], in compressed rows:
+    node [n]'s successors are [succ.(first.(n))] to
+    [succ.(first.(n + 1) - 1)], in that order, and [size] is
+    [Array.length first - 1]. A successor outside the nodes (-1, say)
+    is no successor: there is nothing to analyze there. It is built
+    once per function. *)
+type graph = { first : int array; succ : int array }
 
-  val bot : t
-  val equal : t -> t -> bool
+(** The number of nodes. *)
+val size : graph -> int
 
-  (** Least upper bound; must be monotone, with finite ascending chains
-      (widen in [lub] otherwise). *)
-  val lub : t -> t -> t
-end
+(** The facts live with the client, one per node. [forward g ~visit
+    ~flow] runs the worklist: it visits every node of [g] once, and
+    again each time its fact has grown since its last visit. A visit of
+    [n] calls [visit n] once, then [flow n m] for each successor [m] of
+    [n]; [flow n m] joins the fact that leaves [n] into [m]'s and says
+    whether [m]'s grew. With monotone transfers over lattices of finite
+    height, the facts reach the least solution of the constraints the
+    flows state, whatever the order of the visits. The first visits run
+    in reverse postorder of a depth-first search, so that most nodes
+    are visited once, with every fact that reaches them already in. *)
+val forward : graph -> visit:(int -> unit) -> flow:(int -> int -> bool) -> unit
 
-module type SOLVER = sig
-  type fact
-
-  (** Forward analysis; the returned function gives the fact at the
-      {e entrance} of each node. *)
-  val solve :
-    successors:(int -> int list) ->
-    transfer:(int -> fact -> fact) ->
-    entries:(int * fact) list ->
-    int list ->
-    int -> fact
-
-  (** Backward analysis; the returned function gives the fact at the
-      {e exit} of each node. *)
-  val solve_backward :
-    successors:(int -> int list) ->
-    transfer:(int -> fact -> fact) ->
-    entries:(int * fact) list ->
-    int list ->
-    int -> fact
-end
-
-module Make (L : SEMILATTICE) : SOLVER with type fact = L.t
+(** The same over the predecessors, for an analysis whose facts flow
+    backward: the first visits run in postorder, and [flow n p] joins
+    into each predecessor [p] of [n]. *)
+val backward : graph -> visit:(int -> unit) -> flow:(int -> int -> bool) -> unit

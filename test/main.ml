@@ -20,6 +20,7 @@ let () =
       Test_open.suite;
       Test_parametricity.suite;
       Test_passes.suite;
+      Test_dataflow.suite;
       Test_allocdiff.suite;
       Test_asmdecode.suite;
       Test_mutstate.suite;

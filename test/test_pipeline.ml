@@ -251,7 +251,7 @@ let second_call_words f =
    the code alone, so the ceiling is the measured value and any change
    that allocates more on the compile path fails here. The programs are
    compiled at O2. *)
-let compile_words_ceiling = 3_843_173.
+let compile_words_ceiling = 2_564_271.
 
 (* The interpreters' allocation, pinned per differential level: each
    kept level's [Pipeline.run_level] on [main] of every program, as the
@@ -273,6 +273,63 @@ let level_words_ceilings =
     ("asm", 576_607.);
   ]
 
+(* Each pass's allocation, pinned on the same inputs: the minor words
+   of each stage of [Pipeline.full] over all the programs, with
+   observability off, once every name is interned. The Allocation
+   stage includes its liveness solve and its validator, AllocCheck.
+   Each ceiling is the measured value. *)
+let pass_words_ceilings =
+  [
+    ("SimplLocals", 50_405.);
+    ("Cshmgen", 202_176.);
+    ("Cminorgen", 109_439.);
+    ("Selection", 80_672.);
+    ("RTLgen", 171_435.);
+    ("Tailcall", 27_649.);
+    ("Inlining", 32_341.);
+    ("Renumber", 85_795.);
+    ("Constprop", 103_625.);
+    ("CSE", 135_283.);
+    ("Deadcode", 56_808.);
+    ("Allocation", 1_058_538.);
+    ("Tunneling", 60_530.);
+    ("Linearize", 116_565.);
+    ("CleanupLabels", 21_517.);
+    ("Debugvar", 6_632.);
+    ("Stacking", 139_096.);
+    ("Asmgen", 96_965.);
+  ]
+
+(* The minor words of each stage of [Pipeline.full] compiling
+   [programs], by pass name in pipeline order. *)
+let pass_words programs =
+  let module P = Driver.Pipeline in
+  let stages = List.filter_map (function P.Pass s -> Some s | P.Keep _ -> None) P.full in
+  let words = Array.make (List.length stages) 0. in
+  let rec walk i (cur : P.program) = function
+    | [] -> ()
+    | P.Stage s :: rest -> (
+      match cur with
+      | P.Program (ir, x) -> (
+        match P.same ir s.src with
+        | None -> Alcotest.failf "%s: expects another language" s.name
+        | Some P.Refl -> (
+          let w0 = Gc.minor_words () in
+          let r = s.run x in
+          words.(i) <- words.(i) +. (Gc.minor_words () -. w0);
+          match r with
+          | Ok y -> walk (i + 1) (P.Program (s.tgt, y)) rest
+          | Error d -> Alcotest.failf "%a" Support.Diagnostics.pp d)))
+  in
+  let saved = !Obs.enabled in
+  Obs.enabled := false;
+  Fun.protect
+    ~finally:(fun () -> Obs.enabled := saved)
+    (fun () -> List.iter (fun p -> walk 0 (P.Program (P.Clight1, p)) stages) programs);
+  List.mapi
+    (fun i s -> ((P.info s).Convalg.Derive.pass_name, words.(i)))
+    stages
+
 let words_gates =
   [
     Alcotest.test_case "compile_levels minor words stay at the pinned ceiling"
@@ -285,6 +342,20 @@ let words_gates =
         if words > compile_words_ceiling then
           Alcotest.failf "compile_levels allocated %.0f minor words (ceiling %.0f)"
             words compile_words_ceiling);
+    Alcotest.test_case "each pass stays at its pinned minor words" `Quick (fun () ->
+        let programs = gate_programs () in
+        List.iter (fun p -> ignore (Driver.Compiler.compile_levels p)) programs;
+        let measured =
+          List.map
+            (fun (name, w) -> (name, w, List.assoc name pass_words_ceilings))
+            (pass_words programs)
+        in
+        if List.exists (fun (_, w, c) -> w > c) measured then
+          Alcotest.failf "@[<v>%a@]"
+            (Format.pp_print_list (fun fmt (name, w, c) ->
+                 Format.fprintf fmt "%-14s %.0f minor words (ceiling %.0f)%s" name w c
+                   (if w > c then " OVER" else "")))
+            measured);
     Alcotest.test_case "each level's runs stay at its pinned minor words"
       `Quick (fun () ->
         let runs =
