@@ -563,22 +563,19 @@ let asm_size (p : Backend.Asm.program) =
 let asm_steps (p : Backend.Asm.program) q =
   let l = Backend.Asm.semantics ~symbols:(workload_symbols ()) p in
   match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
-  | None -> -1
-  | Some (_, aq) -> (
-    match l.Core.Smallstep.init aq with
-    | s0 :: _ ->
-      let rec go n s =
-        if n > 10_000_000 then n
-        else
-          match l.Core.Smallstep.final s with
-          | Some _ -> n
-          | None -> (
-            match l.Core.Smallstep.step s with
-            | (_, s') :: _ -> go (n + 1) s'
-            | [] -> n)
-      in
-      go 0 s0
-    | [] -> -1)
+  | Some (_, aq) when l.Core.Smallstep.dom aq ->
+    let rec go n s =
+      if n > 10_000_000 then n
+      else
+        match l.Core.Smallstep.final s with
+        | Some _ -> n
+        | None -> (
+          match l.Core.Smallstep.step s with
+          | (_, s') :: _ -> go (n + 1) s'
+          | [] -> n)
+    in
+    go 0 (l.Core.Smallstep.init aq)
+  | _ -> -1
 
 let ablation () =
   section

@@ -42,53 +42,23 @@ type io_reply = IoVal of int
 let reg_tx = 0
 let reg_rx = 1
 
-(** {1 sigma_nic : Net ↠ IO — the NIC model} *)
+(** {1 sigma_nic : Net ↠ IO — the NIC model}
 
-type nic_state = NicIdle of io_query | NicWaiting of io_query
+    A read of RX polls the network and answers the byte it gets; a write
+    of TX transmits the byte and answers once the network acknowledges
+    it. Accesses to other registers complete at once with 0. A reply of
+    the wrong kind leaves the NIC stuck. *)
+
+type nic_state = N_init of io_query | N_done of int | N_stuck
 
 let sigma_nic : (nic_state, io_query, io_reply, net_query, net_reply) Smallstep.lts =
   {
     Smallstep.name = "sigma_nic";
     dom = (fun _ -> true);
-    init = (fun q -> [ NicIdle q ]);
-    step = (fun _ -> []);
-    at_external =
-      (fun s ->
-        match s with
-        | NicIdle (IoWrite (r, b)) when r = reg_tx -> Some (Transmit b)
-        | NicIdle (IoRead r) when r = reg_rx -> Some Poll
-        | _ -> None);
-    after_external =
-      (fun s reply ->
-        match (s, reply) with
-        | NicIdle q, NetAck -> [ NicWaiting q ]
-        | NicIdle q, NetByte _ -> (
-          match q with IoRead _ -> [ NicWaiting q ] | _ -> [])
-        | _ -> []);
-    final =
-      (fun s ->
-        match s with
-        | NicWaiting (IoWrite _) -> Some (IoVal 0)
-        | NicIdle (IoWrite (r, _)) when r <> reg_tx -> Some (IoVal 0)
-        | NicIdle (IoRead r) when r <> reg_rx -> Some (IoVal 0)
-        | _ -> None);
-    handover = None;
-  }
-
-(* The NIC answers reads of RX with the polled byte: we need the byte from
-   the Net reply. Rework with the byte recorded. *)
-type nic_state2 = N_init of io_query | N_done of int
-
-let sigma_nic : (nic_state2, io_query, io_reply, net_query, net_reply) Smallstep.lts =
-  ignore sigma_nic;
-  {
-    Smallstep.name = "sigma_nic";
-    dom = (fun _ -> true);
-    init = (fun q -> [ N_init q ]);
+    init = (fun q -> N_init q);
     step =
       (fun s ->
         match s with
-        (* Accesses to unknown registers complete immediately with 0. *)
         | N_init (IoWrite (r, _)) when r <> reg_tx -> [ (Events.e0, N_done 0) ]
         | N_init (IoRead r) when r <> reg_rx -> [ (Events.e0, N_done 0) ]
         | _ -> []);
@@ -101,9 +71,10 @@ let sigma_nic : (nic_state2, io_query, io_reply, net_query, net_reply) Smallstep
     after_external =
       (fun s reply ->
         match (s, reply) with
-        | N_init (IoWrite _), NetAck -> [ N_done 0 ]
-        | N_init (IoRead _), NetByte b -> [ N_done b ]
-        | _ -> []);
+        | N_init (IoWrite _), NetAck -> N_done 0
+        | N_init (IoRead _), NetByte b -> N_done b
+        | N_init _, _ -> N_stuck
+        | _ -> invalid_arg "sigma_nic.after_external: not at an external call");
     final = (fun s -> match s with N_done v -> Some (IoVal v) | _ -> None);
     handover = None;
   }
@@ -142,14 +113,14 @@ let sigma_io ~(symbols : Ident.t list) :
   {
     Smallstep.name = "sigma_io";
     dom = (fun q -> classify q <> None);
-    init = (fun q -> [ IoC_init q ]);
+    init = (fun q -> IoC_init q);
     step = (fun _ -> []);
     at_external = (fun s -> match s with IoC_init q -> classify q | _ -> None);
     after_external =
       (fun s (IoVal v) ->
         match s with
-        | IoC_init q -> [ IoC_done (v, q.cq_mem) ]
-        | _ -> []);
+        | IoC_init q -> IoC_done (v, q.cq_mem)
+        | _ -> invalid_arg "sigma_io.after_external: not at an external call");
     final =
       (fun s ->
         match s with
@@ -194,7 +165,10 @@ let sigma_io_asm ~(symbols : Ident.t list) :
       (fun q ->
         match signature_of q with Some sg -> classify sg q <> None | None -> false);
     init =
-      (fun q -> match signature_of q with Some sg -> [ IoA_init (sg, q) ] | None -> []);
+      (fun q ->
+        match signature_of q with
+        | Some sg -> IoA_init (sg, q)
+        | None -> invalid_arg "sigma_io'.init: not an I/O primitive");
     step = (fun _ -> []);
     at_external =
       (fun s -> match s with IoA_init (sg, q) -> classify sg q | _ -> None);
@@ -202,8 +176,8 @@ let sigma_io_asm ~(symbols : Ident.t list) :
       (fun s (IoVal v) ->
         match s with
         | IoA_init (sg, q) ->
-          [ IoA_done (Callconv.ca_reply ~sg ~res:(Vint (Int32.of_int v)) q) ]
-        | _ -> []);
+          IoA_done (Callconv.ca_reply ~sg ~res:(Vint (Int32.of_int v)) q)
+        | _ -> invalid_arg "sigma_io'.after_external: not at an external call");
     final = (fun s -> match s with IoA_done r -> Some r | _ -> None);
     handover = None;
   }

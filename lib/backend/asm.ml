@@ -704,14 +704,10 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     && not (Values.equal pc s.init_ra)
   in
   let returned s = Values.equal s.rs.(ipc) s.init_ra in
-  let init q = adopt (Pregfile.get RA q.aq_rs) q.aq_rs q.aq_mem in
-  (* A suspended activation never reads its register file or memory
-     again: the reply's replace them. *)
-  let resume s r = adopt s.init_ra r.ar_rs r.ar_mem in
   {
     Core.Smallstep.name = "Asm";
     dom = (fun q -> is_internal (Pregfile.get PC q.aq_rs));
-    init = (fun q -> [ init q ]);
+    init = (fun q -> adopt (Pregfile.get RA q.aq_rs) q.aq_rs q.aq_mem);
     (* A final state has no internal step, even when the return address
        is code of this unit (a function called from inside the unit
        that tail-calls into another unit is answered there): [⊕] offers
@@ -723,7 +719,9 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
         if at_call s then
           Some { aq_rs = Pregfile.copy s.rs; aq_mem = snapshot_mem s.m }
         else None);
-    after_external = (fun s r -> [ resume s r ]);
+    (* A suspended activation never reads its register file or memory
+       again: the reply's replace them. *)
+    after_external = (fun s r -> adopt s.init_ra r.ar_rs r.ar_mem);
     final =
       (fun s ->
         if returned s then
@@ -741,8 +739,6 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
                (fun s ->
                  if returned s then Some { ar_rs = s.rs; ar_mem = s.m }
                  else None);
-             take_init = init;
-             take_reply = resume;
            }
        else None);
   }

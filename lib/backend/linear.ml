@@ -214,19 +214,19 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         | Some (Ast.Internal f) -> signature_equal q.lq_sg f.fn_sig
         | _ -> false);
     init =
-      (fun q -> [ Callstate (Stackbase q.lq_ls, q.lq_vf, q.lq_sg, q.lq_ls, q.lq_mem) ]);
+      (fun q -> Callstate (Stackbase q.lq_ls, q.lq_vf, q.lq_sg, q.lq_ls, q.lq_mem));
     step = step ge gv ~find_label ~rset;
     at_external =
       (function
-        | Callstate (_, vf, sg, ls, m) when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
+        | Callstate (_, vf, sg, ls, m) when Genv.calls_out ge vf ->
           Some { lq_vf = vf; lq_sg = sg; lq_ls = ls; lq_mem = m }
         | _ -> None);
     after_external =
       (fun s r ->
         match s with
         | Callstate (stack, _, _, _, _) ->
-          [ Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem) ]
-        | _ -> []);
+          Returnstate (stack, Locset.copy r.lr_ls, r.lr_mem)
+        | _ -> invalid_arg "Linear.after_external: not at an external call");
     final =
       (function
         | Returnstate (Stackbase _, ls, m) -> Some { lr_ls = ls; lr_mem = m }

@@ -278,12 +278,12 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
         | _ -> false);
     init =
       (fun q ->
-        [ Callstate { vf = q.mq_vf; sp = q.mq_sp; ra = q.mq_ra;
-                      rs = Regfile.copy q.mq_rs; m = q.mq_mem; init_ra = q.mq_ra } ]);
+        Callstate { vf = q.mq_vf; sp = q.mq_sp; ra = q.mq_ra;
+                    rs = Regfile.copy q.mq_rs; m = q.mq_mem; init_ra = q.mq_ra });
     step = step ge gv ~find_label ~rset;
     at_external =
       (function
-        | Callstate { vf; sp; ra; rs; m; _ } when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
+        | Callstate { vf; sp; ra; rs; m; _ } when Genv.calls_out ge vf ->
           Some { mq_vf = vf; mq_sp = sp; mq_ra = ra;
                  mq_rs = Regfile.copy rs; mq_mem = m }
         | _ -> None);
@@ -291,8 +291,8 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
       (fun s r ->
         match s with
         | Callstate { sp; ra; init_ra; _ } ->
-          [ Returnstate { ra; sp; rs = Regfile.copy r.mr_rs; m = r.mr_mem; init_ra } ]
-        | _ -> []);
+          Returnstate { ra; sp; rs = Regfile.copy r.mr_rs; m = r.mr_mem; init_ra }
+        | _ -> invalid_arg "Mach.after_external: not at an external call");
     final =
       (function
         | Returnstate { ra; rs; m; init_ra; _ } when Values.equal ra init_ra ->

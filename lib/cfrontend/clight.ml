@@ -289,19 +289,19 @@ let semantics ?(mode : entry_mode = `Mem_params) ~(symbols : Ident.t list)
         | Some (Ast.Internal f) -> Mtypes.signature_equal q.cq_sg (fn_sig f)
         | _ -> false);
     init =
-      (fun q -> [ Callstate (q.cq_vf, q.cq_sg, q.cq_args, Kstop, q.cq_mem) ]);
+      (fun q -> Callstate (q.cq_vf, q.cq_sg, q.cq_args, Kstop, q.cq_mem));
     step = (fun s -> step mode ge s);
     at_external =
       (fun s ->
         match s with
-        | Callstate (vf, sg, args, _, m) when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
+        | Callstate (vf, sg, args, _, m) when Genv.calls_out ge vf ->
           Some { cq_vf = vf; cq_sg = sg; cq_args = args; cq_mem = m }
         | _ -> None);
     after_external =
       (fun s r ->
         match s with
-        | Callstate (_, _, _, k, _) -> [ Returnstate (r.cr_res, k, r.cr_mem) ]
-        | _ -> []);
+        | Callstate (_, _, _, k, _) -> Returnstate (r.cr_res, k, r.cr_mem)
+        | _ -> invalid_arg "Clight.after_external: not at an external call");
     final =
       (fun s ->
         match s with

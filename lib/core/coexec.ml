@@ -65,61 +65,54 @@ let check ~fuel ~(l1 : ('s1, 'q1, 'r1, 'qo1, 'ro1) lts)
       if l2.dom q2 then fail "domains disagree: source refuses, target accepts"
       else Pass
     else if not (l2.dom q2) then fail "domains disagree: target refuses the question"
-    else (
-      match (l1.init q1, l2.init q2) with
-      | [], [] -> Pass
-      | [], _ :: _ -> fail "source has no initial state but target does"
-      | _ :: _, [] -> fail "target has no initial state"
-      | s1 :: _, s2 :: _ ->
-        let rec co s1 s2 budget =
-          if budget <= 0 then fail "co-execution fuel exhausted"
+    else
+      let rec co s1 s2 budget =
+        if budget <= 0 then fail "co-execution fuel exhausted"
+        else
+          let t1, i1 = run_to_interaction ~fuel l1 s1 in
+          let t2, i2 = run_to_interaction ~fuel l2 s2 in
+          if not (Events.trace_equal t1 t2) then
+            fail "event traces diverge between source and target"
           else
-            let t1, i1 = run_to_interaction ~fuel l1 s1 in
-            let t2, i2 = run_to_interaction ~fuel l2 s2 in
-            if not (Events.trace_equal t1 t2) then
-              fail "event traces diverge between source and target"
-            else
-              match (i1, i2) with
-              | Ifinal r1, Ifinal r2 ->
-                if record_check cc_in.Simconv.name (cc_in.Simconv.chk_reply wb r1 r2)
-                then Pass
-                else fail "final answers are not related by the incoming convention"
-              | Iexternal (m1, e1), Iexternal (m2, e2) -> (
-                (* Fig. 6(c): the simulation chooses the world relating the
-                   outgoing questions — witnessed here by inference from
-                   the two actual questions. *)
-                match cc_out.Simconv.infer_world m1 m2 with
-                | None -> fail "no world relates the outgoing questions"
-                | Some wa ->
-                  if
-                    not
-                      (record_check cc_out.Simconv.name
-                         (cc_out.Simconv.chk_query wa m1 m2))
-                  then
-                    fail "outgoing questions are not related by the outgoing convention"
-                  else (
-                    match oracle m1 with
-                    | None -> fail "environment oracle refused the outgoing call"
-                    | Some n1 -> (
-                      match cc_out.Simconv.fwd_reply wa n1 with
-                      | None -> fail "cc_out cannot marshal the environment answer"
-                      | Some n2 -> (
-                        match (l1.after_external e1 n1, l2.after_external e2 n2) with
-                        | s1' :: _, s2' :: _ -> co s1' s2' (budget - 1)
-                        | [], _ -> fail "source cannot resume after external call"
-                        | _, [] -> fail "target cannot resume after external call"))))
-              | Istuck, Istuck ->
-                (* Both executions go wrong: the simulation property says
-                   nothing (source UB licenses anything), so we accept. *)
-                Pass
-              | Istuck, _ ->
-                (* Source goes wrong: anything the target does refines it. *)
-                Pass
-              | _, Istuck -> fail "target goes wrong but source does not"
-              | Ifuel, _ | _, Ifuel -> fail "fuel exhausted mid-execution"
-              | Ifinal _, Iexternal _ ->
-                fail "source terminates but target performs an external call"
-              | Iexternal _, Ifinal _ ->
-                fail "source performs an external call but target terminates"
-        in
-        co s1 s2 1024)
+            match (i1, i2) with
+            | Ifinal r1, Ifinal r2 ->
+              if record_check cc_in.Simconv.name (cc_in.Simconv.chk_reply wb r1 r2)
+              then Pass
+              else fail "final answers are not related by the incoming convention"
+            | Iexternal (m1, e1), Iexternal (m2, e2) -> (
+              (* Fig. 6(c): the simulation chooses the world relating the
+                 outgoing questions — witnessed here by inference from
+                 the two actual questions. *)
+              match cc_out.Simconv.infer_world m1 m2 with
+              | None -> fail "no world relates the outgoing questions"
+              | Some wa ->
+                if
+                  not
+                    (record_check cc_out.Simconv.name
+                       (cc_out.Simconv.chk_query wa m1 m2))
+                then
+                  fail "outgoing questions are not related by the outgoing convention"
+                else (
+                  match oracle m1 with
+                  | None -> fail "environment oracle refused the outgoing call"
+                  | Some n1 -> (
+                    match cc_out.Simconv.fwd_reply wa n1 with
+                    | None -> fail "cc_out cannot marshal the environment answer"
+                    | Some n2 ->
+                      co (l1.after_external e1 n1) (l2.after_external e2 n2)
+                        (budget - 1))))
+            | Istuck, Istuck ->
+              (* Both executions go wrong: the simulation property says
+                 nothing (source UB licenses anything), so we accept. *)
+              Pass
+            | Istuck, _ ->
+              (* Source goes wrong: anything the target does refines it. *)
+              Pass
+            | _, Istuck -> fail "target goes wrong but source does not"
+            | Ifuel, _ | _, Ifuel -> fail "fuel exhausted mid-execution"
+            | Ifinal _, Iexternal _ ->
+              fail "source terminates but target performs an external call"
+            | Iexternal _, Ifinal _ ->
+              fail "source performs an external call but target terminates"
+      in
+      co (l1.init q1) (l2.init q2) 1024

@@ -59,6 +59,9 @@ type ('q, 'r) boundary_event =
 let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
     ?(on_diag : (Diag.t -> unit) option) (cs : ('q, 'r) any list) :
     (('q, 'r) state, 'q, 'r, 'q, 'r) lts =
+  let name =
+    "(" ^ String.concat " (+) " (List.map (fun (Any c) -> c.lts.name) cs) ^ ")"
+  in
   let accepts q (Any c) = c.lts.dom q in
   let overlap ~rule accepting =
     let names = List.map (fun (Any c) -> c.lts.name) accepting in
@@ -102,40 +105,23 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
   in
   let init q =
     match route ~rule:"init" q cs with
-    | Any c :: _ -> List.map (fun s -> [ Frame (c, s) ]) (c.lts.init q)
-    | [] -> []
-  in
-  let pushed c c' q =
-    match observe with
-    | Some o -> o (Bpush { caller = c.side; callee = c'.side; question = q })
-    | None -> ()
+    | Any c :: _ -> [ Frame (c, c.lts.init q) ]
+    | [] -> invalid_arg (name ^ ".init: no component accepts the question")
   in
   (* A new activation of [c'] on [q], above the stack [st] whose
-     running component is [c]. A receiver with the handover capability
-     answers with its one state. *)
+     running component is [c]. *)
   let push c st c' q =
-    match c'.lts.handover with
-    | Some h ->
-      pushed c c' q;
-      [ (Events.e0, Frame (c', h.take_init q) :: st) ]
-    | None -> (
-      match c'.lts.init q with
-      | [] -> []
-      | ss ->
-        pushed c c' q;
-        (* a deterministic [init] is mapped without a closure *)
-        (match ss with
-        | [ s' ] -> [ (Events.e0, Frame (c', s') :: st) ]
-        | _ -> List.map (fun s' -> (Events.e0, Frame (c', s') :: st)) ss))
+    (match observe with
+    | Some o -> o (Bpush { caller = c.side; callee = c'.side; question = q })
+    | None -> ());
+    [ (Events.e0, Frame (c', c'.lts.init q) :: st) ]
   in
   let step = function
     | [] -> []
     | Frame (c, s) :: k as st -> (
       match c.lts.step s with
-      (* run; a deterministic step is mapped without a closure, and one
-         that returns its own state leaves the stack as it is *)
-      | [ (t, s') ] -> [ (t, if s' == s then st else Frame (c, s') :: k) ]
-      | _ :: _ as ts -> List.map (fun (t, s') -> (t, Frame (c, s') :: k)) ts
+      (* run; a step that returns its own state leaves the stack as it is *)
+      | (t, s') :: _ -> [ (t, if s' == s then st else Frame (c, s') :: k) ]
       | [] -> (
         match question c s with
         | Some q -> (
@@ -158,13 +144,7 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
               (match observe with
               | Some o -> o (Bpop { callee = c.side; caller = c'.side; answer = r })
               | None -> ());
-              (* a deterministic resumption is mapped without a closure *)
-              (match c'.lts.handover with
-              | Some h -> [ (Events.e0, Frame (c', h.take_reply sc r) :: k') ]
-              | None -> (
-                match c'.lts.after_external sc r with
-                | [ sc' ] -> [ (Events.e0, Frame (c', sc') :: k') ]
-                | scs -> List.map (fun sc' -> (Events.e0, Frame (c', sc') :: k')) scs))
+              [ (Events.e0, Frame (c', c'.lts.after_external sc r) :: k') ]
             | None -> [])
           | [] -> [])))
   in
@@ -180,15 +160,13 @@ let compose_list ?(observe : (('q, 'r) boundary_event -> unit) option)
   (* x• *)
   let after_external st r =
     match st with
-    | Frame (c, s) :: k ->
-      List.map (fun s' -> Frame (c, s') :: k) (c.lts.after_external s r)
-    | [] -> []
+    | Frame (c, s) :: k -> Frame (c, c.lts.after_external s r) :: k
+    | [] -> invalid_arg (name ^ ".after_external: no suspended activation")
   in
   (* i•: only the bottom frame answers the incoming question *)
   let final = function [ Frame (c, s) ] -> c.lts.final s | _ -> None in
   {
-    name =
-      "(" ^ String.concat " (+) " (List.map (fun (Any c) -> c.lts.name) cs) ^ ")";
+    name;
     dom;
     init;
     step;

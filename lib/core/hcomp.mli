@@ -14,10 +14,9 @@ type ('q, 'r) state
 (** Observable events at the component boundary: the push and pop rules
     of Fig. 5, as seen from outside. Components are named by their
     0-based index: [compose]'s first argument is [0], its second [1].
-    Emitted from the composite's [step] function, so meaningful under
-    the deterministic first-transition discipline of {!Smallstep.run}.
-    Monitors (e.g. {!Robust.Property}) reconstruct the call tree from
-    these, pairing each pop with the push that opened the activation. *)
+    Emitted from the composite's [step] function. Monitors (e.g.
+    {!Robust.Property}) reconstruct the call tree from these, pairing
+    each pop with the push that opened the activation. *)
 type ('q, 'r) boundary_event =
   | Bpush of { caller : int; callee : int; question : 'q }
       (** an external question of the running frame started a new

@@ -27,7 +27,7 @@ let run ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque) ?(pp_ro = opaque)
   if not !Obs.enabled then Smallstep.run ?check_reply ~fuel l ~oracle q
   else begin
     let module Log = Obs.Interaction_log in
-    let steps = ref 0 and used = ref 0 and resumed = ref true in
+    let steps = ref 0 and used = ref 0 in
     let flush () =
       if !steps > 0 then begin
         Log.record (Log.Steps !steps);
@@ -40,12 +40,9 @@ let run ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque) ?(pp_ro = opaque)
         l with
         init =
           (fun q ->
-            let ss = l.init q in
-            if ss <> [] then begin
-              Log.record (Log.Question (pp_qi q));
-              Obs.Metrics.incr_counter "lts.questions"
-            end;
-            ss);
+            Log.record (Log.Question (pp_qi q));
+            Obs.Metrics.incr_counter "lts.questions";
+            l.init q);
         step =
           (fun s ->
             let r = l.step s in
@@ -56,11 +53,9 @@ let run ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque) ?(pp_ro = opaque)
             r);
         after_external =
           (fun s ro ->
-            let ss = l.after_external s ro in
             Log.record (Log.Reply (pp_ro ro));
-            resumed := ss <> [];
-            if !resumed then incr used;
-            ss);
+            incr used;
+            l.after_external s ro);
         handover = None;
       }
     in
@@ -79,8 +74,7 @@ let run ?(pp_qi = opaque) ?(pp_ri = opaque) ?(pp_qo = opaque) ?(pp_ro = opaque)
       flush ();
       Log.record (Log.Final (pp_ri r));
       Obs.Metrics.incr_counter "lts.finals"
-    | Goes_wrong _ when !resumed ->
-      (* stuck, not a component refusing to resume *)
+    | Goes_wrong _ ->
       flush ();
       Log.record Log.Stuck
     | _ -> ());

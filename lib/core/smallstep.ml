@@ -10,18 +10,22 @@
     - ['qo]/['ro]: outgoing questions and answers (interface [A]).
 
     The fields correspond one-to-one to the tuple
-    [⟨S, →, D, I, X, Y, F⟩] of Definition 3.1. Transition relations are
-    represented as list-valued functions; the concrete language semantics
-    of this development are deterministic (singleton or empty lists) but
-    the framework, like the paper's, does not assume it. *)
+    [⟨S, →, D, I, X, Y, F⟩] of Definition 3.1. The framework assumes
+    determinism, as CompCert's semantics are determinate: [I] and [Y]
+    are functions, [init] defined on [D] and [after_external] on the
+    states [X] answers, and a call outside them raises
+    [Invalid_argument] naming the LTS. A [Y] that refuses a reply
+    resumes into a stuck state. [step] returns at most one transition,
+    and every consumer takes its head; its list type stays only because
+    the benchmark's counting wrappers read it. *)
 
 type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   name : string;
   dom : 'qi -> bool;  (** [D ⊆ B°]: accepted questions *)
-  init : 'qi -> 's list;  (** [I ⊆ D × S]: initial states *)
-  step : 's -> (Events.trace * 's) list;  (** [→ ⊆ S × E* × S] *)
+  init : 'qi -> 's;  (** [I : D → S]: the initial state *)
+  step : 's -> (Events.trace * 's) list;  (** [→]: at most one transition *)
   at_external : 's -> 'qo option;  (** [X ⊆ S × A°]: external states *)
-  after_external : 's -> 'ro -> 's list;  (** [Y ⊆ S × A• × S] *)
+  after_external : 's -> 'ro -> 's;  (** [Y : X × A• → S]: the resumption *)
   final : 's -> 'ri option;  (** [F ⊆ S × B•]: final states *)
   handover : ('s, 'qi, 'ri, 'qo, 'ro) handover option;
       (** probes that hand the payload over instead of snapshotting it *)
@@ -30,20 +34,16 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
 and ('s, 'qi, 'ri, 'qo, 'ro) handover = {
   hand_external : 's -> 'qo option;
   hand_final : 's -> 'ri option;
-  take_init : 'qi -> 's;
-  take_reply : 's -> 'ro -> 's;
 }
 
 (** {1 Deterministic execution}
 
-    The concrete semantics of the pipeline are deterministic; one loop
-    runs an LTS by always taking the first enabled transition. It takes
-    the internal step while there is one, and asks [final], then
-    [at_external], only when the step is empty: by the contract of
-    {!lts}, only then may the state be at an interaction point, and the
-    empty step has left it as it was. Fuel is one unit per step or
-    resumption, checked before stepping. The environment is a partial
-    oracle answering outgoing questions. *)
+    One loop runs an LTS. It takes the internal step while there is
+    one, and asks [final], then [at_external], only when the step is
+    empty: by the contract of {!lts}, only then may the state be at an
+    interaction point, and the empty step has left it as it was. Fuel
+    is one unit per step or resumption, checked before stepping. The
+    environment is a partial oracle answering outgoing questions. *)
 
 type ('ri, 'qo) outcome =
   | Final of Events.trace * 'ri  (** terminated with an answer *)
@@ -51,7 +51,7 @@ type ('ri, 'qo) outcome =
   | Env_stuck of Events.trace * 'qo  (** the oracle refused an external call *)
   | Env_violation of Events.trace * string
       (** the oracle's answer broke the simulation convention *)
-  | Refused  (** the incoming question is outside [D] or has no initial state *)
+  | Refused  (** the incoming question is outside [D] *)
   | Out_of_fuel of Events.trace
 
 let pp_outcome pp_ri fmt = function
@@ -107,24 +107,17 @@ let run ?(check_reply = fun _ _ -> Ok ()) ~fuel
     ('ri, 'qo) outcome =
   if not (l.dom q) then Refused
   else
-    match l.init q with
-    | [] -> Refused
-    | s0 :: _ ->
-      let rec go fuel trace s =
-        match advance l fuel trace s with
-        | _, trace, Ifinal r -> Final (List.rev trace, r)
-        | _, trace, Istuck -> Goes_wrong (List.rev trace, "stuck state")
-        | _, trace, Ifuel -> Out_of_fuel (List.rev trace)
-        | fuel, trace, Iexternal (qo, s) -> (
-          match oracle qo with
-          | None -> Env_stuck (List.rev trace, qo)
-          | Some ro -> (
-            match check_reply qo ro with
-            | Error why -> Env_violation (List.rev trace, why)
-            | Ok () -> (
-              match l.after_external s ro with
-              | s' :: _ -> go (fuel - 1) trace s'
-              | [] ->
-                Goes_wrong (List.rev trace, "no resumption after external call"))))
-      in
-      go fuel [] s0
+    let rec go fuel trace s =
+      match advance l fuel trace s with
+      | _, trace, Ifinal r -> Final (List.rev trace, r)
+      | _, trace, Istuck -> Goes_wrong (List.rev trace, "stuck state")
+      | _, trace, Ifuel -> Out_of_fuel (List.rev trace)
+      | fuel, trace, Iexternal (qo, s) -> (
+        match oracle qo with
+        | None -> Env_stuck (List.rev trace, qo)
+        | Some ro -> (
+          match check_reply qo ro with
+          | Error why -> Env_violation (List.rev trace, why)
+          | Ok () -> go (fuel - 1) trace (l.after_external s ro)))
+    in
+    go fuel [] (l.init q)

@@ -9,6 +9,16 @@
     states ['s]; incoming questions/answers ['qi]/['ri] (interface [B]);
     outgoing questions/answers ['qo]/['ro] (interface [A]).
 
+    The framework assumes determinism, as CompCert's semantics are
+    determinate. [I] and [Y] are functions: [init] is defined on the
+    questions [dom] accepts, and [after_external] on the states
+    [at_external] answers. A call outside them is a programming error
+    and raises [Invalid_argument] naming the LTS. An LTS whose [Y]
+    refuses a reply resumes into a stuck state, which {!run} reports
+    as [Goes_wrong]. [step] returns at most one transition and every
+    consumer takes its head; it stays a list only because the
+    benchmark's counting wrappers read it.
+
     The concrete semantics run over mutable state, and a [step] may
     write its argument in place. Every LTS keeps two rules about that: a
     state at an interaction point ([at_external] or [final] answers)
@@ -27,10 +37,10 @@
 type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
   name : string;
   dom : 'qi -> bool;  (** [D ⊆ B°]: accepted questions *)
-  init : 'qi -> 's list;  (** [I ⊆ D × S]: initial states *)
-  step : 's -> (Events.trace * 's) list;  (** [→ ⊆ S × E* × S] *)
+  init : 'qi -> 's;  (** [I : D → S]: the initial state *)
+  step : 's -> (Events.trace * 's) list;  (** [→]: at most one transition *)
   at_external : 's -> 'qo option;  (** [X ⊆ S × A°]: external states *)
-  after_external : 's -> 'ro -> 's list;  (** [Y ⊆ S × A• × S] *)
+  after_external : 's -> 'ro -> 's;  (** [Y : X × A• → S]: the resumption *)
   final : 's -> 'ri option;  (** [F ⊆ S × B•]: final states *)
   handover : ('s, 'qi, 'ri, 'qo, 'ro) handover option;
 }
@@ -45,31 +55,25 @@ type ('s, 'qi, 'ri, 'qo, 'ro) lts = {
 
     The payload carries its own mark, so the receiving LTS's [init] or
     [after_external] adopts a handed-over payload as is and takes a
-    snapshot of any other. [take_init q] and [take_reply s r] are the
-    one state that [init q] and [after_external s r] answer with: an
-    LTS with the capability answers every question its [dom] accepts,
-    and every reply, with exactly one state. Only {!Hcomp} uses the
-    capability: it hands the payload over at a push or pop whose
-    running and receiving components both have it, and takes the
-    receiver's state with [take_init] or [take_reply] whenever the
-    receiver has it. Every payload that leaves
-    a composite, at x° and i• (Fig. 5), in {!run}, {!Vcomp} or
-    {!Coexec}, comes from the plain probes. *)
+    snapshot of any other. Only {!Hcomp} uses the capability: it hands
+    the payload over at a push or pop whose running and receiving
+    components both have it, and gives it to the receiver's [init] or
+    [after_external]. Every payload that leaves a composite, at x° and
+    i• (Fig. 5), in {!run}, {!Vcomp} or {!Coexec}, comes from the plain
+    probes. *)
 and ('s, 'qi, 'ri, 'qo, 'ro) handover = {
   hand_external : 's -> 'qo option;
   hand_final : 's -> 'ri option;
-  take_init : 'qi -> 's;
-  take_reply : 's -> 'ro -> 's;
 }
 
-(** Outcome of a deterministic run (first enabled transition). *)
+(** Outcome of a run. *)
 type ('ri, 'qo) outcome =
   | Final of Events.trace * 'ri  (** terminated with an answer *)
   | Goes_wrong of Events.trace * string  (** stuck state (undefined behavior) *)
   | Env_stuck of Events.trace * 'qo  (** the oracle refused an external call *)
   | Env_violation of Events.trace * string
       (** the oracle's answer broke the simulation convention *)
-  | Refused  (** question outside [D], or no initial state *)
+  | Refused  (** question outside [D] *)
   | Out_of_fuel of Events.trace
 
 val pp_outcome :

@@ -19,26 +19,25 @@ type ('s1, 's2) state =
 
 let layer (l1 : ('s1, 'qc, 'rc, 'qb, 'rb) lts) (l2 : ('s2, 'qb, 'rb, 'qa, 'ra) lts) :
     (('s1, 's2) state, 'qc, 'rc, 'qa, 'ra) lts =
+  let name = Printf.sprintf "(%s . %s)" l1.name l2.name in
   let dom = l1.dom in
-  let init q = List.map (fun s -> Upper s) (l1.init q) in
+  let init q = Upper (l1.init q) in
   (* As in {!Hcomp}: the internal step first; the call and return
      rules only when it is empty. *)
   let step = function
     | Upper s1 -> (
       match l1.step s1 with
-      | _ :: _ as ts -> List.map (fun (t, s') -> (t, Upper s')) ts
+      | (t, s') :: _ -> [ (t, Upper s') ]
       | [] -> (
         match l1.at_external s1 with
-        | Some q when l2.dom q ->
-          List.map (fun s2 -> (Events.e0, Lower (s1, s2))) (l2.init q)
+        | Some q when l2.dom q -> [ (Events.e0, Lower (s1, l2.init q)) ]
         | _ -> []))
     | Lower (s1, s2) -> (
       match l2.step s2 with
-      | _ :: _ as ts -> List.map (fun (t, s2') -> (t, Lower (s1, s2'))) ts
+      | (t, s2') :: _ -> [ (t, Lower (s1, s2')) ]
       | [] -> (
         match l2.final s2 with
-        | Some r ->
-          List.map (fun s1' -> (Events.e0, Upper s1')) (l1.after_external s1 r)
+        | Some r -> [ (Events.e0, Upper (l1.after_external s1 r)) ]
         | None -> []))
   in
   let at_external = function
@@ -49,12 +48,12 @@ let layer (l1 : ('s1, 'qc, 'rc, 'qb, 'rb) lts) (l2 : ('s2, 'qb, 'rb, 'qa, 'ra) l
   in
   let after_external st r =
     match st with
-    | Lower (s1, s2) -> List.map (fun s2' -> Lower (s1, s2')) (l2.after_external s2 r)
-    | Upper _ -> []
+    | Lower (s1, s2) -> Lower (s1, l2.after_external s2 r)
+    | Upper _ -> invalid_arg (name ^ ".after_external: not at an external call")
   in
   let final = function Upper s1 -> l1.final s1 | Lower _ -> None in
   {
-    name = Printf.sprintf "(%s . %s)" l1.name l2.name;
+    name;
     dom;
     init;
     step;

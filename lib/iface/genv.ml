@@ -68,11 +68,15 @@ let defines_internal ge v =
   match find_funct ge v with Some (Ast.Internal _) -> true | _ -> false
 
 (** Is [v] a plausible function entry point: the base address of some
-    global symbol block? Calls to such addresses that this unit does not
-    define internally become outgoing questions; calls to anything else
-    are undefined behavior (stuck states). *)
+    global symbol block? *)
 let plausible_funct ge v =
   match v with Vptr (b, 0) -> b >= 1 && b < ge.next | _ -> false
+
+(** Does a call to [v] leave the unit, as an outgoing question (Fig. 5's
+    x°)? It does when [v] is a plausible function entry that this unit
+    does not define internally; a call to anything else that is not
+    internal is undefined behavior (a stuck state). *)
+let calls_out ge v = plausible_funct ge v && not (defines_internal ge v)
 
 (** {1 Initial memory}
 

@@ -24,14 +24,15 @@ val find_funct_ptr : ('fn, 'v) t -> block -> 'fn Ast.fundef option
 (** Resolve a function value (pointers at offset 0 only). *)
 val find_funct : ('fn, 'v) t -> value -> 'fn Ast.fundef option
 
-(** Does this unit define (with a body) the function at [v]? The domain
-    [D] of the unit's open semantics. *)
-val defines_internal : ('fn, 'v) t -> value -> bool
-
-(** Is [v] the base address of some global symbol block? Calls to such
-    addresses that are not defined internally become outgoing questions;
-    calls to anything else are stuck. *)
+(** Is [v] the base address of some global symbol block? *)
 val plausible_funct : ('fn, 'v) t -> value -> bool
+
+(** Does a call to [v] leave the unit, as an outgoing question (Fig. 5's
+    x°)? It does when [v] is a plausible function entry that this unit
+    does not define with a body; a call to anything else that is not
+    internal is undefined behavior (a stuck state). The [at_external]
+    test of every semantics from Clight to Mach. *)
+val calls_out : ('fn, 'v) t -> value -> bool
 
 val store_init_data :
   ('fn, 'v) t -> Mem.t -> block -> int -> Ast.init_data -> Mem.t option

@@ -195,19 +195,19 @@ let semantics ~(symbols : Ident.t list) (p : program) :
         match Genv.find_funct ge q.cq_vf with
         | Some (Ast.Internal f) -> signature_equal q.cq_sg f.fn_sig
         | _ -> false);
-    init = (fun q -> [ Callstate (q.cq_vf, q.cq_sg, q.cq_args, Kstop, q.cq_mem) ]);
+    init = (fun q -> Callstate (q.cq_vf, q.cq_sg, q.cq_args, Kstop, q.cq_mem));
     step = (fun s -> step ge s);
     at_external =
       (fun s ->
         match s with
-        | Callstate (vf, sg, args, _, m) when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
+        | Callstate (vf, sg, args, _, m) when Genv.calls_out ge vf ->
           Some { cq_vf = vf; cq_sg = sg; cq_args = args; cq_mem = m }
         | _ -> None);
     after_external =
       (fun s r ->
         match s with
-        | Callstate (_, _, _, k, _) -> [ Returnstate (r.cr_res, k, r.cr_mem) ]
-        | _ -> []);
+        | Callstate (_, _, _, k, _) -> Returnstate (r.cr_res, k, r.cr_mem)
+        | _ -> invalid_arg "CminorSel.after_external: not at an external call");
     final =
       (fun s ->
         match s with

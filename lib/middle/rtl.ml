@@ -455,19 +455,19 @@ let semantics_gen (ops : 'rs regops) ~(symbols : Ident.t list) (p : program) :
         match Genv.find_funct ge q.cq_vf with
         | Some (Ast.Internal f) -> signature_equal q.cq_sg f.fn_sig
         | _ -> false);
-    init = (fun q -> [ Callstate ([], q.cq_vf, q.cq_sg, q.cq_args, q.cq_mem) ]);
+    init = (fun q -> Callstate ([], q.cq_vf, q.cq_sg, q.cq_args, q.cq_mem));
     step = (fun s -> step ge gv ops s);
     at_external =
       (fun s ->
         match s with
-        | Callstate (_, vf, sg, args, m) when Genv.plausible_funct ge vf && not (Genv.defines_internal ge vf) ->
+        | Callstate (_, vf, sg, args, m) when Genv.calls_out ge vf ->
           Some { cq_vf = vf; cq_sg = sg; cq_args = args; cq_mem = m }
         | _ -> None);
     after_external =
       (fun s r ->
         match s with
-        | Callstate (stack, _, _, _, _) -> [ Returnstate (stack, r.cr_res, r.cr_mem) ]
-        | _ -> []);
+        | Callstate (stack, _, _, _, _) -> Returnstate (stack, r.cr_res, r.cr_mem)
+        | _ -> invalid_arg "RTL.after_external: not at an external call");
     final =
       (fun s ->
         match s with

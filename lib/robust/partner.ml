@@ -118,9 +118,10 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
       else fallback ())
     else fallback ()
   in
+  let name = Printf.sprintf "partner[%s]" (mode_name mode) in
   let init q =
     match Io.find_export exports (Pregfile.get PC q.aq_rs) with
-    | None -> []
+    | None -> invalid_arg (name ^ ".init: not an exported primitive")
     | Some p ->
       let i = !count in
       incr count;
@@ -128,31 +129,31 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
       let res = recorded_result p i q in
       let reply v = Callconv.ca_reply ~sg ~res:v q in
       let well = reply (Vint res) in
-      if mode = Replay_faithful || i <> rogue_at then [ Answer well ]
+      if mode = Replay_faithful || i <> rogue_at then Answer well
       else begin
         rogue_fired := true;
         match mode with
-        | Replay_faithful -> [ Answer well ]
-        | Wrong_result -> [ Answer (reply (Vint (Int32.add res 1l))) ]
+        | Replay_faithful -> Answer well
+        | Wrong_result -> Answer (reply (Vint (Int32.add res 1l)))
         | Clobber_callee_save ->
-          [ Answer { well with ar_rs = Chaos.clobber_callee_saves well.ar_rs } ]
-        | Wild_pointer -> [ Answer (reply (Chaos.wild_pointer q.aq_mem)) ]
-        | Early_halt -> [ Answer (reply Vundef) ]
-        | Silent_divergence -> [ Spin ]
+          Answer { well with ar_rs = Chaos.clobber_callee_saves well.ar_rs }
+        | Wild_pointer -> Answer (reply (Chaos.wild_pointer q.aq_mem))
+        | Early_halt -> Answer (reply Vundef)
+        | Silent_divergence -> Spin
         | Call_storm -> (
           match entry_block with
-          | None -> [ Answer well ]
+          | None -> Answer well
           | Some eb ->
             let storm_q =
               { aq_rs = Pregfile.set PC (Vptr (eb, 0)) q.aq_rs;
                 aq_mem = q.aq_mem }
             in
-            [ Storm { storm_q; storm_reply = well } ])
+            Storm { storm_q; storm_reply = well })
       end
   in
   let lts =
     {
-      Core.Smallstep.name = Printf.sprintf "partner[%s]" (mode_name mode);
+      Core.Smallstep.name = name;
       dom = (fun q -> Io.find_export exports (Pregfile.get PC q.aq_rs) <> None);
       init;
       step = (fun s -> match s with Spin -> [ (Core.Events.e0, Spin) ] | _ -> []);
@@ -160,7 +161,9 @@ let synthesize ~(symbols : Ident.t list) ~(prims : Io.primitive list)
         (fun s -> match s with Storm { storm_q; _ } -> Some storm_q | _ -> None);
       after_external =
         (fun s _r ->
-          match s with Storm { storm_reply; _ } -> [ Answer storm_reply ] | _ -> []);
+          match s with
+          | Storm { storm_reply; _ } -> Answer storm_reply
+          | _ -> invalid_arg (name ^ ".after_external: not at an external call"));
       final = (fun s -> match s with Answer r -> Some r | _ -> None);
       handover = None;
     }

@@ -281,7 +281,7 @@ let toy : (toy_state, string * int, int, string * int, int) Smallstep.lts =
   {
     Smallstep.name = "toy";
     dom = (fun (f, _) -> f = "double" || f = "quad" || f = "loop");
-    init = (fun q -> [ Start q ]);
+    init = (fun q -> Start q);
     step =
       (fun s ->
         match s with
@@ -290,7 +290,10 @@ let toy : (toy_state, string * int, int, string * int, int) Smallstep.lts =
         | _ -> []);
     at_external = (fun s -> match s with Start ("quad", n) -> Some ("double", n) | _ -> None);
     after_external =
-      (fun s ans -> match s with Start ("quad", _) -> [ Done (2 * ans) ] | _ -> []);
+      (fun s ans ->
+        match s with
+        | Start ("quad", _) -> Done (2 * ans)
+        | _ -> invalid_arg "toy.after_external: not at an external call");
     final = (fun s -> match s with Done r -> Some r | _ -> None);
     handover = None;
   }

@@ -84,11 +84,10 @@ let parametricity_instance ~(mk_sem : Ident.t list -> ('s, c_query, c_reply, c_q
 
 let clight_sem symbols = Cfrontend.Clight.semantics ~symbols program
 
-let rtl_sem =
-  let rtl1 =
-    (Errors.get (Driver.Compiler.compile program)).Driver.Compiler.rtl
-  in
-  fun symbols -> Middle.Rtl.semantics ~symbols rtl1
+(* Compiled by the first test that runs it, so a miscompile fails the
+   tests that use it, not the loading of the test binary. *)
+let rtl1 = lazy (Errors.get (Driver.Compiler.compile program)).Driver.Compiler.rtl
+let rtl_sem symbols = Middle.Rtl.semantics ~symbols (Lazy.force rtl1)
 
 let unit_tests =
   [

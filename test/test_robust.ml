@@ -255,10 +255,10 @@ let trivial_lts name : (unit, int, unit, int, unit) Core.Smallstep.lts =
   {
     Core.Smallstep.name;
     dom = (fun _ -> true);
-    init = (fun _ -> [ () ]);
+    init = (fun _ -> ());
     step = (fun _ -> []);
     at_external = (fun _ -> None);
-    after_external = (fun _ _ -> []);
+    after_external = (fun () _ -> ());
     final = (fun _ -> Some ());
     handover = None;
   }
@@ -269,10 +269,10 @@ let caller : (int, int, int, int, int) Core.Smallstep.lts =
   {
     Core.Smallstep.name = "caller";
     dom = (fun q -> q = 0 || q = 1);
-    init = (fun q -> [ q ]);
+    init = (fun q -> q);
     step = (fun _ -> []);
     at_external = (fun s -> if s = 0 then Some 1 else None);
-    after_external = (fun _ r -> [ 100 + r ]);
+    after_external = (fun _ r -> 100 + r);
     final = (fun s -> if s = 0 then None else if s = 1 then Some 10 else Some s);
     handover = None;
   }
@@ -291,11 +291,8 @@ let hcomp_tests =
             ~on_diag:(fun d -> diags := d :: !diags)
             caller callee
         in
-        (match l.Core.Smallstep.init 0 with
-        | [ st ] ->
-          Alcotest.(check int) "transitions at the push" 1
-            (List.length (l.Core.Smallstep.step st))
-        | _ -> Alcotest.fail "expected one initial state");
+        Alcotest.(check int) "transitions at the push" 1
+          (List.length (l.Core.Smallstep.step (l.Core.Smallstep.init 0)));
         check "pushed into component 0" true
           (match !events with
           | [ Hcomp.Bpush { caller = 0; callee = 0; question = 1 } ] -> true

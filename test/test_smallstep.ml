@@ -18,11 +18,15 @@ type r = int
    functions it computes locally, possibly making one outgoing call. *)
 type toy_state =
   | Start of q
-  | Waiting of string * int  (** made an outgoing call, will add [k] *)
+  | Stuck  (** resumed with a reply its [Y] refuses *)
   | Done of int
 
 (* [double] computes 2n directly; [quad] calls [double n] and doubles the
-   answer; [inc] computes n+1; [loopy] diverges. *)
+   answer, refusing a negative one; [inc] computes n+1; [loopy]
+   diverges. A call outside the contract of {!Smallstep.lts} raises:
+   [init] outside [dom], and [after_external] on a state [at_external]
+   does not answer. So every test below that runs a toy also checks
+   that [run], [run_to_interaction] and the composites keep it. *)
 let toy_component (name : string) : (toy_state, q, r, q, r) lts =
   let handles f = match name with
     | "doubler" -> f = "double" || f = "quad"
@@ -30,10 +34,12 @@ let toy_component (name : string) : (toy_state, q, r, q, r) lts =
     | "loopy" -> f = "loop"
     | _ -> false
   in
+  let dom (f, _) = handles f in
   {
     name;
-    dom = (fun (f, _) -> handles f);
-    init = (fun q -> [ Start q ]);
+    dom;
+    init =
+      (fun q -> if dom q then Start q else invalid_arg (name ^ ".init: outside dom"));
     step =
       (fun s ->
         match s with
@@ -42,7 +48,7 @@ let toy_component (name : string) : (toy_state, q, r, q, r) lts =
         | Start ("loop", n) -> [ (Events.e0, Start ("loop", n)) ]
         | Start ("quad", _) -> []
         | Start _ -> []
-        | Waiting _ -> []
+        | Stuck -> []
         | Done _ -> []);
     at_external =
       (fun s ->
@@ -52,8 +58,8 @@ let toy_component (name : string) : (toy_state, q, r, q, r) lts =
     after_external =
       (fun s ans ->
         match s with
-        | Start ("quad", _) -> [ Done (2 * ans) ]
-        | _ -> []);
+        | Start ("quad", _) -> if ans >= 0 then Done (2 * ans) else Stuck
+        | _ -> invalid_arg (name ^ ".after_external: not at an external call"));
     final = (fun s -> match s with Done r -> Some r | _ -> None);
     handover = None;
   }
@@ -78,7 +84,11 @@ let unit_tests =
         | Final (_, r) -> checki "42" 42 r
         | _ -> Alcotest.fail "expected final");
     Alcotest.test_case "refused outside domain" `Quick (fun () ->
-        check "refused" true (run_toy doubler ("inc", 1) = Refused));
+        check "refused" true (run_toy doubler ("inc", 1) = Refused);
+        (* a composite question that no component accepts *)
+        check "compose" true (run_toy (Hcomp.compose doubler incr) ("dec", 1) = Refused);
+        check "compose_all" true
+          (run_toy (Hcomp.compose_all [| doubler; incr; loopy |]) ("dec", 1) = Refused));
     Alcotest.test_case "environment answers external call" `Quick (fun () ->
         let oracle (f, n) = if f = "double" then Some (2 * n) else None in
         match run_toy doubler ~oracle ("quad", 5) with
@@ -94,12 +104,9 @@ let unit_tests =
         | _ -> Alcotest.fail "expected out of fuel");
     Alcotest.test_case "run_to_interaction finds external state" `Quick
       (fun () ->
-        match doubler.init ("quad", 3) with
-        | [ s0 ] -> (
-          match run_to_interaction ~fuel:100 doubler s0 with
-          | _, Iexternal (("double", 3), _) -> ()
-          | _ -> Alcotest.fail "expected external")
-        | _ -> Alcotest.fail "expected one initial state");
+        match run_to_interaction ~fuel:100 doubler (doubler.init ("quad", 3)) with
+        | _, Iexternal (("double", 3), _) -> ()
+        | _ -> Alcotest.fail "expected external");
   ]
 
 (* Horizontal composition: [quad] of the doubler resolves internally once
@@ -161,11 +168,8 @@ let probes_in_one_step (type s)
     (build : (toy_state, q, r, q, r) lts -> (s, q, r, q, r) lts) =
   let counted_loopy, probes = counted loopy in
   let l = build counted_loopy in
-  match l.init ("loop", 0) with
-  | [ st ] ->
-    checki "one internal step" 1 (List.length (l.step st));
-    !probes
-  | _ -> Alcotest.fail "expected one initial state"
+  checki "one internal step" 1 (List.length (l.step (l.init ("loop", 0))));
+  !probes
 
 let probe_tests =
   [
@@ -182,12 +186,9 @@ let probe_tests =
         | Out_of_fuel _ -> ()
         | _ -> Alcotest.fail "expected out of fuel");
         checki "loopy, run out of fuel" 0 !probes;
-        (match l.init ("loop", 0) with
-        | [ s0 ] -> (
-          match run_to_interaction ~fuel:50 l s0 with
-          | _, Ifuel -> ()
-          | _ -> Alcotest.fail "expected the fuel to run out")
-        | _ -> Alcotest.fail "expected one initial state");
+        (match run_to_interaction ~fuel:50 l (l.init ("loop", 0)) with
+        | _, Ifuel -> ()
+        | _ -> Alcotest.fail "expected the fuel to run out");
         checki "loopy, run_to_interaction" 0 !probes;
         let l, probes = counted doubler in
         (* one internal step, then [final] at the final state *)
@@ -199,9 +200,7 @@ let probe_tests =
         ignore (run_toy l ~oracle:(fun (_, n) -> Some (2 * n)) ("quad", 5));
         checki "quad" 3 !probes;
         probes := 0;
-        (match l.init ("quad", 5) with
-        | [ s0 ] -> ignore (run_to_interaction ~fuel:50 l s0)
-        | _ -> Alcotest.fail "expected one initial state");
+        ignore (run_to_interaction ~fuel:50 l (l.init ("quad", 5)));
         checki "quad, run_to_interaction" 2 !probes);
   ]
 
@@ -364,7 +363,45 @@ let prop_tests =
           | _ -> false);
     ]
 
+(* The contract of {!Smallstep.lts}: a composite raises when called
+   outside it, [Y] refusing a reply is a stuck state, and co-execution
+   (Fig. 6) activates neither side on a question that one of them
+   refuses (the toy's [init] would raise). *)
+let contract_tests =
+  [
+    Alcotest.test_case "a call outside the contract raises" `Quick (fun () ->
+        let raises f =
+          match f () with
+          | exception Invalid_argument _ -> true
+          | _ -> false
+        in
+        check "init outside dom" true (raises (fun () -> doubler.init ("inc", 1)));
+        check "after_external on a state at no call" true
+          (raises (fun () -> doubler.after_external (doubler.init ("double", 1)) 0));
+        check "a composite's init outside dom" true
+          (raises (fun () -> (Hcomp.compose doubler incr).init ("dec", 1)));
+        let stack = Vcomp.layer doubler doubler in
+        check "a layer's after_external on a state at no call" true
+          (raises (fun () -> stack.after_external (stack.init ("quad", 1)) 0)));
+    Alcotest.test_case "a refused reply resumes into a stuck state" `Quick
+      (fun () ->
+        match run_toy doubler ~oracle:(fun _ -> Some (-1)) ("quad", 5) with
+        | Goes_wrong _ -> ()
+        | o ->
+          Alcotest.failf "expected goes wrong, got %a"
+            (pp_outcome Format.pp_print_int) o);
+    Alcotest.test_case "Coexec: a target that refuses the question" `Quick
+      (fun () ->
+        let cc = Simconv.cc_id () in
+        match
+          Coexec.check ~fuel:100 ~l1:doubler ~l2:incr ~cc_in:cc ~cc_out:cc
+            ~oracle:(fun _ -> None) ("double", 3)
+        with
+        | Coexec.Fail _ -> ()
+        | Coexec.Pass -> Alcotest.fail "expected the domains to disagree");
+  ]
+
 let suite =
   ( "smallstep",
     unit_tests @ hcomp_tests @ vcomp_tests @ closed_tests @ robustness_tests
-    @ probe_tests @ prop_tests )
+    @ probe_tests @ prop_tests @ contract_tests )
