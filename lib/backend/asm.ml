@@ -672,23 +672,14 @@ let semantics_gen ~(threaded : bool) ~(symbols : Ident.t list) (p : program) :
     else step ge
   in
   (* Payloads. What [at_external] and [final] hand out is a snapshot: a
-     copy of the register file, and the memory frozen, which adds the
-     run's in-place writes and chunk copies since its thaw to the
-     [mem.cow.*] counters. [adopt] takes an inbound payload: one whose
-     memory is owned was handed over ({!Core.Smallstep.handover}) and
-     becomes the activation's as is; any other may be shared
-     ([Pregfile.init] is one shared array), so its register file is
-     copied and, threaded, its memory thawed. The naive reference stays
-     on the persistent memory model and has no handover. *)
-  let snapshot_mem m =
-    if Mem.owned m then begin
-      let in_place, copied = Mem.write_stats m in
-      Obs.Metrics.incr_counter ~by:in_place "mem.cow.in_place";
-      Obs.Metrics.incr_counter ~by:copied "mem.cow.copied";
-      Mem.freeze m
-    end
-    else m
-  in
+     copy of the register file, and the memory frozen by
+     {!Iface.Li.snapshot_mem}, which counts the run's writes. [adopt]
+     takes an inbound payload: one whose memory is owned was handed over
+     ({!Core.Smallstep.handover}) and becomes the activation's as is;
+     any other may be shared ([Pregfile.init] is one shared array), so
+     its register file is copied and, threaded, its memory thawed. The
+     naive reference stays on the persistent memory model and has no
+     handover. *)
   let adopt init_ra rs m =
     if Mem.owned m then { rs; m; init_ra }
     else { rs = Pregfile.copy rs; m = (if threaded then Mem.thaw m else m); init_ra }

@@ -251,14 +251,15 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
     handover = None;
   }
 
-(** The LTL open semantics, on the in-place register file. *)
+(** The LTL open semantics, on the in-place register file and a memory
+    the run owns between interaction points ({!Iface.Li.own_l}). *)
 let semantics ~(symbols : Ident.t list) (p : program) :
     (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
-  semantics_gen ~mutate:true ~symbols p
+  own_l (semantics_gen ~mutate:true ~symbols p)
 
-(** The same semantics on the persistent (copy-on-write) register file —
-    the reference the mutable-state lockstep suite runs against
-    [semantics]. *)
+(** The same semantics on the persistent (copy-on-write) register file
+    and memory model — the reference the mutable-state lockstep suite
+    runs against [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
     (state, l_query, l_reply, l_query, l_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:false ~symbols p

@@ -301,14 +301,15 @@ let semantics_gen ~(mutate : bool) ~(symbols : Ident.t list) (p : program) :
     handover = None;
   }
 
-(** The Mach open semantics, on the in-place register file. *)
+(** The Mach open semantics, on the in-place register file and a memory
+    the run owns between interaction points ({!Iface.Li.own_m}). *)
 let semantics ~(symbols : Ident.t list) (p : program) :
     (state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
-  semantics_gen ~mutate:true ~symbols p
+  own_m (semantics_gen ~mutate:true ~symbols p)
 
-(** The same semantics on the persistent (copy-on-write) register file —
-    the reference the mutable-state lockstep suite runs against
-    [semantics]. *)
+(** The same semantics on the persistent (copy-on-write) register file
+    and memory model — the reference the mutable-state lockstep suite
+    runs against [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
     (state, m_query, m_reply, m_query, m_reply) Core.Smallstep.lts =
   semantics_gen ~mutate:false ~symbols p

@@ -278,7 +278,9 @@ let step (mode : entry_mode) (ge : genv) (s : state) : (Core.Events.trace * stat
 
 (** {1 The open LTS} *)
 
-let semantics ?(mode : entry_mode = `Mem_params) ~(symbols : Ident.t list)
+(** The Clight open semantics on the persistent memory model: the
+    reference that [test_mutstate] runs in lockstep with {!semantics}. *)
+let semantics_naive ?(mode : entry_mode = `Mem_params) ~(symbols : Ident.t list)
     (p : program) : (state, c_query, c_reply, c_query, c_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
   {
@@ -309,3 +311,7 @@ let semantics ?(mode : entry_mode = `Mem_params) ~(symbols : Ident.t list)
         | _ -> None);
     handover = None;
   }
+
+(** The Clight open semantics: the same rules, on a memory the run owns
+    between interaction points ({!Iface.Li.own_c}). *)
+let semantics ?mode ~symbols p = own_c (semantics_naive ?mode ~symbols p)

@@ -202,7 +202,9 @@ let step (ge : genv) (s : state) : (Core.Events.trace * state) list =
       ret (State (f, Sskip, k', e, le', m))
     | _ -> [])
 
-let semantics ~(symbols : Ident.t list) (p : program) :
+(** The Csharpminor open semantics on the persistent memory model: the
+    reference that [test_mutstate] runs in lockstep with {!semantics}. *)
+let semantics_naive ~(symbols : Ident.t list) (p : program) :
     (state, c_query, c_reply, c_query, c_reply) Core.Smallstep.lts =
   let ge = Genv.globalenv ~symbols p in
   {
@@ -232,3 +234,7 @@ let semantics ~(symbols : Ident.t list) (p : program) :
         | _ -> None);
     handover = None;
   }
+
+(** The Csharpminor open semantics: the same rules, on a memory the run owns
+    between interaction points ({!Iface.Li.own_c}). *)
+let semantics ~symbols p = own_c (semantics_naive ~symbols p)

@@ -41,9 +41,10 @@ and ('s, 'qi, 'ri, 'qo, 'ro) handover = {
     One loop runs an LTS. It takes the internal step while there is
     one, and asks [final], then [at_external], only when the step is
     empty: by the contract of {!lts}, only then may the state be at an
-    interaction point, and the empty step has left it as it was. Fuel
-    is one unit per step or resumption, checked before stepping. The
-    environment is a partial oracle answering outgoing questions. *)
+    interaction point, and an empty step at that point has left it as
+    it was. Fuel is one unit per step or resumption, checked before
+    stepping. The environment is a partial oracle answering outgoing
+    questions. *)
 
 type ('ri, 'qo) outcome =
   | Final of Events.trace * 'ri  (** terminated with an answer *)

@@ -20,10 +20,24 @@
     benchmark's counting wrappers read it.
 
     The concrete semantics run over mutable state, and a [step] may
-    write its argument in place. Every LTS keeps two rules about that: a
-    state at an interaction point ([at_external] or [final] answers)
-    has no internal step, and a [step] that returns [[]] writes nothing.
-    Every driver relies on both: {!run}, {!run_to_interaction} and the
+    write its argument in place: its register file or locset, and the
+    memory the run owns between interaction points
+    ({!Memory.Mem.thaw}). Every LTS keeps two rules about that. A state
+    at an interaction point ([at_external] or [final] answers) has no
+    internal step: [step] returns [[]] there and writes nothing. A
+    [step] that returns [[]] anywhere else may already have written the
+    state's owned memory. Three steps do:
+    - Clight's function entry allocates the variables before binding
+      the parameters fails;
+    - [Mem.free_list] can fail part way through a Clight or Csharpminor
+      return;
+    - Mach's call allocates the frame before storing its back link or
+      return address fails.
+
+    Such a state is stuck: its function is internal, so it answers
+    neither [final] nor [at_external], and {!run} reports [Goes_wrong],
+    which carries no memory, so nothing sees the writes. Every driver
+    relies on both rules: {!run}, {!run_to_interaction} and the
     composites ({!Hcomp}, {!Vcomp}) take the internal step first, and
     probe [final] and [at_external] only when it is empty.
 

@@ -160,3 +160,54 @@ type a_reply = { ar_rs : Pregfile.t; ar_mem : Mem.t }
 
 let pp_a_query fmt q = Pregfile.pp fmt q.aq_rs
 let pp_a_reply fmt r = Pregfile.pp fmt r.ar_rs
+
+(** {1 Owned memory between interaction points}
+
+    A semantics observes memory only where it interacts: questions and
+    answers carry it (Def. 3.1, Table 2). So a run may write its memory
+    in place between those points. [own_c], [own_l] and [own_m] make an
+    LTS at [C ↠ C], [L ↠ L] or [M ↠ M] do so, with its transition rules
+    unchanged: [init] and [after_external] thaw the memory they receive
+    ({!Memory.Mem.thaw}), and [at_external] and [final] answer with that
+    memory frozen ({!snapshot_mem}). The wrapped LTS has no handover.
+    Every [step] of the LTS must use its memory linearly, as every
+    interpreter's rules do. *)
+
+(** [snapshot_mem m] freezes a payload memory. A memory that a run owns
+    adds that run's {!Memory.Mem.write_stats} to the [mem.cow.in_place]
+    and [mem.cow.copied] counters first, so they count each run once. *)
+let snapshot_mem m =
+  if Mem.owned m then begin
+    let in_place, copied = Mem.write_stats m in
+    Obs.Metrics.incr_counter ~by:in_place "mem.cow.in_place";
+    Obs.Metrics.incr_counter ~by:copied "mem.cow.copied";
+    Mem.freeze m
+  end
+  else m
+
+(* [map_q f q] and [map_r f r] apply [f] to the memory of a question
+   and of an answer. *)
+let own ~map_q ~map_r (l : ('s, 'q, 'r, 'q, 'r) Core.Smallstep.lts) =
+  {
+    l with
+    Core.Smallstep.init = (fun q -> l.init (map_q Mem.thaw q));
+    at_external = (fun s -> Option.map (map_q snapshot_mem) (l.at_external s));
+    after_external = (fun s r -> l.after_external s (map_r Mem.thaw r));
+    final = (fun s -> Option.map (map_r snapshot_mem) (l.final s));
+    handover = None;
+  }
+
+let own_c l =
+  own l
+    ~map_q:(fun f q -> { q with cq_mem = f q.cq_mem })
+    ~map_r:(fun f r -> { r with cr_mem = f r.cr_mem })
+
+let own_l l =
+  own l
+    ~map_q:(fun f q -> { q with lq_mem = f q.lq_mem })
+    ~map_r:(fun f r -> { r with lr_mem = f r.lr_mem })
+
+let own_m l =
+  own l
+    ~map_q:(fun f q -> { q with mq_mem = f q.mq_mem })
+    ~map_r:(fun f r -> { r with mr_mem = f r.mr_mem })

@@ -97,12 +97,19 @@ val storebytes : t -> block -> int -> memval list -> t option
     structure with it, is persistent again. A run hands out only frozen
     memories at its observation points.
 
+    Every interpreter's [semantics] is such a run, and its
+    [semantics_naive] reference stays on the persistent model. From
+    Clight to Mach, [Iface.Li]'s wrappers thaw the memory at [init] and
+    [after_external] and freeze it at [at_external] and [final]. Threaded
+    Asm does the same itself.
+
     One exception: a run may hand its owned memory over to the run that
     continues it, and give it up (the handover capability of
     [Core.Smallstep.lts]: an [⊕] push or pop between two threaded Asm
-    activations). An owned memory in a question or reply is the mark
-    of a handover: the receiver adopts it as is, without a [thaw], and
-    takes over its owner. Every other payload memory is frozen. *)
+    activations, the only LTS that has it). An owned memory in a
+    question or reply is the mark of a handover: the receiver adopts it
+    as is, without a [thaw], and takes over its owner. Every other
+    payload memory is frozen. *)
 
 (** [thaw m] is [m] owned by a fresh run. It freezes [m] first, so a
     still-owned argument loses its owner. *)

@@ -476,13 +476,15 @@ let semantics_gen (ops : 'rs regops) ~(symbols : Ident.t list) (p : program) :
     handover = None;
   }
 
-(** The RTL open semantics, on the flat mutable register set. *)
+(** The RTL open semantics, on the flat mutable register set and a
+    memory the run owns between interaction points ({!Iface.Li.own_c}). *)
 let semantics ~(symbols : Ident.t list) (p : program) :
     (Mregset.t state, c_query, c_reply, c_query, c_reply) Core.Smallstep.lts =
-  semantics_gen mut_ops ~symbols p
+  own_c (semantics_gen mut_ops ~symbols p)
 
-(** The same semantics on the persistent register map — the reference the
-    mutable-state lockstep suite runs against [semantics]. *)
+(** The same semantics on the persistent register map and memory model —
+    the reference the mutable-state lockstep suite runs against
+    [semantics]. *)
 let semantics_naive ~(symbols : Ident.t list) (p : program) :
     (regset state, c_query, c_reply, c_query, c_reply) Core.Smallstep.lts =
   semantics_gen pure_ops ~symbols p

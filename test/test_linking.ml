@@ -172,8 +172,8 @@ let tail_a =
    int sum(int k) { int s = 0; for (int i = 0; i < k; i++) s = s + even(i) * i; \
    return s; }"
 
-(* Thm 3.5 below A: at Clight, RTL, LTL, Linear and Mach, the [⊕] of
-   the two units' programs answers what their linked program answers. *)
+(* Thm 3.5 below A: at every level from Clight to Mach, the [⊕] of the
+   two units' programs answers what their linked program answers. *)
 let below_a ~entry ~args ~expect (src1, src2) =
   let module Compiler = Driver.Compiler in
   let p1 = parse src1 and p2 = parse src2 in
@@ -204,6 +204,22 @@ let below_a ~entry ~args ~expect (src1, src2) =
   let clight p = Cfrontend.Clight.semantics ~symbols p in
   agree "Clight" (at_c (both clight p1 p2))
     (at_c (clight (Errors.get (Cfrontend.Csyntax.link p1 p2))));
+  let clight2 = Cfrontend.Clight.semantics ~mode:`Temp_params ~symbols in
+  let c1 = a1.Compiler.clight2 and c2 = a2.Compiler.clight2 in
+  agree "Clight after SimplLocals" (at_c (both clight2 c1 c2))
+    (at_c (clight2 (Errors.get (Cfrontend.Csyntax.link c1 c2))));
+  let csharpminor = Cfrontend.Csharpminor.semantics ~symbols in
+  let s1 = a1.Compiler.csharpminor and s2 = a2.Compiler.csharpminor in
+  agree "Csharpminor" (at_c (both csharpminor s1 s2))
+    (at_c (csharpminor (Errors.get (Cfrontend.Csharpminor.link s1 s2))));
+  let cminor = Middle.Cminor.semantics ~symbols in
+  let m1 = a1.Compiler.cminor and m2 = a2.Compiler.cminor in
+  agree "Cminor" (at_c (both cminor m1 m2))
+    (at_c (cminor (Errors.get (Middle.Cminor.link m1 m2))));
+  let cminorsel = Middle.Cminorsel.semantics ~symbols in
+  let m1 = a1.Compiler.cminorsel and m2 = a2.Compiler.cminorsel in
+  agree "CminorSel" (at_c (both cminorsel m1 m2))
+    (at_c (cminorsel (Errors.get (Middle.Cminorsel.link m1 m2))));
   let rtl = Middle.Rtl.semantics ~symbols in
   let r1 = a1.Compiler.rtl and r2 = a2.Compiler.rtl in
   agree "RTL" (at_c (both rtl r1 r2)) (at_c (rtl (Errors.get (Middle.Rtl.link r1 r2))));
@@ -256,7 +272,10 @@ let tests =
     Alcotest.test_case "Thm 3.5 below A: (+) agrees with the linked program"
       `Quick (fun () ->
         below_a ~entry:"odd" ~args:[ 7 ] ~expect:1l (mutual_a, mutual_b);
-        below_a ~entry:"sum" ~args:[ 10 ] ~expect:20l (tail_a, mutual_b));
+        below_a ~entry:"sum" ~args:[ 10 ] ~expect:20l (tail_a, mutual_b);
+        below_a ~entry:"bump" ~args:[] ~expect:6l (globals_a, globals_b);
+        below_a ~entry:"call_wide" ~args:[ 7 ] ~expect:708l
+          (stackargs_a, stackargs_b));
   ]
 
 (* Theorem 3.4-flavored property: composing at the source and target

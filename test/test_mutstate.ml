@@ -1,19 +1,24 @@
-(** Lockstep tests for the mutable execution-state cores (ISSUE 10).
+(** Lockstep tests for the owned memories and the mutable
+    execution-state cores.
 
-    Every interpreter of the tower now runs on a flat mutable register
-    file or locset ([semantics]) while retaining the persistent
-    implementation ([semantics_naive]) as the reference. These tests pin
-    the two contracts the mutable cores must honor:
+    Every interpreter of the tower ([semantics]) writes a memory it owns
+    between interaction points, and from RTL down also a flat mutable
+    register file or locset. Each keeps a reference on the persistent
+    model ([semantics_naive]). These tests pin the contracts the owned
+    and mutable runs must honor:
     - lockstep: on generated programs and the examples/c corpus, the
-      mutable and persistent interpreters produce identical rendered
-      C-level outcomes at every level (RTL, LTL, Linear and Mach here;
-      Asm threaded-vs-naive is covered by test_allocdiff);
+      owned and persistent interpreters produce identical rendered
+      C-level outcomes at every level from Clight to Mach (Asm
+      threaded-vs-naive is covered by test_allocdiff), and on
+      examples/c every level's two runs, Asm's included, answer with
+      equal memories, neither of them still owned;
     - copy-on-observe: the snapshots the LTS hands out at its
       interaction points (init, at_external) are never aliased to the
-      live array a later step mutates — the caller's query register
-      file, the globally shared [Pregfile.init], and an oracle's view
-      of an external call must all stay bit-identical across the rest
-      of the run;
+      live state a later step writes — the caller's query register
+      file and memory, the globally shared [Pregfile.init], and an
+      oracle's view of an external call, memory included, must all stay
+      bit-identical across the rest of the run, at every level, and no
+      question memory is still owned;
     - stuck states: a threaded Asm run that goes wrong in the middle of
       a superstep stops with the PC, register file and memory the naive
       reference stops with, and has no further step;
@@ -40,39 +45,67 @@ let parses src =
 
 let fuel = 2_000_000
 
-(* Compile [src] once; run [main] under the mutable and the persistent
-   interpreter of each level, rendering each C-level outcome. *)
+(* A level's [semantics] or [semantics_naive], at interface [q]/[r]. *)
+type ('s, 'p, 'q, 'r) sem =
+  symbols:Ident.t list -> 'p -> ('s, 'q, 'r, 'q, 'r) Core.Smallstep.lts
+
+(* What to make of a level's semantics and program, at C, L or M. *)
+type 'a at_level = {
+  at_c : 's 'p. ('s, 'p, Iface.Li.c_query, Iface.Li.c_reply) sem -> 'p -> 'a;
+  at_l : 's 'p. ('s, 'p, Iface.Li.l_query, Iface.Li.l_reply) sem -> 'p -> 'a;
+  at_m : 's 'p. ('s, 'p, Iface.Li.m_query, Iface.Li.m_reply) sem -> 'p -> 'a;
+}
+
+(* The eight levels from Clight to Mach, each with [r] applied to its
+   owned [semantics] and to its persistent [semantics_naive]. *)
+let eight_levels (r : 'a at_level) (arts : Driver.Compiler.artifacts) =
+  let module Cl = Cfrontend.Clight in
+  let clight mode sem ~symbols = sem ?mode:(Some mode) ~symbols in
+  let clight1 sem = r.at_c (clight `Mem_params sem) arts.clight1
+  and clight2 sem = r.at_c (clight `Temp_params sem) arts.clight2 in
+  [
+    ("Clight", clight1 Cl.semantics, clight1 Cl.semantics_naive);
+    ("Clight after SimplLocals", clight2 Cl.semantics, clight2 Cl.semantics_naive);
+    ( "Csharpminor",
+      r.at_c Cfrontend.Csharpminor.semantics arts.csharpminor,
+      r.at_c Cfrontend.Csharpminor.semantics_naive arts.csharpminor );
+    ( "Cminor",
+      r.at_c Middle.Cminor.semantics arts.cminor,
+      r.at_c Middle.Cminor.semantics_naive arts.cminor );
+    ( "CminorSel",
+      r.at_c Middle.Cminorsel.semantics arts.cminorsel,
+      r.at_c Middle.Cminorsel.semantics_naive arts.cminorsel );
+    ( "RTL",
+      r.at_c Middle.Rtl.semantics arts.rtl,
+      r.at_c Middle.Rtl.semantics_naive arts.rtl );
+    ( "LTL",
+      r.at_l Backend.Ltl.semantics arts.ltl_tunneled,
+      r.at_l Backend.Ltl.semantics_naive arts.ltl_tunneled );
+    ( "Linear",
+      r.at_l Backend.Linear.semantics arts.linear_clean,
+      r.at_l Backend.Linear.semantics_naive arts.linear_clean );
+    ( "Mach",
+      r.at_m Backend.Mach.semantics arts.mach,
+      r.at_m Backend.Mach.semantics_naive arts.mach );
+  ]
+
+(* Compile [src] once; run [main] under the owned and the persistent
+   interpreter of each level from Clight to Mach, rendering each C-level
+   outcome. *)
 let run_levels src =
   let p = Cfrontend.Cparser.parse_program src in
   let symbols = Iface.Ast.prog_defs_names p in
   let arts = Errors.get (Driver.Compiler.compile p) in
   let q = Option.get (Driver.Runners.main_query ~symbols ~defs:p ()) in
   let render o = Format.asprintf "%a" Driver.Runners.pp_c_outcome o in
-  let rtl sem =
-    Ok (render (Driver.Runners.run_c_level (sem ~symbols arts.Driver.Compiler.rtl) ~fuel q))
-  in
-  let ltl sem =
-    Result.map render
-      (Driver.Runners.run_l_level
-         (sem ~symbols arts.Driver.Compiler.ltl_tunneled)
-         ~fuel q)
-  in
-  let lin sem =
-    Result.map render
-      (Driver.Runners.run_l_level
-         (sem ~symbols arts.Driver.Compiler.linear_clean)
-         ~fuel q)
-  in
-  let mach sem =
-    Result.map render
-      (Driver.Runners.run_m_level (sem ~symbols arts.Driver.Compiler.mach) ~fuel q)
-  in
-  [
-    ("RTL", rtl Middle.Rtl.semantics, rtl Middle.Rtl.semantics_naive);
-    ("LTL", ltl Backend.Ltl.semantics, ltl Backend.Ltl.semantics_naive);
-    ("Linear", lin Backend.Linear.semantics, lin Backend.Linear.semantics_naive);
-    ("Mach", mach Backend.Mach.semantics, mach Backend.Mach.semantics_naive);
-  ]
+  let module R = Driver.Runners in
+  eight_levels
+    {
+      at_c = (fun sem p -> Ok (render (R.run_c_level (sem ~symbols p) ~fuel q)));
+      at_l = (fun sem p -> Result.map render (R.run_l_level (sem ~symbols p) ~fuel q));
+      at_m = (fun sem p -> Result.map render (R.run_m_level (sem ~symbols p) ~fuel q));
+    }
+    arts
 
 let mutable_matches_naive =
   QCheck.Test.make
@@ -117,6 +150,39 @@ let a_query q =
   match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
   | Some (_, aq) -> aq
   | None -> Alcotest.fail "CA cannot marshal the query"
+
+let l_query q =
+  match Iface.Callconv.cc_cl.Core.Simconv.fwd_query q with
+  | Some (_, lq) -> lq
+  | None -> Alcotest.fail "CL cannot marshal the query"
+
+let m_query q =
+  match Driver.Runners.cc_cm.Core.Simconv.fwd_query q with
+  | Some (_, mq) -> mq
+  | None -> Alcotest.fail "CM cannot marshal the query"
+
+(* [l]'s answer to [q], with no environment. *)
+let answer what l q =
+  match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) q with
+  | Core.Smallstep.Final (_, r) -> r
+  | o ->
+    Alcotest.failf "%s: %s run did not finish: %a" what l.Core.Smallstep.name
+      (Core.Smallstep.pp_outcome (fun _ _ -> ())) o
+
+(* The eight levels on [main]'s query [q], each at its own interface:
+   for [semantics] and for [semantics_naive], the memory of the query
+   it runs on and a run that returns the memory of its answer. *)
+let answer_mems what ~symbols arts q =
+  let open Iface.Li in
+  let lq = l_query q and mq = m_query q in
+  let run sem p q = answer what (sem ~symbols p) q in
+  eight_levels
+    {
+      at_c = (fun sem p -> (q.cq_mem, fun () -> (run sem p q).cr_mem));
+      at_l = (fun sem p -> (lq.lq_mem, fun () -> (run sem p lq).lr_mem));
+      at_m = (fun sem p -> (mq.mq_mem, fun () -> (run sem p mq).mr_mem));
+    }
+    arts
 
 (* Minor words of one run of a level, with observability off. *)
 let run_words ~symbols q (l : Driver.Pipeline.level) =
@@ -247,61 +313,58 @@ let unit_tests =
               (run_levels src))
           files);
     Alcotest.test_case
-      "init snapshot: a run never writes the caller's register file" `Quick
-      (fun () ->
+      "init snapshot: a run never writes the caller's register file or memory"
+      `Quick (fun () ->
+        (* [gcd] writes a global, so a run that wrote its query's memory
+           in place would show in the memory's dump. *)
         let src =
-          "int gcd(int a, int b) { while (b != 0) { int t = a; a = b; b = t % \
-           b; } return a; }\n\
+          "int calls;\n\
+           int gcd(int a, int b) { calls = calls + 1; while (b != 0) { int t = \
+           a; a = b; b = t % b; } return a; }\n\
            int main(void) { return gcd(252, 105); }"
         in
         let symbols, arts, q = compile_for src in
-        (match Driver.Runners.cc_ca.Core.Simconv.fwd_query q with
-        | None -> Alcotest.fail "CA cannot marshal the query"
-        | Some (_, aq) ->
-          let before = pp_pregs aq.Iface.Li.aq_rs in
-          let l = Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm in
-          (match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) aq with
-          | Core.Smallstep.Final _ -> ()
-          | o ->
-            Alcotest.failf "asm run did not finish: %a"
-              (Core.Smallstep.pp_outcome (fun _ _ -> ())) o);
-          check "query register file unscathed" true
-            (pp_pregs aq.Iface.Li.aq_rs = before);
-          check "global Pregfile.init unscathed" true
-            (Array.for_all (fun v -> v = Vundef) Iface.Li.Pregfile.init));
-        (match Driver.Runners.cc_cm.Core.Simconv.fwd_query q with
-        | None -> Alcotest.fail "CM cannot marshal the query"
-        | Some (_, mq) ->
-          let before = pp_mregs mq.Iface.Li.mq_rs in
-          let l = Backend.Mach.semantics ~symbols arts.Driver.Compiler.mach in
-          ignore (Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) mq);
-          check "Mach query register file unscathed" true
-            (pp_mregs mq.Iface.Li.mq_rs = before));
+        let aq = a_query q in
+        let before = pp_pregs aq.Iface.Li.aq_rs and dump = mem_dump aq.Iface.Li.aq_mem in
+        ignore (answer "gcd" (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm) aq);
+        check "query register file unscathed" true (pp_pregs aq.Iface.Li.aq_rs = before);
+        check "Asm query memory unscathed" true (mem_dump aq.Iface.Li.aq_mem = dump);
+        check "global Pregfile.init unscathed" true
+          (Array.for_all (fun v -> v = Vundef) Iface.Li.Pregfile.init);
+        let mq = m_query q in
+        let before = pp_mregs mq.Iface.Li.mq_rs in
+        ignore (answer "gcd" (Backend.Mach.semantics ~symbols arts.mach) mq);
+        check "Mach query register file unscathed" true
+          (pp_mregs mq.Iface.Li.mq_rs = before);
         (* The L level: the CL query's locset shares [Regfile.init]
            (main takes no argument), which must stay all-[Vundef]. *)
-        match Iface.Callconv.cc_cl.Core.Simconv.fwd_query q with
-        | None -> Alcotest.fail "CL cannot marshal the query"
-        | Some (_, lq) ->
-          let regs = lq.Iface.Li.lq_ls.Target.Locations.Locset.regs in
-          let before = pp_mregs regs in
-          let run name l =
-            match Core.Smallstep.run ~fuel l ~oracle:(fun _ -> None) lq with
-            | Core.Smallstep.Final _ ->
-              check (name ^ " query registers unscathed") true (pp_mregs regs = before)
-            | _ -> Alcotest.failf "%s run did not finish" name
-          in
-          run "LTL" (Backend.Ltl.semantics ~symbols arts.Driver.Compiler.ltl_tunneled);
-          run "Linear"
-            (Backend.Linear.semantics ~symbols arts.Driver.Compiler.linear_clean);
-          check "global Regfile.init unscathed" true
-            (Array.for_all (fun v -> v = Vundef) Target.Machregs.Regfile.init));
+        let lq = l_query q in
+        let regs = lq.Iface.Li.lq_ls.Target.Locations.Locset.regs in
+        let before = pp_mregs regs in
+        ignore (answer "gcd" (Backend.Ltl.semantics ~symbols arts.ltl_tunneled) lq);
+        check "LTL query registers unscathed" true (pp_mregs regs = before);
+        ignore (answer "gcd" (Backend.Linear.semantics ~symbols arts.linear_clean) lq);
+        check "Linear query registers unscathed" true (pp_mregs regs = before);
+        check "global Regfile.init unscathed" true
+          (Array.for_all (fun v -> v = Vundef) Target.Machregs.Regfile.init);
+        (* Every level's query memory. The differential runs all the
+           levels on one query, so a write in place would reach the
+           next level. *)
+        List.iter
+          (fun (level, (m, run), _) ->
+            let dump = mem_dump m and next = Memory.Mem.nextblock m in
+            ignore (run ());
+            check (level ^ " query memory unscathed") true
+              (mem_dump m = dump && Memory.Mem.nextblock m = next))
+          (answer_mems "gcd" ~symbols arts q));
     Alcotest.test_case
       "at_external snapshot is not aliased by later mutation" `Quick
       (fun () ->
         (* Two external calls with internal computation between and after
-           them: if [at_external] handed the oracle the live array, the
-           steps after the first reply would scribble over the oracle's
-           snapshot. *)
+           them, which writes [g]: if [at_external] handed the oracle the
+           live register file, locset or memory, the steps after the
+           first reply would scribble over the oracle's snapshot. Every
+           level runs it. *)
         let src =
           "int g = 3;\n\
            int ext(int x);\n\
@@ -309,71 +372,87 @@ let unit_tests =
            int main(void) { int a = ext(g); g = twice(a); return ext(g) + g; }"
         in
         let symbols, arts, q = compile_for src in
-        let result_reg =
-          Iface.Li.Mreg
-            (Target.Conventions.loc_result
-               { Memory.Mtypes.sig_args = [ Memory.Mtypes.Tint ];
-                 sig_res = Some Memory.Mtypes.Tint })
+        let result =
+          Target.Conventions.loc_result
+            { Memory.Mtypes.sig_args = [ Memory.Mtypes.Tint ];
+              sig_res = Some Memory.Mtypes.Tint }
         in
-        let captured = ref None in
-        let oracle (aq : Iface.Li.a_query) =
-          if !captured = None then
-            captured :=
-              Some
-                ( aq.Iface.Li.aq_rs,
-                  pp_pregs aq.Iface.Li.aq_rs,
-                  aq.Iface.Li.aq_mem,
-                  mem_dump aq.Iface.Li.aq_mem );
+        (* Every question's memory is frozen. The first question's memory
+           is kept with its dump, and [show] renders its registers. *)
+        let first = ref None in
+        let asked level m show =
+          check (level ^ ": the question's memory is frozen") false (Memory.Mem.owned m);
+          if Option.is_none !first then first := Some (m, mem_dump m, show, show ())
+        in
+        let ran level outcome =
+          (match outcome with
+          | Ok (Core.Smallstep.Final _) -> ()
+          | Ok o ->
+            Alcotest.failf "%s run did not finish: %a" level Driver.Runners.pp_c_outcome o
+          | Error e -> Alcotest.failf "%s: marshal error: %s" level e);
+          match !first with
+          | None -> Alcotest.failf "%s: no external call reached the oracle" level
+          | Some (m, dump, show, shown) ->
+            first := None;
+            check (level ^ ": external-call memory unchanged after the run") true
+              (mem_dump m = dump);
+            check (level ^ ": external-call registers unchanged after the run") true
+              (show () = shown)
+        in
+        let at_c level l =
+          let oracle (cq : Iface.Li.c_query) =
+            asked level cq.Iface.Li.cq_mem (fun () -> "");
+            Some { Iface.Li.cr_res = Vint 7l; cr_mem = cq.Iface.Li.cq_mem }
+          in
+          ran level (Ok (Driver.Runners.run_c_level l ~fuel ~oracle q))
+        in
+        let pp_ls ls = Format.asprintf "%a" Target.Locations.Locset.pp ls in
+        let at_l level l =
+          let oracle (lq : Iface.Li.l_query) =
+            let ls = lq.Iface.Li.lq_ls in
+            asked level lq.Iface.Li.lq_mem (fun () -> pp_ls ls);
+            Iface.Callconv.cc_cl.Core.Simconv.fwd_reply
+              (lq.Iface.Li.lq_sg, ls)
+              { Iface.Li.cr_res = Vint 7l; cr_mem = lq.Iface.Li.lq_mem }
+          in
+          ran level (Driver.Runners.run_l_level l ~fuel ~oracle q)
+        in
+        let m_oracle (mq : Iface.Li.m_query) =
+          let rs = mq.Iface.Li.mq_rs in
+          asked "Mach" mq.Iface.Li.mq_mem (fun () -> pp_mregs rs);
+          Some
+            { Iface.Li.mr_rs = Target.Machregs.Regfile.set result (Vint 7l) rs;
+              mr_mem = mq.Iface.Li.mq_mem }
+        in
+        let a_oracle (aq : Iface.Li.a_query) =
+          let rs = aq.Iface.Li.aq_rs in
+          asked "Asm" aq.Iface.Li.aq_mem (fun () -> pp_pregs rs);
           let rs' =
             Iface.Li.Pregfile.set Iface.Li.PC
-              (Iface.Li.Pregfile.get Iface.Li.RA aq.Iface.Li.aq_rs)
-              (Iface.Li.Pregfile.set result_reg (Vint 7l) aq.Iface.Li.aq_rs)
+              (Iface.Li.Pregfile.get Iface.Li.RA rs)
+              (Iface.Li.Pregfile.set (Iface.Li.Mreg result) (Vint 7l) rs)
           in
           Some { Iface.Li.ar_rs = rs'; ar_mem = aq.Iface.Li.aq_mem }
         in
-        let outcome =
-          Driver.Runners.run_a_level
-            (Backend.Asm.semantics ~symbols arts.Driver.Compiler.asm)
-            ~fuel ~oracle q
-        in
-        (match outcome with
-        | Ok (Core.Smallstep.Final _) -> ()
-        | Ok o ->
-          Alcotest.failf "run did not finish: %a" Driver.Runners.pp_c_outcome o
-        | Error e -> Alcotest.failf "marshal error: %s" e);
-        (match !captured with
-        | None -> Alcotest.fail "no external call reached the oracle"
-        | Some (rs, before, m, dump) ->
-          check "external-call snapshot unchanged after the run" true
-            (pp_pregs rs = before);
-          check "external-call memory unchanged after the run" true
-            (mem_dump m = dump));
-        (* The same at the L level: the locset LTL hands the oracle is
-           the suspended caller's, which the run must not write again. *)
-        let pp_ls ls = Format.asprintf "%a" Target.Locations.Locset.pp ls in
-        let captured = ref None in
-        let oracle (lq : Iface.Li.l_query) =
-          let ls = lq.Iface.Li.lq_ls in
-          if !captured = None then captured := Some (ls, pp_ls ls);
-          Iface.Callconv.cc_cl.Core.Simconv.fwd_reply
-            (lq.Iface.Li.lq_sg, ls)
-            { Iface.Li.cr_res = Vint 7l; cr_mem = lq.Iface.Li.lq_mem }
-        in
-        (match
-           Driver.Runners.run_l_level
-             (Backend.Ltl.semantics ~symbols arts.Driver.Compiler.ltl_tunneled)
-             ~fuel ~oracle q
-         with
-        | Ok (Core.Smallstep.Final _) -> ()
-        | Ok o -> Alcotest.failf "LTL run did not finish: %a" Driver.Runners.pp_c_outcome o
-        | Error e -> Alcotest.failf "marshal error: %s" e);
-        match !captured with
-        | None -> Alcotest.fail "no external call reached the LTL oracle"
-        | Some (ls, before) ->
-          check "LTL external-call locset unchanged after the run" true
-            (pp_ls ls = before));
+        let open Driver.Compiler in
+        at_c "Clight" (Cfrontend.Clight.semantics ~symbols arts.clight1);
+        at_c "Clight after SimplLocals"
+          (Cfrontend.Clight.semantics ~mode:`Temp_params ~symbols arts.clight2);
+        at_c "Csharpminor" (Cfrontend.Csharpminor.semantics ~symbols arts.csharpminor);
+        at_c "Cminor" (Middle.Cminor.semantics ~symbols arts.cminor);
+        at_c "CminorSel" (Middle.Cminorsel.semantics ~symbols arts.cminorsel);
+        at_c "RTL" (Middle.Rtl.semantics ~symbols arts.rtl);
+        at_l "LTL" (Backend.Ltl.semantics ~symbols arts.ltl_tunneled);
+        at_l "Linear" (Backend.Linear.semantics ~symbols arts.linear_clean);
+        ran "Mach"
+          (Driver.Runners.run_m_level (Backend.Mach.semantics ~symbols arts.mach) ~fuel
+             ~oracle:m_oracle q);
+        ran "Asm"
+          (Driver.Runners.run_a_level (Backend.Asm.semantics ~symbols arts.asm) ~fuel
+             ~oracle:a_oracle q));
     Alcotest.test_case
-      "threaded and naive Asm answer with equal memories on examples/c"
+      "threaded and naive Asm answer with equal memories on examples/c, as do \
+       the other levels' two runs"
       `Quick (fun () ->
         List.iter
           (fun file ->
@@ -381,21 +460,22 @@ let unit_tests =
               compile_for (read_file (Filename.concat "../examples/c" file))
             in
             let aq = a_query q in
-            let reply sem =
-              match
-                Core.Smallstep.run ~fuel
-                  (sem ~symbols arts.Driver.Compiler.asm)
-                  ~oracle:(fun _ -> None) aq
-              with
-              | Core.Smallstep.Final (_, r) -> r
-              | _ -> Alcotest.failf "%s: Asm run did not finish" file
-            in
-            let t = reply Backend.Asm.semantics
-            and n = reply Backend.Asm.semantics_naive in
+            let reply sem = answer file (sem ~symbols arts.Driver.Compiler.asm) aq in
+            let t = reply Backend.Asm.semantics and n = reply Backend.Asm.semantics_naive in
             check (file ^ ": reply register files agree") true
               (Iface.Li.Pregfile.equal t.Iface.Li.ar_rs n.Iface.Li.ar_rs);
-            check (file ^ ": reply memories agree") true
-              (Memory.Mem.equal t.Iface.Li.ar_mem n.Iface.Li.ar_mem))
+            List.iter
+              (fun (level, owned, naive) ->
+                check
+                  (Printf.sprintf "%s: %s reply memories agree" file level)
+                  true (Memory.Mem.equal owned naive);
+                check
+                  (Printf.sprintf "%s: %s reply memories are frozen" file level)
+                  false (Memory.Mem.owned owned || Memory.Mem.owned naive))
+              (("Asm", t.Iface.Li.ar_mem, n.Iface.Li.ar_mem)
+              :: List.map
+                   (fun (level, (_, run), (_, run_naive)) -> (level, run (), run_naive ()))
+                   (answer_mems file ~symbols arts q)))
           (example_files ()));
     Alcotest.test_case
       "owned memory: stores write in place, the query's memory stays intact"

@@ -258,19 +258,19 @@ let compile_words_ceiling = 2_564_271.
    differential runs it. Each ceiling is the measured value. *)
 let level_words_ceilings =
   [
-    ("clight1", 3_738_695.);
-    ("clight2", 1_883_886.);
-    ("csharpminor", 1_550_848.);
-    ("cminor", 1_824_368.);
-    ("cminorsel", 2_580_338.);
-    ("rtl_gen", 2_561_752.);
-    ("rtl_opt", 2_491_932.);
-    ("ltl", 3_458_124.);
-    ("ltl_tunneled", 2_761_486.);
-    ("linear", 4_028_600.);
-    ("linear_clean", 2_900_758.);
-    ("mach", 3_918_886.);
-    ("asm", 575_991.);
+    ("clight1", 2_239_589.);
+    ("clight2", 1_830_860.);
+    ("csharpminor", 1_497_822.);
+    ("cminor", 1_535_633.);
+    ("cminorsel", 2_291_603.);
+    ("rtl_gen", 2_273_017.);
+    ("rtl_opt", 2_203_962.);
+    ("ltl", 3_170_154.);
+    ("ltl_tunneled", 2_473_516.);
+    ("linear", 3_740_630.);
+    ("linear_clean", 2_612_788.);
+    ("mach", 2_028_132.);
+    ("asm", 575_947.);
   ]
 
 (* Each pass's allocation, pinned on the same inputs: the minor words
